@@ -37,6 +37,7 @@ import (
 	"erms/internal/obs"
 	"erms/internal/parallel"
 	"erms/internal/persist"
+	"erms/internal/sortutil"
 	"erms/internal/spec"
 )
 
@@ -62,7 +63,6 @@ func main() {
 		simMode  = flag.String("sim-mode", "exact", "evaluation engine fidelity: exact (discrete events everywhere) or hybrid (analytic fluid model for far-from-knee microservices)")
 		simParts = flag.Int("sim-partitions", 0, "concurrent sharing-group partition tasks for -evaluate (0 = one per group; with -sim-mode exact any value is byte-identical to the serial engine)")
 
-		shards    = flag.Int("shards", 0, "incremental planner shard count (0 = one shard per worker); any value plans identically")
 		planWin   = flag.Int("plan-windows", 0, "drive N planning windows, perturbing a fraction of services each window, and report per-window latency and skip/replan counters")
 		dirtyFrac = flag.Float64("dirty-frac", 0.1, "with -plan-windows: fraction of services whose rates change every window")
 
@@ -147,7 +147,7 @@ func main() {
 	}
 
 	if *specPath != "" {
-		runSpec(*specPath, *timeline, *obsAddr, *shards)
+		runSpec(*specPath, *timeline, *obsAddr)
 		return
 	}
 
@@ -201,18 +201,8 @@ func main() {
 	for _, svc := range app.Services() {
 		rates[svc] = *rate
 	}
-	if *rateList != "" {
-		for _, kv := range strings.Split(*rateList, ",") {
-			parts := strings.SplitN(strings.TrimSpace(kv), "=", 2)
-			if len(parts) != 2 {
-				log.Fatalf("bad -rates entry %q", kv)
-			}
-			v, err := strconv.ParseFloat(parts[1], 64)
-			if err != nil {
-				log.Fatalf("bad rate in %q: %v", kv, err)
-			}
-			rates[parts[0]] = v
-		}
+	if err := parseRates(*rateList, rates); err != nil {
+		log.Fatal(err)
 	}
 
 	var sch erms.Scheme
@@ -244,7 +234,7 @@ func main() {
 		log.Fatal("-drift* flags only apply to -chaos runs; add -chaos or drop them")
 	}
 	sysOpts := []erms.Option{erms.WithHosts(*hosts), erms.WithScheme(sch),
-		erms.WithResilience(res), erms.WithPlanShards(*shards)}
+		erms.WithResilience(res)}
 	if *driftOn {
 		sysOpts = append(sysOpts, erms.WithDriftDetection(erms.DriftConfig{
 			Threshold:   *driftThr,
@@ -417,9 +407,6 @@ func holdForScrape(srv *obs.Server) {
 func runPlanWindows(sys *erms.System, app *erms.App, rates map[string]float64,
 	windows int, frac float64) {
 	ctrl := sys.Controller()
-	if ctrl.Planner == nil {
-		log.Fatal("-plan-windows needs the incremental planner (it is on by default; remove any option disabling it)")
-	}
 	svcs := app.Services()
 	sort.Strings(svcs)
 	n := int(frac*float64(len(svcs)) + 0.999999)
@@ -541,6 +528,30 @@ func runChaosLoop(sys *erms.System, app *erms.App, rates map[string]float64,
 	}
 }
 
+// parseRates overlays a -rates list ("svc=rate,svc=rate") onto rates, whose
+// keys are the application's services. A name that is not one of them is an
+// error: dropping it would leave the misspelled service on its default rate.
+func parseRates(list string, rates map[string]float64) error {
+	if list == "" {
+		return nil
+	}
+	for _, kv := range strings.Split(list, ",") {
+		parts := strings.SplitN(strings.TrimSpace(kv), "=", 2)
+		if len(parts) != 2 {
+			return fmt.Errorf("bad -rates entry %q", kv)
+		}
+		if _, ok := rates[parts[0]]; !ok {
+			return fmt.Errorf("-rates names unknown service %q (services: %s)", parts[0], strings.Join(sortutil.Keys(rates), ", "))
+		}
+		v, err := strconv.ParseFloat(parts[1], 64)
+		if err != nil {
+			return fmt.Errorf("bad rate in %q: %v", kv, err)
+		}
+		rates[parts[0]] = v
+	}
+	return nil
+}
+
 // flagWasSet reports whether the named flag appeared on the command line.
 func flagWasSet(name string) bool {
 	set := false
@@ -586,7 +597,7 @@ func rejectSpecConflicts(specFile string) {
 
 // runSpec parses, compiles, and runs a declarative workload spec, printing
 // the per-tier outcome summary and writing the timeline CSV artifact.
-func runSpec(path, timelinePath, obsAddr string, shards int) {
+func runSpec(path, timelinePath, obsAddr string) {
 	s, err := spec.ParseFile(path)
 	if err != nil {
 		log.Fatal(err)
@@ -595,7 +606,6 @@ func runSpec(path, timelinePath, obsAddr string, shards int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sc.PlanShards = shards
 	var rec *obs.Recorder
 	var srv *obs.Server
 	if obsAddr != "" {

@@ -116,15 +116,13 @@ type System struct {
 type Option func(*config)
 
 type config struct {
-	hosts         int
-	hostSpec      cluster.HostSpec
-	scheme        Scheme
-	delta         float64
-	popGroups     int
-	resilience    *Resilience
-	planShards    int
-	noIncremental bool
-	driftCfg      *DriftConfig
+	hosts      int
+	hostSpec   cluster.HostSpec
+	scheme     Scheme
+	delta      float64
+	popGroups  int
+	resilience *Resilience
+	driftCfg   *DriftConfig
 }
 
 // WithHosts sets the cluster size (default 20, the paper's testbed).
@@ -147,16 +145,6 @@ func WithPOPGroups(g int) Option { return func(c *config) { c.popGroups = g } }
 // WithResilience enables the data-plane fault model in every evaluation
 // simulation (nil, the default, keeps the infallible data plane).
 func WithResilience(r *Resilience) Option { return func(c *config) { c.resilience = r } }
-
-// WithPlanShards sets the incremental planner's shard count (a parallelism
-// hint — plans are byte-identical at any value; <= 0, the default, sizes
-// shards to the worker pool).
-func WithPlanShards(n int) Option { return func(c *config) { c.planShards = n } }
-
-// WithoutIncrementalPlanning disables change-driven incremental planning,
-// replanning every service every window. Plans are bit-identical either
-// way; this exists for benchmarking and as an escape hatch.
-func WithoutIncrementalPlanning() Option { return func(c *config) { c.noIncremental = true } }
 
 // DriftConfig tunes the online profiling drift detector (see package drift;
 // the zero value applies documented defaults).
@@ -190,10 +178,6 @@ func NewSystem(app *App, opts ...Option) (*System, error) {
 		core.WithDelta(cfg.delta),
 		core.WithScheduler(&provision.InterferenceAware{Groups: cfg.popGroups}),
 		core.WithResilience(cfg.resilience),
-		core.WithPlanShards(cfg.planShards),
-	}
-	if cfg.noIncremental {
-		coreOpts = append(coreOpts, core.WithoutIncrementalPlanning())
 	}
 	if cfg.driftCfg != nil {
 		coreOpts = append(coreOpts, core.WithDriftDetection(*cfg.driftCfg))

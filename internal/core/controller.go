@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"erms/internal/apps"
@@ -79,35 +80,6 @@ func WithDriftDetection(cfg drift.Config) Option {
 	return func(c *Controller) { c.Drift = drift.NewDetector(cfg) }
 }
 
-// WithoutPlanTemplates disables the compiled-plan-template cache, forcing
-// every window through the naive scaling path. Output is bit-identical
-// either way; this exists for benchmarking the naive path and as an escape
-// hatch. It implies WithoutIncrementalPlanning (the incremental planner is
-// built on the template cache).
-func WithoutPlanTemplates() Option {
-	return func(c *Controller) {
-		c.PlanCache = nil
-		c.noIncremental = true
-	}
-}
-
-// WithoutIncrementalPlanning disables the change-driven incremental
-// planner, replanning every service every window through the (still
-// template-cached, unless WithoutPlanTemplates) monolithic path. Output is
-// bit-identical either way; this exists for benchmarking and as an escape
-// hatch.
-func WithoutIncrementalPlanning() Option {
-	return func(c *Controller) { c.noIncremental = true }
-}
-
-// WithPlanShards sets the incremental planner's shard count. Sharing
-// groups are pinned to one shard, so the count is a parallelism hint —
-// output is byte-identical at any value. <= 0 (the default) sizes shards
-// to the parallel worker pool.
-func WithPlanShards(n int) Option {
-	return func(c *Controller) { c.planShards = n }
-}
-
 // Controller is the Erms resource manager for one application on one
 // cluster.
 type Controller struct {
@@ -146,23 +118,19 @@ type Controller struct {
 	// evaluation simulation (see sim.Resilience).
 	Resilience *sim.Resilience
 
-	// PlanCache memoizes compiled plan templates per service (on by
-	// default): steady-state windows replay the precompiled Algorithm-1
-	// reduction instead of re-validating and re-merging every graph, with
-	// automatic invalidation when graphs, models, shares, or the SLA change.
-	// Nil (WithoutPlanTemplates) plans naively. Either way the produced
-	// plans are bit-identical.
+	// PlanCache memoizes compiled plan templates per service: steady-state
+	// windows replay the precompiled Algorithm-1 reduction instead of
+	// re-validating and re-merging every graph, with automatic invalidation
+	// when graphs, models, shares, or the SLA change.
 	PlanCache *scaling.TemplateCache
-	// Planner is the change-driven incremental planner (on by default,
-	// sharing PlanCache): windows replan only the sharing groups whose
-	// inputs changed and fan dirty groups out across shards, producing
-	// byte-identical plans to the monolithic path. Nil
-	// (WithoutIncrementalPlanning) replans everything every window.
+	// Planner is the change-driven incremental planner over PlanCache, the
+	// one production planning path: windows replan only the sharing groups
+	// whose inputs changed, fanned out over one shard per pool worker. Its
+	// plans are bit-identical to multiplex.PlanSchemeCached from scratch and
+	// immutable (see multiplex.Plan).
 	Planner *multiplex.IncrementalPlanner
 
-	noIncremental bool
-	planShards    int
-	scheduler     kube.Scheduler
+	scheduler kube.Scheduler
 	// sharesCache memoizes the per-microservice dominant shares, which only
 	// depend on container specs and total cluster capacity; it refreshes
 	// whenever capacity changes (e.g. chaos host loss).
@@ -194,9 +162,7 @@ func New(app *apps.App, orch *kube.Orchestrator, opts ...Option) (*Controller, e
 	for _, o := range opts {
 		o(c)
 	}
-	if !c.noIncremental && c.PlanCache != nil {
-		c.Planner = multiplex.NewIncrementalPlanner(c.PlanCache, c.planShards)
-	}
+	c.Planner = multiplex.NewIncrementalPlanner(c.PlanCache, 0)
 	if c.scheduler != nil {
 		orch.SetScheduler(c.scheduler)
 	}
@@ -270,10 +236,32 @@ func (c *Controller) Plan(rates map[string]float64) (*multiplex.Plan, error) {
 		return nil, errors.New("core: no latency models; call UseAnalyticModels or ProfileOffline first")
 	}
 	for _, g := range c.App.Graphs {
-		if rates[g.Service] <= 0 {
-			return nil, fmt.Errorf("core: no rate for service %s", g.Service)
+		// !(r > 0) also catches NaN, which every ordered comparison lets by.
+		if r := rates[g.Service]; !(r > 0) || math.IsInf(r, 1) {
+			return nil, fmt.Errorf("core: rate for service %s must be positive and finite, got %v", g.Service, r)
 		}
 	}
+	plan, err := c.Planner.PlanScheme(c.Scheme, c.planInputs(), c.Loads(rates), c.App.Shared())
+	if err != nil {
+		return nil, err
+	}
+	c.Obs.Inc(obs.CtrPlans)
+	if c.Obs != nil {
+		ct := c.PlanCache.Stats()
+		c.Obs.Set(obs.CtrPlanTemplateHits, float64(ct.Hits))
+		c.Obs.Set(obs.CtrPlanTemplateCompiles, float64(ct.Compiles))
+		c.Obs.Set(obs.CtrPlanTemplateInvalidations, float64(ct.Invalidations))
+		pt := c.Planner.Stats()
+		c.Obs.Set(obs.CtrPlanSkipped, float64(pt.SkippedServices))
+		c.Obs.Set(obs.CtrPlanDirty, float64(pt.DirtyServices))
+		c.Obs.Set(obs.CtrPlanShards, float64(pt.ShardRuns))
+	}
+	return plan, nil
+}
+
+// planInputs assembles every service's scaling input from the cluster's
+// current state (Workloads are filled in per scheme by the planner).
+func (c *Controller) planInputs() map[string]scaling.Input {
 	cl := c.Orch.Cluster()
 	cpu, mem := cl.MeanCPUUtil(), cl.MeanMemUtil()
 	shares := c.dominantShares(cl)
@@ -288,29 +276,7 @@ func (c *Controller) Plan(rates map[string]float64) (*multiplex.Plan, error) {
 			MemUtil: mem,
 		}
 	}
-	var plan *multiplex.Plan
-	var err error
-	if c.Planner != nil {
-		plan, err = c.Planner.PlanScheme(c.Scheme, inputs, c.Loads(rates), c.App.Shared())
-	} else {
-		plan, err = multiplex.PlanSchemeCached(c.Scheme, inputs, c.Loads(rates), c.App.Shared(), c.PlanCache)
-	}
-	if err == nil {
-		c.Obs.Inc(obs.CtrPlans)
-		if c.Obs != nil && c.PlanCache != nil {
-			st := c.PlanCache.Stats()
-			c.Obs.Set(obs.CtrPlanTemplateHits, float64(st.Hits))
-			c.Obs.Set(obs.CtrPlanTemplateCompiles, float64(st.Compiles))
-			c.Obs.Set(obs.CtrPlanTemplateInvalidations, float64(st.Invalidations))
-		}
-		if c.Obs != nil && c.Planner != nil {
-			st := c.Planner.Stats()
-			c.Obs.Set(obs.CtrPlanSkipped, float64(st.SkippedServices))
-			c.Obs.Set(obs.CtrPlanDirty, float64(st.DirtyServices))
-			c.Obs.Set(obs.CtrPlanShards, float64(st.ShardRuns))
-		}
-	}
-	return plan, err
+	return inputs
 }
 
 // dominantShares returns the per-microservice dominant resource share,
@@ -538,28 +504,7 @@ func (c *Controller) EvaluateDeployed(plan *multiplex.Plan, rates map[string]flo
 		}
 		res = rt.Run()
 	}
-	if c.Obs != nil {
-		c.Obs.Add(obs.CtrSimEvents, float64(res.Engine.Events))
-		c.Obs.Add(obs.CtrSimJobsAlloc, float64(res.Engine.JobsAllocated))
-		c.Obs.Add(obs.CtrSimJobsRecycled, float64(res.Engine.JobsRecycled))
-		c.Obs.SetMax(obs.GaugeSimHeapPeak, float64(res.Engine.HeapPeak))
-		c.Obs.Add(obs.CtrSimPartitions, float64(res.Partitions))
-		c.Obs.Add(obs.CtrSimFluidContainers, float64(res.FluidContainerMinutes))
-		c.Obs.Add(obs.CtrSimExactContainers, float64(res.ExactContainerMinutes))
-		if c.Resilience != nil {
-			d := res.Data
-			c.Obs.Add(obs.CtrDataAttempts, float64(d.Attempts))
-			c.Obs.Add(obs.CtrDataTimeouts, float64(d.Timeouts))
-			c.Obs.Add(obs.CtrDataRetries, float64(d.Retries))
-			c.Obs.Add(obs.CtrDataRetryBudgetExhausted, float64(d.RetryBudgetExhausted))
-			c.Obs.Add(obs.CtrDataBreakerOpens, float64(d.BreakerOpens))
-			c.Obs.Add(obs.CtrDataBreakerShortCircuits, float64(d.BreakerShortCircuits))
-			c.Obs.Add(obs.CtrDataShed, float64(d.Shed))
-			c.Obs.Add(obs.CtrDataCrashFailures, float64(d.CrashFailures))
-			c.Obs.Add(obs.CtrDataDeadlineSkips, float64(d.DeadlineSkips))
-			c.Obs.Add(obs.CtrDataUnavailable, float64(d.Unavailable))
-		}
-	}
+	res.ExportTo(c.Obs, c.Resilience != nil)
 	out := &EvalResult{
 		Plan:            plan,
 		Sim:             res,
@@ -570,7 +515,6 @@ func (c *Controller) EvaluateDeployed(plan *multiplex.Plan, rates map[string]flo
 	if c.Resilience != nil {
 		out.ErrorRate = make(map[string]float64)
 	}
-	errors := 0
 	// Fold in sorted service order: Goodput is a float sum, and float
 	// addition is not associative, so map-range order would make two
 	// identical evaluations differ in the last ulp.
@@ -583,42 +527,11 @@ func (c *Controller) EvaluateDeployed(plan *multiplex.Plan, rates map[string]flo
 		sr := res.PerService[svc]
 		out.Violations[svc] = sr.ViolationRate()
 		out.TailLatency[svc] = sr.P95()
-		errors += sr.Errors
 		if c.Resilience != nil {
 			out.ErrorRate[svc] = sr.ErrorRate()
 			if res.SimulatedMin > 0 {
 				out.Goodput += float64(sr.Good()) / res.SimulatedMin
 			}
-		}
-	}
-	if c.Obs != nil && c.Resilience != nil {
-		c.Obs.Add(obs.CtrDataErrors, float64(errors))
-	}
-	if c.Obs != nil && len(res.PerStream) > 0 {
-		// Per-SLO-tier outcome counters: success/slow/error from the stream
-		// results, shed at call granularity from the data plane.
-		type acc struct{ success, slow, errs int }
-		byTier := make(map[workload.Tier]*acc, workload.NumTiers)
-		for _, sr := range res.PerStream {
-			a := byTier[sr.Tier]
-			if a == nil {
-				a = &acc{}
-				byTier[sr.Tier] = a
-			}
-			a.success += sr.Good()
-			a.slow += sr.Violations
-			a.errs += sr.Errors
-		}
-		for _, tier := range workload.Tiers() {
-			a := byTier[tier]
-			if a == nil {
-				continue
-			}
-			name := tier.String()
-			c.Obs.Add(obs.TierDataCounter(name, "success"), float64(a.success))
-			c.Obs.Add(obs.TierDataCounter(name, "slow"), float64(a.slow))
-			c.Obs.Add(obs.TierDataCounter(name, "error"), float64(a.errs))
-			c.Obs.Add(obs.TierDataCounter(name, "shed"), float64(res.Data.ShedByTier[tier]))
 		}
 	}
 	return out, nil

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"erms/internal/apps"
@@ -84,6 +86,19 @@ func TestPlanRequiresModelsAndRates(t *testing.T) {
 	c.UseAnalyticModels()
 	if _, err := c.Plan(map[string]float64{"search": 100}); err == nil {
 		t.Fatal("missing rates accepted")
+	}
+	// Non-finite rates must be rejected by name: NaN slips through every
+	// ordered comparison and +Inf plans to infinite latency targets.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -5} {
+		rates := hotelRates(1000)
+		rates["reserve"] = bad
+		_, err := c.Plan(rates)
+		if err == nil {
+			t.Fatalf("rate %v accepted", bad)
+		}
+		if !strings.Contains(err.Error(), "reserve") {
+			t.Fatalf("rate %v: error %q does not name the service", bad, err)
+		}
 	}
 }
 

@@ -5,27 +5,31 @@ import (
 	"testing"
 
 	"erms/internal/metrics"
+	"erms/internal/multiplex"
 	"erms/internal/obs"
 )
 
-// TestControllerPlanCacheBitIdentical: a controller with the default
-// template cache produces plans bit-identical to one without, window after
-// window, and the cache actually serves hits after the first window.
+// oraclePlan is the from-scratch reference for whatever Controller.Plan
+// returns in the cluster's current state: the paper-literal planner (nil
+// cache) over the same inputs, sharing nothing with the controller's caches.
+func oraclePlan(t *testing.T, c *Controller, rates map[string]float64) *multiplex.Plan {
+	t.Helper()
+	plan, err := multiplex.PlanSchemeCached(c.Scheme, c.planInputs(), c.Loads(rates), c.App.Shared(), nil)
+	if err != nil {
+		t.Fatalf("oracle plan: %v", err)
+	}
+	return plan
+}
+
+// TestControllerPlanCacheBitIdentical: the controller's one planning path
+// (incremental planner over the template cache) produces plans bit-identical
+// to the from-scratch oracle, window after window, and the cache actually
+// serves hits after the first window.
 func TestControllerPlanCacheBitIdentical(t *testing.T) {
 	cached := hotelController(t)
-	naive := hotelController(t, WithoutPlanTemplates())
-	if cached.PlanCache == nil {
-		t.Fatal("template cache should be on by default")
-	}
-	if naive.PlanCache != nil {
-		t.Fatal("WithoutPlanTemplates should clear the cache")
-	}
 	for w := 0; w < 4; w++ {
 		rates := hotelRates(4000 + 1500*float64(w))
-		want, err := naive.Plan(rates)
-		if err != nil {
-			t.Fatalf("window %d naive: %v", w, err)
-		}
+		want := oraclePlan(t, cached, rates)
 		got, err := cached.Plan(rates)
 		if err != nil {
 			t.Fatalf("window %d cached: %v", w, err)

@@ -180,11 +180,11 @@ func (r *Reconciler) History() []WindowReport {
 func (r *Reconciler) LastPlan() *multiplex.Plan { return r.lastPlan }
 
 // applyWithHysteresis merges the new plan with the current deployment:
-// scale-ups apply immediately, scale-downs only past the slack. The adjusted
-// counts are computed on the side and committed into plan.Containers only
-// after the (atomic-or-rollback) apply succeeds, so a mid-apply failure
-// leaves both the orchestrator and the plan exactly as they were.
-func (r *Reconciler) applyWithHysteresis(plan *multiplex.Plan) (up, down int, err error) {
+// scale-ups apply immediately, scale-downs only past the slack. Plans are
+// immutable (see multiplex.Plan), so the adjusted counts go into a new Plan
+// value sharing plan's PerService and Ranks; it is returned only after the
+// (atomic-or-rollback) apply succeeds.
+func (r *Reconciler) applyWithHysteresis(plan *multiplex.Plan) (applied *multiplex.Plan, up, down int, err error) {
 	adjusted := make(map[string]int, len(plan.Containers))
 	for ms, want := range plan.Containers {
 		cur := r.C.Orch.Replicas(ms)
@@ -200,13 +200,12 @@ func (r *Reconciler) applyWithHysteresis(plan *multiplex.Plan) (up, down int, er
 		}
 		adjusted[ms] = want
 	}
-	tmp := *plan
-	tmp.Containers = adjusted
-	if err := r.C.Apply(&tmp); err != nil {
-		return 0, 0, err
+	out := *plan
+	out.Containers = adjusted
+	if err := r.C.Apply(&out); err != nil {
+		return nil, 0, 0, err
 	}
-	plan.Containers = adjusted
-	return up, down, nil
+	return &out, up, down, nil
 }
 
 // opError consults the chaos hook for an injected control-plane fault.
@@ -285,17 +284,6 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// clonePlan copies a plan deeply enough for the loop's mutation (the
-// container counts); targets, ranks and per-service allocations are shared.
-func clonePlan(p *multiplex.Plan) *multiplex.Plan {
-	cp := *p
-	cp.Containers = make(map[string]int, len(p.Containers))
-	for ms, n := range p.Containers {
-		cp.Containers[ms] = n
-	}
-	return &cp
-}
-
 // Step runs one window at the given observed rates. Configuration errors
 // (nil controller, missing models on the first window with no fallback plan)
 // still return an error; transient planning/apply failures do not abort the
@@ -333,23 +321,22 @@ func (r *Reconciler) Step(rates map[string]float64, seed uint64) (*WindowReport,
 		if !r.ReuseLastPlan || r.lastPlan == nil {
 			return nil, fmt.Errorf("core: reconcile plan: %w", err)
 		}
-		plan = clonePlan(r.lastPlan)
+		plan = r.lastPlan
 		report.Degraded = true
 	}
 
 	spApply := r.Obs.StartSpan(obs.PhaseApply, w)
-	up, down := 0, 0
 	err = r.withRetry(w, "apply", rng, &report, func() error {
-		u, d, e := r.applyWithHysteresis(plan)
+		applied, up, down, e := r.applyWithHysteresis(plan)
 		if e == nil {
-			up, down = u, d
+			plan = applied
+			report.ScaledUp, report.ScaledDown = up, down
 		}
 		return e
 	})
 	r.notePhase(&report, obs.PhaseApply, spApply)
 	switch {
 	case err == nil:
-		report.ScaledUp, report.ScaledDown = up, down
 		r.lastPlan = plan
 	case r.ReuseLastPlan:
 		// Apply failed past the retry budget (rollback already restored the

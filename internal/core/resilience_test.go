@@ -94,12 +94,12 @@ func TestHysteresisApplyFailureLeavesPlanUntouched(t *testing.T) {
 	}
 	r := NewReconciler(c)
 	plan := &multiplex.Plan{Containers: map[string]int{"A": 30, "B": 2}}
-	up, down, err := r.applyWithHysteresis(plan)
+	applied, up, down, err := r.applyWithHysteresis(plan)
 	if err == nil {
 		t.Fatal("over-capacity hysteresis apply accepted")
 	}
-	if up != 0 || down != 0 {
-		t.Fatalf("failed apply reported scaling: up=%d down=%d", up, down)
+	if applied != nil || up != 0 || down != 0 {
+		t.Fatalf("failed apply reported scaling: applied=%v up=%d down=%d", applied, up, down)
 	}
 	if plan.Containers["A"] != 30 || plan.Containers["B"] != 2 {
 		t.Fatalf("failed apply mutated the plan: %v", plan.Containers)

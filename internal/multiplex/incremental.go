@@ -28,15 +28,18 @@
 // one Plan walks services in globally sorted order (the same order the
 // monolithic planner uses), so the output is byte-identical to
 // PlanSchemeCached at any shard count — including every float summation
-// order. Cached allocations are immutable once stored; callers receive
-// clones (copy-on-write at the window boundary), so mutating a returned
-// plan cannot corrupt what later windows reuse.
+// order.
+//
+// Ownership: a returned Plan is an immutable snapshot. It shares its
+// per-service allocations and rank maps with the planner's caches, and a
+// replan swaps fresh objects in (scaling's Plan materializes new maps,
+// AssignPriorities a new rank map) instead of editing the old ones — so a
+// plan stays valid across later windows, and callers must never write to it.
 package multiplex
 
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"sort"
 	"sync/atomic"
 
@@ -55,10 +58,6 @@ type IncrementalPlanner struct {
 	cache  *scaling.TemplateCache
 	shards int // requested; <=0 means one shard per pool worker
 
-	// shareExposure hands callers the cached allocations and rank maps
-	// directly instead of per-window clones. See SetShareExposure.
-	shareExposure bool
-
 	// Topology snapshot the caches are valid against.
 	haveState bool
 	scheme    Scheme
@@ -69,8 +68,8 @@ type IncrementalPlanner struct {
 	sharedSet map[string]bool
 
 	// Sharing-group partition and its shard pinning.
-	groups      [][]int    // group -> member service indices, ascending
-	groupMS     [][]string // group -> its shared microservices, sorted
+	groups       [][]int    // group -> member service indices, ascending
+	groupMS      [][]string // group -> its shared microservices, sorted
 	shardGroups  [][]int    // shard -> group ids, ascending
 	numShards    int
 	sharedSorted []string         // shared list in sorted order (merge fold order)
@@ -81,10 +80,6 @@ type IncrementalPlanner struct {
 	svcState   []svcState
 	groupClean []bool
 	groupRanks []map[string]map[string]int
-	// windowRanks holds this window's caller-facing clone of each group's
-	// ranks, rebuilt by the shard workers every window (slots are disjoint
-	// per shard, so no synchronization is needed).
-	windowRanks []map[string]map[string]int
 
 	windows   atomic.Uint64
 	skipped   atomic.Uint64
@@ -107,14 +102,13 @@ type msMeta struct {
 }
 
 // svcState is the cached outcome of the last successful window for one
-// service. finalAlloc is immutable once stored — exposure always clones
-// (the shard workers build each window's exposed clone in parallel).
+// service. finalAlloc is never written after it is stored: returned plans
+// point at it, and a replan replaces the pointer.
 type svcState struct {
 	fpOK       bool
 	fp         uint64
 	meta       []msMeta // sealed merge contributions, template ms order
 	finalAlloc *scaling.Allocation
-	exposed    *scaling.Allocation // this window's caller-facing clone
 }
 
 // IncrementalStats is a point-in-time snapshot of planner effectiveness.
@@ -148,22 +142,8 @@ func NewIncrementalPlanner(cache *scaling.TemplateCache, shards int) *Incrementa
 // Cache returns the underlying template cache.
 func (p *IncrementalPlanner) Cache() *scaling.TemplateCache { return p.cache }
 
-// SetShareExposure toggles zero-copy plan exposure. When on, PlanScheme
-// returns the planner's cached allocations and rank maps directly instead of
-// deep clones, so a window where every sharing group is clean does no
-// allocation-map copying at all (on the 1000-service scale topology the
-// per-window clone is ~150k map entries). The returned *Plan and everything
-// reachable from it MUST be treated as read-only: mutating it corrupts the
-// caches that later windows reuse (the copy-on-write guarantee of the
-// default mode no longer holds). Values are identical either way — only
-// ownership changes. Takes effect from the next PlanScheme call.
-func (p *IncrementalPlanner) SetShareExposure(on bool) { p.shareExposure = on }
-
 // Stats returns cumulative planner counters.
 func (p *IncrementalPlanner) Stats() IncrementalStats {
-	if p == nil {
-		return IncrementalStats{}
-	}
 	return IncrementalStats{
 		Windows:         p.windows.Load(),
 		SkippedServices: p.skipped.Load(),
@@ -212,7 +192,8 @@ func (e *planErr) before(o *planErr) bool {
 // PlanScheme computes the multi-service plan for one window. It is the
 // drop-in incremental equivalent of PlanSchemeCached(scheme, inputs,
 // loads, shared, cache): byte-identical plans and errors, but windows only
-// pay for the services whose sharing groups changed.
+// pay for the services whose sharing groups changed. The returned plan is
+// read-only (see the package comment on ownership).
 func (p *IncrementalPlanner) PlanScheme(scheme Scheme, inputs map[string]scaling.Input, loads map[string]map[string]float64, shared []string) (*Plan, error) {
 	if len(inputs) == 0 {
 		return nil, errors.New("multiplex: no services")
@@ -401,7 +382,6 @@ func (p *IncrementalPlanner) rebuild(scheme Scheme, svcs []string, inputs map[st
 	p.svcState = make([]svcState, n)
 	p.groupClean = make([]bool, len(p.groups))
 	p.groupRanks = make([]map[string]map[string]int, len(p.groups))
-	p.windowRanks = make([]map[string]map[string]int, len(p.groups))
 	p.haveState = true
 }
 
@@ -473,7 +453,6 @@ func (p *IncrementalPlanner) planGroup(gi int, inputs map[string]scaling.Input, 
 	}
 	if !dirty {
 		p.skipped.Add(uint64(len(members)))
-		p.exposeGroup(gi)
 		return nil
 	}
 	p.dirty.Add(uint64(len(members)))
@@ -517,7 +496,7 @@ func (p *IncrementalPlanner) planGroup(gi int, inputs map[string]scaling.Input, 
 
 	case SchemePriority:
 		// 1. Initial targets from each member's own workload. These feed
-		// the ranks but are never exposed, so no clone is needed.
+		// the ranks and are then dropped.
 		initial := make(map[string]*scaling.Allocation, len(members))
 		for _, si := range members {
 			svc := p.svcs[si]
@@ -577,47 +556,13 @@ func (p *IncrementalPlanner) planGroup(gi int, inputs map[string]scaling.Input, 
 		}
 	}
 	p.groupClean[gi] = true
-	p.exposeGroup(gi)
 	return nil
-}
-
-// exposeGroup builds this window's caller-facing copies for one group:
-// a deep clone of every member's allocation and, under priority, of the
-// group's rank maps. It runs on the shard workers (slots are per-service
-// and per-group, so shards never contend), keeping the serial fold down to
-// map assembly and the float merge.
-func (p *IncrementalPlanner) exposeGroup(gi int) {
-	if p.shareExposure {
-		// Zero-copy path: the caller promised (SetShareExposure) not to
-		// mutate what it gets back, so clean and dirty groups alike hand out
-		// the cached structures themselves.
-		for _, si := range p.groups[gi] {
-			st := &p.svcState[si]
-			st.exposed = st.finalAlloc
-		}
-		if p.scheme == SchemePriority {
-			p.windowRanks[gi] = p.groupRanks[gi]
-		}
-		return
-	}
-	for _, si := range p.groups[gi] {
-		st := &p.svcState[si]
-		st.exposed = st.finalAlloc.Clone()
-	}
-	if p.scheme == SchemePriority {
-		ranks := p.groupRanks[gi]
-		w := make(map[string]map[string]int, len(ranks))
-		for ms, bySvc := range ranks {
-			w[ms] = maps.Clone(bySvc)
-		}
-		p.windowRanks[gi] = w
-	}
 }
 
 // fold assembles the window's Plan from the per-service caches, walking
 // services in globally sorted order so every float summation replays the
-// monolithic merge bit for bit. Exposed allocations and rank maps are
-// clones; the caches stay immutable.
+// monolithic merge bit for bit. Allocations and rank maps are the cached
+// objects themselves; only the outer maps and Containers are per-window.
 func (p *IncrementalPlanner) fold(scheme Scheme) *Plan {
 	plan := &Plan{
 		Scheme:     scheme,
@@ -625,16 +570,14 @@ func (p *IncrementalPlanner) fold(scheme Scheme) *Plan {
 		PerService: make(map[string]*scaling.Allocation, len(p.svcs)),
 	}
 	for i, svc := range p.svcs {
-		plan.PerService[svc] = p.svcState[i].exposed
-		p.svcState[i].exposed = nil // ownership transferred to the caller
+		plan.PerService[svc] = p.svcState[i].finalAlloc
 	}
 	if scheme == SchemePriority {
 		plan.Ranks = make(map[string]map[string]int, len(p.shared))
 		for gi := range p.groups {
-			for ms, bySvc := range p.windowRanks[gi] {
+			for ms, bySvc := range p.groupRanks[gi] {
 				plan.Ranks[ms] = bySvc
 			}
-			p.windowRanks[gi] = nil
 		}
 	}
 

@@ -158,6 +158,12 @@ func (s Scheme) String() string {
 }
 
 // Plan is a multi-service allocation under one scheme.
+//
+// A returned Plan is immutable: the incremental planner hands out the
+// allocations and rank maps it caches, and replanning swaps objects, never
+// edits them, so a Plan stays valid for as long as it is held. Derive a
+// variant (e.g. hysteresis-adjusted Containers) as a new Plan value sharing
+// PerService and Ranks.
 type Plan struct {
 	Scheme Scheme
 	// PerService holds each service's final allocation.

@@ -5,10 +5,7 @@ import (
 	"math"
 
 	"erms/internal/apps"
-	"erms/internal/cluster"
 	"erms/internal/core"
-	"erms/internal/kube"
-	"erms/internal/provision"
 	"erms/internal/sim"
 	"erms/internal/spec"
 	"erms/internal/workload"
@@ -58,23 +55,11 @@ func newCanaryRun(sc *spec.Scenario, cfg Config, genID int, changed []string) *c
 	if hosts < 2 {
 		hosts = 2
 	}
-	cl := cluster.New(hosts, cluster.PaperHost)
-	orch := kube.New(cl, nil)
-	opts := []core.Option{
-		core.WithScheme(sc.Scheme),
-		core.WithScheduler(&provision.InterferenceAware{Groups: 4}),
-		core.WithResilience(sc.Resilience),
-		core.WithPlanShards(sc.PlanShards),
-	}
-	if dcfg, ok := sc.DriftConfig(); ok {
-		opts = append(opts, core.WithDriftDetection(dcfg))
-	}
-	ctrl, err := core.New(sub, orch, opts...)
+	ctrl, err := sc.NewController(sub, hosts, nil)
 	if err != nil {
 		c.err = fmt.Errorf("canary controller: %w", err)
 		return c
 	}
-	ctrl.UseAnalyticModels()
 	c.loop = core.NewReconciler(ctrl)
 	c.loop.WindowMin = sc.WindowMin
 	c.loop.StreamsFor = c.windowStreams

@@ -42,12 +42,9 @@ import (
 	"sync"
 
 	"erms/internal/chaos"
-	"erms/internal/cluster"
 	"erms/internal/core"
-	"erms/internal/kube"
 	"erms/internal/multiplex"
 	"erms/internal/obs"
-	"erms/internal/provision"
 	"erms/internal/sim"
 	"erms/internal/spec"
 	"erms/internal/workload"
@@ -233,23 +230,10 @@ type Operator struct {
 // becomes committed generation 1.
 func New(sc *spec.Scenario, cfg Config, rec *obs.Recorder) (*Operator, error) {
 	cfg = cfg.withDefaults()
-	cl := cluster.New(sc.Hosts, cluster.PaperHost)
-	orch := kube.New(cl, nil)
-	opts := []core.Option{
-		core.WithScheme(sc.Scheme),
-		core.WithScheduler(&provision.InterferenceAware{Groups: 4}),
-		core.WithResilience(sc.Resilience),
-		core.WithObservability(rec),
-		core.WithPlanShards(sc.PlanShards),
-	}
-	if dcfg, ok := sc.DriftConfig(); ok {
-		opts = append(opts, core.WithDriftDetection(dcfg))
-	}
-	ctrl, err := core.New(sc.App, orch, opts...)
+	ctrl, err := sc.NewController(sc.App, sc.Hosts, rec)
 	if err != nil {
 		return nil, fmt.Errorf("operator: bootstrap controller: %w", err)
 	}
-	ctrl.UseAnalyticModels()
 
 	o := &Operator{Cfg: cfg, rec: rec, fleet: ctrl}
 	o.loop = core.NewReconciler(ctrl)
@@ -262,7 +246,7 @@ func New(sc *spec.Scenario, cfg Config, rec *obs.Recorder) (*Operator, error) {
 		if err != nil {
 			return nil, fmt.Errorf("operator: chaos schedule: %w", err)
 		}
-		o.inj = chaos.NewInjector(sched, orch)
+		o.inj = chaos.NewInjector(sched, ctrl.Orch)
 		o.inj.SetRecorder(rec)
 		o.loop.Chaos = o.inj
 	}

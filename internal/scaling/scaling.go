@@ -15,7 +15,6 @@ package scaling
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 
 	"erms/internal/graph"
@@ -102,24 +101,6 @@ type Allocation struct {
 	// ResourceUsage is Σ n_i·R_i over microservices (raw n), the objective
 	// of Eq. 2.
 	ResourceUsage float64
-}
-
-// Clone returns a deep copy of the allocation. The incremental planner
-// hands clones to callers while keeping the originals cached (copy-on-
-// write at the window boundary), so downstream mutation of a returned plan
-// can never corrupt a cached allocation that later windows reuse verbatim.
-func (a *Allocation) Clone() *Allocation {
-	if a == nil {
-		return nil
-	}
-	return &Allocation{
-		Service:       a.Service,
-		Targets:       maps.Clone(a.Targets),
-		ContainersRaw: maps.Clone(a.ContainersRaw),
-		Containers:    maps.Clone(a.Containers),
-		UsedHigh:      maps.Clone(a.UsedHigh),
-		ResourceUsage: a.ResourceUsage,
-	}
 }
 
 // TotalContainers sums the rounded container counts.

@@ -42,9 +42,6 @@ type Scenario struct {
 	// DriftConfig for the controller option.
 	Drift *DriftSpec
 	Seed  uint64
-	// PlanShards is a parallelism hint for the incremental planner (0 sizes
-	// shards to the worker pool); plans are byte-identical at any value.
-	PlanShards int
 }
 
 // Compile validates the spec against the application it selects and returns

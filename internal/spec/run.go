@@ -5,6 +5,7 @@ import (
 	"io"
 	"strconv"
 
+	"erms/internal/apps"
 	"erms/internal/cluster"
 	"erms/internal/core"
 	"erms/internal/kube"
@@ -65,7 +66,7 @@ type TimelinePoint struct {
 	Tier workload.Tier
 	All  bool
 	// Offered is the pattern-level offered load (req/min) at the minute.
-	Offered float64
+	Offered                                     float64
 	Issued, Completed, Good, Slow, Errors, Shed int
 	// Containers is the tier's share of the window's deployed containers,
 	// attributed proportionally to offered load (the whole deployment for
@@ -97,6 +98,30 @@ func (sc *Scenario) TiersPresent() []workload.Tier {
 	return out
 }
 
+// NewController builds the controller every driver of the scenario runs —
+// batch run, operator fleet, operator canary: app on a fresh cluster of
+// hosts paper-spec machines with interference-aware provisioning, under the
+// scenario's scheme, resilience and drift settings, with analytic models
+// installed. app and hosts are parameters because the canary manages a
+// slice of sc.App on a slice of sc.Hosts.
+func (sc *Scenario) NewController(app *apps.App, hosts int, rec *obs.Recorder) (*core.Controller, error) {
+	opts := []core.Option{
+		core.WithScheme(sc.Scheme),
+		core.WithScheduler(&provision.InterferenceAware{Groups: 4}),
+		core.WithResilience(sc.Resilience),
+		core.WithObservability(rec),
+	}
+	if cfg, ok := sc.DriftConfig(); ok {
+		opts = append(opts, core.WithDriftDetection(cfg))
+	}
+	ctrl, err := core.New(app, kube.New(cluster.New(hosts, cluster.PaperHost), nil), opts...)
+	if err != nil {
+		return nil, err
+	}
+	ctrl.UseAnalyticModels()
+	return ctrl, nil
+}
+
 // Run drives the controller over the scenario's planning windows: each
 // window is planned from its offered load, applied, and simulated with the
 // cohort streams, and the per-minute stream outcomes are stitched into the
@@ -106,23 +131,10 @@ func (sc *Scenario) Run(rec *obs.Recorder) (*RunResult, error) {
 	if sc.Chaos != nil {
 		return nil, fmt.Errorf("spec: %q declares a chaos block, which only the operator loop injects; run it with `ermsctl operate -spec ...` (batch run would silently skip the fault timeline)", sc.Spec.Name)
 	}
-	cl := cluster.New(sc.Hosts, cluster.PaperHost)
-	orch := kube.New(cl, nil)
-	opts := []core.Option{
-		core.WithScheme(sc.Scheme),
-		core.WithScheduler(&provision.InterferenceAware{Groups: 4}),
-		core.WithResilience(sc.Resilience),
-		core.WithObservability(rec),
-		core.WithPlanShards(sc.PlanShards),
-	}
-	if cfg, ok := sc.DriftConfig(); ok {
-		opts = append(opts, core.WithDriftDetection(cfg))
-	}
-	ctrl, err := core.New(sc.App, orch, opts...)
+	ctrl, err := sc.NewController(sc.App, sc.Hosts, rec)
 	if err != nil {
 		return nil, err
 	}
-	ctrl.UseAnalyticModels()
 	res := &RunResult{Scenario: sc}
 	tiers := sc.TiersPresent()
 	for w := 0; w < sc.Windows; w++ {

@@ -16,6 +16,12 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+# bench/ is a module of its own (erms/bench, replace erms => ../), so the
+# ./... patterns above never reach it: an internal/ API change that breaks
+# the benchmark would otherwise show only when the pipeline runs it.
+echo "== benchmark module (vet + test against this checkout's internal/ API) =="
+(cd bench && go vet ./... && go test ./...)
+
 # Zero-allocation promises, checked outside -race (the detector itself
 # allocates, so testing.AllocsPerRun is meaningless there): every obs call
 # on a nil recorder is free, and the simulator's event loop stays
@@ -42,9 +48,9 @@ go test -run 'TestFig23' -count=1 ./internal/experiments
 # The planner-scalability gate (PR 5 + PR 6): the compiled-template path must
 # stay bit-identical to the naive planner, the incremental sharded planner
 # must stay bit-identical to the monolithic one at shards=1 and shards=4 (and
-# under random mutation sequences against the from-scratch oracle), and the
-# figScale/figShard deterministic tables must be byte-identical at one worker
-# and four.
+# under random mutation sequences against the from-scratch oracle) while
+# handing out its cached allocations uncopied, and the figScale/figShard
+# deterministic tables must be byte-identical at one worker and four.
 echo "== planner determinism (figScale + figShard + PlanScheme + incremental, workers=1 vs 4) =="
 go test -count=1 \
 	-run 'TestFigScaleDeterministicAcrossWorkers|TestFigShardDeterministicAcrossWorkers|TestPlanSchemeByteIdenticalAcrossWorkers|TestPlanSchemeCachedBitIdentical|TestIncremental' \
