@@ -67,6 +67,9 @@ func (c *Container) SetCPUUsage(cores float64) {
 		cores = 0
 	}
 	c.cpuUsage = cores
+	if c.Host != nil {
+		c.Host.aggValid = false
+	}
 }
 
 // CPUUsage returns the CPU consumption used for utilization accounting.
@@ -78,10 +81,9 @@ type Host struct {
 	Spec       HostSpec
 	Background workload.Interference // colocated batch-job load (iBench substitute)
 
-	containers map[int]*Container
-	// ordered mirrors containers sorted by ID. Utilization sums iterate it
-	// instead of the map: float addition is order-sensitive at the ulp, and
-	// map iteration order would make CPUUtil nondeterministic run to run.
+	// ordered holds the host's containers sorted by ID. Utilization sums
+	// iterate it in that order: float addition is order-sensitive at the ulp,
+	// so a fixed order is what makes CPUUtil reproducible run to run.
 	ordered  []*Container
 	down     bool // failed: hosts nothing, schedules nothing
 	cordoned bool // administratively unschedulable; existing containers keep running
@@ -94,6 +96,48 @@ type Host struct {
 	// runs.
 	extCPUCores float64
 	extMemMB    float64
+
+	// agg caches the sums behind CPUUtil/MemUtil/CPUFree/MemFreeMB. Place,
+	// Remove, Reset, SetCPUUsage and SetExternalUsage clear aggValid; Spec and
+	// Background are exported fields written directly, so the cache remembers
+	// the values it was computed from and a mismatch also forces a recompute.
+	agg      hostAgg
+	aggValid bool
+}
+
+// hostAgg is one pass over a host's containers in ID order.
+type hostAgg struct {
+	spec       HostSpec
+	background workload.Interference
+
+	cpuRaw, memRaw   float64 // utilization before the cap at 1
+	cpuFree, memFree float64
+}
+
+// aggregates returns the host's sums, recomputing them after a change. The
+// recomputation always walks every container in ID order with one accumulator
+// per sum — never an incremental add or subtract — so each value is
+// bit-identical to a from-scratch computation whatever the history of
+// placements and removals.
+func (h *Host) aggregates() *hostAgg {
+	a := &h.agg
+	if h.aggValid && a.spec == h.Spec && a.background == h.Background {
+		return a
+	}
+	cores, memMB := float64(h.Spec.Cores), h.Spec.MemGB*1024
+	a.spec, a.background = h.Spec, h.Background
+	a.cpuRaw = h.Background.CPU + h.extCPUCores/cores
+	a.memRaw = h.Background.Mem + h.extMemMB/memMB
+	a.cpuFree = cores * (1 - h.Background.CPU)
+	a.memFree = memMB * (1 - h.Background.Mem)
+	for _, c := range h.ordered {
+		a.cpuRaw += c.cpuUsage / cores
+		a.memRaw += c.Spec.MemMB / memMB
+		a.cpuFree -= c.Spec.CPU
+		a.memFree -= c.Spec.MemMB
+	}
+	h.aggValid = true
+	return a
 }
 
 // SetExternalUsage records resource consumption by containers simulated in
@@ -108,6 +152,7 @@ func (h *Host) SetExternalUsage(cpuCores, memMB float64) {
 	}
 	h.extCPUCores = cpuCores
 	h.extMemMB = memMB
+	h.aggValid = false
 }
 
 // ExternalUsage returns the external CPU (cores) and memory (MiB) recorded by
@@ -141,66 +186,54 @@ func (h *Host) Containers() []*Container {
 	return out
 }
 
-// insertOrdered adds c to the ID-sorted slice. IDs are assigned monotonically
-// so the common case is a plain append; the search covers re-placement after
-// removals.
-func (h *Host) insertOrdered(c *Container) {
-	i := sort.Search(len(h.ordered), func(i int) bool { return h.ordered[i].ID >= c.ID })
-	h.ordered = append(h.ordered, nil)
-	copy(h.ordered[i+1:], h.ordered[i:])
-	h.ordered[i] = c
+// NumContainers returns the number of containers placed on the host.
+func (h *Host) NumContainers() int { return len(h.ordered) }
+
+// insertByID adds c to an ID-sorted slice. IDs are assigned monotonically so
+// the search lands on the end and the insert is a plain append.
+func insertByID(s []*Container, c *Container) []*Container {
+	i := sort.Search(len(s), func(i int) bool { return s[i].ID >= c.ID })
+	s = append(s, nil)
+	copy(s[i+1:], s[i:])
+	s[i] = c
+	return s
 }
 
-func (h *Host) removeOrdered(id int) {
-	i := sort.Search(len(h.ordered), func(i int) bool { return h.ordered[i].ID >= id })
-	if i < len(h.ordered) && h.ordered[i].ID == id {
-		h.ordered = append(h.ordered[:i], h.ordered[i+1:]...)
+// removeByID deletes the container with the given ID from an ID-sorted slice.
+func removeByID(s []*Container, id int) []*Container {
+	i := sort.Search(len(s), func(i int) bool { return s[i].ID >= id })
+	if i < len(s) && s[i].ID == id {
+		copy(s[i:], s[i+1:])
+		s[len(s)-1] = nil
+		s = s[:len(s)-1]
 	}
+	return s
 }
 
 // CPUUtil returns the host CPU utilization in [0, 1]: background plus the sum
 // of container CPU usage over capacity, capped at 1.
-func (h *Host) CPUUtil() float64 {
-	u := h.Background.CPU + h.extCPUCores/float64(h.Spec.Cores)
-	for _, c := range h.ordered {
-		u += c.cpuUsage / float64(h.Spec.Cores)
-	}
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
+func (h *Host) CPUUtil() float64 { return min(h.aggregates().cpuRaw, 1) }
 
 // MemUtil returns the host memory utilization in [0, 1]: background plus
 // container memory requests over capacity, capped at 1.
-func (h *Host) MemUtil() float64 {
-	u := h.Background.Mem + h.extMemMB/(h.Spec.MemGB*1024)
-	for _, c := range h.ordered {
-		u += c.Spec.MemMB / (h.Spec.MemGB * 1024)
-	}
-	if u > 1 {
-		u = 1
-	}
-	return u
+func (h *Host) MemUtil() float64 { return min(h.aggregates().memRaw, 1) }
+
+// UtilAfter returns the CPU and memory utilization the host would report if
+// the CPU usage of its containers changed by cpuCores and their memory
+// requests by memMB (negative for a departing container). Nothing is mutated:
+// provision.Rebalance scores candidate migrations with it.
+func (h *Host) UtilAfter(cpuCores, memMB float64) (cpu, mem float64) {
+	a := h.aggregates()
+	cpu = min(a.cpuRaw+cpuCores/float64(h.Spec.Cores), 1)
+	mem = min(a.memRaw+memMB/(h.Spec.MemGB*1024), 1)
+	return cpu, mem
 }
 
 // CPUFree returns uncommitted CPU cores (requests, not usage).
-func (h *Host) CPUFree() float64 {
-	free := float64(h.Spec.Cores) * (1 - h.Background.CPU)
-	for _, c := range h.ordered {
-		free -= c.Spec.CPU
-	}
-	return free
-}
+func (h *Host) CPUFree() float64 { return h.aggregates().cpuFree }
 
 // MemFreeMB returns uncommitted memory in MiB.
-func (h *Host) MemFreeMB() float64 {
-	free := h.Spec.MemGB * 1024 * (1 - h.Background.Mem)
-	for _, c := range h.ordered {
-		free -= c.Spec.MemMB
-	}
-	return free
-}
+func (h *Host) MemFreeMB() float64 { return h.aggregates().memFree }
 
 // Fits reports whether the host can accept the given container spec: it must
 // be schedulable (not down, not cordoned) and have free capacity. Every
@@ -214,7 +247,11 @@ func (h *Host) Fits(spec ContainerSpec) bool {
 type Cluster struct {
 	hosts      []*Host
 	containers map[int]*Container
-	nextCID    int
+	// byMS indexes the containers of each microservice, sorted by ID; Place,
+	// Remove and Reset maintain it. A microservice with no containers has no
+	// entry.
+	byMS    map[string][]*Container
+	nextCID int
 }
 
 // New creates a cluster of n identical hosts.
@@ -222,9 +259,9 @@ func New(n int, spec HostSpec) *Cluster {
 	if n <= 0 {
 		panic("cluster: need at least one host")
 	}
-	cl := &Cluster{containers: make(map[int]*Container)}
+	cl := &Cluster{containers: make(map[int]*Container), byMS: make(map[string][]*Container)}
 	for i := 0; i < n; i++ {
-		cl.hosts = append(cl.hosts, &Host{ID: i, Spec: spec, containers: make(map[int]*Container)})
+		cl.hosts = append(cl.hosts, &Host{ID: i, Spec: spec})
 	}
 	return cl
 }
@@ -294,9 +331,10 @@ func (cl *Cluster) Place(spec ContainerSpec, hostID int) (*Container, error) {
 	}
 	c := &Container{ID: cl.nextCID, Spec: spec, Host: h, cpuUsage: spec.CPU}
 	cl.nextCID++
-	h.containers[c.ID] = c
-	h.insertOrdered(c)
+	h.ordered = insertByID(h.ordered, c)
+	h.aggValid = false
 	cl.containers[c.ID] = c
+	cl.byMS[spec.Microservice] = insertByID(cl.byMS[spec.Microservice], c)
 	return c, nil
 }
 
@@ -306,9 +344,14 @@ func (cl *Cluster) Remove(containerID int) error {
 	if !ok {
 		return fmt.Errorf("cluster: no container %d", containerID)
 	}
-	delete(c.Host.containers, containerID)
-	c.Host.removeOrdered(containerID)
+	c.Host.ordered = removeByID(c.Host.ordered, containerID)
+	c.Host.aggValid = false
 	delete(cl.containers, containerID)
+	if rest := removeByID(cl.byMS[c.Spec.Microservice], containerID); len(rest) > 0 {
+		cl.byMS[c.Spec.Microservice] = rest
+	} else {
+		delete(cl.byMS, c.Spec.Microservice)
+	}
 	return nil
 }
 
@@ -326,27 +369,19 @@ func (cl *Cluster) Containers() []*Container {
 func (cl *Cluster) NumContainers() int { return len(cl.containers) }
 
 // ContainersFor returns the containers of one microservice, ordered by ID.
+// The slice is the caller's: schedulers sort it in place.
 func (cl *Cluster) ContainersFor(microservice string) []*Container {
-	var out []*Container
-	for _, c := range cl.containers {
-		if c.Spec.Microservice == microservice {
-			out = append(out, c)
-		}
+	idx := cl.byMS[microservice]
+	if len(idx) == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := make([]*Container, len(idx))
+	copy(out, idx)
 	return out
 }
 
 // CountFor returns the number of containers deployed for a microservice.
-func (cl *Cluster) CountFor(microservice string) int {
-	n := 0
-	for _, c := range cl.containers {
-		if c.Spec.Microservice == microservice {
-			n++
-		}
-	}
-	return n
-}
+func (cl *Cluster) CountFor(microservice string) int { return len(cl.byMS[microservice]) }
 
 // UpHosts returns the number of hosts that have not failed (cordoned hosts
 // count: they still run containers).
@@ -426,7 +461,9 @@ func (cl *Cluster) SetBackground(hostID int, itf workload.Interference) error {
 // Reset removes all containers, keeping hosts and background levels.
 func (cl *Cluster) Reset() {
 	for _, h := range cl.hosts {
-		h.containers = make(map[int]*Container)
+		h.ordered = nil
+		h.aggValid = false
 	}
 	cl.containers = make(map[int]*Container)
+	cl.byMS = make(map[string][]*Container)
 }

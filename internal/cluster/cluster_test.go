@@ -159,6 +159,23 @@ func TestReset(t *testing.T) {
 	if cl.Host(1).Background.CPU != 0.3 {
 		t.Fatal("reset should keep background levels")
 	}
+	// Hosts forget their containers too: nothing listed, utilization back to
+	// the background, free capacity back to what the background leaves.
+	for _, h := range cl.Hosts() {
+		if n := len(h.Containers()); n != 0 {
+			t.Fatalf("host %d still lists %d containers after reset", h.ID, n)
+		}
+		if h.CPUUtil() != h.Background.CPU || h.MemUtil() != h.Background.Mem {
+			t.Fatalf("host %d util = %v/%v after reset, want background %+v", h.ID, h.CPUUtil(), h.MemUtil(), h.Background)
+		}
+		wantCPU := float64(h.Spec.Cores) * (1 - h.Background.CPU)
+		if h.CPUFree() != wantCPU || h.MemFreeMB() != h.Spec.MemGB*1024 {
+			t.Fatalf("host %d free = %v cores / %v MB after reset, want %v / %v", h.ID, h.CPUFree(), h.MemFreeMB(), wantCPU, h.Spec.MemGB*1024)
+		}
+	}
+	if cl.CountFor("a") != 0 || cl.ContainersFor("b") != nil {
+		t.Fatal("reset left the per-microservice index populated")
+	}
 	// Cluster remains usable.
 	if _, err := cl.Place(PaperContainer("c"), 0); err != nil {
 		t.Fatal(err)

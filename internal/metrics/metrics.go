@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -36,15 +37,55 @@ func (s *Series) Points() []Point {
 // Len returns the number of points.
 func (s *Series) Len() int { return len(s.points) }
 
+// add inserts a point after every point with T <= t, so the series stays
+// sorted by timestamp and equal timestamps keep arrival order. In-order
+// appends (the common case) are O(1).
+func (s *Series) add(t, v float64) {
+	if n := len(s.points); n == 0 || s.points[n-1].T <= t {
+		s.points = append(s.points, Point{T: t, V: v})
+		return
+	}
+	i := sort.Search(len(s.points), func(i int) bool { return s.points[i].T > t })
+	s.points = append(s.points, Point{})
+	copy(s.points[i+1:], s.points[i:])
+	s.points[i] = Point{T: t, V: v}
+}
+
+// set is add for a gauge that is sampled at most once per timestamp: a point
+// already recorded at t is overwritten (the latest of them, had Append put
+// several there), so re-sampling at one timestamp does not grow the series.
+func (s *Series) set(t, v float64) {
+	i := sort.Search(len(s.points), func(i int) bool { return s.points[i].T > t })
+	if i > 0 && s.points[i-1].T == t {
+		s.points[i-1].V = v
+		return
+	}
+	s.add(t, v)
+}
+
 // Store holds named time series. It is safe for concurrent use.
 type Store struct {
 	mu     sync.RWMutex
 	series map[string]*Series
+
+	// The series CollectCluster writes, resolved once per host and per
+	// microservice: a scrape of a 2000-host cluster touches ~19k of them, and
+	// formatting and hashing that many keys was most of its cost.
+	hostGauges []hostSeries // by host ID
+	msGauges   map[string]*msSeries
+}
+
+type hostSeries struct{ cpu, mem *Series }
+
+type msSeries struct {
+	cpu, mem, count *Series
+	// Per-scrape accumulators over the hosts of the microservice's containers.
+	cpuUtil, memUtil stats.Moments
 }
 
 // NewStore creates an empty store.
 func NewStore() *Store {
-	return &Store{series: make(map[string]*Series)}
+	return &Store{series: make(map[string]*Series), msGauges: make(map[string]*msSeries)}
 }
 
 // Key builds a canonical series name from a metric name and labels, e.g.
@@ -77,20 +118,18 @@ func Key(name string, labels ...string) string {
 func (st *Store) Append(key string, t, v float64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	st.seriesLocked(key).add(t, v)
+}
+
+// seriesLocked returns the named series, creating it if needed. The caller
+// holds st.mu for writing.
+func (st *Store) seriesLocked(key string) *Series {
 	s, ok := st.series[key]
 	if !ok {
 		s = &Series{Name: key}
 		st.series[key] = s
 	}
-	if n := len(s.points); n == 0 || s.points[n-1].T <= t {
-		s.points = append(s.points, Point{T: t, V: v})
-		return
-	}
-	// Out-of-order: insert after every point with T <= t.
-	i := sort.Search(len(s.points), func(i int) bool { return s.points[i].T > t })
-	s.points = append(s.points, Point{})
-	copy(s.points[i+1:], s.points[i:])
-	s.points[i] = Point{T: t, V: v}
+	return s
 }
 
 // Names returns all series names, sorted.
@@ -169,30 +208,46 @@ const (
 
 // CollectCluster snapshots host-level and per-microservice utilization of the
 // cluster into the store at the given time (minutes). This is the Prometheus
-// scrape of the paper's deployment.
+// scrape of the paper's deployment. Scraping again at the same time replaces
+// that scrape's values instead of adding points, so a controller that scrapes
+// every window at one timestamp holds one point per series however long it
+// runs.
 func CollectCluster(st *Store, cl *cluster.Cluster, tMin float64) {
-	perMSCPU := make(map[string]*stats.Moments)
-	perMSMem := make(map[string]*stats.Moments)
-	perMSCount := make(map[string]int)
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	for _, h := range cl.Hosts() {
+		for h.ID >= len(st.hostGauges) {
+			label := strconv.Itoa(len(st.hostGauges))
+			st.hostGauges = append(st.hostGauges, hostSeries{
+				cpu: st.seriesLocked(Key(MetricHostCPU, "host", label)),
+				mem: st.seriesLocked(Key(MetricHostMem, "host", label)),
+			})
+		}
 		cpu, mem := h.CPUUtil(), h.MemUtil()
-		hostLabel := fmt.Sprint(h.ID)
-		st.Append(Key(MetricHostCPU, "host", hostLabel), tMin, cpu)
-		st.Append(Key(MetricHostMem, "host", hostLabel), tMin, mem)
+		st.hostGauges[h.ID].cpu.set(tMin, cpu)
+		st.hostGauges[h.ID].mem.set(tMin, mem)
 		for _, c := range h.Containers() {
 			ms := c.Spec.Microservice
-			if perMSCPU[ms] == nil {
-				perMSCPU[ms] = &stats.Moments{}
-				perMSMem[ms] = &stats.Moments{}
+			g := st.msGauges[ms]
+			if g == nil {
+				g = &msSeries{
+					cpu:   st.seriesLocked(Key(MetricMSCPU, "ms", ms)),
+					mem:   st.seriesLocked(Key(MetricMSMem, "ms", ms)),
+					count: st.seriesLocked(Key(MetricMSCount, "ms", ms)),
+				}
+				st.msGauges[ms] = g
 			}
-			perMSCPU[ms].Add(cpu)
-			perMSMem[ms].Add(mem)
-			perMSCount[ms]++
+			g.cpuUtil.Add(cpu)
+			g.memUtil.Add(mem)
 		}
 	}
-	for ms, m := range perMSCPU {
-		st.Append(Key(MetricMSCPU, "ms", ms), tMin, m.Mean())
-		st.Append(Key(MetricMSMem, "ms", ms), tMin, perMSMem[ms].Mean())
-		st.Append(Key(MetricMSCount, "ms", ms), tMin, float64(perMSCount[ms]))
+	for _, g := range st.msGauges {
+		if g.cpuUtil.Count() == 0 {
+			continue
+		}
+		g.cpu.set(tMin, g.cpuUtil.Mean())
+		g.mem.set(tMin, g.memUtil.Mean())
+		g.count.set(tMin, float64(g.cpuUtil.Count()))
+		g.cpuUtil, g.memUtil = stats.Moments{}, stats.Moments{}
 	}
 }

@@ -203,4 +203,21 @@ func TestCollectCluster(t *testing.T) {
 	if scount.V != 1 {
 		t.Fatalf("storage containers = %v", scount.V)
 	}
+
+	// A second scrape at the same time replaces the first one's values; a
+	// later scrape adds a point.
+	if _, err := cl.Place(cluster.PaperContainer("storage"), 0); err != nil {
+		t.Fatal(err)
+	}
+	CollectCluster(st, cl, 5)
+	if pts := st.Range(Key(MetricMSCount, "ms", "storage"), 0, 10); len(pts) != 1 || pts[0] != (Point{T: 5, V: 2}) {
+		t.Fatalf("storage containers after re-scrape = %v, want one point {5 2}", pts)
+	}
+	if pts := st.Range(Key(MetricHostMem, "host", "0"), 0, 10); len(pts) != 1 || pts[0].V != cl.Host(0).MemUtil() {
+		t.Fatalf("host 0 mem after re-scrape = %v, want one point at %v", pts, cl.Host(0).MemUtil())
+	}
+	CollectCluster(st, cl, 6)
+	if pts := st.Range(Key(MetricMSCount, "ms", "frontend"), 0, 10); len(pts) != 2 {
+		t.Fatalf("frontend containers after a later scrape = %v, want two points", pts)
+	}
 }

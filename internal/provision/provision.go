@@ -119,92 +119,94 @@ func (s *InterferenceAware) Evict(cl *cluster.Cluster, microservice string) (*cl
 	return cs[0], nil
 }
 
+// moveDelta is the change of one resource's imbalance term Σ x_h² when a
+// migration shifts the source's utilization by da and the destination's by
+// db. x_h are the deviations of the n live hosts from their mean, xa and xb
+// those of the two hosts, sum their total (the rounding residue of the mean,
+// kept so the score tracks cluster.Imbalance to the last few ulps). Both
+// shifts move the mean by dm = (da+db)/n, which gives
+//
+//	n·dm² − 2·dm·Σx_h + da·(2(xa−dm)+da) + db·(2(xb−dm)+db)
+func moveDelta(n, sum, xa, da, xb, db float64) float64 {
+	dm := (da + db) / n
+	return n*dm*dm - 2*dm*sum + da*(2*(xa-dm)+da) + db*(2*(xb-dm)+db)
+}
+
 // Rebalance greedily migrates containers from the most deviant hosts to the
 // hosts where they most reduce the imbalance objective, performing at most
 // maxMoves migrations. It returns the number of migrations made. This is the
 // scale-down/scale-out companion the Resource Provisioning module runs when
 // Online Scaling adjusts allocations (§5.4).
+//
+// Candidate moves are scored arithmetically against one utilization snapshot
+// per iteration; the cluster is touched only to commit the chosen move, so a
+// call that returns 0 leaves every container, ID and float as it found them.
 func Rebalance(cl *cluster.Cluster, maxMoves int) int {
+	hosts := cl.Hosts()
+	// Deviation of each live host from the cluster means, by host ID.
+	devCPU := make([]float64, len(hosts))
+	devMem := make([]float64, len(hosts))
 	moves := 0
 	for moves < maxMoves {
 		meanCPU, meanMem := cl.MeanCPUUtil(), cl.MeanMemUtil()
+		live := 0
+		var sumDevCPU, sumDevMem float64
 		// Most deviant over-utilized host.
 		var src *cluster.Host
 		var srcDev float64
-		for _, h := range cl.Hosts() {
-			if len(h.Containers()) == 0 {
+		for _, h := range hosts {
+			if h.Down() {
+				continue // cluster.Imbalance leaves failed hosts out
+			}
+			cpu, mem := h.CPUUtil(), h.MemUtil()
+			dc, dm := cpu-meanCPU, mem-meanMem
+			devCPU[h.ID], devMem[h.ID] = dc, dm
+			sumDevCPU += dc
+			sumDevMem += dm
+			live++
+			if h.NumContainers() == 0 || (cpu < meanCPU && mem < meanMem) {
 				continue
 			}
-			if h.CPUUtil() < meanCPU && h.MemUtil() < meanMem {
-				continue
-			}
-			if d := hostDeviation(h, meanCPU, meanMem); src == nil || d > srcDev {
+			if d := dc*dc + dm*dm; src == nil || d > srcDev {
 				src, srcDev = h, d
 			}
 		}
 		if src == nil {
 			return moves
 		}
-		before := cl.Imbalance()
-		// Try each container on src against each other host; take the best
+		// Score each container on src against each other host; take the best
 		// strictly-improving move.
+		n := float64(live)
+		srcCPU, srcMem := src.CPUUtil(), src.MemUtil()
 		var bestC *cluster.Container
-		bestHost := -1
-		bestImb := before
+		var bestDst *cluster.Host
+		bestDelta := 0.0
 		for _, c := range src.Containers() {
-			for _, dst := range cl.Hosts() {
+			cpuA, memA := src.UtilAfter(-c.CPUUsage(), -c.Spec.MemMB)
+			for _, dst := range hosts {
 				if dst.ID == src.ID || !dst.Fits(c.Spec) {
 					continue
 				}
-				usage := c.CPUUsage()
-				if err := cl.Remove(c.ID); err != nil {
-					continue
+				cpuB, memB := dst.UtilAfter(c.CPUUsage(), c.Spec.MemMB)
+				d := moveDelta(n, sumDevCPU, devCPU[src.ID], cpuA-srcCPU, devCPU[dst.ID], cpuB-dst.CPUUtil()) +
+					moveDelta(n, sumDevMem, devMem[src.ID], memA-srcMem, devMem[dst.ID], memB-dst.MemUtil())
+				if d < bestDelta-1e-12 {
+					bestDelta, bestC, bestDst = d, c, dst
 				}
-				moved, err := cl.Place(c.Spec, dst.ID)
-				if err == nil {
-					moved.SetCPUUsage(usage)
-					if imb := cl.Imbalance(); imb < bestImb-1e-12 {
-						bestImb = imb
-						bestC, bestHost = c, dst.ID
-					}
-					cl.Remove(moved.ID)
-				}
-				back, err := cl.Place(c.Spec, src.ID)
-				if err != nil {
-					// Should not happen (we just removed it); give up on
-					// this container.
-					continue
-				}
-				back.SetCPUUsage(usage)
-				c = back
 			}
 		}
 		if bestC == nil {
 			return moves
 		}
-		// Re-execute the best move for real. bestC may have been re-created
-		// above, so locate a container of the same spec on src.
-		var victim *cluster.Container
-		for _, c := range src.Containers() {
-			if c.Spec == bestC.Spec {
-				victim = c
-				break
-			}
-		}
-		if victim == nil {
+		// Commit: the replacement is placed before the original is removed, so
+		// a failed placement loses nothing.
+		moved, err := cl.Place(bestC.Spec, bestDst.ID)
+		if err != nil {
 			return moves
 		}
-		usage := victim.CPUUsage()
-		cl.Remove(victim.ID)
-		if moved, err := cl.Place(victim.Spec, bestHost); err == nil {
-			moved.SetCPUUsage(usage)
-			moves++
-		} else {
-			if back, err2 := cl.Place(victim.Spec, src.ID); err2 == nil {
-				back.SetCPUUsage(usage)
-			}
-			return moves
-		}
+		moved.SetCPUUsage(bestC.CPUUsage())
+		_ = cl.Remove(bestC.ID) // cannot fail: src listed bestC this iteration
+		moves++
 	}
 	return moves
 }

@@ -1,6 +1,11 @@
 package provision
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"erms/internal/cluster"
@@ -180,5 +185,299 @@ func TestEndToEndWithOrchestrator(t *testing.T) {
 	hot := len(cl.Host(0).Containers()) + len(cl.Host(2).Containers())
 	if hot > 0 {
 		t.Fatalf("%d containers remain on hot hosts", hot)
+	}
+}
+
+// rebalanceOracle is the mutate-and-measure Rebalance this package shipped
+// before candidate moves were scored arithmetically, kept verbatim as the
+// reference: every candidate is really migrated, cluster.Imbalance is read,
+// and the migration is undone. It is only trustworthy where the differential
+// test uses it — it re-creates every container of the source host under a
+// fresh ID, commits "the first container with an equal Spec" rather than the
+// one it scored, and loses the container when the source host is cordoned
+// (the undo placement is refused).
+func rebalanceOracle(cl *cluster.Cluster, maxMoves int) int {
+	moves := 0
+	for moves < maxMoves {
+		meanCPU, meanMem := cl.MeanCPUUtil(), cl.MeanMemUtil()
+		var src *cluster.Host
+		var srcDev float64
+		for _, h := range cl.Hosts() {
+			if len(h.Containers()) == 0 {
+				continue
+			}
+			if h.CPUUtil() < meanCPU && h.MemUtil() < meanMem {
+				continue
+			}
+			if d := hostDeviation(h, meanCPU, meanMem); src == nil || d > srcDev {
+				src, srcDev = h, d
+			}
+		}
+		if src == nil {
+			return moves
+		}
+		before := cl.Imbalance()
+		var bestC *cluster.Container
+		bestHost := -1
+		bestImb := before
+		for _, c := range src.Containers() {
+			for _, dst := range cl.Hosts() {
+				if dst.ID == src.ID || !dst.Fits(c.Spec) {
+					continue
+				}
+				usage := c.CPUUsage()
+				if err := cl.Remove(c.ID); err != nil {
+					continue
+				}
+				moved, err := cl.Place(c.Spec, dst.ID)
+				if err == nil {
+					moved.SetCPUUsage(usage)
+					if imb := cl.Imbalance(); imb < bestImb-1e-12 {
+						bestImb = imb
+						bestC, bestHost = c, dst.ID
+					}
+					cl.Remove(moved.ID)
+				}
+				back, err := cl.Place(c.Spec, src.ID)
+				if err != nil {
+					continue
+				}
+				back.SetCPUUsage(usage)
+				c = back
+			}
+		}
+		if bestC == nil {
+			return moves
+		}
+		var victim *cluster.Container
+		for _, c := range src.Containers() {
+			if c.Spec == bestC.Spec {
+				victim = c
+				break
+			}
+		}
+		if victim == nil {
+			return moves
+		}
+		usage := victim.CPUUsage()
+		cl.Remove(victim.ID)
+		if moved, err := cl.Place(victim.Spec, bestHost); err == nil {
+			moved.SetCPUUsage(usage)
+			moves++
+		} else {
+			if back, err2 := cl.Place(victim.Spec, src.ID); err2 == nil {
+				back.SetCPUUsage(usage)
+			}
+			return moves
+		}
+	}
+	return moves
+}
+
+// randomCluster builds a cluster from the seed alone, so two calls give twins:
+// heterogeneous hosts and backgrounds, empty cordoned and down hosts (what
+// Drain and FailNode leave behind), and single-replica microservices — so no
+// source host ever holds two containers of one Spec, which the oracle cannot
+// tell apart — each with its own spec and a measured CPU usage unrelated to
+// its request (small hosts run past the utilization cap).
+func randomCluster(seed int64) *cluster.Cluster {
+	rng := rand.New(rand.NewSource(seed))
+	specs := []cluster.HostSpec{{Cores: 2, MemGB: 2}, {Cores: 8, MemGB: 16}, cluster.PaperHost}
+	n := 3 + rng.Intn(8)
+	cl := cluster.New(n, cluster.PaperHost)
+	var open []int
+	for _, h := range cl.Hosts() {
+		h.Spec = specs[rng.Intn(len(specs))]
+		if rng.Intn(3) > 0 {
+			cl.SetBackground(h.ID, workload.Interference{CPU: 0.6 * rng.Float64(), Mem: 0.5 * rng.Float64()})
+		}
+		// The first three stay open: with two live hosts the deviations are
+		// mirror images and the source is picked by the last ulp, which the
+		// oracle's renumbering perturbs.
+		switch r := rng.Intn(8); {
+		case r == 0 && h.ID > 2:
+			h.SetCordoned(true)
+		case r == 1 && h.ID > 2:
+			h.SetDown(true)
+		default:
+			open = append(open, h.ID)
+		}
+	}
+	for m, n := 0, 4+rng.Intn(40); m < n && len(open) > 0; m++ {
+		spec := cluster.ContainerSpec{
+			Microservice: fmt.Sprintf("ms%d", m),
+			CPU:          0.1 + 0.4*rng.Float64(),
+			MemMB:        100 + 700*rng.Float64(),
+			Threads:      4,
+		}
+		if c, err := cl.Place(spec, open[rng.Intn(len(open))]); err == nil {
+			c.SetCPUUsage(3 * spec.CPU * rng.Float64())
+		}
+	}
+	return cl
+}
+
+type placedUsage struct {
+	ms    string
+	usage float64
+}
+
+// placement is the per-host multiset of (microservice, measured usage).
+func placement(cl *cluster.Cluster) [][]placedUsage {
+	out := make([][]placedUsage, cl.NumHosts())
+	for _, h := range cl.Hosts() {
+		for _, c := range h.Containers() {
+			out[h.ID] = append(out[h.ID], placedUsage{c.Spec.Microservice, c.CPUUsage()})
+		}
+		sort.Slice(out[h.ID], func(i, j int) bool {
+			a, b := out[h.ID][i], out[h.ID][j]
+			return a.ms < b.ms || (a.ms == b.ms && a.usage < b.usage)
+		})
+	}
+	return out
+}
+
+func TestRebalanceMatchesMutateAndMeasureOracle(t *testing.T) {
+	moved := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		for _, budget := range []int{0, 1, 8} {
+			got, want := randomCluster(seed), randomCluster(seed)
+			gotMoves, wantMoves := Rebalance(got, budget), rebalanceOracle(want, budget)
+			if gotMoves != wantMoves {
+				t.Fatalf("seed %d budget %d: %d moves, oracle %d", seed, budget, gotMoves, wantMoves)
+			}
+			if g, w := placement(got), placement(want); !reflect.DeepEqual(g, w) {
+				t.Fatalf("seed %d budget %d: placement\n got %v\nwant %v", seed, budget, g, w)
+			}
+			if d := math.Abs(got.Imbalance() - want.Imbalance()); d > 1e-12 {
+				t.Fatalf("seed %d budget %d: imbalance differs by %g", seed, budget, d)
+			}
+			moved += gotMoves
+		}
+	}
+	if moved < 300 {
+		t.Fatalf("only %d moves over all clusters: the generator no longer exercises Rebalance", moved)
+	}
+}
+
+// TestRebalanceMovesTheContainerItScored covers what the oracle gets wrong:
+// with two replicas of one Spec on the source host it scored the light one
+// and then migrated the first with an equal Spec — the heavy one.
+func TestRebalanceMovesTheContainerItScored(t *testing.T) {
+	build := func() (cl *cluster.Cluster, heavy, light *cluster.Container) {
+		cl = cluster.New(2, cluster.HostSpec{Cores: 4, MemGB: 8})
+		heavy, _ = cl.Place(cluster.PaperContainer("a"), 0)
+		light, _ = cl.Place(cluster.PaperContainer("a"), 0)
+		other, _ := cl.Place(cluster.PaperContainer("b"), 1)
+		heavy.SetCPUUsage(1.0)
+		light.SetCPUUsage(0.2)
+		other.SetCPUUsage(0.4)
+		return cl, heavy, light
+	}
+	cl, heavy, _ := build()
+	before := cl.Imbalance()
+	if moves := Rebalance(cl, 1); moves != 1 {
+		t.Fatalf("moves = %d, want 1", moves)
+	}
+	if cs := cl.Host(0).Containers(); len(cs) != 1 || cs[0] != heavy {
+		t.Fatalf("host 0 should keep exactly the heavy replica, has %v", cs)
+	}
+	var onHost1 []float64
+	for _, c := range cl.Host(1).Containers() {
+		onHost1 = append(onHost1, c.CPUUsage())
+	}
+	if !reflect.DeepEqual(onHost1, []float64{0.4, 0.2}) {
+		t.Fatalf("host 1 usages = %v, want the light replica (0.2) to have joined 0.4", onHost1)
+	}
+	if after := cl.Imbalance(); after >= before {
+		t.Fatalf("imbalance %v -> %v", before, after)
+	}
+
+	twin, _, _ := build()
+	rebalanceOracle(twin, 1)
+	if twin.Imbalance() <= before {
+		t.Fatal("the oracle no longer moves the wrong replica here: drop the ≤1-replica restriction of the differential test")
+	}
+}
+
+// A cordoned host keeps running its containers and may shed them; the oracle
+// lost each one it tried (its undo placement on the cordoned source failed).
+func TestRebalanceDrainsCordonedSourceWithoutLoss(t *testing.T) {
+	cl := cluster.New(3, cluster.PaperHost)
+	for i := 0; i < 12; i++ {
+		if _, err := cl.Place(cluster.PaperContainer("a"), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.Host(0).SetCordoned(true)
+	if moves := Rebalance(cl, 4); moves != 4 {
+		t.Fatalf("moves = %d, want 4", moves)
+	}
+	if got := cl.CountFor("a"); got != 12 {
+		t.Fatalf("%d containers after rebalance, want 12", got)
+	}
+	if got := cl.Host(0).NumContainers(); got != 8 {
+		t.Fatalf("cordoned source holds %d, want 8", got)
+	}
+}
+
+// TestRebalanceTouchesOnlyWhatItMoves pins the no-mutation contract: scoring
+// leaves the cluster alone, and a committed move re-creates one container.
+func TestRebalanceTouchesOnlyWhatItMoves(t *testing.T) {
+	type ident struct {
+		c  *cluster.Container
+		id int
+	}
+	snapshot := func(cl *cluster.Cluster) []ident {
+		var out []ident
+		for _, c := range cl.Containers() {
+			out = append(out, ident{c, c.ID})
+		}
+		return out
+	}
+
+	// Balanced: nothing to move, nothing touched.
+	cl := hotColdCluster(4)
+	o := kube.New(cl, &InterferenceAware{})
+	if err := o.Apply(cluster.PaperContainer("a"), 16); err != nil {
+		t.Fatal(err)
+	}
+	before, imb := snapshot(cl), cl.Imbalance()
+	if moves := Rebalance(cl, 8); moves != 0 {
+		t.Fatalf("balanced cluster moved %d", moves)
+	}
+	if !reflect.DeepEqual(snapshot(cl), before) {
+		t.Fatal("a Rebalance that moved nothing re-created or renumbered containers")
+	}
+	if math.Float64bits(cl.Imbalance()) != math.Float64bits(imb) {
+		t.Fatal("a Rebalance that moved nothing changed the imbalance")
+	}
+	if c, err := cl.Place(cluster.PaperContainer("a"), 1); err != nil || c.ID != 16 {
+		t.Fatalf("next container ID = %v (err %v), want 16: scoring consumed IDs", c, err)
+	}
+
+	// Skewed: one move replaces exactly one container.
+	cl = cluster.New(3, cluster.PaperHost)
+	for i := 0; i < 9; i++ {
+		cl.Place(cluster.PaperContainer("a"), 0)
+	}
+	before = snapshot(cl)
+	if moves := Rebalance(cl, 1); moves != 1 {
+		t.Fatalf("moves = %d, want 1", moves)
+	}
+	after := snapshot(cl)
+	kept := 0
+	for _, a := range after {
+		for _, b := range before {
+			if a == b {
+				kept++
+			}
+		}
+	}
+	if len(after) != len(before) || kept != len(before)-1 {
+		t.Fatalf("one move kept %d of %d containers, want all but one", kept, len(before))
+	}
+	if last := after[len(after)-1]; last.id != 9 || last.c.Host.ID == 0 {
+		t.Fatalf("moved container = ID %d on host %d, want ID 9 off host 0", last.id, last.c.Host.ID)
 	}
 }

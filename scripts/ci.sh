@@ -154,3 +154,26 @@ go test -count=1 -run 'TestFigSimDeterministicAcrossWorkers' ./internal/experime
 echo "== bench7 smoke (1 iteration) =="
 BENCH_SMOKE=1 BENCH_OUT=/tmp/bench_7_smoke.txt BENCH_JSON=/tmp/BENCH_7_smoke.json \
 	scripts/bench.sh bench7 >/dev/null
+
+# The control-window ratio gate (PR 14). On scale1k-control (1000 services,
+# ~11 860 replicas, 2000 hosts) a Repair that repairs nothing and a Rebalance
+# that moves nothing must together cost less than the planner: they ran 11x
+# the planner each while CountFor scanned every container and Rebalance tried
+# every move for real. A ratio of two phases of one traced run, so it holds
+# on a slow sandbox hour; the run's own checks (digest, replicas, plan
+# oracle) must pass too.
+echo "== control-window ratio gate (scale1k-control: repair + rebalance < plan) =="
+res=$(bash bench/run.sh --workload scale1k-control --seed 1 --seconds 1 --trace 1 | tail -n 1)
+case "$res" in
+'{"correct":true,'*) ;;
+*)
+	echo "scale1k-control run is not correct: $res" >&2
+	exit 1
+	;;
+esac
+layer_ms() { printf '%s\n' "$res" | sed -n "s/.*\"$1\":{\"value\":\([^,}]*\).*/\1/p"; }
+awk -v repair="$(layer_ms 'kube\.repair_ms')" -v rebalance="$(layer_ms 'provision\.rebalance_ms')" \
+	-v plan="$(layer_ms 'core\.plan_ms')" 'BEGIN {
+	printf "repair %.2f ms + rebalance %.2f ms vs plan %.2f ms\n", repair, rebalance, plan
+	exit !(plan > 0 && repair + rebalance < plan)
+}'
