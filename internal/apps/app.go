@@ -136,7 +136,10 @@ func (a *App) Validate() error {
 		if !ok {
 			return fmt.Errorf("apps: %s missing profile for %s", a.Name, ms)
 		}
-		if p.BaseMs <= 0 {
+		if err := p.Validate(); err != nil {
+			return fmt.Errorf("apps: %s profile for %s: %w", a.Name, ms, err)
+		}
+		if p.BaseMs == 0 {
 			return fmt.Errorf("apps: %s has non-positive base time for %s", a.Name, ms)
 		}
 		spec, ok := a.Containers[ms]

@@ -1,10 +1,12 @@
 package apps
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"erms/internal/graph"
+	"erms/internal/sim"
 	"erms/internal/workload"
 )
 
@@ -107,6 +109,29 @@ func TestValidateDetectsProblems(t *testing.T) {
 	d := &App{Name: "empty"}
 	if err := d.Validate(); err == nil {
 		t.Fatal("empty app accepted")
+	}
+}
+
+// TestValidateRejectsUnusableProfiles: a profile the simulator cannot draw a
+// service time from is rejected with the microservice named — including the
+// NaN and +Inf base times a plain `BaseMs <= 0` comparison lets through.
+func TestValidateRejectsUnusableProfiles(t *testing.T) {
+	for name, p := range map[string]sim.ServiceProfile{
+		"zero base":     {BaseMs: 0},
+		"negative base": {BaseMs: -1, CV: 0.5},
+		"NaN base":      {BaseMs: math.NaN(), CV: 0.5},
+		"Inf base":      {BaseMs: math.Inf(1)},
+		"NaN CV":        {BaseMs: 2, CV: math.NaN()},
+		"negative CV":   {BaseMs: 2, CV: -0.5},
+	} {
+		a := HotelReservation()
+		a.Profiles["search"] = p
+		err := a.Validate()
+		if err == nil {
+			t.Errorf("%s: profile %+v accepted", name, p)
+		} else if !strings.Contains(err.Error(), "search") {
+			t.Errorf("%s: error %q does not name the microservice", name, err)
+		}
 	}
 }
 

@@ -12,11 +12,30 @@
 // has to rediscover the model from simulated traces.
 package sim
 
-// event is one scheduled callback.
+// evKind says what a typed event asks of its call frame; see Job.handle.
+type evKind uint8
+
+const (
+	evArrive   evKind = iota // the call reaches the server: route, then start or queue
+	evComplete               // a container thread finishes the call's own processing
+	evServed                 // fluid path: the analytically drawn latency has elapsed
+	evReturn                 // the response reaches the client
+	evFail                   // a failure (Job.err) reaches the client
+	evTimeout                // the per-attempt timer fires
+	evRetry                  // the retry backoff has elapsed
+)
+
+// event is one scheduled occurrence: either a typed event for a call frame
+// (every per-call step of a request) or a callback (arrival walkers, minute
+// ticks, failure injection, closed-loop think time). gen is the frame's
+// generation when the event was scheduled.
 type event struct {
 	time float64
 	seq  int64
 	fn   func()
+	f    *Job
+	kind evKind
+	gen  uint32
 }
 
 // eventHeap is a typed binary min-heap ordered by (time, seq). Unlike
@@ -52,7 +71,7 @@ func (h *eventHeap) pop() event {
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = event{} // release the closure reference
+	s[n] = event{} // release the closure and frame references
 	s = s[:n]
 	*h = s
 	// Sift down.
@@ -106,12 +125,20 @@ func (e *Engine) Schedule(delay float64, fn func()) {
 }
 
 // At runs fn at the given absolute time; times in the past run "now".
-func (e *Engine) At(t float64, fn func()) {
-	if t < e.now {
-		t = e.now
+func (e *Engine) At(t float64, fn func()) { e.push(event{time: t, fn: fn}) }
+
+// atFrame delivers a typed event to call frame f at absolute time t.
+func (e *Engine) atFrame(t float64, f *Job, kind evKind) {
+	e.push(event{time: t, f: f, kind: kind, gen: f.gen})
+}
+
+func (e *Engine) push(ev event) {
+	if ev.time < e.now {
+		ev.time = e.now
 	}
 	e.seq++
-	e.events.push(event{time: t, seq: e.seq, fn: fn})
+	ev.seq = e.seq
+	e.events.push(ev)
 	if n := len(e.events); n > e.heapPeak {
 		e.heapPeak = n
 	}
@@ -127,7 +154,11 @@ func (e *Engine) Run(until float64) {
 		next := e.events.pop()
 		e.now = next.time
 		e.processed++
-		next.fn()
+		if next.f != nil {
+			next.f.handle(next.kind, next.gen)
+		} else {
+			next.fn()
+		}
 	}
 	if e.now < until {
 		e.now = until

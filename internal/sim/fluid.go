@@ -2,12 +2,8 @@ package sim
 
 import (
 	"math"
-	"sort"
 
-	"erms/internal/graph"
 	"erms/internal/queueing"
-	"erms/internal/stats"
-	"erms/internal/workload"
 )
 
 // FluidConfig tunes the hybrid fluid/discrete fast path (Config.Fluid).
@@ -62,12 +58,9 @@ type fluidModel struct {
 	erlangC   float64 // P(wait > 0)
 	exRate    float64 // conditional wait rate cμ−λ, per ms
 	waitBound float64
-	baseMs    float64 // uncontended mean service time
-	cv        float64
-	dist      stats.LogNormal // service-time distribution (unscaled)
-	inflation float64         // interference factor at the last refresh
-	meanMs    float64         // synthesized MinuteSample.MeanMs
-	tailMs    float64         // synthesized MinuteSample.TailMs
+	inflation float64 // interference factor at the last refresh
+	meanMs    float64 // synthesized MinuteSample.MeanMs
+	tailMs    float64 // synthesized MinuteSample.TailMs
 	rho       float64
 }
 
@@ -80,21 +73,12 @@ type fluidState struct {
 	minutes  int
 	disabled bool // Resilience enabled: everything stays exact
 
-	// Static after prepare().
+	// Static after prepare(). The per-minute classification itself lives on
+	// the resolved states the calls read: msState.fluid/model/fluidCalls and
+	// callNode.subtree.
 	pinned        map[string]bool      // always-exact microservices
 	arrCounts     map[string][]int     // service -> arrivals per minute
 	msCallsPerMin map[string][]float64 // ms -> offered calls per minute
-	subMS         map[*graph.Node][]string
-	msNames       []string
-
-	// Per-minute state, rebuilt by refresh().
-	fluid   map[string]bool
-	subtree map[*graph.Node]bool
-	model   map[string]*fluidModel
-
-	// minuteCalls counts fluid-path calls per microservice in the current
-	// minute; flushMinute drains it next to the containers' discrete counts.
-	minuteCalls map[string]int
 
 	fluidCM int // container-minutes served from the analytic model
 	exactCM int // container-minutes simulated discretely
@@ -108,11 +92,6 @@ func newFluidState(rt *Runtime) *fluidState {
 		pinned:        make(map[string]bool),
 		arrCounts:     make(map[string][]int),
 		msCallsPerMin: make(map[string][]float64),
-		subMS:         make(map[*graph.Node][]string),
-		fluid:         make(map[string]bool),
-		subtree:       make(map[*graph.Node]bool),
-		model:         make(map[string]*fluidModel),
-		minuteCalls:   make(map[string]int),
 	}
 }
 
@@ -143,7 +122,7 @@ func (f *fluidState) prepare() {
 		// semantics) is inherently per-request; the fluid path would erase
 		// it. Everything stays exact.
 		f.disabled = true
-		f.exactCM = len(rt.states) * f.minutes
+		f.exactCM = len(rt.containers) * f.minutes
 		return
 	}
 	// Pin closed-loop services' whole graphs (their offered load is unknown
@@ -172,7 +151,7 @@ func (f *fluidState) prepare() {
 				continue
 			}
 			if len(hostHit) > 0 {
-				for _, cs := range rt.byMS[ms] {
+				for _, cs := range rt.ms[ms].states {
 					if hostHit[cs.c.Host.ID] {
 						f.pinned[ms] = true
 						break
@@ -181,14 +160,9 @@ func (f *fluidState) prepare() {
 			}
 		}
 	}
-	for ms := range rt.byMS {
-		f.msNames = append(f.msNames, ms)
-		counts := f.msCallsPerMin[ms]
-		if counts == nil {
-			f.msCallsPerMin[ms] = make([]float64, f.minutes)
-		}
+	for _, ms := range rt.msList {
+		f.msCallsPerMin[ms.name] = make([]float64, f.minutes)
 	}
-	sort.Strings(f.msNames)
 	for _, g := range rt.cfg.Graphs {
 		arr := f.arrCounts[g.Service]
 		if arr == nil {
@@ -209,19 +183,6 @@ func (f *fluidState) prepare() {
 				counts[m] += float64(c * k)
 			}
 		}
-		var flatten func(n *graph.Node) []string
-		flatten = func(n *graph.Node) []string {
-			out := []string{n.Microservice}
-			for _, st := range n.Stages {
-				for _, c := range st {
-					out = append(out, flatten(c)...)
-				}
-			}
-			return out
-		}
-		for _, n := range g.PreOrder() {
-			f.subMS[n] = flatten(n)
-		}
 	}
 }
 
@@ -232,35 +193,25 @@ func (f *fluidState) refresh(m int) {
 		return
 	}
 	rt := f.rt
-	for ms := range f.fluid {
-		delete(f.fluid, ms)
-	}
-	for n := range f.subtree {
-		delete(f.subtree, n)
-	}
-	for _, ms := range f.msNames {
-		states := rt.byMS[ms]
-		if f.pinned[ms] {
+	for _, ms := range rt.msList {
+		ms.fluid = false
+		states := ms.states
+		if f.pinned[ms.name] {
 			f.exactCM += len(states)
 			continue
 		}
-		prof := rt.cfg.Profiles[ms]
+		prof := rt.cfg.Profiles[ms.name]
 		infl := 1.0
 		for _, cs := range states {
 			if v := rt.cfg.Interference.HostInflation(cs.c.Host); v > infl {
 				infl = v
 			}
 		}
-		lamC := f.msCallsPerMin[ms][m] / 60_000 / float64(len(states))
+		lamC := f.msCallsPerMin[ms.name][m] / 60_000 / float64(len(states))
 		threads := states[0].c.Spec.Threads
-		md := f.model[ms]
-		if md == nil {
-			md = &fluidModel{}
-			f.model[ms] = md
-		}
 		if prof.BaseMs <= 0 {
 			// Instantaneous service: always fluid, zero latency.
-			*md = fluidModel{waitBound: f.cfg.WaitBoundMs}
+			ms.model = fluidModel{waitBound: f.cfg.WaitBoundMs}
 		} else {
 			mu := 1 / (prof.BaseMs * infl)
 			q := queueing.MMC{Lambda: lamC, Mu: mu, Servers: threads}
@@ -271,106 +222,99 @@ func (f *fluidState) refresh(m int) {
 			}
 			meanSvc := prof.BaseMs * infl
 			tailSvc := meanSvc
-			var dist stats.LogNormal
 			if prof.CV > 0 {
-				dist = stats.LogNormalFromMeanCV(prof.BaseMs, prof.CV)
 				z := math.Sqrt2 * math.Erfinv(2*f.cfg.TailQuantile-1)
-				tailSvc = math.Exp(dist.Mu+z*dist.Sigma) * infl
+				tailSvc = math.Exp(ms.dist.Mu+z*ms.dist.Sigma) * infl
 			}
-			*md = fluidModel{
+			ms.model = fluidModel{
 				erlangC:   q.ErlangCBounded(),
 				exRate:    float64(threads)*mu - lamC,
 				waitBound: f.cfg.WaitBoundMs,
-				baseMs:    prof.BaseMs,
-				cv:        prof.CV,
-				dist:      dist,
 				inflation: infl,
 				meanMs:    q.MeanWaitBounded(f.cfg.WaitBoundMs) + meanSvc,
 				tailMs:    q.WaitQuantileBounded(f.cfg.TailQuantile, f.cfg.WaitBoundMs) + tailSvc,
 				rho:       rho,
 			}
 		}
-		f.fluid[ms] = true
+		ms.fluid = true
 		f.fluidCM += len(states)
 		// Reflect the model's steady-state thread occupancy into host
 		// utilization so colocated exact containers see the load.
 		for _, cs := range states {
-			cs.c.SetCPUUsage(md.rho * cs.c.Spec.CPU)
+			cs.c.SetCPUUsage(ms.model.rho * cs.c.Spec.CPU)
 		}
 	}
-	for _, g := range rt.cfg.Graphs {
-		f.markSubtree(g.Root)
+	for _, sv := range rt.svcs {
+		sv.root.markSubtree()
 	}
 }
 
 // markSubtree marks nodes whose entire subtree is fluid this minute; those
 // calls collapse to one completion event.
-func (f *fluidState) markSubtree(n *graph.Node) bool {
-	ok := f.fluid[n.Microservice]
-	for _, st := range n.Stages {
+func (n *callNode) markSubtree() bool {
+	n.subtree = n.ms.fluid
+	for _, st := range n.stages {
 		for _, c := range st {
-			if !f.markSubtree(c) {
-				ok = false
+			if !c.markSubtree() {
+				n.subtree = false
 			}
 		}
 	}
-	if ok {
-		f.subtree[n] = true
-	}
-	return ok
+	return n.subtree
 }
 
-// drawLatency samples one call's latency (wait + service) from the current
-// analytic model, consuming the runtime's RNG deterministically.
-func (f *fluidState) drawLatency(ms string) float64 {
-	md := f.model[ms]
+// drawLatency samples one call's latency (wait + service) from the
+// microservice's current analytic model, consuming the runtime's RNG
+// deterministically.
+func (rt *Runtime) drawLatency(ms *msState) float64 {
+	md := &ms.model
 	var wait float64
 	if md.erlangC > 0 {
-		if u := f.rt.rng.Float64(); u > 1-md.erlangC {
+		if u := rt.rng.Float64(); u > 1-md.erlangC {
 			wait = -math.Log((1-u)/md.erlangC) / md.exRate
 			if wait > md.waitBound || math.IsNaN(wait) {
 				wait = md.waitBound
 			}
 		}
 	}
-	if md.baseMs <= 0 {
+	if ms.baseMs <= 0 {
 		return wait
 	}
-	svc := md.baseMs * md.inflation
-	if md.cv > 0 {
-		svc = md.dist.Sample(f.rt.rng) * md.inflation
+	svc := ms.baseMs * md.inflation
+	if ms.sampled {
+		svc = ms.dist.Sample(rt.rng) * md.inflation
 	}
 	return wait + svc
 }
 
-// issueFluidCall serves one call of a fluid microservice: a whole-fluid
-// subtree collapses to a single completion event (unless the trace is
-// sampled — sampled traces keep per-node spans so the profiling pipeline
-// still sees them); otherwise the node's own latency is drawn analytically
-// and downstream stages execute normally.
-func (f *fluidState) issueFluidCall(svc string, tier workload.Tier, traceID int64, sampled bool, n *graph.Node, parentMS string, parentID, stage int, clientSend, serverRecv float64, onDone func()) {
-	rt := f.rt
-	if !sampled && f.subtree[n] {
-		lat := f.subtreeLatency(n)
-		f.creditSubtree(svc, n, serverRecv)
-		rt.eng.At(serverRecv+lat+rt.cfg.NetworkDelayMs, onDone)
+// issueFluid serves one call of a fluid microservice: a whole-fluid subtree
+// collapses to a single completion event (unless the trace is sampled —
+// sampled traces keep per-node spans so the profiling pipeline still sees
+// them); otherwise the node's own latency is drawn analytically and
+// downstream stages execute normally.
+func (f *Job) issueFluid() {
+	rt, n := f.rt, f.node
+	warm := f.Enqueued >= rt.warmMs
+	if !f.sampled && n.subtree {
+		lat := rt.subtreeLatency(n)
+		n.creditSubtree(warm)
+		f.at(f.Enqueued+lat+rt.cfg.NetworkDelayMs, evReturn)
 		return
 	}
-	f.credit(svc, n.Microservice, serverRecv)
-	body := rt.serveBody(svc, tier, traceID, sampled, n, parentMS, parentID, stage, 0, nil, clientSend, serverRecv, onDone, nil)
-	rt.eng.At(serverRecv+f.drawLatency(n.Microservice), body)
+	n.credit(warm)
+	f.at(f.Enqueued+rt.drawLatency(n.ms), evServed)
 }
 
 // subtreeLatency draws the whole subtree's latency: own wait+service plus,
 // per sequential stage, the slowest child subtree including its two network
 // hops. All draws happen at decision time, which preserves determinism (one
 // engine, one RNG) and is what makes the collapse one event per request.
-func (f *fluidState) subtreeLatency(n *graph.Node) float64 {
-	total := f.drawLatency(n.Microservice)
-	for _, st := range n.Stages {
+func (rt *Runtime) subtreeLatency(n *callNode) float64 {
+	total := rt.drawLatency(n.ms)
+	for _, st := range n.stages {
 		var slowest float64
 		for _, c := range st {
-			lat := 2*f.rt.cfg.NetworkDelayMs + f.subtreeLatency(c)
+			lat := 2*rt.cfg.NetworkDelayMs + rt.subtreeLatency(c)
 			if lat > slowest {
 				slowest = lat
 			}
@@ -381,20 +325,22 @@ func (f *fluidState) subtreeLatency(n *graph.Node) float64 {
 }
 
 // credit accounts one fluid call for the per-minute and per-service-pair
-// call counters, mirroring the discrete path's enqueue-time accounting.
-func (f *fluidState) credit(svc, ms string, at float64) {
-	f.minuteCalls[ms]++
-	if at >= f.rt.warmMs {
-		if m, ok := f.rt.svcMSCalls[svc]; ok {
-			m[ms]++
-		}
+// call counters, mirroring the discrete path's arrive-time accounting; warm
+// says whether the call arrives past the warm-up.
+func (n *callNode) credit(warm bool) {
+	n.ms.fluidCalls++
+	if warm {
+		*n.calls++
 	}
 }
 
 // creditSubtree accounts every node of a collapsed subtree at the root's
 // arrival instant.
-func (f *fluidState) creditSubtree(svc string, n *graph.Node, at float64) {
-	for _, ms := range f.subMS[n] {
-		f.credit(svc, ms, at)
+func (n *callNode) creditSubtree(warm bool) {
+	n.credit(warm)
+	for _, st := range n.stages {
+		for _, c := range st {
+			c.creditSubtree(warm)
+		}
 	}
 }

@@ -1,33 +1,6 @@
 package sim
 
-import (
-	"erms/internal/stats"
-	"erms/internal/workload"
-)
-
-// Job is one call waiting at or being processed by a container.
-type Job struct {
-	Service  string
-	Priority int // 0 is highest; only meaningful under PriorityPolicy
-	Enqueued float64
-	// Tier is the SLO tier of the request this call belongs to, inherited
-	// from the issuing cohort stream (workload.TierStandard on the untiered
-	// Patterns path). Admission control sheds high-factor tiers first.
-	Tier workload.Tier
-
-	onServed func()
-
-	// Resilience-only fields; zero on the disabled path.
-	// attempt is the issuing client attempt: once it settles (timeout,
-	// failure), the server drops the job at dequeue without executing it.
-	attempt *attemptState
-	// deadline is the absolute per-attempt deadline in ms (0 = none), used
-	// by admission control.
-	deadline float64
-	// onFailed delivers a server-side failure (shed, crash, unavailable) to
-	// the client attempt.
-	onFailed func(CallErr)
-}
+import "erms/internal/stats"
 
 // Policy selects which queued job a freed worker thread serves next.
 type Policy interface {
@@ -56,12 +29,15 @@ type PriorityPolicy struct {
 func (p PriorityPolicy) Pick(queue []*Job, r *stats.RNG) int {
 	// Collect distinct priority classes present, in ascending (best-first)
 	// order, remembering the oldest job index per class. Queues are short in
-	// practice (bounded by burst size), so a linear scan is fine.
+	// practice (bounded by burst size), so a linear scan is fine. The stack
+	// buffer covers any realistic number of services sharing a microservice;
+	// append moves to the heap past it.
 	type class struct {
 		prio  int
 		first int
 	}
-	var classes []class
+	var buf [16]class
+	classes := buf[:0]
 	for i, j := range queue {
 		found := false
 		for k := range classes {

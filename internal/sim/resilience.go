@@ -229,13 +229,6 @@ type DataStats struct {
 	Unavailable int
 }
 
-// attemptState is the shared settle guard of one client attempt: the first
-// of {response, timeout, failure} to arrive settles it; everything later
-// (including the server finishing work the client abandoned) is ignored.
-type attemptState struct {
-	settled bool
-}
-
 // edgeState is the per-call-edge resilience runtime: the resolved policy and
 // the retry-budget token bucket.
 type edgeState struct {
@@ -353,46 +346,40 @@ func (b *breaker) reset() {
 	b.idx, b.filled, b.fails, b.probes = 0, 0, 0, 0
 }
 
-// buildResilience resolves the per-edge policies and shared breakers for
-// every node of every graph. Called once at construction when resilience is
-// enabled.
-func (rt *Runtime) buildResilience() {
-	rt.edges = make(map[*graph.Node]*edgeState)
-	rt.breakers = make(map[string]*breaker)
-	for _, g := range rt.cfg.Graphs {
-		for _, n := range g.PreOrder() {
-			e := &edgeState{
-				timeoutMs:   rt.res.AttemptTimeoutMs,
-				maxAttempts: rt.res.MaxAttempts,
-				earn:        rt.res.RetryBudget,
-				burst:       rt.res.RetryBurst,
-				tokens:      rt.res.RetryBurst,
+// newEdge resolves the policy of the call edge entering node n of service
+// svc's graph; the breaker is shared per (service, microservice). Called once
+// per node at construction when resilience is enabled.
+func (rt *Runtime) newEdge(svc string, n *graph.Node) *edgeState {
+	e := &edgeState{
+		timeoutMs:   rt.res.AttemptTimeoutMs,
+		maxAttempts: rt.res.MaxAttempts,
+		earn:        rt.res.RetryBudget,
+		burst:       rt.res.RetryBurst,
+		tokens:      rt.res.RetryBurst,
+	}
+	if p := n.Policy; p != nil {
+		if p.TimeoutMs > 0 {
+			e.timeoutMs = p.TimeoutMs
+		} else if p.TimeoutMs < 0 {
+			e.timeoutMs = 0
+		}
+		if p.MaxAttempts != 0 {
+			e.maxAttempts = p.MaxAttempts
+			if e.maxAttempts < 1 {
+				e.maxAttempts = 1
 			}
-			if p := n.Policy; p != nil {
-				if p.TimeoutMs > 0 {
-					e.timeoutMs = p.TimeoutMs
-				} else if p.TimeoutMs < 0 {
-					e.timeoutMs = 0
-				}
-				if p.MaxAttempts != 0 {
-					e.maxAttempts = p.MaxAttempts
-					if e.maxAttempts < 1 {
-						e.maxAttempts = 1
-					}
-				}
-			}
-			if rt.res.BreakerFailureRate > 0 {
-				key := g.Service + "\x00" + n.Microservice
-				br, ok := rt.breakers[key]
-				if !ok {
-					br = newBreaker(rt.res)
-					rt.breakers[key] = br
-				}
-				e.breaker = br
-			}
-			rt.edges[n] = e
 		}
 	}
+	if rt.res.BreakerFailureRate > 0 {
+		key := svc + "\x00" + n.Microservice
+		br, ok := rt.breakers[key]
+		if !ok {
+			br = newBreaker(rt.res)
+			rt.breakers[key] = br
+		}
+		e.breaker = br
+	}
+	return e
 }
 
 // shouldShed is the admission-control decision at enqueue: reject when the
@@ -406,7 +393,7 @@ func (rt *Runtime) shouldShed(cs *containerState, job *Job) bool {
 	if !rt.res.Shed {
 		return false
 	}
-	base := rt.cfg.Profiles[cs.c.Spec.Microservice].BaseMs
+	base := cs.ms.baseMs
 	wait := float64(len(cs.queue)) * base / float64(cs.c.Spec.Threads)
 	if job.Tier.Valid() {
 		wait *= rt.res.TierShedFactors[job.Tier]

@@ -19,6 +19,22 @@ type ServiceProfile struct {
 	CV     float64 // coefficient of variation of the service time
 }
 
+// Validate rejects a profile no service time can be drawn from: a NaN or
+// infinite BaseMs would schedule a completion at a time the event heap
+// cannot order, and a zero mean has no log-normal with CV > 0. A zero-cost
+// profile (BaseMs 0, CV 0) is valid.
+func (p ServiceProfile) Validate() error {
+	switch {
+	case math.IsNaN(p.BaseMs) || math.IsInf(p.BaseMs, 0) || p.BaseMs < 0:
+		return fmt.Errorf("BaseMs %v must be finite and >= 0", p.BaseMs)
+	case math.IsNaN(p.CV) || math.IsInf(p.CV, 0) || p.CV < 0:
+		return fmt.Errorf("CV %v must be finite and >= 0", p.CV)
+	case p.BaseMs == 0 && p.CV > 0:
+		return fmt.Errorf("CV %v needs BaseMs > 0", p.CV)
+	}
+	return nil
+}
+
 // CallRecord is one completed call between microservices, mirroring the two
 // Jaeger spans the paper's tracing stack records per call (§5.1): client
 // send/receive and server receive/send timestamps.
@@ -215,6 +231,19 @@ func (c *Config) validate() error {
 	if len(c.Graphs) == 0 {
 		return errors.New("sim: no dependency graphs")
 	}
+	// Every profile, not only those the graphs reach: the fluid path re-fits
+	// each deployed microservice every minute. The smallest bad name is
+	// reported so the error does not depend on map order.
+	var badMS string
+	var badErr error
+	for ms, p := range c.Profiles {
+		if err := p.Validate(); err != nil && (badErr == nil || ms < badMS) {
+			badMS, badErr = ms, err
+		}
+	}
+	if badErr != nil {
+		return fmt.Errorf("sim: service profile of microservice %s: %w", badMS, badErr)
+	}
 	streamed := make(map[string]bool, len(c.Streams))
 	for i, s := range c.Streams {
 		if s.Pattern == nil {
@@ -303,7 +332,7 @@ func (s *ServiceResult) P99() float64 { return s.lat.Quantile(0.99) }
 func (s *ServiceResult) Quantile(q float64) float64 { return s.lat.Quantile(q) }
 
 // Mean returns the mean end-to-end latency.
-func (s *ServiceResult) Mean() float64 { return stats.Mean(s.lat.Values()) }
+func (s *ServiceResult) Mean() float64 { return s.lat.Mean() }
 
 // ViolationRate returns the fraction of requests that missed their SLA:
 // slow completions plus errors over everything issued. With resilience
@@ -429,7 +458,7 @@ type Result struct {
 	ExactContainerMinutes int
 }
 
-// RunStats bundles the run's engine counters with the job free-list's
+// RunStats bundles the run's engine counters with the call-frame pool's
 // recycling balance (how many Job records were heap-allocated versus reused).
 type RunStats struct {
 	EngineStats
@@ -442,6 +471,7 @@ type RunStats struct {
 // containerState is the runtime queueing state of one placed container.
 type containerState struct {
 	c      *cluster.Container
+	ms     *msState
 	busy   int
 	queue  []*Job
 	policy Policy
@@ -449,10 +479,6 @@ type containerState struct {
 	down bool
 	// minuteCalls counts calls routed here in the current minute.
 	minuteCalls int
-	// gen counts crashes (resilience only). Completion events capture the
-	// generation they started under; a mismatch at fire time means the crash
-	// already failed the job and the event is stale.
-	gen int
 	// inflight tracks jobs being processed (resilience only), so a crash can
 	// fail them at the crash instant.
 	inflight []*Job
@@ -460,26 +486,87 @@ type containerState struct {
 
 func (cs *containerState) inSystem() int { return cs.busy + len(cs.queue) }
 
+// msState is everything the calls of one microservice share, resolved by
+// name once at construction so that no call looks anything up by string.
+type msState struct {
+	name   string
+	states []*containerState // ID order
+	up     []*containerState // the routable (not downed) subset, same order
+	rrNext int               // round-robin cursor
+
+	baseMs  float64
+	sampled bool            // CV > 0: service times are drawn from dist
+	dist    stats.LogNormal // unscaled service-time distribution
+
+	// lat is the current minute's latency sample: (re)seeded at the minute's
+	// first observation, drained by flushMinute, its buffer kept across
+	// minutes.
+	lat *stats.Reservoir
+
+	// Fluid fast path (hybrid runs only), re-evaluated every minute.
+	fluid      bool
+	model      fluidModel
+	fluidCalls int // fluid-path calls in the current minute
+}
+
+// refreshUp rebuilds the routable subset after an outage or a recovery.
+func (ms *msState) refreshUp() {
+	ms.up = ms.up[:0]
+	for _, cs := range ms.states {
+		if !cs.down {
+			ms.up = append(ms.up, cs)
+		}
+	}
+}
+
+// callNode is one graph.Node resolved against the runtime: its microservice's
+// shared state and what depends on (service, microservice) — priority rank,
+// call counter, resilience edge.
+type callNode struct {
+	id     int
+	ms     *msState
+	stages [][]*callNode
+	prio   int        // the service's rank at ms (0 when ms is FCFS)
+	calls  *int       // measured calls the service imposed on ms
+	edge   *edgeState // resilience only
+	// subtree: every microservice below and including this node is fluid this
+	// minute, so an unsampled call collapses to one event.
+	subtree bool
+}
+
+// svcState is one online service resolved against the runtime.
+type svcState struct {
+	name   string
+	root   *callNode
+	res    *ServiceResult
+	slaMs  float64
+	hasSLA bool
+}
+
+// streamState is the SLA one cohort stream's outcomes are classified against.
+type streamState struct {
+	slaMs  float64
+	hasSLA bool
+}
+
 // Runtime executes one simulation.
 type Runtime struct {
 	cfg Config
 	eng *Engine
 	rng *stats.RNG
 
-	states map[int]*containerState
-	byMS   map[string][]*containerState
+	containers []*containerState // ID order
+	ms         map[string]*msState
+	msList     []*msState  // name order
+	svcs       []*svcState // index-aligned with cfg.Graphs
 
-	// per-minute accumulation
-	latByMS    map[string]*stats.Reservoir
-	svcMSCalls map[string]map[string]int
+	svcMSCalls map[string]map[string]*int
 	warmMs     float64
-	rrNext     map[string]int
 	dropMin    map[int]bool
 
-	// jobFree recycles Job records: a job becomes unreachable as soon as its
-	// onServed callback has been taken in startJob's completion event, so the
-	// record returns here instead of to the GC. The runtime is single-
-	// threaded (one engine, one goroutine), so a plain slice suffices.
+	// jobFree recycles call frames; see Job for when a frame returns here.
+	// The runtime is single-threaded (one engine, one goroutine), so a plain
+	// slice suffices.
 	jobFree []*Job
 
 	nextTrace int64
@@ -491,16 +578,15 @@ type Runtime struct {
 	// Resilience runtime (nil/zero when disabled — the hot path only pays
 	// `rt.res != nil` checks).
 	res      *Resilience
-	edges    map[*graph.Node]*edgeState
 	breakers map[string]*breaker
 	data     DataStats
 
 	// Cohort-stream runtime (nil when Config.Streams is empty).
 	streamsBySvc map[string][]int
+	streams      []streamState
 	streamAcc    []streamMinuteAcc
 
-	// Fluid fast-path runtime (nil when Config.Fluid is nil — the exact
-	// engine pays only `rt.fl != nil` checks).
+	// Fluid fast-path runtime (nil when Config.Fluid is nil).
 	fl *fluidState
 }
 
@@ -508,40 +594,6 @@ type Runtime struct {
 // minute; flushMinute drains it into Result.StreamMinutes.
 type streamMinuteAcc struct {
 	issued, completed, good, slow, errors, shed int
-}
-
-// getJob takes a Job from the free list (or allocates one).
-func (rt *Runtime) getJob(svc string, enqueued float64) *Job {
-	if n := len(rt.jobFree); n > 0 {
-		j := rt.jobFree[n-1]
-		rt.jobFree = rt.jobFree[:n-1]
-		j.Service = svc
-		j.Priority = 0
-		j.Enqueued = enqueued
-		return j
-	}
-	rt.jobsAllocated++
-	return &Job{Service: svc, Enqueued: enqueued}
-}
-
-// putJob recycles a Job whose service callback has been detached.
-func (rt *Runtime) putJob(j *Job) {
-	j.onServed = nil
-	j.onFailed = nil
-	j.attempt = nil
-	j.deadline = 0
-	rt.jobFree = append(rt.jobFree, j)
-	rt.jobsRecycled++
-}
-
-// failJob recycles the job and delivers a server-side failure to its client
-// attempt; the rejection still crosses the network back.
-func (rt *Runtime) failJob(j *Job, err CallErr) {
-	fail := j.onFailed
-	rt.putJob(j)
-	if fail != nil {
-		rt.eng.Schedule(rt.cfg.NetworkDelayMs, func() { fail(err) })
-	}
 }
 
 // NewRuntime validates the configuration and prepares a runtime.
@@ -559,12 +611,9 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		cfg:        cfg,
 		eng:        NewEngine(),
 		rng:        stats.NewRNG(cfg.Seed),
-		states:     make(map[int]*containerState),
-		byMS:       make(map[string][]*containerState),
-		latByMS:    make(map[string]*stats.Reservoir),
-		svcMSCalls: make(map[string]map[string]int),
+		ms:         make(map[string]*msState),
+		svcMSCalls: make(map[string]map[string]*int),
 		warmMs:     cfg.WarmupMin * 60_000,
-		rrNext:     make(map[string]int),
 		dropMin:    make(map[int]bool, len(cfg.DropMinutes)),
 		result: &Result{
 			PerService:     make(map[string]*ServiceResult),
@@ -577,29 +626,55 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if cfg.Resilience != nil {
 		res := cfg.Resilience.withDefaults()
 		rt.res = &res
-		rt.buildResilience()
+		rt.breakers = make(map[string]*breaker)
 	}
 	for _, c := range cfg.Cluster.Containers() {
+		name := c.Spec.Microservice
+		ms := rt.ms[name]
+		if ms == nil {
+			prof := cfg.Profiles[name]
+			ms = &msState{name: name, baseMs: prof.BaseMs}
+			if prof.CV > 0 {
+				ms.sampled = true
+				ms.dist = stats.LogNormalFromMeanCV(prof.BaseMs, prof.CV)
+			}
+			rt.ms[name] = ms
+			rt.msList = append(rt.msList, ms)
+		}
 		var pol Policy = FCFS{}
-		if _, shared := cfg.Priorities[c.Spec.Microservice]; shared {
+		if _, shared := cfg.Priorities[name]; shared {
 			pol = PriorityPolicy{Delta: cfg.Delta}
 		}
-		cs := &containerState{c: c, policy: pol}
-		rt.states[c.ID] = cs
-		rt.byMS[c.Spec.Microservice] = append(rt.byMS[c.Spec.Microservice], cs)
+		cs := &containerState{c: c, ms: ms, policy: pol}
+		rt.containers = append(rt.containers, cs)
+		ms.states = append(ms.states, cs)
+	}
+	sort.Slice(rt.msList, func(i, j int) bool { return rt.msList[i].name < rt.msList[j].name })
+	for _, ms := range rt.msList {
+		ms.refreshUp()
 	}
 	for _, g := range cfg.Graphs {
-		rt.result.PerService[g.Service] = &ServiceResult{
+		res := &ServiceResult{
 			Service: g.Service,
 			lat:     stats.NewReservoir(1<<15, rt.rng.Split()),
 		}
-		rt.svcMSCalls[g.Service] = make(map[string]int)
+		rt.result.PerService[g.Service] = res
+		rt.svcMSCalls[g.Service] = make(map[string]*int)
+		sla, hasSLA := cfg.SLAs[g.Service]
+		rt.svcs = append(rt.svcs, &svcState{
+			name:   g.Service,
+			root:   rt.resolve(g.Service, g.Root),
+			res:    res,
+			slaMs:  sla.Threshold,
+			hasSLA: hasSLA,
+		})
 	}
 	if cfg.Fluid != nil {
 		rt.fl = newFluidState(rt)
 	}
 	if len(cfg.Streams) > 0 {
 		rt.streamsBySvc = make(map[string][]int)
+		rt.streams = make([]streamState, len(cfg.Streams))
 		rt.streamAcc = make([]streamMinuteAcc, len(cfg.Streams))
 		rt.result.PerStream = make([]*StreamResult, len(cfg.Streams))
 		for i, s := range cfg.Streams {
@@ -609,19 +684,38 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 				Tier:    s.Tier,
 				lat:     stats.NewReservoir(1<<15, rt.rng.Split()),
 			}
+			sla, hasSLA := cfg.SLAs[s.Service]
+			if s.SLA != nil {
+				sla, hasSLA = *s.SLA, true
+			}
+			rt.streams[i] = streamState{slaMs: sla.Threshold, hasSLA: hasSLA}
 			rt.streamsBySvc[s.Service] = append(rt.streamsBySvc[s.Service], i)
 		}
 	}
 	return rt, nil
 }
 
-// streamSLA resolves the SLA a stream's outcomes are classified against.
-func (rt *Runtime) streamSLA(si int) (workload.SLA, bool) {
-	if s := rt.cfg.Streams[si].SLA; s != nil {
-		return *s, true
+// resolve builds the callNode tree under n for service svc.
+func (rt *Runtime) resolve(svc string, n *graph.Node) *callNode {
+	ms := rt.ms[n.Microservice]
+	counters := rt.svcMSCalls[svc]
+	calls := counters[ms.name]
+	if calls == nil {
+		calls = new(int)
+		counters[ms.name] = calls
 	}
-	sla, ok := rt.cfg.SLAs[rt.cfg.Streams[si].Service]
-	return sla, ok
+	cn := &callNode{id: n.ID, ms: ms, prio: rt.cfg.Priorities[ms.name][svc], calls: calls}
+	if rt.res != nil {
+		cn.edge = rt.newEdge(svc, n)
+	}
+	for _, st := range n.Stages {
+		kids := make([]*callNode, len(st))
+		for i, c := range st {
+			kids[i] = rt.resolve(svc, c)
+		}
+		cn.stages = append(cn.stages, kids)
+	}
+	return cn
 }
 
 // Run executes the simulation and returns aggregated results.
@@ -648,48 +742,46 @@ func (rt *Runtime) setup() {
 	// default, or a closed-loop user population where configured. Services
 	// with cohort streams run one independent arrival process per stream
 	// (each with its own split RNG, in stream-index order) instead.
-	for _, g := range rt.cfg.Graphs {
-		g := g
+	for gi, g := range rt.cfg.Graphs {
+		sv := rt.svcs[gi]
 		if idxs, ok := rt.streamsBySvc[g.Service]; ok {
 			for _, si := range idxs {
 				arr := workload.Arrivals(rt.cfg.Streams[si].Pattern, rt.rng.Split(), 0, rt.cfg.DurationMin)
 				if rt.fl != nil {
 					rt.fl.noteArrivals(g.Service, arr)
 				}
-				rt.scheduleStreamArrivals(g, si, arr, warmMs)
+				rt.scheduleArrivals(sv, si, arr, warmMs)
 			}
 			continue
 		}
 		if users, ok := rt.cfg.ClosedUsers[g.Service]; ok {
-			rt.startClosedLoop(g, users, endMs, warmMs)
+			rt.startClosedLoop(sv, users, endMs, warmMs)
 			continue
 		}
 		arr := workload.Arrivals(rt.cfg.Patterns[g.Service], rt.rng.Split(), 0, rt.cfg.DurationMin)
 		if rt.fl != nil {
 			rt.fl.noteArrivals(g.Service, arr)
 		}
-		rt.scheduleArrivals(g, arr, warmMs)
+		rt.scheduleArrivals(sv, -1, arr, warmMs)
 	}
 
 	// Schedule injected container failures and recoveries.
 	for _, f := range rt.cfg.Failures {
 		var hit []*containerState
 		if f.Microservice == "" {
-			// Host scope: every container currently on the host. Containers()
-			// is ID-ordered, so the schedule is deterministic.
-			for _, c := range rt.cfg.Cluster.Containers() {
-				if c.Host.ID == f.Host {
-					if cs, ok := rt.states[c.ID]; ok {
-						hit = append(hit, cs)
-					}
+			// Host scope: every container on the host, in ID order, so the
+			// schedule is deterministic.
+			for _, cs := range rt.containers {
+				if cs.c.Host.ID == f.Host {
+					hit = append(hit, cs)
 				}
 			}
 		} else {
-			states := rt.byMS[f.Microservice]
-			if f.Index < 0 || f.Index >= len(states) {
+			ms := rt.ms[f.Microservice]
+			if ms == nil || f.Index < 0 || f.Index >= len(ms.states) {
 				continue
 			}
-			hit = append(hit, states[f.Index])
+			hit = append(hit, ms.states[f.Index])
 		}
 		for _, cs := range hit {
 			cs := cs
@@ -697,6 +789,7 @@ func (rt *Runtime) setup() {
 			if f.RecoverMin > f.AtMin {
 				rt.eng.At(f.RecoverMin*60_000, func() {
 					cs.down = false
+					cs.ms.refreshUp()
 					rt.kick(cs)
 				})
 			}
@@ -734,7 +827,9 @@ func (rt *Runtime) finish() *Result {
 	for svc, byMS := range rt.svcMSCalls {
 		rates := make(map[string]float64, len(byMS))
 		for ms, n := range byMS {
-			rates[ms] = float64(n) / rt.result.SimulatedMin
+			if *n > 0 {
+				rates[ms] = float64(*n) / rt.result.SimulatedMin
+			}
 		}
 		rt.result.ServiceMSCalls[svc] = rates
 	}
@@ -749,18 +844,19 @@ func (rt *Runtime) finish() *Result {
 		rt.result.FluidContainerMinutes = rt.fl.fluidCM
 		rt.result.ExactContainerMinutes = rt.fl.exactCM
 	} else {
-		rt.result.ExactContainerMinutes = len(rt.states) * int(rt.cfg.DurationMin)
+		rt.result.ExactContainerMinutes = len(rt.containers) * int(rt.cfg.DurationMin)
 	}
 	return rt.result
 }
 
 // scheduleArrivals walks a pre-computed, sorted arrival list lazily: one
-// closure per service keeps exactly one pending arrival event in the heap
-// and re-arms itself for the next timestamp. workload.Arrivals fully
+// closure per arrival process keeps exactly one pending arrival event in the
+// heap and re-arms itself for the next timestamp. workload.Arrivals fully
 // consumes its RNG before returning, so laziness cannot perturb random
 // streams; execution order is unchanged because events still fire in
-// timestamp order.
-func (rt *Runtime) scheduleArrivals(g *graph.Graph, arr []float64, warmMs float64) {
+// timestamp order. si tags every request with its cohort stream (-1 on the
+// untiered Patterns path).
+func (rt *Runtime) scheduleArrivals(sv *svcState, si int, arr []float64, warmMs float64) {
 	if len(arr) == 0 {
 		return
 	}
@@ -772,43 +868,18 @@ func (rt *Runtime) scheduleArrivals(g *graph.Graph, arr []float64, warmMs float6
 		if idx < len(arr) {
 			rt.eng.At(arr[idx], walk)
 		}
-		rt.startRequest(g, t >= warmMs)
+		rt.startRequest(sv, si, t >= warmMs, nil)
 	}
 	rt.eng.At(arr[0], walk)
 }
 
-// scheduleStreamArrivals is scheduleArrivals for one cohort stream: the same
-// lazy walk, with every request tagged by the stream index.
-func (rt *Runtime) scheduleStreamArrivals(g *graph.Graph, si int, arr []float64, warmMs float64) {
-	if len(arr) == 0 {
-		return
-	}
-	idx := 0
-	var walk func()
-	walk = func() {
-		t := arr[idx]
-		idx++
-		if idx < len(arr) {
-			rt.eng.At(arr[idx], walk)
-		}
-		rt.startRequestWith(g, si, t >= warmMs, nil)
-	}
-	rt.eng.At(arr[0], walk)
-}
-
-// startRequest begins one end-to-end request for the given service graph.
-func (rt *Runtime) startRequest(g *graph.Graph, measured bool) {
-	rt.startRequestWith(g, -1, measured, nil)
-}
-
-// startRequestWith additionally invokes then() when the request completes
-// (used by the closed-loop client). si identifies the issuing cohort stream
-// (-1 on the untiered Patterns path); stream requests propagate their SLO
-// tier down the whole call tree and record per-stream outcomes on top of the
-// per-service ones.
-func (rt *Runtime) startRequestWith(g *graph.Graph, si int, measured bool, then func()) {
+// startRequest begins one end-to-end request of service sv; then, if not
+// nil, runs when the request ends (the closed-loop client). si identifies the
+// issuing cohort stream (-1 on the untiered Patterns path); stream requests
+// propagate their SLO tier down the whole call tree and record per-stream
+// outcomes on top of the per-service ones.
+func (rt *Runtime) startRequest(sv *svcState, si int, measured bool, then func()) {
 	rt.nextTrace++
-	traceID := rt.nextTrace
 	sampled := rt.cfg.Observer != nil && rt.rng.Float64() < rt.cfg.SampleRate
 	t0 := rt.eng.Now()
 	if sampled && rt.dropMin[int(t0/60_000)] {
@@ -817,300 +888,119 @@ func (rt *Runtime) startRequestWith(g *graph.Graph, si int, measured bool, then 
 		// perturb the random stream of the rest of the run.
 		sampled = false
 	}
-	svc := g.Service
 
 	tier := workload.TierStandard
-	sla, hasSLA := rt.cfg.SLAs[svc]
 	if si >= 0 {
 		tier = rt.cfg.Streams[si].Tier
-		sla, hasSLA = rt.streamSLA(si)
 		rt.streamAcc[si].issued++
 	}
+	slaMs, hasSLA := rt.sla(sv, si)
 
+	f := rt.newFrame()
+	f.Service, f.svc, f.Tier, f.node = sv.name, sv, tier, sv.root
+	f.traceID, f.sampled = rt.nextTrace, sampled
+	f.t0, f.stream, f.measured, f.then = t0, si, measured, then
 	// The request deadline (resilience only): derived from the SLA when
 	// configured, else the absolute request timeout. 0 = unbounded.
-	var deadline float64
 	if rt.res != nil {
 		if hasSLA && rt.res.TimeoutSLAMultiple > 0 {
-			deadline = t0 + rt.res.TimeoutSLAMultiple*sla.Threshold
+			f.edgeDeadline = t0 + rt.res.TimeoutSLAMultiple*slaMs
 		} else if rt.res.RequestTimeoutMs > 0 {
-			deadline = t0 + rt.res.RequestTimeoutMs
+			f.edgeDeadline = t0 + rt.res.RequestTimeoutMs
 		}
 	}
+	f.call()
+}
 
-	success := func() {
-		// Fires at the client-receive instant of the root call.
-		lat := rt.eng.Now() - t0
-		slow := hasSLA && lat > sla.Threshold
-		if measured {
-			res := rt.result.PerService[svc]
-			res.Count++
-			res.lat.Add(lat)
-			if slow {
-				res.Violations++
-			}
-			if si >= 0 {
-				sr := rt.result.PerStream[si]
-				sr.Count++
-				sr.lat.Add(lat)
-				if slow {
-					sr.Violations++
-				}
-			}
-		}
-		if si >= 0 {
-			acc := &rt.streamAcc[si]
-			acc.completed++
-			if slow {
-				acc.slow++
-			} else {
-				acc.good++
-			}
-		}
-		if then != nil {
-			then()
-		}
+// sla returns the latency bound a request of service sv issued by stream si
+// (-1: none) is classified against: the stream's own when it has one.
+func (rt *Runtime) sla(sv *svcState, si int) (ms float64, ok bool) {
+	if si >= 0 {
+		return rt.streams[si].slaMs, rt.streams[si].hasSLA
 	}
-	var fail func(CallErr)
-	if rt.res != nil {
-		fail = func(err CallErr) {
-			if measured {
-				rt.result.PerService[svc].Errors++
-				if si >= 0 {
-					sr := rt.result.PerStream[si]
-					sr.Errors++
-					if err == ErrShed {
-						sr.Shed++
-					}
-				}
-			}
-			if si >= 0 {
-				acc := &rt.streamAcc[si]
-				acc.errors++
-				if err == ErrShed {
-					acc.shed++
-				}
-			}
-			if then != nil {
-				then()
+	return sv.slaMs, sv.hasSLA
+}
+
+// requestDone records a request's success; it fires at the client-receive
+// instant of root frame f.
+func (rt *Runtime) requestDone(f *Job) {
+	lat := rt.eng.Now() - f.t0
+	slaMs, hasSLA := rt.sla(f.svc, f.stream)
+	slow := hasSLA && lat > slaMs
+	if f.measured {
+		res := f.svc.res
+		res.Count++
+		res.lat.Add(lat)
+		if slow {
+			res.Violations++
+		}
+		if f.stream >= 0 {
+			sr := rt.result.PerStream[f.stream]
+			sr.Count++
+			sr.lat.Add(lat)
+			if slow {
+				sr.Violations++
 			}
 		}
 	}
-	rt.execNode(svc, tier, traceID, sampled, g.Root, "", -1, 0, deadline, success, fail)
+	if f.stream >= 0 {
+		acc := &rt.streamAcc[f.stream]
+		acc.completed++
+		if slow {
+			acc.slow++
+		} else {
+			acc.good++
+		}
+	}
+	if f.then != nil {
+		f.then()
+	}
+}
+
+// requestFailed records a request's outright failure (resilience only).
+func (rt *Runtime) requestFailed(f *Job, err CallErr) {
+	if f.measured {
+		f.svc.res.Errors++
+		if f.stream >= 0 {
+			sr := rt.result.PerStream[f.stream]
+			sr.Errors++
+			if err == ErrShed {
+				sr.Shed++
+			}
+		}
+	}
+	if f.stream >= 0 {
+		acc := &rt.streamAcc[f.stream]
+		acc.errors++
+		if err == ErrShed {
+			acc.shed++
+		}
+	}
+	if f.then != nil {
+		f.then()
+	}
 }
 
 // startClosedLoop spawns a closed-loop user population for one service: each
 // user issues a request, waits for the response, thinks for an exponential
 // time, and repeats until the nominal end of the run.
-func (rt *Runtime) startClosedLoop(g *graph.Graph, users int, endMs, warmMs float64) {
+func (rt *Runtime) startClosedLoop(sv *svcState, users int, endMs, warmMs float64) {
 	think := rt.cfg.ThinkTimeMs
 	if think <= 0 {
 		think = 1000
 	}
 	rng := rt.rng.Split()
 	var userLoop func()
+	rethink := func() { rt.eng.Schedule(think*rng.ExpFloat64(), userLoop) }
 	userLoop = func() {
 		if rt.eng.Now() >= endMs {
 			return
 		}
-		rt.startRequestWith(g, -1, rt.eng.Now() >= warmMs, func() {
-			rt.eng.Schedule(think*rng.ExpFloat64(), userLoop)
-		})
+		rt.startRequest(sv, -1, rt.eng.Now() >= warmMs, rethink)
 	}
 	for u := 0; u < users; u++ {
 		// Staggered starts spread the initial burst over one think time.
 		rt.eng.At(rng.Float64()*think, userLoop)
-	}
-}
-
-// execNode runs one call edge: on the infallible path (resilience disabled)
-// a single attempt that always completes; with resilience enabled, an
-// attempt loop with deadline propagation, breaker short-circuiting,
-// per-attempt timeouts, and budgeted retries with exponential backoff.
-// deadline is the absolute propagated deadline in ms (0 = none); tier is the
-// issuing request's SLO tier, inherited by every downstream call. onDone
-// fires on success; onFail (nil on the disabled path) receives the final
-// failure.
-func (rt *Runtime) execNode(svc string, tier workload.Tier, traceID int64, sampled bool, n *graph.Node, parentMS string, parentID, stage int, deadline float64, onDone func(), onFail func(CallErr)) {
-	if rt.res == nil {
-		rt.issueCall(svc, tier, traceID, sampled, n, parentMS, parentID, stage, 0, nil, onDone, nil)
-		return
-	}
-	edge := rt.edges[n]
-	var tryAttempt func(attempt int)
-	tryAttempt = func(attempt int) {
-		now := rt.eng.Now()
-		// Deadline propagation: if the request cannot even reach the server
-		// before its propagated deadline, fail without executing.
-		if deadline > 0 && now+rt.cfg.NetworkDelayMs >= deadline {
-			rt.data.DeadlineSkips++
-			onFail(ErrDeadline)
-			return
-		}
-		if br := edge.breaker; br != nil && !br.allow(now) {
-			rt.data.BreakerShortCircuits++
-			onFail(ErrBreakerOpen)
-			return
-		}
-		attemptDeadline := deadline
-		if edge.timeoutMs > 0 {
-			if d := now + edge.timeoutMs; attemptDeadline == 0 || d < attemptDeadline {
-				attemptDeadline = d
-			}
-		}
-		at := &attemptState{}
-		settle := func(err CallErr) {
-			if at.settled {
-				return
-			}
-			at.settled = true
-			if br := edge.breaker; br != nil {
-				br.record(rt.eng.Now(), err != ErrNone, &rt.data)
-			}
-			if err == ErrNone {
-				if edge.earn > 0 {
-					edge.tokens += edge.earn
-					if edge.tokens > edge.burst {
-						edge.tokens = edge.burst
-					}
-				}
-				onDone()
-				return
-			}
-			if attempt+1 < edge.maxAttempts && err.retryable() {
-				if edge.earn == 0 || edge.tokens >= 1 {
-					if edge.earn > 0 {
-						edge.tokens--
-					}
-					backoff := rt.res.RetryBackoffMs * float64(uint(1)<<uint(attempt))
-					if rt.res.RetryJitter > 0 {
-						backoff *= 1 + rt.res.RetryJitter*rt.rng.Float64()
-					}
-					rt.data.Retries++
-					rt.eng.Schedule(backoff, func() { tryAttempt(attempt + 1) })
-					return
-				}
-				rt.data.RetryBudgetExhausted++
-			}
-			onFail(err)
-		}
-		if attemptDeadline > 0 {
-			rt.eng.At(attemptDeadline, func() {
-				if !at.settled {
-					rt.data.Timeouts++
-					settle(ErrTimeout)
-				}
-			})
-		}
-		rt.data.Attempts++
-		rt.issueCall(svc, tier, traceID, sampled, n, parentMS, parentID, stage, attemptDeadline, at,
-			func() { settle(ErrNone) }, settle)
-	}
-	tryAttempt(0)
-}
-
-// issueCall performs one attempt of a call: queue at a container of the
-// node's microservice, process, then execute downstream stages sequentially
-// (parallel within a stage), then signal completion. attemptDeadline bounds
-// this attempt (0 = none); at is the client's settle guard (nil on the
-// disabled path); onFail (nil on the disabled path) receives server-side and
-// downstream failures.
-func (rt *Runtime) issueCall(svc string, tier workload.Tier, traceID int64, sampled bool, n *graph.Node, parentMS string, parentID, stage int, attemptDeadline float64, at *attemptState, onDone func(), onFail func(CallErr)) {
-	clientSend := rt.eng.Now()
-	serverRecv := clientSend + rt.cfg.NetworkDelayMs
-	ms := n.Microservice
-
-	if rt.fl != nil && rt.fl.fluid[ms] {
-		rt.fl.issueFluidCall(svc, tier, traceID, sampled, n, parentMS, parentID, stage, clientSend, serverRecv, onDone)
-		return
-	}
-
-	job := rt.getJob(svc, serverRecv)
-	job.Tier = tier
-	if ranks, ok := rt.cfg.Priorities[ms]; ok {
-		job.Priority = ranks[svc]
-	}
-	job.attempt = at
-	job.deadline = attemptDeadline
-	job.onFailed = onFail
-	job.onServed = rt.serveBody(svc, tier, traceID, sampled, n, parentMS, parentID, stage, attemptDeadline, at, clientSend, serverRecv, onDone, onFail)
-
-	rt.eng.At(serverRecv, func() { rt.enqueue(ms, job) })
-}
-
-// serveBody builds the callback that runs when a call's own processing
-// completes: record the node latency, execute downstream stages, emit the
-// sampled span, and resume the caller across the network. It is shared by
-// the discrete path (as Job.onServed) and the fluid fast path (scheduled
-// directly at the analytically drawn completion instant).
-func (rt *Runtime) serveBody(svc string, tier workload.Tier, traceID int64, sampled bool, n *graph.Node, parentMS string, parentID, stage int, attemptDeadline float64, at *attemptState, clientSend, serverRecv float64, onDone func(), onFail func(CallErr)) func() {
-	ms := n.Microservice
-	return func() {
-		// Own work done: record microservice latency (queue + processing).
-		latency := rt.eng.Now() - serverRecv
-		rt.recordNodeLatency(svc, ms, latency)
-
-		// Issue downstream stages. settled flips when the call's outcome is
-		// decided: on the success path at response send, on the failure path
-		// at the first child failure (late siblings are ignored — their work
-		// is wasted, which is exactly how retry amplification arises).
-		settled := false
-		var childFail func(CallErr)
-		if onFail != nil {
-			childFail = func(err CallErr) {
-				if settled {
-					return
-				}
-				settled = true
-				rt.eng.Schedule(rt.cfg.NetworkDelayMs, func() { onFail(err) })
-			}
-		}
-		var childDeadline float64
-		if attemptDeadline > 0 {
-			// The response still needs one network hop after the children
-			// complete.
-			childDeadline = attemptDeadline - rt.cfg.NetworkDelayMs
-		}
-		var runStage func(k int)
-		runStage = func(k int) {
-			if k >= len(n.Stages) {
-				serverSend := rt.eng.Now()
-				clientRecv := serverSend + rt.cfg.NetworkDelayMs
-				if sampled && (at == nil || !at.settled) {
-					rt.cfg.Observer.ObserveCall(CallRecord{
-						TraceID:            traceID,
-						Service:            svc,
-						ParentMicroservice: parentMS,
-						Microservice:       ms,
-						NodeID:             n.ID,
-						ParentNodeID:       parentID,
-						Stage:              stage,
-						ClientSend:         clientSend,
-						ServerRecv:         serverRecv,
-						ServerSend:         serverSend,
-						ClientRecv:         clientRecv,
-					})
-				}
-				settled = true
-				// The caller resumes only once the response has crossed the
-				// network, at clientRecv.
-				rt.eng.At(clientRecv, onDone)
-				return
-			}
-			remaining := len(n.Stages[k])
-			for _, child := range n.Stages[k] {
-				rt.execNode(svc, tier, traceID, sampled, child, ms, n.ID, k, childDeadline, func() {
-					if settled {
-						return
-					}
-					remaining--
-					if remaining == 0 {
-						runStage(k + 1)
-					}
-				}, childFail)
-			}
-		}
-		runStage(0)
 	}
 }
 
@@ -1123,106 +1013,41 @@ func (rt *Runtime) kick(cs *containerState) {
 		idx := cs.policy.Pick(cs.queue, rt.rng)
 		next := cs.queue[idx]
 		cs.queue = append(cs.queue[:idx], cs.queue[idx+1:]...)
-		if rt.res != nil && next.attempt != nil && next.attempt.settled {
+		if rt.res != nil && next.settled {
 			rt.data.DeadlineSkips++
-			rt.putJob(next)
-			continue
+		} else {
+			rt.startJob(cs, next)
 		}
-		rt.startJob(cs, next)
+		next.unref() // the queue's hold
 	}
 }
 
 // failContainer marks a container down and re-routes its queued work. With
 // resilience enabled the crash also severs in-flight work: each processing
 // request fails at the crash instant with the retryable ErrCrashed instead
-// of silently completing, and completion events already in the heap become
-// stale via the generation counter.
+// of silently completing, and its completion event, already in the heap,
+// becomes stale.
 func (rt *Runtime) failContainer(cs *containerState) {
 	cs.down = true
+	cs.ms.refreshUp()
 	queued := cs.queue
 	cs.queue = nil
 	if rt.res != nil {
-		cs.gen++
 		inflight := cs.inflight
 		cs.inflight = nil
 		cs.busy = 0
 		rt.updateUsage(cs)
 		for _, job := range inflight {
 			rt.data.CrashFailures++
-			rt.failJob(job, ErrCrashed)
+			job.crashed = true
+			job.sendFailure(ErrCrashed)
+			job.unref() // the in-flight list's hold
 		}
 	}
 	for _, job := range queued {
-		rt.enqueue(cs.c.Spec.Microservice, job)
+		job.arrive()
+		job.unref() // the old queue's hold
 	}
-}
-
-// enqueue routes the job to a container of the microservice per the
-// configured balancing policy and starts it if a thread is free.
-func (rt *Runtime) enqueue(ms string, job *Job) {
-	all := rt.byMS[ms]
-	states := all
-	// Skip downed containers when any replica survives. With none left the
-	// behaviour is pinned per fault model: resilience disabled parks the job
-	// at the first container until recovery (the historical contract);
-	// resilience enabled fails fast with the retryable ErrUnavailable.
-	var up []*containerState
-	for _, s := range all {
-		if !s.down {
-			up = append(up, s)
-		}
-	}
-	if len(up) > 0 {
-		states = up
-	} else if rt.res != nil {
-		rt.data.Unavailable++
-		rt.failJob(job, ErrUnavailable)
-		return
-	}
-	var cs *containerState
-	switch {
-	case len(states) == 1:
-		cs = states[0]
-	case rt.cfg.Routing == RouteP2C:
-		a := states[rt.rng.Intn(len(states))]
-		b := states[rt.rng.Intn(len(states))]
-		if a.inSystem() <= b.inSystem() {
-			cs = a
-		} else {
-			cs = b
-		}
-	default: // round-robin (modulo the currently routable set)
-		i := rt.rrNext[ms] % len(states)
-		rt.rrNext[ms] = i + 1
-		cs = states[i]
-	}
-	if rt.res != nil {
-		if job.attempt != nil && job.attempt.settled {
-			// The client gave up while the job was re-routed after a crash.
-			rt.data.DeadlineSkips++
-			rt.putJob(job)
-			return
-		}
-		if rt.shouldShed(cs, job) {
-			rt.data.Shed++
-			if job.Tier.Valid() {
-				rt.data.ShedByTier[job.Tier]++
-			}
-			rt.failJob(job, ErrShed)
-			return
-		}
-	}
-	cs.minuteCalls++
-	if rt.eng.Now() >= rt.warmMs {
-		if m, ok := rt.svcMSCalls[job.Service]; ok {
-			m[ms]++
-		}
-	}
-	if !cs.down && cs.busy < cs.c.Spec.Threads {
-		rt.startJob(cs, job)
-		return
-	}
-	cs.queue = append(cs.queue, job)
 }
 
 // startJob begins processing a job on a free thread of cs.
@@ -1230,38 +1055,18 @@ func (rt *Runtime) startJob(cs *containerState, job *Job) {
 	cs.busy++
 	rt.updateUsage(cs)
 
-	prof := rt.cfg.Profiles[cs.c.Spec.Microservice]
-	base := prof.BaseMs
-	if prof.CV > 0 {
-		base = stats.LogNormalFromMeanCV(prof.BaseMs, prof.CV).Sample(rt.rng)
+	base := cs.ms.baseMs
+	if cs.ms.sampled {
+		base = cs.ms.dist.Sample(rt.rng)
 	}
 	inflation := rt.cfg.Interference.HostInflation(cs.c.Host)
-	s := base * inflation
 
-	gen := cs.gen
+	job.cs = cs
 	if rt.res != nil {
 		cs.inflight = append(cs.inflight, job)
+		job.refs++
 	}
-	rt.eng.Schedule(s, func() {
-		if rt.res != nil {
-			if cs.gen != gen {
-				// The container crashed with this job in flight; the crash
-				// already failed and recycled it. The completion is stale.
-				return
-			}
-			rt.dropInflight(cs, job)
-		}
-		cs.busy--
-		rt.updateUsage(cs)
-		// Detach the callback and recycle the record before running it: the
-		// callback may start downstream nodes that reuse the record.
-		served := job.onServed
-		rt.putJob(job)
-		served()
-		if !cs.down {
-			rt.kick(cs)
-		}
-	})
+	job.after(base*inflation, evComplete)
 }
 
 // dropInflight removes a completing job from the container's in-flight list
@@ -1270,6 +1075,7 @@ func (rt *Runtime) dropInflight(cs *containerState, job *Job) {
 	for i, j := range cs.inflight {
 		if j == job {
 			cs.inflight = append(cs.inflight[:i], cs.inflight[i+1:]...)
+			job.refs--
 			return
 		}
 	}
@@ -1285,65 +1091,55 @@ func (rt *Runtime) updateUsage(cs *containerState) {
 
 // recordNodeLatency adds one microservice latency observation for the
 // current minute.
-func (rt *Runtime) recordNodeLatency(svc, ms string, latency float64) {
-	if rt.fl != nil && rt.fl.fluid[ms] {
+func (rt *Runtime) recordNodeLatency(ms *msState, latency float64) {
+	if ms.fluid {
 		// Fluid microservices synthesize their minute samples from the
 		// analytic model; the few discretely timed observations (sampled
 		// traces) would be a biased subset.
 		return
 	}
-	rv, ok := rt.latByMS[ms]
-	if !ok {
-		rv = stats.NewReservoir(rt.cfg.LatencySampleCap, rt.rng.Split())
-		rt.latByMS[ms] = rv
+	// The minute's first observation draws the reservoir's RNG.
+	if ms.lat == nil {
+		ms.lat = stats.NewReservoir(rt.cfg.LatencySampleCap, rt.rng.Split())
+	} else if ms.lat.Seen() == 0 {
+		ms.lat.Reset(rt.rng.Split())
 	}
-	rv.Add(latency)
-	_ = svc
+	ms.lat.Add(latency)
 }
 
 // flushMinute emits MinuteSamples for minute m (when record is true) and
 // resets the per-minute accumulators either way.
 func (rt *Runtime) flushMinute(m int, record bool) {
-	mss := make([]string, 0, len(rt.byMS))
-	for ms := range rt.byMS {
-		mss = append(mss, ms)
-	}
-	sort.Strings(mss)
-	for _, ms := range mss {
-		states := rt.byMS[ms]
-		calls := 0
+	for _, ms := range rt.msList {
+		calls := ms.fluidCalls
+		ms.fluidCalls = 0
 		var cpu, mem float64
-		for _, cs := range states {
+		for _, cs := range ms.states {
 			calls += cs.minuteCalls
 			cs.minuteCalls = 0
 			cpu += cs.c.Host.CPUUtil()
 			mem += cs.c.Host.MemUtil()
 		}
-		if rt.fl != nil {
-			calls += rt.fl.minuteCalls[ms]
-			rt.fl.minuteCalls[ms] = 0
-		}
-		n := float64(len(states))
+		n := float64(len(ms.states))
 		sample := MinuteSample{
 			Minute:            m,
-			Microservice:      ms,
+			Microservice:      ms.name,
 			PerContainerCalls: float64(calls) / n,
 			CPUUtil:           cpu / n,
 			MemUtil:           mem / n,
 			Calls:             calls,
-			Containers:        len(states),
+			Containers:        len(ms.states),
 		}
-		if rv, ok := rt.latByMS[ms]; ok && rv.Seen() > 0 {
+		if rv := ms.lat; rv != nil && rv.Seen() > 0 {
 			sample.TailMs = rv.Quantile(0.95)
-			sample.MeanMs = stats.Mean(rv.Values())
-			delete(rt.latByMS, ms)
+			sample.MeanMs = rv.Mean()
+			rv.Reset(nil) // re-seeded by the next minute's first observation
 		}
-		if rt.fl != nil && rt.fl.fluid[ms] && calls > 0 {
+		if ms.fluid && calls > 0 {
 			// Fluid minutes synthesize the latency columns from the analytic
 			// model that served the calls.
-			md := rt.fl.model[ms]
-			sample.TailMs = md.tailMs
-			sample.MeanMs = md.meanMs
+			sample.TailMs = ms.model.tailMs
+			sample.MeanMs = ms.model.meanMs
 		}
 		if record {
 			rt.result.Samples = append(rt.result.Samples, sample)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"erms/internal/cluster"
@@ -404,6 +405,54 @@ func TestConfigValidation(t *testing.T) {
 	bad.Cluster = cluster.New(1, cluster.PaperHost) // no containers
 	if _, err := NewRuntime(bad); err == nil {
 		t.Fatal("missing containers accepted")
+	}
+}
+
+// TestProfileValidation: a profile no service time can be drawn from is
+// rejected at construction with the microservice named — it used to panic at
+// the first job (BaseMs <= 0 with CV > 0) or schedule an event at time NaN —
+// while a zero-cost profile stays valid and runs.
+func TestProfileValidation(t *testing.T) {
+	for name, p := range map[string]ServiceProfile{
+		"zero base with CV":     {BaseMs: 0, CV: 0.5},
+		"negative base with CV": {BaseMs: -2, CV: 0.5},
+		"negative base":         {BaseMs: -2},
+		"NaN base":              {BaseMs: math.NaN()},
+		"Inf base":              {BaseMs: math.Inf(1), CV: 0.5},
+		"NaN CV":                {BaseMs: 2, CV: math.NaN()},
+		"Inf CV":                {BaseMs: 2, CV: math.Inf(1)},
+		"negative CV":           {BaseMs: 2, CV: -1},
+	} {
+		cfg := singleMSConfig(t, 600, 1)
+		cfg.Profiles["A"] = p
+		_, err := NewRuntime(cfg)
+		if err == nil {
+			t.Errorf("%s: profile %+v accepted", name, p)
+		} else if !strings.Contains(err.Error(), "microservice A") {
+			t.Errorf("%s: error %q does not name the microservice", name, err)
+		}
+		if _, err := RunPartitioned(cfg, PartitionOpts{}); err == nil {
+			t.Errorf("%s: RunPartitioned accepted profile %+v", name, p)
+		}
+	}
+	// An unused profile still counts: the fluid path re-fits every deployed
+	// microservice, and the reported name must not depend on map order.
+	cfg := singleMSConfig(t, 600, 1)
+	cfg.Profiles["Z"] = ServiceProfile{BaseMs: math.NaN()}
+	cfg.Profiles["Y"] = ServiceProfile{BaseMs: -1}
+	if _, err := NewRuntime(cfg); err == nil || !strings.Contains(err.Error(), "microservice Y") {
+		t.Errorf("want the smallest bad microservice (Y) named, got %v", err)
+	}
+
+	cfg = singleMSConfig(t, 600, 1)
+	cfg.Profiles["A"] = ServiceProfile{}
+	rt, err := NewRuntime(cfg)
+	if err != nil {
+		t.Fatalf("zero-cost profile rejected: %v", err)
+	}
+	sr := rt.Run().PerService["svc"]
+	if sr.Count == 0 || sr.Mean() != 0 {
+		t.Fatalf("zero-cost profile: %d requests, mean latency %v, want > 0 and 0", sr.Count, sr.Mean())
 	}
 }
 

@@ -4,8 +4,8 @@ import "testing"
 
 // BenchmarkEngineThroughput measures simulated requests per wall-clock
 // second on a shared-microservice topology, exact vs hybrid. bench7
-// (scripts/bench.sh) folds the req/s metric into BENCH_7.json and gates
-// hybrid >= 3x exact.
+// (scripts/bench.sh) folds req/s and allocs/op into BENCH_7.json and gates
+// exact allocations per request <= 10 and hybrid >= 2x exact.
 func BenchmarkEngineThroughput(b *testing.B) {
 	sc := lockstepScenario{
 		services: 40, block: 4, containersPerMS: 2, hosts: 16,

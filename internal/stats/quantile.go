@@ -207,18 +207,27 @@ type Reservoir struct {
 	rng   *RNG
 }
 
-// NewReservoir creates a reservoir holding at most capacity samples.
+// NewReservoir creates a reservoir holding at most capacity samples. The
+// sample buffer grows with what is offered: most reservoirs of a simulation
+// (one per microservice per minute) see far fewer values than their bound.
 func NewReservoir(capacity int, rng *RNG) *Reservoir {
 	if capacity <= 0 {
 		panic("stats: reservoir capacity must be positive")
 	}
-	return &Reservoir{cap: capacity, items: make([]float64, 0, capacity), rng: rng}
+	return &Reservoir{cap: capacity, rng: rng}
 }
 
 // Add offers one value to the reservoir.
 func (rv *Reservoir) Add(x float64) {
 	rv.seen++
-	if len(rv.items) < rv.cap {
+	if n := len(rv.items); n < rv.cap {
+		if n == cap(rv.items) {
+			// Double, but never past the bound (append's own growth would
+			// overshoot it by up to a quarter).
+			grown := make([]float64, n, min(max(2*n, 16), rv.cap))
+			copy(grown, rv.items)
+			rv.items = grown
+		}
 		rv.items = append(rv.items, x)
 		return
 	}
@@ -227,11 +236,20 @@ func (rv *Reservoir) Add(x float64) {
 	}
 }
 
+// Reset empties the reservoir for a new stream drawing from rng, keeping the
+// sample buffer.
+func (rv *Reservoir) Reset(rng *RNG) {
+	rv.seen, rv.items, rv.rng = 0, rv.items[:0], rng
+}
+
 // Seen returns the number of values offered so far.
 func (rv *Reservoir) Seen() int { return rv.seen }
 
 // Quantile estimates the q-quantile from the current sample.
 func (rv *Reservoir) Quantile(q float64) float64 { return Quantile(rv.items, q) }
+
+// Mean returns the mean of the current sample (NaN when empty).
+func (rv *Reservoir) Mean() float64 { return Mean(rv.items) }
 
 // Values returns a copy of the current sample.
 func (rv *Reservoir) Values() []float64 {

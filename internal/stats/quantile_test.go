@@ -274,3 +274,37 @@ func TestReservoirWindowedFillDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestReservoirGrowsLazilyLikePreSized: a reservoir that grows its buffer on
+// demand holds exactly what one allocated at full capacity up front holds —
+// same elements in the same slots, same RNG draws — whether the stream stops
+// short of the capacity or runs far past it, and its buffer never outgrows
+// the capacity.
+func TestReservoirGrowsLazilyLikePreSized(t *testing.T) {
+	const capacity = 100
+	for _, n := range []int{0, 1, 15, 16, 17, 99, 100, 101, 5000} {
+		lazy := NewReservoir(capacity, NewRNG(7))
+		pre := &Reservoir{cap: capacity, items: make([]float64, 0, capacity), rng: NewRNG(7)}
+		src := NewRNG(3)
+		for i := 0; i < n; i++ {
+			x := src.Float64()
+			lazy.Add(x)
+			pre.Add(x)
+		}
+		got, want := lazy.Values(), pre.Values()
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: %d elements, pre-sized holds %d", n, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: element %d is %v, pre-sized holds %v", n, i, got[i], want[i])
+			}
+		}
+		if a, b := lazy.rng.Uint64(), pre.rng.Uint64(); a != b {
+			t.Fatalf("n=%d: RNG streams diverged", n)
+		}
+		if c := cap(lazy.items); c > capacity || (n < capacity/4 && c > 2*max(n, 8)) {
+			t.Fatalf("n=%d: buffer capacity %d", n, c)
+		}
+	}
+}

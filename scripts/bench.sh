@@ -11,9 +11,10 @@
 #   bench6  incremental sharded planning (PR 6): monolithic PlanSchemeCached
 #           vs IncrementalPlanner at 10% dirty services per window on the
 #           1000x50x10 topology           -> bench_6.txt, BENCH_6.json
-#   bench7  simulator engine throughput (PR 10): serial exact engine vs the
-#           hybrid fluid/discrete partitioned engine, in simulated requests
-#           per wall-clock second         -> bench_7.txt, BENCH_7.json
+#   bench7  simulator engine throughput (PR 10, re-gated in PR 15): serial
+#           exact engine vs the hybrid fluid/discrete partitioned engine, in
+#           simulated requests per wall-clock second, and the exact engine's
+#           allocations per request       -> bench_7.txt, BENCH_7.json
 #   all     all targets in sequence
 #
 # Usage:
@@ -21,6 +22,8 @@
 #   BENCH_COUNT=10 scripts/bench.sh bench6
 #   BENCH_SMOKE=1 scripts/bench.sh bench5  # 1 iteration per benchmark (CI)
 #   BENCH_OUT=... BENCH_JSON=... scripts/bench.sh bench6   # override paths
+#   BENCH_PARENT=/path/to/parent/checkout scripts/bench.sh bench7
+#                                          # also time the parent's exact engine
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -115,35 +118,61 @@ bench7() {
 	go test -run '^$' -bench 'BenchmarkEngineThroughput' \
 		-benchtime "$BENCHTIME" -count "$COUNT" -benchmem \
 		./internal/sim | tee "$OUT"
+	if [ -n "${BENCH_PARENT:-}" ]; then
+		# The same benchmark on a checkout of the parent commit, in the same
+		# session, so the exact-engine ratio compares like with like.
+		echo "== bench7: parent exact engine ($BENCH_PARENT) =="
+		(cd "$BENCH_PARENT" && go test -run '^$' -bench 'BenchmarkEngineThroughput/exact' \
+			-benchtime "$BENCHTIME" -count "$COUNT" -benchmem ./internal/sim) |
+			sed 's/^BenchmarkEngineThroughput\/exact/BenchmarkEngineThroughput\/parent-exact/' | tee -a "$OUT"
+	fi
 
 	# Fold into BENCH_7.json: mean simulated requests per second for the
-	# exact and hybrid engines on the 40-service shared-pool topology. The
-	# acceptance gate for PR 10 is hybrid / exact >= 3.
+	# exact and hybrid engines on the 40-service shared-pool topology, and the
+	# exact engine's heap allocations per simulated request. Both gates hold
+	# on any machine: allocations per request is a count (ROADMAP item 2:
+	# <= 10; the closure-chain runtime took ~50), and hybrid / exact >= 2 is a
+	# ratio of two runs of one session (it was >= 3 until the exact engine
+	# itself got ~2x faster). With BENCH_PARENT set, the parent's exact
+	# engine and the speedup over it are reported, not gated.
 	awk -v json="$JSON" '
 	/^Benchmark/ {
 		name = $1
 		sub(/-[0-9]+$/, "", name)
+		cnt[name]++
+		ns[name] += $3
 		for (i = 2; i < NF; i++) {
-			if ($(i + 1) == "req/s") {
-				rps[name] += $i
-				cnt[name]++
-			}
+			if ($(i + 1) == "req/s") rps[name] += $i
+			if ($(i + 1) == "allocs/op") allocs[name] += $i
 		}
 	}
 	END {
-		exact = rps["BenchmarkEngineThroughput/exact"] / cnt["BenchmarkEngineThroughput/exact"]
-		hybrid = rps["BenchmarkEngineThroughput/hybrid"] / cnt["BenchmarkEngineThroughput/hybrid"]
+		e = "BenchmarkEngineThroughput/exact"
+		h = "BenchmarkEngineThroughput/hybrid"
+		p = "BenchmarkEngineThroughput/parent-exact"
+		exact = rps[e] / cnt[e]
+		hybrid = rps[h] / cnt[h]
+		# requests per op = req/s x s/op, from the same lines.
+		apr = (allocs[e] / cnt[e]) / (exact * ns[e] / cnt[e] / 1e9)
 		speedup = hybrid / exact
+		pass = (apr <= 10 && speedup >= 2)
 		printf "{\n" > json
 		printf "  \"benchmark\": \"BenchmarkEngineThroughput\",\n" >> json
 		printf "  \"topology\": {\"services\": 40, \"sharing_block\": 4, \"containers_per_microservice\": 2, \"hosts\": 16},\n" >> json
 		printf "  \"exact_requests_per_sec\": %.0f,\n", exact >> json
+		printf "  \"exact_allocs_per_request\": %.3f,\n", apr >> json
 		printf "  \"hybrid_requests_per_sec\": %.0f,\n", hybrid >> json
 		printf "  \"speedup\": %.2f,\n", speedup >> json
-		printf "  \"gate\": \"speedup >= 3\",\n" >> json
-		printf "  \"pass\": %s\n", (speedup >= 3 ? "true" : "false") >> json
+		if (cnt[p] > 0) {
+			parent = rps[p] / cnt[p]
+			printf "  \"parent_exact_requests_per_sec\": %.0f,\n", parent >> json
+			printf "  \"exact_speedup_vs_parent\": %.2f,\n", exact / parent >> json
+		}
+		printf "  \"gate\": \"exact_allocs_per_request <= 10 && speedup >= 2\",\n" >> json
+		printf "  \"pass\": %s\n", (pass ? "true" : "false") >> json
 		printf "}\n" >> json
-		printf "bench7 speedup: %.2fx (gate >= 3): %s\n", speedup, (speedup >= 3 ? "PASS" : "FAIL")
+		printf "bench7 exact allocs/request: %.3f (gate <= 10), hybrid/exact: %.2fx (gate >= 2): %s\n", apr, speedup, (pass ? "PASS" : "FAIL")
+		if (cnt[p] > 0) printf "bench7 exact vs parent exact: %.2fx (reported, not gated)\n", exact / parent
 	}' "$OUT"
 	echo "wrote $OUT and $JSON"
 }

@@ -24,10 +24,11 @@ echo "== benchmark module (vet + test against this checkout's internal/ API) =="
 
 # Zero-allocation promises, checked outside -race (the detector itself
 # allocates, so testing.AllocsPerRun is meaningless there): every obs call
-# on a nil recorder is free, and the simulator's event loop stays
-# allocation-free in steady state — including with the resilience layer
+# on a nil recorder is free, and the simulator stays allocation-free in
+# steady state — the event loop, and on top of it a whole request (issue,
+# route, queue, process, downstream stages, return) with the resilience layer
 # compiled in but disabled.
-echo "== zero-alloc gates (obs disabled path, sim engine) =="
+echo "== zero-alloc gates (obs disabled path, sim engine and whole request) =="
 go test -run 'ZeroAlloc' -count=1 ./internal/obs ./internal/sim
 
 # The race pass above runs every package once at the default worker count.
@@ -150,7 +151,7 @@ go test -count=1 \
 go test -count=1 -run 'TestFigSimDeterministicAcrossWorkers' ./internal/experiments
 
 # One-iteration smoke of the engine-throughput bench harness and its
-# BENCH_7.json fold.
+# BENCH_7.json fold (gates: exact allocs/request <= 10, hybrid >= 2x exact).
 echo "== bench7 smoke (1 iteration) =="
 BENCH_SMOKE=1 BENCH_OUT=/tmp/bench_7_smoke.txt BENCH_JSON=/tmp/BENCH_7_smoke.json \
 	scripts/bench.sh bench7 >/dev/null
