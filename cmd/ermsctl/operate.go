@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -15,7 +14,6 @@ import (
 	"erms/internal/obs"
 	"erms/internal/operator"
 	"erms/internal/parallel"
-	"erms/internal/spec"
 )
 
 // cmdOperate runs the long-running operator daemon: the spec file becomes
@@ -44,14 +42,7 @@ func cmdOperate(args []string) {
 	if *specPath == "" {
 		log.Fatal("ermsctl operate needs -spec <file> (the bootstrap declared state)")
 	}
-	s, err := spec.ParseFile(*specPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sc, err := s.Compile()
-	if err != nil {
-		log.Fatal(err)
-	}
+	sc := loadScenario(*specPath)
 	pushes, err := parsePushSchedule(*pushList)
 	if err != nil {
 		log.Fatal(err)
@@ -72,16 +63,8 @@ func cmdOperate(args []string) {
 
 	var srv *obs.Server
 	if *obsAddr != "" {
-		srv = obs.NewServer(*obsAddr, op.Handler(rec))
-		if err := srv.Listen(); err != nil {
-			log.Fatal(err)
-		}
-		go func() {
-			if err := srv.Serve(); err != nil {
-				log.Fatalf("admin endpoint: %v", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "operator admin + self-observability on http://%s (/status, /spec, /explain/{service}, /metrics)\n", srv.Addr())
+		srv = serve(*obsAddr, op.Handler(rec), "operator admin + self-observability",
+			"/status, /spec, /explain/{service}, /metrics")
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -149,11 +132,7 @@ loop:
 		fmt.Println(line)
 	}
 	if srv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			log.Printf("admin shutdown: %v", err)
-		}
+		shutdown(srv)
 	}
 }
 

@@ -295,8 +295,11 @@ func Generate(cfg Config) (*Schedule, error) {
 func (s *Schedule) ByWindow(w int) []Fault { return s.byWindow[w] }
 
 // Summary renders window w's faults as a compact deterministic token list
-// ("-" for a quiet window), suitable for experiment tables.
+// ("-" for a quiet window or a nil schedule), suitable for experiment tables.
 func (s *Schedule) Summary(w int) string {
+	if s == nil {
+		return "-"
+	}
 	fs := s.byWindow[w]
 	if len(fs) == 0 {
 		return "-"

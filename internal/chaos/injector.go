@@ -29,6 +29,9 @@ var ErrInjected = fmt.Errorf("chaos: injected control-plane fault")
 //	inj.BeginWindow(w)   // detect last window's host deaths, recoveries, spikes
 //	rec.Step(rates, ...) // the control loop (repairs, plans, applies, measures)
 //	inj.EndWindow(w)     // lift this window's interference spikes
+//
+// Window wraps a step in that bracket; drivers use it rather than spelling
+// the three calls out.
 type Injector struct {
 	sched *Schedule
 	orch  *kube.Orchestrator
@@ -127,6 +130,23 @@ func (inj *Injector) EndWindow(w int) error {
 	}
 	inj.saved = make(map[int]workload.Interference)
 	return nil
+}
+
+// Window runs one control window inside the injector's bracket: BeginWindow,
+// step (the control loop's Step for window w), EndWindow. The first error
+// ends the window — a failed step leaves its spikes in place, as the run is
+// over. A nil injector just runs step, so fault-free drivers share the call.
+func (inj *Injector) Window(w int, step func() error) error {
+	if inj == nil {
+		return step()
+	}
+	if _, err := inj.BeginWindow(w); err != nil {
+		return err
+	}
+	if err := step(); err != nil {
+		return err
+	}
+	return inj.EndWindow(w)
 }
 
 // OpError implements ChaosHook: a scheduled op fault fails the first Count

@@ -435,8 +435,8 @@ type EvalOpts struct {
 	SimMode sim.SimMode
 	// SimPartitions caps the concurrent sharing-group partition tasks of
 	// the evaluation run (sim.PartitionOpts.Partitions). 0 with SimExact
-	// keeps the serial engine; any other combination routes through
-	// sim.RunPartitioned.
+	// keeps the serial engine; any other combination runs partitioned by
+	// sharing group (see sim.Run).
 	SimPartitions int
 	// Fluid tunes the hybrid fast path; nil uses defaults. Ignored unless
 	// SimMode is sim.SimHybrid.
@@ -486,23 +486,13 @@ func (c *Controller) EvaluateDeployed(plan *multiplex.Plan, rates map[string]flo
 		Resilience:     c.Resilience,
 		Streams:        opts.Streams,
 	}
-	var res *sim.Result
-	if opts.SimMode != sim.SimExact || opts.SimPartitions != 0 {
-		var err error
-		res, err = sim.RunPartitioned(cfg, sim.PartitionOpts{
-			Mode:       opts.SimMode,
-			Partitions: opts.SimPartitions,
-			Fluid:      opts.Fluid,
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		rt, err := sim.NewRuntime(cfg)
-		if err != nil {
-			return nil, err
-		}
-		res = rt.Run()
+	res, err := sim.Run(cfg, sim.PartitionOpts{
+		Mode:       opts.SimMode,
+		Partitions: opts.SimPartitions,
+		Fluid:      opts.Fluid,
+	})
+	if err != nil {
+		return nil, err
 	}
 	res.ExportTo(c.Obs, c.Resilience != nil)
 	out := &EvalResult{
@@ -636,11 +626,10 @@ func (c *Controller) ProfileOffline(cfg OfflineConfig) ([]string, error) {
 			simCfg.Observer = coord
 			simCfg.SampleRate = coord.SampleRate
 		}
-		rt, err := sim.NewRuntime(simCfg)
+		res, err := sim.Run(simCfg, sim.PartitionOpts{})
 		if err != nil {
 			return nil, err
 		}
-		res := rt.Run()
 		out := make(map[string][]profiling.Sample)
 		if cfg.FromTraces {
 			// The production path: Eq. 1 latencies and inverse-sampling

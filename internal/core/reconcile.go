@@ -141,6 +141,13 @@ type WindowReport struct {
 	// obs.Recorder; nil otherwise (and excluded from determinism
 	// comparisons, since wall time is not seeded).
 	PhaseMs map[string]float64 `json:"-"`
+	// StreamMinutes holds the window's per-minute, per-stream outcome rows
+	// (sim.Result.StreamMinutes: minutes × streams, window-local minutes,
+	// warm-up excluded) — the raw material of a spec run's timeline. Nil
+	// unless the window ran cohort streams (StreamsFor). The report keeps
+	// these rows only, never the sim.Result they came from, so a long
+	// History stays small.
+	StreamMinutes []sim.StreamMinute `json:"-"`
 }
 
 // NewReconciler wraps a controller with default loop parameters (resilience
@@ -167,6 +174,9 @@ func (r *Reconciler) Naive() *Reconciler {
 	r.RepairLost = false
 	return r
 }
+
+// Window returns the index of the window the next Step runs.
+func (r *Reconciler) Window() int { return len(r.history) }
 
 // History returns the reports of all completed windows.
 func (r *Reconciler) History() []WindowReport {
@@ -292,7 +302,7 @@ func (r *Reconciler) Step(rates map[string]float64, seed uint64) (*WindowReport,
 	if r.C == nil {
 		return nil, errors.New("core: reconciler without controller")
 	}
-	w := len(r.history)
+	w := r.Window()
 	// Jitter stream: derived from the window seed only, so a run is
 	// reproducible from its seeds regardless of wall-clock interleaving.
 	rng := stats.NewRNG(seed ^ 0xc4ce5f8a5c8ff3eb)
@@ -393,6 +403,7 @@ func (r *Reconciler) Step(rates map[string]float64, seed uint64) (*WindowReport,
 	report.Violations = res.Violations
 	report.TailLatency = res.TailLatency
 	report.Goodput = res.Goodput
+	report.StreamMinutes = res.Sim.StreamMinutes
 	if r.C.Resilience != nil {
 		report.ErrorRate = res.ErrorRate
 	}

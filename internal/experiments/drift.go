@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"erms/internal/apps"
-	"erms/internal/cluster"
 	"erms/internal/core"
 	"erms/internal/drift"
-	"erms/internal/kube"
 	"erms/internal/parallel"
 )
 
@@ -133,19 +131,14 @@ func FigDrift(quick bool) []*Table {
 func runDriftController(cfg *drift.Config, windows, injectAt int, windowMin, warmupMin, baseRate float64,
 	simSeed func(int) uint64) ([]driftWindow, error) {
 	app := apps.HotelReservation()
-	orch := kube.New(cluster.New(20, cluster.PaperHost), nil)
 	var opts []core.Option
 	if cfg != nil {
 		opts = append(opts, core.WithDriftDetection(*cfg))
 	}
-	ctrl, err := core.New(app, orch, opts...)
+	rec, err := newLoop(app, 20, windowMin, warmupMin, opts...)
 	if err != nil {
 		return nil, err
 	}
-	ctrl.UseAnalyticModels()
-	rec := core.NewReconciler(ctrl)
-	rec.WindowMin = windowMin
-	rec.WarmupMin = warmupMin
 
 	out := make([]driftWindow, windows)
 	for w := 0; w < windows; w++ {

@@ -26,6 +26,7 @@ func TestFigDrift(t *testing.T) {
 		tab.Fprint(&sb)
 	}
 	seq := sb.String()
+	checkGolden(t, "figDrift", seq)
 	parallel.SetWorkers(4)
 	if par := renderAll(t, "figDrift"); par != seq {
 		t.Errorf("figDrift differs between workers=1 and workers=4:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", seq, par)

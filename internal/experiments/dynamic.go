@@ -2,14 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"erms/internal/apps"
-	"erms/internal/cluster"
-	"erms/internal/kube"
-	"erms/internal/multiplex"
 	"erms/internal/parallel"
-	"erms/internal/provision"
 	"erms/internal/sim"
 	"erms/internal/stats"
 	"erms/internal/workload"
@@ -91,71 +86,21 @@ func Fig13(quick bool) []*Table {
 		}
 		total := res.total()
 
-		// Deploy and simulate this window's real traffic.
-		cl := cluster.New(20, cluster.PaperHost)
-		for _, h := range cl.Hosts() {
-			if h.ID%2 == 0 {
-				cl.SetBackground(h.ID, workload.Interference{CPU: 0.55, Mem: 0.55})
-			} else {
-				cl.SetBackground(h.ID, workload.Interference{CPU: 0.15, Mem: 0.15})
-			}
-		}
-		var sched kube.Scheduler = kube.BlindSpread{}
-		if p.name == "erms" {
-			sched = &provision.InterferenceAware{Groups: 4}
-		}
-		orch := kube.New(cl, sched)
-		mss := make([]string, 0, len(res.merged))
-		for ms := range res.merged {
-			mss = append(mss, ms)
-		}
-		sort.Strings(mss)
-		for _, ms := range mss {
-			if err := orch.Apply(app.Containers[ms], res.merged[ms]); err != nil {
-				return cellOut{}, err
-			}
-		}
-		// Closed-loop clients (wrk-style): the offered load self-throttles
-		// under saturation, so violating schemes report bounded factors
-		// rather than open-loop queue blow-ups.
-		const thinkMs = 1000.0
-		users := make(map[string]int)
-		slas := make(map[string]workload.SLA)
-		for _, g := range app.Graphs {
-			users[g.Service] = int(rate * (thinkMs + 30) / 60000)
-			slas[g.Service] = workload.P95SLA(g.Service, slaMs)
-		}
-		var priorities map[string]map[string]int
-		if p.name == "erms" {
-			if rp, err := multiplex.PlanScheme(multiplex.SchemePriority, ermsInputs(pc), pc.loads, app.Shared()); err == nil {
-				priorities = rp.Ranks
-			}
-		}
-		rt, err := sim.NewRuntime(sim.Config{
-			Seed:         uint64(100*w) + 7,
-			Cluster:      cl,
-			Interference: defaultInterference(),
-			Profiles:     app.Profiles,
-			Graphs:       app.Graphs,
-			ClosedUsers:  users,
-			ThinkTimeMs:  thinkMs,
-			SLAs:         slas,
-			Priorities:   priorities,
-			Delta:        0.05,
-			DurationMin:  windowMin + 0.4,
-			WarmupMin:    0.4,
+		// Deploy and simulate this window's real traffic, offered by
+		// closed-loop clients.
+		out, err := measureOnTestbed(app, testbedScheduler(p), res.merged, testbedHot, testbedCool, slaMs, sim.Config{
+			Seed:        uint64(100*w) + 7,
+			ClosedUsers: closedLoopUsers(app, rate),
+			ThinkTimeMs: testbedThinkMs,
+			Priorities:  res.ranks,
+			Delta:       0.05,
+			DurationMin: windowMin + 0.4,
+			WarmupMin:   0.4,
 		})
 		if err != nil {
 			return cellOut{}, err
 		}
-		out := rt.Run()
-		var worst float64
-		for _, sr := range out.PerService {
-			if v := sr.P95() / slaMs; v > worst {
-				worst = v
-			}
-		}
-		return cellOut{total: total, worst: worst}, nil
+		return cellOut{total: total, worst: out.worstTail}, nil
 	})
 	if err != nil {
 		panic(err)

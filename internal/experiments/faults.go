@@ -15,7 +15,6 @@ import (
 	"erms/internal/parallel"
 	"erms/internal/sim"
 	"erms/internal/stats"
-	"erms/internal/workload"
 )
 
 func init() {
@@ -150,6 +149,20 @@ func Fig22(quick bool) []*Table {
 	return []*Table{viol, containers}
 }
 
+// newLoop builds the stock control loop of the window experiments: app on
+// hosts paper-spec machines under the default scheme and scheduler, analytic
+// models installed, with the given window geometry.
+func newLoop(app *apps.App, hosts int, windowMin, warmupMin float64, opts ...core.Option) (*core.Reconciler, error) {
+	ctrl, err := core.New(app, kube.New(cluster.New(hosts, cluster.PaperHost), nil), opts...)
+	if err != nil {
+		return nil, err
+	}
+	ctrl.UseAnalyticModels()
+	rec := core.NewReconciler(ctrl)
+	rec.WindowMin, rec.WarmupMin = windowMin, warmupMin
+	return rec, nil
+}
+
 // meanViolation averages the per-service violation probabilities of a report.
 func meanViolation(v map[string]float64) float64 {
 	if len(v) == 0 {
@@ -177,29 +190,22 @@ func windowDropMinutes(windowMin float64) []int {
 // substrate.
 func runResilientErms(app *apps.App, sched *chaos.Schedule, windows int, windowMin, warmupMin float64,
 	rateAt func(int) float64, simSeed func(int) uint64) ([]faultWindow, error) {
-	orch := kube.New(cluster.New(sched.Cfg.Hosts, cluster.PaperHost), nil)
-	ctrl, err := core.New(app, orch)
+	rec, err := newLoop(app, sched.Cfg.Hosts, windowMin, warmupMin)
 	if err != nil {
 		return nil, err
 	}
-	ctrl.UseAnalyticModels()
-	rec := core.NewReconciler(ctrl)
-	rec.WindowMin = windowMin
-	rec.WarmupMin = warmupMin
-	inj := chaos.NewInjector(sched, orch)
+	inj := chaos.NewInjector(sched, rec.C.Orch)
 	rec.Chaos = inj
 
 	out := make([]faultWindow, windows)
 	for w := 0; w < windows; w++ {
-		if _, err := inj.BeginWindow(w); err != nil {
-			return nil, err
-		}
-		rep, err := rec.Step(uniformRates(app, rateAt(w)), simSeed(w))
+		var rep *core.WindowReport
+		err := inj.Window(w, func() (err error) {
+			rep, err = rec.Step(uniformRates(app, rateAt(w)), simSeed(w))
+			return err
+		})
 		if err != nil {
 			return nil, fmt.Errorf("resilient erms window %d: %w", w, err)
-		}
-		if err := inj.EndWindow(w); err != nil {
-			return nil, err
 		}
 		out[w] = faultWindow{
 			viol:       meanViolation(rep.Violations),
@@ -218,12 +224,11 @@ func runResilientErms(app *apps.App, sched *chaos.Schedule, windows int, windowM
 // containers lost to dead hosts are never re-placed.
 func runNaiveErms(app *apps.App, sched *chaos.Schedule, windows int, windowMin, warmupMin float64,
 	rateAt func(int) float64, simSeed func(int) uint64) ([]faultWindow, error) {
-	orch := kube.New(cluster.New(sched.Cfg.Hosts, cluster.PaperHost), nil)
-	ctrl, err := core.New(app, orch)
+	rec, err := newLoop(app, sched.Cfg.Hosts, windowMin, warmupMin)
 	if err != nil {
 		return nil, err
 	}
-	ctrl.UseAnalyticModels()
+	ctrl, orch := rec.C, rec.C.Orch
 	inj := chaos.NewInjector(sched, orch)
 
 	var last *multiplex.Plan
@@ -337,17 +342,13 @@ func runFirm(app *apps.App, sched *chaos.Schedule, windows int, windowMin, warmu
 // injected failures; an un-runnable window counts as a full outage.
 func measureFirmWindow(app *apps.App, cl *cluster.Cluster, rates map[string]float64,
 	windowMin, warmupMin float64, seed uint64, failures []sim.Failure, obsGap bool) (float64, bool) {
-	patterns := make(map[string]workload.Pattern, len(rates))
-	for svc, r := range rates {
-		patterns[svc] = workload.Static{Rate: r}
-	}
 	cfg := sim.Config{
 		Seed:           seed,
 		Cluster:        cl,
 		Interference:   defaultInterference(),
 		Profiles:       app.Profiles,
 		Graphs:         app.Graphs,
-		Patterns:       patterns,
+		Patterns:       staticPatterns(rates),
 		SLAs:           app.SLAs,
 		DurationMin:    windowMin,
 		WarmupMin:      warmupMin,
@@ -357,11 +358,10 @@ func measureFirmWindow(app *apps.App, cl *cluster.Cluster, rates map[string]floa
 	if obsGap {
 		cfg.DropMinutes = windowDropMinutes(windowMin)
 	}
-	rt, err := sim.NewRuntime(cfg)
+	res, err := sim.Run(cfg, sim.PartitionOpts{})
 	if err != nil {
 		return 1, true
 	}
-	res := rt.Run()
 	v := make(map[string]float64, len(res.PerService))
 	for svc, sr := range res.PerService {
 		v[svc] = sr.ViolationRate()

@@ -16,6 +16,7 @@ func TestFaultTablesIdenticalAcrossWorkers(t *testing.T) {
 
 	parallel.SetWorkers(1)
 	sequential := renderAll(t, "fig22")
+	checkGolden(t, "fig22", sequential)
 	parallel.SetWorkers(4)
 	if got := renderAll(t, "fig22"); got != sequential {
 		t.Errorf("fig22 differs between workers=1 and workers=4:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s",

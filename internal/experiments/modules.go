@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"erms/internal/apps"
 	"erms/internal/baselines"
-	"erms/internal/cluster"
 	"erms/internal/kube"
 	"erms/internal/multiplex"
 	"erms/internal/parallel"
@@ -211,53 +209,25 @@ func Fig15(quick bool) []*Table {
 		rate = 100_000
 	}
 
+	// deployAndRun measures the plan scaled by mult (rounded up) under one
+	// placement policy, offered by closed-loop clients.
 	deployAndRun := func(sched kube.Scheduler, merged map[string]int, mult float64,
 		hot, cool workload.Interference, slaMs float64, seed uint64) (float64, float64) {
-		cl := cluster.New(20, cluster.PaperHost)
-		for _, h := range cl.Hosts() {
-			if h.ID%2 == 0 {
-				cl.SetBackground(h.ID, hot)
-			} else {
-				cl.SetBackground(h.ID, cool)
-			}
+		scaled := make(map[string]int, len(merged))
+		for ms, n := range merged {
+			scaled[ms] = int(float64(n)*mult + 0.999)
 		}
-		orch := kube.New(cl, sched)
-		mss := make([]string, 0, len(merged))
-		for ms := range merged {
-			mss = append(mss, ms)
-		}
-		sort.Strings(mss)
-		for _, ms := range mss {
-			n := int(float64(merged[ms])*mult + 0.999)
-			if err := orch.Apply(app.Containers[ms], n); err != nil {
-				panic(err)
-			}
-		}
-		// Closed-loop clients bound the saturation blow-up of badly placed
-		// deployments (the paper's load generator is likewise closed-loop).
-		const thinkMs = 1000.0
-		users := make(map[string]int)
-		slas := make(map[string]workload.SLA)
-		for _, g := range app.Graphs {
-			users[g.Service] = int(rate * (thinkMs + 30) / 60000)
-			slas[g.Service] = workload.P95SLA(g.Service, slaMs)
-		}
-		rt, err := sim.NewRuntime(sim.Config{
-			Seed: seed, Cluster: cl, Interference: defaultInterference(),
-			Profiles: app.Profiles, Graphs: app.Graphs,
-			ClosedUsers: users, ThinkTimeMs: thinkMs, SLAs: slas,
-			DurationMin: duration + 0.4, WarmupMin: 0.4,
+		out, err := measureOnTestbed(app, sched, scaled, hot, cool, slaMs, sim.Config{
+			Seed:        seed,
+			ClosedUsers: closedLoopUsers(app, rate),
+			ThinkTimeMs: testbedThinkMs,
+			DurationMin: duration + 0.4,
+			WarmupMin:   0.4,
 		})
 		if err != nil {
 			panic(err)
 		}
-		out := rt.Run()
-		var viol, tail stats.Moments
-		for _, sr := range out.PerService {
-			viol.Add(sr.ViolationRate())
-			tail.Add(sr.P95() / slaMs)
-		}
-		return viol.Mean(), tail.Mean()
+		return out.viol, out.tail
 	}
 
 	a := &Table{

@@ -98,7 +98,7 @@ func fig3Collect(rate float64, bg workload.Interference, seed uint64, windowMin 
 		panic(err)
 	}
 	cl.SetBackground(0, bg)
-	rt, err := sim.NewRuntime(sim.Config{
+	res, err := sim.Run(sim.Config{
 		Seed:         seed,
 		Cluster:      cl,
 		Interference: cluster.DefaultInterference,
@@ -107,11 +107,11 @@ func fig3Collect(rate float64, bg workload.Interference, seed uint64, windowMin 
 		Patterns:     map[string]workload.Pattern{"svc": workload.Static{Rate: rate}},
 		DurationMin:  windowMin + 0.5,
 		WarmupMin:    0.5,
-	})
+	}, sim.PartitionOpts{})
 	if err != nil {
 		panic(err)
 	}
-	return profiling.FromMinuteSamples(rt.Run().Samples)["ms"]
+	return profiling.FromMinuteSamples(res.Samples)["ms"]
 }
 
 // Fig3 reproduces the P95-latency-vs-workload curves: piece-wise linear with
@@ -391,11 +391,10 @@ func Fig5(quick bool) []*Table {
 		if scheme == multiplex.SchemePriority {
 			cfg.Priorities = plan.Ranks
 		}
-		rt, err := sim.NewRuntime(cfg)
+		res, err := sim.Run(cfg, sim.PartitionOpts{})
 		if err != nil {
 			return nil, err
 		}
-		res := rt.Run()
 		viol := math.Max(res.PerService["svc1"].ViolationRate(), res.PerService["svc2"].ViolationRate())
 		return []string{scheme.String(), f1(cores), fmt.Sprintf("%d", plan.TotalContainers()),
 			f1(res.PerService["svc1"].P95()), f1(res.PerService["svc2"].P95()), pct(viol)}, nil
@@ -490,7 +489,7 @@ func Fig9(quick bool) []*Table {
 				return hilo{}, err
 			}
 		}
-		rt, err := sim.NewRuntime(sim.Config{
+		res, err := sim.Run(sim.Config{
 			Seed:     77,
 			Cluster:  cl,
 			Profiles: map[string]sim.ServiceProfile{"P": {BaseMs: 2, CV: 0.5}},
@@ -503,11 +502,10 @@ func Fig9(quick bool) []*Table {
 			Delta:       deltas[i],
 			DurationMin: duration + 0.5,
 			WarmupMin:   0.5,
-		})
+		}, sim.PartitionOpts{})
 		if err != nil {
 			return hilo{}, err
 		}
-		res := rt.Run()
 		return hilo{hi: res.PerService["hi"].P95(), lo: res.PerService["lo"].P95()}, nil
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"erms/examples/specs"
 	"erms/internal/core"
 	"erms/internal/operator"
 	"erms/internal/spec"
@@ -12,143 +13,6 @@ import (
 func init() {
 	register("figOperator", FigOperator)
 }
-
-// The three operator specs are verbatim copies of the files under
-// examples/specs/ — the experiment dogfoods the exact documents users run
-// with `ermsctl operate`, and TestOperatorFixturesMatchExamples pins the
-// copies to the files.
-
-const operatorBaseSpecYAML = `# Operator bootstrap spec: the declared state the long-running daemon
-# converges the fleet onto. Two cohorts drive the Hotel Reservation app with
-# the data-plane fault model on, so both guardrails (SLA-violation rate and
-# error rate) are live, and a chaos block keeps a seeded fault schedule
-# racing every rollout.
-#
-# Run it with:
-#   ermsctl operate -spec examples/specs/operator-base.yaml \
-#     -windows 12 -push examples/specs/operator-good.yaml@3
-version: 1
-name: operator-base
-seed: 11
-
-app:
-  kind: hotel
-
-run:
-  duration_min: 8
-  window_min: 1
-  hosts: 20
-
-resilience:
-  timeout_sla_multiple: 3
-  max_attempts: 2
-  retry_budget: 0.2
-
-chaos:
-  p_host_fail: 0.05
-  down_windows: 1
-  max_hosts_down: 1
-  p_obs_gap: 0.05
-
-cohorts:
-  - name: web
-    service: search
-    tier: standard
-    arrival:
-      kind: static
-      rate: 2400
-  - name: booking
-    service: reserve
-    tier: critical
-    arrival:
-      kind: static
-      rate: 900
-`
-
-const operatorGoodSpecYAML = `# A benign push: relaxes the search SLA to 170ms. The canary stays clean,
-# the candidate promotes, soaks, and commits.
-version: 1
-name: operator-good
-seed: 11
-
-app:
-  kind: hotel
-  slas:
-    search: 170
-
-run:
-  duration_min: 8
-  window_min: 1
-  hosts: 20
-
-resilience:
-  timeout_sla_multiple: 3
-  max_attempts: 2
-  retry_budget: 0.2
-
-chaos:
-  p_host_fail: 0.05
-  down_windows: 1
-  max_hosts_down: 1
-  p_obs_gap: 0.05
-
-cohorts:
-  - name: web
-    service: search
-    tier: standard
-    arrival:
-      kind: static
-      rate: 2400
-  - name: booking
-    service: reserve
-    tier: critical
-    arrival:
-      kind: static
-      rate: 900
-`
-
-const operatorBadSpecYAML = `# A bad push: tightens the search SLA ~4x below what the topology can
-# deliver under load. The canary breaches and the rollout auto-rolls back;
-# the fleet never sees the candidate configuration.
-version: 1
-name: operator-bad
-seed: 11
-
-app:
-  kind: hotel
-  slas:
-    search: 8
-
-run:
-  duration_min: 8
-  window_min: 1
-  hosts: 20
-
-resilience:
-  timeout_sla_multiple: 3
-  max_attempts: 2
-  retry_budget: 0.2
-
-chaos:
-  p_host_fail: 0.05
-  down_windows: 1
-  max_hosts_down: 1
-  p_obs_gap: 0.05
-
-cohorts:
-  - name: web
-    service: search
-    tier: standard
-    arrival:
-      kind: static
-      rate: 2400
-  - name: booking
-    service: reserve
-    tier: critical
-    arrival:
-      kind: static
-      rate: 900
-`
 
 // operatorScenarioResult is the structured outcome FigOperator renders and
 // the CI gates assert on.
@@ -180,7 +44,7 @@ func runOperatorScenario() (*operatorScenarioResult, error) {
 		MaxErrorRate:     0.10,
 	}
 	build := func() (*operator.Operator, error) {
-		s, err := spec.Parse([]byte(operatorBaseSpecYAML))
+		s, err := spec.Parse(specs.Read("operator-base.yaml"))
 		if err != nil {
 			return nil, err
 		}
@@ -204,17 +68,17 @@ func runOperatorScenario() (*operatorScenarioResult, error) {
 	var subjectFleet, controlFleet []*core.WindowReport
 	for w := 0; w < operatorWindows; w++ {
 		if w == goodAt {
-			gGood, err := subject.Push([]byte(operatorGoodSpecYAML), "experiment")
+			gGood, err := subject.Push(specs.Read("operator-good.yaml"), "experiment")
 			if err != nil {
 				return nil, fmt.Errorf("good push: %w", err)
 			}
 			res.goodGen = *gGood
-			if _, err := control.Push([]byte(operatorGoodSpecYAML), "experiment"); err != nil {
+			if _, err := control.Push(specs.Read("operator-good.yaml"), "experiment"); err != nil {
 				return nil, fmt.Errorf("control push: %w", err)
 			}
 		}
 		if w == badAt {
-			gBad, err := subject.Push([]byte(operatorBadSpecYAML), "experiment")
+			gBad, err := subject.Push(specs.Read("operator-bad.yaml"), "experiment")
 			if err != nil {
 				return nil, fmt.Errorf("bad push: %w", err)
 			}

@@ -1,35 +1,12 @@
 package experiments
 
 import (
-	"os"
 	"strings"
 	"testing"
 
 	"erms/internal/operator"
 	"erms/internal/parallel"
 )
-
-// TestOperatorFixturesMatchExamples pins the embedded operator specs to the
-// example files users actually run with `ermsctl operate`.
-func TestOperatorFixturesMatchExamples(t *testing.T) {
-	cases := []struct {
-		path     string
-		embedded string
-	}{
-		{"../../examples/specs/operator-base.yaml", operatorBaseSpecYAML},
-		{"../../examples/specs/operator-good.yaml", operatorGoodSpecYAML},
-		{"../../examples/specs/operator-bad.yaml", operatorBadSpecYAML},
-	}
-	for _, c := range cases {
-		data, err := os.ReadFile(c.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(data) != c.embedded {
-			t.Errorf("%s has drifted from the copy embedded in operatorfig.go; update the constant", c.path)
-		}
-	}
-}
 
 // TestFigOperatorContract is the operator acceptance gate: the benign push
 // must commit within the rollout horizon, the bad push must auto-roll back,
@@ -61,6 +38,7 @@ func TestFigOperatorDeterministicAcrossWorkers(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	parallel.SetWorkers(1)
 	seq := renderAll(t, "figOperator")
+	checkGolden(t, "figOperator", seq)
 	parallel.SetWorkers(4)
 	if par := renderAll(t, "figOperator"); par != seq {
 		t.Errorf("figOperator differs between workers=1 and workers=4:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", seq, par)

@@ -31,6 +31,9 @@ type planResult struct {
 	merged map[string]int
 	// perService holds each service's own allocation.
 	perService map[string]*scaling.Allocation
+	// ranks are the per-microservice service priorities of the plan (Erms
+	// under the priority scheme); nil for planners that do not prioritize.
+	ranks map[string]map[string]int
 }
 
 // total sums merged container counts.
@@ -68,7 +71,7 @@ func ermsPlanner(name string, scheme multiplex.Scheme) planner {
 		if err != nil {
 			return nil, err
 		}
-		return &planResult{merged: plan.Containers, perService: plan.PerService}, nil
+		return &planResult{merged: plan.Containers, perService: plan.PerService, ranks: plan.Ranks}, nil
 	}}
 }
 
@@ -133,6 +136,15 @@ func newContext(app *apps.App, rates map[string]float64, slaMs float64, cpu, mem
 		mem:    mem,
 		stats:  statsFor(app, models),
 	}
+}
+
+// staticPatterns turns per-service rates into open-loop fixed-rate arrivals.
+func staticPatterns(rates map[string]float64) map[string]workload.Pattern {
+	out := make(map[string]workload.Pattern, len(rates))
+	for svc, r := range rates {
+		out[svc] = workload.Static{Rate: r}
+	}
+	return out
 }
 
 // uniformRates gives every service of the app the same request rate.

@@ -159,11 +159,10 @@ func runRetryStorm(res sim.Resilience, rate, durationMin, warmupMin, failAt, rec
 		},
 		Resilience: &res,
 	}
-	rt, err := sim.NewRuntime(cfg)
+	r, err := sim.Run(cfg, sim.PartitionOpts{})
 	if err != nil {
 		return fig23Outcome{}, err
 	}
-	r := rt.Run()
 	sr := r.PerService["checkout"]
 	total := sr.Count + sr.Errors
 	out := fig23Outcome{

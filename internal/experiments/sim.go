@@ -9,7 +9,6 @@ import (
 	"erms/internal/apps"
 	"erms/internal/cluster"
 	"erms/internal/sim"
-	"erms/internal/workload"
 )
 
 func init() {
@@ -40,17 +39,13 @@ func (s simScenario) config() sim.Config {
 			host++
 		}
 	}
-	patterns := make(map[string]workload.Pattern, len(s.app.Graphs))
-	for _, g := range s.app.Graphs {
-		patterns[g.Service] = workload.Static{Rate: s.rate}
-	}
 	return sim.Config{
 		Seed:           99,
 		Cluster:        cl,
 		Interference:   defaultInterference(),
 		Profiles:       s.app.Profiles,
 		Graphs:         s.app.Graphs,
-		Patterns:       patterns,
+		Patterns:       staticPatterns(uniformRates(s.app, s.rate)),
 		SLAs:           s.app.SLAs,
 		DurationMin:    s.dur,
 		WarmupMin:      0.5,
@@ -127,7 +122,7 @@ func SimScaleOut(quick bool) []*Table {
 	}
 	mustRun := func(opts sim.PartitionOpts) func() *sim.Result {
 		return func() *sim.Result {
-			res, err := sim.RunPartitioned(sc.config(), opts)
+			res, err := sim.Run(sc.config(), opts)
 			if err != nil {
 				panic(fmt.Sprintf("figSim: %v", err))
 			}
@@ -135,15 +130,11 @@ func SimScaleOut(quick bool) []*Table {
 		}
 	}
 
-	serial, serialWall := timed(func() *sim.Result {
-		rt, err := sim.NewRuntime(sc.config())
-		if err != nil {
-			panic(fmt.Sprintf("figSim: %v", err))
-		}
-		return rt.Run()
-	})
-	exact, exactWall := timed(mustRun(sim.PartitionOpts{Mode: sim.SimExact}))
-	exact1 := mustRun(sim.PartitionOpts{Mode: sim.SimExact, Partitions: 1})()
+	// The zero options are the serial engine; a negative Partitions is one
+	// task per sharing group.
+	serial, serialWall := timed(mustRun(sim.PartitionOpts{}))
+	exact, exactWall := timed(mustRun(sim.PartitionOpts{Partitions: -1}))
+	exact1 := mustRun(sim.PartitionOpts{Partitions: 1})()
 	hybrid, hybridWall := timed(mustRun(sim.PartitionOpts{Mode: sim.SimHybrid}))
 
 	identical := simFingerprint(exact1) == simFingerprint(exact)

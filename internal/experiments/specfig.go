@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"erms/examples/specs"
 	"erms/internal/spec"
 	"erms/internal/workload"
 )
@@ -11,152 +12,25 @@ func init() {
 	register("figSpec", FigSpec)
 }
 
-// flashcrowdSpecYAML and failoverSpecYAML are verbatim copies of the example
-// specs under examples/specs/ — the experiment dogfoods the exact documents
-// users run, and TestSpecFixturesMatchExamples pins the copies to the files.
-const flashcrowdSpecYAML = `# Flash-crowd spec: four SLO tiers sharing the Hotel Reservation app while
-# a 5x crowd slams the search path. Admission control is on, so the
-# sheddable and batch cohorts are rejected first and the critical cohort
-# keeps its SLA — the per-tier violation table makes the ordering visible.
-#
-# Run it with:
-#   ermsctl run -spec examples/specs/flashcrowd.yaml -timeline timeline.csv
-version: 1
-name: flashcrowd
-seed: 7
-
-app:
-  kind: hotel
-
-run:
-  duration_min: 9
-  warmup_min: 1
-  window_min: 3
-  hosts: 8            # deliberately tight: the crowd must overload it
-  scheme: priority
-
-resilience:
-  timeout_sla_multiple: 4
-  max_attempts: 2
-  retry_budget: 0.1
-  shed: true
-
-cohorts:
-  - name: checkout
-    service: reserve
-    tier: critical
-    arrival:
-      kind: static
-      rate: 1500
-  - name: browse
-    service: search
-    tier: standard
-    arrival:
-      kind: static
-      rate: 5000
-  - name: prefetch
-    service: search
-    tier: sheddable
-    arrival:
-      kind: static
-      rate: 5000
-  - name: crawler
-    service: recommend
-    tier: batch
-    arrival:
-      kind: static
-      rate: 3000
-
-phases:
-  - name: crowd
-    kind: flash_crowd
-    start_min: 3
-    duration_min: 4
-    ramp_min: 1
-    factor: 5.0       # everyone piles in, not just one cohort
-`
-
-const failoverSpecYAML = `# Regional-failover spec: two regional cohorts drive the same search
-# service; mid-run, 80% of the EU region's traffic shifts onto the US cohort
-# (same service, but the US cohort's tier and SLA now apply to the shifted
-# load), then shifts back. A trailing drain models the EU region going
-# offline for maintenance.
-#
-# Run it with:
-#   ermsctl run -spec examples/specs/failover.yaml -timeline timeline.csv
-version: 1
-name: failover
-seed: 11
-
-app:
-  kind: hotel
-
-run:
-  duration_min: 20
-  warmup_min: 1
-  window_min: 5
-  hosts: 16
-  scheme: priority
-
-cohorts:
-  - name: eu-search
-    service: search
-    tier: standard
-    arrival:
-      kind: diurnal
-      base: 90
-      peak: 180
-      period_min: 20
-  - name: us-search
-    service: search
-    tier: critical
-    sla_ms: 200
-    arrival:
-      kind: static
-      rate: 120
-  - name: batch-reco
-    service: recommend
-    tier: batch
-    arrival:
-      kind: static
-      rate: 45
-
-phases:
-  - name: eu-outage
-    kind: failover
-    start_min: 6
-    duration_min: 8
-    ramp_min: 1
-    from: eu-search
-    to: us-search
-    fraction: 0.8
-  - name: eu-maintenance
-    kind: drain
-    start_min: 16
-    duration_min: 4
-    ramp_min: 1
-    cohorts: [eu-search]
-`
-
-// FigSpec runs the declarative workload specs end to end — flash crowd and
-// regional failover — and reports per-tier SLA violation tables. The flash
-// crowd is the SLO-tier contract in action: with tier-aware admission
-// control, the sheddable and batch cohorts absorb the overload (shed first,
-// violate most) while the critical cohort rides through the same crowd with
-// the lowest violation rate. Quick runs compress spec time with the schema's
-// time_scale knob instead of editing the scenario.
+// FigSpec runs the shipped example specs (examples/specs, embedded) end to
+// end — flash crowd and regional failover — and reports per-tier SLA
+// violation tables. The flash crowd is the SLO-tier contract in action: with
+// tier-aware admission control, the sheddable and batch cohorts absorb the
+// overload (shed first, violate most) while the critical cohort rides through
+// the same crowd with the lowest violation rate. Quick runs compress spec
+// time with the schema's time_scale knob instead of editing the scenario.
 func FigSpec(quick bool) []*Table {
 	cases := []struct {
 		title     string
-		src       string
+		file      string
 		timeScale float64 // quick-mode compression
 	}{
-		{"flash crowd (examples/specs/flashcrowd.yaml)", flashcrowdSpecYAML, 3},
-		{"regional failover (examples/specs/failover.yaml)", failoverSpecYAML, 2},
+		{"flash crowd (examples/specs/flashcrowd.yaml)", "flashcrowd.yaml", 3},
+		{"regional failover (examples/specs/failover.yaml)", "failover.yaml", 2},
 	}
 	var tables []*Table
 	for _, c := range cases {
-		s, err := spec.Parse([]byte(c.src))
+		s, err := spec.Parse(specs.Read(c.file))
 		if err != nil {
 			panic(err)
 		}

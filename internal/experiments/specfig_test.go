@@ -1,42 +1,20 @@
 package experiments
 
 import (
-	"os"
 	"strings"
 	"testing"
 
+	"erms/examples/specs"
 	"erms/internal/spec"
 	"erms/internal/workload"
 )
-
-// TestSpecFixturesMatchExamples pins the embedded spec documents to the
-// example files users actually run: figSpec must dogfood the shipped specs,
-// not a drifted copy.
-func TestSpecFixturesMatchExamples(t *testing.T) {
-	cases := []struct {
-		path     string
-		embedded string
-	}{
-		{"../../examples/specs/flashcrowd.yaml", flashcrowdSpecYAML},
-		{"../../examples/specs/failover.yaml", failoverSpecYAML},
-	}
-	for _, c := range cases {
-		data, err := os.ReadFile(c.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(data) != c.embedded {
-			t.Errorf("%s has drifted from the copy embedded in specfig.go; update the constant", c.path)
-		}
-	}
-}
 
 // TestFigSpecTierContract is the SLO-tier acceptance gate: under the
 // flash-crowd spec, the sheddable tier's violation rate must be at least the
 // critical tier's — admission control has to sacrifice sheddable traffic
 // before critical traffic.
 func TestFigSpecTierContract(t *testing.T) {
-	s, err := spec.Parse([]byte(flashcrowdSpecYAML))
+	s, err := spec.Parse(specs.Read("flashcrowd.yaml"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +45,7 @@ func TestFigSpecTierContract(t *testing.T) {
 // shape and the embedded tier-contract note.
 func TestFigSpecRenders(t *testing.T) {
 	out := renderAll(t, "figSpec")
+	checkGolden(t, "figSpec", out)
 	if !strings.Contains(out, "flash crowd") || !strings.Contains(out, "regional failover") {
 		t.Fatalf("missing tables:\n%s", out)
 	}

@@ -5,12 +5,7 @@ import (
 	"sort"
 
 	"erms/internal/apps"
-	"erms/internal/cluster"
-	"erms/internal/kube"
-	"erms/internal/multiplex"
 	"erms/internal/parallel"
-	"erms/internal/provision"
-	"erms/internal/scaling"
 	"erms/internal/sim"
 	"erms/internal/stats"
 	"erms/internal/workload"
@@ -195,86 +190,19 @@ func simSetting(p planner, s staticSetting, durationMin float64, seed uint64) (v
 	if err != nil {
 		return 0, 0, err
 	}
-	// Heterogeneous colocation with the planned-for average: half the hosts
-	// run heavy batch jobs, half are cool. Erms' provisioning module sees
-	// the interference; the baselines deploy through the stock
-	// (request-balancing, batch-blind) scheduler.
-	cl := cluster.New(20, cluster.PaperHost)
-	for _, h := range cl.Hosts() {
-		if h.ID%2 == 0 {
-			cl.SetBackground(h.ID, workload.Interference{CPU: 0.55, Mem: 0.55})
-		} else {
-			cl.SetBackground(h.ID, workload.Interference{CPU: 0.15, Mem: 0.15})
-		}
-	}
-	var sched kube.Scheduler = kube.BlindSpread{}
-	if p.name == "erms" {
-		sched = &provision.InterferenceAware{Groups: 4}
-	}
-	orch := kube.New(cl, sched)
-	mss := make([]string, 0, len(res.merged))
-	for ms := range res.merged {
-		mss = append(mss, ms)
-	}
-	sort.Strings(mss)
-	for _, ms := range mss {
-		if perr := orch.Apply(s.app.Containers[ms], res.merged[ms]); perr != nil {
-			return 0, 0, perr
-		}
-	}
 	// Open-loop fixed-rate generation, like the paper's static workloads
 	// (§6.1): a saturated deployment accumulates queues, which is exactly
 	// the violation signal Fig. 12 reports. (Figs. 13/15 use closed-loop
 	// clients to keep their latency *ratios* bounded.)
-	patterns := make(map[string]workload.Pattern)
-	slas := make(map[string]workload.SLA)
-	for _, g := range s.app.Graphs {
-		patterns[g.Service] = workload.Static{Rate: s.rate}
-		slas[g.Service] = workload.P95SLA(g.Service, slaMs)
-	}
-	var priorities map[string]map[string]int
-	if p.name == "erms" {
-		// Recover ranks from the multiplex plan when present.
-		if ranksPlan, perr := multiplex.PlanScheme(multiplex.SchemePriority, ermsInputs(pc), pc.loads, s.app.Shared()); perr == nil {
-			priorities = ranksPlan.Ranks
-		}
-	}
-	rt, rerr := sim.NewRuntime(sim.Config{
-		Seed:         seed,
-		Cluster:      cl,
-		Interference: defaultInterference(),
-		Profiles:     s.app.Profiles,
-		Graphs:       s.app.Graphs,
-		Patterns:     patterns,
-		SLAs:         slas,
-		Priorities:   priorities,
-		Delta:        0.05,
-		DurationMin:  durationMin + 0.5,
-		WarmupMin:    0.5,
+	out, err := measureOnTestbed(s.app, testbedScheduler(p), res.merged, testbedHot, testbedCool, slaMs, sim.Config{
+		Seed:        seed,
+		Patterns:    staticPatterns(uniformRates(s.app, s.rate)),
+		Priorities:  res.ranks,
+		Delta:       0.05,
+		DurationMin: durationMin + 0.5,
+		WarmupMin:   0.5,
 	})
-	if rerr != nil {
-		return 0, 0, rerr
-	}
-	out := rt.Run()
-	var v, t stats.Moments
-	for _, sr := range out.PerService {
-		v.Add(sr.ViolationRate())
-		t.Add(sr.P95() / slaMs)
-	}
-	return v.Mean(), t.Mean(), nil
-}
-
-// ermsInputs rebuilds the scaling inputs from a plan context (used to
-// recover priority ranks for simulation).
-func ermsInputs(pc planContext) map[string]scaling.Input {
-	inputs := make(map[string]scaling.Input, len(pc.app.Graphs))
-	for _, g := range pc.app.Graphs {
-		inputs[g.Service] = scaling.Input{
-			Graph: g, SLA: pc.slas[g.Service], Models: pc.models,
-			Shares: pc.shares, CPUUtil: pc.cpu, MemUtil: pc.mem,
-		}
-	}
-	return inputs
+	return out.viol, out.tail, err
 }
 
 // Fig12 reproduces the end-to-end SLA outcomes of the static experiments:

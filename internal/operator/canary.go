@@ -21,7 +21,7 @@ import (
 type canaryRun struct {
 	sc       *spec.Scenario
 	services map[string]bool
-	loop     *core.Reconciler
+	loop     *spec.Loop
 	fraction float64
 	genID    int
 	err      error // construction error, surfaced by step
@@ -55,14 +55,11 @@ func newCanaryRun(sc *spec.Scenario, cfg Config, genID int, changed []string) *c
 	if hosts < 2 {
 		hosts = 2
 	}
-	ctrl, err := sc.NewController(sub, hosts, nil)
+	loop, err := sc.NewLoop(sub, hosts, nil, c.windowStreams, nil)
 	if err != nil {
 		c.err = fmt.Errorf("canary controller: %w", err)
-		return c
 	}
-	c.loop = core.NewReconciler(ctrl)
-	c.loop.WindowMin = sc.WindowMin
-	c.loop.StreamsFor = c.windowStreams
+	c.loop = loop
 	return c
 }
 

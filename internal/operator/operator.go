@@ -39,9 +39,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
-	"erms/internal/chaos"
 	"erms/internal/core"
 	"erms/internal/multiplex"
 	"erms/internal/obs"
@@ -206,8 +206,7 @@ type Operator struct {
 	rec *obs.Recorder
 
 	fleet *core.Controller
-	loop  *core.Reconciler
-	inj   *chaos.Injector
+	loop  *spec.Loop
 
 	gens      []*Generation
 	committed *Generation
@@ -224,32 +223,24 @@ type Operator struct {
 }
 
 // New builds an operator bootstrapped from the compiled scenario: the fleet
-// controller and reconciler are constructed exactly like a batch spec run
-// (same options, same analytic models), the scenario's chaos block (if any)
-// becomes the fault schedule racing every rollout, and the scenario itself
-// becomes committed generation 1.
+// loop is the one a batch spec run steps (spec.Scenario.NewLoop: same
+// controller options, same analytic models), the scenario's chaos block (if
+// any) becomes the fault schedule racing every rollout, and the scenario
+// itself becomes committed generation 1.
 func New(sc *spec.Scenario, cfg Config, rec *obs.Recorder) (*Operator, error) {
 	cfg = cfg.withDefaults()
-	ctrl, err := sc.NewController(sc.App, sc.Hosts, rec)
+	faults, err := sc.ChaosSchedule(cfg.ChaosWindows)
+	if err != nil {
+		return nil, fmt.Errorf("operator: %w", err)
+	}
+	o := &Operator{Cfg: cfg, rec: rec}
+	o.loop, err = sc.NewLoop(sc.App, sc.Hosts, rec, func(w int) []sim.Stream {
+		return o.committed.scenario.WindowStreams(w % o.committed.scenario.Windows)
+	}, faults)
 	if err != nil {
 		return nil, fmt.Errorf("operator: bootstrap controller: %w", err)
 	}
-
-	o := &Operator{Cfg: cfg, rec: rec, fleet: ctrl}
-	o.loop = core.NewReconciler(ctrl)
-	o.loop.WindowMin = sc.WindowMin
-	o.loop.StreamsFor = func(w int) []sim.Stream {
-		return o.committed.scenario.WindowStreams(w % o.committed.scenario.Windows)
-	}
-	if ccfg, ok := sc.ChaosConfig(cfg.ChaosWindows); ok {
-		sched, err := chaos.Generate(ccfg)
-		if err != nil {
-			return nil, fmt.Errorf("operator: chaos schedule: %w", err)
-		}
-		o.inj = chaos.NewInjector(sched, ctrl.Orch)
-		o.inj.SetRecorder(rec)
-		o.loop.Chaos = o.inj
-	}
+	o.fleet = o.loop.Rec.C
 
 	gen1 := &Generation{
 		ID: 1, Name: sc.Spec.Name, Source: "bootstrap",
@@ -335,14 +326,7 @@ func (o *Operator) Step() (*WindowStatus, error) {
 	}
 
 	// Fleet window under the active configuration.
-	rates := o.fleetRates(w)
-	if o.inj != nil {
-		o.inj.BeginWindow(w)
-	}
-	rep, err := o.loop.Step(rates, o.fleetSeed(w))
-	if o.inj != nil {
-		o.inj.EndWindow(w)
-	}
+	rep, err := o.loop.Step(o.fleetRates(w), o.fleetSeed(w))
 	if err != nil {
 		return nil, fmt.Errorf("operator: fleet window %d: %w", w, err)
 	}
@@ -380,7 +364,7 @@ func (o *Operator) Step() (*WindowStatus, error) {
 	if o.cand != nil {
 		st.Candidate = o.cand.ID
 	}
-	st.Event = joinPlus(events)
+	st.Event = strings.Join(events, "+")
 	o.window++
 	o.history = append(o.history, st)
 	return &st, nil
@@ -500,17 +484,6 @@ func maxOf(m map[string]float64) float64 {
 		if v > out {
 			out = v
 		}
-	}
-	return out
-}
-
-func joinPlus(events []string) string {
-	out := ""
-	for i, e := range events {
-		if i > 0 {
-			out += "+"
-		}
-		out += e
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"erms/internal/chaos"
 	"erms/internal/obs"
 	"erms/internal/spec"
 )
@@ -304,5 +305,32 @@ func TestOperatorDeterministic(t *testing.T) {
 	first := run()
 	if second := run(); second != first {
 		t.Fatalf("operator runs diverged:\n--- first ---\n%s\n--- second ---\n%s", first, second)
+	}
+}
+
+// TestStepPropagatesInjectorErrors is the regression test for the window
+// bracket: Operator.Step used to call the injector's BeginWindow/EndWindow
+// itself and drop their errors, so a fault the substrate cannot enact ran
+// the window as if nothing had been scheduled. The schedule is hand-built:
+// it has window 1 detect the death of a host the cluster does not have.
+func TestStepPropagatesInjectorErrors(t *testing.T) {
+	o, err := New(compileSpec(t, baseSpecYAML), testConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := chaos.NewSchedule(chaos.Config{Windows: 4, WindowMin: 1, Hosts: 20},
+		[]chaos.Fault{{Window: 0, Kind: chaos.KindHostFail, Host: 99, AtFrac: 2, DownWindows: 1}})
+	o.loop.Inj = chaos.NewInjector(sched, o.fleet.Orch)
+	o.loop.Rec.Chaos = o.loop.Inj
+
+	if _, err := o.Step(); err != nil {
+		t.Fatalf("window 0 (nothing detected yet): %v", err)
+	}
+	_, err = o.Step()
+	if err == nil || !strings.Contains(err.Error(), "failing host 99") {
+		t.Fatalf("window 1: err = %v, want the injector's failure to evict host 99", err)
+	}
+	if o.Window() != 1 || len(o.History()) != 1 {
+		t.Errorf("failed window was recorded: window %d, %d statuses", o.Window(), len(o.History()))
 	}
 }

@@ -20,7 +20,8 @@ const (
 	SimHybrid
 )
 
-// PartitionOpts configures RunPartitioned.
+// PartitionOpts configures Run. The zero value is the serial case: the whole
+// Config on one engine.
 type PartitionOpts struct {
 	// Mode selects exact or hybrid fidelity. Exact mode with a single
 	// sharing group is byte-identical to Runtime.Run on the same Config.
@@ -34,6 +35,27 @@ type PartitionOpts struct {
 	// Fluid tunes the hybrid fast path; nil uses FluidConfig defaults.
 	// Ignored in SimExact mode.
 	Fluid *FluidConfig
+}
+
+// Run is the simulator's entry point: it executes one simulation of cfg.
+// With the zero PartitionOpts (exact mode, Partitions 0) the whole Config —
+// cfg.Fluid included — runs serially on a single engine; any other options
+// split the run by sharing group (RunPartitioned), which in exact mode is
+// byte-identical to the serial run for single-group topologies.
+func Run(cfg Config, opts PartitionOpts) (*Result, error) {
+	if opts.Mode == SimExact && opts.Partitions == 0 {
+		return runSingle(cfg)
+	}
+	return RunPartitioned(cfg, opts)
+}
+
+// runSingle runs cfg on one engine.
+func runSingle(cfg Config) (*Result, error) {
+	rt, err := NewRuntime(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return rt.Run(), nil
 }
 
 // RunPartitioned executes one simulation split into sharing-group partitions
@@ -78,11 +100,7 @@ func RunPartitioned(cfg Config, opts PartitionOpts) (*Result, error) {
 		// byte-identical serial path.
 		sub := cfg
 		sub.Fluid = fl
-		rt, err := NewRuntime(sub)
-		if err != nil {
-			return nil, err
-		}
-		return rt.Run(), nil
+		return runSingle(sub)
 	}
 
 	parts := make([]*partition, len(groups))

@@ -1,8 +1,12 @@
 package spec
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"erms/examples/specs"
+	"erms/internal/parallel"
 )
 
 // operatorYAML exercises every new operator-facing block: per-service SLA
@@ -138,21 +142,100 @@ func TestDriftConfigMapped(t *testing.T) {
 	}
 }
 
-// TestRunRejectsChaosSpec pins the batch/operate split: a fault timeline in
-// a batch run would be silently skipped, so Run must refuse it and point at
-// the operator loop.
-func TestRunRejectsChaosSpec(t *testing.T) {
-	s, err := Parse([]byte(operatorYAML))
+// compileExample compiles an embedded example spec after edit (nil for
+// none) has adjusted the parsed document.
+func compileExample(t *testing.T, name string, edit func(*Spec)) *Scenario {
+	t.Helper()
+	s, err := Parse(specs.Read(name))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if edit != nil {
+		edit(s)
 	}
 	sc, err := s.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sc.Run(nil)
-	if err == nil || !strings.Contains(err.Error(), "ermsctl operate") {
-		t.Fatalf("Run with chaos block: err = %v, want pointer at ermsctl operate", err)
+	return sc
+}
+
+// TestRunInjectsChaos pins that a batch run is the real control loop: a
+// chaos block (which Scenario.Run used to refuse, pointing at `ermsctl
+// operate`) injects its fault schedule, the loop repairs, retries and
+// degrades, every window reports it, and timeline and control table are
+// byte-identical at one worker and four. The example's fault mix is turned
+// up — more host deaths, control-plane faults of up to 4 failing attempts
+// (> MaxRetries) — so repairs and degraded windows are certain.
+func TestRunInjectsChaos(t *testing.T) {
+	render := func() (string, *RunResult) {
+		sc := compileExample(t, "chaos.yaml", func(s *Spec) {
+			s.TimeScale = 2
+			s.Chaos.PHostFail, s.Chaos.POpFail, s.Chaos.OpFailures = 0.5, 0.6, 4
+		})
+		res, err := sc.Run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		res.Report(&buf)
+		if err := res.WriteTimelineCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), res
+	}
+	defer parallel.SetWorkers(0)
+	parallel.SetWorkers(1)
+	seq, res := render()
+	parallel.SetWorkers(4)
+	if par, _ := render(); par != seq {
+		t.Errorf("chaos batch run differs between workers=1 and workers=4:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", seq, par)
+	}
+
+	if len(res.Windows) != 8 {
+		t.Fatalf("got %d windows, want 8", len(res.Windows))
+	}
+	var faulted, repaired, retries, degraded int
+	for w, rep := range res.Windows {
+		if rep.WindowReport == nil || rep.Window != w {
+			t.Fatalf("window %d carries no control report: %+v", w, rep)
+		}
+		if rep.Faults != "-" {
+			faulted++
+		}
+		repaired += rep.Repaired
+		retries += rep.Retries
+		if rep.Degraded {
+			degraded++
+		}
+	}
+	if faulted == 0 || repaired == 0 || retries == 0 || degraded == 0 {
+		t.Errorf("fault schedule left no trace: %d faulted windows, %d repaired, %d retries, %d degraded\n%s",
+			faulted, repaired, retries, degraded, seq)
+	}
+	// One table row per window, below the header.
+	if rows := strings.Count(seq[strings.Index(seq, "win  faults"):strings.Index(seq, timelineHeader)], "\n"); rows != 1+8 {
+		t.Errorf("control table has %d lines, want header + 8 windows:\n%s", rows, seq)
+	}
+}
+
+// TestRunScoresDrift is the regression test for the driver split: a batch
+// run evaluated windows by hand and never fed the drift detector, so a
+// drift block was silently ignored (0 windows scored). On the shared loop
+// every window is scored.
+func TestRunScoresDrift(t *testing.T) {
+	sc := compileExample(t, "drift.yaml", nil)
+	res, err := sc.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Drift == nil || res.Drift.Windows != len(res.Windows) {
+		t.Fatalf("drift loop scored %+v over %d windows, want every window", res.Drift, len(res.Windows))
+	}
+	var buf bytes.Buffer
+	res.Report(&buf)
+	if !strings.Contains(buf.String(), "drift loop: 6 windows scored") {
+		t.Errorf("report lacks the drift summary:\n%s", buf.String())
 	}
 }
 

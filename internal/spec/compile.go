@@ -35,8 +35,8 @@ type Scenario struct {
 	// Resilience is non-nil when the spec enables the fault model.
 	Resilience *sim.Resilience
 	// Chaos is non-nil when the spec declares a fault timeline; use
-	// ChaosConfig to materialize the generator configuration. Batch runs
-	// (Scenario.Run) reject chaos specs — only the operator loop injects.
+	// ChaosSchedule to generate it (ChaosConfig for the generator
+	// configuration alone).
 	Chaos *ChaosSpec
 	// Drift is non-nil when the spec enables online drift detection; use
 	// DriftConfig for the controller option.
@@ -216,6 +216,20 @@ func (sc *Scenario) ChaosConfig(windows int) (chaos.Config, bool) {
 		POpFail:    c.POpFail,
 		OpFailures: c.OpFailures,
 	}, true
+}
+
+// ChaosSchedule generates the fault schedule the spec's chaos block declares,
+// sized as ChaosConfig(windows) describes; nil when the spec declares none.
+func (sc *Scenario) ChaosSchedule(windows int) (*chaos.Schedule, error) {
+	cfg, ok := sc.ChaosConfig(windows)
+	if !ok {
+		return nil, nil
+	}
+	sched, err := chaos.Generate(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("spec: chaos schedule: %w", err)
+	}
+	return sched, nil
 }
 
 // DriftConfig maps the spec's drift block onto the controller's drift

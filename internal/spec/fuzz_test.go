@@ -15,6 +15,8 @@ func FuzzParse(f *testing.F) {
 		"../../examples/quickstart/quickstart.yaml",
 		"../../examples/specs/flashcrowd.yaml",
 		"../../examples/specs/failover.yaml",
+		"../../examples/specs/chaos.yaml",
+		"../../examples/specs/drift.yaml",
 	} {
 		if data, err := os.ReadFile(path); err == nil {
 			f.Add(data)

@@ -144,6 +144,8 @@ func TestParseExampleSpecs(t *testing.T) {
 		"../../examples/quickstart/quickstart.yaml",
 		"../../examples/specs/flashcrowd.yaml",
 		"../../examples/specs/failover.yaml",
+		"../../examples/specs/chaos.yaml",
+		"../../examples/specs/drift.yaml",
 	} {
 		s, err := ParseFile(filepath.FromSlash(rel))
 		if err != nil {

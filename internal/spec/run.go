@@ -3,14 +3,19 @@ package spec
 import (
 	"fmt"
 	"io"
+	"math"
 	"strconv"
+	"strings"
 
 	"erms/internal/apps"
+	"erms/internal/chaos"
 	"erms/internal/cluster"
 	"erms/internal/core"
+	"erms/internal/drift"
 	"erms/internal/kube"
 	"erms/internal/obs"
 	"erms/internal/provision"
+	"erms/internal/sim"
 	"erms/internal/workload"
 )
 
@@ -24,13 +29,13 @@ type TierAgg struct {
 	Shed      int // subset of Errors rejected by admission control
 }
 
-func (a *TierAgg) add(issued, completed, good, slow, errors, shed int) {
-	a.Issued += issued
-	a.Completed += completed
-	a.Good += good
-	a.Slow += slow
-	a.Errors += errors
-	a.Shed += shed
+func (a *TierAgg) add(b TierAgg) {
+	a.Issued += b.Issued
+	a.Completed += b.Completed
+	a.Good += b.Good
+	a.Slow += b.Slow
+	a.Errors += b.Errors
+	a.Shed += b.Shed
 }
 
 // ViolationRate is the fraction of completed-or-failed requests that missed
@@ -45,14 +50,16 @@ func (a TierAgg) ViolationRate() float64 {
 
 // WindowReport summarizes one planning window.
 type WindowReport struct {
-	Index      int
-	StartMin   float64 // simulated minutes
-	EndMin     float64
-	Containers int
-	// PlannedRates is the per-service offered load the window was planned
-	// against.
-	PlannedRates map[string]float64
-	PerTier      [workload.NumTiers]TierAgg
+	// WindowReport is the control loop's own report of the window: the rates
+	// it was planned against (Rates), containers, repairs, retries, degraded /
+	// outage / obs-gap flags, per-service violations, model swaps.
+	*core.WindowReport
+	StartMin float64 // simulated minutes
+	EndMin   float64
+	// Faults summarizes the chaos faults scheduled for the window ("-" for
+	// none or for a spec without a chaos block).
+	Faults  string
+	PerTier [workload.NumTiers]TierAgg
 }
 
 // TimelinePoint is one (minute, tier) cell of the run timeline. Minutes
@@ -66,8 +73,9 @@ type TimelinePoint struct {
 	Tier workload.Tier
 	All  bool
 	// Offered is the pattern-level offered load (req/min) at the minute.
-	Offered                                     float64
-	Issued, Completed, Good, Slow, Errors, Shed int
+	Offered float64
+	// TierAgg holds the minute's request outcomes.
+	TierAgg
 	// Containers is the tier's share of the window's deployed containers,
 	// attributed proportionally to offered load (the whole deployment for
 	// All rows).
@@ -81,6 +89,9 @@ type RunResult struct {
 	Timeline []TimelinePoint
 	// Totals aggregates outcomes per tier across every reported minute.
 	Totals [workload.NumTiers]TierAgg
+	// Drift is the drift loop's end-of-run summary; nil unless the spec has a
+	// drift block.
+	Drift *drift.Stats
 }
 
 // TiersPresent lists the tiers with at least one cohort, in tier order.
@@ -98,13 +109,24 @@ func (sc *Scenario) TiersPresent() []workload.Tier {
 	return out
 }
 
-// NewController builds the controller every driver of the scenario runs —
-// batch run, operator fleet, operator canary: app on a fresh cluster of
+// Loop is the control loop every driver of a scenario steps — batch run,
+// operator fleet, operator canary: a core.Reconciler over the scenario's
+// controller plus, when a fault schedule is bound, the injector enacting it.
+type Loop struct {
+	Rec *core.Reconciler
+	// Inj is nil when no fault schedule is bound.
+	Inj *chaos.Injector
+}
+
+// NewLoop builds the scenario's control loop: app on a fresh cluster of
 // hosts paper-spec machines with interference-aware provisioning, under the
 // scenario's scheme, resilience and drift settings, with analytic models
-// installed. app and hosts are parameters because the canary manages a
-// slice of sc.App on a slice of sc.Hosts.
-func (sc *Scenario) NewController(app *apps.App, hosts int, rec *obs.Recorder) (*core.Controller, error) {
+// installed; scenario-length windows evaluated on the cohort streams that
+// streams returns; and faults (nil for none; see ChaosSchedule) injected
+// into both the loop and the substrate. app and hosts are parameters because
+// the canary manages a slice of sc.App on a slice of sc.Hosts.
+func (sc *Scenario) NewLoop(app *apps.App, hosts int, rec *obs.Recorder,
+	streams func(window int) []sim.Stream, faults *chaos.Schedule) (*Loop, error) {
 	opts := []core.Option{
 		core.WithScheme(sc.Scheme),
 		core.WithScheduler(&provision.InterferenceAware{Groups: 4}),
@@ -119,22 +141,45 @@ func (sc *Scenario) NewController(app *apps.App, hosts int, rec *obs.Recorder) (
 		return nil, err
 	}
 	ctrl.UseAnalyticModels()
-	return ctrl, nil
+	l := &Loop{Rec: core.NewReconciler(ctrl)}
+	l.Rec.WindowMin = sc.WindowMin
+	l.Rec.StreamsFor = streams
+	if faults != nil {
+		l.Inj = chaos.NewInjector(faults, ctrl.Orch)
+		l.Inj.SetRecorder(rec)
+		l.Rec.Chaos = l.Inj
+	}
+	return l, nil
 }
 
-// Run drives the controller over the scenario's planning windows: each
-// window is planned from its offered load, applied, and simulated with the
-// cohort streams, and the per-minute stream outcomes are stitched into the
-// timeline. The run is deterministic in the spec: same spec, same seed,
+// Step runs the loop's next window at the given observed rates inside the
+// injector's BeginWindow/EndWindow bracket.
+func (l *Loop) Step(rates map[string]float64, seed uint64) (rep *core.WindowReport, err error) {
+	err = l.Inj.Window(l.Rec.Window(), func() (err error) {
+		rep, err = l.Rec.Step(rates, seed)
+		return err
+	})
+	return rep, err
+}
+
+// Run drives the scenario's control loop over its planning windows and
+// stitches the per-minute stream outcomes into the timeline. It is the same
+// loop the operator runs — repair, retries, degraded mode, the chaos block's
+// fault schedule, the drift block's detector — in batch geometry: window w
+// is planned from window w−1's offered load, only window 0 warms up, the
+// last window is clipped to the horizon, and plans apply without down-scale
+// slack. The run is deterministic in the spec: same spec, same seed,
 // byte-identical result at any worker count.
 func (sc *Scenario) Run(rec *obs.Recorder) (*RunResult, error) {
-	if sc.Chaos != nil {
-		return nil, fmt.Errorf("spec: %q declares a chaos block, which only the operator loop injects; run it with `ermsctl operate -spec ...` (batch run would silently skip the fault timeline)", sc.Spec.Name)
-	}
-	ctrl, err := sc.NewController(sc.App, sc.Hosts, rec)
+	faults, err := sc.ChaosSchedule(0)
 	if err != nil {
 		return nil, err
 	}
+	loop, err := sc.NewLoop(sc.App, sc.Hosts, rec, sc.WindowStreams, faults)
+	if err != nil {
+		return nil, err
+	}
+	loop.Rec.DownscaleSlack = 0
 	res := &RunResult{Scenario: sc}
 	tiers := sc.TiersPresent()
 	for w := 0; w < sc.Windows; w++ {
@@ -143,100 +188,60 @@ func (sc *Scenario) Run(rec *obs.Recorder) (*RunResult, error) {
 		if dur <= 0 {
 			break
 		}
-		warm := 0.0
+		loop.Rec.WindowMin, loop.Rec.WarmupMin = dur, 0
 		if w == 0 {
-			warm = sc.WarmupMin
-			if warm > dur/2 {
-				warm = dur / 2
-			}
+			loop.Rec.WarmupMin = math.Min(sc.WarmupMin, dur/2)
 		}
 		// Reactive planning, like the paper's workload-driven scaling loop:
 		// window w is planned from the previous window's offered load (the
 		// controller cannot see a flash crowd coming), so unforecast surges
-		// overload the deployment until the next re-plan catches up.
-		rates := sc.OfferedRates(w)
-		planRates := rates
-		if w > 0 {
-			planRates = sc.OfferedRates(w - 1)
-		}
-		plan, err := ctrl.Plan(planRates)
+		// overload the deployment until the next re-plan catches up. The
+		// window is still evaluated on its own load: every cohort is a
+		// stream, and services without one idle at the same 1 req/min floor
+		// in every window's rates.
+		ctl, err := loop.Step(sc.OfferedRates(max(w-1, 0)), sc.Seed+uint64(w)*1000003+1)
 		if err != nil {
-			return nil, fmt.Errorf("spec: window %d plan: %w", w, err)
+			return nil, fmt.Errorf("spec: window %d: %w", w, err)
 		}
-		if err := ctrl.Apply(plan); err != nil {
-			return nil, fmt.Errorf("spec: window %d apply: %w", w, err)
-		}
-		seedW := sc.Seed + uint64(w)*1000003 + 1
-		ev, err := ctrl.EvaluateDeployed(plan, rates, dur, warm, seedW, core.EvalOpts{Streams: sc.WindowStreams(w)})
-		if err != nil {
-			return nil, fmt.Errorf("spec: window %d evaluate: %w", w, err)
-		}
-		rep := WindowReport{
-			Index:        w,
-			StartMin:     start,
-			EndMin:       end,
-			Containers:   ev.TotalContainers,
-			PlannedRates: planRates,
-		}
+		rep := WindowReport{WindowReport: ctl, StartMin: start, EndMin: end, Faults: faults.Summary(w)}
 		// Fold the window's per-stream minutes into per-(minute, tier)
 		// cells. StreamMinutes is in (minute, stream) order and skips
-		// warmup minutes, so the fold is deterministic.
-		byMinute := make(map[int]*[workload.NumTiers]TierAgg)
-		minMinute, maxMinute := -1, -1
-		for _, sm := range ev.Sim.StreamMinutes {
-			tier := sc.Streams[sm.Stream].Tier
-			cell, ok := byMinute[sm.Minute]
-			if !ok {
-				cell = &[workload.NumTiers]TierAgg{}
-				byMinute[sm.Minute] = cell
-				if minMinute < 0 || sm.Minute < minMinute {
-					minMinute = sm.Minute
-				}
-				if sm.Minute > maxMinute {
-					maxMinute = sm.Minute
-				}
-			}
-			cell[tier].add(sm.Issued, sm.Completed, sm.Good, sm.Slow, sm.Errors, sm.Shed)
-			rep.PerTier[tier].add(sm.Issued, sm.Completed, sm.Good, sm.Slow, sm.Errors, sm.Shed)
-			res.Totals[tier].add(sm.Issued, sm.Completed, sm.Good, sm.Slow, sm.Errors, sm.Shed)
-		}
+		// warmup minutes, so each run of equal minutes is one timeline row
+		// group.
 		base := int(start + 0.5)
-		for m := minMinute; m >= 0 && m <= maxMinute; m++ {
-			cell, ok := byMinute[m]
-			if !ok {
-				continue
+		for rows := ctl.StreamMinutes; len(rows) > 0; {
+			var cell [workload.NumTiers]TierAgg
+			minute := rows[0].Minute
+			for ; len(rows) > 0 && rows[0].Minute == minute; rows = rows[1:] {
+				sm := rows[0]
+				cell[sc.Streams[sm.Stream].Tier].add(TierAgg{Issued: sm.Issued, Completed: sm.Completed,
+					Good: sm.Good, Slow: sm.Slow, Errors: sm.Errors, Shed: sm.Shed})
 			}
-			global := base + m
+			global := base + minute
 			offered := sc.OfferedByTier(float64(global))
 			offeredAll := 0.0
 			for _, t := range tiers {
 				offeredAll += offered[t]
 			}
-			var all TierAgg
+			all := TimelinePoint{Minute: global, SpecMin: float64(global) * sc.Spec.TimeScale,
+				All: true, Offered: offeredAll, Containers: float64(ctl.Containers)}
 			for _, t := range tiers {
-				a := cell[t]
-				share := 0.0
+				p := TimelinePoint{Minute: all.Minute, SpecMin: all.SpecMin, Tier: t, Offered: offered[t], TierAgg: cell[t]}
 				if offeredAll > 0 {
-					share = offered[t] / offeredAll
+					p.Containers = all.Containers * (offered[t] / offeredAll)
 				}
-				res.Timeline = append(res.Timeline, TimelinePoint{
-					Minute: global, SpecMin: float64(global) * sc.Spec.TimeScale,
-					Tier: t, Offered: offered[t],
-					Issued: a.Issued, Completed: a.Completed, Good: a.Good,
-					Slow: a.Slow, Errors: a.Errors, Shed: a.Shed,
-					Containers: float64(ev.TotalContainers) * share,
-				})
-				all.add(a.Issued, a.Completed, a.Good, a.Slow, a.Errors, a.Shed)
+				res.Timeline = append(res.Timeline, p)
+				rep.PerTier[t].add(cell[t])
+				res.Totals[t].add(cell[t])
+				all.add(cell[t])
 			}
-			res.Timeline = append(res.Timeline, TimelinePoint{
-				Minute: global, SpecMin: float64(global) * sc.Spec.TimeScale,
-				All: true, Offered: offeredAll,
-				Issued: all.Issued, Completed: all.Completed, Good: all.Good,
-				Slow: all.Slow, Errors: all.Errors, Shed: all.Shed,
-				Containers: float64(ev.TotalContainers),
-			})
+			res.Timeline = append(res.Timeline, all)
 		}
 		res.Windows = append(res.Windows, rep)
+	}
+	if d := loop.Rec.C.Drift; d != nil {
+		st := d.Stats()
+		res.Drift = &st
 	}
 	return res, nil
 }
@@ -257,14 +262,10 @@ func (r *RunResult) WriteTimelineCSV(w io.Writer) error {
 		if !p.All {
 			tier = p.Tier.String()
 		}
-		viol := 0.0
-		if n := p.Completed + p.Errors; n > 0 {
-			viol = float64(p.Slow+p.Errors) / float64(n)
-		}
 		_, err := fmt.Fprintf(w, "%d,%s,%s,%s,%d,%d,%d,%d,%d,%d,%s,%s\n",
 			p.Minute, fnum(p.SpecMin), tier, fnum(p.Offered),
 			p.Issued, p.Completed, p.Good, p.Slow, p.Errors, p.Shed,
-			fnum(viol), fnum(p.Containers))
+			fnum(p.ViolationRate()), fnum(p.Containers))
 		if err != nil {
 			return err
 		}
@@ -275,7 +276,11 @@ func (r *RunResult) WriteTimelineCSV(w io.Writer) error {
 // fnum formats a float with the shortest representation that round-trips.
 func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// Report renders a per-tier outcome summary for the CLI.
+// Report renders the run for the CLI: the per-tier outcome summary, then the
+// control loop's per-window table — faults scheduled, containers deployed,
+// containers repaired, retries, the worst service's violation rate, and the
+// degraded / outage / obs-gap / swapped flags — and, with a drift block, the
+// drift loop's summary.
 func (r *RunResult) Report(w io.Writer) {
 	sc := r.Scenario
 	fmt.Fprintf(w, "spec %q: app %s, %d cohorts, %d windows x %s min (time_scale %g)\n",
@@ -286,5 +291,32 @@ func (r *RunResult) Report(w io.Writer) {
 		a := r.Totals[t]
 		fmt.Fprintf(w, "%-10s %10d %10d %8d %8d %8d %9.2f%%\n",
 			t.String(), a.Issued, a.Completed, a.Slow, a.Errors, a.Shed, 100*a.ViolationRate())
+	}
+	fmt.Fprintf(w, "\n%-4s %-28s %10s %8s %7s %7s  %s\n",
+		"win", "faults", "containers", "repaired", "retries", "viol", "flags")
+	for _, rep := range r.Windows {
+		worst := 0.0
+		for _, v := range rep.Violations {
+			worst = math.Max(worst, v)
+		}
+		var flags []string
+		if rep.Degraded {
+			flags = append(flags, "degraded")
+		}
+		if rep.Outage {
+			flags = append(flags, "outage")
+		}
+		if rep.ObsGap {
+			flags = append(flags, "obs-gap")
+		}
+		if rep.ModelSwaps > 0 {
+			flags = append(flags, fmt.Sprintf("swapped:%d", rep.ModelSwaps))
+		}
+		fmt.Fprintf(w, "%-4d %-28s %10d %8d %7d %7.3f  %s\n",
+			rep.Window, rep.Faults, rep.Containers, rep.Repaired, rep.Retries, worst, strings.Join(flags, ","))
+	}
+	if st := r.Drift; st != nil {
+		fmt.Fprintf(w, "\ndrift loop: %d windows scored, %d detections, %d swaps (%d segmented re-fits, %d recalibrations), max score %.2f\n",
+			st.Windows, st.Detections, st.Swaps, st.Refits, st.Fallbacks, st.MaxScore)
 	}
 }

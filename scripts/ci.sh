@@ -69,7 +69,7 @@ go test -run=NONE -fuzz=FuzzParse -fuzztime=15s ./internal/spec
 # the same spec and seed must emit a byte-identical timeline CSV across two
 # runs and two worker-pool sizes. This is the whole-pipeline version of
 # internal/spec's TestRunDeterminism — it also covers the CLI wiring.
-echo "== spec determinism (ermsctl, 2 runs x workers 1 vs 4) =="
+echo "== spec determinism (ermsctl, quickstart + chaos, 2 runs x workers 1 vs 4) =="
 go build -o /tmp/ermsctl_ci ./cmd/ermsctl
 /tmp/ermsctl_ci run -spec examples/quickstart/quickstart.yaml \
 	-parallel 1 -timeline /tmp/spec_tl_a.csv >/dev/null
@@ -79,14 +79,28 @@ go build -o /tmp/ermsctl_ci ./cmd/ermsctl
 	-parallel 4 -timeline /tmp/spec_tl_c.csv >/dev/null
 cmp /tmp/spec_tl_a.csv /tmp/spec_tl_b.csv
 cmp /tmp/spec_tl_a.csv /tmp/spec_tl_c.csv
-rm -f /tmp/ermsctl_ci /tmp/spec_tl_a.csv /tmp/spec_tl_b.csv /tmp/spec_tl_c.csv
+# The same gate on the fault-modelled example: a chaos block runs on the one
+# window loop (core.Reconciler.Step), so the injected schedule, the repairs,
+# retries and degraded windows it provokes — the per-window control table on
+# stdout, minus the wall-clock line — and the timeline must be just as
+# reproducible.
+for run in a:1 b:1 c:4; do
+	/tmp/ermsctl_ci run -spec examples/specs/chaos.yaml -parallel "${run#*:}" \
+		-timeline "/tmp/chaos_tl_${run%:*}.csv" | grep -v '^run took' >"/tmp/chaos_out_${run%:*}.txt"
+done
+cmp /tmp/chaos_tl_a.csv /tmp/chaos_tl_b.csv
+cmp /tmp/chaos_tl_a.csv /tmp/chaos_tl_c.csv
+cmp /tmp/chaos_out_a.txt /tmp/chaos_out_b.txt
+cmp /tmp/chaos_out_a.txt /tmp/chaos_out_c.txt
+grep -q '^win  faults' /tmp/chaos_out_a.txt
+rm -f /tmp/ermsctl_ci /tmp/spec_tl_[abc].csv /tmp/chaos_tl_[abc].csv /tmp/chaos_out_[abc].txt
 
 # Third, the SLO-tier contract: under the flash-crowd spec the sheddable
 # tier's violation rate must be at least the critical tier's, and admission
 # control must shed more sheddable than critical traffic. Also re-pins the
 # spec-built-vs-code-built golden equality at two worker counts.
 echo "== spec tier contract + golden equality =="
-go test -count=1 -run 'TestFigSpecTierContract|TestCompileGolden|TestRunDeterminism' \
+go test -count=1 -run 'TestFigSpecTierContract|TestCompileGolden|TestRunDeterminism|TestRunInjectsChaos|TestRunScoresDrift|TestExampleTimelinesGolden' \
 	./internal/experiments ./internal/spec
 
 # The drift-loop gates (PR 8).
@@ -130,7 +144,7 @@ BENCH_SMOKE=1 BENCH_OUT=/tmp/bench_6_smoke.txt BENCH_JSON=/tmp/BENCH_6_smoke.jso
 # spec-generation gauge.
 echo "== operator gates (figOperator determinism + rollback contracts + counter export) =="
 go test -count=1 \
-	-run 'TestFigOperator|TestOperatorFixturesMatchExamples|TestAllCountersExportOnMetrics' \
+	-run 'TestFigOperator|TestAllCountersExportOnMetrics' \
 	./internal/experiments ./internal/obs
 go test -count=1 ./internal/operator
 
