@@ -14,6 +14,7 @@ import (
 	"erms/internal/apps"
 	"erms/internal/cluster"
 	"erms/internal/drift"
+	"erms/internal/graph"
 	"erms/internal/kube"
 	"erms/internal/metrics"
 	"erms/internal/multiplex"
@@ -137,6 +138,20 @@ type Controller struct {
 	sharesCores float64
 	sharesMemMB float64
 	shares      map[string]float64
+	// loads memoizes, per App.Graphs entry, the last per-microservice call
+	// rates Loads built and the rate they were built for, and shared the
+	// App.Shared() of those graphs; both are recomputed when a graph pointer
+	// changes (graphs are replaced, never edited, once the planner has them).
+	loads  []svcLoads
+	shared []string
+}
+
+// svcLoads is one service's cached Loads entry. byMS is handed out and never
+// written again: a new rate builds a new map.
+type svcLoads struct {
+	graph *graph.Graph
+	rate  float64
+	byMS  map[string]float64
 }
 
 // New creates a controller. The orchestrator's cluster must be the one the
@@ -213,18 +228,56 @@ func (c *Controller) ObserveDrift(res *sim.Result) []drift.Swap {
 
 // Loads returns loads[svc][ms]: the calls/minute service svc imposes on
 // microservice ms at the given request rates, accounting for microservices
-// that occupy multiple graph positions.
+// that occupy multiple graph positions. The inner maps are read-only: a
+// service whose rate did not change since the last call gets the same map
+// again.
 func (c *Controller) Loads(rates map[string]float64) map[string]map[string]float64 {
+	c.syncTopology()
 	out := make(map[string]map[string]float64, len(c.App.Graphs))
-	for _, g := range c.App.Graphs {
-		rate := rates[g.Service]
-		m := make(map[string]float64)
-		for _, ms := range g.Microservices() {
-			m[ms] = rate * float64(len(g.NodesFor(ms)))
+	for i, g := range c.App.Graphs {
+		sl := &c.loads[i]
+		if rate := rates[g.Service]; sl.byMS == nil || rate != sl.rate {
+			sl.rate, sl.byMS = rate, c.serviceLoads(g, rate)
 		}
-		out[g.Service] = m
+		out[g.Service] = sl.byMS
 	}
 	return out
+}
+
+// serviceLoads expands one service's request rate into per-microservice call
+// rates. The multiplicities come compiled from the service's plan template
+// while that still describes the graph, and from the graph itself before the
+// first plan.
+func (c *Controller) serviceLoads(g *graph.Graph, rate float64) map[string]float64 {
+	var mss []string
+	var counts []int
+	if t := c.PlanCache.Template(g.Service); t != nil && t.StructMatches(g) {
+		mss, counts = t.CallCounts()
+	} else {
+		mss, counts = g.CallCounts()
+	}
+	byMS := make(map[string]float64, len(mss))
+	for i, ms := range mss {
+		byMS[ms] = rate * float64(counts[i])
+	}
+	return byMS
+}
+
+// syncTopology drops what Loads and Plan cache about the app's graphs when
+// the graph list is not the one they were derived from.
+func (c *Controller) syncTopology() {
+	same := c.loads != nil && len(c.loads) == len(c.App.Graphs)
+	for i := 0; same && i < len(c.loads); i++ {
+		same = c.loads[i].graph == c.App.Graphs[i]
+	}
+	if same {
+		return
+	}
+	c.loads = make([]svcLoads, len(c.App.Graphs))
+	for i, g := range c.App.Graphs {
+		c.loads[i].graph = g
+	}
+	c.shared = c.App.Shared()
 }
 
 // Plan runs Online Scaling for the given per-service request rates
@@ -241,7 +294,8 @@ func (c *Controller) Plan(rates map[string]float64) (*multiplex.Plan, error) {
 			return nil, fmt.Errorf("core: rate for service %s must be positive and finite, got %v", g.Service, r)
 		}
 	}
-	plan, err := c.Planner.PlanScheme(c.Scheme, c.planInputs(), c.Loads(rates), c.App.Shared())
+	loads := c.Loads(rates) // also brings c.shared up to date
+	plan, err := c.Planner.PlanScheme(c.Scheme, c.planInputs(), loads, c.shared)
 	if err != nil {
 		return nil, err
 	}
@@ -315,7 +369,7 @@ func (c *Controller) Explain(service string, rates map[string]float64) (string, 
 		SLA:       c.App.SLAs[service],
 		Models:    c.Models,
 		Shares:    shares,
-		Workloads: c.Loads(rates)[service],
+		Workloads: c.serviceLoads(g, rates[service]),
 		CPUUtil:   cl.MeanCPUUtil(),
 		MemUtil:   cl.MeanMemUtil(),
 	}

@@ -104,6 +104,40 @@ func TestPlanRequiresModelsAndRates(t *testing.T) {
 	}
 }
 
+// TestPlanRefusesUnplannableCounts: a rate can be finite and still ask for
+// more containers than an int holds. 1e300 req/min used to plan one container
+// per microservice (the float-to-int conversion overflowed negative and was
+// clamped); now the plan fails, naming the microservice, with the error the
+// from-scratch planner gives. A rate that is merely absurd still plans, and
+// every count covers its requirement.
+func TestPlanRefusesUnplannableCounts(t *testing.T) {
+	c := hotelController(t)
+	if _, err := c.Plan(hotelRates(5000)); err != nil { // warm templates: the cached path must refuse too
+		t.Fatal(err)
+	}
+	rates := hotelRates(1e300)
+	_, wantErr := multiplex.PlanScheme(c.Scheme, c.planInputs(), c.Loads(rates), c.App.Shared())
+	_, err := c.Plan(rates)
+	if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("1e300 req/min: controller %v, oracle %v", err, wantErr)
+	}
+	if want := "multiplex: service login: scaling: microservice frontend needs "; !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("error %q, want %q...", err, want)
+	}
+
+	plan, err := c.Plan(hotelRates(1e9))
+	if err != nil {
+		t.Fatalf("1e9 req/min: %v", err)
+	}
+	for svc, alloc := range plan.PerService {
+		for ms, raw := range alloc.ContainersRaw {
+			if n := alloc.Containers[ms]; float64(n) < raw-1e-9 || n < 1 {
+				t.Fatalf("%s/%s: %d containers for a requirement of %v", svc, ms, n, raw)
+			}
+		}
+	}
+}
+
 func TestPlanProducesFullDeployment(t *testing.T) {
 	c := hotelController(t)
 	plan, err := c.Plan(hotelRates(5000))

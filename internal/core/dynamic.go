@@ -78,8 +78,9 @@ func DynamicGraphPlan(
 			CPUUtil:   cpuUtil,
 			MemUtil:   memUtil,
 		}
-		for _, ms := range g.Microservices() {
-			in.Workloads[ms] = r * float64(len(g.NodesFor(ms)))
+		mss, counts := g.CallCounts()
+		for i, ms := range mss {
+			in.Workloads[ms] = r * float64(counts[i])
 		}
 		return scaling.Plan(in)
 	}

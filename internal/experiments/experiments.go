@@ -195,9 +195,10 @@ func sharesFor(app *apps.App, cl *cluster.Cluster) map[string]float64 {
 func loadsFor(app *apps.App, rates map[string]float64) map[string]map[string]float64 {
 	out := make(map[string]map[string]float64, len(app.Graphs))
 	for _, g := range app.Graphs {
-		m := make(map[string]float64)
-		for _, ms := range g.Microservices() {
-			m[ms] = rates[g.Service] * float64(len(g.NodesFor(ms)))
+		mss, counts := g.CallCounts()
+		m := make(map[string]float64, len(mss))
+		for i, ms := range mss {
+			m[ms] = rates[g.Service] * float64(counts[i])
 		}
 		out[g.Service] = m
 	}

@@ -33,9 +33,10 @@ func scalePlanContext(cfg apps.ScaleConfig) (map[string]scaling.Input, map[strin
 	inputs := make(map[string]scaling.Input, len(app.Graphs))
 	loads := make(map[string]map[string]float64, len(app.Graphs))
 	for _, g := range app.Graphs {
-		byMS := make(map[string]float64, g.Len())
-		for _, ms := range g.Microservices() {
-			byMS[ms] = 10_000 * float64(len(g.NodesFor(ms)))
+		mss, counts := g.CallCounts()
+		byMS := make(map[string]float64, len(mss))
+		for i, ms := range mss {
+			byMS[ms] = 10_000 * float64(counts[i])
 		}
 		inputs[g.Service] = scaling.Input{
 			Graph:   g,

@@ -141,16 +141,30 @@ func (g *Graph) Len() int { return len(g.nodes) }
 // Microservices returns the sorted set of distinct microservice names in the
 // graph.
 func (g *Graph) Microservices() []string {
-	seen := make(map[string]bool, len(g.nodes))
+	mss, _ := g.CallCounts()
+	return mss
+}
+
+// CallCounts returns the sorted set of distinct microservice names together
+// with, per name, the number of graph positions it occupies: one request to
+// the service calls microservices[i] counts[i] times. One pass over the
+// nodes, so expanding a request rate into per-microservice call rates costs
+// O(nodes) rather than a NodesFor scan per name.
+func (g *Graph) CallCounts() (microservices []string, counts []int) {
+	byName := make(map[string]int, len(g.nodes))
 	for _, n := range g.nodes {
-		seen[n.Microservice] = true
+		byName[n.Microservice]++
 	}
-	out := make([]string, 0, len(seen))
-	for m := range seen {
-		out = append(out, m)
+	microservices = make([]string, 0, len(byName))
+	for m := range byName {
+		microservices = append(microservices, m)
 	}
-	sort.Strings(out)
-	return out
+	sort.Strings(microservices)
+	counts = make([]int, len(microservices))
+	for i, m := range microservices {
+		counts[i] = byName[m]
+	}
+	return microservices, counts
 }
 
 // NodesFor returns all nodes occupied by the named microservice.

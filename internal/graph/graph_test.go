@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -272,6 +273,32 @@ func TestMergeErrors(t *testing.T) {
 	b := New("svc", "B")
 	if _, err := Merge("svc", a, b); err == nil {
 		t.Fatal("expected error for root mismatch")
+	}
+}
+
+// TestCallCountsMatchesNodesForScan: the one-pass multiplicity helper agrees
+// with the per-name scan it replaced, on trees whose names repeat.
+func TestCallCountsMatchesNodesForScan(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := stats.NewRNG(seed)
+		g := randomTree(r, 2+r.Intn(60))
+		mss, counts := g.CallCounts()
+		if len(mss) != len(counts) || !sort.StringsAreSorted(mss) {
+			t.Fatalf("seed %d: CallCounts = %v, %v", seed, mss, counts)
+		}
+		total := 0
+		for i, ms := range mss {
+			if i > 0 && mss[i-1] == ms {
+				t.Fatalf("seed %d: %s listed twice", seed, ms)
+			}
+			if want := len(g.NodesFor(ms)); counts[i] != want || want == 0 {
+				t.Fatalf("seed %d: count[%s] = %d, NodesFor scan says %d", seed, ms, counts[i], want)
+			}
+			total += counts[i]
+		}
+		if total != g.Len() {
+			t.Fatalf("seed %d: counts sum to %d, graph has %d nodes", seed, total, g.Len())
+		}
 	}
 }
 

@@ -2,11 +2,13 @@ package multiplex
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"erms/internal/apps"
 	"erms/internal/graph"
 	"erms/internal/parallel"
+	"erms/internal/profiling"
 	"erms/internal/scaling"
 	"erms/internal/stats"
 	"erms/internal/workload"
@@ -264,6 +266,117 @@ func TestIncrementalOracleUnderRandomMutations(t *testing.T) {
 			}
 			got := planIncremental(t, p, scheme, inputs, loads, shared, ctx)
 			requirePlanBitIdentical(t, want, got, ctx)
+		}
+	}
+}
+
+// tiedInputs builds services sharing P whose own microservices have one and
+// the same model and share, so equal SLAs and loads give bit-equal targets at
+// P: the rank order is then decided by the service-name tie-break alone.
+func tiedInputs(svcs ...string) (map[string]scaling.Input, map[string]map[string]float64, []string) {
+	models := map[string]profiling.Model{"P": constModel{a: 0.002, b: 1}}
+	shares := map[string]float64{"P": 0.0002}
+	inputs := map[string]scaling.Input{}
+	loads := map[string]map[string]float64{}
+	for _, svc := range svcs {
+		own := "own-" + svc
+		g := graph.New(svc, own)
+		g.AddStage(g.Root, "P")
+		models[own] = constModel{a: 0.003, b: 2}
+		shares[own] = 0.0002
+		inputs[svc] = scaling.Input{Graph: g, SLA: workload.P95SLA(svc, 80), Models: models, Shares: shares}
+		loads[svc] = map[string]float64{own: 9000, "P": 9000}
+	}
+	return inputs, loads, []string{"P"}
+}
+
+// TestIncrementalRanksReorderAndTie: the rank order the planner carries from
+// window to window must land where the oracle's from-scratch sort lands — when
+// targets cross, and when they tie exactly and the service name decides, also
+// against the order the previous window left behind. The rank map is handed
+// out again while the order holds and replaced, never edited, when it moves.
+func TestIncrementalRanksReorderAndTie(t *testing.T) {
+	inputs, loads, shared := tiedInputs("svca", "svcb", "svcc")
+	setSLA := func(svc string, ms float64) {
+		in := inputs[svc]
+		in.SLA = workload.P95SLA(svc, ms)
+		inputs[svc] = in
+	}
+	p := NewIncrementalPlanner(nil, 1)
+	var prev *Plan
+	for i, step := range []struct {
+		name   string
+		mutate func()
+		want   map[string]int
+		same   bool // the rank map of the window before is handed out again
+	}{
+		{"tighter SLA ranks first", func() { setSLA("svcc", 40); setSLA("svcb", 60) },
+			map[string]int{"svcc": 0, "svcb": 1, "svca": 2}, false},
+		{"a load change that keeps the order", func() { loads["svca"]["own-svca"] = 12000 },
+			map[string]int{"svcc": 0, "svcb": 1, "svca": 2}, true},
+		{"exact three-way tie falls back to names", func() {
+			setSLA("svcc", 80)
+			setSLA("svcb", 80)
+			loads["svca"]["own-svca"] = 9000
+		}, map[string]int{"svca": 0, "svcb": 1, "svcc": 2}, false},
+		{"nothing changes", func() {}, map[string]int{"svca": 0, "svcb": 1, "svcc": 2}, true},
+		{"one leaves the tie", func() { setSLA("svca", 90) },
+			map[string]int{"svcb": 0, "svcc": 1, "svca": 2}, false},
+	} {
+		step.mutate()
+		want, err := PlanScheme(SchemePriority, inputs, loads, shared)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", step.name, err)
+		}
+		got := planIncremental(t, p, SchemePriority, inputs, loads, shared, step.name)
+		requirePlanBitIdentical(t, want, got, step.name)
+		if !reflect.DeepEqual(got.Ranks["P"], step.want) {
+			t.Fatalf("%s: ranks at P = %v, want %v", step.name, got.Ranks["P"], step.want)
+		}
+		if i > 0 {
+			same := reflect.ValueOf(got.Ranks["P"]).Pointer() == reflect.ValueOf(prev.Ranks["P"]).Pointer()
+			if same != step.same {
+				t.Fatalf("%s: previous rank map handed out again = %v, want %v", step.name, same, step.same)
+			}
+		}
+		prev = got
+	}
+}
+
+// TestIncrementalWorkloadEdgeCasesMatchOracle: what the loads list, and not
+// only its values, decides an FCFS plan — a listed zero at a shared
+// microservice is replaced by the aggregate and plans, an unlisted one stays
+// missing and fails — and the planner reads it the way the oracle does, in
+// every scheme, down to which service's error surfaces.
+func TestIncrementalWorkloadEdgeCasesMatchOracle(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(loads map[string]map[string]float64)
+	}{
+		{"listed zero at the shared microservice", func(l map[string]map[string]float64) { l["svcb"]["P"] = 0 }},
+		{"negative at the shared microservice", func(l map[string]map[string]float64) { l["svcb"]["P"] = -50 }},
+		{"shared microservice not listed", func(l map[string]map[string]float64) { delete(l["svcb"], "P") }},
+		{"private microservice not listed", func(l map[string]map[string]float64) { delete(l["svcc"], "own-svcc") }},
+		{"two services short of a workload", func(l map[string]map[string]float64) {
+			delete(l["svcc"], "P")
+			l["svca"]["own-svca"] = 0
+		}},
+		{"no workloads at all", func(l map[string]map[string]float64) { l["svcb"] = map[string]float64{} }},
+	} {
+		for _, scheme := range []Scheme{SchemePriority, SchemeFCFS, SchemeNonShared} {
+			inputs, loads, shared := tiedInputs("svca", "svcb", "svcc")
+			p := NewIncrementalPlanner(nil, 2)
+			ctx := fmt.Sprintf("%s, %v", tc.name, scheme)
+			planIncremental(t, p, scheme, inputs, loads, shared, ctx+": warm-up")
+			tc.mutate(loads)
+			want, wantErr := PlanScheme(scheme, inputs, loads, shared)
+			got, gotErr := p.PlanScheme(scheme, inputs, loads, shared)
+			if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+				t.Fatalf("%s: error mismatch:\n  incremental: %v\n  oracle:      %v", ctx, gotErr, wantErr)
+			}
+			if wantErr == nil {
+				requirePlanBitIdentical(t, want, got, ctx)
+			}
 		}
 	}
 }

@@ -24,6 +24,11 @@ type InterferenceAware struct {
 	Groups int
 
 	cursor int
+	// pop caches the partition: pop[g] lists the host IDs of group g in ID
+	// order. Membership depends on the host ID alone, so it is valid for any
+	// cluster of popHosts hosts searched with popGroups groups.
+	pop                 [][]int
+	popGroups, popHosts int
 }
 
 var _ kube.Scheduler = (*InterferenceAware)(nil)
@@ -46,33 +51,39 @@ func placementDelta(h *cluster.Host, spec cluster.ContainerSpec, meanCPU, meanMe
 	return dc*dc + dm*dm - before
 }
 
-// group returns the hosts of the POP group with the given index. Membership
-// is a pseudo-random (but deterministic) hash of the host ID rather than a
-// round-robin stripe, so groups do not accidentally align with structured
-// background-load patterns in the cluster (POP [31] likewise partitions
-// randomly).
-func (s *InterferenceAware) group(cl *cluster.Cluster, idx int) []*cluster.Host {
-	hosts := cl.Hosts()
-	if s.Groups <= 1 || s.Groups >= len(hosts) {
-		return hosts
-	}
-	var out []*cluster.Host
-	for _, h := range hosts {
-		hash := uint64(h.ID+1) * 0x9e3779b97f4a7c15
-		if int(hash>>33)%s.Groups == idx {
-			out = append(out, h)
+// group returns the host IDs of the POP group with the given index, in ID
+// order (every host when partitioning is off or there are no more hosts than
+// groups). Membership is a pseudo-random (but deterministic) hash of the host
+// ID rather than a round-robin stripe, so groups do not accidentally align
+// with structured background-load patterns in the cluster (POP [31] likewise
+// partitions randomly). The partition is computed once per (Groups, host
+// count), not per placement.
+func (s *InterferenceAware) group(nHosts, idx int) []int {
+	if s.pop == nil || s.popGroups != s.Groups || s.popHosts != nHosts {
+		groups := s.Groups
+		if groups <= 1 || groups >= nHosts {
+			groups = 1
 		}
+		s.pop = make([][]int, groups)
+		for id := 0; id < nHosts; id++ {
+			hash := uint64(id+1) * 0x9e3779b97f4a7c15
+			g := int(hash>>33) % groups
+			s.pop[g] = append(s.pop[g], id)
+		}
+		s.popGroups, s.popHosts = s.Groups, nHosts
 	}
-	return out
+	return s.pop[idx%len(s.pop)]
 }
 
 // Place picks the feasible host (within the next POP group, falling back to
 // the whole cluster) whose loading least increases the imbalance objective.
 func (s *InterferenceAware) Place(cl *cluster.Cluster, spec cluster.ContainerSpec) (int, error) {
 	meanCPU, meanMem := cl.MeanCPUUtil(), cl.MeanMemUtil()
-	try := func(hosts []*cluster.Host) (int, bool) {
+	hosts := cl.Hosts()
+	try := func(ids []int) (int, bool) {
 		best, bestDelta, found := -1, 0.0, false
-		for _, h := range hosts {
+		for _, id := range ids {
+			h := hosts[id]
 			if !h.Fits(spec) {
 				continue
 			}
@@ -90,7 +101,7 @@ func (s *InterferenceAware) Place(cl *cluster.Cluster, spec cluster.ContainerSpe
 	for attempt := 0; attempt < groups; attempt++ {
 		idx := s.cursor % groups
 		s.cursor++
-		if id, ok := try(s.group(cl, idx)); ok {
+		if id, ok := try(s.group(len(hosts), idx)); ok {
 			return id, nil
 		}
 	}

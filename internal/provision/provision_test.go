@@ -107,6 +107,118 @@ func TestPOPFallsBackAcrossGroups(t *testing.T) {
 	}
 }
 
+// placeScanOracle is Place as it shipped before the POP partition was
+// cached: the group is found by hashing every host of the cluster, for every
+// placement. Kept verbatim as the reference for the cached partition.
+type placeScanOracle struct {
+	Groups int
+	cursor int
+}
+
+func (s *placeScanOracle) group(cl *cluster.Cluster, idx int) []*cluster.Host {
+	hosts := cl.Hosts()
+	if s.Groups <= 1 || s.Groups >= len(hosts) {
+		return hosts
+	}
+	var out []*cluster.Host
+	for _, h := range hosts {
+		hash := uint64(h.ID+1) * 0x9e3779b97f4a7c15
+		if int(hash>>33)%s.Groups == idx {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+func (s *placeScanOracle) Place(cl *cluster.Cluster, spec cluster.ContainerSpec) (int, error) {
+	meanCPU, meanMem := cl.MeanCPUUtil(), cl.MeanMemUtil()
+	try := func(hosts []*cluster.Host) (int, bool) {
+		best, bestDelta, found := -1, 0.0, false
+		for _, h := range hosts {
+			if !h.Fits(spec) {
+				continue
+			}
+			d := placementDelta(h, spec, meanCPU, meanMem)
+			if !found || d < bestDelta {
+				best, bestDelta, found = h.ID, d, true
+			}
+		}
+		return best, found
+	}
+	groups := 1
+	if s.Groups > 1 {
+		groups = s.Groups
+	}
+	for attempt := 0; attempt < groups; attempt++ {
+		idx := s.cursor % groups
+		s.cursor++
+		if id, ok := try(s.group(cl, idx)); ok {
+			return id, nil
+		}
+	}
+	return 0, fmt.Errorf("provision: no host fits container %s", spec.Microservice)
+}
+
+// TestPlaceMatchesGroupScanOracle drives the scheduler and the scanning
+// oracle through the same placements on twin clusters — small hosts that fill
+// up (so groups fall through to the next), hosts failing, recovering and being
+// cordoned on the way, the group count changed and the cluster swapped for one
+// of another size under the same scheduler (the cache's two keys). Every
+// placement must pick the same host, or fail alike.
+func TestPlaceMatchesGroupScanOracle(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		got, want := &InterferenceAware{}, &placeScanOracle{}
+		for round := 0; round < 3; round++ {
+			n := 2 + rng.Intn(60)
+			groups := rng.Intn(8) // 0 and 1 disable partitioning; some exceed n
+			got.Groups, want.Groups = groups, groups
+			a, b := cluster.New(n, cluster.HostSpec{Cores: 1, MemGB: 2}), cluster.New(n, cluster.HostSpec{Cores: 1, MemGB: 2})
+			for step := 0; step < 4*n; step++ {
+				if step%5 == 0 {
+					id := rng.Intn(n)
+					switch rng.Intn(4) {
+					case 0:
+						a.Host(id).SetDown(true)
+						b.Host(id).SetDown(true)
+					case 1:
+						a.Host(id).SetDown(false)
+						b.Host(id).SetDown(false)
+					case 2:
+						a.Host(id).SetCordoned(true)
+						b.Host(id).SetCordoned(true)
+					case 3:
+						bg := workload.Interference{CPU: 0.5 * rng.Float64(), Mem: 0.5 * rng.Float64()}
+						a.SetBackground(id, bg)
+						b.SetBackground(id, bg)
+					}
+				}
+				spec := cluster.ContainerSpec{
+					Microservice: fmt.Sprintf("ms%d", step%7),
+					CPU:          0.05 + 0.2*rng.Float64(),
+					MemMB:        50 + 300*rng.Float64(),
+					Threads:      2,
+				}
+				gotID, gotErr := got.Place(a, spec)
+				wantID, wantErr := want.Place(b, spec)
+				if (gotErr == nil) != (wantErr == nil) || gotID != wantID {
+					t.Fatalf("seed %d round %d (%d hosts, %d groups) step %d: placed on %d (err %v), the scan on %d (err %v)",
+						seed, round, n, groups, step, gotID, gotErr, wantID, wantErr)
+				}
+				if gotErr != nil {
+					continue
+				}
+				if _, err := a.Place(spec, gotID); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := b.Place(spec, wantID); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
 func TestEvictPrefersHotHost(t *testing.T) {
 	cl := hotColdCluster(2)
 	cl.Place(cluster.PaperContainer("a"), 0) // hot host

@@ -1,12 +1,16 @@
 // Compiled plan templates: the per-window hot path of Latency Target
 // Computation, factored so that everything static across reconciler windows
 // (graph validation, the Algorithm-1 merge/chain reduction, unwind order,
-// per-microservice lookups) runs once at Compile time, and the per-window
-// Plan only re-evaluates A_i = a_i·γ_i and the closed-form Eq. 5 split over
-// flat, pre-ordered slices. The evaluation replays the exact float operations
-// of the naive path (same operand order, same summation order, same clamps)
-// so a Template's output is bit-identical to Plan's — the golden experiment
-// tables cannot tell the two apart.
+// per-microservice lookups, call multiplicities) runs once at Compile time,
+// and a window only re-evaluates A_i = a_i·γ_i and the closed-form Eq. 5
+// split over flat, pre-ordered slices: Solve takes the workloads as a vector
+// in the template's microservice order and leaves the result in a caller-
+// owned Eval, Allocation turns that into the name-keyed maps a plan hands
+// out, and Plan is the map-in/map-out composition of the two. The evaluation
+// replays the exact float operations of the naive path (same operand order,
+// same summation order, same clamps, same error precedence) so a Template's
+// output is bit-identical to Plan's — the golden experiment tables cannot
+// tell the two apart.
 package scaling
 
 import (
@@ -42,8 +46,8 @@ type planOp struct {
 
 // Template is a compiled plan for one service: the Algorithm-1 reduction of
 // its dependency graph with per-microservice bindings resolved. Obtain one
-// with Compile; re-evaluate it each window with Plan. A Template is
-// internally locked, so concurrent Plan calls are safe (they serialize);
+// with Compile; re-evaluate it each window with Plan or Solve. A Template is
+// internally locked, so concurrent evaluations are safe (they serialize);
 // distinct Templates never contend.
 type Template struct {
 	// Service names the compiled service (== Graph.Service at compile time).
@@ -53,8 +57,10 @@ type Template struct {
 	slaPercentile float64
 
 	// mss lists the distinct microservices in sorted order; all per-ms
-	// slices below are indexed by position in mss.
+	// slices below are indexed by position in mss. mult is the number of
+	// graph positions each occupies (covered by structHash, like mss).
 	mss    []string
+	mult   []int
 	models []profiling.Model
 	shares []float64
 	caps   []float64
@@ -76,21 +82,70 @@ type Template struct {
 	structHash uint64
 	paramHash  uint64
 
-	mu      sync.Mutex
-	scratch evalScratch
+	// memo holds every model's response at one utilization point, the last
+	// one evaluated: both passes of a window, and every window while the
+	// cluster means hold still, call each model once. The key is the bit
+	// pattern of (cpuUtil, memUtil); the models themselves cannot change under
+	// a template (a swapped model fails ParamsMatch and compiles a new one).
+	mu               sync.Mutex
+	memo             []modelPoint
+	memoCPU, memoMem uint64
+	memoOK           bool
 }
 
-// evalScratch holds the per-evaluation working set, reused across windows so
-// the steady-state path performs no per-op allocation.
-type evalScratch struct {
-	// Per-op state for one pass.
-	A, B, R, p, q []float64
-	target        []float64
-	// Per-microservice state.
-	gamma, aArr, bArr, knee []float64
-	useHigh                 []bool
-	tTarget, tRaw           []float64
+// modelPoint is one model evaluated at one (cpuUtil, memUtil): the knee and
+// both intervals' slope and intercept.
+type modelPoint struct {
+	knee, aHi, bHi, aLo, bLo float64
 }
+
+// Eval is the working set and the result of one template evaluation. It
+// belongs to its caller and serves any template, so a planner that keeps one
+// per goroutine evaluates a window without allocating once the Eval has
+// grown to the largest template it has met; the zero value is ready. After a
+// successful Solve the exported slices hold the outcome in the template's
+// microservice order (Template.Microservices); the next Solve overwrites
+// them.
+type Eval struct {
+	// Targets is the latency target (ms) per microservice.
+	Targets []float64
+	// Raw is the exact (fractional) container requirement.
+	Raw []float64
+	// Containers is Raw rounded up (§7).
+	Containers []int
+	// UsedHigh records which interval of the piece-wise model was used.
+	UsedHigh []bool
+
+	// Per-op state for one pass.
+	a, b, r, p, q, target []float64
+	// seen marks the microservices the unwind has reached in this pass.
+	seen []bool
+	// gamma is Plan's map-to-vector buffer.
+	gamma []float64
+}
+
+// fit sizes the Eval for a template of nOps merge-tree ops over nMS
+// microservices, reusing what it already holds.
+func (e *Eval) fit(nOps, nMS int) {
+	grow := func(buf []float64, n int) []float64 {
+		if cap(buf) < n {
+			return make([]float64, n)
+		}
+		return buf[:n]
+	}
+	e.a, e.b, e.r = grow(e.a, nOps), grow(e.b, nOps), grow(e.r, nOps)
+	e.p, e.q, e.target = grow(e.p, nOps), grow(e.q, nOps), grow(e.target, nOps)
+	e.Targets, e.Raw = grow(e.Targets, nMS), grow(e.Raw, nMS)
+	if cap(e.Containers) < nMS {
+		e.Containers = make([]int, nMS)
+		e.UsedHigh, e.seen = make([]bool, nMS), make([]bool, nMS)
+	}
+	e.Containers, e.UsedHigh, e.seen = e.Containers[:nMS], e.UsedHigh[:nMS], e.seen[:nMS]
+}
+
+// evalPool backs the map-keyed Plan, whose callers (the template cache, the
+// monolithic planner) have no Eval of their own to pass.
+var evalPool = sync.Pool{New: func() any { return new(Eval) }}
 
 // Compile validates the input once, runs the Algorithm-1 merge/chain
 // reduction once, and captures unwind order and per-microservice bindings in
@@ -113,7 +168,7 @@ func Compile(in Input) (*Template, error) {
 		structHash:    structHashOf(in.Graph),
 	}
 	// Distinct microservices in sorted order; index lookup for leaf binding.
-	t.mss = in.Graph.Microservices()
+	t.mss, t.mult = in.Graph.CallCounts()
 	idx := make(map[string]int32, len(t.mss))
 	for i, ms := range t.mss {
 		idx[ms] = int32(i)
@@ -132,15 +187,7 @@ func Compile(in Input) (*Template, error) {
 	}
 	t.paramHash = ph
 
-	n := len(t.ops)
-	m := len(t.mss)
-	t.scratch = evalScratch{
-		A: make([]float64, n), B: make([]float64, n), R: make([]float64, n),
-		p: make([]float64, n), q: make([]float64, n), target: make([]float64, n),
-		gamma: make([]float64, m), aArr: make([]float64, m), bArr: make([]float64, m),
-		knee: make([]float64, m), useHigh: make([]bool, m),
-		tTarget: make([]float64, m), tRaw: make([]float64, m),
-	}
+	t.memo = make([]modelPoint, len(t.mss))
 	return t, nil
 }
 
@@ -199,46 +246,78 @@ func (t *Template) buildPre(oi int32) {
 // Plan evaluates the compiled template for one window: workloads γ and the
 // cluster utilizations are the only fresh inputs. The result is bit-identical
 // to Plan(Input) on the same data — same two-interval recomputation, same
-// clamps, same error formats, same sorted-order ResourceUsage sum.
+// clamps, same error formats, same sorted-order ResourceUsage sum. It is
+// Solve and Allocation over a pooled Eval, with the workloads gathered out of
+// the map first.
 func (t *Template) Plan(workloads map[string]float64, cpuUtil, memUtil float64) (*Allocation, error) {
+	e := evalPool.Get().(*Eval)
+	defer evalPool.Put(e)
+	if cap(e.gamma) < len(t.mss) {
+		e.gamma = make([]float64, len(t.mss))
+	}
+	gamma := e.gamma[:len(t.mss)]
+	for i, ms := range t.mss {
+		// A missing entry reads 0, which Solve reports like the naive path.
+		gamma[i] = workloads[ms]
+	}
+	if err := t.Solve(e, gamma, cpuUtil, memUtil); err != nil {
+		return nil, err
+	}
+	return t.Allocation(e), nil
+}
+
+// Solve runs Latency Target Computation for one window into e: gamma[i] is
+// the workload of Microservices()[i] (read, never written), and on success
+// e's exported slices hold every microservice's target, raw and integer
+// container count and interval. It allocates nothing once e has grown, which
+// makes it the whole of a pass that only wants targets (the initial pass of
+// the priority scheme).
+func (t *Template) Solve(e *Eval, gamma []float64, cpuUtil, memUtil float64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := &t.scratch
+	e.fit(len(t.ops), len(t.mss))
 
 	// Per-window validation: the naive path checks workloads in sorted
 	// microservice order; replay that so the reported microservice matches.
-	for i, ms := range t.mss {
-		g, ok := workloads[ms]
-		if !ok || g <= 0 {
-			return nil, fmt.Errorf("scaling: no workload for microservice %s", ms)
+	for i, g := range gamma[:len(t.mss)] {
+		if g <= 0 {
+			return fmt.Errorf("scaling: no workload for microservice %s", t.mss[i])
 		}
-		s.gamma[i] = g
-		s.useHigh[i] = true
-		// Knee is interval-independent; cache it once per window.
-		s.knee[i] = t.models[i].Knee(cpuUtil, memUtil)
+		e.UsedHigh[i] = true
+	}
+	if cb, mb := math.Float64bits(cpuUtil), math.Float64bits(memUtil); !t.memoOK || cb != t.memoCPU || mb != t.memoMem {
+		for i, m := range t.models {
+			pt := &t.memo[i]
+			pt.knee = m.Knee(cpuUtil, memUtil)
+			pt.aHi, pt.bHi = m.Params(true, cpuUtil, memUtil)
+			pt.aLo, pt.bLo = m.Params(false, cpuUtil, memUtil)
+		}
+		t.memoCPU, t.memoMem, t.memoOK = cb, mb, true
 	}
 
 	// Pass 1: all-high intervals (§5.3.1).
-	if err := t.eval(s, cpuUtil, memUtil); err != nil {
-		return nil, err
+	if err := t.eval(e, gamma); err != nil {
+		return err
 	}
 	// Flip microservices whose allocated target falls below the latency at
 	// the cut-off point, then recompute once with the mixed selection.
 	flipped := false
 	for i := range t.mss {
-		aHi, bHi := t.models[i].Params(true, cpuUtil, memUtil)
-		if s.tTarget[i] < aHi*s.knee[i]+bHi {
-			s.useHigh[i] = false
+		pt := &t.memo[i]
+		if e.Targets[i] < pt.aHi*pt.knee+pt.bHi {
+			e.UsedHigh[i] = false
 			flipped = true
 		}
 	}
 	if flipped {
-		if err := t.eval(s, cpuUtil, memUtil); err != nil {
-			return nil, err
-		}
+		return t.eval(e, gamma)
 	}
+	return nil
+}
 
-	// Materialize the Allocation in the naive shape.
+// Allocation materializes the outcome of a successful Solve on this template
+// in the naive shape: fresh maps, never written again by the template.
+func (t *Template) Allocation(e *Eval) *Allocation {
 	alloc := &Allocation{
 		Service:       t.Service,
 		Targets:       make(map[string]float64, len(t.mss)),
@@ -247,32 +326,24 @@ func (t *Template) Plan(workloads map[string]float64, cpuUtil, memUtil float64) 
 		UsedHigh:      make(map[string]bool, len(t.mss)),
 	}
 	for i, ms := range t.mss {
-		alloc.Targets[ms] = s.tTarget[i]
-		raw := s.tRaw[i]
-		alloc.ContainersRaw[ms] = raw
-		n := int(math.Ceil(raw - 1e-9))
-		if n < 1 {
-			n = 1
-		}
-		alloc.Containers[ms] = n
-		alloc.UsedHigh[ms] = s.useHigh[i]
+		alloc.Targets[ms] = e.Targets[i]
+		alloc.ContainersRaw[ms] = e.Raw[i]
+		alloc.Containers[ms] = e.Containers[i]
+		alloc.UsedHigh[ms] = e.UsedHigh[i]
 		// mss is sorted, so this fold matches the naive sorted-order sum bit
 		// for bit.
-		alloc.ResourceUsage += raw * t.shares[i]
+		alloc.ResourceUsage += e.Raw[i] * t.shares[i]
 	}
-	return alloc, nil
+	return alloc
 }
 
 // eval runs one Latency Target Computation pass over the flat ops: an upward
-// post-order sweep computing the Eq. 7-12 merge coefficients, then a
-// downward pre-order sweep splitting targets by Eq. 5. Every float operation
-// — including summation order — replays the recursive implementation.
-func (t *Template) eval(s *evalScratch, cpuUtil, memUtil float64) error {
-	for i := range t.mss {
-		s.aArr[i], s.bArr[i] = t.models[i].Params(s.useHigh[i], cpuUtil, memUtil)
-		s.tTarget[i] = math.Inf(1)
-		s.tRaw[i] = math.Inf(-1)
-	}
+// post-order sweep computing the Eq. 7-12 merge coefficients, a downward
+// pre-order sweep splitting targets by Eq. 5, then the round-up of every
+// requirement in sorted order. Every float operation — including summation
+// order — and every error's precedence replays the recursive implementation.
+func (t *Template) eval(e *Eval, gamma []float64) error {
+	clear(e.seen)
 
 	// Upward sweep: kids precede parents in ops, so one forward pass
 	// reproduces the bottom-up merge of buildMergeTree.
@@ -281,100 +352,130 @@ func (t *Template) eval(s *evalScratch, cpuUtil, memUtil float64) error {
 		switch op.kind {
 		case opLeaf:
 			mi := op.ms
-			A := s.aArr[mi] * s.gamma[mi]
+			pt := &t.memo[mi]
+			a, b := pt.aHi, pt.bHi
+			if !e.UsedHigh[mi] {
+				a, b = pt.aLo, pt.bLo
+			}
+			A := a * gamma[mi]
 			share := t.shares[mi]
-			s.A[oi], s.B[oi], s.R[oi] = A, s.bArr[mi], share
-			s.p[oi] = math.Sqrt(A * share)
-			s.q[oi] = math.Sqrt(A / share)
+			e.a[oi], e.b[oi], e.r[oi] = A, b, share
+			e.p[oi] = math.Sqrt(A * share)
+			e.q[oi] = math.Sqrt(A / share)
 		case opSeq:
 			var p, q, b float64
 			for _, k := range t.kids[op.kidStart:op.kidEnd] {
-				p += s.p[k]
-				q += s.q[k]
-				b += s.B[k]
+				p += e.p[k]
+				q += e.q[k]
+				b += e.b[k]
 			}
-			s.A[oi], s.B[oi], s.R[oi] = p*q, b, p/q
-			s.p[oi], s.q[oi] = p, q
+			e.a[oi], e.b[oi], e.r[oi] = p*q, b, p/q
+			e.p[oi], e.q[oi] = p, q
 		case opPar:
 			var A, b, ar float64
 			for _, k := range t.kids[op.kidStart:op.kidEnd] {
-				A += s.A[k]
-				if s.B[k] > b {
-					b = s.B[k]
+				A += e.a[k]
+				if e.b[k] > b {
+					b = e.b[k]
 				}
-				ar += s.A[k] * s.R[k]
+				ar += e.a[k] * e.r[k]
 			}
 			r := ar / A
-			s.A[oi], s.B[oi], s.R[oi] = A, b, r
-			s.p[oi] = math.Sqrt(A * r)
-			s.q[oi] = math.Sqrt(A / r)
+			e.a[oi], e.b[oi], e.r[oi] = A, b, r
+			e.p[oi] = math.Sqrt(A * r)
+			e.q[oi] = math.Sqrt(A / r)
 		}
 	}
 
 	// Downward sweep in the recorded pre-order: parents assign child targets
 	// before any descendant is visited, and the first infeasibility
 	// encountered matches the naive DFS error.
-	s.target[t.root] = t.slaThreshold
+	e.target[t.root] = t.slaThreshold
 	for _, oi := range t.pre {
 		op := &t.ops[oi]
-		target := s.target[oi]
+		target := e.target[oi]
 		switch op.kind {
 		case opLeaf:
 			mi := op.ms
-			slack := target - s.B[oi]
+			slack := target - e.b[oi]
 			if slack <= 0 {
 				return fmt.Errorf("%w: microservice %s target %.3fms <= intercept %.3fms",
-					ErrInfeasible, t.mss[mi], target, s.B[oi])
+					ErrInfeasible, t.mss[mi], target, e.b[oi])
 			}
-			n := s.A[oi] / slack
-			gamma := s.gamma[mi]
-			if knee := s.knee[mi]; knee > 0 {
+			n := e.a[oi] / slack
+			g := gamma[mi]
+			if knee := t.memo[mi].knee; knee > 0 {
 				limit := knee
-				if s.useHigh[mi] {
+				if e.UsedHigh[mi] {
 					limit = knee * DomainCapRatio
 				}
-				if minN := gamma / limit; n < minN {
+				if minN := g / limit; n < minN {
 					n = minN
 				}
 			}
 			if t.capOK[mi] && t.caps[mi] > 0 {
-				if minN := gamma / t.caps[mi]; n < minN {
+				if minN := g / t.caps[mi]; n < minN {
 					n = minN
 				}
 			}
-			if target < s.tTarget[mi] {
-				s.tTarget[mi] = target
+			// A microservice occupying several graph positions keeps its
+			// tightest target and largest requirement; the first position sets
+			// both whatever they are, as the naive map insert does.
+			if !e.seen[mi] || target < e.Targets[mi] {
+				e.Targets[mi] = target
 			}
-			if n > s.tRaw[mi] {
-				s.tRaw[mi] = n
+			if !e.seen[mi] || n > e.Raw[mi] {
+				e.Raw[mi] = n
 			}
+			e.seen[mi] = true
 		case opSeq:
-			slack := target - s.B[oi]
+			slack := target - e.b[oi]
 			if slack <= 0 {
 				return fmt.Errorf("%w: service %s: target %.3fms <= path intercepts %.3fms",
-					ErrInfeasible, t.Service, target, s.B[oi])
+					ErrInfeasible, t.Service, target, e.b[oi])
 			}
 			// pSum recomputed the same way the naive unwind recomputes it:
-			// identical operand order makes it bit-equal to s.p[oi].
-			pSum := s.p[oi]
+			// identical operand order makes it bit-equal to e.p[oi].
+			pSum := e.p[oi]
 			for _, k := range t.kids[op.kidStart:op.kidEnd] {
-				s.target[k] = s.B[k] + s.p[k]/pSum*slack
+				e.target[k] = e.b[k] + e.p[k]/pSum*slack
 			}
 		case opPar:
 			for _, k := range t.kids[op.kidStart:op.kidEnd] {
-				s.target[k] = target
+				e.target[k] = target
 			}
 		}
+	}
+
+	// The naive pass rounds every requirement up before it returns, in sorted
+	// order; doing it here keeps an unrepresentable count's error where the
+	// naive path raises it — after this pass's infeasibility checks, before
+	// the interval flip.
+	for i, ms := range t.mss {
+		n, err := containerCount(ms, e.Raw[i])
+		if err != nil {
+			return err
+		}
+		e.Containers[i] = n
 	}
 	return nil
 }
 
 // Microservices returns the template's distinct microservices in sorted
 // order. The returned slice is owned by the template; callers must not
-// mutate it. It is exactly the key set of every map a Plan call returns,
-// which lets incremental callers fold allocations in sorted order without
-// re-sorting every window.
+// mutate it. It is exactly the key set of every map a Plan call returns and
+// the index space of Solve's vectors, which lets incremental callers keep
+// per-microservice state by position instead of by name.
 func (t *Template) Microservices() []string { return t.mss }
+
+// Shares returns the dominant-resource share captured for each of
+// Microservices(), owned by the template like that slice.
+func (t *Template) Shares() []float64 { return t.shares }
+
+// CallCounts is the compiled graph.CallCounts of the service's graph: the
+// sorted microservices and how many graph positions each occupies. Both
+// slices are owned by the template; callers must not mutate them.
+func (t *Template) CallCounts() (microservices []string, counts []int) { return t.mss, t.mult }
 
 // ParamsMatch reports whether the bindings the template captured at compile
 // time — SLA, per-microservice models, shares, and caps — still match in.
@@ -404,20 +505,19 @@ func (t *Template) Matches(in Input) bool {
 	return t.StructMatches(in.Graph) && t.ParamsMatch(in)
 }
 
-// WindowFingerprint hashes the per-window inputs of a Plan call — every
-// microservice's workload in the template's sorted order plus the cluster
+// WindowFingerprint hashes the per-window inputs of an evaluation — the
+// workload vector (template order, as Solve takes it) plus the cluster
 // utilizations. Two windows with equal fingerprints produce bit-identical
 // allocations from an unchanged template, which is what lets an incremental
 // planner skip the replan entirely. ok is false when any workload is
-// missing or non-positive (such a window cannot be skipped: it must replan
-// so the naive error surfaces).
-func (t *Template) WindowFingerprint(workloads map[string]float64, cpuUtil, memUtil float64) (fp uint64, ok bool) {
+// non-positive (such a window cannot be skipped: it must replan so the
+// naive error surfaces).
+func WindowFingerprint(gamma []float64, cpuUtil, memUtil float64) (fp uint64, ok bool) {
 	h := newFNV()
 	h.f64(cpuUtil)
 	h.f64(memUtil)
-	for _, ms := range t.mss {
-		g, present := workloads[ms]
-		if !present || g <= 0 {
+	for _, g := range gamma {
+		if g <= 0 {
 			return 0, false
 		}
 		h.f64(g)
@@ -649,31 +749,42 @@ func (c *TemplateCache) Plan(in Input) (*Allocation, error) {
 	if c == nil {
 		return Plan(in)
 	}
-	if in.Graph == nil {
-		return nil, errors.New("scaling: nil graph")
-	}
-	if t := c.get(in.Graph.Service); t != nil {
-		if structHashOf(in.Graph) == t.structHash {
-			if t.paramsUnchanged(in) {
-				c.hits.Add(1)
-				return t.Plan(in.Workloads, in.CPUUtil, in.MemUtil)
-			}
-			// Bindings are not identical; value-equal replacements (e.g. a
-			// rebuilt model map with the same coefficients) still hit via
-			// the probe hash.
-			ph, err := t.paramHashOf(in)
-			if err == nil && ph == t.paramHash {
-				c.hits.Add(1)
-				return t.Plan(in.Workloads, in.CPUUtil, in.MemUtil)
-			}
-		}
-		c.invalidations.Add(1)
-	}
-	t, err := Compile(in)
+	t, compiled, err := c.Resolve(in)
 	if err != nil {
 		return nil, err
 	}
-	c.compiles.Add(1)
-	c.put(t)
+	if !compiled {
+		c.hits.Add(1)
+	}
 	return t.Plan(in.Workloads, in.CPUUtil, in.MemUtil)
 }
+
+// Resolve returns the service's template, valid for in: the cached one while
+// its graph shape and bindings still match, a freshly compiled one (compiled
+// is true; Compiles and, for a replaced entry, Invalidations count it)
+// otherwise. It is the validation half of Plan, for a caller that evaluates
+// the template itself — several times a window, revalidating with
+// ParamsMatch in between — and reports those evaluations with AddHits.
+func (c *TemplateCache) Resolve(in Input) (t *Template, compiled bool, err error) {
+	if in.Graph == nil {
+		return nil, false, errors.New("scaling: nil graph")
+	}
+	if t := c.get(in.Graph.Service); t != nil {
+		if t.Matches(in) {
+			return t, false, nil
+		}
+		c.invalidations.Add(1)
+	}
+	t, err = Compile(in)
+	if err != nil {
+		return nil, false, err
+	}
+	c.compiles.Add(1)
+	c.put(t)
+	return t, true, nil
+}
+
+// AddHits counts n evaluations of resolved, still-valid templates that did
+// not go through Plan, so Hits keeps meaning one per evaluation served
+// without a compile.
+func (c *TemplateCache) AddHits(n int) { c.hits.Add(uint64(n)) }

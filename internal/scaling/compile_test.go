@@ -2,7 +2,9 @@ package scaling
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -154,6 +156,169 @@ func TestCompiledPlanInfeasibleErrorMatches(t *testing.T) {
 	}
 	if wantErr.Error() != gotErr.Error() {
 		t.Fatalf("error text diverged:\n naive: %s\ncached: %s", wantErr, gotErr)
+	}
+}
+
+// TestUnplannableContainerCountIsAnError: a finite workload large enough that
+// the container count does not fit an int used to convert to a negative
+// number and be clamped to one container. Both paths now refuse it with the
+// same error, naming the first such microservice in sorted order, at the same
+// point of the computation — after that pass's infeasibility check, before
+// the interval flip.
+func TestUnplannableContainerCountIsAnError(t *testing.T) {
+	scaled := func(in Input, by float64) Input {
+		out := in
+		out.Workloads = make(map[string]float64, len(in.Workloads))
+		for ms, g := range in.Workloads {
+			out.Workloads[ms] = g * by
+		}
+		return out
+	}
+	infeasible := scaled(chainInput(t, 4, 200), 1e300)
+	infeasible.SLA.Threshold = 1
+	for name, tc := range map[string]struct {
+		in      Input
+		wantErr string
+	}{
+		"chain":        {scaled(chainInput(t, 4, 200), 1e300), "scaling: microservice ms00 needs"},
+		"two-interval": {scaled(duplicateMSInput(), 1e300), "scaling: microservice front needs"},
+		"infinite":     {scaled(chainInput(t, 4, 200), math.Inf(1)), "scaling: microservice ms00 needs NaN containers"},
+		"infeasible":   {infeasible, ErrInfeasible.Error()},
+		"large":        {scaled(chainInput(t, 4, 200), 1e6), ""},
+	} {
+		want, wantErr := Plan(tc.in)
+		tpl, err := Compile(tc.in)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", name, err)
+		}
+		got, gotErr := tpl.Plan(tc.in.Workloads, tc.in.CPUUtil, tc.in.MemUtil)
+		if tc.wantErr == "" {
+			if wantErr != nil || gotErr != nil {
+				t.Fatalf("%s: naive %v, template %v, want a plan", name, wantErr, gotErr)
+			}
+			requireAllocBitIdentical(t, want, got, name)
+			for ms, raw := range got.ContainersRaw {
+				if n := got.Containers[ms]; float64(n) < raw-1e-9 || float64(n) >= raw+1 {
+					t.Fatalf("%s: %s: %d containers for a requirement of %v", name, ms, n, raw)
+				}
+			}
+			continue
+		}
+		if wantErr == nil || !strings.HasPrefix(wantErr.Error(), tc.wantErr) {
+			t.Fatalf("%s: naive err = %v, want %q...", name, wantErr, tc.wantErr)
+		}
+		if gotErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Fatalf("%s: error text diverged:\n    naive: %v\n template: %v", name, wantErr, gotErr)
+		}
+	}
+}
+
+// utilModel is a two-interval model that responds to both utilizations and
+// counts its evaluations, for the memo tests.
+type utilModel struct {
+	constModel
+	calls *int
+}
+
+func (m utilModel) Knee(cpu, mem float64) float64 {
+	*m.calls++
+	return m.knee / (1 + cpu + 0.5*mem)
+}
+
+func (m utilModel) Params(high bool, cpu, mem float64) (float64, float64) {
+	*m.calls++
+	a, b := m.constModel.Params(high, cpu, mem)
+	return a * (1 + 2*cpu + mem), b * (1 + cpu + 3*mem)
+}
+
+// utilInput is duplicateMSInput over utilization-sensitive models.
+func utilInput(calls *int) Input {
+	in := duplicateMSInput()
+	for ms, m := range in.Models {
+		in.Models[ms] = utilModel{m.(constModel), calls}
+	}
+	in.SLA.Threshold = 200
+	return in
+}
+
+// TestModelMemoKeyedOnBothUtilizations: a template evaluates each model once
+// per utilization point — three calls (knee, high and low interval), whatever
+// the number of passes and graph positions — not at all while the point
+// holds, and again as soon as either coordinate moves, including back to a
+// point seen before and to the same two numbers swapped. Every window equals
+// the naive plan at that window's utilization.
+func TestModelMemoKeyedOnBothUtilizations(t *testing.T) {
+	var calls, naiveCalls int
+	in, naive := utilInput(&calls), utilInput(&naiveCalls)
+	tpl, err := Compile(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perPoint := 3 * len(in.Models)
+	for i, w := range []struct {
+		cpu, mem float64
+		fresh    bool
+	}{
+		{0.2, 0.3, true}, {0.2, 0.3, false}, {0.2, 0.5, true}, {0.4, 0.5, true},
+		{0.4, 0.5, false}, {0.2, 0.3, true}, {0.3, 0.2, true}, {0.3, 0.2, false},
+	} {
+		naive.CPUUtil, naive.MemUtil = w.cpu, w.mem
+		want, err := Plan(naive)
+		if err != nil {
+			t.Fatalf("window %d: naive: %v", i, err)
+		}
+		calls = 0
+		got, err := tpl.Plan(in.Workloads, w.cpu, w.mem)
+		if err != nil {
+			t.Fatalf("window %d: template: %v", i, err)
+		}
+		requireAllocBitIdentical(t, want, got, fmt.Sprintf("window %d", i))
+		if wantCalls := map[bool]int{true: perPoint, false: 0}[w.fresh]; calls != wantCalls {
+			t.Fatalf("window %d at (%v, %v): %d model calls, want %d", i, w.cpu, w.mem, calls, wantCalls)
+		}
+	}
+}
+
+// TestSolveWarmZeroAlloc: evaluating a template into a caller's Eval — all
+// that the priority scheme's initial pass does — allocates nothing once the
+// Eval has grown, whether the utilization holds or moves (a memo refresh).
+func TestSolveWarmZeroAlloc(t *testing.T) {
+	var calls int
+	in := utilInput(&calls)
+	tpl, err := Compile(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mss := tpl.Microservices()
+	gamma := make([]float64, len(mss))
+	for i, ms := range mss {
+		gamma[i] = in.Workloads[ms]
+	}
+	var e Eval
+	cpu := 0.1
+	solve := func() {
+		cpu = 0.5 - cpu // 0.4, 0.1, 0.4, ...
+		for rep := 0; rep < 2; rep++ {
+			if err := tpl.Solve(&e, gamma, cpu, 0.3); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	solve()
+	if allocs := testing.AllocsPerRun(100, solve); allocs != 0 {
+		t.Fatalf("a warm Solve allocates %.1f times, want 0", allocs)
+	}
+	want, err := tpl.Plan(in.Workloads, cpu, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ms := range mss {
+		if e.Targets[i] != want.Targets[ms] || e.Raw[i] != want.ContainersRaw[ms] ||
+			e.Containers[i] != want.Containers[ms] || e.UsedHigh[i] != want.UsedHigh[ms] {
+			t.Fatalf("%s: Solve left %v/%v/%d/%v, Plan says %v/%v/%d/%v", ms,
+				e.Targets[i], e.Raw[i], e.Containers[i], e.UsedHigh[i],
+				want.Targets[ms], want.ContainersRaw[ms], want.Containers[ms], want.UsedHigh[ms])
+		}
 	}
 }
 

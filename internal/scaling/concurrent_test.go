@@ -7,11 +7,11 @@ import (
 )
 
 // TestTemplateCacheConcurrent hammers one TemplateCache from many
-// goroutines the way the sharded planner does: concurrent Plan calls for
-// overlapping services, mixed with Template/Stats/Len reads, including two
-// parameter variants of the same service racing to recompile each other's
-// template. Run under -race in ci.sh; results must stay bit-identical to
-// the naive planner throughout.
+// goroutines the way the planners do: concurrent Plan calls for overlapping
+// services, mixed with Resolve + Solve on private Evals and Stats/Len reads,
+// including two parameter variants of the same service racing to recompile
+// each other's template. Run under -race in ci.sh; results must stay
+// bit-identical to the naive planner throughout.
 func TestTemplateCacheConcurrent(t *testing.T) {
 	const services = 8
 	type variant struct {
@@ -46,6 +46,8 @@ func TestTemplateCacheConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var e Eval
+			var gamma []float64
 			for it := 0; it < iters; it++ {
 				v := vars[(w+it)%services][(w+it/3)%2]
 				got, err := cache.Plan(v.in)
@@ -65,12 +67,32 @@ func TestTemplateCacheConcurrent(t *testing.T) {
 						w, it, got.ResourceUsage, v.want.ResourceUsage)
 					return
 				}
-				// Reads the planner interleaves with planning.
-				if tpl := cache.Template(v.in.Graph.Service); tpl != nil {
-					_ = tpl.Microservices()
-					_ = tpl.Matches(v.in)
-					_, _ = tpl.WindowFingerprint(v.in.Workloads, v.in.CPUUtil, v.in.MemUtil)
+				// What the incremental planner does instead of Plan: resolve
+				// once, then evaluate the template on a vector with its own
+				// Eval — here racing other workers on the same template.
+				tpl, _, err := cache.Resolve(v.in)
+				if err != nil {
+					errs <- fmt.Errorf("worker %d iter %d: resolve: %v", w, it, err)
+					return
 				}
+				mss := tpl.Microservices()
+				gamma = gamma[:0]
+				for _, ms := range mss {
+					gamma = append(gamma, v.in.Workloads[ms])
+				}
+				if err := tpl.Solve(&e, gamma, v.in.CPUUtil, v.in.MemUtil); err != nil {
+					errs <- fmt.Errorf("worker %d iter %d: solve: %v", w, it, err)
+					return
+				}
+				for i, ms := range mss {
+					if e.Targets[i] != v.want.Targets[ms] || e.Containers[i] != v.want.Containers[ms] {
+						errs <- fmt.Errorf("worker %d iter %d: solved %s to %v/%d, want %v/%d", w, it, ms,
+							e.Targets[i], e.Containers[i], v.want.Targets[ms], v.want.Containers[ms])
+						return
+					}
+				}
+				_ = tpl.Matches(v.in)
+				_, _ = WindowFingerprint(gamma, v.in.CPUUtil, v.in.MemUtil)
 				_ = cache.Stats()
 				_ = cache.Len()
 			}

@@ -335,14 +335,30 @@ func compute(in Input, useHigh map[string]bool) (*Allocation, error) {
 	// (map iteration order would perturb the low bits).
 	for _, ms := range sortutil.Keys(alloc.ContainersRaw) {
 		raw := alloc.ContainersRaw[ms]
-		n := int(math.Ceil(raw - 1e-9))
-		if n < 1 {
-			n = 1
+		n, err := containerCount(ms, raw)
+		if err != nil {
+			return nil, err
 		}
 		alloc.Containers[ms] = n
 		alloc.ResourceUsage += raw * in.Shares[ms]
 	}
 	return alloc, nil
+}
+
+// containerCount rounds a raw requirement up to whole containers (§7: Erms
+// rounds up; at least one). A requirement that is not finite or exceeds
+// math.MaxInt32 is an error naming the microservice: the float-to-int
+// conversion is undefined there (it used to come back negative and be
+// clamped to one container), and no cluster deploys two billion replicas.
+func containerCount(ms string, raw float64) (int, error) {
+	if math.IsNaN(raw) || math.IsInf(raw, 0) || raw > math.MaxInt32 {
+		return 0, fmt.Errorf("scaling: microservice %s needs %v containers, which cannot be planned", ms, raw)
+	}
+	n := int(math.Ceil(raw - 1e-9))
+	if n < 1 {
+		n = 1
+	}
+	return n, nil
 }
 
 // SequentialClosedForm evaluates Eq. 5 directly for a chain of sequential

@@ -84,7 +84,10 @@ bench6() {
 
 	# Fold into BENCH_6.json: mean ns/op for the monolithic compiled planner
 	# vs the incremental planner at 10% dirty services per window. The
-	# acceptance gate for PR 6 is compiled / incremental >= 5.
+	# acceptance gate for PR 6 is compiled / incremental >= 5, on the aligned
+	# victims at frozen utilization it was defined on; the live-* pair
+	# (scattered victims, utilization moving every window: nothing skipped) is
+	# reported beside it, not gated.
 	awk -v json="$JSON" '
 	/^Benchmark/ {
 		name = $1
@@ -103,10 +106,18 @@ bench6() {
 		printf "  \"compiled_ns_per_window\": %.0f,\n", comp >> json
 		printf "  \"incremental_ns_per_window\": %.0f,\n", incr >> json
 		printf "  \"speedup\": %.2f,\n", speedup >> json
+		lc = "BenchmarkIncrementalVsCompiled/live-compiled"
+		li = "BenchmarkIncrementalVsCompiled/live-incremental"
+		if (cnt[lc] > 0 && cnt[li] > 0) {
+			printf "  \"live_compiled_ns_per_window\": %.0f,\n", ns[lc] / cnt[lc] >> json
+			printf "  \"live_incremental_ns_per_window\": %.0f,\n", ns[li] / cnt[li] >> json
+			printf "  \"live_speedup\": %.2f,\n", (ns[lc] / cnt[lc]) / (ns[li] / cnt[li]) >> json
+		}
 		printf "  \"gate\": \"speedup >= 5\",\n" >> json
 		printf "  \"pass\": %s\n", (speedup >= 5 ? "true" : "false") >> json
 		printf "}\n" >> json
 		printf "bench6 speedup: %.2fx (gate >= 5): %s\n", speedup, (speedup >= 5 ? "PASS" : "FAIL")
+		if (cnt[li] > 0) printf "bench6 live traffic: incremental %.1f ms/window (reported, not gated)\n", ns[li] / cnt[li] / 1e6
 	}' "$OUT"
 	echo "wrote $OUT and $JSON"
 }

@@ -27,9 +27,10 @@ echo "== benchmark module (vet + test against this checkout's internal/ API) =="
 # on a nil recorder is free, and the simulator stays allocation-free in
 # steady state — the event loop, and on top of it a whole request (issue,
 # route, queue, process, downstream stages, return) with the resilience layer
-# compiled in but disabled.
-echo "== zero-alloc gates (obs disabled path, sim engine and whole request) =="
-go test -run 'ZeroAlloc' -count=1 ./internal/obs ./internal/sim
+# compiled in but disabled — and a warm plan-template evaluation (the whole of
+# the planner's initial pass) allocates nothing either.
+echo "== zero-alloc gates (obs disabled path, sim engine and whole request, template Solve) =="
+go test -run 'ZeroAlloc' -count=1 ./internal/obs ./internal/sim ./internal/scaling
 
 # The race pass above runs every package once at the default worker count.
 # Re-run the chaos determinism gate explicitly at two pool sizes: the fault
@@ -170,14 +171,23 @@ echo "== bench7 smoke (1 iteration) =="
 BENCH_SMOKE=1 BENCH_OUT=/tmp/bench_7_smoke.txt BENCH_JSON=/tmp/BENCH_7_smoke.json \
 	scripts/bench.sh bench7 >/dev/null
 
-# The control-window ratio gate (PR 14). On scale1k-control (1000 services,
-# ~11 860 replicas, 2000 hosts) a Repair that repairs nothing and a Rebalance
-# that moves nothing must together cost less than the planner: they ran 11x
-# the planner each while CountFor scanned every container and Rebalance tried
-# every move for real. A ratio of two phases of one traced run, so it holds
-# on a slow sandbox hour; the run's own checks (digest, replicas, plan
-# oracle) must pass too.
-echo "== control-window ratio gate (scale1k-control: repair + rebalance < plan) =="
+# The control-window gates (PR 14, PR 17), all read off one traced run of
+# scale1k-control (1000 services, ~11 860 replicas, 2000 hosts) and all
+# machine-independent — two ratios of phases of that one run and one count:
+#
+#   repair + rebalance < plan        a Repair that repairs nothing and a
+#       Rebalance that moves nothing cost less than the planner (they ran 11x
+#       the planner each while CountFor scanned every container and Rebalance
+#       tried every move for real; ~2 ms against ~20 ms now);
+#   plan x 8 < monolithic plan       a window through Controller.Plan against
+#       the from-scratch compiled planner on the same inputs in the probe
+#       window (the ratio was 5.5 while the incremental planner re-derived
+#       names, multiplicities and ranks through maps every window; ~25 now);
+#   core.plan_allocs <= 80000        heap allocations of one Controller.Plan
+#       (~190 000 before, ~17 500 now: what a plan hands out, little else).
+#
+# The run's own checks (digest, replicas, plan oracle) must pass too.
+echo "== control-window gates (scale1k-control: repair + rebalance < plan, plan x 8 < monolithic, plan allocs) =="
 res=$(bash bench/run.sh --workload scale1k-control --seed 1 --seconds 1 --trace 1 | tail -n 1)
 case "$res" in
 '{"correct":true,'*) ;;
@@ -186,9 +196,11 @@ case "$res" in
 	exit 1
 	;;
 esac
-layer_ms() { printf '%s\n' "$res" | sed -n "s/.*\"$1\":{\"value\":\([^,}]*\).*/\1/p"; }
-awk -v repair="$(layer_ms 'kube\.repair_ms')" -v rebalance="$(layer_ms 'provision\.rebalance_ms')" \
-	-v plan="$(layer_ms 'core\.plan_ms')" 'BEGIN {
-	printf "repair %.2f ms + rebalance %.2f ms vs plan %.2f ms\n", repair, rebalance, plan
-	exit !(plan > 0 && repair + rebalance < plan)
+layer() { printf '%s\n' "$res" | sed -n "s/.*\"$1\":{\"value\":\([^,}]*\).*/\1/p"; }
+awk -v repair="$(layer 'kube\.repair_ms')" -v rebalance="$(layer 'provision\.rebalance_ms')" \
+	-v plan="$(layer 'core\.plan_ms')" -v mono="$(layer 'multiplex\.monolithic_plan_ms')" \
+	-v allocs="$(layer 'core\.plan_allocs')" 'BEGIN {
+	printf "repair %.2f ms + rebalance %.2f ms vs plan %.2f ms vs monolithic plan %.2f ms; %d allocations per plan\n",
+		repair, rebalance, plan, mono, allocs
+	exit !(plan > 0 && repair + rebalance < plan && plan * 8 < mono && allocs > 0 && allocs <= 80000)
 }'
