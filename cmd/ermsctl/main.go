@@ -61,8 +61,7 @@ func main() {
 		loadApp  = flag.String("load-app", "", "load the application from a JSON file (overrides -app)")
 		workers  = flag.Int("parallel", 0, "worker-pool size for independent simulation runs (0 = GOMAXPROCS); output is identical at any value")
 
-		simMode  = flag.String("sim-mode", "exact", "evaluation engine fidelity: exact (discrete events everywhere) or hybrid (analytic fluid model for far-from-knee microservices)")
-		simParts = flag.Int("sim-partitions", 0, "concurrent sharing-group partition tasks for -evaluate (0 = one per group; with -sim-mode exact any value is byte-identical to the serial engine)")
+		simMode = flag.String("sim-mode", "exact", "evaluation engine fidelity: exact (discrete events everywhere, one serial engine) or hybrid (analytic fluid model for far-from-knee microservices, one partition per sharing group)")
 
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (view with `go tool pprof`)")
 		memProf = flag.String("memprofile", "", "write a heap profile at exit to this file")
@@ -294,7 +293,6 @@ func main() {
 		default:
 			log.Fatalf("-sim-mode %q: want exact or hybrid", *simMode)
 		}
-		evalOpts.SimPartitions = *simParts
 		res, err := sys.EvaluateWithOpts(plan, rates, *duration, 0.3, *seed, evalOpts)
 		if err != nil {
 			log.Fatal(err)
@@ -391,7 +389,7 @@ func flagWasSet(name string) bool {
 var specConflicts = []string{
 	"app", "services", "rate", "rates", "scheme", "hosts", "seed", "minutes",
 	"plan", "evaluate", "profile", "dot", "save-plan", "save-app", "load-app",
-	"sim-mode", "sim-partitions",
+	"sim-mode",
 }
 
 // rejectSpecConflicts fails fast when -spec is combined with flags the spec

@@ -45,7 +45,7 @@ func TestWindowedFlagsAreGone(t *testing.T) {
 	for _, name := range []string{
 		"chaos", "chaos-windows", "chaos-naive", "drift", "drift-threshold", "drift-consecutive",
 		"resilience", "timeout-sla", "attempt-timeout", "retries", "retry-budget", "breaker", "shed",
-		"plan-windows", "dirty-frac",
+		"plan-windows", "dirty-frac", "sim-partitions",
 	} {
 		_, stderr, exit := ermsctl(t, "-"+name+"=1")
 		if exit == 0 || !strings.Contains(stderr, "flag provided but not defined: -"+name) {

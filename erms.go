@@ -27,7 +27,6 @@ import (
 	"erms/internal/apps"
 	"erms/internal/cluster"
 	"erms/internal/core"
-	"erms/internal/drift"
 	"erms/internal/kube"
 	"erms/internal/multiplex"
 	"erms/internal/obs"
@@ -98,11 +97,6 @@ const (
 	SimHybrid = sim.SimHybrid
 )
 
-// Resilience configures the data-plane fault model: deadline propagation,
-// budgeted retries, circuit breaking, admission control, and crash failure
-// semantics (see sim.Resilience).
-type Resilience = sim.Resilience
-
 // OfflineConfig drives empirical profiling sweeps.
 type OfflineConfig = core.OfflineConfig
 
@@ -116,13 +110,11 @@ type System struct {
 type Option func(*config)
 
 type config struct {
-	hosts      int
-	hostSpec   cluster.HostSpec
-	scheme     Scheme
-	delta      float64
-	popGroups  int
-	resilience *Resilience
-	driftCfg   *DriftConfig
+	hosts     int
+	hostSpec  cluster.HostSpec
+	scheme    Scheme
+	delta     float64
+	popGroups int
 }
 
 // WithHosts sets the cluster size (default 20, the paper's testbed).
@@ -142,22 +134,6 @@ func WithDelta(d float64) Option { return func(c *config) { c.delta = d } }
 // WithPOPGroups sets the provisioning partition count (default 4).
 func WithPOPGroups(g int) Option { return func(c *config) { c.popGroups = g } }
 
-// WithResilience enables the data-plane fault model in every evaluation
-// simulation (nil, the default, keeps the infallible data plane).
-func WithResilience(r *Resilience) Option { return func(c *config) { c.resilience = r } }
-
-// DriftConfig tunes the online profiling drift detector (see package drift;
-// the zero value applies documented defaults).
-type DriftConfig = drift.Config
-
-// WithDriftDetection enables the online profiling drift loop: every
-// reconciliation window the live latency samples are scored against the
-// current models, and a microservice whose observations stay past the
-// threshold for consecutive windows gets its model re-fitted and swapped
-// in. Off by default; windows must span at least two whole minutes for the
-// detector to see any samples.
-func WithDriftDetection(cfg DriftConfig) Option { return func(c *config) { c.driftCfg = &cfg } }
-
 // NewSystem creates an Erms system managing the application on a fresh
 // simulated cluster with interference-aware provisioning.
 func NewSystem(app *App, opts ...Option) (*System, error) {
@@ -173,25 +149,15 @@ func NewSystem(app *App, opts ...Option) (*System, error) {
 	}
 	cl := cluster.New(cfg.hosts, cfg.hostSpec)
 	orch := kube.New(cl, nil)
-	coreOpts := []core.Option{
+	ctrl, err := core.New(app, orch,
 		core.WithScheme(cfg.scheme),
 		core.WithDelta(cfg.delta),
-		core.WithScheduler(&provision.InterferenceAware{Groups: cfg.popGroups}),
-		core.WithResilience(cfg.resilience),
-	}
-	if cfg.driftCfg != nil {
-		coreOpts = append(coreOpts, core.WithDriftDetection(*cfg.driftCfg))
-	}
-	ctrl, err := core.New(app, orch, coreOpts...)
+		core.WithScheduler(&provision.InterferenceAware{Groups: cfg.popGroups}))
 	if err != nil {
 		return nil, err
 	}
 	return &System{ctrl: ctrl}, nil
 }
-
-// SetResilience enables (or, with nil, disables) the data-plane fault model
-// for subsequent evaluations.
-func (s *System) SetResilience(r *Resilience) { s.ctrl.Resilience = r }
 
 // UseAnalyticModels installs first-principles latency models derived from
 // the application's service profiles — the fast path. ProfileOffline
@@ -231,11 +197,6 @@ func (s *System) EvaluateWithOpts(plan *Plan, rates map[string]float64, duration
 		return nil, err
 	}
 	return s.ctrl.EvaluateDeployed(plan, rates, durationMin, warmupMin, seed, opts)
-}
-
-// PlanAndEvaluate is Plan followed by Evaluate.
-func (s *System) PlanAndEvaluate(rates map[string]float64, durationMin, warmupMin float64, seed uint64) (*EvalResult, error) {
-	return s.ctrl.Evaluate(rates, durationMin, warmupMin, seed)
 }
 
 // SetBackground injects colocated batch-job interference on one host (the

@@ -40,11 +40,6 @@ func WithDelta(d float64) Option {
 	return func(c *Controller) { c.Delta = d }
 }
 
-// WithInterferenceModel overrides the service-time inflation model.
-func WithInterferenceModel(m cluster.InterferenceModel) Option {
-	return func(c *Controller) { c.Interference = m }
-}
-
 // WithScheduler overrides the placement scheduler (default: the caller's
 // orchestrator scheduler is kept).
 func WithScheduler(s kube.Scheduler) Option {
@@ -89,7 +84,12 @@ type Controller struct {
 
 	// Metrics is the Prometheus-substitute store scraped every window.
 	Metrics *metrics.Store
-	// Coordinator collects spans when simulations run with tracing enabled.
+	// Coordinator holds the sampled spans of the most recent evaluation:
+	// EvaluateDeployed empties it before each simulation, because trace IDs
+	// restart with every run and a window kept would merge into the next.
+	// It observes every evaluation whether or not anything reads it: the
+	// simulator draws a request's sampling decision only when an observer
+	// is set, so detaching it would shift the RNG stream.
 	Coordinator *trace.Coordinator
 	// Obs is the control plane's self-observability recorder. Nil (the
 	// default) disables self-telemetry at zero cost; when set, the
@@ -540,6 +540,7 @@ func (c *Controller) EvaluateDeployed(plan *multiplex.Plan, rates map[string]flo
 		Resilience:     c.Resilience,
 		Streams:        opts.Streams,
 	}
+	c.Coordinator.Reset()
 	res, err := sim.Run(cfg, sim.PartitionOpts{
 		Mode:       opts.SimMode,
 		Partitions: opts.SimPartitions,

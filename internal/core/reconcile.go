@@ -9,7 +9,6 @@ import (
 	"erms/internal/provision"
 	"erms/internal/sim"
 	"erms/internal/stats"
-	"erms/internal/workload"
 )
 
 // Reconciler runs the periodic control loop of Fig. 6: every window it
@@ -17,7 +16,7 @@ import (
 // (with scale-down hysteresis to avoid container churn), and measures the
 // window's real behaviour in the simulator.
 //
-// The loop is resilient by default: replacement scheduling re-places
+// The loop is resilient: replacement scheduling re-places
 // containers lost to failed hosts before planning, transient plan/apply
 // failures are retried with deterministic exponential backoff, and a window
 // whose planning fails outright falls back to the last good plan instead of
@@ -40,25 +39,6 @@ type Reconciler struct {
 	// utilization imbalance (§5.4). 0 disables rebalancing.
 	RebalanceMoves int
 
-	// MaxRetries bounds re-attempts of a failed plan or apply within one
-	// window. 0 disables retrying (the naive loop). Default 2.
-	MaxRetries int
-	// BackoffMin is the base of the exponential backoff between retries in
-	// simulated minutes: attempt k waits BackoffMin·2^k·(1+jitter), with
-	// jitter drawn deterministically from the window's seed. The accumulated
-	// delay is recorded in the WindowReport (the loop runs in simulated
-	// time, so nothing sleeps). Default 0.05.
-	BackoffMin float64
-	// BackoffJitter scales the seed-driven jitter fraction. Default 0.5.
-	BackoffJitter float64
-	// ReuseLastPlan enables degraded mode: when planning (or applying) still
-	// fails after MaxRetries, the window runs on the last successfully
-	// applied plan instead of aborting. Default true.
-	ReuseLastPlan bool
-	// RepairLost enables replacement scheduling: before planning, containers
-	// lost to failed hosts are re-placed up to each deployment's desired
-	// replica count. Default true.
-	RepairLost bool
 	// Chaos, when non-nil, injects faults into the loop: transient
 	// control-plane operation errors, per-window container/host outages for
 	// the simulation, and observability gaps. Implemented by chaos.Injector.
@@ -80,9 +60,23 @@ type Reconciler struct {
 	// NewReconciler inherits the controller's recorder.
 	Obs *obs.Recorder
 
-	history  []WindowReport
+	window   int // windows completed so far
 	lastPlan *multiplex.Plan
 }
+
+// The loop's resilience parameters.
+const (
+	// maxRetries bounds re-attempts of a failed plan or apply within one
+	// window; past it the window degrades to the last good plan.
+	maxRetries = 2
+	// backoffMin is the base of the exponential backoff between retries in
+	// simulated minutes: attempt k waits backoffMin·2^k·(1+jitter), with
+	// jitter = backoffJitter·U[0,1) drawn from the window's seed. The
+	// accumulated delay is recorded in the WindowReport (the loop runs in
+	// simulated time, so nothing sleeps).
+	backoffMin    = 0.05
+	backoffJitter = 0.5
+)
 
 // ChaosHook is the fault-injection surface the loop consults each window.
 type ChaosHook interface {
@@ -145,45 +139,22 @@ type WindowReport struct {
 	// (sim.Result.StreamMinutes: minutes × streams, window-local minutes,
 	// warm-up excluded) — the raw material of a spec run's timeline. Nil
 	// unless the window ran cohort streams (StreamsFor). The report keeps
-	// these rows only, never the sim.Result they came from, so a long
-	// History stays small.
+	// these rows only, never the sim.Result they came from.
 	StreamMinutes []sim.StreamMinute `json:"-"`
 }
 
-// NewReconciler wraps a controller with default loop parameters (resilience
-// enabled). The controller's self-observability recorder, if any, is
-// inherited.
+// NewReconciler wraps a controller with default loop parameters. The
+// controller's self-observability recorder, if any, is inherited.
 func NewReconciler(c *Controller) *Reconciler {
-	r := &Reconciler{
-		C: c, WindowMin: 1.5, WarmupMin: 0.3, DownscaleSlack: 0.15,
-		MaxRetries: 2, BackoffMin: 0.05, BackoffJitter: 0.5,
-		ReuseLastPlan: true, RepairLost: true,
-	}
+	r := &Reconciler{C: c, WindowMin: 1.5, WarmupMin: 0.3, DownscaleSlack: 0.15}
 	if c != nil {
 		r.Obs = c.Obs
 	}
 	return r
 }
 
-// Naive disables every resilience mechanism (no retry, no degraded mode, no
-// replacement scheduling) — the pre-fault-model loop that aborts on the
-// first error, kept as the experimental baseline.
-func (r *Reconciler) Naive() *Reconciler {
-	r.MaxRetries = 0
-	r.ReuseLastPlan = false
-	r.RepairLost = false
-	return r
-}
-
 // Window returns the index of the window the next Step runs.
-func (r *Reconciler) Window() int { return len(r.history) }
-
-// History returns the reports of all completed windows.
-func (r *Reconciler) History() []WindowReport {
-	out := make([]WindowReport, len(r.history))
-	copy(out, r.history)
-	return out
-}
+func (r *Reconciler) Window() int { return r.window }
 
 // LastPlan returns the most recently applied plan (nil before the first
 // successful window).
@@ -226,7 +197,7 @@ func (r *Reconciler) opError(window int, op string, attempt int) error {
 	return r.Chaos.OpError(window, op, attempt)
 }
 
-// withRetry runs op up to 1+MaxRetries times, accumulating deterministic
+// withRetry runs op up to 1+maxRetries times, accumulating deterministic
 // exponential backoff (in simulated minutes) into the report.
 func (r *Reconciler) withRetry(window int, op string, rng *stats.RNG, rep *WindowReport, f func() error) error {
 	for attempt := 0; ; attempt++ {
@@ -237,15 +208,11 @@ func (r *Reconciler) withRetry(window int, op string, rng *stats.RNG, rep *Windo
 		if err == nil {
 			return nil
 		}
-		if attempt >= r.MaxRetries {
+		if attempt >= maxRetries {
 			return err
 		}
 		rep.Retries++
-		backoff := r.BackoffMin * float64(uint(1)<<uint(attempt))
-		if r.BackoffJitter > 0 {
-			backoff *= 1 + r.BackoffJitter*rng.Float64()
-		}
-		rep.BackoffMin += backoff
+		rep.BackoffMin += backoffMin * float64(uint(1)<<uint(attempt)) * (1 + backoffJitter*rng.Float64())
 	}
 }
 
@@ -310,12 +277,9 @@ func (r *Reconciler) Step(rates map[string]float64, seed uint64) (*WindowReport,
 
 	// Replacement scheduling: converge live containers back to desired
 	// replicas before planning, so the planner sees the true capacity.
-	if r.RepairLost {
-		sp := r.Obs.StartSpan(obs.PhaseRepair, w)
-		replaced, _ := r.C.Orch.Repair() // best-effort; a degraded cluster plans with what it has
-		r.notePhase(&report, obs.PhaseRepair, sp)
-		report.Repaired = replaced
-	}
+	spRepair := r.Obs.StartSpan(obs.PhaseRepair, w)
+	report.Repaired, _ = r.C.Orch.Repair() // best-effort; a degraded cluster plans with what it has
+	r.notePhase(&report, obs.PhaseRepair, spRepair)
 
 	spPlan := r.Obs.StartSpan(obs.PhasePlan, w)
 	plan := (*multiplex.Plan)(nil)
@@ -328,7 +292,7 @@ func (r *Reconciler) Step(rates map[string]float64, seed uint64) (*WindowReport,
 	})
 	r.notePhase(&report, obs.PhasePlan, spPlan)
 	if err != nil {
-		if !r.ReuseLastPlan || r.lastPlan == nil {
+		if r.lastPlan == nil {
 			return nil, fmt.Errorf("core: reconcile plan: %w", err)
 		}
 		plan = r.lastPlan
@@ -345,18 +309,15 @@ func (r *Reconciler) Step(rates map[string]float64, seed uint64) (*WindowReport,
 		return e
 	})
 	r.notePhase(&report, obs.PhaseApply, spApply)
-	switch {
-	case err == nil:
+	if err == nil {
 		r.lastPlan = plan
-	case r.ReuseLastPlan:
+	} else {
 		// Apply failed past the retry budget (rollback already restored the
 		// previous deployment). Run the window on whatever is deployed.
 		report.Degraded = true
 		if r.lastPlan != nil {
 			plan = r.lastPlan
 		}
-	default:
-		return nil, err
 	}
 
 	if r.RebalanceMoves > 0 {
@@ -382,9 +343,6 @@ func (r *Reconciler) Step(rates map[string]float64, seed uint64) (*WindowReport,
 	res, err := r.C.EvaluateDeployed(plan, rates, r.WindowMin, r.WarmupMin, seed, opts)
 	r.notePhase(&report, obs.PhaseEvaluate, spEval)
 	if err != nil {
-		if !r.ReuseLastPlan {
-			return nil, err
-		}
 		// The window cannot be measured — typically a microservice with zero
 		// live containers on a degraded cluster. Count it as a full outage:
 		// every service's requests had nowhere to go.
@@ -396,7 +354,7 @@ func (r *Reconciler) Step(rates map[string]float64, seed uint64) (*WindowReport,
 		}
 		report.Containers = r.C.Orch.Cluster().NumContainers()
 		r.finishWindow(&report)
-		r.history = append(r.history, report)
+		r.window++
 		return &report, nil
 	}
 	report.Containers = plan.TotalContainers()
@@ -413,36 +371,6 @@ func (r *Reconciler) Step(rates map[string]float64, seed uint64) (*WindowReport,
 	// cache treats each swap as a single-service invalidation.
 	report.ModelSwaps = len(r.C.ObserveDrift(res.Sim))
 	r.finishWindow(&report)
-	r.history = append(r.history, report)
+	r.window++
 	return &report, nil
-}
-
-// Run drives the loop for the given number of windows, sampling each
-// service's pattern at the window start — the §6.3.2 dynamic-workload
-// experiment as a reusable component.
-func (r *Reconciler) Run(patterns map[string]workload.Pattern, windows int, seed uint64) ([]WindowReport, error) {
-	if windows <= 0 {
-		return nil, errors.New("core: need at least one window")
-	}
-	for _, g := range r.C.App.Graphs {
-		if _, ok := patterns[g.Service]; !ok {
-			return nil, fmt.Errorf("core: no pattern for service %s", g.Service)
-		}
-	}
-	start := len(r.history)
-	for w := 0; w < windows; w++ {
-		t := float64(w) * r.WindowMin
-		rates := make(map[string]float64, len(patterns))
-		for svc, p := range patterns {
-			rate := p.RateAt(t)
-			if rate <= 0 {
-				rate = 1
-			}
-			rates[svc] = rate
-		}
-		if _, err := r.Step(rates, seed+uint64(w)); err != nil {
-			return nil, err
-		}
-	}
-	return r.History()[start:], nil
 }

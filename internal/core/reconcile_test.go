@@ -3,6 +3,9 @@ package core
 import (
 	"testing"
 
+	"erms/internal/apps"
+	"erms/internal/cluster"
+	"erms/internal/kube"
 	"erms/internal/workload"
 )
 
@@ -11,18 +14,14 @@ func TestReconcilerTracksWorkload(t *testing.T) {
 	r := NewReconciler(c)
 	r.WindowMin = 1.0
 
-	patterns := map[string]workload.Pattern{}
 	// Ramp: the load triples over the run.
-	trace := workload.Trace{Rates: []float64{10_000, 20_000, 30_000}, StepMin: 1}
-	for _, svc := range c.App.Services() {
-		patterns[svc] = trace
-	}
-	reports, err := r.Run(patterns, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 3 {
-		t.Fatalf("reports = %d", len(reports))
+	var reports []*WindowReport
+	for w, rate := range []float64{10_000, 20_000, 30_000} {
+		rep, err := r.Step(hotelRates(rate), 5+uint64(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, rep)
 	}
 	if reports[2].Containers <= reports[0].Containers {
 		t.Fatalf("containers did not grow with load: %d -> %d",
@@ -35,8 +34,8 @@ func TestReconcilerTracksWorkload(t *testing.T) {
 			}
 		}
 	}
-	if len(r.History()) != 3 {
-		t.Fatal("history incomplete")
+	if r.Window() != 3 {
+		t.Fatalf("next window = %d after three steps", r.Window())
 	}
 }
 
@@ -83,14 +82,6 @@ func TestReconcilerErrors(t *testing.T) {
 	if _, err := r.Step(nil, 1); err == nil {
 		t.Fatal("nil controller accepted")
 	}
-	c := hotelController(t)
-	r2 := NewReconciler(c)
-	if _, err := r2.Run(map[string]workload.Pattern{}, 2, 1); err == nil {
-		t.Fatal("missing patterns accepted")
-	}
-	if _, err := r2.Run(map[string]workload.Pattern{"search": workload.Static{Rate: 1}}, 0, 1); err == nil {
-		t.Fatal("zero windows accepted")
-	}
 }
 
 func TestReconcilerRebalances(t *testing.T) {
@@ -120,5 +111,57 @@ func TestReconcilerRebalances(t *testing.T) {
 	without := c2.Orch.Cluster().Imbalance()
 	if with > without*1.0001 {
 		t.Fatalf("rebalancing made imbalance worse: %v vs %v", with, without)
+	}
+}
+
+// TestLoopKeepsOneWindowOfSpans: the controller's coordinator holds the
+// sampled spans of the latest evaluation and nothing older. Trace IDs restart
+// at 1 in every simulation, so a coordinator that is not emptied between
+// windows files window N's spans under window N−1's traces: several roots per
+// "trace", more calls than the graph has nodes, and a store that grows by a
+// window's worth of records per Step.
+func TestLoopKeepsOneWindowOfSpans(t *testing.T) {
+	app := apps.SocialNetwork()
+	c, err := New(app, kube.New(cluster.NewPaperCluster(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.UseAnalyticModels()
+	nodes := make(map[string]int)
+	rates := make(map[string]float64)
+	for _, g := range app.Graphs {
+		nodes[g.Service] = g.Len()
+		rates[g.Service] = 4_000
+	}
+	r := NewReconciler(c)
+	r.WindowMin = 1
+	var first int
+	for w := 0; w < 6; w++ {
+		if _, err := r.Step(rates, 100+uint64(w)); err != nil {
+			t.Fatal(err)
+		}
+		records := 0
+		for _, tr := range c.Coordinator.Traces("") {
+			roots := 0
+			for _, call := range tr.Calls {
+				if call.ParentNodeID == -1 {
+					roots++
+				}
+			}
+			if roots != 1 || len(tr.Calls) > nodes[tr.Service] {
+				t.Fatalf("window %d: trace %d of %s has %d roots and %d calls (graph has %d nodes)",
+					w, tr.ID, tr.Service, roots, len(tr.Calls), nodes[tr.Service])
+			}
+			records += len(tr.Calls)
+		}
+		if records == 0 {
+			t.Fatalf("window %d: no spans sampled", w)
+		}
+		if w == 0 {
+			first = records
+		}
+		if float64(records) > 1.2*float64(first) {
+			t.Fatalf("window %d: coordinator holds %d records, %d after the first window", w, records, first)
+		}
 	}
 }

@@ -192,22 +192,6 @@ func TestStepErrorsWithoutFallbackPlan(t *testing.T) {
 	}
 }
 
-func TestNaiveStepAbortsOnFirstFault(t *testing.T) {
-	c := hotelController(t)
-	r := NewReconciler(c).Naive()
-	r.WindowMin = 0.6
-	r.WarmupMin = 0.2
-	hook := &fakeChaos{}
-	r.Chaos = hook
-	if _, err := r.Step(hotelRates(8_000), 1); err != nil {
-		t.Fatal(err)
-	}
-	hook.planFails = 1
-	if _, err := r.Step(hotelRates(8_000), 2); err == nil {
-		t.Fatal("naive step should abort on a single transient fault")
-	}
-}
-
 func TestStepRepairsContainersLostToFailedHosts(t *testing.T) {
 	c := hotelController(t)
 	r := NewReconciler(c)

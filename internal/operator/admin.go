@@ -47,13 +47,9 @@ func (o *Operator) StatusSnapshot() Status {
 	for _, g := range o.gens {
 		st.Generations = append(st.Generations, *g)
 	}
-	n := len(o.history)
-	const recent = 8
-	lo := n - recent
-	if lo < 0 {
-		lo = 0
+	for w := max(0, o.window-recentWindows); w < o.window; w++ {
+		st.Recent = append(st.Recent, o.recent[w%recentWindows])
 	}
-	st.Recent = append(st.Recent, o.history[lo:n]...)
 	return st
 }
 

@@ -118,3 +118,23 @@ func TestCombinedHandler(t *testing.T) {
 		t.Fatalf("GET /metrics = %d, want generation gauge in body", w.Code)
 	}
 }
+
+// TestStatusServesLastEightWindows: the operator remembers the statuses
+// /status serves and no more, in window order across the ring's wrap.
+func TestStatusServesLastEightWindows(t *testing.T) {
+	o := newTestOperator(t, testConfig())
+	for _, n := range []int{3, 7} { // 3 windows, then 10: before and after the wrap
+		stepN(t, o, n)
+		recent := o.StatusSnapshot().Recent
+		want := min(o.Window(), recentWindows)
+		if len(recent) != want {
+			t.Fatalf("after %d windows: %d recent statuses, want %d", o.Window(), len(recent), want)
+		}
+		for i, st := range recent {
+			if w := o.Window() - want + i; st.Window != w || st.FleetReport() == nil {
+				t.Fatalf("after %d windows: recent[%d] is window %d (report %v), want window %d",
+					o.Window(), i, st.Window, st.FleetReport() != nil, w)
+			}
+		}
+	}
+}

@@ -219,8 +219,13 @@ type Operator struct {
 	saved     savedConfig
 	pending   []*Generation
 	window    int
-	history   []WindowStatus
+	// recent is a ring of the last recentWindows statuses (window w at index
+	// w % recentWindows) — what /status serves; older windows are dropped.
+	recent [recentWindows]WindowStatus
 }
+
+// recentWindows is how many completed windows the operator remembers.
+const recentWindows = 8
 
 // New builds an operator bootstrapped from the compiled scenario: the fleet
 // loop is the one a batch spec run steps (spec.Scenario.NewLoop: same
@@ -258,15 +263,6 @@ func (o *Operator) Window() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.window
-}
-
-// History returns the per-window statuses so far.
-func (o *Operator) History() []WindowStatus {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make([]WindowStatus, len(o.history))
-	copy(out, o.history)
-	return out
 }
 
 // Generations returns a snapshot of every generation, bootstrap first.
@@ -365,8 +361,8 @@ func (o *Operator) Step() (*WindowStatus, error) {
 		st.Candidate = o.cand.ID
 	}
 	st.Event = strings.Join(events, "+")
+	o.recent[w%recentWindows] = st
 	o.window++
-	o.history = append(o.history, st)
 	return &st, nil
 }
 

@@ -330,7 +330,7 @@ func TestStepPropagatesInjectorErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "failing host 99") {
 		t.Fatalf("window 1: err = %v, want the injector's failure to evict host 99", err)
 	}
-	if o.Window() != 1 || len(o.History()) != 1 {
-		t.Errorf("failed window was recorded: window %d, %d statuses", o.Window(), len(o.History()))
+	if recent := o.StatusSnapshot().Recent; o.Window() != 1 || len(recent) != 1 {
+		t.Errorf("failed window was recorded: window %d, %d statuses", o.Window(), len(recent))
 	}
 }

@@ -40,9 +40,9 @@ type Spec struct {
 	Resilience *ResilienceSpec
 	// Chaos optionally declares a seeded fault-injection timeline (host
 	// deaths, crashes, spikes, observability gaps, control-plane faults)
-	// alongside the cohorts it stresses. Chaos specs run under the
-	// long-running operator loop (`ermsctl operate`); the batch Scenario.Run
-	// rejects them so a fault timeline is never silently ignored.
+	// alongside the cohorts it stresses. The batch Scenario.Run and the
+	// long-running operator loop (`ermsctl operate`) inject the same
+	// schedule on the one window loop (Scenario.NewLoop).
 	Chaos *ChaosSpec
 	// Drift optionally enables the controller's online model-drift
 	// detection loop (detect → re-fit → hot-swap).

@@ -53,20 +53,19 @@ type Trace struct {
 // Coordinator collects sampled call records and answers the queries the rest
 // of Erms needs: dependency graphs, microservice latencies, end-to-end
 // latencies. It is safe for concurrent ingestion.
+//
+// The store is one buffer of records in arrival order, scoped by its owner to
+// one simulation (Reset before the next): trace IDs restart with every run,
+// so records of two runs under one ID would read as one trace. Traces are
+// assembled when asked for; Reset keeps the buffer's backing array, so a
+// coordinator that is refilled every window allocates nothing once warm.
 type Coordinator struct {
 	// SampleRate is the tracing sample fraction; workload estimates are
 	// scaled by its inverse.
 	SampleRate float64
-	// MaxTraces bounds retention: once exceeded, the oldest traces are
-	// evicted (Jaeger similarly bounds its store). Default 200000; <= 0
-	// keeps everything.
-	MaxTraces int
 
-	mu      sync.Mutex
-	byTrace map[int64][]sim.CallRecord
-	svcOf   map[int64]string
-	order   []int64 // trace IDs in first-seen order, for eviction
-	evicted int
+	mu   sync.Mutex
+	recs []sim.CallRecord
 }
 
 // NewCoordinator creates a coordinator expecting the given sampling rate
@@ -75,68 +74,48 @@ func NewCoordinator(sampleRate float64) *Coordinator {
 	if sampleRate <= 0 || sampleRate > 1 {
 		panic("trace: sample rate must be in (0, 1]")
 	}
-	return &Coordinator{
-		SampleRate: sampleRate,
-		MaxTraces:  200_000,
-		byTrace:    make(map[int64][]sim.CallRecord),
-		svcOf:      make(map[int64]string),
-	}
+	return &Coordinator{SampleRate: sampleRate}
 }
 
 // ObserveCall ingests one completed call; it implements sim.SpanObserver.
 func (c *Coordinator) ObserveCall(r sim.CallRecord) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, seen := c.byTrace[r.TraceID]; !seen {
-		c.order = append(c.order, r.TraceID)
-		if c.MaxTraces > 0 && len(c.byTrace) >= c.MaxTraces {
-			// Evict the oldest retained trace.
-			for len(c.order) > 0 {
-				oldest := c.order[0]
-				c.order = c.order[1:]
-				if _, ok := c.byTrace[oldest]; ok {
-					delete(c.byTrace, oldest)
-					delete(c.svcOf, oldest)
-					c.evicted++
-					break
-				}
-			}
-		}
-	}
-	c.byTrace[r.TraceID] = append(c.byTrace[r.TraceID], r)
-	c.svcOf[r.TraceID] = r.Service
+	c.recs = append(c.recs, r)
+	c.mu.Unlock()
 }
 
-// Evicted reports how many traces have been dropped by retention.
-func (c *Coordinator) Evicted() int {
+// Reset discards all collected records and keeps the buffer for the next fill.
+func (c *Coordinator) Reset() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evicted
+	c.recs = c.recs[:0]
+	c.mu.Unlock()
 }
 
 // NumTraces returns the number of distinct traces collected.
-func (c *Coordinator) NumTraces() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.byTrace)
-}
+func (c *Coordinator) NumTraces() int { return len(c.Traces("")) }
 
 // Traces returns assembled traces, optionally filtered by service ("" for
-// all), ordered by trace ID.
+// all), ordered by trace ID. The returned calls are a copy of the store.
 func (c *Coordinator) Traces(service string) []Trace {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	recs := append([]sim.CallRecord(nil), c.recs...)
+	c.mu.Unlock()
+	// Stable by trace ID: each trace's calls stay in arrival order, the input
+	// order the ServerRecv sort below has always been given.
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].TraceID < recs[j].TraceID })
 	var out []Trace
-	for id, calls := range c.byTrace {
-		if service != "" && c.svcOf[id] != service {
+	for lo, hi := 0, 0; lo < len(recs); lo = hi {
+		for hi = lo + 1; hi < len(recs) && recs[hi].TraceID == recs[lo].TraceID; hi++ {
+		}
+		// A trace belongs to the service of its latest call.
+		svc := recs[hi-1].Service
+		if service != "" && svc != service {
 			continue
 		}
-		sorted := make([]sim.CallRecord, len(calls))
-		copy(sorted, calls)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].ServerRecv < sorted[j].ServerRecv })
-		out = append(out, Trace{ID: id, Service: c.svcOf[id], Calls: sorted})
+		calls := recs[lo:hi:hi]
+		sort.Slice(calls, func(i, j int) bool { return calls[i].ServerRecv < calls[j].ServerRecv })
+		out = append(out, Trace{ID: recs[lo].TraceID, Service: svc, Calls: calls})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -341,14 +320,4 @@ func (c *Coordinator) WorkloadEstimate(service string, windowMin float64) (map[s
 		out[ms] = float64(n) / c.SampleRate / windowMin
 	}
 	return out, nil
-}
-
-// Reset discards all collected traces.
-func (c *Coordinator) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.byTrace = make(map[int64][]sim.CallRecord)
-	c.svcOf = make(map[int64]string)
-	c.order = nil
-	c.evicted = 0
 }

@@ -439,46 +439,9 @@ func quantile(xs []float64, q float64) float64 {
 // reconstruct it exactly from span overlap.
 func TestExtractGraphRandomTopologies(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		r := statsRNG(seed)
-		// Random tree of 3-12 nodes.
-		n := 3 + r.Intn(10)
-		g := graph.New("svc", "n0")
-		open := []*graph.Node{g.Root}
-		profiles := map[string]sim.ServiceProfile{"n0": {BaseMs: 1.5}}
-		counts := map[string]int{"n0": 1}
-		for g.Len() < n {
-			p := open[r.Intn(len(open))]
-			width := 1 + r.Intn(3)
-			if rem := n - g.Len(); width > rem {
-				width = rem
-			}
-			names := make([]string, width)
-			for i := range names {
-				names[i] = fmt.Sprintf("n%d", g.Len()+i)
-				profiles[names[i]] = sim.ServiceProfile{BaseMs: 0.5 + 3*r.Float64(), CV: 0.3}
-				counts[names[i]] = 1
-			}
-			open = append(open, g.AddStage(p, names...)...)
-		}
-
-		cl := cluster.New(2, cluster.PaperHost)
-		for ms := range profiles {
-			if _, err := cl.Place(cluster.PaperContainer(ms), 0); err != nil {
-				t.Fatal(err)
-			}
-		}
 		coord := NewCoordinator(1.0)
-		rt, err := sim.NewRuntime(sim.Config{
-			Seed:           seed,
-			Cluster:        cl,
-			Profiles:       profiles,
-			Graphs:         []*graph.Graph{g},
-			Patterns:       map[string]workload.Pattern{"svc": workload.Static{Rate: 300}},
-			DurationMin:    1,
-			SampleRate:     1.0,
-			NetworkDelayMs: 0.05,
-			Observer:       coord,
-		})
+		g, cfg := randomTopology(t, seed, coord)
+		rt, err := sim.NewRuntime(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -500,6 +463,48 @@ func TestExtractGraphRandomTopologies(t *testing.T) {
 				t.Fatalf("seed %d: structure mismatch\nwant:\n%s\ngot:\n%s", seed, g.DOT(), got.DOT())
 			}
 		}
+	}
+}
+
+// randomTopology builds the seed's random call tree of 3-12 nodes and a
+// one-minute, fully sampled simulation of it reporting to obs.
+func randomTopology(t *testing.T, seed uint64, obs sim.SpanObserver) (*graph.Graph, sim.Config) {
+	t.Helper()
+	r := statsRNG(seed)
+	n := 3 + r.Intn(10)
+	g := graph.New("svc", "n0")
+	open := []*graph.Node{g.Root}
+	profiles := map[string]sim.ServiceProfile{"n0": {BaseMs: 1.5}}
+	for g.Len() < n {
+		p := open[r.Intn(len(open))]
+		width := 1 + r.Intn(3)
+		if rem := n - g.Len(); width > rem {
+			width = rem
+		}
+		names := make([]string, width)
+		for i := range names {
+			names[i] = fmt.Sprintf("n%d", g.Len()+i)
+			profiles[names[i]] = sim.ServiceProfile{BaseMs: 0.5 + 3*r.Float64(), CV: 0.3}
+		}
+		open = append(open, g.AddStage(p, names...)...)
+	}
+
+	cl := cluster.New(2, cluster.PaperHost)
+	for ms := range profiles {
+		if _, err := cl.Place(cluster.PaperContainer(ms), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g, sim.Config{
+		Seed:           seed,
+		Cluster:        cl,
+		Profiles:       profiles,
+		Graphs:         []*graph.Graph{g},
+		Patterns:       map[string]workload.Pattern{"svc": workload.Static{Rate: 300}},
+		DurationMin:    1,
+		SampleRate:     1.0,
+		NetworkDelayMs: 0.05,
+		Observer:       obs,
 	}
 }
 
@@ -532,41 +537,3 @@ func sameShape(a, b *graph.Node) bool {
 
 // statsRNG adapts the stats RNG without importing it at top level twice.
 func statsRNG(seed uint64) *stats.RNG { return stats.NewRNG(seed) }
-
-func TestRetentionEvictsOldest(t *testing.T) {
-	c := NewCoordinator(1)
-	c.MaxTraces = 3
-	for i := 0; i < 6; i++ {
-		for _, r := range fig1Trace(int64(i + 1)) {
-			c.ObserveCall(r)
-		}
-	}
-	if c.NumTraces() != 3 {
-		t.Fatalf("retained = %d, want 3", c.NumTraces())
-	}
-	if c.Evicted() != 3 {
-		t.Fatalf("evicted = %d, want 3", c.Evicted())
-	}
-	// The newest traces survive.
-	ts := c.Traces("svc")
-	if ts[0].ID != 4 || ts[len(ts)-1].ID != 6 {
-		t.Fatalf("retained IDs: first=%d last=%d", ts[0].ID, ts[len(ts)-1].ID)
-	}
-	c.Reset()
-	if c.Evicted() != 0 || c.NumTraces() != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
-func TestRetentionUnbounded(t *testing.T) {
-	c := NewCoordinator(1)
-	c.MaxTraces = 0
-	for i := 0; i < 50; i++ {
-		for _, r := range fig1Trace(int64(i + 1)) {
-			c.ObserveCall(r)
-		}
-	}
-	if c.NumTraces() != 50 || c.Evicted() != 0 {
-		t.Fatalf("unbounded retention broken: %d traces, %d evicted", c.NumTraces(), c.Evicted())
-	}
-}

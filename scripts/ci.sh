@@ -28,9 +28,10 @@ echo "== benchmark module (vet + test against this checkout's internal/ API) =="
 # steady state — the event loop, and on top of it a whole request (issue,
 # route, queue, process, downstream stages, return) with the resilience layer
 # compiled in but disabled — and a warm plan-template evaluation (the whole of
-# the planner's initial pass) allocates nothing either.
-echo "== zero-alloc gates (obs disabled path, sim engine and whole request, template Solve) =="
-go test -run 'ZeroAlloc' -count=1 ./internal/obs ./internal/sim ./internal/scaling
+# the planner's initial pass) allocates nothing either, nor does ingesting a
+# sampled span into a trace coordinator that has held a window before.
+echo "== zero-alloc gates (obs disabled path, sim engine and whole request, template Solve, span ingest) =="
+go test -run 'ZeroAlloc' -count=1 ./internal/obs ./internal/sim ./internal/scaling ./internal/trace
 
 # The race pass above runs every package once at the default worker count.
 # Re-run the chaos determinism gate explicitly at two pool sizes: the fault
@@ -203,4 +204,24 @@ awk -v repair="$(layer 'kube\.repair_ms')" -v rebalance="$(layer 'provision\.reb
 	printf "repair %.2f ms + rebalance %.2f ms vs plan %.2f ms vs monolithic plan %.2f ms; %d allocations per plan\n",
 		repair, rebalance, plan, mono, allocs
 	exit !(plan > 0 && repair + rebalance < plan && plan * 8 < mono && allocs > 0 && allocs <= 80000)
+}'
+
+# The retention gate (PR 18): a simulating loop leaves behind what something
+# reads and no more. One untraced social-diurnal run; a count and a byte total
+# of a deterministic run hold on any machine. While the controller's trace
+# coordinator kept every window's sampled spans (merged under colliding trace
+# IDs) these read 28 727 allocations per window and 91.7 MB live; one reused
+# span buffer scoped to one evaluation reads ~1 500 and ~21 MB.
+echo "== retention gate (social-diurnal: allocs per window <= 5000, live heap <= 40 MB) =="
+res=$(bash bench/run.sh --workload social-diurnal --seed 1 --seconds 1 --trace 0 | tail -n 1)
+case "$res" in
+'{"correct":true,'*) ;;
+*)
+	echo "social-diurnal run is not correct: $res" >&2
+	exit 1
+	;;
+esac
+awk -v allocs="$(layer 'allocs_per_window')" -v heap="$(layer 'heap_live_mb')" 'BEGIN {
+	printf "%d allocations per window, %.1f MB live heap\n", allocs, heap
+	exit !(allocs > 0 && allocs <= 5000 && heap > 0 && heap <= 40)
 }'
