@@ -25,10 +25,10 @@ const (
 	evRetry                  // the retry backoff has elapsed
 )
 
-// event is one scheduled occurrence: either a typed event for a call frame
-// (every per-call step of a request) or a callback (arrival walkers, minute
-// ticks, failure injection, closed-loop think time). gen is the frame's
-// generation when the event was scheduled.
+// event is one scheduled occurrence on the heap: either a typed event for a
+// call frame or a callback (arrival walkers, minute ticks, failure injection,
+// closed-loop think time). gen is the frame's generation when the event was
+// scheduled.
 type event struct {
 	time float64
 	seq  int64
@@ -41,76 +41,112 @@ type event struct {
 // eventHeap is a typed binary min-heap ordered by (time, seq). Unlike
 // container/heap it moves event values directly — no interface{} boxing on
 // push or pop — so scheduling an event costs zero heap allocations once the
-// backing array has grown to the simulation's high-water mark.
+// backing array has grown to the simulation's high-water mark. Both sifts
+// carry the moving event in a hole: one copy per level, not a three-copy swap.
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// before is the engine's one order: time, then seq — FIFO for simultaneous
+// events.
+func before(t1 float64, s1 int64, t2 float64, s2 int64) bool {
+	if t1 != t2 {
+		return t1 < t2
 	}
-	return h[i].seq < h[j].seq // stable FIFO for simultaneous events
+	return s1 < s2
 }
 
 func (h *eventHeap) push(e event) {
 	*h = append(*h, e)
-	// Sift up.
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.less(i, parent) {
+		if !before(e.time, e.seq, s[parent].time, s[parent].seq) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = e
 }
 
 func (h *eventHeap) pop() event {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
+	last := s[n]
 	s[n] = event{} // release the closure and frame references
 	s = s[:n]
 	*h = s
-	// Sift down.
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l := 2*i + 1
-		if l >= n {
+		m := 2*i + 1
+		if m >= n {
 			break
 		}
-		m := l
-		if r := l + 1; r < n && s.less(r, l) {
+		if r := m + 1; r < n && before(s[r].time, s[r].seq, s[m].time, s[m].seq) {
 			m = r
 		}
-		if !s.less(m, i) {
+		if !before(s[m].time, s[m].seq, last.time, last.seq) {
 			break
 		}
-		s[i], s[m] = s[m], s[i]
+		s[i] = s[m]
 		i = m
 	}
+	s[i] = last
 	return top
 }
 
-// Engine is a discrete-event clock with a pending-event heap. Time is in
-// milliseconds. The zero value is not usable; call NewEngine.
+// hopEvent is one lane entry: a typed event one network hop from when it was
+// scheduled. It is an event without the callback.
+type hopEvent struct {
+	time float64
+	seq  int64
+	f    *Job
+	kind evKind
+	gen  uint32
+}
+
+// Engine is a discrete-event clock with two pending-event queues that share
+// one (time, seq) order: a heap for events at arbitrary times and a FIFO lane
+// for the events scheduled exactly lag ms from now — a call's two network
+// hops, two of the three events it costs. The clock never runs backwards, lag
+// is fixed and seq only grows, so the lane's entries are pushed already
+// sorted and never sift. Time is in milliseconds. The zero value is not
+// usable; call NewEngine.
 type Engine struct {
 	now    float64
 	seq    int64
 	events eventHeap
 
+	// The lane is a ring of power-of-two size: lane[laneHead] is its oldest
+	// entry, laneLen its occupancy and laneTail the time of the newest entry
+	// ever pushed.
+	lag      float64
+	lane     []hopEvent
+	laneHead int
+	laneLen  int
+	laneTail float64
+
 	// Self-telemetry: plain integer counters so the hot loop stays
-	// allocation-free whether or not anyone reads them.
-	processed int64
-	heapPeak  int
+	// allocation-free whether or not anyone reads them. heapPushes is what
+	// tests hold against processed to see that hops bypass the heap.
+	processed  int64
+	heapPushes int64
+	heapPeak   int
 }
 
-// NewEngine creates an engine with the clock at zero. The event heap's
-// backing array is pre-sized so short simulations never reallocate it.
-func NewEngine() *Engine {
-	return &Engine{events: make(eventHeap, 0, 1024)}
+// NewEngine creates an engine with the clock at zero and a zero lag. The
+// queues' backing arrays are pre-sized so short simulations never reallocate
+// them.
+func NewEngine() *Engine { return newEngine(0) }
+
+// newEngine creates an engine whose lane delivers lag (>= 0, finite) ms after
+// scheduling.
+func newEngine(lag float64) *Engine {
+	return &Engine{events: make(eventHeap, 0, 1024), lag: lag, lane: make([]hopEvent, 256)}
 }
 
 // Now returns the current simulated time in milliseconds.
@@ -132,6 +168,33 @@ func (e *Engine) atFrame(t float64, f *Job, kind evKind) {
 	e.push(event{time: t, f: f, kind: kind, gen: f.gen})
 }
 
+// hopFrame delivers a typed event to call frame f one network hop (lag ms)
+// from now, through the lane.
+func (e *Engine) hopFrame(f *Job, kind evKind) {
+	t := e.now + e.lag
+	if t < e.laneTail {
+		// Cannot happen while lag is fixed; the heap is exact for any time.
+		e.atFrame(t, f, kind)
+		return
+	}
+	e.laneTail = t
+	if e.laneLen == len(e.lane) {
+		e.growLane()
+	}
+	e.seq++
+	e.lane[(e.laneHead+e.laneLen)&(len(e.lane)-1)] = hopEvent{time: t, seq: e.seq, f: f, kind: kind, gen: f.gen}
+	e.laneLen++
+	e.notePending()
+}
+
+// growLane doubles the ring, oldest entry first.
+func (e *Engine) growLane() {
+	grown := make([]hopEvent, 2*len(e.lane))
+	n := copy(grown, e.lane[e.laneHead:])
+	copy(grown[n:], e.lane[:e.laneHead])
+	e.lane, e.laneHead = grown, 0
+}
+
 func (e *Engine) push(ev event) {
 	if ev.time < e.now {
 		ev.time = e.now
@@ -139,15 +202,36 @@ func (e *Engine) push(ev event) {
 	e.seq++
 	ev.seq = e.seq
 	e.events.push(ev)
-	if n := len(e.events); n > e.heapPeak {
+	e.heapPushes++
+	e.notePending()
+}
+
+func (e *Engine) notePending() {
+	if n := e.Pending(); n > e.heapPeak {
 		e.heapPeak = n
 	}
 }
 
-// Run processes events until the queue empties or the clock passes until
-// (milliseconds). Events scheduled exactly at until are executed.
+// Run processes events in (time, seq) order — at each step the smaller of the
+// lane's head and the heap's top — until both queues empty or the clock
+// passes until (milliseconds). Events scheduled exactly at until are
+// executed.
 func (e *Engine) Run(until float64) {
-	for len(e.events) > 0 {
+	for e.Pending() > 0 {
+		if h := &e.lane[e.laneHead]; e.laneLen > 0 &&
+			(len(e.events) == 0 || before(h.time, h.seq, e.events[0].time, e.events[0].seq)) {
+			if h.time > until {
+				break
+			}
+			f, kind, gen := h.f, h.kind, h.gen
+			h.f = nil // release the frame reference
+			e.laneHead = (e.laneHead + 1) & (len(e.lane) - 1)
+			e.laneLen--
+			e.now = h.time
+			e.processed++
+			f.handle(kind, gen)
+			continue
+		}
 		if e.events[0].time > until {
 			break
 		}
@@ -165,8 +249,9 @@ func (e *Engine) Run(until float64) {
 	}
 }
 
-// Pending returns the number of queued events (for tests and diagnostics).
-func (e *Engine) Pending() int { return len(e.events) }
+// Pending returns the number of queued events, lane + heap (for tests and
+// diagnostics).
+func (e *Engine) Pending() int { return e.laneLen + len(e.events) }
 
 // EngineStats is the engine's self-telemetry, reported through the
 // simulation Result and mirrored into the erms.self.* namespace by the
@@ -175,7 +260,7 @@ func (e *Engine) Pending() int { return len(e.events) }
 type EngineStats struct {
 	// Events is the number of events executed.
 	Events int64
-	// HeapPeak is the high-water pending-event depth.
+	// HeapPeak is the high-water count of pending events, lane + heap.
 	HeapPeak int
 }
 

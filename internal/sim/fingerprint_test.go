@@ -31,23 +31,7 @@ var pinnedRuns = []struct {
 }{
 	{"exact", func(t *testing.T) (*Result, []CallRecord) {
 		obs := &recObserver{}
-		cfg := lockstepScenario{
-			services: 3, block: 3, containersPerMS: 2, ratePerMin: 60_000, seed: 101,
-			observer: obs, closedUsersFirst: 40,
-			failures: []Failure{
-				{Microservice: "pool-00-1", Index: 0, AtMin: 0.7, RecoverMin: 1.2},
-				{Host: 3, AtMin: 1.3, RecoverMin: 1.7},
-			},
-		}.build(t)
-		cfg.Routing = RouteP2C
-		cfg.ThinkTimeMs = 40
-		cfg.Delta = 0.05
-		cfg.DropMinutes = []int{1}
-		cfg.Priorities = map[string]map[string]int{
-			"pool-00-0": {"svc-000": 2, "svc-001": 0, "svc-002": 1},
-			"pool-00-1": {"svc-000": 0, "svc-001": 1, "svc-002": 2},
-		}
-		rt, err := NewRuntime(cfg)
+		rt, err := NewRuntime(pinnedExactConfig(t, obs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,6 +113,27 @@ var pinnedRuns = []struct {
 	}},
 }
 
+// pinnedExactConfig is the "exact" pinned run's configuration.
+func pinnedExactConfig(t *testing.T, obs *recObserver) Config {
+	cfg := lockstepScenario{
+		services: 3, block: 3, containersPerMS: 2, ratePerMin: 60_000, seed: 101,
+		observer: obs, closedUsersFirst: 40,
+		failures: []Failure{
+			{Microservice: "pool-00-1", Index: 0, AtMin: 0.7, RecoverMin: 1.2},
+			{Host: 3, AtMin: 1.3, RecoverMin: 1.7},
+		},
+	}.build(t)
+	cfg.Routing = RouteP2C
+	cfg.ThinkTimeMs = 40
+	cfg.Delta = 0.05
+	cfg.DropMinutes = []int{1}
+	cfg.Priorities = map[string]map[string]int{
+		"pool-00-0": {"svc-000": 2, "svc-001": 0, "svc-002": 1},
+		"pool-00-1": {"svc-000": 0, "svc-001": 1, "svc-002": 2},
+	}
+	return cfg
+}
+
 // pinnedHash hashes everything fingerprint renders except the pooled-record
 // balance: JobsAllocated/JobsRecycled count heap allocations and recycles of
 // the pooled call record, which depend on how long a record lives — an
@@ -192,5 +197,19 @@ func TestRuntimeFingerprintPinned(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Errorf("fingerprints drifted from %s:\n got:\n%s want:\n%s", fingerprintGolden, got.String(), want)
+	}
+}
+
+// TestHopsSkipTheHeap is the lane's structural claim as a count: a call costs
+// three events and two of them are network hops, so on the pinned exact run
+// no more than 0.4 of the executed events were ever pushed on the heap.
+func TestHopsSkipTheHeap(t *testing.T) {
+	rt, err := NewRuntime(pinnedExactConfig(t, &recObserver{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := rt.Run().Engine.Events
+	if pushes := rt.eng.heapPushes; events == 0 || float64(pushes) > 0.4*float64(events) {
+		t.Fatalf("%d of %d events went through the heap, want <= 0.4", pushes, events)
 	}
 }

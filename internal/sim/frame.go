@@ -135,6 +135,12 @@ func (f *Job) after(delay float64, kind evKind) {
 	f.at(f.rt.eng.now+delay, kind)
 }
 
+// hop schedules a typed event one network hop from now.
+func (f *Job) hop(kind evKind) {
+	f.refs++
+	f.rt.eng.hopFrame(f, kind)
+}
+
 // handle runs one typed event, then drops the reference the event held.
 func (f *Job) handle(kind evKind, gen uint32) {
 	if gen != f.gen {
@@ -279,7 +285,7 @@ func (f *Job) issue() {
 		return
 	}
 	f.Priority = f.node.prio
-	f.at(f.Enqueued, evArrive)
+	f.hop(evArrive)
 }
 
 // arrive routes the call to a container of the microservice per the
@@ -350,7 +356,7 @@ func (f *Job) arrive() {
 // back.
 func (f *Job) sendFailure(err CallErr) {
 	f.err = err
-	f.after(f.rt.cfg.NetworkDelayMs, evFail)
+	f.hop(evFail)
 }
 
 // complete ends the call's own processing: free the thread, run the served
@@ -408,7 +414,7 @@ func (f *Job) runStage() {
 			rt.cfg.Observer.ObserveCall(rec)
 		}
 		f.bodyDone = true
-		f.at(clientRecv, evReturn)
+		f.hop(evReturn)
 		return
 	}
 	var childDeadline float64

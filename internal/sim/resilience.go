@@ -117,6 +117,20 @@ var DefaultTierShedFactors = [workload.NumTiers]float64{
 
 // validate rejects out-of-range resilience parameters.
 func (r *Resilience) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"TimeoutSLAMultiple", r.TimeoutSLAMultiple}, {"RequestTimeoutMs", r.RequestTimeoutMs},
+		{"AttemptTimeoutMs", r.AttemptTimeoutMs}, {"RetryBackoffMs", r.RetryBackoffMs},
+		{"RetryJitter", r.RetryJitter}, {"RetryBudget", r.RetryBudget}, {"RetryBurst", r.RetryBurst},
+		{"BreakerFailureRate", r.BreakerFailureRate}, {"BreakerCooldownMs", r.BreakerCooldownMs},
+		{"ShedMaxWaitMs", r.ShedMaxWaitMs},
+	} {
+		if !finite(f.v) {
+			return fmt.Errorf("sim: Resilience.%s %v must be finite", f.name, f.v)
+		}
+	}
 	switch {
 	case r.TimeoutSLAMultiple < 0:
 		return fmt.Errorf("sim: Resilience.TimeoutSLAMultiple %v must be >= 0", r.TimeoutSLAMultiple)
@@ -134,6 +148,9 @@ func (r *Resilience) validate() error {
 		return fmt.Errorf("sim: Resilience.ShedMaxWaitMs %v must be >= 0", r.ShedMaxWaitMs)
 	}
 	for t, f := range r.TierShedFactors {
+		if !finite(f) {
+			return fmt.Errorf("sim: Resilience.TierShedFactors[%s] %v must be finite", workload.Tier(t), f)
+		}
 		if f < 0 {
 			return fmt.Errorf("sim: Resilience.TierShedFactors[%s] %v must be >= 0", workload.Tier(t), f)
 		}

@@ -25,9 +25,9 @@ type ServiceProfile struct {
 // profile (BaseMs 0, CV 0) is valid.
 func (p ServiceProfile) Validate() error {
 	switch {
-	case math.IsNaN(p.BaseMs) || math.IsInf(p.BaseMs, 0) || p.BaseMs < 0:
+	case !finite(p.BaseMs) || p.BaseMs < 0:
 		return fmt.Errorf("BaseMs %v must be finite and >= 0", p.BaseMs)
-	case math.IsNaN(p.CV) || math.IsInf(p.CV, 0) || p.CV < 0:
+	case !finite(p.CV) || p.CV < 0:
 		return fmt.Errorf("CV %v must be finite and >= 0", p.CV)
 	case p.BaseMs == 0 && p.CV > 0:
 		return fmt.Errorf("CV %v needs BaseMs > 0", p.CV)
@@ -195,9 +195,26 @@ const (
 	RouteP2C
 )
 
+// finite is false for NaN and ±Inf, which the range checks cannot reject:
+// NaN passes every `x < 0`, and a non-finite duration or delay schedules
+// events at times the engine cannot order, or never ends the run.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 func (c *Config) validate() error {
 	if c.Cluster == nil {
 		return errors.New("sim: Config.Cluster is required")
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"DurationMin", c.DurationMin}, {"WarmupMin", c.WarmupMin},
+		{"NetworkDelayMs", c.NetworkDelayMs}, {"ThinkTimeMs", c.ThinkTimeMs},
+		{"Delta", c.Delta}, {"SampleRate", c.SampleRate},
+	} {
+		if !finite(f.v) {
+			return fmt.Errorf("sim: Config.%s %v must be finite", f.name, f.v)
+		}
 	}
 	if c.DurationMin <= 0 {
 		return errors.New("sim: Config.DurationMin must be positive")
@@ -609,7 +626,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	}
 	rt := &Runtime{
 		cfg:        cfg,
-		eng:        NewEngine(),
+		eng:        newEngine(cfg.NetworkDelayMs),
 		rng:        stats.NewRNG(cfg.Seed),
 		ms:         make(map[string]*msState),
 		svcMSCalls: make(map[string]map[string]*int),

@@ -406,6 +406,44 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewRuntime(bad); err == nil {
 		t.Fatal("missing containers accepted")
 	}
+
+	// NaN passes every `x < 0` range check and ±Inf most of them: a NaN
+	// network delay used to "complete" a run with P95 = NaN, an infinite
+	// duration never returned, a NaN timeout silently disabled itself. Each
+	// is rejected with the field named.
+	nan, inf := math.NaN(), math.Inf(1)
+	for field, set := range map[string]func(c *Config, v float64){
+		"Config.DurationMin":    func(c *Config, v float64) { c.DurationMin = v },
+		"Config.WarmupMin":      func(c *Config, v float64) { c.WarmupMin = v },
+		"Config.NetworkDelayMs": func(c *Config, v float64) { c.NetworkDelayMs = v },
+		"Config.ThinkTimeMs":    func(c *Config, v float64) { c.ThinkTimeMs = v },
+		"Config.Delta":          func(c *Config, v float64) { c.Delta = v },
+		"Config.SampleRate":     func(c *Config, v float64) { c.SampleRate = v },
+
+		"Resilience.TimeoutSLAMultiple": func(c *Config, v float64) { c.Resilience = &Resilience{TimeoutSLAMultiple: v} },
+		"Resilience.RequestTimeoutMs":   func(c *Config, v float64) { c.Resilience = &Resilience{RequestTimeoutMs: v} },
+		"Resilience.AttemptTimeoutMs":   func(c *Config, v float64) { c.Resilience = &Resilience{AttemptTimeoutMs: v} },
+		"Resilience.RetryBackoffMs":     func(c *Config, v float64) { c.Resilience = &Resilience{RetryBackoffMs: v} },
+		"Resilience.RetryJitter":        func(c *Config, v float64) { c.Resilience = &Resilience{RetryJitter: v} },
+		"Resilience.RetryBudget":        func(c *Config, v float64) { c.Resilience = &Resilience{RetryBudget: v} },
+		"Resilience.RetryBurst":         func(c *Config, v float64) { c.Resilience = &Resilience{RetryBurst: v} },
+		"Resilience.BreakerFailureRate": func(c *Config, v float64) { c.Resilience = &Resilience{BreakerFailureRate: v} },
+		"Resilience.BreakerCooldownMs":  func(c *Config, v float64) { c.Resilience = &Resilience{BreakerCooldownMs: v} },
+		"Resilience.ShedMaxWaitMs":      func(c *Config, v float64) { c.Resilience = &Resilience{ShedMaxWaitMs: v} },
+		"Resilience.TierShedFactors[batch]": func(c *Config, v float64) {
+			c.Resilience = &Resilience{TierShedFactors: [workload.NumTiers]float64{workload.TierBatch: v}}
+		},
+	} {
+		for _, v := range []float64{nan, inf, -inf} {
+			bad = base
+			set(&bad, v)
+			if _, err := NewRuntime(bad); err == nil {
+				t.Errorf("%s = %v accepted", field, v)
+			} else if !strings.Contains(err.Error(), field) {
+				t.Errorf("%s = %v: error %q does not name the field", field, v, err)
+			}
+		}
+	}
 }
 
 // TestProfileValidation: a profile no service time can be drawn from is

@@ -25,12 +25,13 @@ echo "== benchmark module (vet + test against this checkout's internal/ API) =="
 # Zero-allocation promises, checked outside -race (the detector itself
 # allocates, so testing.AllocsPerRun is meaningless there): every obs call
 # on a nil recorder is free, and the simulator stays allocation-free in
-# steady state — the event loop, and on top of it a whole request (issue,
-# route, queue, process, downstream stages, return) with the resilience layer
-# compiled in but disabled — and a warm plan-template evaluation (the whole of
-# the planner's initial pass) allocates nothing either, nor does ingesting a
-# sampled span into a trace coordinator that has held a window before.
-echo "== zero-alloc gates (obs disabled path, sim engine and whole request, template Solve, span ingest) =="
+# steady state — the event loop's heap, the network-hop lane beside it, and
+# on top of them a whole request (issue, route, queue, process, downstream
+# stages, return) with the resilience layer compiled in but disabled — and a
+# warm plan-template evaluation (the whole of the planner's initial pass)
+# allocates nothing either, nor does ingesting a sampled span into a trace
+# coordinator that has held a window before.
+echo "== zero-alloc gates (obs disabled path, sim engine heap + lane and whole request, template Solve, span ingest) =="
 go test -run 'ZeroAlloc' -count=1 ./internal/obs ./internal/sim ./internal/scaling ./internal/trace
 
 # The race pass above runs every package once at the default worker count.
@@ -160,9 +161,16 @@ go test -count=1 ./internal/operator
 # fidelity-tolerance regression table (hybrid P95 / violation rate vs exact,
 # requests conserved), and TestFigSimDeterministicAcrossWorkers renders the
 # figSim deterministic table at both worker counts.
-echo "== simulator scale-out (partition determinism + hybrid fidelity, workers=1 vs 4) =="
+#
+# The engine's two queues (PR 21) are checked here too, uncached:
+# TestLaneMatchesHeapOracle replays random programs on the lane + heap engine
+# and on the one-heap engine it replaced (same events, same order, same
+# Pending and Stats), TestHopsSkipTheHeap counts that network hops really
+# bypass the heap (pushes <= 0.4 x events), and TestRuntimeFingerprintPinned
+# hashes four full runs against hashes captured before either change.
+echo "== simulator scale-out (partition determinism + hybrid fidelity, workers=1 vs 4; lane vs heap oracle, pinned fingerprints) =="
 go test -count=1 \
-	-run 'TestRunPartitioned|TestHybridFidelity|TestFluidEligibility|TestSharingGroups' \
+	-run 'TestRunPartitioned|TestHybridFidelity|TestFluidEligibility|TestSharingGroups|TestLaneMatchesHeapOracle|TestHopsSkipTheHeap|TestRuntimeFingerprintPinned' \
 	./internal/sim
 go test -count=1 -run 'TestFigSimDeterministicAcrossWorkers' ./internal/experiments
 
