@@ -59,12 +59,6 @@ type AlibabaConfig = apps.AlibabaConfig
 // default: 500 services × ~50 microservices, 300+ shared).
 func Alibaba(cfg AlibabaConfig) *App { return apps.Alibaba(cfg) }
 
-// SLA is a tail-latency service-level agreement.
-type SLA = workload.SLA
-
-// P95SLA builds the common 95th-percentile SLA.
-func P95SLA(service string, thresholdMs float64) SLA { return workload.P95SLA(service, thresholdMs) }
-
 // Scheme selects how shared microservices are handled.
 type Scheme = multiplex.Scheme
 
@@ -110,49 +104,30 @@ type System struct {
 type Option func(*config)
 
 type config struct {
-	hosts     int
-	hostSpec  cluster.HostSpec
-	scheme    Scheme
-	delta     float64
-	popGroups int
+	hosts  int
+	scheme Scheme
 }
 
 // WithHosts sets the cluster size (default 20, the paper's testbed).
 func WithHosts(n int) Option { return func(c *config) { c.hosts = n } }
 
-// WithHostSpec overrides the per-host capacity (default 32 cores / 64 GB).
-func WithHostSpec(cores int, memGB float64) Option {
-	return func(c *config) { c.hostSpec = cluster.HostSpec{Cores: cores, MemGB: memGB} }
-}
-
 // WithScheme selects the shared-microservice scheme (default priority).
 func WithScheme(s Scheme) Option { return func(c *config) { c.scheme = s } }
 
-// WithDelta sets the probabilistic-priority parameter δ (default 0.05).
-func WithDelta(d float64) Option { return func(c *config) { c.delta = d } }
-
-// WithPOPGroups sets the provisioning partition count (default 4).
-func WithPOPGroups(g int) Option { return func(c *config) { c.popGroups = g } }
-
 // NewSystem creates an Erms system managing the application on a fresh
-// simulated cluster with interference-aware provisioning.
+// simulated cluster of paper hosts (32 cores / 64 GB) with interference-aware
+// provisioning over four POP groups and the default probabilistic-priority
+// δ of 0.05.
 func NewSystem(app *App, opts ...Option) (*System, error) {
-	cfg := config{
-		hosts:     20,
-		hostSpec:  cluster.PaperHost,
-		scheme:    SchemePriority,
-		delta:     0.05,
-		popGroups: 4,
-	}
+	cfg := config{hosts: 20, scheme: SchemePriority}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	cl := cluster.New(cfg.hosts, cfg.hostSpec)
+	cl := cluster.New(cfg.hosts, cluster.PaperHost)
 	orch := kube.New(cl, nil)
 	ctrl, err := core.New(app, orch,
 		core.WithScheme(cfg.scheme),
-		core.WithDelta(cfg.delta),
-		core.WithScheduler(&provision.InterferenceAware{Groups: cfg.popGroups}))
+		core.WithScheduler(&provision.InterferenceAware{Groups: 4}))
 	if err != nil {
 		return nil, err
 	}
@@ -176,10 +151,6 @@ func (s *System) ProfileOffline(cfg OfflineConfig) ([]string, error) {
 // assignment at shared microservices, and recomputation under the modified
 // workloads.
 func (s *System) Plan(rates map[string]float64) (*Plan, error) { return s.ctrl.Plan(rates) }
-
-// Apply reconciles a plan onto the cluster through the orchestrator and the
-// interference-aware provisioner.
-func (s *System) Apply(plan *Plan) error { return s.ctrl.Apply(plan) }
 
 // Evaluate applies a plan and drives the deployment with real (simulated)
 // traffic for durationMin minutes, returning measured tail latencies and
@@ -205,17 +176,6 @@ func (s *System) SetBackground(hostID int, cpuUtil, memUtil float64) error {
 	return s.ctrl.Orch.Cluster().SetBackground(hostID, workload.Interference{CPU: cpuUtil, Mem: memUtil})
 }
 
-// Explain renders the Algorithm 1 merge tree and latency-target derivation
-// for one service at the given rates — why each microservice got its target.
-func (s *System) Explain(service string, rates map[string]float64) (string, error) {
-	return s.ctrl.Explain(service, rates)
-}
-
-// NewReconciler wraps the system in the periodic scaling loop of Fig. 6,
-// with scale-down hysteresis. It inherits the system's self-observability
-// recorder, if one was enabled.
-func (s *System) NewReconciler() *core.Reconciler { return core.NewReconciler(s.ctrl) }
-
 // Recorder is the control plane's self-observability recorder: phase spans
 // of the reconciliation loop, erms.self.* counters, and the /metrics +
 // /spans + pprof HTTP surface. A nil *Recorder is valid and disables
@@ -224,23 +184,12 @@ type Recorder = obs.Recorder
 
 // EnableObservability attaches a fresh self-observability recorder to the
 // system — controller, orchestrator, and any reconciler created afterwards
-// — bound to the system's metrics store, and returns it. Serve it with
-// Recorder.ListenAndServe (or mount Recorder.Handler) to expose Prometheus
-// text metrics, a JSON span dump, and net/http/pprof.
+// — bound to the system's metrics store, and returns it. Mount
+// Recorder.Handler on an HTTP server to expose Prometheus text metrics, a
+// JSON span dump, and net/http/pprof.
 func (s *System) EnableObservability() *Recorder {
 	rec := obs.New(s.ctrl.Metrics)
 	s.ctrl.Obs = rec
 	s.ctrl.Orch.SetRecorder(rec)
 	return rec
 }
-
-// TotalContainers reports the containers currently deployed.
-func (s *System) TotalContainers() int { return s.ctrl.Orch.TotalReplicas() }
-
-// Controller exposes the underlying controller for advanced use (module
-// internals remain importable only within this repository).
-func (s *System) Controller() *core.Controller { return s.ctrl }
-
-// ServiceProfile re-exports the simulator's per-microservice cost model for
-// building custom applications.
-type ServiceProfile = sim.ServiceProfile

@@ -30,14 +30,14 @@ func TestQuickstartFlow(t *testing.T) {
 			t.Fatalf("%s violates %.1f%%", svc, v*100)
 		}
 	}
-	if sys.TotalContainers() != plan.TotalContainers() {
+	if sys.ctrl.Orch.TotalReplicas() != plan.TotalContainers() {
 		t.Fatal("deployment mismatch")
 	}
 }
 
 func TestOptions(t *testing.T) {
 	sys, err := NewSystem(SocialNetwork(),
-		WithHosts(8), WithHostSpec(16, 32), WithScheme(SchemeFCFS), WithDelta(0.1), WithPOPGroups(2))
+		WithHosts(8), WithScheme(SchemeFCFS))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +62,6 @@ func TestAppsConstructors(t *testing.T) {
 	}
 }
 
-func TestSLAHelper(t *testing.T) {
-	s := P95SLA("svc", 100)
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSetBackground(t *testing.T) {
 	sys, err := NewSystem(HotelReservation(), WithHosts(2))
 	if err != nil {
@@ -79,35 +72,5 @@ func TestSetBackground(t *testing.T) {
 	}
 	if err := sys.SetBackground(9, 0.4, 0.3); err == nil {
 		t.Fatal("bad host accepted")
-	}
-	if sys.Controller() == nil {
-		t.Fatal("controller not exposed")
-	}
-}
-
-func TestExplainAndReconcilerFacade(t *testing.T) {
-	sys, err := NewSystem(HotelReservation())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.UseAnalyticModels()
-	out, err := sys.Explain("search", hotelRates(10_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) == 0 {
-		t.Fatal("empty explanation")
-	}
-	if _, err := sys.Explain("nope", hotelRates(10_000)); err == nil {
-		t.Fatal("unknown service accepted")
-	}
-	r := sys.NewReconciler()
-	r.WindowMin = 0.6
-	rep, err := r.Step(hotelRates(10_000), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Containers <= 0 {
-		t.Fatal("reconciler deployed nothing")
 	}
 }

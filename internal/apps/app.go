@@ -30,21 +30,6 @@ type App struct {
 	Containers map[string]cluster.ContainerSpec
 }
 
-// ApplyEdgePolicy installs a default per-edge resilience policy on every
-// node of every service graph that does not already carry one. Nodes with an
-// explicit policy keep it, so call sites can pin hot edges first and then
-// blanket the rest. The policy is inert unless the simulation runs with
-// sim.Resilience enabled.
-func (a *App) ApplyEdgePolicy(p graph.EdgePolicy) {
-	for _, g := range a.Graphs {
-		for _, n := range g.PreOrder() {
-			if n.Policy == nil {
-				n.SetPolicy(p)
-			}
-		}
-	}
-}
-
 // Services returns the service names in graph order.
 func (a *App) Services() []string {
 	out := make([]string, len(a.Graphs))
@@ -113,7 +98,8 @@ func (a *App) SharingDegree() map[string]int {
 }
 
 // Validate checks that the app is internally consistent: valid graphs, a
-// profile and container spec for every microservice, and an SLA per service.
+// profile and container spec for every microservice, and a valid SLA per
+// service that names the service it is filed under.
 func (a *App) Validate() error {
 	if len(a.Graphs) == 0 {
 		return fmt.Errorf("apps: %s has no services", a.Name)
@@ -127,8 +113,15 @@ func (a *App) Validate() error {
 			return fmt.Errorf("apps: %s has duplicate service %s", a.Name, g.Service)
 		}
 		seen[g.Service] = true
-		if _, ok := a.SLAs[g.Service]; !ok {
+		sla, ok := a.SLAs[g.Service]
+		if !ok {
 			return fmt.Errorf("apps: %s/%s has no SLA", a.Name, g.Service)
+		}
+		if err := sla.Validate(); err != nil {
+			return fmt.Errorf("apps: %s/%s: %w", a.Name, g.Service, err)
+		}
+		if sla.Service != g.Service {
+			return fmt.Errorf("apps: %s/%s has the SLA of service %q", a.Name, g.Service, sla.Service)
 		}
 	}
 	for _, ms := range a.Microservices() {

@@ -110,6 +110,20 @@ func TestValidateDetectsProblems(t *testing.T) {
 	if err := d.Validate(); err == nil {
 		t.Fatal("empty app accepted")
 	}
+	for name, sla := range map[string]workload.SLA{
+		"negative threshold": {Service: "login", Threshold: -5, Percentile: 0.95},
+		"zero threshold":     {Service: "login", Percentile: 0.95},
+		"percentile 1.5":     {Service: "login", Threshold: 200, Percentile: 1.5},
+		"another service":    {Service: "search", Threshold: 200, Percentile: 0.95},
+	} {
+		e := HotelReservation()
+		e.SLAs["login"] = sla
+		if err := e.Validate(); err == nil {
+			t.Errorf("%s: SLA %+v accepted", name, sla)
+		} else if !strings.Contains(err.Error(), "login") {
+			t.Errorf("%s: error %q does not name the service", name, err)
+		}
+	}
 }
 
 // TestValidateRejectsUnusableProfiles: a profile the simulator cannot draw a
@@ -231,9 +245,58 @@ func TestSLADefaultsAreValid(t *testing.T) {
 	_ = workload.SLA{}
 }
 
+// topologyStats summarizes an application's dependency-graph shape — the
+// statistics the paper's companion trace study ([26]) reports for production
+// graphs, and the §6.1 counts validateAgainstPaper holds the built-in apps to.
+type topologyStats struct {
+	Services, Microservices, Shared int
+	// Nodes is the total call-tree positions across services.
+	Nodes int
+	// MeanGraphSize / MaxGraphSize are per-service node counts.
+	MeanGraphSize float64
+	MaxGraphSize  int
+	// MaxDepth is the longest root-to-leaf call chain, in nodes.
+	MaxDepth int
+	// MaxFanOut is the widest parallel stage.
+	MaxFanOut int
+	// MaxSharingDegree is the largest number of services sharing one
+	// microservice.
+	MaxSharingDegree int
+}
+
+func statsOf(a *App) topologyStats {
+	st := topologyStats{
+		Services:      len(a.Graphs),
+		Microservices: len(a.Microservices()),
+		Shared:        len(a.Shared()),
+	}
+	var depth func(n *graph.Node) int
+	depth = func(n *graph.Node) int {
+		best := 0
+		for _, stage := range n.Stages {
+			for _, c := range stage {
+				best = max(best, depth(c))
+			}
+			st.MaxFanOut = max(st.MaxFanOut, len(stage))
+		}
+		return best + 1
+	}
+	for _, g := range a.Graphs {
+		st.Nodes += g.Len()
+		st.MaxGraphSize = max(st.MaxGraphSize, g.Len())
+		st.MaxDepth = max(st.MaxDepth, depth(g.Root))
+	}
+	if st.Services > 0 {
+		st.MeanGraphSize = float64(st.Nodes) / float64(st.Services)
+	}
+	for _, deg := range a.SharingDegree() {
+		st.MaxSharingDegree = max(st.MaxSharingDegree, deg)
+	}
+	return st
+}
+
 func TestTopologyStats(t *testing.T) {
-	a := HotelReservation()
-	st := a.Stats()
+	st := statsOf(HotelReservation())
 	if st.Services != 4 || st.Microservices != 15 || st.Shared != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -246,44 +309,24 @@ func TestTopologyStats(t *testing.T) {
 	if st.MeanGraphSize <= 1 || st.MaxDepth < 3 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.String() == "" {
-		t.Fatal("empty string")
-	}
 }
 
-func TestReport(t *testing.T) {
-	rep := SocialNetwork().Report()
-	for _, want := range []string{"social-network", "compose-post", "sharing-degree histogram", "3 -> 3"} {
-		if !strings.Contains(rep, want) {
-			t.Fatalf("report missing %q:\n%s", want, rep)
-		}
-	}
-}
-
+// TestValidateAgainstPaper checks the §6.1 application shapes: the
+// DeathStarBench-equivalent apps carry the published microservice, service
+// and shared-microservice counts.
 func TestValidateAgainstPaper(t *testing.T) {
-	if err := ValidateAgainstPaper(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestApplyEdgePolicy(t *testing.T) {
-	a := HotelReservation()
-	// Pin one node first: the blanket application must not overwrite it.
-	pinned := a.Graphs[0].Root
-	pinned.SetPolicy(graph.EdgePolicy{TimeoutMs: 7})
-
-	a.ApplyEdgePolicy(graph.EdgePolicy{TimeoutMs: 30, MaxAttempts: 2})
-	if pinned.Policy.TimeoutMs != 7 {
-		t.Fatalf("blanket policy overwrote a pinned edge: %+v", pinned.Policy)
-	}
-	for _, g := range a.Graphs {
-		for _, n := range g.PreOrder() {
-			if n.Policy == nil {
-				t.Fatalf("%s/%s has no policy after ApplyEdgePolicy", g.Service, n.Microservice)
-			}
-			if n != pinned && (n.Policy.TimeoutMs != 30 || n.Policy.MaxAttempts != 2) {
-				t.Fatalf("%s/%s has wrong policy: %+v", g.Service, n.Microservice, n.Policy)
-			}
+	for _, c := range []struct {
+		app                             *App
+		microservices, services, shared int
+	}{
+		{SocialNetwork(), 36, 3, 3},
+		{MediaService(), 38, 1, 0},
+		{HotelReservation(), 15, 4, 3},
+	} {
+		st := statsOf(c.app)
+		if st.Microservices != c.microservices || st.Services != c.services || st.Shared != c.shared {
+			t.Errorf("%s shape (%d µs, %d services, %d shared) != paper (%d, %d, %d)",
+				c.app.Name, st.Microservices, st.Services, st.Shared, c.microservices, c.services, c.shared)
 		}
 	}
 }

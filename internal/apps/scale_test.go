@@ -9,7 +9,7 @@ func TestScaleTopologyExactShape(t *testing.T) {
 	cases := []ScaleConfig{
 		{Seed: 1, Services: 20, MicroservicesPerService: 10, SharingDegree: 4},
 		{Seed: 2, Services: 30, MicroservicesPerService: 7, SharingDegree: 5, MaxStageWidth: 2},
-		{Seed: 3, Services: 8, MicroservicesPerService: 12, SharingDegree: 8},  // degree == services
+		{Seed: 3, Services: 8, MicroservicesPerService: 12, SharingDegree: 8}, // degree == services
 		{Seed: 4, Services: 10, MicroservicesPerService: 5, SharingDegree: 3}, // remainder pool entry
 	}
 	for _, cfg := range cases {

@@ -217,22 +217,19 @@ func (Rhythm) Plan(in Input) (*scaling.Allocation, error) {
 // Firm starts from a capacity-minimal deployment and repeatedly scales out
 // the critical microservice — the node on the critical path with the
 // largest modeled latency — until the modeled end-to-end latency meets the
-// SLA [35]. MaxIters bounds the loop (default 10000).
-type Firm struct {
-	MaxIters int
-}
+// SLA [35], within firmMaxIters scale-outs.
+type Firm struct{}
+
+// firmMaxIters bounds Firm's scale-out loop.
+const firmMaxIters = 10000
 
 // Name implements Autoscaler.
 func (Firm) Name() string { return "firm" }
 
 // Plan implements Autoscaler.
-func (f Firm) Plan(in Input) (*scaling.Allocation, error) {
+func (Firm) Plan(in Input) (*scaling.Allocation, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
-	}
-	maxIters := f.MaxIters
-	if maxIters <= 0 {
-		maxIters = 10000
 	}
 	containers := make(map[string]int)
 	for _, ms := range in.Graph.Microservices() {
@@ -254,7 +251,7 @@ func (f Firm) Plan(in Input) (*scaling.Allocation, error) {
 		_, b := in.Models[ms].Params(false, in.CPUUtil, in.MemUtil)
 		return b
 	}
-	for iter := 0; iter < maxIters; iter++ {
+	for iter := 0; iter < firmMaxIters; iter++ {
 		if in.Graph.EndToEnd(lat) <= in.SLA.Threshold {
 			break
 		}
@@ -381,61 +378,4 @@ func aggregateShared(shared []string, loads map[string]map[string]float64) map[s
 		out[svc] = m
 	}
 	return out
-}
-
-// StatsFromSamples derives the MSStats GrandSLAm and Rhythm need from
-// profiling samples plus a per-sample end-to-end latency estimate. e2e[i]
-// corresponds to samples[i]; when e2e is nil the correlation defaults to 1.
-func StatsFromSamples(samples map[string][]profiling.Sample, e2e map[string][]float64) map[string]MSStats {
-	out := make(map[string]MSStats, len(samples))
-	for ms, ss := range samples {
-		if len(ss) == 0 {
-			continue
-		}
-		lat := make([]float64, len(ss))
-		for i, s := range ss {
-			lat[i] = s.TailMs
-		}
-		st := MSStats{MeanMs: mean(lat), VarMs: variance(lat), CorrE2E: 1}
-		if es, ok := e2e[ms]; ok && len(es) == len(lat) {
-			if c := correlation(lat, es); !math.IsNaN(c) {
-				st.CorrE2E = c
-			}
-		}
-		out[ms] = st
-	}
-	return out
-}
-
-func mean(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-func variance(xs []float64) float64 {
-	m := mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-func correlation(xs, ys []float64) float64 {
-	mx, my := mean(xs), mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }

@@ -202,25 +202,6 @@ func TestPlanServicesSharedMax(t *testing.T) {
 	}
 }
 
-func TestStatsFromSamples(t *testing.T) {
-	samples := map[string][]profiling.Sample{
-		"a": {{TailMs: 2}, {TailMs: 4}, {TailMs: 6}},
-	}
-	e2e := map[string][]float64{"a": {10, 20, 30}}
-	st := StatsFromSamples(samples, e2e)
-	if math.Abs(st["a"].MeanMs-4) > 1e-9 {
-		t.Fatalf("mean = %v", st["a"].MeanMs)
-	}
-	if math.Abs(st["a"].CorrE2E-1) > 1e-9 {
-		t.Fatalf("corr = %v", st["a"].CorrE2E)
-	}
-	// Without e2e series, correlation defaults to 1.
-	st2 := StatsFromSamples(samples, nil)
-	if st2["a"].CorrE2E != 1 {
-		t.Fatalf("default corr = %v", st2["a"].CorrE2E)
-	}
-}
-
 func TestFirmOverprovisionsVsErmsUnderHighLoad(t *testing.T) {
 	// Fig. 11: Firm's coarse bottleneck-chasing needs more containers than
 	// Erms' global optimum, especially at high workload.

@@ -155,12 +155,6 @@ func (h *Host) SetExternalUsage(cpuCores, memMB float64) {
 	h.aggValid = false
 }
 
-// ExternalUsage returns the external CPU (cores) and memory (MiB) recorded by
-// SetExternalUsage.
-func (h *Host) ExternalUsage() (cpuCores, memMB float64) {
-	return h.extCPUCores, h.extMemMB
-}
-
 // Down reports whether the host has failed.
 func (h *Host) Down() bool { return h.down }
 
@@ -382,18 +376,6 @@ func (cl *Cluster) ContainersFor(microservice string) []*Container {
 
 // CountFor returns the number of containers deployed for a microservice.
 func (cl *Cluster) CountFor(microservice string) int { return len(cl.byMS[microservice]) }
-
-// UpHosts returns the number of hosts that have not failed (cordoned hosts
-// count: they still run containers).
-func (cl *Cluster) UpHosts() int {
-	n := 0
-	for _, h := range cl.hosts {
-		if !h.down {
-			n++
-		}
-	}
-	return n
-}
 
 // MeanCPUUtil returns the average CPU utilization over live hosts (§5.3.1
 // feeds this into the profiling model). Failed hosts run nothing and are

@@ -111,9 +111,8 @@ func TestIndexAndCacheMatchBruteForce(t *testing.T) {
 					t.Fatal(err)
 				}
 			case 6:
-				step = "Drain"
-				o.Drain(host) // may stop early when nothing else fits
-				o.Uncordon(host)
+				step = "SetCordoned"
+				cl.Host(host).SetCordoned(!cl.Host(host).Cordoned())
 			case 7:
 				step = "SetCPUUsage"
 				if cs := cl.Containers(); len(cs) > 0 {

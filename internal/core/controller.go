@@ -35,11 +35,6 @@ func WithScheme(s multiplex.Scheme) Option {
 	return func(c *Controller) { c.Scheme = s }
 }
 
-// WithDelta sets the probabilistic priority parameter (default 0.05, §5.3.2).
-func WithDelta(d float64) Option {
-	return func(c *Controller) { c.Delta = d }
-}
-
 // WithScheduler overrides the placement scheduler (default: the caller's
 // orchestrator scheduler is kept).
 func WithScheduler(s kube.Scheduler) Option {
@@ -458,18 +453,6 @@ type EvalResult struct {
 	Goodput float64
 }
 
-// Evaluate plans for the given rates, applies the plan, and runs the
-// discrete-event simulator for durationMin minutes to measure real
-// end-to-end behaviour (including queueing and interference the analytic
-// models only approximate).
-func (c *Controller) Evaluate(rates map[string]float64, durationMin, warmupMin float64, seed uint64) (*EvalResult, error) {
-	plan, err := c.Plan(rates)
-	if err != nil {
-		return nil, err
-	}
-	return c.EvaluatePlan(plan, rates, durationMin, warmupMin, seed)
-}
-
 // EvalOpts carries fault-injection and workload-shape inputs for one
 // evaluation window.
 type EvalOpts struct {
@@ -492,9 +475,6 @@ type EvalOpts struct {
 	// keeps the serial engine; any other combination runs partitioned by
 	// sharing group (see sim.Run).
 	SimPartitions int
-	// Fluid tunes the hybrid fast path; nil uses defaults. Ignored unless
-	// SimMode is sim.SimHybrid.
-	Fluid *sim.FluidConfig
 }
 
 // EvaluatePlan applies a precomputed plan and simulates it.
@@ -544,7 +524,6 @@ func (c *Controller) EvaluateDeployed(plan *multiplex.Plan, rates map[string]flo
 	res, err := sim.Run(cfg, sim.PartitionOpts{
 		Mode:       opts.SimMode,
 		Partitions: opts.SimPartitions,
-		Fluid:      opts.Fluid,
 	})
 	if err != nil {
 		return nil, err

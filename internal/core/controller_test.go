@@ -260,7 +260,7 @@ func TestEvaluateMeetsSLA(t *testing.T) {
 	// The headline integration test: Erms plans from analytic models and the
 	// simulated deployment actually meets its SLAs (§6.3: violation < 2%).
 	c := hotelController(t, WithScheduler(&provision.InterferenceAware{Groups: 4}))
-	res, err := c.Evaluate(hotelRates(4000), 2, 0.5, 7)
+	res, err := planAndEvaluate(c, hotelRates(4000), 2, 0.5, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestEvaluateWithOfflineProfiledModels(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Evaluate(map[string]float64{"svc": 20_000}, 2, 0.5, 11)
+	res, err := planAndEvaluate(c, map[string]float64{"svc": 20_000}, 2, 0.5, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +483,7 @@ func TestEvaluateWithResilience(t *testing.T) {
 	c := hotelController(t, WithResilience(res))
 	rec := obs.New(c.Metrics)
 	c.Obs = rec
-	out, err := c.Evaluate(hotelRates(4000), 1.5, 0.25, 7)
+	out, err := planAndEvaluate(c, hotelRates(4000), 1.5, 0.25, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +510,7 @@ func TestEvaluateWithResilience(t *testing.T) {
 
 func TestEvaluateWithoutResilienceHasNoErrorRate(t *testing.T) {
 	c := hotelController(t)
-	out, err := c.Evaluate(hotelRates(3000), 1, 0.25, 3)
+	out, err := planAndEvaluate(c, hotelRates(3000), 1, 0.25, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,4 +520,14 @@ func TestEvaluateWithoutResilienceHasNoErrorRate(t *testing.T) {
 	if out.Goodput != 0 {
 		t.Fatalf("infallible evaluation reports goodput %v", out.Goodput)
 	}
+}
+
+// planAndEvaluate plans for the given rates, applies the plan, and simulates
+// the deployment for durationMin minutes.
+func planAndEvaluate(c *Controller, rates map[string]float64, durationMin, warmupMin float64, seed uint64) (*EvalResult, error) {
+	plan, err := c.Plan(rates)
+	if err != nil {
+		return nil, err
+	}
+	return c.EvaluatePlan(plan, rates, durationMin, warmupMin, seed)
 }

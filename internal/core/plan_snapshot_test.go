@@ -109,7 +109,7 @@ func TestPlansAreImmutableSnapshots(t *testing.T) {
 			t.Fatalf("window %d: degraded = %v, want %v", w, rep.Degraded, degraded)
 		}
 		scaledDown += rep.ScaledDown
-		plan := r.LastPlan()
+		plan := r.lastPlan
 		if !degraded {
 			want := hook.oracle
 			if plan.Scheme != want.Scheme ||

@@ -156,10 +156,6 @@ func NewReconciler(c *Controller) *Reconciler {
 // Window returns the index of the window the next Step runs.
 func (r *Reconciler) Window() int { return r.window }
 
-// LastPlan returns the most recently applied plan (nil before the first
-// successful window).
-func (r *Reconciler) LastPlan() *multiplex.Plan { return r.lastPlan }
-
 // applyWithHysteresis merges the new plan with the current deployment:
 // scale-ups apply immediately, scale-downs only past the slack. Plans are
 // immutable (see multiplex.Plan), so the adjusted counts go into a new Plan

@@ -165,7 +165,7 @@ func TestStepDegradesToLastPlanWhenPlanningFails(t *testing.T) {
 	if _, err := r.Step(hotelRates(8_000), 1); err != nil {
 		t.Fatal(err)
 	}
-	want := r.LastPlan().TotalContainers()
+	want := r.lastPlan.TotalContainers()
 
 	// Planning now fails past the retry budget; the loop reuses the last
 	// good plan instead of aborting.

@@ -141,10 +141,6 @@ type msState struct {
 	streak  int
 	pending []profiling.Sample // samples of the current drifted streak
 	ratios  []float64          // observed/predicted per pending sample
-	// moments accumulates drift scores across the whole run (one per
-	// evaluated window), merged window by window — introspection surface
-	// for tests and debugging, never fed back into decisions.
-	moments stats.Moments
 }
 
 // Detector is the streaming drift detector. It is not safe for concurrent
@@ -160,20 +156,8 @@ func NewDetector(cfg Config) *Detector {
 	return &Detector{cfg: cfg.withDefaults(), state: make(map[string]*msState)}
 }
 
-// Config returns the effective configuration (defaults applied).
-func (d *Detector) Config() Config { return d.cfg }
-
 // Stats returns a copy of the cumulative counters.
 func (d *Detector) Stats() Stats { return d.stats }
-
-// ScoreMoments returns the run-level moments of a microservice's drift
-// scores (zero-value Moments if never scored).
-func (d *Detector) ScoreMoments(ms string) stats.Moments {
-	if st, ok := d.state[ms]; ok {
-		return st.moments
-	}
-	return stats.Moments{}
-}
 
 // ObserveWindow scores one reconciliation window: samples maps each
 // microservice to the window's live profiling samples, models supplies the
@@ -227,9 +211,6 @@ func (d *Detector) ObserveWindow(models map[string]profiling.Model, samples map[
 		if score < 0 {
 			score = 0
 		}
-		var wm stats.Moments
-		wm.Add(score)
-		st.moments.Merge(wm)
 		if score > d.stats.MaxScore {
 			d.stats.MaxScore = score
 		}

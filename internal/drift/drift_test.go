@@ -239,29 +239,6 @@ func TestSegmentedRefitPath(t *testing.T) {
 	}
 }
 
-func TestScoreMomentsAccumulate(t *testing.T) {
-	m := lineModel{slope: 0.01, b: 10, knee: 1000}
-	d := NewDetector(Config{Threshold: 10, Consecutive: 2}) // never triggers
-	models := map[string]profiling.Model{"svc": m}
-	for _, r := range []float64{1, 2, 3} {
-		d.ObserveWindow(models, map[string][]profiling.Sample{"svc": window(m, 4, 100, r)})
-	}
-	mom := d.ScoreMoments("svc")
-	if mom.Count() != 3 {
-		t.Fatalf("count = %d, want 3 (one score per window)", mom.Count())
-	}
-	if math.Abs(mom.Mean()-1) > 1e-9 { // scores 0, 1, 2
-		t.Fatalf("mean score = %v, want 1", mom.Mean())
-	}
-	if mom.Max() != 2 || mom.Min() != 0 {
-		t.Fatalf("min/max = %v/%v", mom.Min(), mom.Max())
-	}
-	empty := d.ScoreMoments("unknown")
-	if empty.Count() != 0 {
-		t.Fatal("unknown microservice should have empty moments")
-	}
-}
-
 func TestScaledModelMath(t *testing.T) {
 	base := lineModel{slope: 2, b: 10, knee: 500}
 	s := NewScaledModel(base, 2)
@@ -323,7 +300,7 @@ func TestSegmentModelConstruction(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	d := NewDetector(Config{})
-	c := d.Config()
+	c := d.cfg
 	if c.Threshold != 0.75 || c.Consecutive != 2 || c.MinSamples != 1 ||
 		c.MaxRatio != 4 || c.MinRefitSamples != 8 || c.MinDistinct != 4 || c.Downward {
 		t.Fatalf("defaults = %+v", c)

@@ -96,15 +96,6 @@ func ExactGap(quick bool) []*Table {
 	return []*Table{t}
 }
 
-// exactInstance bundles one random shared-chain topology.
-type exactInstance struct {
-	msIndex map[string]int
-	a       map[string]float64
-	slacks  map[string]float64 // per service
-	shares  map[string]float64
-	order   []string // service order for the problem rows
-}
-
 // randomExactInstance builds nSvc services, each "own-k → P", with random
 // single-interval models, and the matching (partially filled) ExactProblem.
 func randomExactInstance(r *stats.RNG, nSvc int) (map[string]scaling.Input, map[string]map[string]float64, []string, *exactProblemBuilder) {

@@ -99,39 +99,6 @@ func Cluster(service string, variants []*Graph, threshold float64) ([]*Graph, er
 	return out, nil
 }
 
-// OverprovisionRatio estimates how much larger the single complete graph is
-// than a weighted mix of clustered classes: the node count of Merge(all)
-// divided by the member-weighted average node count of the class merges.
-// Values well above 1 indicate the §7 over-provisioning the clustering
-// removes.
-func OverprovisionRatio(service string, variants []*Graph, threshold float64) (float64, error) {
-	classes, err := Cluster(service, variants, threshold)
-	if err != nil {
-		return 0, err
-	}
-	complete, err := Merge(service, variants...)
-	if err != nil {
-		return 0, err
-	}
-	// Weight each class by its member count (recover counts by re-running
-	// the assignment).
-	var weighted, total float64
-	for _, v := range variants {
-		best, bestSim := classes[0], -1.0
-		for _, c := range classes {
-			if v.Root.Microservice != c.Root.Microservice {
-				continue
-			}
-			if s := Similarity(v, c); s > bestSim {
-				best, bestSim = c, s
-			}
-		}
-		weighted += float64(best.Len())
-		total++
-	}
-	return float64(complete.Len()) / (weighted / total), nil
-}
-
 func itoaSmall(n int) string {
 	if n == 0 {
 		return "0"

@@ -107,23 +107,32 @@ func TestClusterErrors(t *testing.T) {
 	}
 }
 
+// TestOverprovisionRatio: the §7 over-provisioning the clustering removes.
+// Two dissimilar families each get a class smaller than the single complete
+// graph that unions both; one family gets one class no smaller than it.
 func TestOverprovisionRatio(t *testing.T) {
-	// Two dissimilar families: the complete graph unions both, so requests
-	// of either family see ~double the nodes they need.
 	variants := []*Graph{variantA(), variantA(), variantB(), variantB()}
-	ratio, err := OverprovisionRatio("svc", variants, 0.5)
+	classes, err := Cluster("svc", variants, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ratio <= 1.2 {
-		t.Fatalf("overprovision ratio = %v, want substantially > 1", ratio)
-	}
-	// A single family has no overprovisioning.
-	same, err := OverprovisionRatio("svc", []*Graph{variantA(), variantA()}, 0.5)
+	complete, err := Merge("svc", variants...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if same != 1 {
-		t.Fatalf("single-family ratio = %v, want 1", same)
+	if len(classes) != 2 {
+		t.Fatalf("%d classes, want 2", len(classes))
+	}
+	for _, c := range classes {
+		if ratio := float64(complete.Len()) / float64(c.Len()); ratio <= 1.2 {
+			t.Fatalf("complete graph / class %s = %v, want substantially > 1", c.Service, ratio)
+		}
+	}
+	same, err := Cluster("svc", []*Graph{variantA(), variantA()}, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(same) != 1 || same[0].Len() != variantA().Len() {
+		t.Fatalf("single family clustered into %d classes", len(same))
 	}
 }

@@ -21,20 +21,6 @@ import (
 	"strings"
 )
 
-// EdgePolicy tunes the data-plane resilience behaviour of the call edge
-// entering a node (parent → node; for the root, client → root). Zero fields
-// inherit the simulation-wide defaults of sim.Resilience; the policy is inert
-// when the resilience layer is disabled.
-type EdgePolicy struct {
-	// TimeoutMs is the per-attempt timeout for this call. 0 inherits the
-	// global default; negative disables the per-attempt timeout (the call is
-	// bounded only by the propagated request deadline).
-	TimeoutMs float64
-	// MaxAttempts caps attempts (first call + retries) on this edge.
-	// 0 inherits; 1 disables retries; negative is treated as 1.
-	MaxAttempts int
-}
-
 // Node is one call-tree position occupied by a microservice.
 type Node struct {
 	// Microservice is the name of the deployed microservice handling the call.
@@ -46,32 +32,12 @@ type Node struct {
 	Stages [][]*Node
 	// Parent is nil for the root.
 	Parent *Node
-	// Policy optionally overrides the resilience defaults for the call edge
-	// entering this node. Nil inherits everything.
-	Policy *EdgePolicy
 
 	graph *Graph
 }
 
-// SetPolicy attaches an edge policy to the call entering the node and
-// returns the node (for chaining during graph construction).
-func (n *Node) SetPolicy(p EdgePolicy) *Node {
-	cp := p
-	n.Policy = &cp
-	return n
-}
-
 // IsLeaf reports whether the node issues no downstream calls.
 func (n *Node) IsLeaf() bool { return len(n.Stages) == 0 }
-
-// Children returns all downstream nodes across all stages, in stage order.
-func (n *Node) Children() []*Node {
-	var out []*Node
-	for _, st := range n.Stages {
-		out = append(out, st...)
-	}
-	return out
-}
 
 // String returns "microservice#id".
 func (n *Node) String() string { return fmt.Sprintf("%s#%d", n.Microservice, n.ID) }
@@ -125,13 +91,6 @@ func (g *Graph) AddSequential(parent *Node, microservices ...string) []*Node {
 	for _, m := range microservices {
 		out = append(out, g.AddStage(parent, m)[0])
 	}
-	return out
-}
-
-// Nodes returns all nodes in creation order (root first).
-func (g *Graph) Nodes() []*Node {
-	out := make([]*Node, len(g.nodes))
-	copy(out, g.nodes)
 	return out
 }
 
@@ -225,10 +184,6 @@ func (g *Graph) Clone() *Graph {
 	var cp func(n *Node, parent *Node) *Node
 	cp = func(n *Node, parent *Node) *Node {
 		nn := &Node{Microservice: n.Microservice, ID: n.ID, Parent: parent, graph: ng}
-		if n.Policy != nil {
-			pol := *n.Policy
-			nn.Policy = &pol
-		}
 		ng.nodes[n.ID] = nn
 		for _, st := range n.Stages {
 			nst := make([]*Node, len(st))
@@ -294,23 +249,6 @@ func (g *Graph) TwoTierInvocations() []TwoTierInvocation {
 		}
 	}
 	return out
-}
-
-// Depth returns the maximum number of nodes on any root-to-leaf chain.
-func (g *Graph) Depth() int {
-	var depth func(n *Node) int
-	depth = func(n *Node) int {
-		best := 0
-		for _, st := range n.Stages {
-			for _, c := range st {
-				if d := depth(c); d > best {
-					best = d
-				}
-			}
-		}
-		return best + 1
-	}
-	return depth(g.Root)
 }
 
 // EndToEnd computes the end-to-end latency of the service given a per-node
@@ -411,13 +349,6 @@ func Merge(service string, variants ...*Graph) (*Graph, error) {
 		}
 	}
 	out := New(service, root)
-	for _, v := range variants {
-		if v.Root.Policy != nil {
-			pol := *v.Root.Policy
-			out.Root.Policy = &pol
-			break
-		}
-	}
 	var merge func(dst *Node, srcs []*Node)
 	merge = func(dst *Node, srcs []*Node) {
 		maxStages := 0
@@ -446,15 +377,6 @@ func Merge(service string, variants ...*Graph) (*Graph, error) {
 			}
 			stage := out.AddStage(dst, order...)
 			for i, name := range order {
-				// The merged edge keeps the first policy seen across variants
-				// (variants are ordered; first-seen wins, like stage union).
-				for _, c := range children[name] {
-					if c.Policy != nil {
-						pol := *c.Policy
-						stage[i].Policy = &pol
-						break
-					}
-				}
 				merge(stage[i], children[name])
 			}
 		}

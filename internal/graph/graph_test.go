@@ -2,7 +2,6 @@ package graph
 
 import (
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -102,7 +101,7 @@ func TestPreOrderPostOrder(t *testing.T) {
 	for i, n := range post {
 		pos[n.ID] = i
 	}
-	for _, n := range g.Nodes() {
+	for _, n := range g.PreOrder() {
 		if n.Parent != nil && pos[n.ID] >= pos[n.Parent.ID] {
 			t.Fatalf("node %s after its parent in post-order", n)
 		}
@@ -121,19 +120,6 @@ func TestTwoTierInvocations(t *testing.T) {
 	// Deepest first: Url's invocation before T's.
 	if tt[0].Parent.Microservice != "Url" || tt[1].Parent.Microservice != "T" {
 		t.Fatalf("two-tier order: %v then %v", tt[0].Parent, tt[1].Parent)
-	}
-}
-
-func TestDepth(t *testing.T) {
-	g := New("svc", "A")
-	b := g.AddStage(g.Root, "B")[0]
-	c := g.AddStage(b, "C")[0]
-	g.AddStage(c, "D")
-	if d := g.Depth(); d != 4 {
-		t.Fatalf("depth = %d", d)
-	}
-	if d := New("s", "X").Depth(); d != 1 {
-		t.Fatalf("single-node depth = %d", d)
 	}
 }
 
@@ -200,8 +186,8 @@ func TestCloneIsDeep(t *testing.T) {
 	if g.Len() == c.Len() {
 		t.Fatal("clone shares node storage with original")
 	}
-	for i, n := range g.Nodes() {
-		if n == c.Nodes()[i] {
+	for i, n := range g.PreOrder() {
+		if n == c.PreOrder()[i] {
 			t.Fatal("clone shares node pointers")
 		}
 	}
@@ -259,8 +245,7 @@ func TestMergeSubtrees(t *testing.T) {
 	if len(bs) != 1 {
 		t.Fatalf("B duplicated: %d", len(bs))
 	}
-	kids := bs[0].Children()
-	if len(kids) != 2 {
+	if kids := bs[0].Stages; len(kids) != 1 || len(kids[0]) != 2 {
 		t.Fatalf("B children = %v", kids)
 	}
 }
@@ -335,7 +320,7 @@ func TestRandomTreesValidate(t *testing.T) {
 		}
 		// Clone is structurally identical.
 		c := g.Clone()
-		return c.Validate() == nil && c.Len() == g.Len() && c.Depth() == g.Depth()
+		return c.Validate() == nil && c.Len() == g.Len() && c.DOT() == g.DOT()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -350,7 +335,7 @@ func TestEndToEndUpperBoundProperty(t *testing.T) {
 		g := randomTree(r, 2+r.Intn(40))
 		lat := make(map[int]float64)
 		var sum float64
-		for _, n := range g.Nodes() {
+		for _, n := range g.PreOrder() {
 			lat[n.ID] = r.Float64() * 10
 			sum += lat[n.ID]
 		}
@@ -374,19 +359,12 @@ func TestEndToEndUpperBoundProperty(t *testing.T) {
 }
 
 // canonGraph renders a graph as an ID-free canonical signature: microservice
-// names with edge policies, stage grouping and in-stage order. Two graphs
+// names, stage grouping and in-stage order. Two graphs
 // with equal signatures are identical up to node-ID assignment (which Merge
 // legitimately renumbers).
 func canonGraph(n *Node) string {
 	var sb strings.Builder
 	sb.WriteString(n.Microservice)
-	if n.Policy != nil {
-		sb.WriteString("{")
-		sb.WriteString(strconv.FormatFloat(n.Policy.TimeoutMs, 'g', -1, 64))
-		sb.WriteString(",")
-		sb.WriteString(strconv.Itoa(n.Policy.MaxAttempts))
-		sb.WriteString("}")
-	}
 	for _, st := range n.Stages {
 		sb.WriteString("(")
 		for i, c := range st {
@@ -401,7 +379,7 @@ func canonGraph(n *Node) string {
 }
 
 // requireSameGraph fails unless two graphs have identical canonical
-// signatures (structure, names, order, and edge policies).
+// signatures (structure, names and order).
 func requireSameGraph(t *testing.T, want, got *Graph, ctx string) {
 	t.Helper()
 	if got.Service != want.Service || got.Len() != want.Len() {
@@ -412,28 +390,13 @@ func requireSameGraph(t *testing.T, want, got *Graph, ctx string) {
 	}
 }
 
-// policyTree decorates a random tree with edge policies on every third node,
-// so idempotency also covers the first-policy-wins merge rule.
-func policyTree(r *stats.RNG, n int) *Graph {
-	g := randomTree(r, n)
-	for i, node := range g.PreOrder() {
-		if i%3 == 1 {
-			node.SetPolicy(EdgePolicy{
-				TimeoutMs:   5 + 10*r.Float64(),
-				MaxAttempts: 1 + r.Intn(3),
-			})
-		}
-	}
-	return g
-}
-
 // TestMergeIdempotent pins the template-cache precondition that makes graph
 // fingerprints stable: merging a graph with itself (or alone) is the
-// identity, structurally and for edge policies.
+// identity.
 func TestMergeIdempotent(t *testing.T) {
 	f := func(seed uint16) bool {
 		r := stats.NewRNG(uint64(seed) + 7)
-		g := policyTree(r, 2+r.Intn(40))
+		g := randomTree(r, 2+r.Intn(40))
 		one, err := Merge("svc", g)
 		if err != nil {
 			t.Fatalf("seed %d: Merge(g): %v", seed, err)
@@ -446,7 +409,7 @@ func TestMergeIdempotent(t *testing.T) {
 		requireSameGraph(t, g, twice, "Merge(g, g)")
 		// Merging an already-merged graph with a variant changes nothing
 		// more: Merge(Merge(a, b), b) == Merge(a, b).
-		h := policyTree(stats.NewRNG(uint64(seed)+977), 2+r.Intn(40))
+		h := randomTree(stats.NewRNG(uint64(seed)+977), 2+r.Intn(40))
 		hRe := h.Clone()
 		hRe.Root.Microservice = g.Root.Microservice
 		m1, err := Merge("svc", g, hRe)

@@ -113,11 +113,6 @@ const (
 	EventScaleUp
 	EventScaleDown
 	EventDelete
-	// EventCordon / EventUncordon toggle a node's schedulability.
-	EventCordon
-	EventUncordon
-	// EventDrain reports containers migrated off a node.
-	EventDrain
 	// EventNodeFail reports a node failure; Delta is the (negative) number of
 	// containers lost with it.
 	EventNodeFail
@@ -139,12 +134,6 @@ func (t EventType) String() string {
 		return "scale-down"
 	case EventDelete:
 		return "delete"
-	case EventCordon:
-		return "cordon"
-	case EventUncordon:
-		return "uncordon"
-	case EventDrain:
-		return "drain"
 	case EventNodeFail:
 		return "node-fail"
 	case EventNodeRecover:
@@ -164,8 +153,8 @@ type Event struct {
 	Delta int
 	// Replicas is the resulting replica count.
 	Replicas int
-	// Host identifies the node for node-scoped events (cordon, drain,
-	// node-fail, node-recover); -1 otherwise.
+	// Host identifies the node for node-scoped events (node-fail,
+	// node-recover); -1 otherwise.
 	Host int
 }
 
@@ -340,64 +329,6 @@ func (o *Orchestrator) Deployment(microservice string) (Deployment, bool) {
 		return Deployment{}, false
 	}
 	return *d, true
-}
-
-// Cordon marks a node unschedulable: running containers stay, new placements
-// skip it.
-func (o *Orchestrator) Cordon(hostID int) error {
-	h := o.cl.Host(hostID)
-	if h == nil {
-		return fmt.Errorf("kube: no host %d", hostID)
-	}
-	if h.Cordoned() {
-		return nil
-	}
-	h.SetCordoned(true)
-	o.emit(Event{Type: EventCordon, Host: hostID})
-	return nil
-}
-
-// Uncordon makes a cordoned node schedulable again.
-func (o *Orchestrator) Uncordon(hostID int) error {
-	h := o.cl.Host(hostID)
-	if h == nil {
-		return fmt.Errorf("kube: no host %d", hostID)
-	}
-	if !h.Cordoned() {
-		return nil
-	}
-	h.SetCordoned(false)
-	o.emit(Event{Type: EventUncordon, Host: hostID})
-	return nil
-}
-
-// Drain cordons a node and migrates its containers to other hosts through
-// the scheduler. A container that fits nowhere else stops the drain with an
-// error; containers already moved stay moved (the node remains cordoned).
-func (o *Orchestrator) Drain(hostID int) error {
-	h := o.cl.Host(hostID)
-	if h == nil {
-		return fmt.Errorf("kube: no host %d", hostID)
-	}
-	if err := o.Cordon(hostID); err != nil {
-		return err
-	}
-	moved := 0
-	for _, c := range h.Containers() {
-		dst, err := o.sched.Place(o.cl, c.Spec)
-		if err != nil {
-			return fmt.Errorf("kube: draining host %d after %d moves: %w", hostID, moved, err)
-		}
-		if err := o.cl.Remove(c.ID); err != nil {
-			return err
-		}
-		if _, err := o.cl.Place(c.Spec, dst); err != nil {
-			return err
-		}
-		moved++
-	}
-	o.emit(Event{Type: EventDrain, Host: hostID, Delta: moved})
-	return nil
 }
 
 // FailNode takes a node down hard: its containers are lost immediately (no

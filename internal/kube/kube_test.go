@@ -316,92 +316,6 @@ func TestWatchEventOrderingApplyScaleDelete(t *testing.T) {
 	}
 }
 
-func TestCordonUncordon(t *testing.T) {
-	o := newOrch(2)
-	var events []Event
-	o.Watch(func(e Event) { events = append(events, e) })
-	if err := o.Cordon(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Cordon(0); err != nil { // idempotent, no second event
-		t.Fatal(err)
-	}
-	if err := o.Apply(cluster.PaperContainer("a"), 4); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(o.Cluster().Host(0).Containers()); got != 0 {
-		t.Fatalf("cordoned host received %d containers", got)
-	}
-	if err := o.Uncordon(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Scale("a", 8); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(o.Cluster().Host(0).Containers()); got == 0 {
-		t.Fatal("uncordoned host still skipped")
-	}
-	var types []EventType
-	for _, e := range events {
-		if e.Type == EventCordon || e.Type == EventUncordon {
-			types = append(types, e.Type)
-		}
-	}
-	if len(types) != 2 || types[0] != EventCordon || types[1] != EventUncordon {
-		t.Fatalf("cordon events = %v, want exactly one cordon then one uncordon", types)
-	}
-	if err := o.Cordon(99); err == nil {
-		t.Fatal("unknown host accepted")
-	}
-}
-
-func TestDrainMigratesContainers(t *testing.T) {
-	o := newOrch(2)
-	if err := o.Apply(cluster.PaperContainer("a"), 4); err != nil {
-		t.Fatal(err)
-	}
-	var drains []Event
-	o.Watch(func(e Event) {
-		if e.Type == EventDrain {
-			drains = append(drains, e)
-		}
-	})
-	moved := len(o.Cluster().Host(0).Containers())
-	if err := o.Drain(0); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(o.Cluster().Host(0).Containers()); got != 0 {
-		t.Fatalf("host 0 still has %d containers after drain", got)
-	}
-	if got := o.Cluster().CountFor("a"); got != 4 {
-		t.Fatalf("containers lost in drain: %d", got)
-	}
-	if !o.Cluster().Host(0).Cordoned() {
-		t.Fatal("drained host not cordoned")
-	}
-	if len(drains) != 1 || drains[0].Host != 0 || drains[0].Delta != moved {
-		t.Fatalf("drain events = %+v, want one with delta %d", drains, moved)
-	}
-}
-
-func TestDrainFailsWithoutCapacity(t *testing.T) {
-	cl := cluster.New(2, cluster.HostSpec{Cores: 1, MemGB: 4})
-	o := New(cl, nil)
-	if err := o.Apply(cluster.PaperContainer("a"), 16); err != nil {
-		t.Fatal(err)
-	}
-	// Both hosts are near-full; host 1 cannot absorb host 0's containers.
-	if err := o.Drain(0); err == nil {
-		t.Fatal("drain without capacity should error")
-	}
-	if !cl.Host(0).Cordoned() {
-		t.Fatal("failed drain should leave the node cordoned")
-	}
-	if got := cl.CountFor("a"); got != 16 {
-		t.Fatalf("containers lost in failed drain: %d", got)
-	}
-}
-
 func TestFailNodeRecoverAndRepair(t *testing.T) {
 	o := newOrch(3)
 	if err := o.Apply(cluster.PaperContainer("a"), 6); err != nil {
@@ -477,7 +391,7 @@ func TestFailNodeRecoverAndRepair(t *testing.T) {
 }
 
 func TestNodeEventTypeStrings(t *testing.T) {
-	for _, et := range []EventType{EventCordon, EventUncordon, EventDrain, EventNodeFail, EventNodeRecover, EventRepair} {
+	for _, et := range []EventType{EventNodeFail, EventNodeRecover, EventRepair} {
 		if et.String() == "" || et.String() == "unknown" {
 			t.Fatalf("event type %d has no name", et)
 		}

@@ -27,13 +27,6 @@ type Series struct {
 	points []Point
 }
 
-// Points returns a copy of the series data.
-func (s *Series) Points() []Point {
-	out := make([]Point, len(s.points))
-	copy(out, s.points)
-	return out
-}
-
 // Len returns the number of points.
 func (s *Series) Len() int { return len(s.points) }
 
@@ -168,33 +161,6 @@ func (st *Store) Latest(key string) (Point, bool) {
 		return Point{}, false
 	}
 	return s.points[len(s.points)-1], true
-}
-
-// MeanInRange returns the mean value of a series over [t0, t1), and false if
-// the window is empty.
-func (st *Store) MeanInRange(key string, t0, t1 float64) (float64, bool) {
-	pts := st.Range(key, t0, t1)
-	if len(pts) == 0 {
-		return 0, false
-	}
-	var m stats.Moments
-	for _, p := range pts {
-		m.Add(p.V)
-	}
-	return m.Mean(), true
-}
-
-// QuantileInRange returns the q-quantile of a series over [t0, t1).
-func (st *Store) QuantileInRange(key string, q, t0, t1 float64) (float64, bool) {
-	pts := st.Range(key, t0, t1)
-	if len(pts) == 0 {
-		return 0, false
-	}
-	vals := make([]float64, len(pts))
-	for i, p := range pts {
-		vals[i] = p.V
-	}
-	return stats.Quantile(vals, q), true
 }
 
 // Canonical metric names used by the collectors.

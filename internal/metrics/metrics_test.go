@@ -65,13 +65,6 @@ func TestOutOfOrderAppend(t *testing.T) {
 	if got := st.Range("s", 2, 4); len(got) != 2 || got[0].T != 2 || got[1].T != 3 {
 		t.Fatalf("sub-range = %v", got)
 	}
-	// Aggregates over a window of a scrambled series are correct too.
-	if m, ok := st.MeanInRange("s", 1, 4); !ok || m != 20 {
-		t.Fatalf("mean = %v ok=%v, want 20", m, ok)
-	}
-	if q, ok := st.QuantileInRange("s", 1.0, 0, 10); !ok || q != 50 {
-		t.Fatalf("quantile = %v ok=%v, want 50", q, ok)
-	}
 	// Latest reports the greatest timestamp, not the last arrival.
 	st.Append("s", 0.5, 5)
 	if p, ok := st.Latest("s"); !ok || p.T != 5 || p.V != 50 {
@@ -112,24 +105,6 @@ func TestLatest(t *testing.T) {
 	p, ok := st.Latest("s")
 	if !ok || p.V != 20 || p.T != 2 {
 		t.Fatalf("latest = %+v ok=%v", p, ok)
-	}
-}
-
-func TestAggregates(t *testing.T) {
-	st := NewStore()
-	for i := 0; i < 100; i++ {
-		st.Append("s", float64(i), float64(i))
-	}
-	m, ok := st.MeanInRange("s", 0, 100)
-	if !ok || math.Abs(m-49.5) > 1e-9 {
-		t.Fatalf("mean = %v ok=%v", m, ok)
-	}
-	q, ok := st.QuantileInRange("s", 0.5, 0, 100)
-	if !ok || math.Abs(q-49.5) > 1e-9 {
-		t.Fatalf("median = %v", q)
-	}
-	if _, ok := st.MeanInRange("s", 200, 300); ok {
-		t.Fatal("empty window should report !ok")
 	}
 }
 

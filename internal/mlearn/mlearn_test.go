@@ -36,7 +36,7 @@ func TestTreeLearnsStep(t *testing.T) {
 	if got := tr.Predict([]float64{8, 0.5}); math.Abs(got-50) > 2 {
 		t.Fatalf("high region = %v", got)
 	}
-	if tr.Depth() < 1 {
+	if depth(tr) < 1 {
 		t.Fatal("tree did not split")
 	}
 	if tr.String() == "" {
@@ -50,8 +50,8 @@ func TestTreeRespectsDepthAndLeafLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Depth() > 1 {
-		t.Fatalf("depth = %d", tr.Depth())
+	if depth(tr) > 1 {
+		t.Fatalf("depth = %d", depth(tr))
 	}
 }
 
@@ -65,7 +65,7 @@ func TestTreeConstantTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Depth() != 0 {
+	if depth(tr) != 0 {
 		t.Fatal("constant target should be a single leaf")
 	}
 	if tr.Predict([]float64{100}) != 7 {
@@ -112,8 +112,8 @@ func TestGBDTFitsNonlinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumTrees() != 120 {
-		t.Fatalf("trees = %d", g.NumTrees())
+	if len(g.trees) != 120 {
+		t.Fatalf("trees = %d", len(g.trees))
 	}
 	tx, ty := nonlinearData(300, 6)
 	var pred, actual []float64
@@ -130,7 +130,7 @@ func TestGBDTBeatsSingleTree(t *testing.T) {
 	x, y := nonlinearData(1000, 7)
 	tx, ty := nonlinearData(300, 8)
 	tr, _ := FitTree(x, y, TreeConfig{MaxDepth: 3})
-	g, _ := FitGBDT(x, y, GBDTConfig{Trees: 80, Tree: TreeConfig{MaxDepth: 3}})
+	g, _ := FitGBDT(x, y, GBDTConfig{Trees: 80})
 	var treeSSE, gbdtSSE float64
 	for i := range tx {
 		d1 := tr.Predict(tx[i]) - ty[i]
@@ -218,4 +218,12 @@ func TestNNErrors(t *testing.T) {
 	if _, err := FitNN([][]float64{{1}, {1, 2}}, []float64{1, 2}, NNConfig{}); err == nil {
 		t.Fatal("ragged input accepted")
 	}
+}
+
+// depth returns the tree depth (0 for a single leaf).
+func depth(t *Tree) int {
+	if t.leaf {
+		return 0
+	}
+	return 1 + max(depth(t.left), depth(t.right))
 }

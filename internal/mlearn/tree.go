@@ -159,18 +159,6 @@ func (t *Tree) Predict(x []float64) float64 {
 	return t.value
 }
 
-// Depth returns the tree depth (0 for a single leaf).
-func (t *Tree) Depth() int {
-	if t.leaf {
-		return 0
-	}
-	l, r := t.left.Depth(), t.right.Depth()
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
 // String renders a compact description for debugging.
 func (t *Tree) String() string {
 	if t.leaf {
@@ -185,9 +173,12 @@ type GBDTConfig struct {
 	Trees int
 	// LearningRate shrinks each tree's contribution. Default 0.1.
 	LearningRate float64
-	// Tree bounds the base learners (default depth 3).
-	Tree TreeConfig
 }
+
+// gbdtTree bounds the base learners. Quantile subsampling of the split
+// thresholds keeps boosting fast on large profiles without hurting split
+// quality materially.
+var gbdtTree = TreeConfig{MaxDepth: 3, MaxThresholds: 32}
 
 func (c GBDTConfig) withDefaults() GBDTConfig {
 	if c.Trees <= 0 {
@@ -195,14 +186,6 @@ func (c GBDTConfig) withDefaults() GBDTConfig {
 	}
 	if c.LearningRate <= 0 {
 		c.LearningRate = 0.1
-	}
-	if c.Tree.MaxDepth <= 0 {
-		c.Tree.MaxDepth = 3
-	}
-	if c.Tree.MaxThresholds <= 0 {
-		// Quantile subsampling keeps boosting fast on large profiles without
-		// hurting split quality materially.
-		c.Tree.MaxThresholds = 32
 	}
 	return c
 }
@@ -236,7 +219,7 @@ func FitGBDT(x [][]float64, y []float64, cfg GBDTConfig) (*GBDT, error) {
 		for i := range y {
 			resid[i] = y[i] - pred[i]
 		}
-		t, err := FitTree(x, resid, cfg.Tree)
+		t, err := FitTree(x, resid, gbdtTree)
 		if err != nil {
 			return nil, err
 		}
@@ -256,6 +239,3 @@ func (g *GBDT) Predict(x []float64) float64 {
 	}
 	return out
 }
-
-// NumTrees returns the ensemble size.
-func (g *GBDT) NumTrees() int { return len(g.trees) }

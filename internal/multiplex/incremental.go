@@ -8,7 +8,7 @@
 // Two structural facts make this sound:
 //
 //   - A service's final allocation is a pure function of its own plan
-//     inputs (graph, SLA, models, shares, caps, utilizations), its own
+//     inputs (graph, SLA, models, shares, utilizations), its own
 //     workload, and — through the Eq. 5 cross-service coupling at shared
 //     microservices (priority ranks, cumulative/aggregate workloads) — the
 //     workloads and initial targets of every service it shares a
@@ -184,9 +184,6 @@ func NewIncrementalPlanner(cache *scaling.TemplateCache, shards int) *Incrementa
 	}
 	return &IncrementalPlanner{cache: cache, shards: shards}
 }
-
-// Cache returns the underlying template cache.
-func (p *IncrementalPlanner) Cache() *scaling.TemplateCache { return p.cache }
 
 // Stats returns cumulative planner counters.
 func (p *IncrementalPlanner) Stats() IncrementalStats {

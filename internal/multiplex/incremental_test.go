@@ -185,8 +185,8 @@ func TestIncrementalErrorMatchesMonolithic(t *testing.T) {
 
 // TestIncrementalOracleUnderRandomMutations is the property test: random
 // per-window mutation sequences — workload scaling, SLA changes, share
-// and cap edits, graph rebuilds (same shape, new pointer) and structural
-// graph edits — against a from-scratch PlanScheme oracle. Plans must be
+// edits, graph rebuilds (same shape, new pointer) and structural graph
+// edits — against a from-scratch PlanScheme oracle. Plans must be
 // bit-identical after every window, at a random shard count per sequence.
 func TestIncrementalOracleUnderRandomMutations(t *testing.T) {
 	schemes := []Scheme{SchemePriority, SchemeFCFS, SchemeNonShared}
@@ -233,7 +233,7 @@ func TestIncrementalOracleUnderRandomMutations(t *testing.T) {
 		for window := 0; window < 18; window++ {
 			if window > 0 {
 				svc := svcAt(r.Intn(len(inputs)))
-				switch r.Intn(6) {
+				switch r.Intn(5) {
 				case 0: // workload edit
 					for ms := range loads[svc] {
 						loads[svc][ms] *= 0.5 + 1.5*r.Float64()
@@ -244,17 +244,9 @@ func TestIncrementalOracleUnderRandomMutations(t *testing.T) {
 					inputs[svc] = in
 				case 2: // share edit on the service's private microservice
 					inputs[svc].Shares["own-"+svc] *= 1 + 0.1*r.Float64()
-				case 3: // cap toggle on the shared microservice
-					in := inputs[svc]
-					if in.MaxPerContainer == nil {
-						in.MaxPerContainer = map[string]float64{"P": 1e12}
-					} else {
-						in.MaxPerContainer = nil
-					}
-					inputs[svc] = in
-				case 4: // graph rebuild, same structure, fresh pointer
+				case 3: // graph rebuild, same structure, fresh pointer
 					rebuild(svc)
-				case 5: // structural edit: toggle a third stage
+				case 4: // structural edit: toggle a third stage
 					extraStage[svc] = !extraStage[svc]
 					rebuild(svc)
 				}

@@ -28,13 +28,6 @@ func (p Theorem1Params) slacks() (float64, float64, error) {
 	return s1, s2, nil
 }
 
-// Symmetric reports whether the Appendix A condition
-// SLA1 − bU − bP = SLA2 − bH − bP holds (the closed forms assume it).
-func (p Theorem1Params) Symmetric() bool {
-	s1, s2, err := p.slacks()
-	return err == nil && math.Abs(s1-s2) < 1e-9
-}
-
 // SharingFCFS evaluates Eq. 17: the optimal resource usage when P's queue is
 // FCFS, so both services see the aggregate workload at P.
 func (p Theorem1Params) SharingFCFS() (float64, error) {
@@ -57,32 +50,6 @@ func (p Theorem1Params) NonSharing() (float64, error) {
 	t1 := math.Sqrt(p.AU*p.RU) + math.Sqrt(p.AP*p.RP)
 	t2 := math.Sqrt(p.AH*p.RH) + math.Sqrt(p.AP*p.RP)
 	return (p.Gamma1*t1*t1 + p.Gamma2*t2*t2) / s1, nil
-}
-
-// PriorityUpperBound evaluates the Appendix A upper bound on the resource
-// usage of the priority-scheduling model (service 1 prioritized at P):
-// Eq. 19 bounds RU^o by solving the two constraints independently. We
-// compute that construction exactly — solve service 2's constraint
-// optimally (it alone fixes n_p, since P absorbs the aggregate workload
-// there), then size n_u to satisfy service 1 with that n_p. The result is a
-// feasible point of Eq. 13-14, hence a true upper bound on PriorityUsage.
-func (p Theorem1Params) PriorityUpperBound() (float64, error) {
-	s1, s2, err := p.slacks()
-	if err != nil {
-		return 0, err
-	}
-	// Service 2 alone: minimize n_h·R_h + n_p·R_p subject to
-	// a_h·γ2/n_h + a_p·(γ1+γ2)/n_p = s2 (Eq. 5 closed form).
-	d := math.Sqrt(p.AH*p.Gamma2*p.RH) + math.Sqrt(p.AP*(p.Gamma1+p.Gamma2)*p.RP)
-	usage2 := d * d / s2
-	np := math.Sqrt(p.AP*(p.Gamma1+p.Gamma2)/p.RP) * d / s2
-	// Service 1 with n_p fixed.
-	r1 := s1 - p.AP*p.Gamma1/np
-	if r1 <= 0 {
-		return 0, errors.New("multiplex: independent solve infeasible for service 1")
-	}
-	nu := p.AU * p.Gamma1 / r1
-	return usage2 + nu*p.RU, nil
 }
 
 // PriorityUsage numerically solves the true priority-scheduling model

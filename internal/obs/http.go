@@ -41,19 +41,6 @@ func (r *Recorder) Handler() http.Handler {
 	return mux
 }
 
-// ListenAndServe serves the handler on addr; it blocks like
-// http.ListenAndServe. Most callers run it in a goroutine. Callers that need
-// to distinguish a bind failure from a serve failure (or to drain in-flight
-// scrapes on shutdown) should use NewServer/Listen/Serve instead — a bad
-// address surfaces from Listen before anything runs in the background.
-func (r *Recorder) ListenAndServe(addr string) error {
-	srv := NewServer(addr, r.Handler())
-	if err := srv.Listen(); err != nil {
-		return err
-	}
-	return srv.Serve()
-}
-
 // Server wraps http.Server for the observability and admin endpoints with
 // two properties bare http.ListenAndServe lacks:
 //

@@ -167,9 +167,6 @@ var kubeEventCounters = map[string]string{
 	"scale-up":     "erms.self.kube_scale_ups_total",
 	"scale-down":   "erms.self.kube_scale_downs_total",
 	"delete":       "erms.self.kube_deletes_total",
-	"cordon":       "erms.self.kube_cordons_total",
-	"uncordon":     "erms.self.kube_uncordons_total",
-	"drain":        "erms.self.kube_drains_total",
 	"node-fail":    "erms.self.kube_node_fails_total",
 	"node-recover": "erms.self.kube_node_recovers_total",
 	"repair":       "erms.self.kube_repairs_total",
@@ -227,9 +224,6 @@ func New(store *metrics.Store) *Recorder {
 	r.epoch = r.now()
 	return r
 }
-
-// Enabled reports whether the recorder is active (non-nil).
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // Store returns the bound metrics store (nil when detached or disabled).
 func (r *Recorder) Store() *metrics.Store {

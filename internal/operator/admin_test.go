@@ -126,14 +126,14 @@ func TestStatusServesLastEightWindows(t *testing.T) {
 	for _, n := range []int{3, 7} { // 3 windows, then 10: before and after the wrap
 		stepN(t, o, n)
 		recent := o.StatusSnapshot().Recent
-		want := min(o.Window(), recentWindows)
+		want := min(nextWindow(o), recentWindows)
 		if len(recent) != want {
-			t.Fatalf("after %d windows: %d recent statuses, want %d", o.Window(), len(recent), want)
+			t.Fatalf("after %d windows: %d recent statuses, want %d", nextWindow(o), len(recent), want)
 		}
 		for i, st := range recent {
-			if w := o.Window() - want + i; st.Window != w || st.FleetReport() == nil {
+			if w := nextWindow(o) - want + i; st.Window != w || st.FleetReport() == nil {
 				t.Fatalf("after %d windows: recent[%d] is window %d (report %v), want window %d",
-					o.Window(), i, st.Window, st.FleetReport() != nil, w)
+					nextWindow(o), i, st.Window, st.FleetReport() != nil, w)
 			}
 		}
 	}

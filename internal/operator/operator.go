@@ -258,13 +258,6 @@ func New(sc *spec.Scenario, cfg Config, rec *obs.Recorder) (*Operator, error) {
 	return o, nil
 }
 
-// Window returns the next window index Step will run.
-func (o *Operator) Window() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.window
-}
-
 // Generations returns a snapshot of every generation, bootstrap first.
 func (o *Operator) Generations() []Generation {
 	o.mu.Lock()

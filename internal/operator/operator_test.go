@@ -137,7 +137,7 @@ func stepN(t *testing.T, o *Operator, n int) []WindowStatus {
 	for i := 0; i < n; i++ {
 		st, err := o.Step()
 		if err != nil {
-			t.Fatalf("window %d: %v", o.Window()-1, err)
+			t.Fatalf("window %d: %v", nextWindow(o)-1, err)
 		}
 		out = append(out, *st)
 	}
@@ -330,7 +330,14 @@ func TestStepPropagatesInjectorErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "failing host 99") {
 		t.Fatalf("window 1: err = %v, want the injector's failure to evict host 99", err)
 	}
-	if recent := o.StatusSnapshot().Recent; o.Window() != 1 || len(recent) != 1 {
-		t.Errorf("failed window was recorded: window %d, %d statuses", o.Window(), len(recent))
+	if recent := o.StatusSnapshot().Recent; nextWindow(o) != 1 || len(recent) != 1 {
+		t.Errorf("failed window was recorded: window %d, %d statuses", nextWindow(o), len(recent))
 	}
+}
+
+// nextWindow returns the next window index Step will run.
+func nextWindow(o *Operator) int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.window
 }

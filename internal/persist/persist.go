@@ -1,7 +1,6 @@
 // Package persist serializes the repository's long-lived artifacts to JSON:
-// application topologies (so custom apps can be authored as data files),
-// scaling plans (for audit and replay), and fitted latency models (offline
-// profiling takes long enough that its output must survive restarts, §5.2).
+// application topologies (so custom apps can be authored as data files) and
+// scaling plans (for audit and replay).
 package persist
 
 import (
@@ -9,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"erms/internal/apps"
 	"erms/internal/cluster"
@@ -146,18 +144,4 @@ func SavePlan(w io.Writer, plan *multiplex.Plan) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// PlanSummary renders a deterministic human-readable plan summary.
-func PlanSummary(plan *multiplex.Plan) string {
-	var mss []string
-	for ms := range plan.Containers {
-		mss = append(mss, ms)
-	}
-	sort.Strings(mss)
-	out := fmt.Sprintf("scheme=%s total=%d\n", plan.Scheme, plan.TotalContainers())
-	for _, ms := range mss {
-		out += fmt.Sprintf("  %-28s %d\n", ms, plan.Containers[ms])
-	}
-	return out
 }

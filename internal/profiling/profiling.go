@@ -132,9 +132,12 @@ type FitConfig struct {
 	// MinBucket is the minimum samples per interference bucket for knee
 	// detection. Default 8.
 	MinBucket int
-	// KneeTree bounds the σ decision tree. Default depth 3, min leaf 2.
-	KneeTree mlearn.TreeConfig
 }
+
+// kneeTree bounds the σ decision tree. One knee observation per interference
+// bucket is the common case (one σ estimate per profiled level), so leaves of
+// size one are legitimate.
+var kneeTree = mlearn.TreeConfig{MaxDepth: 3, MinLeaf: 1}
 
 func (c FitConfig) withDefaults() FitConfig {
 	if c.GridStep <= 0 {
@@ -142,15 +145,6 @@ func (c FitConfig) withDefaults() FitConfig {
 	}
 	if c.MinBucket <= 0 {
 		c.MinBucket = 8
-	}
-	if c.KneeTree.MaxDepth <= 0 {
-		c.KneeTree.MaxDepth = 3
-	}
-	if c.KneeTree.MinLeaf <= 0 {
-		// One knee observation per interference bucket is the common case
-		// (one σ estimate per profiled level), so leaves of size one are
-		// legitimate.
-		c.KneeTree.MinLeaf = 1
 	}
 	return c
 }
@@ -211,7 +205,7 @@ func Fit(microservice string, samples []Sample, cfg FitConfig) (*Fitted, error) 
 	if len(kneeY) > 0 {
 		f.kneeDefault = stats.Mean(kneeY)
 		if len(kneeY) >= 2 {
-			if tree, err := mlearn.FitTree(kneeX, kneeY, cfg.KneeTree); err == nil {
+			if tree, err := mlearn.FitTree(kneeX, kneeY, kneeTree); err == nil {
 				f.kneeTree = tree
 			}
 		}

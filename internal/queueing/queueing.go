@@ -1,14 +1,9 @@
-// Package queueing provides classical queueing-theory results — M/M/1,
-// M/M/c (Erlang C), and M/G/1 (Pollaczek–Khinchine) — used three ways in
-// this repository:
-//
-//   - §2.3 of the paper builds an M/M/1 model to analyze processing time at
-//     a shared microservice under sharing vs non-sharing; the same analysis
-//     is reproduced here.
-//   - The analytic latency models' constants (knee factor, tail factor) are
-//     justified against these formulas.
-//   - The discrete-event simulator is validated against them: an M/M/c
-//     container in the simulator must reproduce Erlang-C waiting times.
+// Package queueing provides the M/M/c (Erlang C) results the simulator's
+// fluid fast path evaluates every minute for far-from-knee containers. Its
+// tests hold them to the M/M/1 closed forms of the paper's §2.3 analysis
+// (M/M/1 is the one-server case) and hold the discrete-event simulator to
+// them: an M/M/c container in the simulator must reproduce Erlang-C waiting
+// times.
 //
 // Rates are in requests per millisecond and times in milliseconds unless
 // stated otherwise.
@@ -21,53 +16,6 @@ import (
 
 // ErrUnstable is returned when the offered load reaches or exceeds capacity.
 var ErrUnstable = errors.New("queueing: utilization >= 1 (unstable queue)")
-
-// MM1 describes an M/M/1 queue with arrival rate lambda and service rate mu.
-type MM1 struct {
-	Lambda float64 // arrivals per ms
-	Mu     float64 // services per ms
-}
-
-// Rho returns the utilization λ/μ.
-func (q MM1) Rho() float64 { return q.Lambda / q.Mu }
-
-// MeanResponse returns E[T] = 1/(μ−λ).
-func (q MM1) MeanResponse() (float64, error) {
-	if q.Rho() >= 1 {
-		return 0, ErrUnstable
-	}
-	return 1 / (q.Mu - q.Lambda), nil
-}
-
-// MeanWait returns E[W] = ρ/(μ−λ).
-func (q MM1) MeanWait() (float64, error) {
-	r, err := q.MeanResponse()
-	if err != nil {
-		return 0, err
-	}
-	return r * q.Rho(), nil
-}
-
-// MeanQueueLen returns E[N] = ρ/(1−ρ) (jobs in system).
-func (q MM1) MeanQueueLen() (float64, error) {
-	rho := q.Rho()
-	if rho >= 1 {
-		return 0, ErrUnstable
-	}
-	return rho / (1 - rho), nil
-}
-
-// ResponseQuantile returns the p-quantile of the response time; for M/M/1
-// the response time is exponential with rate μ−λ.
-func (q MM1) ResponseQuantile(p float64) (float64, error) {
-	if q.Rho() >= 1 {
-		return 0, ErrUnstable
-	}
-	if p <= 0 || p >= 1 {
-		return 0, errors.New("queueing: quantile must be in (0,1)")
-	}
-	return -math.Log(1-p) / (q.Mu - q.Lambda), nil
-}
 
 // MMC describes an M/M/c queue: c servers each with rate mu.
 type MMC struct {
@@ -105,15 +53,6 @@ func (q MMC) MeanWait() (float64, error) {
 		return 0, err
 	}
 	return pc / (float64(q.Servers)*q.Mu - q.Lambda), nil
-}
-
-// MeanResponse returns E[T] = E[W] + 1/μ.
-func (q MMC) MeanResponse() (float64, error) {
-	w, err := q.MeanWait()
-	if err != nil {
-		return 0, err
-	}
-	return w + 1/q.Mu, nil
 }
 
 // WaitQuantile returns the p-quantile of the waiting time. For M/M/c the
@@ -202,85 +141,4 @@ func (q MMC) WaitQuantileBounded(p, boundMs float64) float64 {
 		return boundMs
 	}
 	return w
-}
-
-// MG1 describes an M/G/1 queue with general service times given by their
-// first two moments.
-type MG1 struct {
-	Lambda   float64
-	MeanSvc  float64 // E[S], ms
-	SecondSv float64 // E[S^2], ms^2
-}
-
-// Rho returns λ·E[S].
-func (q MG1) Rho() float64 { return q.Lambda * q.MeanSvc }
-
-// MeanWait returns the Pollaczek–Khinchine waiting time
-// E[W] = λ·E[S²] / (2(1−ρ)).
-func (q MG1) MeanWait() (float64, error) {
-	rho := q.Rho()
-	if rho >= 1 {
-		return 0, ErrUnstable
-	}
-	return q.Lambda * q.SecondSv / (2 * (1 - rho)), nil
-}
-
-// MeanResponse returns E[T] = E[W] + E[S].
-func (q MG1) MeanResponse() (float64, error) {
-	w, err := q.MeanWait()
-	if err != nil {
-		return 0, err
-	}
-	return w + q.MeanSvc, nil
-}
-
-// MG1FromCV builds an M/G/1 queue from a mean service time and coefficient
-// of variation: E[S²] = E[S]²(1+CV²).
-func MG1FromCV(lambda, meanSvc, cv float64) MG1 {
-	return MG1{Lambda: lambda, MeanSvc: meanSvc, SecondSv: meanSvc * meanSvc * (1 + cv*cv)}
-}
-
-// SharedVsPartitioned reproduces the §2.3 M/M/1 analysis: given two Poisson
-// flows with rates l1, l2 (per ms) served at rate mu per server, it returns
-// the mean processing (response) time when both flows share a single
-// double-speed server versus when each flow gets its own server. Sharing is
-// always better for the mean — which is exactly why the paper's observation
-// that sharing costs MORE under SLA-driven scaling is surprising and
-// motivates priority scheduling.
-func SharedVsPartitioned(l1, l2, mu float64) (shared, partitioned float64, err error) {
-	pool := MM1{Lambda: l1 + l2, Mu: 2 * mu}
-	sharedT, err := pool.MeanResponse()
-	if err != nil {
-		return 0, 0, err
-	}
-	q1 := MM1{Lambda: l1, Mu: mu}
-	q2 := MM1{Lambda: l2, Mu: mu}
-	t1, err := q1.MeanResponse()
-	if err != nil {
-		return 0, 0, err
-	}
-	t2, err := q2.MeanResponse()
-	if err != nil {
-		return 0, 0, err
-	}
-	total := l1 + l2
-	return sharedT, (t1*l1 + t2*l2) / total, nil
-}
-
-// PriorityMM1 models a two-class non-preemptive priority M/M/1 queue
-// (class 1 served first): it returns the mean waiting times of both classes
-// (Cobham's formulas). This is the theory behind Erms' priority scheduling
-// at shared microservices: the high-priority class is insulated from the
-// low-priority workload's queueing, at the low class's expense.
-func PriorityMM1(l1, l2, mu float64) (w1, w2 float64, err error) {
-	rho1 := l1 / mu
-	rho2 := l2 / mu
-	if rho1+rho2 >= 1 {
-		return 0, 0, ErrUnstable
-	}
-	// Mean residual service of the job in service: ρ·E[S] for exponential.
-	r := (rho1 + rho2) / mu
-	w1 = r / (1 - rho1)
-	w2 = r / ((1 - rho1) * (1 - rho1 - rho2))
-	return w1, w2, nil
 }

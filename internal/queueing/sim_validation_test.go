@@ -43,10 +43,11 @@ func TestSimulatorMatchesErlangC(t *testing.T) {
 	measured := res.PerService["svc"].Mean()
 
 	q := queueing.MMC{Lambda: rateMin / 60_000, Mu: 1 / baseMs, Servers: threads}
-	want, err := q.MeanResponse()
+	wait, err := q.MeanWait()
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := wait + baseMs
 	if math.Abs(measured-want)/want > 0.12 {
 		t.Fatalf("simulator mean %v vs Erlang-C %v (>12%% off)", measured, want)
 	}

@@ -63,8 +63,6 @@ type Template struct {
 	mult   []int
 	models []profiling.Model
 	shares []float64
-	caps   []float64
-	capOK  []bool
 
 	// ops is the merge tree in post-order (kids before parents); kids is the
 	// shared child-index arena; pre is the root-first unwind order, visiting
@@ -77,7 +75,7 @@ type Template struct {
 
 	// structHash fingerprints the graph shape (service, node count, DFS of
 	// microservice names and stage widths); paramHash fingerprints SLA,
-	// shares, caps, and model probes. TemplateCache uses the pair to decide
+	// shares, and model probes. TemplateCache uses the pair to decide
 	// hit vs. recompile.
 	structHash uint64
 	paramHash  uint64
@@ -174,9 +172,6 @@ func Compile(in Input) (*Template, error) {
 		idx[ms] = int32(i)
 		t.models = append(t.models, in.Models[ms])
 		t.shares = append(t.shares, in.Shares[ms])
-		cap, ok := in.MaxPerContainer[ms]
-		t.caps = append(t.caps, cap)
-		t.capOK = append(t.capOK, ok)
 	}
 	t.root = t.reduce(in.Graph.Root, idx)
 	t.buildPre(t.root)
@@ -413,11 +408,6 @@ func (t *Template) eval(e *Eval, gamma []float64) error {
 					n = minN
 				}
 			}
-			if t.capOK[mi] && t.caps[mi] > 0 {
-				if minN := g / t.caps[mi]; n < minN {
-					n = minN
-				}
-			}
 			// A microservice occupying several graph positions keeps its
 			// tightest target and largest requirement; the first position sets
 			// both whatever they are, as the naive map insert does.
@@ -478,7 +468,7 @@ func (t *Template) Shares() []float64 { return t.shares }
 func (t *Template) CallCounts() (microservices []string, counts []int) { return t.mss, t.mult }
 
 // ParamsMatch reports whether the bindings the template captured at compile
-// time — SLA, per-microservice models, shares, and caps — still match in.
+// time — SLA, per-microservice models, and shares — still match in.
 // It is the revalidation half of the TemplateCache hit test, exported so an
 // incremental planning layer can detect "this service's plan inputs are
 // unchanged" without paying for a Plan call. The identity fast path is
@@ -560,7 +550,7 @@ func structHashOf(g *graph.Graph) uint64 {
 
 // paramsUnchanged is the revalidation fast path: true when every binding the
 // template captured at compile time is *identical* — same SLA, same share
-// and cap values, and the very same model values (interface equality; for
+// values, and the very same model values (interface equality; for
 // pointer-typed models that is pointer identity). When anything differs —
 // including a rebuilt-but-equivalent model map — the caller falls back to
 // the probe-based paramHashOf, so equality by value still avoids a
@@ -585,16 +575,12 @@ func (t *Template) paramsUnchanged(in Input) (same bool) {
 		if in.Shares[ms] != t.shares[i] {
 			return false
 		}
-		cap, capOK := in.MaxPerContainer[ms]
-		if capOK != t.capOK[i] || cap != t.caps[i] {
-			return false
-		}
 	}
 	return true
 }
 
 // paramHashOf fingerprints everything else the compiled coefficients depend
-// on: SLA, per-microservice shares and caps, and model probes. Utilizations
+// on: SLA, per-microservice shares, and model probes. Utilizations
 // and workloads are per-window inputs, deliberately excluded.
 func (t *Template) paramHashOf(in Input) (uint64, error) {
 	h := newFNV()
@@ -611,13 +597,6 @@ func (t *Template) paramHashOf(in Input) (uint64, error) {
 		// Microservice names are fixed by the structural hash; position in
 		// t.mss identifies them here.
 		h.f64(in.Shares[ms])
-		cap, capOK := in.MaxPerContainer[ms]
-		if capOK {
-			h.u64(1)
-			h.f64(cap)
-		} else {
-			h.u64(0)
-		}
 		for _, pt := range probePoints {
 			aLo, bLo := m.Params(false, pt[0], pt[1])
 			aHi, bHi := m.Params(true, pt[0], pt[1])

@@ -117,7 +117,6 @@ func duplicateMSInput() Input {
 			"front": 6000, "mid": 6000, "shared": 14000, "leafA": 6000, "leafB": 6000,
 		},
 		CPUUtil: 0.4, MemUtil: 0.3,
-		MaxPerContainer: map[string]float64{"shared": 2400},
 	}
 	return in
 }
@@ -391,7 +390,7 @@ func TestTemplateCacheHitsAndWorkloadOnlyChanges(t *testing.T) {
 }
 
 // TestTemplateCacheInvalidation: every compile-time input (graph shape,
-// models, SLA, shares, caps) invalidates the template when mutated, and the
+// models, SLA, shares) invalidates the template when mutated, and the
 // recompiled plan still matches the naive plan bit for bit.
 func TestTemplateCacheInvalidation(t *testing.T) {
 	cases := []struct {
@@ -451,14 +450,6 @@ func TestTemplateCacheInvalidation(t *testing.T) {
 			}
 			s["shared"] = 0.0005
 			in.Shares = s
-			return in
-		}},
-		{"cap-change", func(in Input) Input {
-			in.MaxPerContainer = map[string]float64{"shared": 2000}
-			return in
-		}},
-		{"cap-removed", func(in Input) Input {
-			in.MaxPerContainer = nil
 			return in
 		}},
 	}

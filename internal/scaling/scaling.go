@@ -57,10 +57,6 @@ type Input struct {
 	// profiling model (§5.3.1).
 	CPUUtil float64
 	MemUtil float64
-	// MaxPerContainer optionally caps the per-container workload of a
-	// microservice (e.g. at its measured saturation); allocations never plan
-	// a container beyond its cap.
-	MaxPerContainer map[string]float64
 }
 
 func (in *Input) validate() error {
@@ -286,11 +282,6 @@ func compute(in Input, useHigh map[string]bool) (*Allocation, error) {
 					n = minN
 				}
 			}
-			if cap, ok := in.MaxPerContainer[mn.ms]; ok && cap > 0 {
-				if minN := gamma / cap; n < minN {
-					n = minN
-				}
-			}
 			// A microservice occupying several graph positions keeps its
 			// tightest target and largest container requirement.
 			if cur, ok := alloc.Targets[mn.ms]; !ok || target < cur {
@@ -359,67 +350,6 @@ func containerCount(ms string, raw float64) (int, error) {
 		n = 1
 	}
 	return n, nil
-}
-
-// SequentialClosedForm evaluates Eq. 5 directly for a chain of sequential
-// microservices with parameters (a_i, b_i, R_i, γ_i): it returns the optimal
-// latency targets and fractional container counts. Used for validation and
-// the Fig. 4 motivating experiment.
-func SequentialClosedForm(a, b, r, gamma []float64, sla float64) (targets, containers []float64, err error) {
-	k := len(a)
-	if k == 0 || len(b) != k || len(r) != k || len(gamma) != k {
-		return nil, nil, errors.New("scaling: closed form needs equal-length parameter slices")
-	}
-	var bSum, root float64
-	roots := make([]float64, k)
-	for i := 0; i < k; i++ {
-		if a[i] <= 0 || r[i] <= 0 || gamma[i] <= 0 {
-			return nil, nil, fmt.Errorf("scaling: non-positive parameter at index %d", i)
-		}
-		bSum += b[i]
-		roots[i] = math.Sqrt(a[i] * gamma[i] * r[i])
-		root += roots[i]
-	}
-	slack := sla - bSum
-	if slack <= 0 {
-		return nil, nil, ErrInfeasible
-	}
-	targets = make([]float64, k)
-	containers = make([]float64, k)
-	for i := 0; i < k; i++ {
-		targets[i] = roots[i]/root*slack + b[i]
-		containers[i] = a[i] * gamma[i] / (targets[i] - b[i])
-	}
-	return targets, containers, nil
-}
-
-// ResourceUsageOf computes Σ n_i·R_i for a hypothetical target assignment —
-// the Eq. 2 objective under the linear model — or ErrInfeasible if any
-// target is at or below its intercept.
-func ResourceUsageOf(in Input, targets map[string]float64) (float64, error) {
-	var total float64
-	for _, ms := range in.Graph.Microservices() {
-		m := in.Models[ms]
-		// Use the interval consistent with the target: high if the implied
-		// per-container workload exceeds the knee.
-		aHi, bHi := m.Params(true, in.CPUUtil, in.MemUtil)
-		knee := m.Knee(in.CPUUtil, in.MemUtil)
-		t, ok := targets[ms]
-		if !ok {
-			return 0, fmt.Errorf("scaling: no target for %s", ms)
-		}
-		kneeLatency := aHi*knee + bHi
-		a, b := aHi, bHi
-		if t < kneeLatency {
-			a, b = m.Params(false, in.CPUUtil, in.MemUtil)
-		}
-		if t <= b {
-			return 0, ErrInfeasible
-		}
-		n := a * in.Workloads[ms] / (t - b)
-		total += n * in.Shares[ms]
-	}
-	return total, nil
 }
 
 // EndToEndModelLatency evaluates the modeled end-to-end tail latency of a

@@ -115,7 +115,7 @@ type hopEvent struct {
 // hops, two of the three events it costs. The clock never runs backwards, lag
 // is fixed and seq only grows, so the lane's entries are pushed already
 // sorted and never sift. Time is in milliseconds. The zero value is not
-// usable; call NewEngine.
+// usable; call newEngine.
 type Engine struct {
 	now    float64
 	seq    int64
@@ -138,13 +138,9 @@ type Engine struct {
 	heapPeak   int
 }
 
-// NewEngine creates an engine with the clock at zero and a zero lag. The
-// queues' backing arrays are pre-sized so short simulations never reallocate
-// them.
-func NewEngine() *Engine { return newEngine(0) }
-
-// newEngine creates an engine whose lane delivers lag (>= 0, finite) ms after
-// scheduling.
+// newEngine creates an engine with the clock at zero whose lane delivers lag
+// (>= 0, finite) ms after scheduling. The queues' backing arrays are
+// pre-sized so short simulations never reallocate them.
 func newEngine(lag float64) *Engine {
 	return &Engine{events: make(eventHeap, 0, 1024), lag: lag, lane: make([]hopEvent, 256)}
 }

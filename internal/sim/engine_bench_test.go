@@ -12,7 +12,7 @@ import "testing"
 func BenchmarkEngineSchedule(b *testing.B) {
 	b.Run("heap", func(b *testing.B) {
 		b.ReportAllocs()
-		eng := NewEngine()
+		eng := newEngine(0)
 		var fired int
 		fn := func() { fired++ }
 		b.ResetTimer()
@@ -70,7 +70,7 @@ func mixWave(eng scheduler) func() {
 // scheduling and draining events must not allocate. The resilience layer
 // must keep this true — its bookkeeping lives off the disabled path.
 func TestEngineScheduleSteadyStateZeroAlloc(t *testing.T) {
-	eng := NewEngine()
+	eng := newEngine(0)
 	fn := func() {}
 	warm := func() {
 		for k := 0; k < 64; k++ {

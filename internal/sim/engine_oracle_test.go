@@ -227,7 +227,7 @@ func (p *laneProgram) run() (log []string, pending []int, st EngineStats) {
 func newLaneProgram(eng scheduler, seed uint64, lag float64) *laneProgram {
 	return &laneProgram{
 		eng: eng, rng: stats.NewRNG(seed), lag: lag,
-		rt: &Runtime{eng: NewEngine()}, budget: 2000,
+		rt: &Runtime{eng: newEngine(0)}, budget: 2000,
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 func TestEngineOrdersEvents(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(0)
 	var order []int
 	e.Schedule(5, func() { order = append(order, 2) })
 	e.Schedule(1, func() { order = append(order, 1) })
@@ -22,7 +22,7 @@ func TestEngineOrdersEvents(t *testing.T) {
 }
 
 func TestEngineSimultaneousEventsFIFO(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(0)
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -37,7 +37,7 @@ func TestEngineSimultaneousEventsFIFO(t *testing.T) {
 }
 
 func TestEngineRunUntilBoundary(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(0)
 	ran := 0
 	e.At(10, func() { ran++ })
 	e.At(10.0001, func() { ran++ })
@@ -55,7 +55,7 @@ func TestEngineRunUntilBoundary(t *testing.T) {
 }
 
 func TestEngineNestedScheduling(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(0)
 	var times []float64
 	e.Schedule(1, func() {
 		times = append(times, e.Now())
@@ -68,7 +68,7 @@ func TestEngineNestedScheduling(t *testing.T) {
 }
 
 func TestEngineNegativeDelayClamps(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(0)
 	fired := false
 	e.Schedule(5, func() {
 		e.Schedule(-10, func() { fired = true })

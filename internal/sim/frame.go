@@ -204,8 +204,8 @@ func (f *Job) try() {
 		return
 	}
 	f.deadline = f.edgeDeadline
-	if edge.timeoutMs > 0 {
-		if d := now + edge.timeoutMs; f.deadline == 0 || d < f.deadline {
+	if rt.res.AttemptTimeoutMs > 0 {
+		if d := now + rt.res.AttemptTimeoutMs; f.deadline == 0 || d < f.deadline {
 			f.deadline = d
 		}
 	}
@@ -229,18 +229,18 @@ func (f *Job) settle(err CallErr) {
 		br.record(rt.eng.Now(), err != ErrNone, &rt.data)
 	}
 	if err == ErrNone {
-		if edge.earn > 0 {
-			edge.tokens += edge.earn
-			if edge.tokens > edge.burst {
-				edge.tokens = edge.burst
+		if rt.res.RetryBudget > 0 {
+			edge.tokens += rt.res.RetryBudget
+			if edge.tokens > rt.res.RetryBurst {
+				edge.tokens = rt.res.RetryBurst
 			}
 		}
 		f.succeed()
 		return
 	}
-	if int(f.attempt)+1 < edge.maxAttempts && err.retryable() {
-		if edge.earn == 0 || edge.tokens >= 1 {
-			if edge.earn > 0 {
+	if int(f.attempt)+1 < rt.res.MaxAttempts && err.retryable() {
+		if rt.res.RetryBudget == 0 || edge.tokens >= 1 {
+			if rt.res.RetryBudget > 0 {
 				edge.tokens--
 			}
 			backoff := rt.res.RetryBackoffMs * float64(uint(1)<<uint(f.attempt))

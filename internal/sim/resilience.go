@@ -21,9 +21,8 @@ type Resilience struct {
 	// RequestTimeoutMs is the absolute end-to-end deadline for services
 	// without an SLA-derived one. 0 means no request deadline.
 	RequestTimeoutMs float64
-	// AttemptTimeoutMs is the default per-attempt timeout on every call edge
-	// (overridable per edge via graph.EdgePolicy). 0 bounds attempts only by
-	// the propagated request deadline.
+	// AttemptTimeoutMs is the per-attempt timeout on every call edge. 0
+	// bounds attempts only by the propagated request deadline.
 	AttemptTimeoutMs float64
 	// MaxAttempts caps attempts per call edge (first call + retries).
 	// Values below 1 (including the zero value) mean 1: no retries.
@@ -246,15 +245,11 @@ type DataStats struct {
 	Unavailable int
 }
 
-// edgeState is the per-call-edge resilience runtime: the resolved policy and
-// the retry-budget token bucket.
+// edgeState is the per-call-edge resilience runtime: the retry-budget token
+// bucket and the breaker.
 type edgeState struct {
-	timeoutMs   float64 // per-attempt timeout (0 = request deadline only)
-	maxAttempts int
-	earn        float64 // tokens per success (0 = unbounded retries)
-	burst       float64
-	tokens      float64
-	breaker     *breaker // shared per (service, microservice); nil when off
+	tokens  float64
+	breaker *breaker // shared per (service, microservice); nil when off
 }
 
 type breakerState int
@@ -363,30 +358,11 @@ func (b *breaker) reset() {
 	b.idx, b.filled, b.fails, b.probes = 0, 0, 0, 0
 }
 
-// newEdge resolves the policy of the call edge entering node n of service
-// svc's graph; the breaker is shared per (service, microservice). Called once
+// newEdge builds the state of the call edge entering node n of service svc's
+// graph; the breaker is shared per (service, microservice). Called once
 // per node at construction when resilience is enabled.
 func (rt *Runtime) newEdge(svc string, n *graph.Node) *edgeState {
-	e := &edgeState{
-		timeoutMs:   rt.res.AttemptTimeoutMs,
-		maxAttempts: rt.res.MaxAttempts,
-		earn:        rt.res.RetryBudget,
-		burst:       rt.res.RetryBurst,
-		tokens:      rt.res.RetryBurst,
-	}
-	if p := n.Policy; p != nil {
-		if p.TimeoutMs > 0 {
-			e.timeoutMs = p.TimeoutMs
-		} else if p.TimeoutMs < 0 {
-			e.timeoutMs = 0
-		}
-		if p.MaxAttempts != 0 {
-			e.maxAttempts = p.MaxAttempts
-			if e.maxAttempts < 1 {
-				e.maxAttempts = 1
-			}
-		}
-	}
+	e := &edgeState{tokens: rt.res.RetryBurst}
 	if rt.res.BreakerFailureRate > 0 {
 		key := svc + "\x00" + n.Microservice
 		br, ok := rt.breakers[key]

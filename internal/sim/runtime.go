@@ -324,9 +324,9 @@ type MinuteSample struct {
 	Containers int
 }
 
-// ServiceResult aggregates end-to-end request outcomes for one service,
-// split along the workload.Outcome taxonomy: Count-Violations successes,
-// Violations slow completions, Errors outright failures.
+// ServiceResult aggregates end-to-end request outcomes for one service:
+// Count-Violations successes, Violations slow completions, Errors outright
+// failures.
 type ServiceResult struct {
 	Service    string
 	Count      int // completed requests (success + slow)
@@ -344,9 +344,6 @@ func (s *ServiceResult) P95() float64 { return s.lat.Quantile(0.95) }
 
 // P99 returns the 99th-percentile end-to-end latency.
 func (s *ServiceResult) P99() float64 { return s.lat.Quantile(0.99) }
-
-// Quantile returns an arbitrary end-to-end latency quantile.
-func (s *ServiceResult) Quantile(q float64) float64 { return s.lat.Quantile(q) }
 
 // Mean returns the mean end-to-end latency.
 func (s *ServiceResult) Mean() float64 { return s.lat.Mean() }
@@ -389,36 +386,13 @@ type StreamResult struct {
 	Errors     int
 	Shed       int
 
+	// lat samples the stream's latencies. Only the pinned fingerprints read
+	// it, but its seed is split off the run's RNG, which the goldens pin.
 	lat *stats.Reservoir
 }
 
-// P95 returns the stream's 95th-percentile end-to-end latency.
-func (s *StreamResult) P95() float64 { return s.lat.Quantile(0.95) }
-
-// Quantile returns an arbitrary end-to-end latency quantile.
-func (s *StreamResult) Quantile(q float64) float64 { return s.lat.Quantile(q) }
-
 // Good returns requests completed within the stream's SLA.
 func (s *StreamResult) Good() int { return s.Count - s.Violations }
-
-// ViolationRate returns the fraction of issued requests that missed the SLA
-// (slow completions plus errors).
-func (s *StreamResult) ViolationRate() float64 {
-	total := s.Count + s.Errors
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Violations+s.Errors) / float64(total)
-}
-
-// ErrorRate returns the fraction of issued requests that failed outright.
-func (s *StreamResult) ErrorRate() float64 {
-	total := s.Count + s.Errors
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Errors) / float64(total)
-}
 
 // StreamMinute is the per-minute outcome row of one stream, the raw material
 // of the spec runner's timeline artifact. Issued counts requests that

@@ -299,7 +299,8 @@ func parseScalar(s string, no int) (any, error) {
 }
 
 // unquoteScalar handles "..." (with \\, \", \n, \t, \r escapes) and '...'
-// (with '' escaping) quoted strings, rejecting trailing junk.
+// quoted strings, in which a doubled single quote escapes a quote, rejecting
+// trailing junk.
 func unquoteScalar(s string, no int) (string, error) {
 	quote := s[0]
 	var sb strings.Builder

@@ -5,39 +5,6 @@ import (
 	"math"
 )
 
-// Dist is a sampleable, parameterized probability distribution over
-// non-negative values (service times, inter-arrival gaps, sizes).
-type Dist interface {
-	// Sample draws one value using the provided generator.
-	Sample(r *RNG) float64
-	// Mean returns the distribution mean.
-	Mean() float64
-	// String describes the distribution and its parameters.
-	String() string
-}
-
-// Exponential is an exponential distribution with the given mean.
-type Exponential struct{ MeanVal float64 }
-
-// Sample draws an exponentially distributed value.
-func (d Exponential) Sample(r *RNG) float64 { return d.MeanVal * r.ExpFloat64() }
-
-// Mean returns the configured mean.
-func (d Exponential) Mean() float64 { return d.MeanVal }
-
-func (d Exponential) String() string { return fmt.Sprintf("Exp(mean=%g)", d.MeanVal) }
-
-// Deterministic always returns Value.
-type Deterministic struct{ Value float64 }
-
-// Sample returns the fixed value.
-func (d Deterministic) Sample(*RNG) float64 { return d.Value }
-
-// Mean returns the fixed value.
-func (d Deterministic) Mean() float64 { return d.Value }
-
-func (d Deterministic) String() string { return fmt.Sprintf("Det(%g)", d.Value) }
-
 // LogNormal is a log-normal distribution parameterized by the underlying
 // normal's mu and sigma.
 type LogNormal struct {
@@ -49,9 +16,6 @@ type LogNormal struct {
 func (d LogNormal) Sample(r *RNG) float64 {
 	return math.Exp(d.Mu + d.Sigma*r.NormFloat64())
 }
-
-// Mean returns exp(mu + sigma^2/2).
-func (d LogNormal) Mean() float64 { return math.Exp(d.Mu + d.Sigma*d.Sigma/2) }
 
 func (d LogNormal) String() string { return fmt.Sprintf("LogNormal(mu=%g, sigma=%g)", d.Mu, d.Sigma) }
 
@@ -67,40 +31,6 @@ func LogNormalFromMeanCV(mean, cv float64) LogNormal {
 		Sigma: math.Sqrt(sigma2),
 	}
 }
-
-// Pareto is a bounded-at-Xm Pareto (power-law) distribution. Alpha must be
-// > 1 for the mean to exist.
-type Pareto struct {
-	Xm    float64 // scale: minimum value
-	Alpha float64 // shape
-}
-
-// Sample draws a Pareto-distributed value via inverse transform.
-func (d Pareto) Sample(r *RNG) float64 {
-	u := 1 - r.Float64() // in (0, 1]
-	return d.Xm / math.Pow(u, 1/d.Alpha)
-}
-
-// Mean returns alpha*xm/(alpha-1) for alpha > 1, +Inf otherwise.
-func (d Pareto) Mean() float64 {
-	if d.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return d.Alpha * d.Xm / (d.Alpha - 1)
-}
-
-func (d Pareto) String() string { return fmt.Sprintf("Pareto(xm=%g, alpha=%g)", d.Xm, d.Alpha) }
-
-// Uniform is a uniform distribution on [Lo, Hi).
-type Uniform struct{ Lo, Hi float64 }
-
-// Sample draws a uniformly distributed value.
-func (d Uniform) Sample(r *RNG) float64 { return d.Lo + (d.Hi-d.Lo)*r.Float64() }
-
-// Mean returns the midpoint of the interval.
-func (d Uniform) Mean() float64 { return (d.Lo + d.Hi) / 2 }
-
-func (d Uniform) String() string { return fmt.Sprintf("Uniform[%g, %g)", d.Lo, d.Hi) }
 
 // Poisson draws a Poisson-distributed count with the given mean using Knuth's
 // algorithm for small means and a normal approximation for large ones.

@@ -52,9 +52,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 // P95 returns the 95th percentile of values.
 func P95(values []float64) float64 { return Quantile(values, 0.95) }
 
-// P99 returns the 99th percentile of values.
-func P99(values []float64) float64 { return Quantile(values, 0.99) }
-
 // Mean returns the arithmetic mean, or NaN for empty input.
 func Mean(values []float64) float64 {
 	if len(values) == 0 {
@@ -67,97 +64,20 @@ func Mean(values []float64) float64 {
 	return sum / float64(len(values))
 }
 
-// Variance returns the population variance, or NaN for empty input.
-func Variance(values []float64) float64 {
-	if len(values) == 0 {
-		return math.NaN()
-	}
-	m := Mean(values)
-	sum := 0.0
-	for _, v := range values {
-		d := v - m
-		sum += d * d
-	}
-	return sum / float64(len(values))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(values []float64) float64 { return math.Sqrt(Variance(values)) }
-
-// Correlation returns the Pearson correlation coefficient between xs and ys.
-// It returns 0 when either input has zero variance and NaN when lengths
-// mismatch or are empty.
-func Correlation(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return math.NaN()
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}
-
 // Moments accumulates count, mean, and variance in a single streaming pass
 // using Welford's algorithm. The zero value is ready to use.
 type Moments struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates one observation.
 func (m *Moments) Add(x float64) {
 	m.n++
-	if m.n == 1 {
-		m.min, m.max = x, x
-	} else {
-		if x < m.min {
-			m.min = x
-		}
-		if x > m.max {
-			m.max = x
-		}
-	}
 	delta := x - m.mean
 	m.mean += delta / float64(m.n)
 	m.m2 += delta * (x - m.mean)
-}
-
-// Merge folds another accumulator into m, as if every observation offered to
-// o had been offered to m (Chan et al.'s pairwise update). This is the
-// window-merge primitive of the drift loop: per-window moments accumulate
-// independently and merge into streak- or run-level moments without
-// revisiting samples. Merging an empty accumulator is a no-op.
-func (m *Moments) Merge(o Moments) {
-	if o.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		*m = o
-		return
-	}
-	n := m.n + o.n
-	na, nb := float64(m.n), float64(o.n)
-	delta := o.mean - m.mean
-	m.m2 += o.m2 + delta*delta*na*nb/float64(n)
-	m.mean += delta * nb / float64(n)
-	if o.min < m.min {
-		m.min = o.min
-	}
-	if o.max > m.max {
-		m.max = o.max
-	}
-	m.n = n
 }
 
 // Count returns the number of observations.
@@ -181,22 +101,6 @@ func (m *Moments) Variance() float64 {
 
 // StdDev returns the running population standard deviation.
 func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// Min returns the smallest observation (NaN if none).
-func (m *Moments) Min() float64 {
-	if m.n == 0 {
-		return math.NaN()
-	}
-	return m.min
-}
-
-// Max returns the largest observation (NaN if none).
-func (m *Moments) Max() float64 {
-	if m.n == 0 {
-		return math.NaN()
-	}
-	return m.max
-}
 
 // Reservoir keeps a fixed-size uniform random sample of a stream, suitable
 // for estimating quantiles of long simulations without unbounded memory.

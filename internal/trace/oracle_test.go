@@ -184,7 +184,7 @@ func (tt tee) check(t *testing.T, services ...string) {
 	if got, want := tt.c.MinuteAggregates(two), tt.oracle.MinuteAggregates(two); !reflect.DeepEqual(got, want) {
 		t.Fatalf("MinuteAggregates differs from the oracle (%d vs %d rows)", len(got), len(want))
 	}
-	if got, want := tt.c.NumTraces(), len(tt.oracle.byTrace); got != want {
+	if got, want := numTraces(tt.c), len(tt.oracle.byTrace); got != want {
 		t.Fatalf("NumTraces = %d, oracle %d", got, want)
 	}
 }
@@ -228,7 +228,7 @@ func TestTracesMatchMapStoreOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		rt.Run()
-		if n := tt.c.NumTraces(); n < 500 {
+		if n := numTraces(tt.c); n < 500 {
 			t.Fatalf("only %d traces sampled", n)
 		}
 		tt.check(t, "social")
@@ -338,7 +338,7 @@ func TestResetKeepsBuffer(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, refill); allocs != 0 {
 		t.Fatalf("a second fill of the same size allocates %.1f times, want 0", allocs)
 	}
-	if n := c.NumTraces(); n != 500 {
+	if n := numTraces(c); n != 500 {
 		t.Fatalf("refilled coordinator holds %d traces, want 500", n)
 	}
 }

@@ -2,11 +2,12 @@
 // Jaeger-equivalent span store plus the logic that reconstructs dependency
 // graphs from spans and derives per-microservice latency via Eq. 1.
 //
-// The simulator emits one CallRecord per call of each sampled trace; the
-// coordinator turns these into client/server span pairs, rebuilds the call
-// tree, classifies sibling calls as parallel or sequential by client-span
-// overlap, and computes microservice latency by subtracting downstream
-// response times from the local response time.
+// The simulator emits one CallRecord per call of each sampled trace — the
+// client and server timestamps of Jaeger's span pair in one record; the
+// coordinator assembles them into traces, rebuilds the call tree, classifies
+// sibling calls as parallel or sequential by client-span overlap, and
+// computes microservice latency by subtracting downstream response times
+// from the local response time.
 package trace
 
 import (
@@ -18,30 +19,6 @@ import (
 	"erms/internal/graph"
 	"erms/internal/sim"
 )
-
-// SpanKind distinguishes the two spans recorded per call.
-type SpanKind int
-
-// Span kinds, mirroring Jaeger's client/server span pair per call (§5.1).
-const (
-	Client SpanKind = iota
-	Server
-)
-
-// Span is one Jaeger-style span.
-type Span struct {
-	TraceID      int64
-	Kind         SpanKind
-	Service      string
-	Microservice string
-	NodeID       int
-	ParentNodeID int
-	Start        float64
-	End          float64
-}
-
-// Duration returns the span length in milliseconds.
-func (s Span) Duration() float64 { return s.End - s.Start }
 
 // Trace is one assembled request trace.
 type Trace struct {
@@ -91,9 +68,6 @@ func (c *Coordinator) Reset() {
 	c.mu.Unlock()
 }
 
-// NumTraces returns the number of distinct traces collected.
-func (c *Coordinator) NumTraces() int { return len(c.Traces("")) }
-
 // Traces returns assembled traces, optionally filtered by service ("" for
 // all), ordered by trace ID. The returned calls are a copy of the store.
 func (c *Coordinator) Traces(service string) []Trace {
@@ -115,22 +89,6 @@ func (c *Coordinator) Traces(service string) []Trace {
 		calls := recs[lo:hi:hi]
 		sort.Slice(calls, func(i, j int) bool { return calls[i].ServerRecv < calls[j].ServerRecv })
 		out = append(out, Trace{ID: recs[lo].TraceID, Service: svc, Calls: calls})
-	}
-	return out
-}
-
-// Spans expands a trace into its Jaeger-style client/server span pairs.
-func Spans(t Trace) []Span {
-	out := make([]Span, 0, 2*len(t.Calls))
-	for _, r := range t.Calls {
-		out = append(out,
-			Span{TraceID: r.TraceID, Kind: Client, Service: r.Service,
-				Microservice: r.ParentMicroservice, NodeID: r.NodeID, ParentNodeID: r.ParentNodeID,
-				Start: r.ClientSend, End: r.ClientRecv},
-			Span{TraceID: r.TraceID, Kind: Server, Service: r.Service,
-				Microservice: r.Microservice, NodeID: r.NodeID, ParentNodeID: r.ParentNodeID,
-				Start: r.ServerRecv, End: r.ServerSend},
-		)
 	}
 	return out
 }
@@ -287,18 +245,6 @@ func (c *Coordinator) MicroserviceLatencies(service string) []LatencySample {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
-}
-
-// EndToEnd returns the end-to-end latencies (root client span durations) of
-// all sampled requests of a service.
-func (c *Coordinator) EndToEnd(service string) []float64 {
-	var out []float64
-	for _, t := range c.Traces(service) {
-		if root, err := rootOf(t); err == nil {
-			out = append(out, root.ClientRecv-root.ClientSend)
-		}
-	}
 	return out
 }
 

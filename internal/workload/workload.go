@@ -42,51 +42,6 @@ func P95SLA(service string, thresholdMs float64) SLA {
 	return SLA{Service: service, Threshold: thresholdMs, Percentile: 0.95}
 }
 
-// Outcome classifies one end-to-end request against an SLA. The paper's
-// infallible data plane only distinguished fast from slow; with the
-// resilience layer a request can also fail outright (deadline expired,
-// retries exhausted, breaker open, shed, or the serving container crashed).
-type Outcome int
-
-// Request outcomes.
-const (
-	// OutcomeSuccess: completed within the SLA threshold.
-	OutcomeSuccess Outcome = iota
-	// OutcomeSlow: completed, but above the SLA threshold.
-	OutcomeSlow
-	// OutcomeError: failed; no response reached the client.
-	OutcomeError
-)
-
-// String names the outcome.
-func (o Outcome) String() string {
-	switch o {
-	case OutcomeSuccess:
-		return "success"
-	case OutcomeSlow:
-		return "slow"
-	case OutcomeError:
-		return "error"
-	default:
-		return fmt.Sprintf("outcome(%d)", int(o))
-	}
-}
-
-// Classify maps one request to its outcome: failed requests are errors
-// regardless of timing; completed requests are slow when their latency
-// exceeds the SLA threshold. A zero-threshold SLA (no bound configured)
-// never classifies a completed request as slow.
-func (s SLA) Classify(latencyMs float64, failed bool) Outcome {
-	switch {
-	case failed:
-		return OutcomeError
-	case s.Threshold > 0 && latencyMs > s.Threshold:
-		return OutcomeSlow
-	default:
-		return OutcomeSuccess
-	}
-}
-
 // Tier is the SLO tier of a client cohort: how much the platform is willing
 // to sacrifice this traffic when capacity runs short. Admission control sheds
 // the lower tiers (batch first, then sheddable) before touching standard
@@ -336,35 +291,4 @@ var InterferenceLevels = []Interference{
 	{CPU: 0.27, Mem: 0.62},
 	{CPU: 0.62, Mem: 0.50},
 	{CPU: 0.75, Mem: 0.70},
-}
-
-// Injector produces a deterministic per-host interference schedule: each host
-// holds a level for HoldMin minutes, then switches, mimicking the hourly
-// iBench injection used for profiling data collection.
-type Injector struct {
-	Levels  []Interference
-	HoldMin float64
-	seed    uint64
-}
-
-// NewInjector builds an injector over the given levels (defaults to
-// InterferenceLevels when nil).
-func NewInjector(seed uint64, holdMin float64, levels []Interference) *Injector {
-	if len(levels) == 0 {
-		levels = InterferenceLevels
-	}
-	if holdMin <= 0 {
-		holdMin = 60
-	}
-	return &Injector{Levels: levels, HoldMin: holdMin, seed: seed}
-}
-
-// At returns the interference on the given host at time t (minutes). The
-// schedule is a deterministic hash of (host, epoch), so repeated queries
-// agree and different hosts see different sequences.
-func (inj *Injector) At(host int, tMin float64) Interference {
-	epoch := uint64(tMin / inj.HoldMin)
-	h := inj.seed ^ (uint64(host+1) * 0x9e3779b97f4a7c15) ^ (epoch * 0xb5026f5aa96619e9)
-	r := stats.NewRNG(h)
-	return inj.Levels[r.Intn(len(inj.Levels))]
 }

@@ -13,6 +13,26 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+# Formatting: gofmt must have nothing to say about any Go file outside bench/
+# (a module of its own, changed only by benchmark PRs) and testdata.
+echo "== gofmt =="
+unformatted=$(gofmt -l . | grep -v -e '^bench/' -e '/testdata/' || true)
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l lists:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
+# Every package-level declaration has a reader in some program (a main of
+# cmd/, examples/ or bench/, an init, a package-level var initializer) — or
+# sits on the test's short allowlist, which may hold only a function ROADMAP
+# item 1 will give a reader, a test oracle or accessor the tests of another
+# package use, and the zero value of an enum (sim.RouteRoundRobin). An
+# allowlist entry that gains a reader or no longer exists fails the gate too,
+# so the list cannot rot. Type-checks the whole repository in ~3 s.
+echo "== every declaration has a reader =="
+go test -count=1 -run TestEveryDeclarationHasAReader .
+
 echo "== go test -race =="
 go test -race ./...
 
