@@ -172,7 +172,7 @@ func New(app *apps.App, orch *kube.Orchestrator, opts ...Option) (*Controller, e
 	for _, o := range opts {
 		o(c)
 	}
-	c.Planner = multiplex.NewIncrementalPlanner(c.PlanCache, 0)
+	c.Planner = multiplex.NewIncrementalPlanner(c.PlanCache)
 	if c.scheduler != nil {
 		orch.SetScheduler(c.scheduler)
 	}

@@ -10,7 +10,7 @@ import (
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig2", "fig3", "fig4", "fig5", "fig8", "fig9", "fig10",
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-		"fig19", "fig20", "fig21", "figScale", "figShard"}
+		"fig19", "fig20", "fig21", "figShard"}
 	ids := IDs()
 	have := map[string]bool{}
 	for _, id := range ids {

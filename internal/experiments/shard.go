@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"erms/internal/apps"
+	"erms/internal/cluster"
 	"erms/internal/multiplex"
+	"erms/internal/profiling"
 	"erms/internal/scaling"
 )
 
@@ -27,9 +30,10 @@ func init() {
 //
 // Two tables are emitted. figShard carries only deterministic columns
 // (topology shape, skip/dirty counters, bit-identity of the incremental
-// planner at shards=1 and shards=4 against the monolithic path) and is
-// pinned byte-identical across worker counts by the determinism tests; the
-// timing table is wall-clock and excluded from those comparisons.
+// planner against the monolithic path) and is pinned byte-identical across
+// worker counts — and so across shard counts, one shard per worker — by the
+// determinism tests; the timing table is wall-clock and excluded from those
+// comparisons.
 func PlannerShard(quick bool) []*Table {
 	services, msPer, degree, windows := 1000, 50, 10, 5
 	if quick {
@@ -41,7 +45,7 @@ func PlannerShard(quick bool) []*Table {
 		ID:    "figShard",
 		Title: "Incremental sharded planning vs monolithic compiled planner (change-driven skip, ROADMAP item 1)",
 		Header: []string{"services", "ms/graph", "sharing degree", "dirty frac",
-			"windows", "skipped", "replanned", "shards1 == mono", "shards4 == mono"},
+			"windows", "skipped", "replanned", "incremental == mono"},
 	}
 	timing := &Table{
 		ID:     "figShard-time",
@@ -85,27 +89,21 @@ func PlannerShard(quick bool) []*Table {
 		}
 
 		cache := scaling.NewTemplateCache()
-		p1 := multiplex.NewIncrementalPlanner(nil, 1)
-		p4 := multiplex.NewIncrementalPlanner(nil, 4)
+		p := multiplex.NewIncrementalPlanner(nil)
 
-		// Cold window warms all three paths; the measured windows that
-		// follow are steady state.
+		// Cold window warms both paths; the measured windows that follow are
+		// steady state.
 		mutate(-1)
 		mono, err := multiplex.PlanSchemeCached(multiplex.SchemePriority, inputs, loads, shared, cache)
 		if err != nil {
 			panic(err)
 		}
-		g1, err := p1.PlanScheme(multiplex.SchemePriority, inputs, loads, shared)
+		incr, err := p.PlanScheme(multiplex.SchemePriority, inputs, loads, shared)
 		if err != nil {
 			panic(err)
 		}
-		g4, err := p4.PlanScheme(multiplex.SchemePriority, inputs, loads, shared)
-		if err != nil {
-			panic(err)
-		}
-		identical1 := plansBitIdentical(mono, g1)
-		identical4 := plansBitIdentical(mono, g4)
-		cold := p4.Stats()
+		identical := plansBitIdentical(mono, incr)
+		cold := p.Stats()
 
 		var monoNs, incrNs time.Duration
 		for w := 0; w < windows; w++ {
@@ -116,20 +114,15 @@ func PlannerShard(quick bool) []*Table {
 			if err != nil {
 				panic(err)
 			}
-			g1, err = p1.PlanScheme(multiplex.SchemePriority, inputs, loads, shared)
-			if err != nil {
-				panic(err)
-			}
 			start = time.Now()
-			g4, err = p4.PlanScheme(multiplex.SchemePriority, inputs, loads, shared)
+			incr, err = p.PlanScheme(multiplex.SchemePriority, inputs, loads, shared)
 			incrNs += time.Since(start)
 			if err != nil {
 				panic(err)
 			}
-			identical1 = identical1 && plansBitIdentical(mono, g1)
-			identical4 = identical4 && plansBitIdentical(mono, g4)
+			identical = identical && plansBitIdentical(mono, incr)
 		}
-		warm := p4.Stats()
+		warm := p.Stats()
 
 		det.AddRow(
 			fmt.Sprintf("%d", services),
@@ -139,8 +132,7 @@ func PlannerShard(quick bool) []*Table {
 			fmt.Sprintf("%d", windows),
 			fmt.Sprintf("%d", warm.SkippedServices-cold.SkippedServices),
 			fmt.Sprintf("%d", warm.DirtyServices-cold.DirtyServices),
-			fmt.Sprintf("%v", identical1),
-			fmt.Sprintf("%v", identical4),
+			fmt.Sprintf("%v", identical),
 		)
 		timing.AddRow(
 			fmt.Sprintf("%d", services),
@@ -158,7 +150,78 @@ func PlannerShard(quick bool) []*Table {
 		}
 	}
 	det.AddNote("skipped/replanned count services over the post-warmup windows; the dirty closure of a workload change is the service's whole sharing group")
-	det.AddNote("shardsN == mono is a bit-level comparison of every target, raw count and usage, every window")
+	det.AddNote("incremental == mono is a bit-level comparison of every target, raw count and usage, every window")
 	timing.AddNote("BENCH_6.json gates the 10%% row at >=5x on the full 1000x50x10 topology")
 	return []*Table{det, timing}
+}
+
+// scalePlanContext assembles the multi-service planner inputs for one
+// exact-shape Alibaba-scale topology: per-service graphs over a shared pool,
+// analytic models from the synthetic profiles, and workloads proportional to
+// each microservice's fan-in.
+func scalePlanContext(cfg apps.ScaleConfig) (map[string]scaling.Input, map[string]map[string]float64, []string) {
+	app := apps.ScaleTopology(cfg)
+	cl := paperCluster()
+	threads := make(map[string]int, len(app.Containers))
+	shares := make(map[string]float64, len(app.Containers))
+	for ms, spec := range app.Containers {
+		threads[ms] = spec.Threads
+		shares[ms] = cl.DominantShare(spec)
+	}
+	models := profiling.AnalyticModels(app.Profiles, threads, cluster.DefaultInterference)
+	inputs := make(map[string]scaling.Input, len(app.Graphs))
+	loads := make(map[string]map[string]float64, len(app.Graphs))
+	for _, g := range app.Graphs {
+		mss, counts := g.CallCounts()
+		byMS := make(map[string]float64, len(mss))
+		for i, ms := range mss {
+			byMS[ms] = 10_000 * float64(counts[i])
+		}
+		inputs[g.Service] = scaling.Input{
+			Graph:   g,
+			SLA:     app.SLAs[g.Service],
+			Models:  models,
+			Shares:  shares,
+			CPUUtil: 0.35,
+			MemUtil: 0.25,
+		}
+		loads[g.Service] = byMS
+	}
+	return inputs, loads, app.Shared()
+}
+
+// plansBitIdentical reports whether two multi-service plans agree bit for bit
+// in every float field and exactly in every count.
+func plansBitIdentical(a, b *multiplex.Plan) bool {
+	if a.Scheme != b.Scheme ||
+		math.Float64bits(a.ResourceUsage) != math.Float64bits(b.ResourceUsage) ||
+		len(a.Containers) != len(b.Containers) ||
+		len(a.PerService) != len(b.PerService) {
+		return false
+	}
+	for ms, n := range a.Containers {
+		if b.Containers[ms] != n {
+			return false
+		}
+	}
+	for svc, aa := range a.PerService {
+		ba := b.PerService[svc]
+		if ba == nil || len(aa.Targets) != len(ba.Targets) {
+			return false
+		}
+		if math.Float64bits(aa.ResourceUsage) != math.Float64bits(ba.ResourceUsage) {
+			return false
+		}
+		for ms, v := range aa.Targets {
+			if math.Float64bits(ba.Targets[ms]) != math.Float64bits(v) {
+				return false
+			}
+		}
+		for ms, v := range aa.ContainersRaw {
+			if math.Float64bits(ba.ContainersRaw[ms]) != math.Float64bits(v) {
+				return false
+			}
+		}
+	}
+	return true
 }

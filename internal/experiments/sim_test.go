@@ -11,7 +11,7 @@ import (
 // deterministic table (partition count, exact bit-identity across
 // Partitions settings, hybrid fidelity and conservation columns) is
 // byte-identical whether the partition fan-out runs on one worker or four.
-// The wall-clock companion table is masked out, like figScale/figShard.
+// The wall-clock companion table is masked out, like figShard's.
 func TestFigSimDeterministicAcrossWorkers(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	parallel.SetWorkers(1)

@@ -65,7 +65,7 @@ import (
 // sharded work *inside* one call fans out over internal/parallel.
 type IncrementalPlanner struct {
 	cache  *scaling.TemplateCache
-	shards int // requested; <=0 means one shard per pool worker
+	shards int // requested; 0 (production) means one shard per pool worker
 
 	// Topology snapshot the caches are valid against.
 	haveState bool
@@ -174,15 +174,14 @@ type IncrementalStats struct {
 }
 
 // NewIncrementalPlanner creates a planner over the given template cache
-// (nil allocates a private cache). shards requests the shard count for the
-// group partition; <= 0 sizes it to the parallel worker pool, and it is
-// always clamped to the number of sharing groups. Output is byte-identical
-// to the monolithic PlanSchemeCached at any shard count.
-func NewIncrementalPlanner(cache *scaling.TemplateCache, shards int) *IncrementalPlanner {
+// (nil allocates a private cache). The group partition gets one shard per
+// parallel pool worker, clamped to the number of sharing groups. Output is
+// byte-identical to the monolithic PlanSchemeCached at any shard count.
+func NewIncrementalPlanner(cache *scaling.TemplateCache) *IncrementalPlanner {
 	if cache == nil {
 		cache = scaling.NewTemplateCache()
 	}
-	return &IncrementalPlanner{cache: cache, shards: shards}
+	return &IncrementalPlanner{cache: cache}
 }
 
 // Stats returns cumulative planner counters.
@@ -560,7 +559,7 @@ func (p *IncrementalPlanner) pinShards() {
 func (p *IncrementalPlanner) planGroup(g *group, sc *shardScratch, inputs map[string]scaling.Input, loads map[string]map[string]float64) *planErr {
 	// Gather: every member's template, validated once for the window, and its
 	// workloads as a vector in the template's order. A workload the loads do
-	// not list reads 0, which the evaluation rejects as the naive path does.
+	// not list reads 0, which the evaluation rejects as scaling.Plan does.
 	dirty := !g.clean
 	for k, si := range g.members {
 		svc := p.svcs[si]

@@ -91,7 +91,7 @@ func BenchmarkIncrementalVsCompiled(b *testing.B) {
 			}
 		})
 		b.Run(prefix+"incremental", func(b *testing.B) {
-			p := NewIncrementalPlanner(nil, 0)
+			p := NewIncrementalPlanner(nil)
 			if _, err := p.PlanScheme(SchemePriority, inputs, loads, shared); err != nil {
 				b.Fatal(err)
 			}

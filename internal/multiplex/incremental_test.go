@@ -14,6 +14,14 @@ import (
 	"erms/internal/workload"
 )
 
+// shardedPlanner is a planner over a private cache with its shard count
+// fixed, where production sizes it to the worker pool.
+func shardedPlanner(shards int) *IncrementalPlanner {
+	p := NewIncrementalPlanner(nil)
+	p.shards = shards
+	return p
+}
+
 // planIncremental is the test harness shorthand: one window through the
 // incremental planner, failing the test on error.
 func planIncremental(t *testing.T, p *IncrementalPlanner, scheme Scheme, inputs map[string]scaling.Input, loads map[string]map[string]float64, shared []string, ctx string) *Plan {
@@ -38,7 +46,7 @@ func TestIncrementalByteIdenticalOnScaleTopology(t *testing.T) {
 	})
 	for _, scheme := range []Scheme{SchemePriority, SchemeFCFS, SchemeNonShared} {
 		for _, shards := range []int{1, 4} {
-			p := NewIncrementalPlanner(nil, shards)
+			p := shardedPlanner(shards)
 			ctx := fmt.Sprintf("%v shards=%d", scheme, shards)
 
 			want, err := PlanScheme(scheme, inputs, loads, shared)
@@ -90,7 +98,7 @@ func TestIncrementalDirtyClosure(t *testing.T) {
 	inputs, loads, shared := scaleInputs(t, apps.ScaleConfig{
 		Seed: 7, Services: services, MicroservicesPerService: 8, SharingDegree: degree,
 	})
-	p := NewIncrementalPlanner(nil, 4)
+	p := shardedPlanner(4)
 	planIncremental(t, p, SchemePriority, inputs, loads, shared, "cold")
 
 	groups := p.Groups()
@@ -156,7 +164,7 @@ func TestIncrementalErrorMatchesMonolithic(t *testing.T) {
 	inputs, loads, shared := scaleInputs(t, apps.ScaleConfig{
 		Seed: 5, Services: 8, MicroservicesPerService: 6, SharingDegree: 2,
 	})
-	p := NewIncrementalPlanner(nil, 3)
+	p := shardedPlanner(3)
 	planIncremental(t, p, SchemePriority, inputs, loads, shared, "w1")
 
 	const victim = "scale-svc-00003"
@@ -195,7 +203,7 @@ func TestIncrementalOracleUnderRandomMutations(t *testing.T) {
 		inputs, loads, shared := randomSharedInputs(seed)
 		scheme := schemes[seed%3]
 		shards := 1 + r.Intn(4)
-		p := NewIncrementalPlanner(nil, shards)
+		p := shardedPlanner(shards)
 
 		// extraStage tracks the structural edit per service: whether the
 		// service's chain currently has a third, private stage.
@@ -294,7 +302,7 @@ func TestIncrementalRanksReorderAndTie(t *testing.T) {
 		in.SLA = workload.P95SLA(svc, ms)
 		inputs[svc] = in
 	}
-	p := NewIncrementalPlanner(nil, 1)
+	p := shardedPlanner(1)
 	var prev *Plan
 	for i, step := range []struct {
 		name   string
@@ -357,7 +365,7 @@ func TestIncrementalWorkloadEdgeCasesMatchOracle(t *testing.T) {
 	} {
 		for _, scheme := range []Scheme{SchemePriority, SchemeFCFS, SchemeNonShared} {
 			inputs, loads, shared := tiedInputs("svca", "svcb", "svcc")
-			p := NewIncrementalPlanner(nil, 2)
+			p := shardedPlanner(2)
 			ctx := fmt.Sprintf("%s, %v", tc.name, scheme)
 			planIncremental(t, p, scheme, inputs, loads, shared, ctx+": warm-up")
 			tc.mutate(loads)
@@ -388,7 +396,7 @@ func TestIncrementalAcrossWorkersAndShards(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, shards := range []int{1, 2, 4, 16} {
 			parallel.SetWorkers(workers)
-			p := NewIncrementalPlanner(nil, shards)
+			p := shardedPlanner(shards)
 			ctx := fmt.Sprintf("workers=%d shards=%d", workers, shards)
 			got := planIncremental(t, p, SchemePriority, inputs, loads, shared, ctx)
 			requirePlanBitIdentical(t, want, got, ctx+" cold")

@@ -204,7 +204,8 @@ func PlanScheme(scheme Scheme, inputs map[string]scaling.Input, loads map[string
 // PlanSchemeCached is PlanScheme backed by a template cache: each service's
 // per-window scaling plan replays its compiled template instead of
 // re-running validation and the Algorithm-1 reduction. The output is
-// bit-identical to PlanScheme's — a nil cache degrades to the naive path.
+// bit-identical to PlanScheme's, which is this with a nil cache: every
+// service's template compiled for the one call.
 // Distinct services plan concurrently without contention (the cache is
 // keyed by service and each template carries its own lock).
 func PlanSchemeCached(scheme Scheme, inputs map[string]scaling.Input, loads map[string]map[string]float64, shared []string, cache *scaling.TemplateCache) (*Plan, error) {
@@ -235,7 +236,7 @@ func PlanSchemeCached(scheme Scheme, inputs map[string]scaling.Input, loads map[
 			svc := svcs[i]
 			in := inputs[svc]
 			in.Workloads = workloads[svc]
-			// cache.Plan on a nil cache is the naive scaling.Plan.
+			// cache.Plan on a nil cache is scaling.Plan: compile, then plan.
 			alloc, err := cache.Plan(in)
 			if err != nil {
 				return nil, fmt.Errorf("multiplex: service %s: %w", svc, err)

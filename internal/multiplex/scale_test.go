@@ -71,15 +71,16 @@ func requirePlanBitIdentical(t *testing.T, want, got *Plan, ctx string) {
 }
 
 // TestPlanSchemeCachedBitIdentical: for every scheme, the template-cached
-// path reproduces the naive PlanScheme bit for bit, on both the cold
-// (compile) and warm (hit) window.
+// path reproduces PlanScheme, which compiles every service from scratch, bit
+// for bit, on both the cold (compile) and warm (hit) window. The per-service
+// check against the recursive oracle is scaling's TestCompiled*.
 func TestPlanSchemeCachedBitIdentical(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		inputs, loads, shared := randomSharedInputs(seed)
 		for _, scheme := range []Scheme{SchemePriority, SchemeFCFS, SchemeNonShared} {
 			want, err := PlanScheme(scheme, inputs, loads, shared)
 			if err != nil {
-				t.Fatalf("seed %d %v: naive: %v", seed, scheme, err)
+				t.Fatalf("seed %d %v: scratch: %v", seed, scheme, err)
 			}
 			cache := scaling.NewTemplateCache()
 			for round := 0; round < 2; round++ {
@@ -132,7 +133,7 @@ func scaleInputs(tb testing.TB, cfg apps.ScaleConfig) (map[string]scaling.Input,
 
 // TestPlanSchemeByteIdenticalAcrossWorkers pins the parallel determinism
 // contract on the scale topology: workers=1 and workers=4 produce
-// bit-identical plans, cached and uncached.
+// bit-identical plans, cached and compiled from scratch (nil cache).
 func TestPlanSchemeByteIdenticalAcrossWorkers(t *testing.T) {
 	inputs, loads, shared := scaleInputs(t, apps.ScaleConfig{
 		Seed: 9, Services: 24, MicroservicesPerService: 16, SharingDegree: 6,
@@ -146,22 +147,22 @@ func TestPlanSchemeByteIdenticalAcrossWorkers(t *testing.T) {
 		}
 		return p
 	}
-	naive1 := run(1, nil)
-	naive4 := run(4, nil)
-	requirePlanBitIdentical(t, naive1, naive4, "naive w1-vs-w4")
+	scratch1 := run(1, nil)
+	scratch4 := run(4, nil)
+	requirePlanBitIdentical(t, scratch1, scratch4, "scratch w1-vs-w4")
 
 	cache := scaling.NewTemplateCache()
 	warm := run(4, cache) // cold window compiles
-	requirePlanBitIdentical(t, naive1, warm, "cached-cold vs naive")
+	requirePlanBitIdentical(t, scratch1, warm, "cached-cold vs scratch")
 	cached1 := run(1, cache)
 	cached4 := run(4, cache)
-	requirePlanBitIdentical(t, naive1, cached1, "cached w1 vs naive")
+	requirePlanBitIdentical(t, scratch1, cached1, "cached w1 vs scratch")
 	requirePlanBitIdentical(t, cached1, cached4, "cached w1-vs-w4")
 }
 
 // BenchmarkPlanScale measures full multi-service priority planning (two
 // planAll passes + rank assignment + merge) on Alibaba-scale topologies,
-// naive versus template-cached.
+// every template compiled from scratch versus template-cached.
 func BenchmarkPlanScale(b *testing.B) {
 	sizes := []apps.ScaleConfig{
 		{Seed: 42, Services: 50, MicroservicesPerService: 50, SharingDegree: 10},
@@ -170,7 +171,7 @@ func BenchmarkPlanScale(b *testing.B) {
 	for _, cfg := range sizes {
 		inputs, loads, shared := scaleInputs(b, cfg)
 		name := fmt.Sprintf("svcs=%d", cfg.Services)
-		b.Run(name+"/naive", func(b *testing.B) {
+		b.Run(name+"/scratch", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := PlanScheme(SchemePriority, inputs, loads, shared); err != nil {

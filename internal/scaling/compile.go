@@ -6,11 +6,13 @@
 // split over flat, pre-ordered slices: Solve takes the workloads as a vector
 // in the template's microservice order and leaves the result in a caller-
 // owned Eval, Allocation turns that into the name-keyed maps a plan hands
-// out, and Plan is the map-in/map-out composition of the two. The evaluation
-// replays the exact float operations of the naive path (same operand order,
-// same summation order, same clamps, same error precedence) so a Template's
-// output is bit-identical to Plan's — the golden experiment tables cannot
-// tell the two apart.
+// out, and Plan is the map-in/map-out composition of the two. This is the
+// only implementation of Algorithm 1 and the Eq. 5 split outside the tests:
+// the package-level Plan compiles a template per call, Explain renders one,
+// and the planners cache them. The paper-literal recursive merge tree is the
+// test oracle (naivePlan, oracle_test.go), which every evaluation matches bit
+// for bit — same operand and summation order, same clamps, same error
+// precedence.
 package scaling
 
 import (
@@ -24,7 +26,8 @@ import (
 	"erms/internal/profiling"
 )
 
-// opKind distinguishes compiled merge-tree ops; values mirror mergeKind.
+// opKind distinguishes compiled merge-tree ops: a real microservice, or a
+// virtual one for sequential (Eq. 7-9) or parallel (Eq. 11-12) components.
 type opKind uint8
 
 const (
@@ -65,9 +68,9 @@ type Template struct {
 	shares []float64
 
 	// ops is the merge tree in post-order (kids before parents); kids is the
-	// shared child-index arena; pre is the root-first unwind order, visiting
-	// ops exactly as the naive recursive unwind does (so error precedence
-	// and target assignment order match bit for bit).
+	// shared child-index arena; pre is the root-first unwind order, parents
+	// before children and children in stage order, which fixes the error
+	// precedence and the order targets are assigned in.
 	ops  []planOp
 	kids []int32
 	pre  []int32
@@ -142,22 +145,19 @@ func (e *Eval) fit(nOps, nMS int) {
 }
 
 // evalPool backs the map-keyed Plan, whose callers (the template cache, the
-// monolithic planner) have no Eval of their own to pass.
+// monolithic planner, the package-level Plan) have no Eval of their own to
+// pass.
 var evalPool = sync.Pool{New: func() any { return new(Eval) }}
 
-// Compile validates the input once, runs the Algorithm-1 merge/chain
-// reduction once, and captures unwind order and per-microservice bindings in
-// flat slice form. The returned Template's Plan replays only the per-window
-// arithmetic. Compile is pure with respect to in: it holds references to the
-// graph and models but never mutates them.
+// Compile validates the input's static bindings once, runs the Algorithm-1
+// merge/chain reduction once, and captures unwind order and per-microservice
+// bindings in flat slice form. The returned Template's Plan replays only the
+// per-window arithmetic. Workloads are not read: a template can be built
+// before the first window's loads exist. Compile is pure with respect to in:
+// it holds references to the graph and models but never mutates them.
 func Compile(in Input) (*Template, error) {
 	if err := in.validate(); err != nil {
-		// Workload presence is a per-window property, not a compile-time
-		// one: tolerate missing workloads at compile so a template can be
-		// built before the first window's loads exist.
-		if !isWorkloadErr(err) {
-			return nil, err
-		}
+		return nil, err
 	}
 	t := &Template{
 		Service:       in.Graph.Service,
@@ -186,19 +186,9 @@ func Compile(in Input) (*Template, error) {
 	return t, nil
 }
 
-func isWorkloadErr(err error) bool {
-	var s string
-	if err != nil {
-		s = err.Error()
-	}
-	const pfx = "scaling: no workload for microservice "
-	return len(s) >= len(pfx) && s[:len(pfx)] == pfx
-}
-
-// reduce mirrors buildMergeTree: a leaf op for the node itself, a parallel
-// merge per stage, then a sequential merge of self with the stages.
-// Single-element merges collapse to the element, exactly as seqMerge and
-// parMerge return a lone child unchanged.
+// reduce runs Algorithm 1's reduction bottom-up: a leaf op for the node
+// itself, a parallel merge per stage, then a sequential merge of self with
+// the stages. A single-element merge collapses to the element.
 func (t *Template) reduce(n *graph.Node, idx map[string]int32) int32 {
 	self := t.emit(planOp{kind: opLeaf, ms: idx[n.Microservice]})
 	if n.IsLeaf() {
@@ -229,7 +219,7 @@ func (t *Template) merge(kind opKind, kids []int32) int32 {
 	return t.emit(planOp{kind: kind, ms: -1, kidStart: start, kidEnd: int32(len(t.kids))})
 }
 
-// buildPre records the root-first visit order of the naive unwind recursion.
+// buildPre records the root-first visit order of the Eq. 5 unwind.
 func (t *Template) buildPre(oi int32) {
 	t.pre = append(t.pre, oi)
 	op := t.ops[oi]
@@ -239,20 +229,23 @@ func (t *Template) buildPre(oi int32) {
 }
 
 // Plan evaluates the compiled template for one window: workloads γ and the
-// cluster utilizations are the only fresh inputs. The result is bit-identical
-// to Plan(Input) on the same data — same two-interval recomputation, same
-// clamps, same error formats, same sorted-order ResourceUsage sum. It is
-// Solve and Allocation over a pooled Eval, with the workloads gathered out of
-// the map first.
+// cluster utilizations are the only fresh inputs. It is Solve and Allocation
+// over a pooled Eval, with the workloads gathered out of the map first.
 func (t *Template) Plan(workloads map[string]float64, cpuUtil, memUtil float64) (*Allocation, error) {
 	e := evalPool.Get().(*Eval)
 	defer evalPool.Put(e)
+	return t.plan(e, workloads, cpuUtil, memUtil)
+}
+
+// plan is Plan into e, which keeps the final pass's merge coefficients for
+// Explain.
+func (t *Template) plan(e *Eval, workloads map[string]float64, cpuUtil, memUtil float64) (*Allocation, error) {
 	if cap(e.gamma) < len(t.mss) {
 		e.gamma = make([]float64, len(t.mss))
 	}
 	gamma := e.gamma[:len(t.mss)]
 	for i, ms := range t.mss {
-		// A missing entry reads 0, which Solve reports like the naive path.
+		// A missing entry reads 0, which Solve reports as a missing workload.
 		gamma[i] = workloads[ms]
 	}
 	if err := t.Solve(e, gamma, cpuUtil, memUtil); err != nil {
@@ -272,8 +265,8 @@ func (t *Template) Solve(e *Eval, gamma []float64, cpuUtil, memUtil float64) err
 	defer t.mu.Unlock()
 	e.fit(len(t.ops), len(t.mss))
 
-	// Per-window validation: the naive path checks workloads in sorted
-	// microservice order; replay that so the reported microservice matches.
+	// The per-window half of validation: workloads, in sorted microservice
+	// order, after Compile has checked every model and share.
 	for i, g := range gamma[:len(t.mss)] {
 		if g <= 0 {
 			return fmt.Errorf("scaling: no workload for microservice %s", t.mss[i])
@@ -311,7 +304,7 @@ func (t *Template) Solve(e *Eval, gamma []float64, cpuUtil, memUtil float64) err
 }
 
 // Allocation materializes the outcome of a successful Solve on this template
-// in the naive shape: fresh maps, never written again by the template.
+// as name-keyed maps, fresh and never written again by the template.
 func (t *Template) Allocation(e *Eval) *Allocation {
 	alloc := &Allocation{
 		Service:       t.Service,
@@ -325,8 +318,7 @@ func (t *Template) Allocation(e *Eval) *Allocation {
 		alloc.ContainersRaw[ms] = e.Raw[i]
 		alloc.Containers[ms] = e.Containers[i]
 		alloc.UsedHigh[ms] = e.UsedHigh[i]
-		// mss is sorted, so this fold matches the naive sorted-order sum bit
-		// for bit.
+		// mss is sorted, so the float sum is bit-stable run to run.
 		alloc.ResourceUsage += e.Raw[i] * t.shares[i]
 	}
 	return alloc
@@ -336,12 +328,12 @@ func (t *Template) Allocation(e *Eval) *Allocation {
 // post-order sweep computing the Eq. 7-12 merge coefficients, a downward
 // pre-order sweep splitting targets by Eq. 5, then the round-up of every
 // requirement in sorted order. Every float operation — including summation
-// order — and every error's precedence replays the recursive implementation.
+// order — and every error's precedence replays the recursive oracle.
 func (t *Template) eval(e *Eval, gamma []float64) error {
 	clear(e.seen)
 
-	// Upward sweep: kids precede parents in ops, so one forward pass
-	// reproduces the bottom-up merge of buildMergeTree.
+	// Upward sweep: kids precede parents in ops, so one forward pass is the
+	// bottom-up merge of Eq. 7-12.
 	for oi := range t.ops {
 		op := &t.ops[oi]
 		switch op.kind {
@@ -383,8 +375,8 @@ func (t *Template) eval(e *Eval, gamma []float64) error {
 	}
 
 	// Downward sweep in the recorded pre-order: parents assign child targets
-	// before any descendant is visited, and the first infeasibility
-	// encountered matches the naive DFS error.
+	// before any descendant is visited, so the first infeasibility reported is
+	// the first a depth-first unwind meets.
 	e.target[t.root] = t.slaThreshold
 	for _, oi := range t.pre {
 		op := &t.ops[oi]
@@ -410,7 +402,7 @@ func (t *Template) eval(e *Eval, gamma []float64) error {
 			}
 			// A microservice occupying several graph positions keeps its
 			// tightest target and largest requirement; the first position sets
-			// both whatever they are, as the naive map insert does.
+			// both whatever they are.
 			if !e.seen[mi] || target < e.Targets[mi] {
 				e.Targets[mi] = target
 			}
@@ -424,8 +416,8 @@ func (t *Template) eval(e *Eval, gamma []float64) error {
 				return fmt.Errorf("%w: service %s: target %.3fms <= path intercepts %.3fms",
 					ErrInfeasible, t.Service, target, e.b[oi])
 			}
-			// pSum recomputed the same way the naive unwind recomputes it:
-			// identical operand order makes it bit-equal to e.p[oi].
+			// Eq. 5's Σp over the kids is the op's own p, summed in the same
+			// order on the way up.
 			pSum := e.p[oi]
 			for _, k := range t.kids[op.kidStart:op.kidEnd] {
 				e.target[k] = e.b[k] + e.p[k]/pSum*slack
@@ -437,10 +429,9 @@ func (t *Template) eval(e *Eval, gamma []float64) error {
 		}
 	}
 
-	// The naive pass rounds every requirement up before it returns, in sorted
-	// order; doing it here keeps an unrepresentable count's error where the
-	// naive path raises it — after this pass's infeasibility checks, before
-	// the interval flip.
+	// Round every requirement up in sorted order at the end of each pass, so
+	// an unrepresentable count's error comes after this pass's infeasibility
+	// checks and before the interval flip.
 	for i, ms := range t.mss {
 		n, err := containerCount(ms, e.Raw[i])
 		if err != nil {
@@ -501,7 +492,7 @@ func (t *Template) Matches(in Input) bool {
 // allocations from an unchanged template, which is what lets an incremental
 // planner skip the replan entirely. ok is false when any workload is
 // non-positive (such a window cannot be skipped: it must replan so the
-// naive error surfaces).
+// workload error surfaces).
 func WindowFingerprint(gamma []float64, cpuUtil, memUtil float64) (fp uint64, ok bool) {
 	h := newFNV()
 	h.f64(cpuUtil)
@@ -721,9 +712,9 @@ func (c *TemplateCache) put(t *Template) {
 	c.entries[t.Service] = t
 }
 
-// Plan is the cached equivalent of the package-level Plan: it returns
-// bit-identical allocations and errors, compiling or recompiling the
-// service's template as needed. A nil cache degrades to the naive path.
+// Plan is the package-level Plan with the service's template kept between
+// calls: the same allocations and errors, compiling or recompiling the
+// template as needed. A nil cache compiles one for the call (scaling.Plan).
 func (c *TemplateCache) Plan(in Input) (*Allocation, error) {
 	if c == nil {
 		return Plan(in)

@@ -44,9 +44,10 @@ func benchInputs(tb testing.TB, cfg apps.ScaleConfig) []scaling.Input {
 }
 
 // BenchmarkCompiledVsNaive measures one steady-state planner window over the
-// Alibaba-scale topology: the naive path re-validates, re-merges, and
-// re-sorts every window; the compiled path replays precompiled templates and
-// only re-evaluates the per-window arithmetic. The ratio is the repo's
+// Alibaba-scale topology: the naive arm is the recursive test oracle, which
+// re-validates, re-merges, and re-sorts every window; the compiled path
+// replays precompiled templates and only re-evaluates the per-window
+// arithmetic. The ratio is the repo's
 // analog of the paper's 22.5× planning-overhead reduction (§8.4).
 func BenchmarkCompiledVsNaive(b *testing.B) {
 	cfg := apps.ScaleConfig{Seed: 42, Services: 100, MicroservicesPerService: 50, SharingDegree: 10}
@@ -56,7 +57,7 @@ func BenchmarkCompiledVsNaive(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for j := range inputs {
-				if _, err := scaling.Plan(inputs[j]); err != nil {
+				if _, err := scaling.NaivePlan(inputs[j]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -82,15 +83,16 @@ func BenchmarkCompiledVsNaive(b *testing.B) {
 	})
 }
 
-// TestCompiledMatchesNaiveAtScale pins the bit-identity contract on the full
-// benchmark topology (not just small unit graphs).
+// TestCompiledMatchesNaiveAtScale pins the bit-identity contract against the
+// recursive oracle on the full benchmark topology (not just small unit
+// graphs).
 func TestCompiledMatchesNaiveAtScale(t *testing.T) {
 	cfg := apps.ScaleConfig{Seed: 42, Services: 40, MicroservicesPerService: 30, SharingDegree: 8}
 	inputs := benchInputs(t, cfg)
 	cache := scaling.NewTemplateCache()
 	for round := 0; round < 2; round++ {
 		for j := range inputs {
-			want, errW := scaling.Plan(inputs[j])
+			want, errW := scaling.NaivePlan(inputs[j])
 			got, errG := cache.Plan(inputs[j])
 			if errW != nil || errG != nil {
 				t.Fatalf("svc %d: naive err %v, cached err %v", j, errW, errG)

@@ -54,11 +54,12 @@ func requireAllocBitIdentical(t *testing.T, want, got *Allocation, ctx string) {
 
 // TestCompiledPlanBitIdenticalOnRandomGraphs: on random topologies (mixing
 // one- and two-interval models, SLAs near the feasibility floor) a compiled
-// template reproduces Plan bit for bit — including the infeasible error.
+// template reproduces the recursive oracle bit for bit — including the
+// infeasible error.
 func TestCompiledPlanBitIdenticalOnRandomGraphs(t *testing.T) {
 	f := func(seed uint16) bool {
 		in := randomInput(uint64(seed) + 1)
-		want, wantErr := Plan(in)
+		want, wantErr := naivePlan(in)
 		tpl, err := Compile(in)
 		if err != nil {
 			t.Logf("seed %d: compile: %v", seed, err)
@@ -123,7 +124,7 @@ func duplicateMSInput() Input {
 
 func TestCompiledPlanDuplicateMicroservices(t *testing.T) {
 	in := duplicateMSInput()
-	want, err := Plan(in)
+	want, err := naivePlan(in)
 	if err != nil {
 		t.Fatalf("naive: %v", err)
 	}
@@ -144,7 +145,7 @@ func TestCompiledPlanDuplicateMicroservices(t *testing.T) {
 func TestCompiledPlanInfeasibleErrorMatches(t *testing.T) {
 	in := chainInput(t, 4, 200)
 	in.SLA.Threshold = 1 // below the sum of intercepts
-	_, wantErr := Plan(in)
+	_, wantErr := naivePlan(in)
 	if !errors.Is(wantErr, ErrInfeasible) {
 		t.Fatalf("naive err = %v, want infeasible", wantErr)
 	}
@@ -185,7 +186,7 @@ func TestUnplannableContainerCountIsAnError(t *testing.T) {
 		"infeasible":   {infeasible, ErrInfeasible.Error()},
 		"large":        {scaled(chainInput(t, 4, 200), 1e6), ""},
 	} {
-		want, wantErr := Plan(tc.in)
+		want, wantErr := naivePlan(tc.in)
 		tpl, err := Compile(tc.in)
 		if err != nil {
 			t.Fatalf("%s: compile: %v", name, err)
@@ -262,7 +263,7 @@ func TestModelMemoKeyedOnBothUtilizations(t *testing.T) {
 		{0.4, 0.5, false}, {0.2, 0.3, true}, {0.3, 0.2, true}, {0.3, 0.2, false},
 	} {
 		naive.CPUUtil, naive.MemUtil = w.cpu, w.mem
-		want, err := Plan(naive)
+		want, err := naivePlan(naive)
 		if err != nil {
 			t.Fatalf("window %d: naive: %v", i, err)
 		}
@@ -330,7 +331,7 @@ func TestCompiledPlanWorkloadValidation(t *testing.T) {
 	bad := map[string]float64{msName(0): 100, msName(2): 100} // ms01 missing
 	_, gotErr := tpl.Plan(bad, 0, 0)
 	in.Workloads = bad
-	_, wantErr := Plan(in)
+	_, wantErr := naivePlan(in)
 	if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
 		t.Fatalf("workload error mismatch: naive %v, template %v", wantErr, gotErr)
 	}
@@ -347,7 +348,7 @@ func TestCompileToleratesMissingWorkloads(t *testing.T) {
 		t.Fatalf("compile without workloads: %v", err)
 	}
 	in.Workloads = loads
-	want, err := Plan(in)
+	want, err := naivePlan(in)
 	if err != nil {
 		t.Fatalf("naive: %v", err)
 	}
@@ -373,7 +374,7 @@ func TestTemplateCacheHitsAndWorkloadOnlyChanges(t *testing.T) {
 		win := in
 		win.Workloads = loads
 		win.CPUUtil = 0.2 + 0.1*float64(w)
-		want, wantErr := Plan(win)
+		want, wantErr := naivePlan(win)
 		got, gotErr := cache.Plan(win)
 		if wantErr != nil || gotErr != nil {
 			t.Fatalf("window %d: naive err %v, cached err %v", w, wantErr, gotErr)
@@ -461,7 +462,7 @@ func TestTemplateCacheInvalidation(t *testing.T) {
 				t.Fatalf("base plan: %v", err)
 			}
 			mut := tc.mutate(duplicateMSInput())
-			want, wantErr := Plan(mut)
+			want, wantErr := naivePlan(mut)
 			got, gotErr := cache.Plan(mut)
 			if wantErr != nil {
 				if gotErr == nil || wantErr.Error() != gotErr.Error() {
@@ -488,12 +489,14 @@ func TestTemplateCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestTemplateCacheNilAndValidationErrors: a nil cache degrades to the naive
-// path, and invalid inputs surface the naive error text.
+// TestTemplateCacheNilAndValidationErrors: a nil cache compiles per call and
+// matches the oracle, and invalid inputs surface the oracle's error text on
+// every path — including inputs with several problems, where the static
+// bindings (graph, SLA, models, shares) are reported before any workload.
 func TestTemplateCacheNilAndValidationErrors(t *testing.T) {
 	var nilCache *TemplateCache
 	in := duplicateMSInput()
-	want, err := Plan(in)
+	want, err := naivePlan(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,20 +512,36 @@ func TestTemplateCacheNilAndValidationErrors(t *testing.T) {
 		t.Fatalf("nil cache len = %d", nilCache.Len())
 	}
 
-	cache := NewTemplateCache()
-	bad := duplicateMSInput()
-	bad.Graph = nil
-	_, gotErr := cache.Plan(bad)
-	_, wantErr := Plan(bad)
-	if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
-		t.Fatalf("nil graph: cached %v, naive %v", gotErr, wantErr)
-	}
-
-	missing := duplicateMSInput()
-	delete(missing.Models, "shared")
-	_, gotErr = cache.Plan(missing)
-	_, wantErr = Plan(missing)
-	if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
-		t.Fatalf("missing model: cached %v, naive %v", gotErr, wantErr)
+	for _, tc := range []struct {
+		name, wantErr string
+		mutate        func(in *Input)
+	}{
+		{"nil graph", "scaling: nil graph", func(in *Input) { in.Graph = nil }},
+		{"missing model", "scaling: no model for microservice shared", func(in *Input) {
+			delete(in.Models, "shared")
+		}},
+		{"missing workload and model", "scaling: no model for microservice shared", func(in *Input) {
+			delete(in.Workloads, "front")
+			delete(in.Models, "shared")
+		}},
+		{"missing workload and share", "scaling: no resource share for microservice shared", func(in *Input) {
+			delete(in.Workloads, "front")
+			delete(in.Shares, "shared")
+		}},
+	} {
+		bad := duplicateMSInput()
+		tc.mutate(&bad)
+		_, wantErr := naivePlan(bad)
+		if wantErr == nil || wantErr.Error() != tc.wantErr {
+			t.Fatalf("%s: naive err %v, want %q", tc.name, wantErr, tc.wantErr)
+		}
+		_, cachedErr := NewTemplateCache().Plan(bad)
+		_, planErr := Plan(bad)
+		_, explainErr := Explain(bad)
+		for path, err := range map[string]error{"cached": cachedErr, "Plan": planErr, "Explain": explainErr} {
+			if err == nil || err.Error() != tc.wantErr {
+				t.Fatalf("%s: %s err %v, want %q", tc.name, path, err, tc.wantErr)
+			}
+		}
 	}
 }

@@ -30,7 +30,7 @@ func TestTemplateCacheConcurrent(t *testing.T) {
 		sla.Threshold *= 1.25
 		b.SLA = sla
 		for v, in := range [2]Input{a, b} {
-			want, err := Plan(in)
+			want, err := naivePlan(in)
 			if err != nil {
 				t.Fatalf("svc %d variant %d: naive: %v", i, v, err)
 			}

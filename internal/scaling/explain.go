@@ -10,10 +10,12 @@ import (
 // for an arbitrary graph. It is intended for operators debugging why a
 // microservice received its target.
 func Explain(in Input) (string, error) {
-	if err := in.validate(); err != nil {
+	t, err := Compile(in)
+	if err != nil {
 		return "", err
 	}
-	alloc, err := Plan(in)
+	var e Eval
+	alloc, err := t.plan(&e, in.Workloads, in.CPUUtil, in.MemUtil)
 	if err != nil {
 		return "", err
 	}
@@ -23,29 +25,29 @@ func Explain(in Input) (string, error) {
 		in.Graph.Service, in.SLA.Threshold, in.SLA.Percentile*100, in.CPUUtil*100, in.MemUtil*100)
 	b.WriteString("merge tree (Algorithm 1; leaves are real microservices):\n")
 
-	// Rebuild the merge tree with the final interval choices so the printed
-	// parameters match the allocation exactly.
-	root := buildMergeTree(in, alloc.UsedHigh)
-	var render func(mn *mergeNode, depth int)
-	render = func(mn *mergeNode, depth int) {
+	// The coefficients are the final pass's, so the printed parameters match
+	// the allocation exactly.
+	var render func(oi int32, depth int)
+	render = func(oi int32, depth int) {
 		indent := strings.Repeat("  ", depth+1)
-		switch mn.kind {
-		case kindLeaf:
+		op := t.ops[oi]
+		switch op.kind {
+		case opLeaf:
 			iv := "low"
-			if alloc.UsedHigh[mn.ms] {
+			if e.UsedHigh[op.ms] {
 				iv = "high"
 			}
-			fmt.Fprintf(&b, "%s%s  [A=%.4g b=%.4g R=%.4g interval=%s]\n", indent, mn.ms, mn.A, mn.B, mn.R, iv)
-		case kindSeq:
-			fmt.Fprintf(&b, "%sSEQ*  [A=%.4g b=%.4g R=%.4g]  (Eq. 7-9)\n", indent, mn.A, mn.B, mn.R)
-		case kindPar:
-			fmt.Fprintf(&b, "%sPAR** [A=%.4g b=%.4g R=%.4g]  (Eq. 11-12)\n", indent, mn.A, mn.B, mn.R)
+			fmt.Fprintf(&b, "%s%s  [A=%.4g b=%.4g R=%.4g interval=%s]\n", indent, t.mss[op.ms], e.a[oi], e.b[oi], e.r[oi], iv)
+		case opSeq:
+			fmt.Fprintf(&b, "%sSEQ*  [A=%.4g b=%.4g R=%.4g]  (Eq. 7-9)\n", indent, e.a[oi], e.b[oi], e.r[oi])
+		case opPar:
+			fmt.Fprintf(&b, "%sPAR** [A=%.4g b=%.4g R=%.4g]  (Eq. 11-12)\n", indent, e.a[oi], e.b[oi], e.r[oi])
 		}
-		for _, c := range mn.children {
-			render(c, depth+1)
+		for _, k := range t.kids[op.kidStart:op.kidEnd] {
+			render(k, depth+1)
 		}
 	}
-	render(root, 0)
+	render(t.root, 0)
 
 	b.WriteString("latency targets (Eq. 5 unwind):\n")
 	for _, ms := range SortedTargets(alloc) {

@@ -59,6 +59,9 @@ type Input struct {
 	MemUtil float64
 }
 
+// validate checks the bindings a template captures: the graph, the SLA, and
+// a model and a resource share for every microservice, in sorted order.
+// Workloads are per-window inputs; Solve checks them.
 func (in *Input) validate() error {
 	if in.Graph == nil {
 		return errors.New("scaling: nil graph")
@@ -75,9 +78,6 @@ func (in *Input) validate() error {
 		}
 		if in.Shares[ms] <= 0 {
 			return fmt.Errorf("scaling: no resource share for microservice %s", ms)
-		}
-		if in.Workloads[ms] <= 0 {
-			return fmt.Errorf("scaling: no workload for microservice %s", ms)
 		}
 	}
 	return nil
@@ -108,232 +108,19 @@ func (a *Allocation) TotalContainers() int {
 	return t
 }
 
-// mergeKind distinguishes merge-tree nodes.
-type mergeKind int
-
-const (
-	kindLeaf mergeKind = iota
-	kindSeq
-	kindPar
-)
-
-// mergeNode is one node of the virtual-microservice merge tree built by
-// Algorithm 1. Leaves are real microservices (one per graph node); internal
-// nodes are the virtual microservices of Eq. 7-12.
-type mergeNode struct {
-	kind mergeKind
-	// A = a·γ, B = intercept, R = per-container dominant share.
-	A, B, R float64
-	// p = sqrt(A·R), q = sqrt(A/R): sequential composition adds these
-	// component-wise (Eq. 7-9 generalize associatively in (p, q) form).
-	p, q     float64
-	children []*mergeNode
-	// ms and node identify the real microservice at a leaf.
-	ms   string
-	node *graph.Node
-}
-
-func leafNode(ms string, node *graph.Node, a, b, gamma, share float64) *mergeNode {
-	A := a * gamma
-	return &mergeNode{
-		kind: kindLeaf, A: A, B: b, R: share,
-		p: math.Sqrt(A * share), q: math.Sqrt(A / share),
-		ms: ms, node: node,
-	}
-}
-
-// seqMerge invents the virtual microservice for sequentially-executed
-// components (Eq. 7-9): p* = Σp, q* = Σq, b* = Σb.
-func seqMerge(children []*mergeNode) *mergeNode {
-	if len(children) == 1 {
-		return children[0]
-	}
-	var p, q, b float64
-	for _, c := range children {
-		p += c.p
-		q += c.q
-		b += c.B
-	}
-	return &mergeNode{
-		kind: kindSeq, A: p * q, B: b, R: p / q,
-		p: p, q: q, children: children,
-	}
-}
-
-// parMerge invents the virtual microservice for parallel components
-// (Eq. 11-12): A** = ΣA, b** = max b, R** = Σ(A·R)/ΣA (container counts at
-// a common target are proportional to A when intercepts match, which is the
-// regime Eq. 12 linearizes).
-func parMerge(children []*mergeNode) *mergeNode {
-	if len(children) == 1 {
-		return children[0]
-	}
-	var A, b, ar float64
-	for _, c := range children {
-		A += c.A
-		if c.B > b {
-			b = c.B
-		}
-		ar += c.A * c.R
-	}
-	r := ar / A
-	return &mergeNode{
-		kind: kindPar, A: A, B: b, R: r,
-		p: math.Sqrt(A * r), q: math.Sqrt(A / r), children: children,
-	}
-}
-
 // Plan computes latency targets and container counts for one service,
 // running Latency Target Computation at most twice per §5.3.1: first with
 // the high-workload interval for every microservice, then recomputing with
 // the low interval for microservices whose allocated target falls below the
-// latency at their cut-off point.
+// latency at their cut-off point. It compiles a template for the one call;
+// a caller that plans the same service window after window keeps the
+// template instead (TemplateCache).
 func Plan(in Input) (*Allocation, error) {
-	if err := in.validate(); err != nil {
-		return nil, err
-	}
-	useHigh := make(map[string]bool, len(in.Workloads))
-	for _, ms := range in.Graph.Microservices() {
-		useHigh[ms] = true
-	}
-	alloc, err := compute(in, useHigh)
+	t, err := Compile(in)
 	if err != nil {
 		return nil, err
 	}
-	flipped := false
-	for ms, target := range alloc.Targets {
-		m := in.Models[ms]
-		knee := m.Knee(in.CPUUtil, in.MemUtil)
-		aHi, bHi := m.Params(true, in.CPUUtil, in.MemUtil)
-		kneeLatency := aHi*knee + bHi
-		if target < kneeLatency {
-			useHigh[ms] = false
-			flipped = true
-		}
-	}
-	if !flipped {
-		return alloc, nil
-	}
-	return compute(in, useHigh)
-}
-
-// buildMergeTree runs Algorithm 1's reduction: every two-tier invocation is
-// merged bottom-up — parallel merges within each stage first, then a
-// sequential merge of the parent with its stages.
-func buildMergeTree(in Input, useHigh map[string]bool) *mergeNode {
-	var reduce func(n *graph.Node) *mergeNode
-	reduce = func(n *graph.Node) *mergeNode {
-		ms := n.Microservice
-		a, b := in.Models[ms].Params(useHigh[ms], in.CPUUtil, in.MemUtil)
-		self := leafNode(ms, n, a, b, in.Workloads[ms], in.Shares[ms])
-		if n.IsLeaf() {
-			return self
-		}
-		parts := []*mergeNode{self}
-		for _, st := range n.Stages {
-			stage := make([]*mergeNode, len(st))
-			for i, c := range st {
-				stage[i] = reduce(c)
-			}
-			parts = append(parts, parMerge(stage))
-		}
-		return seqMerge(parts)
-	}
-	return reduce(in.Graph.Root)
-}
-
-// compute runs one Latency Target Computation pass with the given interval
-// selection.
-func compute(in Input, useHigh map[string]bool) (*Allocation, error) {
-	root := buildMergeTree(in, useHigh)
-
-	alloc := &Allocation{
-		Service:       in.Graph.Service,
-		Targets:       make(map[string]float64),
-		ContainersRaw: make(map[string]float64),
-		Containers:    make(map[string]int),
-		UsedHigh:      useHigh,
-	}
-
-	// Unwind the merge tree (Fig. 8): the root's target is the SLA;
-	// sequential splits follow the Eq. 5 proportional rule; parallel
-	// components share their parent's target.
-	var unwind func(mn *mergeNode, target float64) error
-	unwind = func(mn *mergeNode, target float64) error {
-		switch mn.kind {
-		case kindLeaf:
-			slack := target - mn.B
-			if slack <= 0 {
-				return fmt.Errorf("%w: microservice %s target %.3fms <= intercept %.3fms",
-					ErrInfeasible, mn.ms, target, mn.B)
-			}
-			n := mn.A / slack
-			gamma := in.Workloads[mn.ms]
-			// Keep the allocation inside the interval's validity domain:
-			// the low interval only holds below the knee, and the high
-			// interval only to DomainCapRatio·knee (past that the real
-			// queue is unstable no matter what the line extrapolates to).
-			if knee := in.Models[mn.ms].Knee(in.CPUUtil, in.MemUtil); knee > 0 {
-				limit := knee
-				if useHigh[mn.ms] {
-					limit = knee * DomainCapRatio
-				}
-				if minN := gamma / limit; n < minN {
-					n = minN
-				}
-			}
-			// A microservice occupying several graph positions keeps its
-			// tightest target and largest container requirement.
-			if cur, ok := alloc.Targets[mn.ms]; !ok || target < cur {
-				alloc.Targets[mn.ms] = target
-			}
-			if cur, ok := alloc.ContainersRaw[mn.ms]; !ok || n > cur {
-				alloc.ContainersRaw[mn.ms] = n
-			}
-			return nil
-		case kindSeq:
-			slack := target - mn.B
-			if slack <= 0 {
-				return fmt.Errorf("%w: service %s: target %.3fms <= path intercepts %.3fms",
-					ErrInfeasible, in.Graph.Service, target, mn.B)
-			}
-			var pSum float64
-			for _, c := range mn.children {
-				pSum += c.p
-			}
-			for _, c := range mn.children {
-				// Child k's target: b_k + (p_k/Σp)·slack (Eq. 5).
-				if err := unwind(c, c.B+c.p/pSum*slack); err != nil {
-					return err
-				}
-			}
-			return nil
-		case kindPar:
-			for _, c := range mn.children {
-				if err := unwind(c, target); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		return errors.New("scaling: unknown merge node kind")
-	}
-	if err := unwind(root, in.SLA.Threshold); err != nil {
-		return nil, err
-	}
-
-	// Sum usage in sorted order so the float total is bit-stable run to run
-	// (map iteration order would perturb the low bits).
-	for _, ms := range sortutil.Keys(alloc.ContainersRaw) {
-		raw := alloc.ContainersRaw[ms]
-		n, err := containerCount(ms, raw)
-		if err != nil {
-			return nil, err
-		}
-		alloc.Containers[ms] = n
-		alloc.ResourceUsage += raw * in.Shares[ms]
-	}
-	return alloc, nil
+	return t.Plan(in.Workloads, in.CPUUtil, in.MemUtil)
 }
 
 // containerCount rounds a raw requirement up to whole containers (§7: Erms

@@ -349,12 +349,12 @@ func TestHigherWorkloadRaisesOwnTarget(t *testing.T) {
 	}
 }
 
-func TestTwoIntervalRecomputation(t *testing.T) {
-	// A microservice whose high-interval knee latency exceeds its allocated
-	// target must be replanned with the low interval (§5.3.1).
+// twoIntervalInput is a two-microservice chain whose plan flips A to the low
+// interval and keeps B on the high one.
+func twoIntervalInput() Input {
 	g := graph.New("svc", "A")
 	g.AddStage(g.Root, "B")
-	in := Input{
+	return Input{
 		Graph: g,
 		SLA:   workload.P95SLA("svc", 30),
 		Models: map[string]profiling.Model{
@@ -369,7 +369,12 @@ func TestTwoIntervalRecomputation(t *testing.T) {
 		Shares:    map[string]float64{"A": 0.0002, "B": 0.0002},
 		Workloads: map[string]float64{"A": 3000, "B": 3000},
 	}
-	alloc, err := Plan(in)
+}
+
+func TestTwoIntervalRecomputation(t *testing.T) {
+	// A microservice whose high-interval knee latency exceeds its allocated
+	// target must be replanned with the low interval (§5.3.1).
+	alloc, err := Plan(twoIntervalInput())
 	if err != nil {
 		t.Fatal(err)
 	}

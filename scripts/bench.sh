@@ -6,7 +6,8 @@
 # `benchstat old.txt new.txt`), and folds the headline speedup into a JSON
 # record with its own pass/fail gate:
 #
-#   bench5  compiled plan templates (PR 5): naive scaling.Plan vs a warmed
+#   bench5  compiled plan templates (PR 5): the recursive merge tree kept as
+#           the test oracle (scaling.NaivePlan, export_test.go) vs a warmed
 #           TemplateCache per window      -> bench_5.txt, BENCH_5.json
 #   bench6  incremental sharded planning (PR 6): monolithic PlanSchemeCached
 #           vs IncrementalPlanner at 10% dirty services per window on the

@@ -69,15 +69,19 @@ go test -run 'TestFaultTablesIdenticalAcrossWorkers|TestGenerateDeterministic' \
 echo "== resilience determinism (fig23, workers=1 vs 4) =="
 go test -run 'TestFig23' -count=1 ./internal/experiments
 
-# The planner-scalability gate (PR 5 + PR 6): the compiled-template path must
-# stay bit-identical to the naive planner, the incremental sharded planner
-# must stay bit-identical to the monolithic one at shards=1 and shards=4 (and
-# under random mutation sequences against the from-scratch oracle) while
-# handing out its cached allocations uncopied, and the figScale/figShard
-# deterministic tables must be byte-identical at one worker and four.
-echo "== planner determinism (figScale + figShard + PlanScheme + incremental, workers=1 vs 4) =="
+# The planner-scalability gate (PR 5 + PR 6): the compiled template — the one
+# Algorithm 1 outside the tests — must stay bit-identical to the recursive
+# merge tree kept as its oracle (naivePlan in internal/scaling/oracle_test.go),
+# errors included, and Explain's render of it byte-identical to the oracle's;
+# the incremental sharded planner must stay bit-identical to the monolithic
+# one at shards=1 and shards=4 (and under random mutation sequences against
+# the from-scratch planner) while handing out its cached allocations
+# uncopied, and the figShard deterministic table must be byte-identical at
+# one worker and four.
+echo "== planner determinism (template vs oracle + Explain, figShard + PlanScheme + incremental, workers=1 vs 4) =="
+go test -count=1 -run 'TestCompiled|TestTemplateCache|TestExplain' ./internal/scaling
 go test -count=1 \
-	-run 'TestFigScaleDeterministicAcrossWorkers|TestFigShardDeterministicAcrossWorkers|TestPlanSchemeByteIdenticalAcrossWorkers|TestPlanSchemeCachedBitIdentical|TestIncremental' \
+	-run 'TestFigShardDeterministicAcrossWorkers|TestPlanSchemeByteIdenticalAcrossWorkers|TestPlanSchemeCachedBitIdentical|TestIncremental' \
 	./internal/experiments ./internal/multiplex
 
 # The spec front-end gates (PR 7).
