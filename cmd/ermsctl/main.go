@@ -1,40 +1,37 @@
-// Command ermsctl drives an Erms system from the command line. There is one
-// rule: flags describe a one-shot -plan / -evaluate of a uniform-rate
-// application; anything windowed or fault-modelled — cohorts and SLO tiers,
-// population-dynamics phases, data-plane resilience, a chaos fault schedule,
-// the drift loop — is a declarative workload spec run with `run -spec` on
-// the same control loop the operator daemon (`ermsctl operate`) steps.
+// Command ermsctl drives an Erms system from the command line. A scenario —
+// the application, client cohorts and SLO tiers, population-dynamics phases,
+// data-plane resilience, a chaos fault schedule, the drift loop, the latency
+// models the planner starts from — is a declarative workload spec, and
+// ermsctl does one of three things with it:
 //
-// Examples:
+//	ermsctl plan -spec F      print the plan the spec's first window applies
+//	ermsctl run -spec F       run the spec window by window and report it
+//	ermsctl operate -spec F   run the operator daemon bootstrapped from it
 //
-//	ermsctl -app hotel -rate 40000 -plan
-//	ermsctl -app social -rates compose-post=10000,home-timeline=60000,user-timeline=40000 -evaluate
-//	ermsctl -app alibaba -services 100 -rate 5000 -plan -scheme fcfs
-//	ermsctl -app hotel -rate 30000 -profile -evaluate
+// All three build the one control loop (spec.Scenario.NewLoop). Examples:
+//
+//	ermsctl plan -spec examples/quickstart/quickstart.yaml -save-plan plan.json
+//	ermsctl plan -spec examples/quickstart/quickstart.yaml -dot search
 //	ermsctl run -spec examples/quickstart/quickstart.yaml -timeline timeline.csv
 //	ermsctl run -spec examples/specs/chaos.yaml
-//
-// With -spec the one-shot flags (-app, -rate, -evaluate, ...) are rejected
-// as contradictory.
+//	ermsctl operate -spec examples/specs/operator-base.yaml -windows 12
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"sort"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
-	"erms"
+	"erms/internal/multiplex"
 	"erms/internal/obs"
 	"erms/internal/parallel"
 	"erms/internal/persist"
@@ -43,63 +40,67 @@ import (
 )
 
 func main() {
-	var (
-		appName  = flag.String("app", "hotel", "application: hotel, social, media, alibaba")
-		services = flag.Int("services", 100, "service count for -app alibaba")
-		rate     = flag.Float64("rate", 20_000, "uniform per-service request rate (req/min)")
-		rateList = flag.String("rates", "", "per-service rates: svc=rate,svc=rate (overrides -rate)")
-		scheme   = flag.String("scheme", "priority", "shared-microservice scheme: priority, fcfs, nonshared")
-		hosts    = flag.Int("hosts", 20, "cluster hosts (32 cores / 64GB each)")
-		doPlan   = flag.Bool("plan", false, "print the scaling plan")
-		doEval   = flag.Bool("evaluate", false, "simulate the deployment and report SLA outcomes")
-		doProf   = flag.Bool("profile", false, "fit models by offline profiling sweeps instead of analytic models")
-		duration = flag.Float64("minutes", 2, "simulated minutes for -evaluate")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
-		dotSvc   = flag.String("dot", "", "print the dependency graph of a service in Graphviz format and exit")
-		savePlan = flag.String("save-plan", "", "write the computed plan as JSON to this file")
-		saveApp  = flag.String("save-app", "", "write the application topology as JSON to this file and exit")
-		loadApp  = flag.String("load-app", "", "load the application from a JSON file (overrides -app)")
-		workers  = flag.Int("parallel", 0, "worker-pool size for independent simulation runs (0 = GOMAXPROCS); output is identical at any value")
-
-		simMode = flag.String("sim-mode", "exact", "evaluation engine fidelity: exact (discrete events everywhere, one serial engine) or hybrid (analytic fluid model for far-from-knee microservices, one partition per sharing group)")
-
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (view with `go tool pprof`)")
-		memProf = flag.String("memprofile", "", "write a heap profile at exit to this file")
-
-		obsAddr = flag.String("obs-addr", "", "serve control-plane self-observability on this address (Prometheus /metrics, JSON /spans, /debug/pprof); the process stays up after the run until interrupted")
-
-		specPath = flag.String("spec", "", "run a declarative workload spec (YAML or JSON) on the window loop: cohorts, phases, resilience, chaos, drift; replaces the one-shot flags")
-		timeline = flag.String("timeline", "timeline.csv", "with -spec: write the per-minute per-tier timeline CSV to this file (empty = skip)")
-	)
-	// Accept an optional leading "run" subcommand (ermsctl run -spec ...);
-	// flag parsing stops at the first non-flag argument, so strip it first.
-	// "operate" dispatches to the long-running operator daemon, which has its
-	// own flag set.
-	args := os.Args[1:]
-	if len(args) > 0 && args[0] == "operate" {
-		cmdOperate(args[1:])
-		return
+	if len(os.Args) > 1 {
+		switch cmd, args := os.Args[1], os.Args[2:]; cmd {
+		case "plan":
+			cmdPlan(args)
+			return
+		case "run":
+			cmdRun(args)
+			return
+		case "operate":
+			cmdOperate(args)
+			return
+		}
 	}
-	if len(args) > 0 && args[0] == "run" {
-		args = args[1:]
-	}
-	flag.CommandLine.Parse(args)
-	parallel.SetWorkers(*workers)
+	fmt.Fprintln(os.Stderr, "usage: ermsctl plan|run|operate -spec <file> [flags]; ermsctl <subcommand> -h lists the flags")
+	os.Exit(2)
+}
 
-	if *specPath != "" {
-		rejectSpecConflicts(*specPath)
-	} else if flagWasSet("timeline") {
-		log.Fatal("-timeline only applies to spec runs; add -spec <file> or drop -timeline")
+// scenarioFlags returns the flag set of one subcommand with the flags every
+// subcommand shares registered on it, and the function that, once the set is
+// parsed, sizes the worker pool, starts the requested profiles and loads the
+// spec. Deferring the returned stop writes the profiles.
+func scenarioFlags(name, specUsage string) (*flag.FlagSet, func() (sc *spec.Scenario, stop func())) {
+	fs := flag.NewFlagSet("ermsctl "+name, flag.ExitOnError)
+	specPath := fs.String("spec", "", specUsage)
+	workers := fs.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS); output is identical at any value")
+	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the whole command to this file (view with `go tool pprof`)")
+	memProf := fs.String("memprofile", "", "write a heap profile at exit to this file")
+	return fs, func() (*spec.Scenario, func()) {
+		parallel.SetWorkers(*workers)
+		if *specPath == "" {
+			log.Fatalf("ermsctl %s needs -spec <file>", name)
+		}
+		stop := startProfiles(*cpuProf, *memProf)
+		return loadScenario(*specPath), stop
 	}
+}
 
-	// Profile defers are registered first so they run last: with -obs-addr,
-	// holdForScrape blocks until interrupt, and the profiles are written
-	// after it returns (the CPU profile then also covers the held period,
-	// which samples approximately nothing while idle).
-	if *memProf != "" {
-		path := *memProf
-		defer func() {
-			f, err := os.Create(path)
+// startProfiles starts a CPU profile into cpuPath and returns the function
+// that stops it and writes a heap profile into memPath; an empty path skips
+// that profile. With -obs-addr the command holds its endpoint open before
+// stop runs, so the CPU profile also covers the held period (which samples
+// approximately nothing while idle).
+func startProfiles(cpuPath, memPath string) (stop func()) {
+	var cpu *os.File
+	if cpuPath != "" {
+		var err error
+		if cpu, err = os.Create(cpuPath); err != nil {
+			log.Fatal(err)
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			log.Fatal(err)
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			cpu.Close()
+			fmt.Fprintf(os.Stderr, "wrote CPU profile to %s\n", cpuPath)
+		}
+		if memPath != "" {
+			f, err := os.Create(memPath)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -108,67 +109,27 @@ func main() {
 				log.Fatal(err)
 			}
 			f.Close()
-			fmt.Fprintf(os.Stderr, "wrote heap profile to %s\n", path)
-		}()
-	}
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			log.Fatal(err)
+			fmt.Fprintf(os.Stderr, "wrote heap profile to %s\n", memPath)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		path := *cpuProf
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-			fmt.Fprintf(os.Stderr, "wrote CPU profile to %s\n", path)
-		}()
 	}
+}
 
-	if *specPath != "" {
-		runSpec(*specPath, *timeline, *obsAddr)
-		return
-	}
+// cmdPlan prints the plan the spec's first window applies — or, with -dot or
+// -save-app, the spec's application instead of a plan.
+func cmdPlan(args []string) {
+	fs, start := scenarioFlags("plan", "workload spec (YAML or JSON) to plan (required)")
+	dotSvc := fs.String("dot", "", "print the dependency graph of this service in Graphviz format instead of the plan")
+	savePlan := fs.String("save-plan", "", "also write the plan as JSON to this file")
+	saveApp := fs.String("save-app", "", "write the application topology as JSON to this file instead of the plan")
+	fs.Parse(args)
+	sc, stop := start()
+	defer stop()
 
-	var app *erms.App
-	switch *appName {
-	case "hotel":
-		app = erms.HotelReservation()
-	case "social":
-		app = erms.SocialNetwork()
-	case "media":
-		app = erms.MediaService()
-	case "alibaba":
-		app = erms.Alibaba(erms.AlibabaConfig{Seed: *seed, Services: *services})
-	default:
-		log.Fatalf("unknown app %q", *appName)
-	}
-	if *loadApp != "" {
-		f, err := os.Open(*loadApp)
-		if err != nil {
-			log.Fatal(err)
-		}
-		app, err = persist.LoadApp(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
+	app := sc.App
 	if *saveApp != "" {
-		f, err := os.Create(*saveApp)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := persist.SaveApp(f, app); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *saveApp)
+		writeFile(*saveApp, func(w io.Writer) error { return persist.SaveApp(w, app) })
 		return
 	}
-
 	if *dotSvc != "" {
 		g := app.Graph(*dotSvc)
 		if g == nil {
@@ -177,137 +138,89 @@ func main() {
 		fmt.Print(g.DOT())
 		return
 	}
-
-	rates := make(map[string]float64)
-	for _, svc := range app.Services() {
-		rates[svc] = *rate
-	}
-	if err := parseRates(*rateList, rates); err != nil {
-		log.Fatal(err)
-	}
-
-	var sch erms.Scheme
-	switch *scheme {
-	case "priority":
-		sch = erms.SchemePriority
-	case "fcfs":
-		sch = erms.SchemeFCFS
-	case "nonshared":
-		sch = erms.SchemeNonShared
-	default:
-		log.Fatalf("unknown scheme %q", *scheme)
-	}
-
-	sys, err := erms.NewSystem(app, erms.WithHosts(*hosts), erms.WithScheme(sch))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *obsAddr != "" {
-		defer holdForScrape(serve(*obsAddr, sys.EnableObservability().Handler(),
-			"self-observability", "/metrics, /spans, /debug/pprof"))
-	}
-	if *doProf {
-		fmt.Fprintln(os.Stderr, "profiling offline (simulated sweeps)...")
-		failed, err := sys.ProfileOffline(erms.OfflineConfig{
-			Rates: []float64{5_000, 15_000, 30_000, 45_000, 55_000},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if len(failed) > 0 {
-			fmt.Fprintf(os.Stderr, "warning: analytic fallback for %v\n", failed)
-			sys.UseAnalyticModels()
-			if _, err := sys.ProfileOffline(erms.OfflineConfig{
-				Rates: []float64{5_000, 15_000, 30_000, 45_000, 55_000},
-			}); err != nil {
-				log.Fatal(err)
-			}
-		}
-	} else {
-		sys.UseAnalyticModels()
-	}
-
-	plan, err := sys.Plan(rates)
+	plan, err := sc.FirstPlan()
 	if err != nil {
 		log.Fatal(err)
 	}
 	if *savePlan != "" {
-		f, err := os.Create(*savePlan)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := persist.SavePlan(f, plan); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *savePlan)
+		writeFile(*savePlan, func(w io.Writer) error { return persist.SavePlan(w, plan) })
 	}
+	printPlan(os.Stdout, app.Name, plan)
+}
 
-	if *doPlan || !*doEval {
-		fmt.Printf("plan for %s (%s scheme): %d containers\n\n", app.Name, sch, plan.TotalContainers())
-		var mss []string
-		for ms := range plan.Containers {
-			mss = append(mss, ms)
-		}
-		sort.Strings(mss)
-		var perSvc []string
-		for svc := range plan.PerService {
-			perSvc = append(perSvc, svc)
-		}
-		sort.Strings(perSvc)
-		fmt.Printf("%-28s %10s %14s\n", "microservice", "containers", "target(ms)")
-		for _, ms := range mss {
-			// A shared microservice has one target per service; show the
-			// tightest (it's what the deployment must honor). Sorted
-			// iteration keeps ties deterministic.
-			target := ""
-			best := 0.0
-			for _, svc := range perSvc {
-				if t, ok := plan.PerService[svc].Targets[ms]; ok && (target == "" || t < best) {
-					best = t
-					target = fmt.Sprintf("%.2f", t)
-				}
+// printPlan renders a plan as a per-microservice table of container counts
+// and latency targets, then the priority ranks at shared microservices.
+func printPlan(w io.Writer, appName string, plan *multiplex.Plan) {
+	fmt.Fprintf(w, "plan for %s (%s scheme): %d containers\n\n", appName, plan.Scheme, plan.TotalContainers())
+	perSvc := sortutil.Keys(plan.PerService)
+	fmt.Fprintf(w, "%-28s %10s %14s\n", "microservice", "containers", "target(ms)")
+	for _, ms := range sortutil.Keys(plan.Containers) {
+		// A shared microservice has one target per service; show the
+		// tightest (it's what the deployment must honor). Sorted iteration
+		// keeps ties deterministic.
+		target := ""
+		best := 0.0
+		for _, svc := range perSvc {
+			if t, ok := plan.PerService[svc].Targets[ms]; ok && (target == "" || t < best) {
+				best = t
+				target = fmt.Sprintf("%.2f", t)
 			}
-			fmt.Printf("%-28s %10d %14s\n", ms, plan.Containers[ms], target)
 		}
-		if len(plan.Ranks) > 0 {
-			fmt.Println("\npriorities at shared microservices (0 = highest):")
-			var shared []string
-			for ms := range plan.Ranks {
-				shared = append(shared, ms)
-			}
-			sort.Strings(shared)
-			for _, ms := range shared {
-				fmt.Printf("  %-24s %v\n", ms, plan.Ranks[ms])
-			}
+		fmt.Fprintf(w, "%-28s %10d %14s\n", ms, plan.Containers[ms], target)
+	}
+	if len(plan.Ranks) > 0 {
+		fmt.Fprintln(w, "\npriorities at shared microservices (0 = highest):")
+		for _, ms := range sortutil.Keys(plan.Ranks) {
+			fmt.Fprintf(w, "  %-24s %v\n", ms, plan.Ranks[ms])
 		}
 	}
+}
 
-	if *doEval {
-		var evalOpts erms.EvalOpts
-		switch *simMode {
-		case "exact":
-			evalOpts.SimMode = erms.SimExact
-		case "hybrid":
-			evalOpts.SimMode = erms.SimHybrid
-		default:
-			log.Fatalf("-sim-mode %q: want exact or hybrid", *simMode)
-		}
-		res, err := sys.EvaluateWithOpts(plan, rates, *duration, 0.3, *seed, evalOpts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\nsimulated %.1f minutes (%s engine):\n", *duration, *simMode)
-		var svcs []string
-		for svc := range res.TailLatency {
-			svcs = append(svcs, svc)
-		}
-		sort.Strings(svcs)
-		for _, svc := range svcs {
-			fmt.Printf("  %-20s SLA %6.1fms  P95 %8.2fms  violations %5.2f%%\n",
-				svc, app.SLAs[svc].Threshold, res.TailLatency[svc], 100*res.Violations[svc])
-		}
+// cmdRun runs the spec on the control loop, printing the per-tier outcome
+// summary, the per-window control table and the last window's per-service
+// SLA outcomes, and writing the timeline CSV artifact.
+func cmdRun(args []string) {
+	fs, start := scenarioFlags("run", "workload spec (YAML or JSON) to run (required)")
+	timelinePath := fs.String("timeline", "timeline.csv", "write the per-minute per-tier timeline CSV to this file (empty = skip)")
+	obsAddr := fs.String("obs-addr", "", "serve control-plane self-observability on this address (Prometheus /metrics, JSON /spans, /debug/pprof); the process stays up after the run until interrupted")
+	fs.Parse(args)
+	sc, stop := start()
+	defer stop()
+
+	var rec *obs.Recorder
+	var srv *obs.Server
+	if *obsAddr != "" {
+		rec = obs.New(nil)
+		srv = serve(*obsAddr, rec.Handler(), "self-observability", "/metrics, /spans, /debug/pprof")
 	}
+	began := time.Now()
+	res, err := sc.Run(rec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res.Report(os.Stdout)
+	fmt.Printf("run took %.2fs wall\n", time.Since(began).Seconds())
+	if *timelinePath != "" {
+		writeFile(*timelinePath, res.WriteTimelineCSV)
+	}
+	if srv != nil {
+		holdForScrape(srv)
+	}
+}
+
+// writeFile creates path, fills it with write and announces it on stderr.
+func writeFile(path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := write(f); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 }
 
 // serve binds addr synchronously — a busy port or a bad address must fail
@@ -349,65 +262,6 @@ func shutdown(srv *obs.Server) {
 	}
 }
 
-// parseRates overlays a -rates list ("svc=rate,svc=rate") onto rates, whose
-// keys are the application's services. A name that is not one of them is an
-// error: dropping it would leave the misspelled service on its default rate.
-func parseRates(list string, rates map[string]float64) error {
-	if list == "" {
-		return nil
-	}
-	for _, kv := range strings.Split(list, ",") {
-		parts := strings.SplitN(strings.TrimSpace(kv), "=", 2)
-		if len(parts) != 2 {
-			return fmt.Errorf("bad -rates entry %q", kv)
-		}
-		if _, ok := rates[parts[0]]; !ok {
-			return fmt.Errorf("-rates names unknown service %q (services: %s)", parts[0], strings.Join(sortutil.Keys(rates), ", "))
-		}
-		v, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil {
-			return fmt.Errorf("bad rate in %q: %v", kv, err)
-		}
-		rates[parts[0]] = v
-	}
-	return nil
-}
-
-// flagWasSet reports whether the named flag appeared on the command line.
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-// specConflicts are the one-shot flags a workload spec replaces: setting
-// any of them together with -spec is contradictory and rejected.
-var specConflicts = []string{
-	"app", "services", "rate", "rates", "scheme", "hosts", "seed", "minutes",
-	"plan", "evaluate", "profile", "dot", "save-plan", "save-app", "load-app",
-	"sim-mode",
-}
-
-// rejectSpecConflicts fails fast when -spec is combined with flags the spec
-// itself defines.
-func rejectSpecConflicts(specFile string) {
-	var bad []string
-	for _, name := range specConflicts {
-		if flagWasSet(name) {
-			bad = append(bad, "-"+name)
-		}
-	}
-	if len(bad) > 0 {
-		sort.Strings(bad)
-		log.Fatalf("-spec %s defines the whole scenario (app, workload, run, resilience, chaos, drift); "+
-			"drop the contradictory flag(s): %s", specFile, strings.Join(bad, ", "))
-	}
-}
-
 // loadScenario parses and compiles the workload spec at path.
 func loadScenario(path string) *spec.Scenario {
 	s, err := spec.ParseFile(path)
@@ -419,40 +273,4 @@ func loadScenario(path string) *spec.Scenario {
 		log.Fatal(err)
 	}
 	return sc
-}
-
-// runSpec parses, compiles, and runs a declarative workload spec, printing
-// the per-tier outcome summary and the per-window control table and writing
-// the timeline CSV artifact.
-func runSpec(path, timelinePath, obsAddr string) {
-	sc := loadScenario(path)
-	var rec *obs.Recorder
-	var srv *obs.Server
-	if obsAddr != "" {
-		rec = obs.New(nil)
-		srv = serve(obsAddr, rec.Handler(), "self-observability", "/metrics, /spans, /debug/pprof")
-	}
-	start := time.Now()
-	res, err := sc.Run(rec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res.Report(os.Stdout)
-	fmt.Printf("run took %.2fs wall\n", time.Since(start).Seconds())
-	if timelinePath != "" {
-		f, err := os.Create(timelinePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := res.WriteTimelineCSV(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", timelinePath)
-	}
-	if srv != nil {
-		holdForScrape(srv)
-	}
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 	"os"
@@ -13,7 +12,6 @@ import (
 
 	"erms/internal/obs"
 	"erms/internal/operator"
-	"erms/internal/parallel"
 )
 
 // cmdOperate runs the long-running operator daemon: the spec file becomes
@@ -23,8 +21,7 @@ import (
 // automatic rollback on any guardrail breach). With -windows 0 the daemon
 // runs until interrupted, pacing simulated windows by -pace.
 func cmdOperate(args []string) {
-	fs := flag.NewFlagSet("ermsctl operate", flag.ExitOnError)
-	specPath := fs.String("spec", "", "bootstrap spec file (required); becomes committed generation 1")
+	fs, start := scenarioFlags("operate", "bootstrap spec file (required); becomes committed generation 1")
 	windows := fs.Int("windows", 0, "operator windows to run, 0 = run until interrupted (paced by -pace)")
 	pace := fs.Duration("pace", 2*time.Second, "wall-clock delay between windows when -windows is 0")
 	canary := fs.Float64("canary", 0.25, "canary fraction: the slice of services, traffic, and hosts the rollout sandbox gets")
@@ -35,14 +32,9 @@ func cmdOperate(args []string) {
 	chaosWin := fs.Int("chaos-windows", 0, "size of the fault schedule when the spec has a chaos block (0 = the spec's own horizon)")
 	obsAddr := fs.String("obs-addr", "", "serve self-observability plus the operator admin API (GET /status, POST /spec, GET /explain/{service}) on this address")
 	pushList := fs.String("push", "", "scripted pushes: file@window[,file@window...] — each file is pushed before the given window runs")
-	workers := fs.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS); output is identical at any value")
 	fs.Parse(args)
-	parallel.SetWorkers(*workers)
-
-	if *specPath == "" {
-		log.Fatal("ermsctl operate needs -spec <file> (the bootstrap declared state)")
-	}
-	sc := loadScenario(*specPath)
+	sc, stop := start()
+	defer stop()
 	pushes, err := parsePushSchedule(*pushList)
 	if err != nil {
 		log.Fatal(err)

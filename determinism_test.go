@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"erms/internal/core"
 	"erms/internal/parallel"
 )
 
@@ -65,9 +66,9 @@ func TestEvaluateDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestProfileOfflineDeterministicAcrossWorkers checks the profiling sweep:
-// each (level, rate) point owns seed cfg.Seed+index and a cloned cluster, so
-// the fitted models — and any plan computed from them — must not depend on
-// how the sweep was scheduled.
+// each (level, rate) point owns the seed of its sweep index and a cloned
+// cluster, so the fitted models — and any plan computed from them — must not
+// depend on how the sweep was scheduled.
 func TestProfileOfflineDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling sweep in -short mode")
@@ -81,10 +82,9 @@ func TestProfileOfflineDeterministicAcrossWorkers(t *testing.T) {
 		// Analytic models first: microservices the short sweep cannot fit
 		// keep them, so the post-profiling plan is always computable.
 		sys.UseAnalyticModels()
-		if _, err := sys.ProfileOffline(OfflineConfig{
+		if _, err := sys.ctrl.ProfileOffline(core.OfflineConfig{
 			Rates:     []float64{5_000, 15_000, 30_000},
 			WindowMin: 0.4,
-			Seed:      3,
 		}); err != nil {
 			t.Fatal(err)
 		}

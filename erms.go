@@ -29,9 +29,7 @@ import (
 	"erms/internal/core"
 	"erms/internal/kube"
 	"erms/internal/multiplex"
-	"erms/internal/obs"
 	"erms/internal/provision"
-	"erms/internal/sim"
 	"erms/internal/workload"
 )
 
@@ -43,10 +41,6 @@ type App = apps.App
 // SocialNetwork builds the DeathStarBench-equivalent Social Network
 // application: 36 microservices, 3 services, 3 shared microservices.
 func SocialNetwork() *App { return apps.SocialNetwork() }
-
-// MediaService builds the Media Service application: 38 microservices in a
-// single compose-review service.
-func MediaService() *App { return apps.MediaService() }
 
 // HotelReservation builds the Hotel Reservation application: 15
 // microservices, 4 services, 3 shared microservices.
@@ -76,23 +70,6 @@ type Plan = multiplex.Plan
 
 // EvalResult is the outcome of simulating a deployed plan.
 type EvalResult = core.EvalResult
-
-// EvalOpts carries per-window evaluation options: fault injection, cohort
-// streams, and the simulation engine selection (exact serial, partitioned,
-// or hybrid fluid/discrete — see SimExact / SimHybrid).
-type EvalOpts = core.EvalOpts
-
-// Simulation fidelity modes for EvalOpts.SimMode.
-const (
-	// SimExact runs the exact discrete-event engine (the default).
-	SimExact = sim.SimExact
-	// SimHybrid serves far-from-knee microservices from the analytic
-	// M/M/c fluid model and keeps near-knee ones on discrete events.
-	SimHybrid = sim.SimHybrid
-)
-
-// OfflineConfig drives empirical profiling sweeps.
-type OfflineConfig = core.OfflineConfig
 
 // System is an Erms deployment: one application managed on one simulated
 // cluster.
@@ -135,16 +112,9 @@ func NewSystem(app *App, opts ...Option) (*System, error) {
 }
 
 // UseAnalyticModels installs first-principles latency models derived from
-// the application's service profiles — the fast path. ProfileOffline
-// replaces them with empirically fitted models.
+// the application's service profiles — the fast path. (A workload spec with
+// run.models: profiled fits them by offline profiling sweeps instead.)
 func (s *System) UseAnalyticModels() { s.ctrl.UseAnalyticModels() }
-
-// ProfileOffline runs simulated profiling sweeps (§5.2, §6.2) and fits the
-// piece-wise linear latency models from the collected traces. It returns
-// the microservices that could not be fitted.
-func (s *System) ProfileOffline(cfg OfflineConfig) ([]string, error) {
-	return s.ctrl.ProfileOffline(cfg)
-}
 
 // Plan runs Online Scaling (§5.3) for the given per-service request rates
 // (requests/minute): graph merge, latency target computation, priority
@@ -159,37 +129,8 @@ func (s *System) Evaluate(plan *Plan, rates map[string]float64, durationMin, war
 	return s.ctrl.EvaluatePlan(plan, rates, durationMin, warmupMin, seed)
 }
 
-// EvaluateWithOpts is Evaluate with explicit per-window options: fault
-// injection, SLO-tiered streams, and the evaluation engine selection
-// (EvalOpts.SimMode / SimPartitions route through the partitioned parallel
-// simulator; the zero EvalOpts keeps the historical serial exact engine).
-func (s *System) EvaluateWithOpts(plan *Plan, rates map[string]float64, durationMin, warmupMin float64, seed uint64, opts EvalOpts) (*EvalResult, error) {
-	if err := s.ctrl.Apply(plan); err != nil {
-		return nil, err
-	}
-	return s.ctrl.EvaluateDeployed(plan, rates, durationMin, warmupMin, seed, opts)
-}
-
 // SetBackground injects colocated batch-job interference on one host (the
 // iBench substitute). Host IDs run 0..hosts-1.
 func (s *System) SetBackground(hostID int, cpuUtil, memUtil float64) error {
 	return s.ctrl.Orch.Cluster().SetBackground(hostID, workload.Interference{CPU: cpuUtil, Mem: memUtil})
-}
-
-// Recorder is the control plane's self-observability recorder: phase spans
-// of the reconciliation loop, erms.self.* counters, and the /metrics +
-// /spans + pprof HTTP surface. A nil *Recorder is valid and disables
-// self-telemetry at zero cost.
-type Recorder = obs.Recorder
-
-// EnableObservability attaches a fresh self-observability recorder to the
-// system — controller, orchestrator, and any reconciler created afterwards
-// — bound to the system's metrics store, and returns it. Mount
-// Recorder.Handler on an HTTP server to expose Prometheus text metrics, a
-// JSON span dump, and net/http/pprof.
-func (s *System) EnableObservability() *Recorder {
-	rec := obs.New(s.ctrl.Metrics)
-	s.ctrl.Obs = rec
-	s.ctrl.Orch.SetRecorder(rec)
-	return rec
 }

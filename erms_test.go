@@ -54,7 +54,7 @@ func TestOptions(t *testing.T) {
 }
 
 func TestAppsConstructors(t *testing.T) {
-	for _, app := range []*App{SocialNetwork(), MediaService(), HotelReservation(),
+	for _, app := range []*App{SocialNetwork(), HotelReservation(),
 		Alibaba(AlibabaConfig{Seed: 1, Services: 5, MeanGraphSize: 8})} {
 		if err := app.Validate(); err != nil {
 			t.Fatalf("%s: %v", app.Name, err)

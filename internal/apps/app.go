@@ -98,8 +98,9 @@ func (a *App) SharingDegree() map[string]int {
 }
 
 // Validate checks that the app is internally consistent: valid graphs, a
-// profile and container spec for every microservice, and a valid SLA per
-// service that names the service it is filed under.
+// profile and a container spec for every microservice, the spec describing
+// the microservice it is filed under, and a valid SLA per service that names
+// the service it is filed under.
 func (a *App) Validate() error {
 	if len(a.Graphs) == 0 {
 		return fmt.Errorf("apps: %s has no services", a.Name)
@@ -138,6 +139,9 @@ func (a *App) Validate() error {
 		spec, ok := a.Containers[ms]
 		if !ok {
 			return fmt.Errorf("apps: %s missing container spec for %s", a.Name, ms)
+		}
+		if spec.Microservice != ms {
+			return fmt.Errorf("apps: %s/%s has the container spec of microservice %q", a.Name, ms, spec.Microservice)
 		}
 		if err := spec.Validate(); err != nil {
 			return fmt.Errorf("apps: %s: %w", a.Name, err)

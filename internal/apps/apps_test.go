@@ -110,6 +110,15 @@ func TestValidateDetectsProblems(t *testing.T) {
 	if err := d.Validate(); err == nil {
 		t.Fatal("empty app accepted")
 	}
+	// frontend's entry describes geo's containers: the simulator would
+	// deploy none for frontend.
+	f := HotelReservation()
+	f.Containers["frontend"] = f.Containers["geo"]
+	if err := f.Validate(); err == nil {
+		t.Fatal("misfiled container spec accepted")
+	} else if !strings.Contains(err.Error(), "frontend") || !strings.Contains(err.Error(), `"geo"`) {
+		t.Fatalf("error %q does not name both the key and the spec's microservice", err)
+	}
 	for name, sla := range map[string]workload.SLA{
 		"negative threshold": {Service: "login", Threshold: -5, Percentile: 0.95},
 		"zero threshold":     {Service: "login", Percentile: 0.95},

@@ -575,9 +575,6 @@ type OfflineConfig struct {
 	WindowMin float64
 	// ContainersPerMS fixes the profiling deployment size (default 2).
 	ContainersPerMS int
-	Seed            uint64
-	// FitConfig tunes the model fit.
-	Fit profiling.FitConfig
 	// FromTraces fits from the Tracing Coordinator's sampled spans (the
 	// production path of §5.1-5.2: Eq. 1 latencies, inverse-sampling
 	// workload estimates) instead of the simulator's exact aggregates.
@@ -645,7 +642,7 @@ func (c *Controller) ProfileOffline(cfg OfflineConfig) ([]string, error) {
 			patterns[g.Service] = workload.Static{Rate: rate}
 		}
 		simCfg := sim.Config{
-			Seed:         cfg.Seed + uint64(i),
+			Seed:         uint64(i),
 			Cluster:      run,
 			Interference: c.Interference,
 			Profiles:     c.App.Profiles,
@@ -706,7 +703,7 @@ func (c *Controller) ProfileOffline(cfg OfflineConfig) ([]string, error) {
 	}
 	cl.Reset()
 
-	models, failed := profiling.FitAll(samples, cfg.Fit)
+	models, failed := profiling.FitAll(samples, profiling.FitConfig{})
 	for ms, m := range models {
 		c.Models[ms] = m
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // obsReconciler builds a hotel reconciler with a recorder attached to the
-// controller before the reconciler is created, mirroring how ermsctl and
-// the erms facade wire self-observability.
+// controller before the reconciler is created, mirroring how
+// spec.Scenario.NewLoop wires self-observability.
 func obsReconciler(t *testing.T) (*Reconciler, *Controller, *obs.Recorder) {
 	t.Helper()
 	c := hotelController(t)

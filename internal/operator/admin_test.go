@@ -78,6 +78,28 @@ func TestAdminHandler(t *testing.T) {
 		}
 	})
 
+	// A pushed document names no file of its own, so it may not name one to
+	// open: the refusal comes before any path is touched, whether or not
+	// the path exists.
+	t.Run("push app file refused", func(t *testing.T) {
+		for _, path := range []string{"/nonexistent/app.json", "../../examples/specs/chaos.yaml"} {
+			doc := strings.Replace(goodPushYAML, "kind: hotel", "kind: file\n  path: "+path, 1)
+			w := do(t, h, http.MethodPost, "/spec", doc)
+			if w.Code < 400 || w.Code >= 500 {
+				t.Fatalf("POST /spec with app.path %s = %d, want 4xx: %s", path, w.Code, w.Body)
+			}
+			var resp struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(resp.Error, `app.kind "file" opens a path`) || strings.Contains(resp.Error, "no such file") {
+				t.Fatalf("POST /spec with app.path %s: error %q, want the refusal", path, resp.Error)
+			}
+		}
+	})
+
 	t.Run("explain", func(t *testing.T) {
 		w := do(t, h, http.MethodGet, "/explain/search", "")
 		if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "search") {

@@ -247,6 +247,7 @@ func TestPushAdmissionRejectsStructuralChanges(t *testing.T) {
 		{"different app", "kind: hotel", "kind: social", "services"},
 		{"different hosts", "hosts: 20", "hosts: 30", "run.hosts"},
 		{"different window", "window_min: 1", "window_min: 2", "window_min"},
+		{"different models", "hosts: 20", "hosts: 20\n  models: profiled", "run.models"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -83,8 +83,9 @@ func (o *Operator) Push(data []byte, source string) (*Generation, error) {
 // admit checks a candidate scenario against the committed one: a rollout
 // swaps configuration (SLAs, resilience, scheme, cohort patterns) on the
 // running system, so the structural invariants — the application shape, the
-// cluster size, and the planning-window length — must match. Changing those
-// is a redeploy, not a rollout, and is rejected deterministically.
+// cluster size, the planning-window length, and the latency models the fleet
+// was built with — must match. Changing those is a redeploy, not a rollout,
+// and is rejected deterministically.
 func (o *Operator) admit(sc *spec.Scenario) error {
 	cur := o.committed.scenario
 	if !reflect.DeepEqual(sortedServices(sc), sortedServices(cur)) {
@@ -99,6 +100,10 @@ func (o *Operator) admit(sc *spec.Scenario) error {
 	}
 	if math.Abs(sc.WindowMin-cur.WindowMin) > 1e-9 {
 		return fmt.Errorf("operator: candidate window_min %g != running window_min %g", sc.WindowMin, cur.WindowMin)
+	}
+	if sc.Spec.Run.Models != cur.Spec.Run.Models {
+		return fmt.Errorf("operator: candidate run.models %q != running run.models %q (the fleet's models are fixed when it is built)",
+			sc.Spec.Run.Models, cur.Spec.Run.Models)
 	}
 	return nil
 }

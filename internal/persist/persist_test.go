@@ -94,6 +94,28 @@ func TestLoadAppErrors(t *testing.T) {
 			t.Errorf("%s: error %q does not name the service", name, err)
 		}
 	}
+	// A container spec filed under the wrong microservice: frontend's entry
+	// describes geo's containers. Loaded, it would fail the first simulation
+	// with "no containers deployed for microservice frontend".
+	var saved bytes.Buffer
+	if err := SaveApp(&saved, app); err != nil {
+		t.Fatal(err)
+	}
+	var misfiled map[string]any
+	if err := json.Unmarshal(saved.Bytes(), &misfiled); err != nil {
+		t.Fatal(err)
+	}
+	containers := misfiled["containers"].(map[string]any)
+	containers["frontend"] = containers["geo"]
+	bad, err := json.Marshal(misfiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadApp(bytes.NewReader(bad)); err == nil {
+		t.Error("app with a misfiled container spec accepted")
+	} else if !strings.Contains(err.Error(), "frontend") || !strings.Contains(err.Error(), `"geo"`) {
+		t.Errorf("error %q does not name both the key and the spec's microservice", err)
+	}
 }
 
 func TestPlanSaveAndSummary(t *testing.T) {

@@ -83,10 +83,9 @@ func TestFluidEligibility(t *testing.T) {
 		// microservice's per-server utilization above 0.13; with RhoMax
 		// below that, everything must be simulated discretely.
 		sc := lockstepScenario{services: 2, block: 2, containersPerMS: 1, ratePerMin: 40000, seed: 5, durationMin: 1}
-		res, err := RunPartitioned(sc.build(t), PartitionOpts{
-			Mode:  SimHybrid,
-			Fluid: &FluidConfig{RhoMax: 0.1},
-		})
+		cfg := sc.build(t)
+		cfg.Fluid = &FluidConfig{RhoMax: 0.1}
+		res, err := RunPartitioned(cfg, PartitionOpts{Mode: SimHybrid})
 		if err != nil {
 			t.Fatal(err)
 		}

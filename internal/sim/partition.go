@@ -32,9 +32,6 @@ type PartitionOpts struct {
 	// byte-identical for any Partitions and any parallel.SetWorkers count,
 	// because the partition split itself is always by sharing group.
 	Partitions int
-	// Fluid tunes the hybrid fast path; nil uses FluidConfig defaults.
-	// Ignored in SimExact mode.
-	Fluid *FluidConfig
 }
 
 // Run is the simulator's entry point: it executes one simulation of cfg.
@@ -84,13 +81,14 @@ func RunPartitioned(cfg Config, opts PartitionOpts) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	// Hybrid mode tunes the fluid fast path by cfg.Fluid, FluidConfig's
+	// defaults when that is nil; exact mode runs without it.
 	var fl *FluidConfig
 	if opts.Mode == SimHybrid {
-		c := FluidConfig{}
-		if opts.Fluid != nil {
-			c = *opts.Fluid
+		fl = cfg.Fluid
+		if fl == nil {
+			fl = &FluidConfig{}
 		}
-		fl = &c
 	}
 
 	groups := sharingGroups(cfg)

@@ -213,8 +213,10 @@ func TestRunInjectsChaos(t *testing.T) {
 		t.Errorf("fault schedule left no trace: %d faulted windows, %d repaired, %d retries, %d degraded\n%s",
 			faulted, repaired, retries, degraded, seq)
 	}
-	// One table row per window, below the header.
-	if rows := strings.Count(seq[strings.Index(seq, "win  faults"):strings.Index(seq, timelineHeader)], "\n"); rows != 1+8 {
+	// One table row per window, below the header; a blank line ends the
+	// table.
+	table := seq[strings.Index(seq, "win  faults"):]
+	if rows := strings.Count(table[:strings.Index(table, "\n\n")+1], "\n"); rows != 1+8 {
 		t.Errorf("control table has %d lines, want header + 8 windows:\n%s", rows, seq)
 	}
 }

@@ -3,12 +3,15 @@ package spec
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"sort"
 
 	"erms/internal/apps"
 	"erms/internal/chaos"
 	"erms/internal/drift"
 	"erms/internal/multiplex"
+	"erms/internal/persist"
 	"erms/internal/sim"
 	"erms/internal/workload"
 )
@@ -138,7 +141,7 @@ func (a *AppSpec) Build() (*apps.App, error) {
 	case "media":
 		return apps.MediaService(), nil
 	case "alibaba":
-		return apps.Alibaba(apps.TaobaoConfig(a.Seed)), nil
+		return apps.Alibaba(apps.AlibabaConfig{Seed: a.Seed, Services: a.Services}), nil
 	case "scale":
 		return apps.ScaleTopology(apps.ScaleConfig{
 			Seed:                    a.Seed,
@@ -147,6 +150,21 @@ func (a *AppSpec) Build() (*apps.App, error) {
 			SharingDegree:           a.SharingDegree,
 			MaxStageWidth:           a.MaxStageWidth,
 		}), nil
+	case "file":
+		path := a.Path
+		if !filepath.IsAbs(path) {
+			path = filepath.Join(a.dir, path)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, fmt.Errorf("spec: app.path: %w", err)
+		}
+		defer f.Close()
+		app, err := persist.LoadApp(f)
+		if err != nil {
+			return nil, fmt.Errorf("spec: app.path %s: %w", path, err)
+		}
+		return app, nil
 	default:
 		return nil, fmt.Errorf("spec: app.kind %q unknown", a.Kind)
 	}

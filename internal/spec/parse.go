@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 
@@ -15,8 +16,27 @@ import (
 // Parse reads a workload spec from YAML or JSON (detected by the first
 // non-space byte), decodes it strictly — unknown fields, wrong types, and
 // non-finite numbers are errors — and validates it. The returned spec is
-// ready for Compile.
-func Parse(data []byte) (*Spec, error) {
+// ready for Compile. A document parsed from bytes names no file, so it may
+// not use app.kind "file" (ParseFile may).
+func Parse(data []byte) (*Spec, error) { return parse(data, "") }
+
+// ParseFile reads and parses the spec at path; an app.path in it is relative
+// to path's directory.
+func ParseFile(path string) (*Spec, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("spec: %w", err)
+	}
+	s, err := parse(data, filepath.Dir(path))
+	if err != nil {
+		return nil, fmt.Errorf("%w (in %s)", err, path)
+	}
+	return s, nil
+}
+
+// parse decodes and validates a document read from directory dir ("" for
+// bytes that came from no file).
+func parse(data []byte, dir string) (*Spec, error) {
 	tree, err := parseTree(data)
 	if err != nil {
 		return nil, err
@@ -25,21 +45,9 @@ func Parse(data []byte) (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.App.dir = dir
 	if err := s.Validate(); err != nil {
 		return nil, err
-	}
-	return s, nil
-}
-
-// ParseFile reads and parses the spec at path.
-func ParseFile(path string) (*Spec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("spec: %w", err)
-	}
-	s, err := Parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w (in %s)", err, path)
 	}
 	return s, nil
 }
@@ -394,6 +402,7 @@ func decodeSpec(tree any) (*Spec, error) {
 	if v, ok := root.get("app"); ok {
 		app := d.obj("app", v)
 		s.App.Kind = app.str("kind", "")
+		s.App.Path = app.str("path", "")
 		s.App.Seed, s.App.seedSet = app.u64("seed", s.Seed)
 		s.App.Services = app.integer("services", 0)
 		s.App.MicroservicesPerService = app.integer("microservices_per_service", 0)
@@ -426,6 +435,7 @@ func decodeSpec(tree any) (*Spec, error) {
 		s.Run.WindowMin = run.f64("window_min", s.Run.DurationMin)
 		s.Run.Hosts = run.integer("hosts", 40)
 		s.Run.Scheme = run.str("scheme", "priority")
+		s.Run.Models = run.str("models", "analytic")
 		run.done()
 	} else {
 		d.errf("spec: run is required (run.duration_min sets the horizon)")

@@ -13,9 +13,11 @@ import (
 	"erms/internal/core"
 	"erms/internal/drift"
 	"erms/internal/kube"
+	"erms/internal/multiplex"
 	"erms/internal/obs"
 	"erms/internal/provision"
 	"erms/internal/sim"
+	"erms/internal/sortutil"
 	"erms/internal/workload"
 )
 
@@ -118,13 +120,19 @@ type Loop struct {
 	Inj *chaos.Injector
 }
 
+// profileRates are the per-service request rates (req/min) of the Offline
+// Profiler's sweep under run.models "profiled".
+var profileRates = []float64{5_000, 15_000, 30_000, 45_000, 55_000}
+
 // NewLoop builds the scenario's control loop: app on a fresh cluster of
 // hosts paper-spec machines with interference-aware provisioning, under the
 // scenario's scheme, resilience and drift settings, with analytic models
-// installed; scenario-length windows evaluated on the cohort streams that
-// streams returns; and faults (nil for none; see ChaosSchedule) injected
-// into both the loop and the substrate. app and hosts are parameters because
-// the canary manages a slice of sc.App on a slice of sc.Hosts.
+// installed — and, under run.models "profiled", replaced by the Offline
+// Profiler's fits wherever the sweep can fit one; scenario-length windows
+// evaluated on the cohort streams that streams returns; and faults (nil for
+// none; see ChaosSchedule) injected into both the loop and the substrate.
+// app and hosts are parameters because the canary manages a slice of sc.App
+// on a slice of sc.Hosts.
 func (sc *Scenario) NewLoop(app *apps.App, hosts int, rec *obs.Recorder,
 	streams func(window int) []sim.Stream, faults *chaos.Schedule) (*Loop, error) {
 	opts := []core.Option{
@@ -141,6 +149,11 @@ func (sc *Scenario) NewLoop(app *apps.App, hosts int, rec *obs.Recorder,
 		return nil, err
 	}
 	ctrl.UseAnalyticModels()
+	if sc.Spec.Run.Models == "profiled" {
+		if _, err := ctrl.ProfileOffline(core.OfflineConfig{Rates: profileRates}); err != nil {
+			return nil, err
+		}
+	}
 	l := &Loop{Rec: core.NewReconciler(ctrl)}
 	l.Rec.WindowMin = sc.WindowMin
 	l.Rec.StreamsFor = streams
@@ -150,6 +163,27 @@ func (sc *Scenario) NewLoop(app *apps.App, hosts int, rec *obs.Recorder,
 		l.Rec.Chaos = l.Inj
 	}
 	return l, nil
+}
+
+// FirstPlan returns the plan the scenario's first window applies: window 0's
+// offered load planned by a fresh loop inside the fault schedule's window-0
+// bracket, so a host the schedule fails in window 0 is missing from the
+// capacity the plan sees. Nothing is applied or simulated.
+func (sc *Scenario) FirstPlan() (*multiplex.Plan, error) {
+	faults, err := sc.ChaosSchedule(0)
+	if err != nil {
+		return nil, err
+	}
+	loop, err := sc.NewLoop(sc.App, sc.Hosts, nil, sc.WindowStreams, faults)
+	if err != nil {
+		return nil, err
+	}
+	var plan *multiplex.Plan
+	err = loop.Inj.Window(0, func() (err error) {
+		plan, err = loop.Rec.C.Plan(sc.OfferedRates(0))
+		return err
+	})
+	return plan, err
 }
 
 // Step runs the loop's next window at the given observed rates inside the
@@ -279,7 +313,8 @@ func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // Report renders the run for the CLI: the per-tier outcome summary, then the
 // control loop's per-window table — faults scheduled, containers deployed,
 // containers repaired, retries, the worst service's violation rate, and the
-// degraded / outage / obs-gap / swapped flags — and, with a drift block, the
+// degraded / outage / obs-gap / swapped flags — then the last window's
+// per-service SLA, P95 and violation rate, and, with a drift block, the
 // drift loop's summary.
 func (r *RunResult) Report(w io.Writer) {
 	sc := r.Scenario
@@ -314,6 +349,14 @@ func (r *RunResult) Report(w io.Writer) {
 		}
 		fmt.Fprintf(w, "%-4d %-28s %10d %8d %7d %7.3f  %s\n",
 			rep.Window, rep.Faults, rep.Containers, rep.Repaired, rep.Retries, worst, strings.Join(flags, ","))
+	}
+	if n := len(r.Windows); n > 0 {
+		last := r.Windows[n-1]
+		fmt.Fprintf(w, "\nwindow %d, simulated minutes %s-%s:\n", last.Window, fnum(last.StartMin), fnum(last.EndMin))
+		for _, svc := range sortutil.Keys(last.Violations) {
+			fmt.Fprintf(w, "  %-20s SLA %6.1fms  P95 %8.2fms  violations %5.2f%%\n",
+				svc, sc.App.SLAs[svc].Threshold, last.TailLatency[svc], 100*last.Violations[svc])
+		}
 	}
 	if st := r.Drift; st != nil {
 		fmt.Fprintf(w, "\ndrift loop: %d windows scored, %d detections, %d swaps (%d segmented re-fits, %d recalibrations), max score %.2f\n",

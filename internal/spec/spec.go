@@ -56,14 +56,25 @@ type Spec struct {
 
 // AppSpec selects the application topology.
 type AppSpec struct {
-	// Kind is one of "hotel", "social", "media", "alibaba", "scale".
+	// Kind is one of "hotel", "social", "media", "alibaba", "scale", "file".
 	Kind string
+	// Path is the application JSON (persist.SaveApp's format) that kind
+	// "file" loads, relative to the spec file's directory. A document parsed
+	// from bytes (POST /spec, operator pushes) cannot name one: only a spec
+	// read from a file may open a path.
+	Path string
+	// dir is the directory of the spec file the document was read from; ""
+	// for a document parsed from bytes.
+	dir string
 	// Seed seeds the generated topologies (alibaba, scale). Default: the
 	// spec's top-level seed.
 	Seed uint64
 	// seedSet records whether seed was present in the document.
 	seedSet bool
-	// Exact-shape scale parameters (kind "scale" only; see apps.ScaleConfig).
+	// Services is the service count of a generated topology (kinds
+	// "alibaba" and "scale"); 0 keeps the generator's default (500 for
+	// alibaba, Taobao scale). The other three are exact-shape parameters of
+	// kind "scale" only (see apps.ScaleConfig).
 	Services                int
 	MicroservicesPerService int
 	SharingDegree           int
@@ -91,6 +102,12 @@ type RunSpec struct {
 	Hosts int
 	// Scheme is "priority" (default), "fcfs", or "nonshared".
 	Scheme string
+	// Models selects the latency models the planner starts from: "analytic"
+	// (default; first-principles models of the service profiles) or
+	// "profiled" (the Offline Profiler's piece-wise fits from simulated
+	// sweeps, §5.2, with analytic models kept for microservices the sweeps
+	// cannot fit). A running operator cannot change it.
+	Models string
 }
 
 // ResilienceSpec mirrors the sim.Resilience knobs exposed to specs.
@@ -235,9 +252,11 @@ type Phase struct {
 func (p Phase) End() float64 { return p.StartMin + p.DurationMin }
 
 // appKinds maps spec app kinds to a description used in errors.
-var appKinds = map[string]bool{"hotel": true, "social": true, "media": true, "alibaba": true, "scale": true}
+var appKinds = map[string]bool{"hotel": true, "social": true, "media": true, "alibaba": true, "scale": true, "file": true}
 
 var schemes = map[string]bool{"priority": true, "fcfs": true, "nonshared": true}
+
+var models = map[string]bool{"analytic": true, "profiled": true}
 
 var phaseKinds = map[string]bool{PhaseBaseline: true, PhaseFlashCrowd: true, PhaseDrain: true, PhaseFailover: true}
 
@@ -331,11 +350,21 @@ func (s *Spec) Validate() error {
 
 func (a *AppSpec) validate() error {
 	if !appKinds[a.Kind] {
-		return fmt.Errorf("spec: app.kind %q unknown (want hotel, social, media, alibaba, or scale)", a.Kind)
+		return fmt.Errorf("spec: app.kind %q unknown (want hotel, social, media, alibaba, scale, or file)", a.Kind)
 	}
 	generated := a.Kind == "alibaba" || a.Kind == "scale"
 	if a.seedSet && !generated {
 		return fmt.Errorf("spec: app.seed only applies to generated topologies (alibaba, scale), not %q", a.Kind)
+	}
+	if a.Kind == "file" {
+		if a.dir == "" {
+			return fmt.Errorf("spec: app.kind \"file\" opens a path, so only a spec read from a file may use it, not a document sent as bytes")
+		}
+		if a.Path == "" {
+			return fmt.Errorf("spec: app.path is required for kind \"file\"")
+		}
+	} else if a.Path != "" {
+		return fmt.Errorf("spec: app.path only applies to kind \"file\", not %q", a.Kind)
 	}
 	for svc, ms := range a.SLAs {
 		if svc == "" {
@@ -345,14 +374,17 @@ func (a *AppSpec) validate() error {
 			return fmt.Errorf("spec: app.slas.%s must be in (0, 1e6] ms, got %g", svc, ms)
 		}
 	}
-	if a.Kind != "scale" {
-		if a.Services != 0 || a.MicroservicesPerService != 0 || a.SharingDegree != 0 || a.MaxStageWidth != 0 {
-			return fmt.Errorf("spec: app.services/microservices_per_service/sharing_degree/max_stage_width only apply to kind \"scale\", not %q", a.Kind)
-		}
-		return nil
+	if !generated && a.Services != 0 {
+		return fmt.Errorf("spec: app.services only applies to generated topologies (alibaba, scale), not %q", a.Kind)
 	}
 	if a.Services < 0 || a.Services > 10000 {
 		return fmt.Errorf("spec: app.services must be in [0, 10000] (0 = default), got %d", a.Services)
+	}
+	if a.Kind != "scale" {
+		if a.MicroservicesPerService != 0 || a.SharingDegree != 0 || a.MaxStageWidth != 0 {
+			return fmt.Errorf("spec: app.microservices_per_service/sharing_degree/max_stage_width only apply to kind \"scale\", not %q", a.Kind)
+		}
+		return nil
 	}
 	if a.MicroservicesPerService < 0 || a.MicroservicesPerService > 1000 {
 		return fmt.Errorf("spec: app.microservices_per_service must be in [0, 1000] (0 = default), got %d", a.MicroservicesPerService)
@@ -382,6 +414,9 @@ func (r *RunSpec) validate() error {
 	}
 	if !schemes[r.Scheme] {
 		return fmt.Errorf("spec: run.scheme %q unknown (want priority, fcfs, or nonshared)", r.Scheme)
+	}
+	if !models[r.Models] {
+		return fmt.Errorf("spec: run.models %q unknown (want analytic or profiled)", r.Models)
 	}
 	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -37,6 +38,18 @@ var unreadAllowlist = map[string]string{
 	"sim.RouteRoundRobin": "the iota zero value of Routing: without it RouteP2C becomes the default",
 }
 
+// unwrittenAllowlist names the exported fields of reached struct types that
+// no program writes but that stay, each with the ROADMAP item that gives it a
+// writer or deletes it. An entry that a program comes to write, or that no
+// longer exists, fails the test like an unwritten field does.
+var unwrittenAllowlist = map[string]string{
+	"core.OfflineConfig.FromTraces": "ROADMAP items 1(d) and 4(b): trace-fed profiling gets its writer once sampling stops perturbing the stream",
+	"sim.Config.Routing":            "ROADMAP item 4(d): RouteP2C and Config.Routing go with one fingerprint re-capture",
+}
+
+// loadRepo type-checks the repository once for every test of this file.
+var loadRepo = sync.OnceValues(func() (*program, error) { return loadProgram(".") })
+
 // TestEveryDeclarationHasAReader keeps every package-level declaration of the
 // repository reachable from a program. It type-checks every non-test package
 // of the module and of bench/ — one build, files selected by their build
@@ -49,7 +62,7 @@ var unreadAllowlist = map[string]string{
 // delete it, move it into the _test.go that uses it as an oracle, or
 // allowlist it above with its reason.
 func TestEveryDeclarationHasAReader(t *testing.T) {
-	p, err := loadProgram(".")
+	p, err := loadRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +100,128 @@ func TestEveryDeclarationHasAReader(t *testing.T) {
 			"delete them, move them into the _test.go that uses them, or allowlist them with a reason:\n\t%s",
 			len(unread), lines, strings.Join(unread, "\n\t"))
 	}
+}
+
+// TestEveryFieldHasAWriter asks the reach walk's second question: who sets
+// this? A settable value no program sets is a branch no program takes. The
+// test fails on any exported field of a struct type a program reaches that no
+// reached declaration (main and init bodies included) writes, by a
+// composite-literal key, a positional literal, an assignment or ++/--
+// through a selector, taking the field's address, or calling a
+// pointer-receiver method on it. Delete such a field with its default made a
+// constant, or allowlist it above with its reason.
+func TestEveryFieldHasAWriter(t *testing.T) {
+	p, err := loadRepo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := p.newWalker()
+	w.roots()
+	fields := map[string]*types.Var{}
+	for obj := range w.reached {
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue // an alias names a type counted under its own name
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() {
+				fields[p.decls[obj].name+"."+f.Name()] = f
+			}
+		}
+	}
+	for name := range unwrittenAllowlist {
+		switch f, ok := fields[name]; {
+		case !ok:
+			t.Errorf("allowlisted field %s no longer exists: drop it from unwrittenAllowlist", name)
+		case w.written[f]:
+			t.Errorf("allowlisted field %s has a writer now: drop it from unwrittenAllowlist", name)
+		}
+	}
+	var unwritten []string
+	for name, f := range fields {
+		if _, ok := unwrittenAllowlist[name]; !ok && !w.written[f] {
+			unwritten = append(unwritten, name+" ("+p.fset.Position(f.Pos()).String()+")")
+		}
+	}
+	if len(unwritten) > 0 {
+		sort.Strings(unwritten)
+		t.Errorf("%d exported fields of reached types have no writer in any program of the repository;\n"+
+			"delete them (a default becomes a constant) or allowlist them with a reason:\n\t%s",
+			len(unwritten), strings.Join(unwritten, "\n\t"))
+	}
+}
+
+// TestSettableValues logs the repository's count of settable values — the
+// exported fields of exported struct types named *Config, *Opts, *Options or
+// *Spec, the exported With* option functions, and the flags cmd/ registers —
+// so that the options a change adds or removes are a measured number.
+// scripts/ci.sh prints it.
+func TestSettableValues(t *testing.T) {
+	p, err := loadRepo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields, options, flags int
+	for _, pk := range p.pkgs {
+		scope := pk.types.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.TypeName:
+				st, ok := obj.Type().Underlying().(*types.Struct)
+				if !ok || obj.IsAlias() || !obj.Exported() || !configShaped(name) {
+					continue
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					if st.Field(i).Exported() {
+						fields++
+					}
+				}
+			case *types.Func:
+				if obj.Exported() && strings.HasPrefix(name, "With") {
+					options++
+				}
+			}
+		}
+		if !strings.HasPrefix(pk.path, module+"/cmd/") {
+			continue
+		}
+		for _, f := range pk.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+						if fn, ok := pk.info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg().Path() == "flag" && flagDefiners[fn.Name()] {
+							flags++
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	t.Logf("settable values: %d (%d config-shaped fields, %d With* options, %d cmd/ flags)",
+		fields+options+flags, fields, options, flags)
+}
+
+func configShaped(name string) bool {
+	for _, suffix := range []string{"Config", "Opts", "Options", "Spec"} {
+		if strings.HasSuffix(name, suffix) {
+			return true
+		}
+	}
+	return false
+}
+
+// flagDefiners are the functions of package flag (and methods of
+// flag.FlagSet) that register a flag.
+var flagDefiners = map[string]bool{
+	"Bool": true, "BoolVar": true, "BoolFunc": true, "Duration": true, "DurationVar": true,
+	"Float64": true, "Float64Var": true, "Func": true, "Int": true, "IntVar": true,
+	"Int64": true, "Int64Var": true, "String": true, "StringVar": true, "TextVar": true,
+	"Uint": true, "UintVar": true, "Uint64": true, "Uint64Var": true, "Var": true,
 }
 
 // module is the module path of the repository root; bench/ is module
@@ -196,9 +331,10 @@ func (p *program) check(pk *pkg) (*types.Package, error) {
 		return pk.types, nil
 	}
 	pk.info = &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{Importer: p}
 	tp, err := conf.Check(pk.path, p.fset, pk.files, pk.info)
@@ -260,11 +396,13 @@ func (p *program) collect(pk *pkg) {
 	}
 }
 
-// walker marks declarations reached by walking the syntax of reached ones.
+// walker marks declarations reached by walking the syntax of reached ones,
+// and the struct fields that syntax writes.
 type walker struct {
 	p       *program
 	ifaces  map[string]bool // method names of the program's interfaces
 	reached map[types.Object]bool
+	written map[*types.Var]bool
 	queue   []walk
 }
 
@@ -274,7 +412,7 @@ type walk struct {
 }
 
 func (p *program) newWalker() *walker {
-	return &walker{p: p, ifaces: p.interfaceMethodNames(), reached: map[types.Object]bool{}}
+	return &walker{p: p, ifaces: p.interfaceMethodNames(), reached: map[types.Object]bool{}, written: map[*types.Var]bool{}}
 }
 
 // roots walks from every main, init and package-level var initializer of
@@ -346,9 +484,81 @@ func (w *walker) drain() {
 				if obj := next.info.Uses[id]; obj != nil {
 					w.reach(obj)
 				}
+				return true
 			}
+			w.noteWrites(n, next.info)
 			return true
 		})
+	}
+}
+
+// noteWrites records the struct fields node n writes.
+func (w *walker) noteWrites(n ast.Node, info *types.Info) {
+	switch n := n.(type) {
+	case *ast.CompositeLit:
+		t := info.Types[n].Type
+		if ptr, ok := t.Underlying().(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		st, ok := t.Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		for i, e := range n.Elts {
+			if kv, ok := e.(*ast.KeyValueExpr); ok {
+				if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+					w.written[f.Origin()] = true
+				}
+			} else {
+				w.written[st.Field(i).Origin()] = true
+			}
+		}
+	case *ast.AssignStmt:
+		for _, lhs := range n.Lhs {
+			w.writeThrough(lhs, info)
+		}
+	case *ast.IncDecStmt:
+		w.writeThrough(n.X, info)
+	case *ast.UnaryExpr:
+		if n.Op == token.AND {
+			w.writeThrough(n.X, info)
+		}
+	case *ast.SelectorExpr:
+		// x.F.M() with a pointer-receiver M takes x.F's address.
+		if sel := info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal {
+			recv := sel.Obj().Type().(*types.Signature).Recv().Type()
+			_, ptrRecv := recv.(*types.Pointer)
+			_, ptrOperand := info.Types[n.X].Type.Underlying().(*types.Pointer)
+			if ptrRecv && !ptrOperand {
+				w.writeThrough(n.X, info)
+			}
+		}
+	}
+}
+
+// writeThrough records the fields an assignment to e writes: e's own
+// selector, and each selector it reaches through values (x.F.G and x.F[i]
+// write F too; p.G with p a pointer field does not write p).
+func (w *walker) writeThrough(e ast.Expr, info *types.Info) {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			sel := info.Selections[x]
+			if sel == nil || sel.Kind() != types.FieldVal {
+				return
+			}
+			w.written[sel.Obj().(*types.Var).Origin()] = true
+			if _, ptr := info.Types[x.X].Type.Underlying().(*types.Pointer); ptr {
+				return
+			}
+			e = x.X
+		default:
+			return
+		}
 	}
 }
 

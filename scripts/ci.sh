@@ -30,8 +30,15 @@ fi
 # package use, and the zero value of an enum (sim.RouteRoundRobin). An
 # allowlist entry that gains a reader or no longer exists fails the gate too,
 # so the list cannot rot. Type-checks the whole repository in ~3 s.
-echo "== every declaration has a reader =="
-go test -count=1 -run TestEveryDeclarationHasAReader .
+# The same walk asks who writes each exported field of a reached struct type
+# (composite literal, assignment, ++, &x.F, pointer-method call; main and
+# init count): a settable value no program sets fails unless allowlisted
+# with the ROADMAP item that removes it. Last, it counts the settable values
+# — exported fields of *Config/*Opts/*Options/*Spec structs, With* options,
+# cmd/ flags — so "options added" is a measured number.
+echo "== every declaration has a reader, every field a writer =="
+go test -count=1 -run 'TestEveryDeclarationHasAReader|TestEveryFieldHasAWriter' .
+go test -count=1 -v -run TestSettableValues . | grep -o 'settable values: .*'
 
 echo "== go test -race =="
 go test -race ./...
@@ -96,7 +103,7 @@ go test -run=NONE -fuzz=FuzzParse -fuzztime=15s ./internal/spec
 # the same spec and seed must emit a byte-identical timeline CSV across two
 # runs and two worker-pool sizes. This is the whole-pipeline version of
 # internal/spec's TestRunDeterminism — it also covers the CLI wiring.
-echo "== spec determinism (ermsctl, quickstart + chaos, 2 runs x workers 1 vs 4) =="
+echo "== spec determinism (ermsctl, quickstart + chaos, 2 runs x workers 1 vs 4; plan -spec workers 1 vs 4) =="
 go build -o /tmp/ermsctl_ci ./cmd/ermsctl
 /tmp/ermsctl_ci run -spec examples/quickstart/quickstart.yaml \
 	-parallel 1 -timeline /tmp/spec_tl_a.csv >/dev/null
@@ -120,7 +127,13 @@ cmp /tmp/chaos_tl_a.csv /tmp/chaos_tl_c.csv
 cmp /tmp/chaos_out_a.txt /tmp/chaos_out_b.txt
 cmp /tmp/chaos_out_a.txt /tmp/chaos_out_c.txt
 grep -q '^win  faults' /tmp/chaos_out_a.txt
-rm -f /tmp/ermsctl_ci /tmp/spec_tl_[abc].csv /tmp/chaos_tl_[abc].csv /tmp/chaos_out_[abc].txt
+# `plan -spec` (the plan the spec's first window applies) is a pure function
+# of the spec at any worker count.
+/tmp/ermsctl_ci plan -spec examples/quickstart/quickstart.yaml -parallel 1 >/tmp/plan_1.txt
+/tmp/ermsctl_ci plan -spec examples/quickstart/quickstart.yaml -parallel 4 >/tmp/plan_4.txt
+cmp /tmp/plan_1.txt /tmp/plan_4.txt
+grep -q '^plan for ' /tmp/plan_1.txt
+rm -f /tmp/ermsctl_ci /tmp/spec_tl_[abc].csv /tmp/chaos_tl_[abc].csv /tmp/chaos_out_[abc].txt /tmp/plan_[14].txt
 
 # Third, the SLO-tier contract: under the flash-crowd spec the sheddable
 # tier's violation rate must be at least the critical tier's, and admission
