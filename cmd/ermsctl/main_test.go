@@ -108,6 +108,17 @@ func TestRunSpecPrintsControlTable(t *testing.T) {
 	}
 }
 
+// TestOperateRejectsNaNGuardrail: `-max-violation NaN` parses as a float,
+// and a NaN guardrail never fires (v > NaN is false), so a bad push would
+// never roll back. The daemon refuses to start instead.
+func TestOperateRejectsNaNGuardrail(t *testing.T) {
+	_, stderr, exit := ermsctl(t, "operate", "-spec", "../../examples/specs/operator-base.yaml",
+		"-windows", "1", "-max-violation", "NaN")
+	if exit == 0 || !strings.Contains(stderr, "MaxViolationRate") {
+		t.Errorf("exit %d, stderr %q; want a non-zero exit naming MaxViolationRate", exit, firstLine(stderr))
+	}
+}
+
 func firstLine(s string) string {
 	line, _, _ := strings.Cut(s, "\n")
 	return line

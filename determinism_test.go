@@ -83,8 +83,7 @@ func TestProfileOfflineDeterministicAcrossWorkers(t *testing.T) {
 		// keep them, so the post-profiling plan is always computable.
 		sys.UseAnalyticModels()
 		if _, err := sys.ctrl.ProfileOffline(core.OfflineConfig{
-			Rates:     []float64{5_000, 15_000, 30_000},
-			WindowMin: 0.4,
+			Rates: []float64{5_000, 30_000},
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -30,9 +30,10 @@ type AlibabaConfig struct {
 	SharedFrac float64
 	// ZipfS is the Zipf popularity exponent over the pool. Default 0.6.
 	ZipfS float64
-	// MaxStageWidth bounds parallel fan-out per stage. Default 3.
-	MaxStageWidth int
 }
+
+// alibabaMaxStageWidth bounds the parallel fan-out of one stage.
+const alibabaMaxStageWidth = 3
 
 func (c AlibabaConfig) withDefaults() AlibabaConfig {
 	if c.Services <= 0 {
@@ -49,9 +50,6 @@ func (c AlibabaConfig) withDefaults() AlibabaConfig {
 	}
 	if c.ZipfS <= 0 {
 		c.ZipfS = 0.6
-	}
-	if c.MaxStageWidth <= 0 {
-		c.MaxStageWidth = 3
 	}
 	return c
 }
@@ -146,7 +144,7 @@ func Alibaba(cfg AlibabaConfig) *App {
 		for g.Len() < target && len(open) > 0 {
 			pi := r.Intn(len(open))
 			parent := open[pi]
-			width := 1 + r.Intn(cfg.MaxStageWidth)
+			width := 1 + r.Intn(alibabaMaxStageWidth)
 			if rem := target - g.Len(); width > rem {
 				width = rem
 			}

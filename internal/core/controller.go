@@ -565,20 +565,38 @@ func (c *Controller) EvaluateDeployed(plan *multiplex.Plan, rates map[string]flo
 // is held while every workload point runs, mirroring the hour-by-hour
 // iBench injection of the paper's data collection.
 type OfflineConfig struct {
-	// Rates are the per-service request rates (req/min) swept per level. If
-	// a service is missing it uses the first rate.
+	// Rates are the per-service request rates (req/min) swept at each of
+	// workload.InterferenceLevels. If a service is missing it uses the first
+	// rate.
 	Rates []float64
-	// Levels are the injected interference levels (defaults to
-	// workload.InterferenceLevels).
-	Levels []workload.Interference
-	// WindowMin is the measured duration per (rate, level) point.
-	WindowMin float64
-	// ContainersPerMS fixes the profiling deployment size (default 2).
-	ContainersPerMS int
 	// FromTraces fits from the Tracing Coordinator's sampled spans (the
 	// production path of §5.1-5.2: Eq. 1 latencies, inverse-sampling
 	// workload estimates) instead of the simulator's exact aggregates.
 	FromTraces bool
+}
+
+// The offline sweep measures every (rate, level) point for profileWindowMin
+// simulated minutes after a half-minute warm-up, on profileContainersPerMS
+// containers of each microservice.
+const (
+	profileWindowMin       = 3
+	profileContainersPerMS = 2
+)
+
+// steady reports whether one microservice's per-minute samples of a sweep
+// point come from a queue in steady state. An overloaded queue has none: its
+// backlog, and with it the tail, grows every minute — by 45 % or more from
+// one measured minute to the next in a profileWindowMin sweep, against at
+// most 20 % of noise at a stable point. Those samples (tails of seconds to
+// minutes at the heavy canonical levels) are outside any range the planner
+// targets, and left in they dominate the pooled high-interval fit.
+func steady(minutes []profiling.Sample) bool {
+	for i := 1; i < len(minutes); i++ {
+		if minutes[i].TailMs > 1.3*minutes[i-1].TailMs {
+			return false
+		}
+	}
+	return true
 }
 
 // ProfileOffline runs the offline profiling sweeps on the controller's
@@ -588,15 +606,6 @@ type OfflineConfig struct {
 func (c *Controller) ProfileOffline(cfg OfflineConfig) ([]string, error) {
 	if len(cfg.Rates) == 0 {
 		return nil, errors.New("core: ProfileOffline needs workload rates")
-	}
-	if len(cfg.Levels) == 0 {
-		cfg.Levels = workload.InterferenceLevels
-	}
-	if cfg.WindowMin <= 0 {
-		cfg.WindowMin = 3
-	}
-	if cfg.ContainersPerMS <= 0 {
-		cfg.ContainersPerMS = 2
 	}
 	cl := c.Orch.Cluster()
 
@@ -613,8 +622,8 @@ func (c *Controller) ProfileOffline(cfg OfflineConfig) ([]string, error) {
 		lvl  workload.Interference
 		rate float64
 	}
-	points := make([]sweepPoint, 0, len(cfg.Levels)*len(cfg.Rates))
-	for _, lvl := range cfg.Levels {
+	points := make([]sweepPoint, 0, len(workload.InterferenceLevels)*len(cfg.Rates))
+	for _, lvl := range workload.InterferenceLevels {
 		for _, rate := range cfg.Rates {
 			points = append(points, sweepPoint{lvl, rate})
 		}
@@ -630,7 +639,7 @@ func (c *Controller) ProfileOffline(cfg OfflineConfig) ([]string, error) {
 		}
 		for _, ms := range c.App.Microservices() {
 			spec := c.App.Containers[ms]
-			for k := 0; k < cfg.ContainersPerMS; k++ {
+			for k := 0; k < profileContainersPerMS; k++ {
 				hostID := (len(run.Containers()) + k) % run.NumHosts()
 				if _, err := run.Place(spec, hostID); err != nil {
 					return nil, fmt.Errorf("core: profiling placement: %w", err)
@@ -648,7 +657,7 @@ func (c *Controller) ProfileOffline(cfg OfflineConfig) ([]string, error) {
 			Profiles:     c.App.Profiles,
 			Graphs:       c.App.Graphs,
 			Patterns:     patterns,
-			DurationMin:  cfg.WindowMin + 0.5,
+			DurationMin:  profileWindowMin + 0.5,
 			WarmupMin:    0.5,
 		}
 		var coord *trace.Coordinator
@@ -666,7 +675,7 @@ func (c *Controller) ProfileOffline(cfg OfflineConfig) ([]string, error) {
 			// The production path: Eq. 1 latencies and inverse-sampling
 			// workload estimates from the Tracing Coordinator, joined
 			// with the injected interference level (the OS metrics).
-			aggs := coord.MinuteAggregates(func(string) int { return cfg.ContainersPerMS })
+			aggs := coord.MinuteAggregates(func(string) int { return profileContainersPerMS })
 			for _, a := range aggs {
 				// Minute 0 overlaps the warmup transient; drop it.
 				if a.Minute == 0 || a.Calls == 0 || a.TailMs <= 0 {
@@ -682,6 +691,13 @@ func (c *Controller) ProfileOffline(cfg OfflineConfig) ([]string, error) {
 		} else {
 			for ms, ss := range profiling.FromMinuteSamples(res.Samples) {
 				out[ms] = append(out[ms], ss...)
+			}
+		}
+		// Fixed rates overload the slower microservices at the heavy
+		// levels; their samples of this point are dropped.
+		for ms, ss := range out {
+			if !steady(ss) {
+				delete(out, ms)
 			}
 		}
 		return out, nil

@@ -330,9 +330,7 @@ func TestProfileOffline(t *testing.T) {
 	}
 	failed, err := c.ProfileOffline(OfflineConfig{
 		// Two containers of 4 threads at 20ms: saturation ~24k/min.
-		Rates:     []float64{2_000, 8_000, 14_000, 19_000, 23_000},
-		Levels:    []workload.Interference{{CPU: 0.1, Mem: 0.1}, {CPU: 0.5, Mem: 0.4}, {CPU: 0.3, Mem: 0.6}},
-		WindowMin: 3,
+		Rates: []float64{2_000, 8_000, 14_000, 19_000, 23_000},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -347,6 +345,19 @@ func TestProfileOffline(t *testing.T) {
 	// The fitted model must predict more latency under heavier load.
 	if m.Predict(11_000, 0.1, 0.1) <= m.Predict(1_000, 0.1, 0.1) {
 		t.Fatal("fitted model not increasing in workload")
+	}
+	// At every profiled level it is non-negative and never falls as the
+	// workload grows — across the knee, where the high interval pooled over
+	// all six levels starts below zero at the lightest one.
+	for _, lvl := range workload.InterferenceLevels {
+		prev := 0.0
+		for w := 0.0; w <= 24_000; w += 250 {
+			v := m.Predict(w, lvl.CPU, lvl.Mem)
+			if v < prev {
+				t.Fatalf("level %+v: Predict(%v) = %v, below %v (knee %v)", lvl, w, v, prev, m.Knee(lvl.CPU, lvl.Mem))
+			}
+			prev = v
+		}
 	}
 	// Profiling cleaned up after itself.
 	if len(orch.Cluster().Containers()) != 0 {
@@ -378,9 +389,7 @@ func TestEvaluateWithOfflineProfiledModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := c.ProfileOffline(OfflineConfig{
-		Rates:     []float64{3_000, 12_000, 22_000, 28_000, 31_000},
-		Levels:    []workload.Interference{{CPU: 0.1, Mem: 0.1}, {CPU: 0.4, Mem: 0.3}, {CPU: 0.2, Mem: 0.55}},
-		WindowMin: 3,
+		Rates: []float64{3_000, 12_000, 22_000, 28_000, 31_000},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -410,8 +419,6 @@ func TestProfileOfflineFromTraces(t *testing.T) {
 	}
 	failed, err := c.ProfileOffline(OfflineConfig{
 		Rates:      []float64{2_000, 8_000, 14_000, 19_000, 23_000},
-		Levels:     []workload.Interference{{CPU: 0.1, Mem: 0.1}, {CPU: 0.5, Mem: 0.4}, {CPU: 0.3, Mem: 0.6}},
-		WindowMin:  3,
 		FromTraces: true,
 	})
 	if err != nil {

@@ -59,24 +59,9 @@ type Config struct {
 	Threshold float64
 	// Consecutive is the hysteresis depth: a microservice must stay over
 	// threshold for this many consecutive evaluated windows before a re-fit
-	// fires. Windows with no signal (observability gaps, too few samples)
+	// fires. Windows with no signal (observability gaps, no usable sample)
 	// neither extend nor reset the streak. Default 2.
 	Consecutive int
-	// MinSamples is the minimum number of live samples a window must carry
-	// for a microservice to be scored at all. Default 1.
-	MinSamples int
-	// MaxRatio clamps one recalibration step to [1/MaxRatio, MaxRatio].
-	// Under-correction is safe — the next still-drifted streak compounds
-	// another step — while an unclamped ratio taken during a queueing storm
-	// could demand absurd allocations. Default 4.
-	MaxRatio float64
-	// MinRefitSamples and MinDistinct gate the full segmented re-fit: the
-	// pooled streak must hold at least MinRefitSamples samples spanning at
-	// least MinDistinct distinct workloads (stats.FitSegmented is singular
-	// below that). Streaks failing the gate fall back to recalibration.
-	// Defaults 8 and 4.
-	MinRefitSamples int
-	MinDistinct     int
 	// Downward also treats observed latency far *below* prediction as drift
 	// (a dependency got faster; the model over-allocates). Off by default:
 	// the analytic/fitted models deliberately over-estimate, so downward
@@ -91,20 +76,22 @@ func (c Config) withDefaults() Config {
 	if c.Consecutive <= 0 {
 		c.Consecutive = 2
 	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 1
-	}
-	if c.MaxRatio <= 1 {
-		c.MaxRatio = 4
-	}
-	if c.MinRefitSamples <= 0 {
-		c.MinRefitSamples = 8
-	}
-	if c.MinDistinct < 2 {
-		c.MinDistinct = 4
-	}
 	return c
 }
+
+const (
+	// maxRatio clamps one recalibration step to [1/maxRatio, maxRatio].
+	// Under-correction is safe — the next still-drifted streak compounds
+	// another step — while an unclamped ratio taken during a queueing storm
+	// could demand absurd allocations.
+	maxRatio = 4
+	// minRefitSamples and minDistinct gate the full segmented re-fit: the
+	// pooled streak must hold at least minRefitSamples samples spanning at
+	// least minDistinct distinct workloads (stats.FitSegmented is singular
+	// below that). Streaks failing the gate fall back to recalibration.
+	minRefitSamples = 8
+	minDistinct     = 4
+)
 
 // Swap is one model replacement the detector decided on: hand Model to the
 // planner under Microservice's key and the drift is absorbed.
@@ -165,9 +152,10 @@ func (d *Detector) Stats() Stats { return d.stats }
 // any earlier swaps). It returns the model swaps the window triggered, in
 // sorted microservice order; the caller owns installing them.
 //
-// A microservice absent from samples, or present with fewer than MinSamples
-// usable points, is a no-signal window for it: the streak neither advances
-// nor resets (an observability gap must not erase accumulated evidence).
+// A microservice absent from samples, or present with no usable point (a
+// positive observed tail and a positive finite prediction), is a no-signal
+// window for it: the streak neither advances nor resets (an observability
+// gap must not erase accumulated evidence).
 func (d *Detector) ObserveWindow(models map[string]profiling.Model, samples map[string][]profiling.Sample) []Swap {
 	d.stats.Windows++
 	mss := make([]string, 0, len(samples))
@@ -195,7 +183,7 @@ func (d *Detector) ObserveWindow(models map[string]profiling.Model, samples map[
 			usable = append(usable, s)
 			ratios = append(ratios, s.TailMs/pred)
 		}
-		if len(usable) < d.cfg.MinSamples {
+		if len(usable) == 0 {
 			continue // no signal: streak untouched
 		}
 		st, ok := d.state[ms]
@@ -262,7 +250,7 @@ func (d *Detector) refit(ms string, old profiling.Model, pending []profiling.Sam
 // model the planner can consume: non-negative slopes (floored later), a
 // positive latency floor, and a positive knee.
 func (d *Detector) segmentedRefit(ms string, pending []profiling.Sample) (profiling.Model, bool) {
-	if len(pending) < d.cfg.MinRefitSamples {
+	if len(pending) < minRefitSamples {
 		return nil, false
 	}
 	distinct := make(map[float64]bool, len(pending))
@@ -277,7 +265,7 @@ func (d *Detector) segmentedRefit(ms string, pending []profiling.Sample) (profil
 			maxW = s.Workload
 		}
 	}
-	if len(distinct) < d.cfg.MinDistinct {
+	if len(distinct) < minDistinct {
 		return nil, false
 	}
 	seg, err := stats.FitSegmented(xs, ys, 2)
@@ -303,7 +291,7 @@ func (d *Detector) segmentedRefit(ms string, pending []profiling.Sample) (profil
 // well past the service-time shift that caused them, so the estimate is
 // taken at a conservative quantile on the drift side: the 25th percentile
 // for upward drift (closest to the uncontended samples), the 75th for
-// downward. The result is clamped to [1/MaxRatio, MaxRatio].
+// downward. The result is clamped to [1/maxRatio, maxRatio].
 func (d *Detector) recalibrationRatio(ratios []float64) float64 {
 	med := stats.Quantile(ratios, 0.5)
 	q := 0.25
@@ -314,11 +302,11 @@ func (d *Detector) recalibrationRatio(ratios []float64) float64 {
 	if math.IsNaN(r) || r <= 0 {
 		return 1
 	}
-	if r > d.cfg.MaxRatio {
-		r = d.cfg.MaxRatio
+	if r > maxRatio {
+		r = maxRatio
 	}
-	if r < 1/d.cfg.MaxRatio {
-		r = 1 / d.cfg.MaxRatio
+	if r < 1.0/maxRatio {
+		r = 1.0 / maxRatio
 	}
 	return r
 }

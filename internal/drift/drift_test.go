@@ -128,17 +128,18 @@ func TestConsecutiveDriftSwaps(t *testing.T) {
 
 func TestNoSignalWindowPreservesStreak(t *testing.T) {
 	m := lineModel{slope: 0.01, b: 10, knee: 1000}
-	d := NewDetector(Config{Threshold: 0.75, Consecutive: 2, MinSamples: 2})
+	d := NewDetector(Config{Threshold: 0.75, Consecutive: 2})
 	models := map[string]profiling.Model{"svc": m}
 	if swaps := d.ObserveWindow(models, map[string][]profiling.Sample{"svc": window(m, 4, 100, 3)}); len(swaps) != 0 {
 		t.Fatal("early swap")
 	}
-	// Observability gap: no samples at all, then a window with too few.
+	// Observability gap: no samples at all, then a window whose only samples
+	// carry no tail latency.
 	if swaps := d.ObserveWindow(models, map[string][]profiling.Sample{}); len(swaps) != 0 {
 		t.Fatal("swap on empty window")
 	}
-	if swaps := d.ObserveWindow(models, map[string][]profiling.Sample{"svc": window(m, 1, 100, 3)}); len(swaps) != 0 {
-		t.Fatal("swap on under-sampled window")
+	if swaps := d.ObserveWindow(models, map[string][]profiling.Sample{"svc": window(m, 4, 100, 0)}); len(swaps) != 0 {
+		t.Fatal("swap on a window with no usable sample")
 	}
 	// The streak survived the gaps: one more drifted window completes it.
 	if swaps := d.ObserveWindow(models, map[string][]profiling.Sample{"svc": window(m, 4, 100, 3)}); len(swaps) != 1 {
@@ -180,14 +181,14 @@ func TestDownwardDriftGated(t *testing.T) {
 
 func TestRecalibrationRatioClamped(t *testing.T) {
 	m := lineModel{slope: 0.01, b: 10, knee: 1000}
-	d := NewDetector(Config{Threshold: 0.75, Consecutive: 1, MaxRatio: 4})
+	d := NewDetector(Config{Threshold: 0.75, Consecutive: 1})
 	models := map[string]profiling.Model{"svc": m}
 	swaps := d.ObserveWindow(models, map[string][]profiling.Sample{"svc": window(m, 4, 100, 25)})
 	if len(swaps) != 1 {
 		t.Fatalf("%d swaps", len(swaps))
 	}
-	if swaps[0].Ratio != 4 {
-		t.Fatalf("ratio = %v, want clamped to 4", swaps[0].Ratio)
+	if swaps[0].Ratio != maxRatio {
+		t.Fatalf("ratio = %v, want clamped to %v", swaps[0].Ratio, maxRatio)
 	}
 }
 
@@ -210,7 +211,8 @@ func TestSegmentedRefitPath(t *testing.T) {
 		}
 		return out
 	}
-	d := NewDetector(Config{Threshold: 0.75, Consecutive: 2, MinRefitSamples: 8, MinDistinct: 4})
+	// Two windows of 8 samples clear minRefitSamples and minDistinct.
+	d := NewDetector(Config{Threshold: 0.75, Consecutive: 2})
 	models := map[string]profiling.Model{"svc": frozen}
 	d.ObserveWindow(models, map[string][]profiling.Sample{"svc": mk(50, 400, 8)})
 	swaps := d.ObserveWindow(models, map[string][]profiling.Sample{"svc": mk(100, 600, 8)})
@@ -301,8 +303,7 @@ func TestSegmentModelConstruction(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	d := NewDetector(Config{})
 	c := d.cfg
-	if c.Threshold != 0.75 || c.Consecutive != 2 || c.MinSamples != 1 ||
-		c.MaxRatio != 4 || c.MinRefitSamples != 8 || c.MinDistinct != 4 || c.Downward {
+	if c.Threshold != 0.75 || c.Consecutive != 2 || c.Downward {
 		t.Fatalf("defaults = %+v", c)
 	}
 }

@@ -1,12 +1,12 @@
 // Package experiments contains one driver per table/figure of the paper's
 // evaluation (§2, §6). Each driver regenerates the corresponding data series
 // — who wins, by what factor, where crossovers fall — against this repo's
-// simulated substrate. Drivers are shared by the bench harness
-// (bench_test.go) and the cmd/experiments CLI.
+// simulated substrate. The cmd/experiments CLI runs them; this package's
+// tests pin their quick tables against goldens under testdata.
 //
 // Every driver accepts a quick flag: quick runs shrink simulation time and
-// sweep sizes to keep `go test -bench` snappy; full runs (the CLI default)
-// use larger sweeps.
+// sweep sizes to keep the tests and `cmd/experiments -quick` snappy; full
+// runs (the CLI default) use larger sweeps.
 package experiments
 
 import (

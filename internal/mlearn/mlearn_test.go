@@ -26,7 +26,7 @@ func stepData(n int, seed uint64) ([][]float64, []float64) {
 
 func TestTreeLearnsStep(t *testing.T) {
 	x, y := stepData(500, 1)
-	tr, err := FitTree(x, y, TreeConfig{MaxDepth: 3})
+	tr, err := FitTree(x, y, TreeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,13 +45,24 @@ func TestTreeLearnsStep(t *testing.T) {
 }
 
 func TestTreeRespectsDepthAndLeafLimits(t *testing.T) {
-	x, y := stepData(200, 2)
-	tr, err := FitTree(x, y, TreeConfig{MaxDepth: 1, MinLeaf: 10})
+	// A smooth nonlinear target rewards every split, so growth stops only at
+	// the limits.
+	x, y := nonlinearData(200, 2)
+	tr, err := FitTree(x, y, TreeConfig{MinLeaf: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if depth(tr) > 1 {
-		t.Fatalf("depth = %d", depth(tr))
+	if depth(tr) != maxDepth {
+		t.Fatalf("depth = %d, want the cap %d", depth(tr), maxDepth)
+	}
+	rows := map[*Tree]int{}
+	for _, row := range x {
+		rows[leafOf(tr, row)]++
+	}
+	for leaf, n := range rows {
+		if n < 10 {
+			t.Fatalf("leaf %v holds %d training rows, want >= MinLeaf 10", leaf, n)
+		}
 	}
 }
 
@@ -84,7 +95,7 @@ func TestTreeErrors(t *testing.T) {
 
 func TestTreeThresholdSubsampling(t *testing.T) {
 	x, y := stepData(2000, 3)
-	tr, err := FitTree(x, y, TreeConfig{MaxDepth: 3, MaxThresholds: 16})
+	tr, err := FitTree(x, y, TreeConfig{MaxThresholds: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +119,11 @@ func nonlinearData(n int, seed uint64) ([][]float64, []float64) {
 
 func TestGBDTFitsNonlinear(t *testing.T) {
 	x, y := nonlinearData(800, 5)
-	g, err := FitGBDT(x, y, GBDTConfig{Trees: 120, LearningRate: 0.1})
+	g, err := FitGBDT(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.trees) != 120 {
+	if len(g.trees) != gbdtTrees {
 		t.Fatalf("trees = %d", len(g.trees))
 	}
 	tx, ty := nonlinearData(300, 6)
@@ -129,8 +140,8 @@ func TestGBDTFitsNonlinear(t *testing.T) {
 func TestGBDTBeatsSingleTree(t *testing.T) {
 	x, y := nonlinearData(1000, 7)
 	tx, ty := nonlinearData(300, 8)
-	tr, _ := FitTree(x, y, TreeConfig{MaxDepth: 3})
-	g, _ := FitGBDT(x, y, GBDTConfig{Trees: 80})
+	tr, _ := FitTree(x, y, TreeConfig{})
+	g, _ := FitGBDT(x, y)
 	var treeSSE, gbdtSSE float64
 	for i := range tx {
 		d1 := tr.Predict(tx[i]) - ty[i]
@@ -144,7 +155,7 @@ func TestGBDTBeatsSingleTree(t *testing.T) {
 }
 
 func TestGBDTErrors(t *testing.T) {
-	if _, err := FitGBDT(nil, nil, GBDTConfig{}); err == nil {
+	if _, err := FitGBDT(nil, nil); err == nil {
 		t.Fatal("empty input accepted")
 	}
 }
@@ -159,7 +170,7 @@ func TestNNFitsLinear(t *testing.T) {
 		x[i] = []float64{a, b}
 		y[i] = 2*a - b + 5
 	}
-	net, err := FitNN(x, y, NNConfig{Hidden: 16, Epochs: 150, Seed: 1})
+	net, err := FitNN(x, y, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +194,7 @@ func TestNNFitsLinear(t *testing.T) {
 
 func TestNNFitsNonlinear(t *testing.T) {
 	x, y := nonlinearData(800, 11)
-	net, err := FitNN(x, y, NNConfig{Hidden: 32, Epochs: 200, Seed: 2, LearningRate: 0.02})
+	net, err := FitNN(x, y, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +211,11 @@ func TestNNFitsNonlinear(t *testing.T) {
 
 func TestNNDeterministicGivenSeed(t *testing.T) {
 	x, y := nonlinearData(200, 13)
-	a, err := FitNN(x, y, NNConfig{Hidden: 8, Epochs: 20, Seed: 3})
+	a, err := FitNN(x, y, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := FitNN(x, y, NNConfig{Hidden: 8, Epochs: 20, Seed: 3})
+	b, _ := FitNN(x, y, 3)
 	probe := []float64{1.5, 2.5}
 	if a.Predict(probe) != b.Predict(probe) {
 		t.Fatal("NN training not deterministic for fixed seed")
@@ -212,12 +223,24 @@ func TestNNDeterministicGivenSeed(t *testing.T) {
 }
 
 func TestNNErrors(t *testing.T) {
-	if _, err := FitNN(nil, nil, NNConfig{}); err == nil {
+	if _, err := FitNN(nil, nil, 0); err == nil {
 		t.Fatal("empty input accepted")
 	}
-	if _, err := FitNN([][]float64{{1}, {1, 2}}, []float64{1, 2}, NNConfig{}); err == nil {
+	if _, err := FitNN([][]float64{{1}, {1, 2}}, []float64{1, 2}, 0); err == nil {
 		t.Fatal("ragged input accepted")
 	}
+}
+
+// leafOf returns the leaf the feature vector falls into.
+func leafOf(t *Tree, x []float64) *Tree {
+	for !t.leaf {
+		if x[t.feature] <= t.threshold {
+			t = t.left
+		} else {
+			t = t.right
+		}
+	}
+	return t
 }
 
 // depth returns the tree depth (0 for a single leaf).

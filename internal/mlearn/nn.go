@@ -6,36 +6,14 @@ import (
 	"erms/internal/stats"
 )
 
-// NNConfig configures the feed-forward network baseline: the paper's Fig. 10
-// compares against a three-layer network with 64 neurons.
-type NNConfig struct {
-	// Hidden is the width of the hidden layer. Default 64.
-	Hidden int
-	// Epochs is the number of passes over the training set. Default 200.
-	Epochs int
-	// LearningRate for SGD. Default 0.01.
-	LearningRate float64
-	// Batch is the minibatch size. Default 32.
-	Batch int
-	// Seed controls weight initialization and shuffling.
-	Seed uint64
-}
-
-func (c NNConfig) withDefaults() NNConfig {
-	if c.Hidden <= 0 {
-		c.Hidden = 64
-	}
-	if c.Epochs <= 0 {
-		c.Epochs = 200
-	}
-	if c.LearningRate <= 0 {
-		c.LearningRate = 0.01
-	}
-	if c.Batch <= 0 {
-		c.Batch = 32
-	}
-	return c
-}
+// The network baseline is the paper's Fig. 10 comparison: a three-layer
+// network with 64 hidden neurons, trained by minibatch SGD.
+const (
+	nnHidden       = 64
+	nnEpochs       = 120
+	nnLearningRate = 0.01
+	nnBatch        = 32
+)
 
 // NN is a fitted input→hidden(ReLU)→output regression network with input and
 // target standardization baked into Predict.
@@ -52,12 +30,12 @@ type NN struct {
 	yMean, yStd float64
 }
 
-// FitNN trains the network with minibatch SGD on squared loss.
-func FitNN(x [][]float64, y []float64, cfg NNConfig) (*NN, error) {
+// FitNN trains the network with minibatch SGD on squared loss; seed controls
+// weight initialization and shuffling.
+func FitNN(x [][]float64, y []float64, seed uint64) (*NN, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, errors.New("mlearn: FitNN empty or mismatched input")
 	}
-	cfg = cfg.withDefaults()
 	d := len(x[0])
 	for _, row := range x {
 		if len(row) != d {
@@ -67,10 +45,10 @@ func FitNN(x [][]float64, y []float64, cfg NNConfig) (*NN, error) {
 	n := len(x)
 	net := &NN{
 		inDim:  d,
-		hidden: cfg.Hidden,
-		w1:     make([]float64, cfg.Hidden*d),
-		b1:     make([]float64, cfg.Hidden),
-		w2:     make([]float64, cfg.Hidden),
+		hidden: nnHidden,
+		w1:     make([]float64, nnHidden*d),
+		b1:     make([]float64, nnHidden),
+		w2:     make([]float64, nnHidden),
 		xMean:  make([]float64, d),
 		xStd:   make([]float64, d),
 	}
@@ -106,7 +84,7 @@ func FitNN(x [][]float64, y []float64, cfg NNConfig) (*NN, error) {
 		ys[i] = (y[i] - net.yMean) / net.yStd
 	}
 
-	r := stats.NewRNG(cfg.Seed + 1)
+	r := stats.NewRNG(seed + 1)
 	for i := range net.w1 {
 		net.w1[i] = r.NormFloat64() * 0.3
 	}
@@ -114,26 +92,26 @@ func FitNN(x [][]float64, y []float64, cfg NNConfig) (*NN, error) {
 		net.w2[i] = r.NormFloat64() * 0.3
 	}
 
-	hid := make([]float64, cfg.Hidden)
+	hid := make([]float64, nnHidden)
 	gw1 := make([]float64, len(net.w1))
-	gb1 := make([]float64, cfg.Hidden)
-	gw2 := make([]float64, cfg.Hidden)
+	gb1 := make([]float64, nnHidden)
+	gw2 := make([]float64, nnHidden)
 
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < nnEpochs; epoch++ {
 		r.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for start := 0; start < n; start += cfg.Batch {
-			end := start + cfg.Batch
+		for start := 0; start < n; start += nnBatch {
+			end := start + nnBatch
 			if end > n {
 				end = n
 			}
 			for i := range gw1 {
 				gw1[i] = 0
 			}
-			for i := 0; i < cfg.Hidden; i++ {
+			for i := 0; i < nnHidden; i++ {
 				gb1[i], gw2[i] = 0, 0
 			}
 			gb2 := 0.0
@@ -141,7 +119,7 @@ func FitNN(x [][]float64, y []float64, cfg NNConfig) (*NN, error) {
 				in := xs[idx]
 				// Forward.
 				out := net.b2
-				for h := 0; h < cfg.Hidden; h++ {
+				for h := 0; h < nnHidden; h++ {
 					z := net.b1[h]
 					base := h * d
 					for f := 0; f < d; f++ {
@@ -156,7 +134,7 @@ func FitNN(x [][]float64, y []float64, cfg NNConfig) (*NN, error) {
 				// Backward (squared loss).
 				diff := out - ys[idx]
 				gb2 += diff
-				for h := 0; h < cfg.Hidden; h++ {
+				for h := 0; h < nnHidden; h++ {
 					gw2[h] += diff * hid[h]
 					if hid[h] > 0 {
 						gh := diff * net.w2[h]
@@ -168,11 +146,11 @@ func FitNN(x [][]float64, y []float64, cfg NNConfig) (*NN, error) {
 					}
 				}
 			}
-			scale := cfg.LearningRate / float64(end-start)
+			scale := nnLearningRate / float64(end-start)
 			for i := range net.w1 {
 				net.w1[i] -= scale * gw1[i]
 			}
-			for h := 0; h < cfg.Hidden; h++ {
+			for h := 0; h < nnHidden; h++ {
 				net.b1[h] -= scale * gb1[h]
 				net.w2[h] -= scale * gw2[h]
 			}

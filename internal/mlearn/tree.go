@@ -11,10 +11,11 @@ import (
 	"sort"
 )
 
+// maxDepth limits regression-tree depth (the root is depth 0).
+const maxDepth = 3
+
 // TreeConfig bounds regression-tree growth.
 type TreeConfig struct {
-	// MaxDepth limits tree depth (root is depth 0). Default 4.
-	MaxDepth int
 	// MinLeaf is the minimum samples per leaf. Default 5.
 	MinLeaf int
 	// MaxThresholds caps candidate split thresholds per feature (quantile
@@ -23,9 +24,6 @@ type TreeConfig struct {
 }
 
 func (c TreeConfig) withDefaults() TreeConfig {
-	if c.MaxDepth <= 0 {
-		c.MaxDepth = 4
-	}
 	if c.MinLeaf <= 0 {
 		c.MinLeaf = 5
 	}
@@ -81,7 +79,7 @@ func sse(y []float64, idx []int) float64 {
 }
 
 func grow(x [][]float64, y []float64, idx []int, cfg TreeConfig, depth int) *Tree {
-	if depth >= cfg.MaxDepth || len(idx) < 2*cfg.MinLeaf {
+	if depth >= maxDepth || len(idx) < 2*cfg.MinLeaf {
 		return &Tree{leaf: true, value: mean(y, idx)}
 	}
 	parentSSE := sse(y, idx)
@@ -167,28 +165,17 @@ func (t *Tree) String() string {
 	return fmt.Sprintf("(x%d<=%.3g ? %s : %s)", t.feature, t.threshold, t.left, t.right)
 }
 
-// GBDTConfig configures gradient-boosted regression trees.
-type GBDTConfig struct {
-	// Trees is the ensemble size. Default 100.
-	Trees int
-	// LearningRate shrinks each tree's contribution. Default 0.1.
-	LearningRate float64
-}
+// The boosted ensemble is gbdtTrees trees, each contribution shrunk by
+// gbdtLearningRate.
+const (
+	gbdtTrees        = 80
+	gbdtLearningRate = 0.1
+)
 
 // gbdtTree bounds the base learners. Quantile subsampling of the split
 // thresholds keeps boosting fast on large profiles without hurting split
 // quality materially.
-var gbdtTree = TreeConfig{MaxDepth: 3, MaxThresholds: 32}
-
-func (c GBDTConfig) withDefaults() GBDTConfig {
-	if c.Trees <= 0 {
-		c.Trees = 100
-	}
-	if c.LearningRate <= 0 {
-		c.LearningRate = 0.1
-	}
-	return c
-}
+var gbdtTree = TreeConfig{MaxThresholds: 32}
 
 // GBDT is a fitted gradient-boosted tree ensemble (squared loss).
 type GBDT struct {
@@ -199,23 +186,22 @@ type GBDT struct {
 
 // FitGBDT fits the ensemble by steepest-descent boosting on squared loss:
 // each tree regresses the current residuals.
-func FitGBDT(x [][]float64, y []float64, cfg GBDTConfig) (*GBDT, error) {
+func FitGBDT(x [][]float64, y []float64) (*GBDT, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, errors.New("mlearn: FitGBDT empty or mismatched input")
 	}
-	cfg = cfg.withDefaults()
 	base := 0.0
 	for _, v := range y {
 		base += v
 	}
 	base /= float64(len(y))
-	model := &GBDT{base: base, rate: cfg.LearningRate}
+	model := &GBDT{base: base, rate: gbdtLearningRate}
 	pred := make([]float64, len(y))
 	for i := range pred {
 		pred[i] = base
 	}
 	resid := make([]float64, len(y))
-	for k := 0; k < cfg.Trees; k++ {
+	for k := 0; k < gbdtTrees; k++ {
 		for i := range y {
 			resid[i] = y[i] - pred[i]
 		}
@@ -225,7 +211,7 @@ func FitGBDT(x [][]float64, y []float64, cfg GBDTConfig) (*GBDT, error) {
 		}
 		model.trees = append(model.trees, t)
 		for i := range pred {
-			pred[i] += cfg.LearningRate * t.Predict(x[i])
+			pred[i] += gbdtLearningRate * t.Predict(x[i])
 		}
 	}
 	return model, nil

@@ -115,25 +115,24 @@ type Generation struct {
 	scenario *spec.Scenario
 }
 
-// Config parameterizes the rollout state machine.
+// Config parameterizes the rollout state machine. New rejects a value
+// outside its range; zero keeps the default.
 type Config struct {
 	// CanaryFraction is the slice of services (and of traffic, and of
-	// cluster capacity) the canary sandbox gets. Default 0.25; clamped to
-	// (0, 1].
+	// cluster capacity) the canary sandbox gets, in [0, 1]. Default 0.25.
 	CanaryFraction float64
 	// CanaryWindows is how many consecutive clean canary windows promote
-	// the candidate. Default 3, min 1.
+	// the candidate. Default 3.
 	CanaryWindows int
 	// SoakWindows is how many clean full-fleet windows after promotion
-	// commit the generation. Default 2; 0 commits right after the promoting
-	// window.
+	// commit the generation; 0 commits right after the promoting window.
 	SoakWindows int
 	// MaxViolationRate is the per-window guardrail on the worst service's
-	// SLA-violation probability. Default 0.05.
+	// SLA-violation probability, in [0, 1]. Default 0.05.
 	MaxViolationRate float64
 	// MaxErrorRate is the per-window guardrail on the worst service's
 	// outright-error rate (data-plane resilience enabled; ignored
-	// otherwise). Default 0.05.
+	// otherwise), in [0, 1]. Default 0.05.
 	MaxErrorRate float64
 	// ChaosWindows sizes the fault schedule when the bootstrap spec carries
 	// a chaos block and the operator will run past the spec horizon. 0 uses
@@ -141,20 +140,49 @@ type Config struct {
 	ChaosWindows int
 }
 
+// validate rejects a configuration whose guardrails cannot mean what they
+// say: a fraction or rate that is NaN (every comparison with NaN is false,
+// so a NaN guardrail never fires), infinite, negative or above 1, and a
+// negative window count.
+func (c Config) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"CanaryFraction", c.CanaryFraction},
+		{"MaxViolationRate", c.MaxViolationRate},
+		{"MaxErrorRate", c.MaxErrorRate},
+	} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("operator: %s must be in [0, 1] (0 = default), got %g", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"CanaryWindows", c.CanaryWindows},
+		{"SoakWindows", c.SoakWindows},
+		{"ChaosWindows", c.ChaosWindows},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("operator: %s must be >= 0, got %d", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
-	if c.CanaryFraction <= 0 || c.CanaryFraction > 1 {
+	if c.CanaryFraction == 0 {
 		c.CanaryFraction = 0.25
 	}
-	if c.CanaryWindows < 1 {
+	if c.CanaryWindows == 0 {
 		c.CanaryWindows = 3
 	}
-	if c.SoakWindows < 0 {
-		c.SoakWindows = 2
-	}
-	if c.MaxViolationRate <= 0 {
+	if c.MaxViolationRate == 0 {
 		c.MaxViolationRate = 0.05
 	}
-	if c.MaxErrorRate <= 0 {
+	if c.MaxErrorRate == 0 {
 		c.MaxErrorRate = 0.05
 	}
 	return c
@@ -233,6 +261,9 @@ const recentWindows = 8
 // any) becomes the fault schedule racing every rollout, and the scenario
 // itself becomes committed generation 1.
 func New(sc *spec.Scenario, cfg Config, rec *obs.Recorder) (*Operator, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	faults, err := sc.ChaosSchedule(cfg.ChaosWindows)
 	if err != nil {

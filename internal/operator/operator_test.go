@@ -3,6 +3,7 @@ package operator
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -151,6 +152,47 @@ func testConfig() Config {
 		SoakWindows:      1,
 		MaxViolationRate: 0.10,
 		MaxErrorRate:     0.10,
+	}
+}
+
+// TestNewRejectsOutOfRangeGuardrails: a guardrail that is NaN never fires
+// (v > NaN is false), and an out-of-range one used to be replaced by its
+// default without a word. New refuses both and names the field; zero still
+// selects the default.
+func TestNewRejectsOutOfRangeGuardrails(t *testing.T) {
+	sc := compileSpec(t, baseSpecYAML)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"CanaryFraction", func(c *Config) { c.CanaryFraction = nan }},
+		{"CanaryFraction", func(c *Config) { c.CanaryFraction = 1.5 }},
+		{"CanaryFraction", func(c *Config) { c.CanaryFraction = -0.25 }},
+		{"CanaryFraction", func(c *Config) { c.CanaryFraction = inf }},
+		{"MaxViolationRate", func(c *Config) { c.MaxViolationRate = nan }},
+		{"MaxViolationRate", func(c *Config) { c.MaxViolationRate = -1 }},
+		{"MaxViolationRate", func(c *Config) { c.MaxViolationRate = 2 }},
+		{"MaxErrorRate", func(c *Config) { c.MaxErrorRate = nan }},
+		{"MaxErrorRate", func(c *Config) { c.MaxErrorRate = -inf }},
+		{"MaxErrorRate", func(c *Config) { c.MaxErrorRate = 1.01 }},
+		{"CanaryWindows", func(c *Config) { c.CanaryWindows = -1 }},
+		{"SoakWindows", func(c *Config) { c.SoakWindows = -2 }},
+		{"ChaosWindows", func(c *Config) { c.ChaosWindows = -1 }},
+	} {
+		cfg := testConfig()
+		tc.set(&cfg)
+		if _, err := New(sc, cfg, nil); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: err = %v, want a refusal naming %s", cfg, err, tc.field)
+		}
+	}
+	o, err := New(sc, Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Config{CanaryFraction: 0.25, CanaryWindows: 3, MaxViolationRate: 0.05, MaxErrorRate: 0.05}
+	if o.Cfg != want {
+		t.Errorf("zero Config became %+v, want the defaults %+v", o.Cfg, want)
 	}
 }
 

@@ -37,7 +37,7 @@ func FitGBDTBaseline(samples []Sample) (Predictor, error) {
 		return nil, fmt.Errorf("profiling: gbdt baseline needs more samples, got %d", len(samples))
 	}
 	x, y := toXY(samples)
-	m, err := mlearn.FitGBDT(x, y, mlearn.GBDTConfig{Trees: 80, LearningRate: 0.1})
+	m, err := mlearn.FitGBDT(x, y)
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +58,7 @@ func FitNNBaseline(samples []Sample, seed uint64) (Predictor, error) {
 		return nil, fmt.Errorf("profiling: nn baseline needs more samples, got %d", len(samples))
 	}
 	x, y := toXY(samples)
-	m, err := mlearn.FitNN(x, y, mlearn.NNConfig{Hidden: 64, Epochs: 120, Seed: seed})
+	m, err := mlearn.FitNN(x, y, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -109,26 +109,36 @@ func (f *Fitted) Knee(cpuUtil, memUtil float64) float64 {
 }
 
 // Params returns (a, b) of the selected interval at the given interference.
+// The high interval's intercept is raised where needed so its line starts
+// no lower than the low line at the knee: the tightest line of the high
+// slope that bounds Predict from above past the knee.
 func (f *Fitted) Params(high bool, cpuUtil, memUtil float64) (float64, float64) {
-	iv := f.Low
-	if high {
-		iv = f.High
+	if !high {
+		return f.Low.Slope(cpuUtil, memUtil), f.Low.B
 	}
-	return iv.Slope(cpuUtil, memUtil), iv.B
+	a := f.High.Slope(cpuUtil, memUtil)
+	k := f.Knee(cpuUtil, memUtil)
+	return a, math.Max(f.High.B, f.Low.Predict(k, cpuUtil, memUtil)-a*k)
 }
 
-// Predict evaluates the piece-wise model.
+// Predict evaluates the piece-wise model. Past the knee it never predicts
+// less than the low line does at the knee: the high interval is one fit
+// pooled over every level's post-knee samples, the heavy levels' steep tails
+// can dominate it, and at a light level its line can then start far below
+// the low line — even below zero — just past the knee.
 func (f *Fitted) Predict(workload, cpuUtil, memUtil float64) float64 {
-	if workload <= f.Knee(cpuUtil, memUtil) {
+	k := f.Knee(cpuUtil, memUtil)
+	if workload <= k {
 		return f.Low.Predict(workload, cpuUtil, memUtil)
 	}
-	return f.High.Predict(workload, cpuUtil, memUtil)
+	return math.Max(f.High.Predict(workload, cpuUtil, memUtil), f.Low.Predict(k, cpuUtil, memUtil))
 }
+
+// gridStep buckets (C, M) for per-bucket knee detection.
+const gridStep = 0.1
 
 // FitConfig tunes the fitting procedure.
 type FitConfig struct {
-	// GridStep buckets (C, M) for per-bucket knee detection. Default 0.1.
-	GridStep float64
 	// MinBucket is the minimum samples per interference bucket for knee
 	// detection. Default 8.
 	MinBucket int
@@ -137,12 +147,9 @@ type FitConfig struct {
 // kneeTree bounds the σ decision tree. One knee observation per interference
 // bucket is the common case (one σ estimate per profiled level), so leaves of
 // size one are legitimate.
-var kneeTree = mlearn.TreeConfig{MaxDepth: 3, MinLeaf: 1}
+var kneeTree = mlearn.TreeConfig{MinLeaf: 1}
 
 func (c FitConfig) withDefaults() FitConfig {
-	if c.GridStep <= 0 {
-		c.GridStep = 0.1
-	}
 	if c.MinBucket <= 0 {
 		c.MinBucket = 8
 	}
@@ -171,7 +178,7 @@ func Fit(microservice string, samples []Sample, cfg FitConfig) (*Fitted, error) 
 	}
 	buckets := make(map[[2]int]*bucket)
 	for _, s := range samples {
-		k := [2]int{int(s.CPUUtil / cfg.GridStep), int(s.MemUtil / cfg.GridStep)}
+		k := [2]int{int(s.CPUUtil / gridStep), int(s.MemUtil / gridStep)}
 		b, ok := buckets[k]
 		if !ok {
 			b = &bucket{}

@@ -75,6 +75,44 @@ func TestFitSlopeGrowsWithInterference(t *testing.T) {
 	}
 }
 
+func TestFittedHighIntervalStartsAtTheKnee(t *testing.T) {
+	// A pooled high interval steep enough for heavy levels starts far below
+	// the low line (and below zero) at a light level's knee.
+	f := &Fitted{
+		Low:         Interval{C: 0.002, B: 5},
+		High:        Interval{AlphaCPU: 0.2, C: 0.01, B: -500},
+		kneeDefault: 4000,
+	}
+	for _, lvl := range workload.InterferenceLevels {
+		k := f.Knee(lvl.CPU, lvl.Mem)
+		atKnee := f.Low.Predict(k, lvl.CPU, lvl.Mem)
+		prev := 0.0
+		for w := 0.0; w <= 3*k; w += k / 20 {
+			v := f.Predict(w, lvl.CPU, lvl.Mem)
+			if v < prev {
+				t.Fatalf("level %+v: Predict(%v) = %v, below %v", lvl, w, v, prev)
+			}
+			prev = v
+		}
+		// The planner's high line bounds Predict from above past the knee
+		// and starts no lower than the low line at the knee.
+		a, b := f.Params(true, lvl.CPU, lvl.Mem)
+		if a*k+b < atKnee-1e-9 {
+			t.Fatalf("level %+v: high line at knee %v < low line %v", lvl, a*k+b, atKnee)
+		}
+		for w := k; w <= 3*k; w += k / 20 {
+			if v := f.Predict(w, lvl.CPU, lvl.Mem); a*w+b < v-1e-9 {
+				t.Fatalf("level %+v: high line %v below Predict %v at %v", lvl, a*w+b, v, w)
+			}
+		}
+	}
+	// A high line already above the low one at the knee is left as fitted.
+	f.High.B = 50
+	if _, b := f.Params(true, 0.1, 0.1); b != 50 {
+		t.Fatalf("intercept of a continuous fit moved: %v", b)
+	}
+}
+
 func TestFitErrors(t *testing.T) {
 	if _, err := Fit("ms", nil, FitConfig{}); err == nil {
 		t.Fatal("empty samples accepted")

@@ -6,13 +6,13 @@ import (
 	"erms/internal/queueing"
 )
 
-// FluidConfig tunes the hybrid fluid/discrete fast path (Config.Fluid).
+// The hybrid fluid/discrete fast path (PartitionOpts.Mode = SimHybrid).
 //
 // The fidelity contract: each simulated minute, every microservice is
 // classified as fluid or exact. A microservice is fluid when its containers'
 // M/M/c utilization (arrival rate from the pre-materialized arrival lists,
 // service rate from the profile inflated by the current host interference)
-// is at or below RhoMax — i.e. the operating point sits well below the
+// is at or below fluidRhoMax — i.e. the operating point sits well below the
 // latency knee, where the analytic queueing model is trustworthy (the same
 // observation Erms' piecewise-linear latency models rest on). Fluid calls
 // draw their latency from the Erlang-C waiting-time distribution plus the
@@ -26,32 +26,19 @@ import (
 // per-minute call counts are credited at the subtree root's arrival instant,
 // and fluid MinuteSamples synthesize TailMs/MeanMs from the model rather
 // than from per-request observations.
-type FluidConfig struct {
-	// RhoMax is the per-container M/M/c utilization at or below which a
-	// microservice is served from the analytic model. Default 0.6 — safely
-	// below the knee for the thread counts this repo simulates.
-	RhoMax float64
-	// TailQuantile is the quantile synthesized into MinuteSample.TailMs for
-	// fluid minutes. Default 0.95, matching the exact engine's reservoir
-	// quantile.
-	TailQuantile float64
-	// WaitBoundMs caps analytic waiting-time draws (the exponential branch of
-	// the Erlang-C wait is unbounded). Default 10000.
-	WaitBoundMs float64
-}
-
-func (c FluidConfig) withDefaults() FluidConfig {
-	if c.RhoMax <= 0 {
-		c.RhoMax = 0.6
-	}
-	if c.TailQuantile <= 0 || c.TailQuantile >= 1 {
-		c.TailQuantile = 0.95
-	}
-	if c.WaitBoundMs <= 0 {
-		c.WaitBoundMs = 10_000
-	}
-	return c
-}
+const (
+	// fluidRhoMax is the per-container M/M/c utilization at or below which a
+	// microservice is served from the analytic model: safely below the knee
+	// for the thread counts this repo simulates.
+	fluidRhoMax = 0.6
+	// fluidTailQuantile is the quantile synthesized into MinuteSample.TailMs
+	// for fluid minutes, matching the exact engine's reservoir quantile. It
+	// is a float64 so that 2q−1 rounds as it does at run time.
+	fluidTailQuantile float64 = 0.95
+	// fluidWaitBoundMs caps analytic waiting-time draws (the exponential
+	// branch of the Erlang-C wait is unbounded).
+	fluidWaitBoundMs = 10_000
+)
 
 // fluidModel is the per-microservice analytic model for the current minute.
 type fluidModel struct {
@@ -69,7 +56,6 @@ type fluidModel struct {
 // single-threaded event loop, so all state is unsynchronized.
 type fluidState struct {
 	rt       *Runtime
-	cfg      FluidConfig
 	minutes  int
 	disabled bool // Resilience enabled: everything stays exact
 
@@ -87,7 +73,6 @@ type fluidState struct {
 func newFluidState(rt *Runtime) *fluidState {
 	return &fluidState{
 		rt:            rt,
-		cfg:           rt.cfg.Fluid.withDefaults(),
 		minutes:       int(rt.cfg.DurationMin),
 		pinned:        make(map[string]bool),
 		arrCounts:     make(map[string][]int),
@@ -211,28 +196,28 @@ func (f *fluidState) refresh(m int) {
 		threads := states[0].c.Spec.Threads
 		if prof.BaseMs <= 0 {
 			// Instantaneous service: always fluid, zero latency.
-			ms.model = fluidModel{waitBound: f.cfg.WaitBoundMs}
+			ms.model = fluidModel{waitBound: fluidWaitBoundMs}
 		} else {
 			mu := 1 / (prof.BaseMs * infl)
 			q := queueing.MMC{Lambda: lamC, Mu: mu, Servers: threads}
 			rho := q.Rho()
-			if rho > f.cfg.RhoMax {
+			if rho > fluidRhoMax {
 				f.exactCM += len(states)
 				continue
 			}
 			meanSvc := prof.BaseMs * infl
 			tailSvc := meanSvc
 			if prof.CV > 0 {
-				z := math.Sqrt2 * math.Erfinv(2*f.cfg.TailQuantile-1)
+				z := math.Sqrt2 * math.Erfinv(2*fluidTailQuantile-1)
 				tailSvc = math.Exp(ms.dist.Mu+z*ms.dist.Sigma) * infl
 			}
 			ms.model = fluidModel{
 				erlangC:   q.ErlangCBounded(),
 				exRate:    float64(threads)*mu - lamC,
-				waitBound: f.cfg.WaitBoundMs,
+				waitBound: fluidWaitBoundMs,
 				inflation: infl,
-				meanMs:    q.MeanWaitBounded(f.cfg.WaitBoundMs) + meanSvc,
-				tailMs:    q.WaitQuantileBounded(f.cfg.TailQuantile, f.cfg.WaitBoundMs) + tailSvc,
+				meanMs:    q.MeanWaitBounded(fluidWaitBoundMs) + meanSvc,
+				tailMs:    q.WaitQuantileBounded(fluidTailQuantile, fluidWaitBoundMs) + tailSvc,
 				rho:       rho,
 			}
 		}

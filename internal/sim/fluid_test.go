@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"erms/internal/cluster"
 )
 
 // TestHybridFidelity is the regression table guarding the fluid fast path:
@@ -79,12 +82,21 @@ func TestFluidEligibility(t *testing.T) {
 		}
 	})
 	t.Run("near-knee containers stay exact", func(t *testing.T) {
-		// One 4-thread container per microservice at 40k req/min puts every
-		// microservice's per-server utilization above 0.13; with RhoMax
-		// below that, everything must be simulated discretely.
-		sc := lockstepScenario{services: 2, block: 2, containersPerMS: 1, ratePerMin: 40000, seed: 5, durationMin: 1}
+		// 190k req/min per service on 4-thread containers puts every
+		// microservice's per-server utilization at 0.63, above fluidRhoMax and
+		// below saturation: one container per 0.8 ms entry, three per 1.2 ms
+		// pool microservice (each called by both services). Everything must be
+		// simulated discretely.
+		sc := lockstepScenario{services: 2, block: 2, containersPerMS: 1, ratePerMin: 190_000, seed: 5, durationMin: 1}
 		cfg := sc.build(t)
-		cfg.Fluid = &FluidConfig{RhoMax: 0.1}
+		for k := 0; k < 3; k++ {
+			for c := 0; c < 2; c++ {
+				spec := cluster.ContainerSpec{Microservice: fmt.Sprintf("pool-00-%d", k), CPU: 0.1, MemMB: 200, Threads: 4}
+				if _, err := cfg.Cluster.Place(spec, (2*k+c)%cfg.Cluster.NumHosts()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		res, err := RunPartitioned(cfg, PartitionOpts{Mode: SimHybrid})
 		if err != nil {
 			t.Fatal(err)
@@ -162,7 +174,6 @@ func TestFluidEligibility(t *testing.T) {
 }
 
 func withFluid(cfg Config) Config {
-	fl := FluidConfig{}
-	cfg.Fluid = &fl
+	cfg.fluid = true
 	return cfg
 }

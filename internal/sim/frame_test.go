@@ -16,7 +16,6 @@ import (
 // stages, return, record — allocates nothing.
 func TestRequestSteadyStateZeroAlloc(t *testing.T) {
 	cfg := lockstepScenario{services: 3, block: 3, containersPerMS: 1, ratePerMin: 1, seed: 5}.build(t)
-	cfg.LatencySampleCap = 64
 	cfg.Delta = 0.05
 	cfg.Priorities = map[string]map[string]int{
 		"pool-00-0": {"svc-000": 2, "svc-001": 0, "svc-002": 1},
@@ -37,7 +36,9 @@ func TestRequestSteadyStateZeroAlloc(t *testing.T) {
 		}
 		rt.advanceTo(rt.eng.Now() + 1000)
 	}
-	// Warm up past the end-to-end reservoirs' capacity (1<<15 per service).
+	// Warm up past the end-to-end reservoirs' capacity (1<<15 per service),
+	// which also fills every microservice's latencySampleCap reservoir: no
+	// minute tick drains them between bursts.
 	for i := 0; i < (1<<15)/perBurst+8; i++ {
 		burst()
 	}

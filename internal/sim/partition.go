@@ -14,8 +14,8 @@ type SimMode int
 const (
 	// SimExact runs every partition on the exact discrete-event engine.
 	SimExact SimMode = iota
-	// SimHybrid enables the fluid fast path (Config.Fluid semantics) inside
-	// every partition: far-from-knee microservices are served analytically,
+	// SimHybrid enables the fluid fast path (see fluidRhoMax) inside every
+	// partition: far-from-knee microservices are served analytically,
 	// near-knee ones exactly.
 	SimHybrid
 )
@@ -35,8 +35,8 @@ type PartitionOpts struct {
 }
 
 // Run is the simulator's entry point: it executes one simulation of cfg.
-// With the zero PartitionOpts (exact mode, Partitions 0) the whole Config —
-// cfg.Fluid included — runs serially on a single engine; any other options
+// With the zero PartitionOpts (exact mode, Partitions 0) the whole Config
+// runs serially on the exact engine; any other options
 // split the run by sharing group (RunPartitioned), which in exact mode is
 // byte-identical to the serial run for single-group topologies.
 func Run(cfg Config, opts PartitionOpts) (*Result, error) {
@@ -81,30 +81,20 @@ func RunPartitioned(cfg Config, opts PartitionOpts) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// Hybrid mode tunes the fluid fast path by cfg.Fluid, FluidConfig's
-	// defaults when that is nil; exact mode runs without it.
-	var fl *FluidConfig
-	if opts.Mode == SimHybrid {
-		fl = cfg.Fluid
-		if fl == nil {
-			fl = &FluidConfig{}
-		}
-	}
+	cfg.fluid = opts.Mode == SimHybrid
 
 	groups := sharingGroups(cfg)
 	if len(groups) == 1 {
 		// One group: the partitioned run degenerates to the single-stream
 		// engine on the original cluster — in exact mode this is the
 		// byte-identical serial path.
-		sub := cfg
-		sub.Fluid = fl
-		return runSingle(sub)
+		return runSingle(cfg)
 	}
 
 	parts := make([]*partition, len(groups))
 	hostN := cfg.Cluster.NumHosts()
 	for gi, grp := range groups {
-		p, err := buildPartition(cfg, fl, gi, grp)
+		p, err := buildPartition(cfg, gi, grp)
 		if err != nil {
 			return nil, fmt.Errorf("sim: partition %d: %w", gi, err)
 		}
@@ -242,7 +232,7 @@ func sharingGroups(cfg Config) [][]int {
 
 // buildPartition clones the cluster with only the group's containers placed
 // and derives the group-local Config.
-func buildPartition(cfg Config, fl *FluidConfig, gi int, grp []int) (*partition, error) {
+func buildPartition(cfg Config, gi int, grp []int) (*partition, error) {
 	msSet := make(map[string]bool)
 	svcSet := make(map[string]bool)
 	for _, si := range grp {
@@ -303,7 +293,6 @@ func buildPartition(cfg Config, fl *FluidConfig, gi int, grp []int) (*partition,
 	sc := cfg
 	sc.Seed = partitionSeed(cfg.Seed, gi)
 	sc.Cluster = sub
-	sc.Fluid = fl
 	sc.Graphs = nil
 	for _, si := range grp {
 		sc.Graphs = append(sc.Graphs, cfg.Graphs[si])

@@ -91,9 +91,6 @@ type Config struct {
 	SampleRate float64
 	// Observer optionally receives spans of sampled traces.
 	Observer SpanObserver
-	// LatencySampleCap bounds per-minute per-microservice latency samples
-	// (reservoir); defaults to 4096.
-	LatencySampleCap int
 	// Routing selects how calls are balanced across a microservice's
 	// containers. The default round-robin matches typical service-mesh
 	// upstream behaviour; power-of-two-choices is adaptive (it hides slow
@@ -127,15 +124,6 @@ type Config struct {
 	// failure semantics. Nil (the default) keeps the historical infallible
 	// data plane — runs are byte-identical to earlier releases.
 	Resilience *Resilience
-	// Fluid enables the hybrid fluid/discrete fast path: microservices whose
-	// containers sit far below their latency knee (per-container M/M/c
-	// utilization at or below Fluid.RhoMax, re-evaluated every simulated
-	// minute) are served from the analytic queueing model instead of
-	// per-request events, while near-knee, failure-targeted, and closed-loop
-	// microservices keep exact discrete-event simulation. Nil (the default)
-	// keeps the historical exact engine byte for byte. See FluidConfig for
-	// the fidelity contract.
-	Fluid *FluidConfig
 	// Streams replaces Patterns with named client cohorts: each stream is an
 	// independent arrival process onto one service, tagged with an SLO tier
 	// that the whole request tree inherits (admission control sheds batch and
@@ -145,7 +133,20 @@ type Config struct {
 	// Result.PerStream and per-minute in Result.StreamMinutes. Empty (the
 	// default) keeps the historical per-service workload model byte for byte.
 	Streams []Stream
+
+	// fluid enables the hybrid fluid/discrete fast path (see fluidRhoMax):
+	// microservices whose containers sit far below their latency knee,
+	// re-evaluated every simulated minute, are served from the analytic
+	// queueing model instead of per-request events, while near-knee,
+	// failure-targeted, and closed-loop microservices keep exact
+	// discrete-event simulation. Only RunPartitioned sets it, in SimHybrid
+	// mode; false keeps the exact engine byte for byte.
+	fluid bool
 }
+
+// latencySampleCap bounds the per-minute per-microservice latency sample (a
+// reservoir).
+const latencySampleCap = 4096
 
 // Stream is one client cohort: an arrival pattern onto a service with an SLO
 // tier and an optional cohort-specific SLA for outcome classification
@@ -444,7 +445,7 @@ type Result struct {
 	// FluidContainerMinutes / ExactContainerMinutes decompose container
 	// simulation time by fidelity: one unit is one container simulated for
 	// one minute on the fluid (analytic) or exact (discrete-event) path.
-	// Without Config.Fluid every container-minute is exact.
+	// Outside hybrid mode every container-minute is exact.
 	FluidContainerMinutes int
 	ExactContainerMinutes int
 }
@@ -577,7 +578,7 @@ type Runtime struct {
 	streams      []streamState
 	streamAcc    []streamMinuteAcc
 
-	// Fluid fast-path runtime (nil when Config.Fluid is nil).
+	// Fluid fast-path runtime (nil outside hybrid mode).
 	fl *fluidState
 }
 
@@ -594,9 +595,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	}
 	if cfg.SampleRate == 0 {
 		cfg.SampleRate = 0.1
-	}
-	if cfg.LatencySampleCap <= 0 {
-		cfg.LatencySampleCap = 4096
 	}
 	rt := &Runtime{
 		cfg:        cfg,
@@ -660,7 +658,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			hasSLA: hasSLA,
 		})
 	}
-	if cfg.Fluid != nil {
+	if cfg.fluid {
 		rt.fl = newFluidState(rt)
 	}
 	if len(cfg.Streams) > 0 {
@@ -1091,7 +1089,7 @@ func (rt *Runtime) recordNodeLatency(ms *msState, latency float64) {
 	}
 	// The minute's first observation draws the reservoir's RNG.
 	if ms.lat == nil {
-		ms.lat = stats.NewReservoir(rt.cfg.LatencySampleCap, rt.rng.Split())
+		ms.lat = stats.NewReservoir(latencySampleCap, rt.rng.Split())
 	} else if ms.lat.Seen() == 0 {
 		ms.lat.Reset(rt.rng.Split())
 	}

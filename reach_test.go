@@ -108,8 +108,11 @@ func TestEveryDeclarationHasAReader(t *testing.T) {
 // reached declaration (main and init bodies included) writes, by a
 // composite-literal key, a positional literal, an assignment or ++/--
 // through a selector, taking the field's address, or calling a
-// pointer-receiver method on it. Delete such a field with its default made a
-// constant, or allowlist it above with its reason.
+// pointer-receiver method on it. A default is not a write: `x.F = e` directly
+// in the body of an if whose condition compares x.F, or len(x.F), only
+// against constants (`if c.N <= 0 { c.N = 8 }`) supplies the value nobody
+// set, so a field written only that way fails too. Delete such a field with
+// its default made a constant, or allowlist it above with its reason.
 func TestEveryFieldHasAWriter(t *testing.T) {
 	p, err := loadRepo()
 	if err != nil {
@@ -155,11 +158,15 @@ func TestEveryFieldHasAWriter(t *testing.T) {
 	}
 }
 
+// settableCount is the repository's count of settable values, pinned: a
+// change that adds or removes an option edits it, in plain view.
+const settableCount = 166
+
 // TestSettableValues logs the repository's count of settable values — the
 // exported fields of exported struct types named *Config, *Opts, *Options or
 // *Spec, the exported With* option functions, and the flags cmd/ registers —
-// so that the options a change adds or removes are a measured number.
-// scripts/ci.sh prints it.
+// so that the options a change adds or removes are a measured number, and
+// fails when the count differs from settableCount. scripts/ci.sh prints it.
 func TestSettableValues(t *testing.T) {
 	p, err := loadRepo()
 	if err != nil {
@@ -202,8 +209,13 @@ func TestSettableValues(t *testing.T) {
 			})
 		}
 	}
+	total := fields + options + flags
 	t.Logf("settable values: %d (%d config-shaped fields, %d With* options, %d cmd/ flags)",
-		fields+options+flags, fields, options, flags)
+		total, fields, options, flags)
+	if total != settableCount {
+		t.Errorf("%d settable values, but settableCount is %d: make a new value a constant, or set settableCount to %d",
+			total, settableCount, total)
+	}
 }
 
 func configShaped(name string) bool {
@@ -399,11 +411,12 @@ func (p *program) collect(pk *pkg) {
 // walker marks declarations reached by walking the syntax of reached ones,
 // and the struct fields that syntax writes.
 type walker struct {
-	p       *program
-	ifaces  map[string]bool // method names of the program's interfaces
-	reached map[types.Object]bool
-	written map[*types.Var]bool
-	queue   []walk
+	p        *program
+	ifaces   map[string]bool // method names of the program's interfaces
+	reached  map[types.Object]bool
+	written  map[*types.Var]bool
+	defaults map[ast.Expr]bool // assignment targets that only default a field
+	queue    []walk
 }
 
 type walk struct {
@@ -412,7 +425,8 @@ type walk struct {
 }
 
 func (p *program) newWalker() *walker {
-	return &walker{p: p, ifaces: p.interfaceMethodNames(), reached: map[types.Object]bool{}, written: map[*types.Var]bool{}}
+	return &walker{p: p, ifaces: p.interfaceMethodNames(), reached: map[types.Object]bool{},
+		written: map[*types.Var]bool{}, defaults: map[ast.Expr]bool{}}
 }
 
 // roots walks from every main, init and package-level var initializer of
@@ -513,9 +527,25 @@ func (w *walker) noteWrites(n ast.Node, info *types.Info) {
 				w.written[st.Field(i).Origin()] = true
 			}
 		}
+	case *ast.IfStmt:
+		// Inspect visits the if before its body, so its defaults are known
+		// by the time the body's assignments are.
+		if x := defaulted(n.Cond, info); x != "" {
+			for _, s := range n.Body.List {
+				if as, ok := s.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN {
+					for _, lhs := range as.Lhs {
+						if types.ExprString(lhs) == x {
+							w.defaults[lhs] = true
+						}
+					}
+				}
+			}
+		}
 	case *ast.AssignStmt:
 		for _, lhs := range n.Lhs {
-			w.writeThrough(lhs, info)
+			if !w.defaults[lhs] {
+				w.writeThrough(lhs, info)
+			}
 		}
 	case *ast.IncDecStmt:
 		w.writeThrough(n.X, info)
@@ -560,6 +590,48 @@ func (w *walker) writeThrough(e ast.Expr, info *types.Info) {
 			return
 		}
 	}
+}
+
+// defaulted returns the field selector x.F when cond compares x.F, or
+// len(x.F), only against constants (`c.N <= 0`, `c.Q <= 0 || c.Q >= 1`,
+// `len(c.L) == 0`): an assignment to x.F directly in that if's body supplies
+// a default, it does not set the value. Otherwise it returns "". A
+// comparison against a variable (`s > st.Max`) makes no default.
+func defaulted(cond ast.Expr, info *types.Info) string {
+	e, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if !ok {
+		return ""
+	}
+	switch e.Op {
+	case token.LOR, token.LAND:
+		if x := defaulted(e.X, info); x == defaulted(e.Y, info) {
+			return x
+		}
+	case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+		for _, sides := range [2][2]ast.Expr{{e.X, e.Y}, {e.Y, e.X}} {
+			if info.Types[sides[1]].Value != nil {
+				if x := fieldOperand(sides[0], info); x != "" {
+					return x
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// fieldOperand returns x.F for the operand x.F or len(x.F), else "".
+func fieldOperand(e ast.Expr, info *types.Info) string {
+	e = ast.Unparen(e)
+	if call, ok := e.(*ast.CallExpr); ok && len(call.Args) == 1 {
+		if id, ok := call.Fun.(*ast.Ident); ok && info.Uses[id] == types.Universe.Lookup("len") {
+			e = ast.Unparen(call.Args[0])
+		}
+	}
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok || info.Selections[sel] == nil || info.Selections[sel].Kind() != types.FieldVal {
+		return ""
+	}
+	return types.ExprString(sel)
 }
 
 // imported returns the module packages some main imports, directly or not.
