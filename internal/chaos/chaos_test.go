@@ -174,14 +174,14 @@ func TestInjectorSpikeAppliesAndLifts(t *testing.T) {
 	if len(ev.Spiked) != 1 || ev.Spiked[0] != 0 {
 		t.Fatalf("spiked = %v, want [0]", ev.Spiked)
 	}
-	got := o.Cluster().Host(0).Background
+	got := o.Cluster().Host(0).Background()
 	if got.CPU != base.CPU+sev.CPU || got.Mem != base.Mem+sev.Mem {
 		t.Fatalf("spiked background = %+v", got)
 	}
 	if err := inj.EndWindow(0); err != nil {
 		t.Fatal(err)
 	}
-	if got := o.Cluster().Host(0).Background; got != base {
+	if got := o.Cluster().Host(0).Background(); got != base {
 		t.Fatalf("background not restored: %+v", got)
 	}
 }

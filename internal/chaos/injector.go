@@ -105,9 +105,9 @@ func (inj *Injector) BeginWindow(w int) (WindowEvents, error) {
 			continue
 		}
 		if _, dup := inj.saved[f.Host]; !dup {
-			inj.saved[f.Host] = h.Background
+			inj.saved[f.Host] = h.Background()
 		}
-		if err := cl.SetBackground(f.Host, h.Background.Add(f.Severity)); err != nil {
+		if err := cl.SetBackground(f.Host, h.Background().Add(f.Severity)); err != nil {
 			return ev, err
 		}
 		ev.Spiked = append(ev.Spiked, f.Host)

@@ -7,6 +7,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"erms/internal/workload"
@@ -61,25 +62,31 @@ type Container struct {
 	cpuUsage float64
 }
 
-// SetCPUUsage records measured CPU consumption in cores (clamped at 0).
+// SetCPUUsage records measured CPU consumption in cores. A negative or NaN
+// reading counts as 0: one NaN would otherwise poison its host's utilization
+// and, through it, both cluster means and every placement score.
 func (c *Container) SetCPUUsage(cores float64) {
-	if cores < 0 {
+	if cores < 0 || math.IsNaN(cores) {
 		cores = 0
 	}
 	c.cpuUsage = cores
 	if c.Host != nil {
-		c.Host.aggValid = false
+		c.Host.touch()
 	}
 }
 
 // CPUUsage returns the CPU consumption used for utilization accounting.
 func (c *Container) CPUUsage() float64 { return c.cpuUsage }
 
-// Host is one physical machine.
+// Host is one physical machine. Its geometry and background load are written
+// only through its Cluster (SetHostSpec, SetBackground), so every change
+// reaches the cluster's utilization table.
 type Host struct {
-	ID         int
-	Spec       HostSpec
-	Background workload.Interference // colocated batch-job load (iBench substitute)
+	ID int
+
+	cl         *Cluster
+	spec       HostSpec
+	background workload.Interference // colocated batch-job load (iBench substitute)
 
 	// ordered holds the host's containers sorted by ID. Utilization sums
 	// iterate it in that order: float addition is order-sensitive at the ulp,
@@ -97,21 +104,30 @@ type Host struct {
 	extCPUCores float64
 	extMemMB    float64
 
-	// agg caches the sums behind CPUUtil/MemUtil/CPUFree/MemFreeMB. Place,
-	// Remove, Reset, SetCPUUsage and SetExternalUsage clear aggValid; Spec and
-	// Background are exported fields written directly, so the cache remembers
-	// the values it was computed from and a mismatch also forces a recompute.
+	// agg caches the sums behind CPUUtil/MemUtil/CPUFree/MemFreeMB while
+	// aggValid holds; touch clears it.
 	agg      hostAgg
 	aggValid bool
+	queued   bool // listed in cl.dirty
 }
 
 // hostAgg is one pass over a host's containers in ID order.
 type hostAgg struct {
-	spec       HostSpec
-	background workload.Interference
-
 	cpuRaw, memRaw   float64 // utilization before the cap at 1
 	cpuFree, memFree float64
+}
+
+// touch is the one invalidation rule: every mutation of a host's containers,
+// usage, geometry, background or liveness calls it. It drops the host's
+// aggregate and the cluster's cached means, and queues the host for the
+// utilization table's next refresh.
+func (h *Host) touch() {
+	h.aggValid = false
+	h.cl.meansValid = false
+	if !h.queued {
+		h.queued = true
+		h.cl.dirty = append(h.cl.dirty, h.ID)
+	}
 }
 
 // aggregates returns the host's sums, recomputing them after a change. The
@@ -121,15 +137,14 @@ type hostAgg struct {
 // placements and removals.
 func (h *Host) aggregates() *hostAgg {
 	a := &h.agg
-	if h.aggValid && a.spec == h.Spec && a.background == h.Background {
+	if h.aggValid {
 		return a
 	}
-	cores, memMB := float64(h.Spec.Cores), h.Spec.MemGB*1024
-	a.spec, a.background = h.Spec, h.Background
-	a.cpuRaw = h.Background.CPU + h.extCPUCores/cores
-	a.memRaw = h.Background.Mem + h.extMemMB/memMB
-	a.cpuFree = cores * (1 - h.Background.CPU)
-	a.memFree = memMB * (1 - h.Background.Mem)
+	cores, memMB := float64(h.spec.Cores), h.spec.MemGB*1024
+	a.cpuRaw = h.background.CPU + h.extCPUCores/cores
+	a.memRaw = h.background.Mem + h.extMemMB/memMB
+	a.cpuFree = cores * (1 - h.background.CPU)
+	a.memFree = memMB * (1 - h.background.Mem)
 	for _, c := range h.ordered {
 		a.cpuRaw += c.cpuUsage / cores
 		a.memRaw += c.Spec.MemMB / memMB
@@ -140,19 +155,26 @@ func (h *Host) aggregates() *hostAgg {
 	return a
 }
 
+// Spec returns the host's capacity.
+func (h *Host) Spec() HostSpec { return h.spec }
+
+// Background returns the colocated batch-job interference on the host.
+func (h *Host) Background() workload.Interference { return h.background }
+
 // SetExternalUsage records resource consumption by containers simulated in
 // other partitions of a partitioned run. It feeds CPUUtil and MemUtil (and
 // through them the interference model) without placing the containers here.
+// Negative or NaN values count as 0, as in Container.SetCPUUsage.
 func (h *Host) SetExternalUsage(cpuCores, memMB float64) {
-	if cpuCores < 0 {
+	if cpuCores < 0 || math.IsNaN(cpuCores) {
 		cpuCores = 0
 	}
-	if memMB < 0 {
+	if memMB < 0 || math.IsNaN(memMB) {
 		memMB = 0
 	}
 	h.extCPUCores = cpuCores
 	h.extMemMB = memMB
-	h.aggValid = false
+	h.touch()
 }
 
 // Down reports whether the host has failed.
@@ -161,7 +183,10 @@ func (h *Host) Down() bool { return h.down }
 // SetDown marks the host failed (true) or recovered (false). Failing a host
 // does not remove its containers — the orchestrator owns that bookkeeping
 // (kube.Orchestrator.FailNode evicts and emits watch events).
-func (h *Host) SetDown(down bool) { h.down = down }
+func (h *Host) SetDown(down bool) {
+	h.down = down
+	h.touch()
+}
 
 // Cordoned reports whether the host is administratively unschedulable.
 func (h *Host) Cordoned() bool { return h.cordoned }
@@ -182,6 +207,11 @@ func (h *Host) Containers() []*Container {
 
 // NumContainers returns the number of containers placed on the host.
 func (h *Host) NumContainers() int { return len(h.ordered) }
+
+// ContainerAt returns the host's i-th container in ID order, for
+// 0 <= i < NumContainers(): a walk over the host without the copy Containers
+// makes. The host must not change during the walk.
+func (h *Host) ContainerAt(i int) *Container { return h.ordered[i] }
 
 // insertByID adds c to an ID-sorted slice. IDs are assigned monotonically so
 // the search lands on the end and the insert is a plain append.
@@ -218,8 +248,8 @@ func (h *Host) MemUtil() float64 { return min(h.aggregates().memRaw, 1) }
 // provision.Rebalance scores candidate migrations with it.
 func (h *Host) UtilAfter(cpuCores, memMB float64) (cpu, mem float64) {
 	a := h.aggregates()
-	cpu = min(a.cpuRaw+cpuCores/float64(h.Spec.Cores), 1)
-	mem = min(a.memRaw+memMB/(h.Spec.MemGB*1024), 1)
+	cpu = min(a.cpuRaw+cpuCores/float64(h.spec.Cores), 1)
+	mem = min(a.memRaw+memMB/(h.spec.MemGB*1024), 1)
 	return cpu, mem
 }
 
@@ -246,6 +276,16 @@ type Cluster struct {
 	// entry.
 	byMS    map[string][]*Container
 	nextCID int
+
+	// The utilization table behind MeanCPUUtil, MeanMemUtil and Imbalance:
+	// cpu, mem and down hold each host's CPUUtil, MemUtil and Down as of the
+	// last refresh, by host ID, and dirty lists the hosts touched since.
+	// meanCPU and meanMem are current while meansValid holds.
+	cpu, mem         []float64
+	down             []bool
+	dirty            []int
+	meanCPU, meanMem float64
+	meansValid       bool
 }
 
 // New creates a cluster of n identical hosts.
@@ -253,9 +293,18 @@ func New(n int, spec HostSpec) *Cluster {
 	if n <= 0 {
 		panic("cluster: need at least one host")
 	}
-	cl := &Cluster{containers: make(map[int]*Container), byMS: make(map[string][]*Container)}
+	cl := &Cluster{
+		containers: make(map[int]*Container),
+		byMS:       make(map[string][]*Container),
+		cpu:        make([]float64, n),
+		mem:        make([]float64, n),
+		down:       make([]bool, n),
+		dirty:      make([]int, 0, n),
+	}
 	for i := 0; i < n; i++ {
-		cl.hosts = append(cl.hosts, &Host{ID: i, Spec: spec})
+		h := &Host{ID: i, cl: cl, spec: spec}
+		cl.hosts = append(cl.hosts, h)
+		h.touch()
 	}
 	return cl
 }
@@ -281,7 +330,7 @@ func (cl *Cluster) NumHosts() int { return len(cl.hosts) }
 func (cl *Cluster) TotalCores() float64 {
 	var t float64
 	for _, h := range cl.hosts {
-		t += float64(h.Spec.Cores)
+		t += float64(h.spec.Cores)
 	}
 	return t
 }
@@ -290,7 +339,7 @@ func (cl *Cluster) TotalCores() float64 {
 func (cl *Cluster) TotalMemMB() float64 {
 	var t float64
 	for _, h := range cl.hosts {
-		t += h.Spec.MemGB * 1024
+		t += h.spec.MemGB * 1024
 	}
 	return t
 }
@@ -326,7 +375,7 @@ func (cl *Cluster) Place(spec ContainerSpec, hostID int) (*Container, error) {
 	c := &Container{ID: cl.nextCID, Spec: spec, Host: h, cpuUsage: spec.CPU}
 	cl.nextCID++
 	h.ordered = insertByID(h.ordered, c)
-	h.aggValid = false
+	h.touch()
 	cl.containers[c.ID] = c
 	cl.byMS[spec.Microservice] = insertByID(cl.byMS[spec.Microservice], c)
 	return c, nil
@@ -339,7 +388,7 @@ func (cl *Cluster) Remove(containerID int) error {
 		return fmt.Errorf("cluster: no container %d", containerID)
 	}
 	c.Host.ordered = removeByID(c.Host.ordered, containerID)
-	c.Host.aggValid = false
+	c.Host.touch()
 	delete(cl.containers, containerID)
 	if rest := removeByID(cl.byMS[c.Spec.Microservice], containerID); len(rest) > 0 {
 		cl.byMS[c.Spec.Microservice] = rest
@@ -377,54 +426,65 @@ func (cl *Cluster) ContainersFor(microservice string) []*Container {
 // CountFor returns the number of containers deployed for a microservice.
 func (cl *Cluster) CountFor(microservice string) int { return len(cl.byMS[microservice]) }
 
+// means brings the utilization table up to date — only the hosts touched
+// since the last call are re-read — and returns the mean CPU and memory
+// utilization over live hosts, cached until the next touch. The sums walk the
+// table in host-ID order with one accumulator each: the addends, and the
+// order, of a pass over Hosts(), so the means are bit-identical to one.
+func (cl *Cluster) means() (cpu, mem float64) {
+	if cl.meansValid {
+		return cl.meanCPU, cl.meanMem
+	}
+	for _, id := range cl.dirty {
+		h := cl.hosts[id]
+		h.queued = false
+		cl.cpu[id], cl.mem[id], cl.down[id] = h.CPUUtil(), h.MemUtil(), h.down
+	}
+	cl.dirty = cl.dirty[:0]
+	var sc, sm float64
+	n := 0
+	for id, down := range cl.down {
+		if down {
+			continue
+		}
+		sc += cl.cpu[id]
+		sm += cl.mem[id]
+		n++
+	}
+	cl.meanCPU, cl.meanMem = 0, 0
+	if n > 0 {
+		cl.meanCPU, cl.meanMem = sc/float64(n), sm/float64(n)
+	}
+	cl.meansValid = true
+	return cl.meanCPU, cl.meanMem
+}
+
 // MeanCPUUtil returns the average CPU utilization over live hosts (§5.3.1
 // feeds this into the profiling model). Failed hosts run nothing and are
 // excluded so a partial outage does not read as a cold cluster.
 func (cl *Cluster) MeanCPUUtil() float64 {
-	var s float64
-	n := 0
-	for _, h := range cl.hosts {
-		if h.down {
-			continue
-		}
-		s += h.CPUUtil()
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
+	cpu, _ := cl.means()
+	return cpu
 }
 
 // MeanMemUtil returns the average memory utilization over live hosts.
 func (cl *Cluster) MeanMemUtil() float64 {
-	var s float64
-	n := 0
-	for _, h := range cl.hosts {
-		if h.down {
-			continue
-		}
-		s += h.MemUtil()
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
+	_, mem := cl.means()
+	return mem
 }
 
 // Imbalance returns the resource-unbalance objective of §5.4: the sum over
 // hosts of squared deviation between host utilization and the cluster-wide
 // mean, for CPU and memory.
 func (cl *Cluster) Imbalance() float64 {
-	mc, mm := cl.MeanCPUUtil(), cl.MeanMemUtil()
+	mc, mm := cl.means() // also refreshes the table
 	var s float64
-	for _, h := range cl.hosts {
-		if h.down {
+	for id, down := range cl.down {
+		if down {
 			continue
 		}
-		dc := h.CPUUtil() - mc
-		dm := h.MemUtil() - mm
+		dc := cl.cpu[id] - mc
+		dm := cl.mem[id] - mm
 		s += dc*dc + dm*dm
 	}
 	return s
@@ -436,7 +496,20 @@ func (cl *Cluster) SetBackground(hostID int, itf workload.Interference) error {
 	if h == nil {
 		return fmt.Errorf("cluster: no host %d", hostID)
 	}
-	h.Background = itf.Clamp(1)
+	h.background = itf.Clamp(1)
+	h.touch()
+	return nil
+}
+
+// SetHostSpec changes a host's capacity, e.g. to clone a heterogeneous
+// cluster; New gives every host the same spec.
+func (cl *Cluster) SetHostSpec(hostID int, spec HostSpec) error {
+	h := cl.Host(hostID)
+	if h == nil {
+		return fmt.Errorf("cluster: no host %d", hostID)
+	}
+	h.spec = spec
+	h.touch()
 	return nil
 }
 
@@ -444,7 +517,7 @@ func (cl *Cluster) SetBackground(hostID int, itf workload.Interference) error {
 func (cl *Cluster) Reset() {
 	for _, h := range cl.hosts {
 		h.ordered = nil
-		h.aggValid = false
+		h.touch()
 	}
 	cl.containers = make(map[int]*Container)
 	cl.byMS = make(map[string][]*Container)

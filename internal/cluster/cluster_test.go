@@ -156,7 +156,7 @@ func TestReset(t *testing.T) {
 	if len(cl.Containers()) != 0 {
 		t.Fatal("reset left containers")
 	}
-	if cl.Host(1).Background.CPU != 0.3 {
+	if cl.Host(1).Background().CPU != 0.3 {
 		t.Fatal("reset should keep background levels")
 	}
 	// Hosts forget their containers too: nothing listed, utilization back to
@@ -165,12 +165,13 @@ func TestReset(t *testing.T) {
 		if n := len(h.Containers()); n != 0 {
 			t.Fatalf("host %d still lists %d containers after reset", h.ID, n)
 		}
-		if h.CPUUtil() != h.Background.CPU || h.MemUtil() != h.Background.Mem {
-			t.Fatalf("host %d util = %v/%v after reset, want background %+v", h.ID, h.CPUUtil(), h.MemUtil(), h.Background)
+		bg, hs := h.Background(), h.Spec()
+		if h.CPUUtil() != bg.CPU || h.MemUtil() != bg.Mem {
+			t.Fatalf("host %d util = %v/%v after reset, want background %+v", h.ID, h.CPUUtil(), h.MemUtil(), bg)
 		}
-		wantCPU := float64(h.Spec.Cores) * (1 - h.Background.CPU)
-		if h.CPUFree() != wantCPU || h.MemFreeMB() != h.Spec.MemGB*1024 {
-			t.Fatalf("host %d free = %v cores / %v MB after reset, want %v / %v", h.ID, h.CPUFree(), h.MemFreeMB(), wantCPU, h.Spec.MemGB*1024)
+		wantCPU := float64(hs.Cores) * (1 - bg.CPU)
+		if h.CPUFree() != wantCPU || h.MemFreeMB() != hs.MemGB*1024 {
+			t.Fatalf("host %d free = %v cores / %v MB after reset, want %v / %v", h.ID, h.CPUFree(), h.MemFreeMB(), wantCPU, hs.MemGB*1024)
 		}
 	}
 	if cl.CountFor("a") != 0 || cl.ContainersFor("b") != nil {
@@ -179,6 +180,42 @@ func TestReset(t *testing.T) {
 	// Cluster remains usable.
 	if _, err := cl.Place(PaperContainer("c"), 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNaNUsageCountsAsZero: a NaN usage reading is treated like a negative
+// one. Kept, it would turn the host's utilization, both cluster means, the
+// imbalance and with them every placement score into NaN.
+func TestNaNUsageCountsAsZero(t *testing.T) {
+	build := func(usage float64) *Cluster {
+		cl := New(2, PaperHost)
+		cl.SetBackground(1, workload.Interference{CPU: 0.2, Mem: 0.1})
+		c, err := cl.Place(PaperContainer("a"), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetCPUUsage(usage)
+		cl.Host(1).SetExternalUsage(usage, usage)
+		return cl
+	}
+	got, want := build(math.NaN()), build(0)
+	if u := got.Host(0).Containers()[0].CPUUsage(); u != 0 {
+		t.Fatalf("CPUUsage after SetCPUUsage(NaN) = %v, want 0", u)
+	}
+	for _, v := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"host 0 CPUUtil", got.Host(0).CPUUtil(), want.Host(0).CPUUtil()},
+		{"host 1 CPUUtil", got.Host(1).CPUUtil(), want.Host(1).CPUUtil()},
+		{"host 1 MemUtil", got.Host(1).MemUtil(), want.Host(1).MemUtil()},
+		{"MeanCPUUtil", got.MeanCPUUtil(), want.MeanCPUUtil()},
+		{"MeanMemUtil", got.MeanMemUtil(), want.MeanMemUtil()},
+		{"Imbalance", got.Imbalance(), want.Imbalance()},
+	} {
+		if math.Float64bits(v.got) != math.Float64bits(v.want) {
+			t.Fatalf("%s with NaN usage = %v, want %v (usage 0)", v.name, v.got, v.want)
+		}
 	}
 }
 

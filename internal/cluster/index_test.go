@@ -12,11 +12,12 @@ import (
 )
 
 // checkIndexAndCache compares the per-microservice index with a brute-force
-// scan of Containers(), and every cached host aggregate with a from-scratch
-// recomputation in ID order, bit for bit. Bit-identity is what keeps the
-// determinism suites and golden tables stable: an aggregate maintained by
-// adding and subtracting deltas would drift from the recomputed value in the
-// last ulp and leak the history of placements into CPUUtil.
+// scan of Containers(), and every cached host aggregate, both cluster means
+// and the imbalance with a from-scratch recomputation in ID order, bit for
+// bit. Bit-identity is what keeps the determinism suites and golden tables
+// stable: an aggregate maintained by adding and subtracting deltas would
+// drift from the recomputed value in the last ulp and leak the history of
+// placements into CPUUtil.
 func checkIndexAndCache(t *testing.T, cl *cluster.Cluster, step string) {
 	t.Helper()
 	byMS := make(map[string][]*cluster.Container)
@@ -35,13 +36,15 @@ func checkIndexAndCache(t *testing.T, cl *cluster.Cluster, step string) {
 			}
 		}
 	}
+	var liveCPU, liveMem []float64 // recomputed utilization of each live host, in ID order
 	for _, h := range cl.Hosts() {
-		cores, memMB := float64(h.Spec.Cores), h.Spec.MemGB*1024
+		hs, bg := h.Spec(), h.Background()
+		cores, memMB := float64(hs.Cores), hs.MemGB*1024
 		extCPU, extMem := h.ExternalUsage()
-		cpu := h.Background.CPU + extCPU/cores
-		mem := h.Background.Mem + extMem/memMB
-		cpuFree := cores * (1 - h.Background.CPU)
-		memFree := memMB * (1 - h.Background.Mem)
+		cpu := bg.CPU + extCPU/cores
+		mem := bg.Mem + extMem/memMB
+		cpuFree := cores * (1 - bg.CPU)
+		memFree := memMB * (1 - bg.Mem)
 		prev := -1
 		for _, c := range h.Containers() {
 			if c.ID <= prev || c.Host != h {
@@ -66,6 +69,35 @@ func checkIndexAndCache(t *testing.T, cl *cluster.Cluster, step string) {
 				t.Fatalf("%s: host %d %s = %v, recomputed %v", step, h.ID, v.name, v.got, v.want)
 			}
 		}
+		if !h.Down() {
+			liveCPU = append(liveCPU, math.Min(cpu, 1))
+			liveMem = append(liveMem, math.Min(mem, 1))
+		}
+	}
+	var meanCPU, meanMem float64
+	if n := len(liveCPU); n > 0 {
+		for i := range liveCPU {
+			meanCPU += liveCPU[i]
+			meanMem += liveMem[i]
+		}
+		meanCPU, meanMem = meanCPU/float64(n), meanMem/float64(n)
+	}
+	var imbalance float64
+	for i := range liveCPU {
+		dc, dm := liveCPU[i]-meanCPU, liveMem[i]-meanMem
+		imbalance += dc*dc + dm*dm
+	}
+	for _, v := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"MeanCPUUtil", cl.MeanCPUUtil(), meanCPU},
+		{"MeanMemUtil", cl.MeanMemUtil(), meanMem},
+		{"Imbalance", cl.Imbalance(), imbalance},
+	} {
+		if math.Float64bits(v.got) != math.Float64bits(v.want) {
+			t.Fatalf("%s: %s = %v, recomputed %v", step, v.name, v.got, v.want)
+		}
 	}
 }
 
@@ -89,7 +121,7 @@ func TestIndexAndCacheMatchBruteForce(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			host := rng.Intn(cl.NumHosts())
 			var step string
-			switch op := rng.Intn(12); op {
+			switch op := rng.Intn(14); op {
 			case 0, 1, 2:
 				step = "Place"
 				cl.Place(spec(), host) // may be refused: full, cordoned or down
@@ -127,12 +159,24 @@ func TestIndexAndCacheMatchBruteForce(t *testing.T) {
 					t.Fatal(err)
 				}
 			case 10:
-				step = "Background write"
-				cl.Host(host).Background = workload.Interference{CPU: 0.5 * rng.Float64(), Mem: 0.5 * rng.Float64()}
+				step = "SetBackground (light)"
+				if err := cl.SetBackground(host, workload.Interference{CPU: 0.5 * rng.Float64(), Mem: 0.5 * rng.Float64()}); err != nil {
+					t.Fatal(err)
+				}
 			case 11:
 				step = "Reset"
 				if rng.Intn(10) == 0 {
 					cl.Reset()
+				}
+			case 12:
+				// Unlike FailNode, a bare SetDown leaves the containers in place.
+				step = "SetDown"
+				cl.Host(host).SetDown(!cl.Host(host).Down())
+			case 13:
+				step = "SetHostSpec"
+				hs := cluster.HostSpec{Cores: 2 + rng.Intn(6), MemGB: 4 + 8*rng.Float64()}
+				if err := cl.SetHostSpec(host, hs); err != nil {
+					t.Fatal(err)
 				}
 			}
 			// Each check also fills every host's cache, so the next step

@@ -139,6 +139,17 @@ type Controller struct {
 	// changes (graphs are replaced, never edited, once the planner has them).
 	loads  []svcLoads
 	shared []string
+	// applyOrder is the sorted microservice order of the last plan applied,
+	// kept while plans keep the same key set, and applySnap the rollback
+	// snapshot aligned with it, reused across windows.
+	applyOrder []string
+	applySnap  []priorDeployment
+}
+
+// priorDeployment is one microservice's deployment before an Apply.
+type priorDeployment struct {
+	existed  bool
+	replicas int
 }
 
 // svcLoads is one service's cached Loads entry. byMS is handed out and never
@@ -378,20 +389,13 @@ func (c *Controller) Explain(service string, rates map[string]float64) (string, 
 // original error is returned. A mid-apply failure therefore never leaves the
 // orchestrator halfway between two plans.
 func (c *Controller) Apply(plan *multiplex.Plan) error {
-	names := make([]string, 0, len(plan.Containers))
-	for ms := range plan.Containers {
-		names = append(names, ms)
-	}
-	sort.Strings(names)
-	type prior struct {
-		existed  bool
-		replicas int
-	}
-	snap := make(map[string]prior, len(names))
+	names := c.applyNames(plan.Containers)
+	snap := c.applySnap[:0]
 	for _, ms := range names {
 		d, ok := c.Orch.Deployment(ms)
-		snap[ms] = prior{existed: ok, replicas: d.Replicas}
+		snap = append(snap, priorDeployment{existed: ok, replicas: d.Replicas})
 	}
+	c.applySnap = snap
 	for i, ms := range names {
 		if err := c.Orch.Apply(c.App.Containers[ms], plan.Containers[ms]); err != nil {
 			// Roll back everything touched so far, including the partial
@@ -400,7 +404,7 @@ func (c *Controller) Apply(plan *multiplex.Plan) error {
 			// itself fail on a degraded cluster, which we fold into the error.
 			var rbErr error
 			for j := i; j >= 0; j-- {
-				p := snap[names[j]]
+				p := snap[j]
 				var e error
 				if !p.existed {
 					e = c.Orch.Delete(names[j])
@@ -421,6 +425,24 @@ func (c *Controller) Apply(plan *multiplex.Plan) error {
 	metrics.CollectCluster(c.Metrics, c.Orch.Cluster(), 0)
 	c.Obs.Inc(obs.CtrApplies)
 	return nil
+}
+
+// applyNames returns the planned microservices sorted. Plans of consecutive
+// windows usually name the same microservices, so the previous order is
+// reused and the names are sorted again only when the key set differs.
+func (c *Controller) applyNames(counts map[string]int) []string {
+	same := len(counts) == len(c.applyOrder)
+	for i := 0; same && i < len(c.applyOrder); i++ {
+		_, same = counts[c.applyOrder[i]]
+	}
+	if !same {
+		c.applyOrder = make([]string, 0, len(counts))
+		for ms := range counts {
+			c.applyOrder = append(c.applyOrder, ms)
+		}
+		sort.Strings(c.applyOrder)
+	}
+	return c.applyOrder
 }
 
 // Priorities converts a plan's ranks into the per-microservice service
@@ -630,9 +652,11 @@ func (c *Controller) ProfileOffline(cfg OfflineConfig) ([]string, error) {
 	}
 	perRun, err := parallel.Map(len(points), func(i int) (map[string][]profiling.Sample, error) {
 		lvl, rate := points[i].lvl, points[i].rate
-		run := cluster.New(cl.NumHosts(), cl.Hosts()[0].Spec)
+		run := cluster.New(cl.NumHosts(), cl.Hosts()[0].Spec())
 		for hi, h := range cl.Hosts() {
-			run.Hosts()[hi].Spec = h.Spec
+			if err := run.SetHostSpec(hi, h.Spec()); err != nil {
+				return nil, err
+			}
 			if err := run.SetBackground(hi, lvl); err != nil {
 				return nil, err
 			}
@@ -640,7 +664,7 @@ func (c *Controller) ProfileOffline(cfg OfflineConfig) ([]string, error) {
 		for _, ms := range c.App.Microservices() {
 			spec := c.App.Containers[ms]
 			for k := 0; k < profileContainersPerMS; k++ {
-				hostID := (len(run.Containers()) + k) % run.NumHosts()
+				hostID := (run.NumContainers() + k) % run.NumHosts()
 				if _, err := run.Place(spec, hostID); err != nil {
 					return nil, fmt.Errorf("core: profiling placement: %w", err)
 				}

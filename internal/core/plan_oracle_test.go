@@ -213,7 +213,9 @@ func planAgainstOracle(t *testing.T, name string, app *apps.App, base float64, s
 				t.Fatal(err)
 			}
 		case 12: // capacity change: every dominant share, every template
-			cl.Hosts()[5].Spec = cluster.HostSpec{Cores: 16, MemGB: 32}
+			if err := cl.SetHostSpec(5, cluster.HostSpec{Cores: 16, MemGB: 32}); err != nil {
+				t.Fatal(err)
+			}
 			edited = true
 		case 15: // SLA edit
 			svc := svcs[r.Intn(len(svcs))]

@@ -10,6 +10,7 @@ import (
 	"erms/internal/graph"
 	"erms/internal/kube"
 	"erms/internal/multiplex"
+	"erms/internal/obs"
 	"erms/internal/sim"
 	"erms/internal/workload"
 )
@@ -62,6 +63,44 @@ func TestApplyRollsBackOnMidApplyFailure(t *testing.T) {
 	}
 	if got := c.Orch.Cluster().NumContainers(); got != 4 {
 		t.Fatalf("containers after rollback = %d, want 4", got)
+	}
+}
+
+// TestApplyRollbackOnRememberedOrder: a plan with the previous plan's key set
+// reuses its sorted order and its rollback snapshot slice. When the middle
+// microservice cannot fit, every deployment must still return to the
+// previous plan's counts.
+func TestApplyRollbackOnRememberedOrder(t *testing.T) {
+	// One host, CPU-bound at 10 containers of 0.1 core.
+	c := tinyController(t, 1, cluster.HostSpec{Cores: 1, MemGB: 4})
+	c.App.Containers["C"] = cluster.PaperContainer("C")
+	rec := obs.New(c.Metrics)
+	c.Obs = rec
+	planA := map[string]int{"A": 2, "B": 2, "C": 2}
+	if err := c.Apply(&multiplex.Plan{Containers: planA}); err != nil {
+		t.Fatal(err)
+	}
+	order, snap := c.applyOrder, c.applySnap
+	rollbacks := rec.Value(obs.CtrApplyRollbacks)
+
+	// A scales to 3, B cannot reach 20, C is never reached.
+	err := c.Apply(&multiplex.Plan{Containers: map[string]int{"A": 3, "B": 20, "C": 1}})
+	if err == nil || !strings.Contains(err.Error(), "applying B") || !strings.Contains(err.Error(), "rolled back") {
+		t.Fatalf("error = %v, want B's failure rolled back", err)
+	}
+	if &c.applyOrder[0] != &order[0] || &c.applySnap[0] != &snap[0] {
+		t.Fatal("a plan with the same key set re-sorted the names or reallocated the snapshot")
+	}
+	for ms, want := range planA {
+		if got := c.Orch.Replicas(ms); got != want {
+			t.Fatalf("%s replicas after rollback = %d, want %d", ms, got, want)
+		}
+		if got := c.Orch.Cluster().CountFor(ms); got != want {
+			t.Fatalf("%s containers after rollback = %d, want %d", ms, got, want)
+		}
+	}
+	if got := rec.Value(obs.CtrApplyRollbacks); got != rollbacks+1 {
+		t.Fatalf("rollbacks = %v, want %v", got, rollbacks+1)
 	}
 }
 

@@ -135,8 +135,8 @@ func POPAblation(quick bool) []*Table {
 		elapsed := time.Since(start)
 		hot := 0
 		for _, h := range cl.Hosts() {
-			if h.Background.CPU > 0.5 {
-				hot += len(h.Containers())
+			if h.Background().CPU > 0.5 {
+				hot += h.NumContainers()
 			}
 		}
 		t.AddRow(fmt.Sprintf("%d", groups), fmt.Sprint(elapsed.Round(time.Microsecond)),

@@ -8,6 +8,7 @@ package kube
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"erms/internal/cluster"
@@ -65,6 +66,15 @@ func (Spread) Evict(cl *cluster.Cluster, microservice string) (*cluster.Containe
 // (§6.4.3, Fig. 15).
 type BlindSpread struct{}
 
+// requestedCPU sums the CPU requests of the host's containers in ID order.
+func requestedCPU(h *cluster.Host) float64 {
+	var req float64
+	for i := 0; i < h.NumContainers(); i++ {
+		req += h.ContainerAt(i).Spec.CPU
+	}
+	return req
+}
+
 // Place picks the feasible host with the least container-requested CPU,
 // ignoring background load (but still respecting hard capacity).
 func (BlindSpread) Place(cl *cluster.Cluster, spec cluster.ContainerSpec) (int, error) {
@@ -73,11 +83,7 @@ func (BlindSpread) Place(cl *cluster.Cluster, spec cluster.ContainerSpec) (int, 
 		if !h.Fits(spec) {
 			continue
 		}
-		var req float64
-		for _, c := range h.Containers() {
-			req += c.Spec.CPU
-		}
-		if best < 0 || req < bestReq {
+		if req := requestedCPU(h); best < 0 || req < bestReq {
 			best, bestReq = h.ID, req
 		}
 	}
@@ -93,14 +99,7 @@ func (BlindSpread) Evict(cl *cluster.Cluster, microservice string) (*cluster.Con
 	if len(cs) == 0 {
 		return nil, fmt.Errorf("kube: no containers of %s to evict", microservice)
 	}
-	reqOf := func(h *cluster.Host) float64 {
-		var req float64
-		for _, c := range h.Containers() {
-			req += c.Spec.CPU
-		}
-		return req
-	}
-	sort.Slice(cs, func(i, j int) bool { return reqOf(cs[i].Host) > reqOf(cs[j].Host) })
+	sort.Slice(cs, func(i, j int) bool { return requestedCPU(cs[i].Host) > requestedCPU(cs[j].Host) })
 	return cs[0], nil
 }
 
@@ -169,8 +168,12 @@ type Orchestrator struct {
 	cl          *cluster.Cluster
 	sched       Scheduler
 	deployments map[string]*Deployment
-	watchers    []func(Event)
-	rec         *obs.Recorder
+	// names lists the deployments sorted; nil after a create or delete until
+	// the next sortedNames rebuilds it. A rebuild makes a new slice, so a
+	// walk over the previous one is never disturbed.
+	names    []string
+	watchers []func(Event)
+	rec      *obs.Recorder
 }
 
 // New creates an orchestrator over the cluster with the given scheduler
@@ -228,6 +231,7 @@ func (o *Orchestrator) Apply(spec cluster.ContainerSpec, replicas int) error {
 	if !ok {
 		d = &Deployment{Spec: spec}
 		o.deployments[spec.Microservice] = d
+		o.names = nil
 		o.emit(Event{Type: EventCreate, Microservice: spec.Microservice, Host: -1})
 	} else {
 		d.Spec = spec
@@ -290,6 +294,7 @@ func (o *Orchestrator) Delete(microservice string) error {
 		return err
 	}
 	delete(o.deployments, microservice)
+	o.names = nil
 	o.emit(Event{Type: EventDelete, Microservice: microservice, Host: -1})
 	return nil
 }
@@ -303,13 +308,19 @@ func (o *Orchestrator) Replicas(microservice string) int {
 }
 
 // Deployments returns the deployment names, sorted.
-func (o *Orchestrator) Deployments() []string {
-	out := make([]string, 0, len(o.deployments))
-	for name := range o.deployments {
-		out = append(out, name)
+func (o *Orchestrator) Deployments() []string { return slices.Clone(o.sortedNames()) }
+
+// sortedNames returns the cached sorted deployment names, rebuilding them
+// after a create or delete. The slice is shared: callers only read it.
+func (o *Orchestrator) sortedNames() []string {
+	if o.names == nil {
+		o.names = make([]string, 0, len(o.deployments))
+		for name := range o.deployments {
+			o.names = append(o.names, name)
+		}
+		sort.Strings(o.names)
 	}
-	sort.Strings(out)
-	return out
+	return o.names
 }
 
 // TotalReplicas returns the sum of desired replicas across deployments —
@@ -375,14 +386,9 @@ func (o *Orchestrator) RecoverNode(hostID int) error {
 // returns how many replacements were placed plus the first placement error,
 // if any (a cluster too degraded to hold the full desired state).
 func (o *Orchestrator) Repair() (int, error) {
-	names := make([]string, 0, len(o.deployments))
-	for name := range o.deployments {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	replaced := 0
 	var firstErr error
-	for _, ms := range names {
+	for _, ms := range o.sortedNames() {
 		d := o.deployments[ms]
 		placed := 0
 		for o.cl.CountFor(ms) < d.Replicas {

@@ -192,8 +192,8 @@ func CollectCluster(st *Store, cl *cluster.Cluster, tMin float64) {
 		cpu, mem := h.CPUUtil(), h.MemUtil()
 		st.hostGauges[h.ID].cpu.set(tMin, cpu)
 		st.hostGauges[h.ID].mem.set(tMin, mem)
-		for _, c := range h.Containers() {
-			ms := c.Spec.Microservice
+		for i := 0; i < h.NumContainers(); i++ {
+			ms := h.ContainerAt(i).Spec.Microservice
 			g := st.msGauges[ms]
 			if g == nil {
 				g = &msSeries{

@@ -46,8 +46,9 @@ func hostDeviation(h *cluster.Host, meanCPU, meanMem float64) float64 {
 // greedy search can ignore).
 func placementDelta(h *cluster.Host, spec cluster.ContainerSpec, meanCPU, meanMem float64) float64 {
 	before := hostDeviation(h, meanCPU, meanMem)
-	dc := h.CPUUtil() + spec.CPU/float64(h.Spec.Cores) - meanCPU
-	dm := h.MemUtil() + spec.MemMB/(h.Spec.MemGB*1024) - meanMem
+	hs := h.Spec()
+	dc := h.CPUUtil() + spec.CPU/float64(hs.Cores) - meanCPU
+	dm := h.MemUtil() + spec.MemMB/(hs.MemGB*1024) - meanMem
 	return dc*dc + dm*dm - before
 }
 
@@ -192,7 +193,8 @@ func Rebalance(cl *cluster.Cluster, maxMoves int) int {
 		var bestC *cluster.Container
 		var bestDst *cluster.Host
 		bestDelta := 0.0
-		for _, c := range src.Containers() {
+		for i := 0; i < src.NumContainers(); i++ {
+			c := src.ContainerAt(i)
 			cpuA, memA := src.UtilAfter(-c.CPUUsage(), -c.Spec.MemMB)
 			for _, dst := range hosts {
 				if dst.ID == src.ID || !dst.Fits(c.Spec) {

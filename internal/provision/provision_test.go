@@ -107,9 +107,29 @@ func TestPOPFallsBackAcrossGroups(t *testing.T) {
 	}
 }
 
-// placeScanOracle is Place as it shipped before the POP partition was
-// cached: the group is found by hashing every host of the cluster, for every
-// placement. Kept verbatim as the reference for the cached partition.
+// scanMeans is the cluster means as they were computed before the cluster
+// kept a utilization table: one pass over the live hosts in ID order, per
+// call.
+func scanMeans(cl *cluster.Cluster) (cpu, mem float64) {
+	n := 0
+	for _, h := range cl.Hosts() {
+		if h.Down() {
+			continue
+		}
+		cpu += h.CPUUtil()
+		mem += h.MemUtil()
+		n++
+	}
+	if n == 0 {
+		return 0, 0
+	}
+	return cpu / float64(n), mem / float64(n)
+}
+
+// placeScanOracle is Place as it shipped before the POP partition and the
+// cluster means were cached: the group is found by hashing every host of the
+// cluster and the means by scanning every host, for every placement. Kept as
+// the reference for both caches.
 type placeScanOracle struct {
 	Groups int
 	cursor int
@@ -131,7 +151,7 @@ func (s *placeScanOracle) group(cl *cluster.Cluster, idx int) []*cluster.Host {
 }
 
 func (s *placeScanOracle) Place(cl *cluster.Cluster, spec cluster.ContainerSpec) (int, error) {
-	meanCPU, meanMem := cl.MeanCPUUtil(), cl.MeanMemUtil()
+	meanCPU, meanMem := scanMeans(cl)
 	try := func(hosts []*cluster.Host) (int, bool) {
 		best, bestDelta, found := -1, 0.0, false
 		for _, h := range hosts {
@@ -164,7 +184,8 @@ func (s *placeScanOracle) Place(cl *cluster.Cluster, spec cluster.ContainerSpec)
 // up (so groups fall through to the next), hosts failing, recovering and being
 // cordoned on the way, the group count changed and the cluster swapped for one
 // of another size under the same scheduler (the cache's two keys). Every
-// placement must pick the same host, or fail alike.
+// placement must pick the same host, or fail alike, while the scheduler reads
+// the cluster's cached means and the oracle scans for them.
 func TestPlaceMatchesGroupScanOracle(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -216,6 +237,31 @@ func TestPlaceMatchesGroupScanOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPlaceWarmZeroAlloc: once the POP partition is built, scoring a
+// placement after a host changed — the refresh of that host's table entry,
+// the group scan, then reading the cached means again — allocates nothing.
+func TestPlaceWarmZeroAlloc(t *testing.T) {
+	cl := hotColdCluster(64)
+	s := &InterferenceAware{Groups: 4}
+	c, err := cl.Place(cluster.PaperContainer("a"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	usage := 0.1
+	place := func() {
+		usage = 0.3 - usage // 0.2, 0.1, 0.2, ...: every call touches host 1
+		c.SetCPUUsage(usage)
+		if _, err := s.Place(cl, cluster.PaperContainer("b")); err != nil {
+			t.Fatal(err)
+		}
+		_, _ = cl.MeanCPUUtil(), cl.MeanMemUtil()
+	}
+	place()
+	if allocs := testing.AllocsPerRun(100, place); allocs != 0 {
+		t.Fatalf("a warm Place after a touch allocates %.1f times, want 0", allocs)
 	}
 }
 
@@ -399,7 +445,9 @@ func randomCluster(seed int64) *cluster.Cluster {
 	cl := cluster.New(n, cluster.PaperHost)
 	var open []int
 	for _, h := range cl.Hosts() {
-		h.Spec = specs[rng.Intn(len(specs))]
+		if err := cl.SetHostSpec(h.ID, specs[rng.Intn(len(specs))]); err != nil {
+			panic(err)
+		}
 		if rng.Intn(3) > 0 {
 			cl.SetBackground(h.ID, workload.Interference{CPU: 0.6 * rng.Float64(), Mem: 0.5 * rng.Float64()})
 		}

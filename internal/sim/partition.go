@@ -258,11 +258,14 @@ func buildPartition(cfg Config, gi int, grp []int) (*partition, error) {
 	}
 
 	hosts := cfg.Cluster.Hosts()
-	sub := cluster.New(len(hosts), hosts[0].Spec)
+	sub := cluster.New(len(hosts), hosts[0].Spec())
 	for _, h := range hosts {
-		sh := sub.Host(h.ID)
-		sh.Spec = h.Spec
-		sh.Background = h.Background
+		if err := sub.SetHostSpec(h.ID, h.Spec()); err != nil {
+			return nil, err
+		}
+		if err := sub.SetBackground(h.ID, h.Background()); err != nil {
+			return nil, err
+		}
 	}
 	p := &partition{
 		sub:    sub,

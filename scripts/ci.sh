@@ -66,9 +66,10 @@ echo "== benchmark module (vet + test against this checkout's internal/ API) =="
 # stages, return) with the resilience layer compiled in but disabled — and a
 # warm plan-template evaluation (the whole of the planner's initial pass)
 # allocates nothing either, nor does ingesting a sampled span into a trace
-# coordinator that has held a window before.
-echo "== zero-alloc gates (obs disabled path, sim engine heap + lane and whole request, template Solve, span ingest) =="
-go test -run 'ZeroAlloc' -count=1 ./internal/obs ./internal/sim ./internal/scaling ./internal/trace
+# coordinator that has held a window before, nor does scoring a placement
+# after a host changed (one table refresh, the group scan, the cached means).
+echo "== zero-alloc gates (obs disabled path, sim engine heap + lane and whole request, template Solve, span ingest, warm Place) =="
+go test -run 'ZeroAlloc' -count=1 ./internal/obs ./internal/sim ./internal/scaling ./internal/trace ./internal/provision
 
 # The race pass above runs every package once at the default worker count.
 # Re-run the chaos determinism gate explicitly at two pool sizes: the fault
