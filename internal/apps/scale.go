@@ -10,13 +10,13 @@ import (
 )
 
 // ScaleConfig parameterizes the exact-shape Alibaba-scale topology used by
-// the planner scalability harness (BenchmarkPlanScale, figShard). Unlike the
-// Zipf-sampled Alibaba generator, every dimension here is exact: the app has
-// precisely Services graphs of precisely MicroservicesPerService nodes each,
-// and every shared-pool microservice appears in exactly SharingDegree
-// distinct services (the final pool entry absorbs any remainder). That makes
-// planner measurements comparable across sizes — doubling Services doubles
-// planner work, nothing else moves.
+// the planner scalability harness (BenchmarkIncrementalVsCompiled, figShard).
+// Unlike the Zipf-sampled Alibaba generator, every dimension here is exact:
+// the app has precisely Services graphs of precisely MicroservicesPerService
+// nodes each, and every shared-pool microservice appears in exactly
+// SharingDegree distinct services (the final pool entry absorbs any
+// remainder). That makes planner measurements comparable across sizes —
+// doubling Services doubles planner work, nothing else moves.
 type ScaleConfig struct {
 	Seed uint64
 	// Services is the number of online services. Default 100.

@@ -122,7 +122,7 @@ type Controller struct {
 	// Planner is the change-driven incremental planner over PlanCache, the
 	// one production planning path: windows replan only the sharing groups
 	// whose inputs changed, fanned out over one shard per pool worker. Its
-	// plans are bit-identical to multiplex.PlanSchemeCached from scratch and
+	// plans are bit-identical to a fresh planner's on the same inputs, and
 	// immutable (see multiplex.Plan).
 	Planner *multiplex.IncrementalPlanner
 

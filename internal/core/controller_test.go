@@ -116,7 +116,7 @@ func TestPlanRefusesUnplannableCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	rates := hotelRates(1e300)
-	_, wantErr := multiplex.PlanScheme(c.Scheme, c.planInputs(), c.Loads(rates), c.App.Shared())
+	_, wantErr := multiplex.NewIncrementalPlanner(nil).PlanScheme(c.Scheme, c.planInputs(), c.Loads(rates), c.App.Shared())
 	_, err := c.Plan(rates)
 	if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
 		t.Fatalf("1e300 req/min: controller %v, oracle %v", err, wantErr)

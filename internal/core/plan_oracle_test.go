@@ -68,14 +68,14 @@ func requireSamePlan(t *testing.T, want, got *multiplex.Plan, ctx string) {
 
 // TestControllerPlanMatchesOracleAcrossWindows drives the production planning
 // path — Controller.Plan: cached loads and shared list, incremental planner,
-// resolved group indices, model memo — for 32 consecutive windows against the
-// paper-literal planner rebuilt from scratch out of the same cluster state,
+// resolved group indices, model memo — for 32 consecutive windows against a
+// fresh planner over a private cache, built out of the same cluster state,
 // with the plan applied in between so the utilization the models see keeps
 // drifting. Scattered services change rate every window; on the way a model
 // is swapped, a host is lost, cluster capacity (every share) changes, an SLA
 // is edited, memory utilization moves while CPU utilization holds, and one
-// window is infeasible in two sharing groups at once. Every
-// window's plan or error must equal the oracle's bit for bit. The window
+// window is infeasible in two sharing groups at once. Every window's plan or
+// error must equal the fresh planner's bit for bit. The window
 // caches must show for what they are: a group no input of which moved hands
 // back the very allocations of the window before, a shared microservice whose
 // rank order held hands back the very rank map, and no plan ever returned is
@@ -246,7 +246,7 @@ func planAgainstOracle(t *testing.T, name string, app *apps.App, base float64, s
 		for _, in := range inputs {
 			cpu, mem = in.CPUUtil, in.MemUtil
 		}
-		want, wantErr := multiplex.PlanScheme(scheme, inputs, scratchLoads(app, rates), app.Shared())
+		want, wantErr := multiplex.NewIncrementalPlanner(nil).PlanScheme(scheme, inputs, scratchLoads(app, rates), app.Shared())
 		before := c.Planner.Stats()
 		got, gotErr := c.Plan(rates)
 		if wantErr != nil || gotErr != nil {

@@ -10,11 +10,13 @@ import (
 )
 
 // oraclePlan is the from-scratch reference for whatever Controller.Plan
-// returns in the cluster's current state: the paper-literal planner (nil
-// cache) over the same inputs, sharing nothing with the controller's caches.
+// returns in the cluster's current state: a fresh planner over a private
+// template cache and the same inputs, sharing nothing with the controller's
+// caches. That a fresh planner equals the map-based whole-app pipeline is
+// multiplex's oracle test.
 func oraclePlan(t *testing.T, c *Controller, rates map[string]float64) *multiplex.Plan {
 	t.Helper()
-	plan, err := multiplex.PlanSchemeCached(c.Scheme, c.planInputs(), c.Loads(rates), c.App.Shared(), nil)
+	plan, err := multiplex.NewIncrementalPlanner(nil).PlanScheme(c.Scheme, c.planInputs(), c.Loads(rates), c.App.Shared())
 	if err != nil {
 		t.Fatalf("oracle plan: %v", err)
 	}

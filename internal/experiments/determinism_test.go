@@ -129,10 +129,10 @@ func renderDeterministic(t *testing.T, id string) string {
 }
 
 // TestFigShardDeterministicAcrossWorkers pins the figShard contract: the
-// deterministic table (topology shape, skip/dirty counters, incremental
-// bit-identity against the monolithic planner) is byte-identical whether the
-// shard fan-out runs on one worker or four — one shard per worker, so shard
-// counts 1 and 4 — and the bit-identity column reads true.
+// deterministic table (topology shape, skip/dirty counters) is byte-identical
+// whether the shard fan-out runs on one worker or four — one shard per worker,
+// so shard counts 1 and 4. Bit-identity of the plans themselves on this
+// schedule is multiplex's TestFigShardScheduleMatchesOracle.
 func TestFigShardDeterministicAcrossWorkers(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	parallel.SetWorkers(1)
@@ -141,8 +141,5 @@ func TestFigShardDeterministicAcrossWorkers(t *testing.T) {
 	w4 := renderDeterministic(t, "figShard")
 	if w1 != w4 {
 		t.Errorf("figShard differs between workers=1 and workers=4:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", w1, w4)
-	}
-	if !strings.Contains(w1, "true") || strings.Contains(w1, "false") {
-		t.Errorf("figShard: incremental plans not bit-identical to monolithic:\n%s", w1)
 	}
 }

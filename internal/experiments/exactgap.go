@@ -63,7 +63,7 @@ func ExactGap(quick bool) []*Table {
 	}
 	gapsFlat, err := parallel.Map(len(instances), func(i int) (trialGap, error) {
 		in := instances[i]
-		plan, err := multiplex.PlanScheme(multiplex.SchemePriority, in.inputs, in.loads, in.shared)
+		plan, err := multiplex.NewIncrementalPlanner(nil).PlanScheme(multiplex.SchemePriority, in.inputs, in.loads, in.shared)
 		if err != nil {
 			return trialGap{}, nil
 		}

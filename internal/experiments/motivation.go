@@ -337,19 +337,12 @@ func Fig5(quick bool) []*Table {
 	schemes := []multiplex.Scheme{multiplex.SchemeFCFS, multiplex.SchemeNonShared, multiplex.SchemePriority}
 	rows, err := parallel.Map(len(schemes), func(si int) ([]string, error) {
 		scheme := schemes[si]
-		inputs := make(map[string]scaling.Input, len(app.Graphs))
-		for _, g := range app.Graphs {
-			inputs[g.Service] = scaling.Input{
-				Graph: g, SLA: pc.slas[g.Service], Models: pc.models,
-				Shares: pc.shares, CPUUtil: pc.cpu, MemUtil: pc.mem,
-			}
-		}
-		plan, err := multiplex.PlanScheme(scheme, inputs, pc.loads, app.Shared())
+		plan, err := ermsPlanner(scheme.String(), scheme).run(pc)
 		if err != nil {
 			return nil, err
 		}
 		cores := 0.0
-		for ms, n := range plan.Containers {
+		for ms, n := range plan.merged {
 			cores += float64(n) * app.Containers[ms].CPU
 		}
 		// End-to-end validation in the simulator.
@@ -359,14 +352,14 @@ func Fig5(quick bool) []*Table {
 		}
 		// Sorted placement order: map iteration would randomize container
 		// order and, through round-robin routing, the simulated numbers.
-		mss := make([]string, 0, len(plan.Containers))
-		for ms := range plan.Containers {
+		mss := make([]string, 0, len(plan.merged))
+		for ms := range plan.merged {
 			mss = append(mss, ms)
 		}
 		sort.Strings(mss)
 		i := 0
 		for _, ms := range mss {
-			for k := 0; k < plan.Containers[ms]; k++ {
+			for k := 0; k < plan.merged[ms]; k++ {
 				if _, err := cl.Place(app.Containers[ms], i%cl.NumHosts()); err != nil {
 					return nil, err
 				}
@@ -387,16 +380,14 @@ func Fig5(quick bool) []*Table {
 			DurationMin: duration + warmup,
 			WarmupMin:   warmup,
 			Delta:       0.05,
-		}
-		if scheme == multiplex.SchemePriority {
-			cfg.Priorities = plan.Ranks
+			Priorities:  plan.ranks, // nil except under the priority scheme
 		}
 		res, err := sim.Run(cfg, sim.PartitionOpts{})
 		if err != nil {
 			return nil, err
 		}
 		viol := math.Max(res.PerService["svc1"].ViolationRate(), res.PerService["svc2"].ViolationRate())
-		return []string{scheme.String(), f1(cores), fmt.Sprintf("%d", plan.TotalContainers()),
+		return []string{scheme.String(), f1(cores), fmt.Sprintf("%d", plan.total()),
 			f1(res.PerService["svc1"].P95()), f1(res.PerService["svc2"].P95()), pct(viol)}, nil
 	})
 	if err != nil {

@@ -67,7 +67,7 @@ func ermsPlanner(name string, scheme multiplex.Scheme) planner {
 				MemUtil: pc.mem,
 			}
 		}
-		plan, err := multiplex.PlanScheme(scheme, inputs, pc.loads, pc.app.Shared())
+		plan, err := multiplex.NewIncrementalPlanner(nil).PlanScheme(scheme, inputs, pc.loads, pc.app.Shared())
 		if err != nil {
 			return nil, err
 		}

@@ -1,9 +1,10 @@
-// Incremental, sharded multi-service planning: the per-window fast path
-// that makes recomputation proportional to *change* instead of to topology
-// size. PlanSchemeCached replans every service every window even when
-// nothing about it moved; IncrementalPlanner extends the template cache's
-// fingerprints from "recompile" to "skip the replan entirely" and fans the
-// remaining work out across shards.
+// Incremental, sharded multi-service planning: the one implementation of
+// §5.3.2 (initial targets → priority ranks → modified workloads → final
+// plan). A fresh planner's first window replans every service, which is what
+// planning from scratch means here; a planner kept across windows makes
+// recomputation proportional to *change* instead of to topology size. It
+// extends the template cache's fingerprints from "recompile" to "skip the
+// replan entirely" and fans the remaining work out across shards.
 //
 // Two structural facts make this sound:
 //
@@ -25,10 +26,10 @@
 // Sharding pins whole groups to one shard, so each shard runs the full
 // initial-targets → priority-ranks → modified-workloads → final-plan
 // pipeline for its groups with no cross-shard barrier. The fold back into
-// one Plan walks services in globally sorted order (the same order the
-// monolithic planner uses), so the output is byte-identical to
-// PlanSchemeCached at any shard count — including every float summation
-// order.
+// one Plan walks services in globally sorted order (the order of the
+// map-based whole-app pipeline this package's tests keep as the oracle,
+// monolithicPlan), so the output is byte-identical to that oracle at any
+// shard count — including every float summation order.
 //
 // Names are resolved once per topology. A rebuild turns every sharing group
 // into a flat index — its members' workload vectors laid end to end in each
@@ -175,8 +176,10 @@ type IncrementalStats struct {
 
 // NewIncrementalPlanner creates a planner over the given template cache
 // (nil allocates a private cache). The group partition gets one shard per
-// parallel pool worker, clamped to the number of sharing groups. Output is
-// byte-identical to the monolithic PlanSchemeCached at any shard count.
+// parallel pool worker, clamped to the number of sharing groups. A fresh
+// planner is the from-scratch planner: its first PlanScheme replans every
+// sharing group. Output is byte-identical at any shard count, and to the
+// map-based oracle of this package's tests.
 func NewIncrementalPlanner(cache *scaling.TemplateCache) *IncrementalPlanner {
 	if cache == nil {
 		cache = scaling.NewTemplateCache()
@@ -212,12 +215,12 @@ func (p *IncrementalPlanner) Groups() [][]string {
 	return out
 }
 
-// planErr orders a per-service failure the way the monolithic planner
+// planErr orders a per-service failure the way the whole-app pipeline
 // surfaces it: all initial-pass errors precede final-pass errors, and
 // within a pass the lowest-sorted-index service wins (parallel.ForEach's
 // lowest-indexed-failure contract).
 type planErr struct {
-	pass int // 0 = first planAll pass, 1 = priority final pass
+	pass int // 0 = initial (or only) pass, 1 = priority final pass
 	svc  int // global sorted service index
 	err  error
 }
@@ -232,13 +235,17 @@ func (e *planErr) before(o *planErr) bool {
 	return e.svc < o.svc
 }
 
-// PlanScheme computes the multi-service plan for one window. It is the
-// drop-in incremental equivalent of PlanSchemeCached(scheme, inputs,
-// loads, shared, cache): byte-identical plans and errors, but windows only
-// pay for the services whose sharing groups changed. loads[svc] is read at
-// the microservices of svc's graph (what Controller.Loads and every caller
-// here produces; other keys are ignored). The returned plan is read-only
-// (see the package comment on ownership).
+// PlanScheme computes the multi-service plan for one window: the plan and
+// error a from-scratch plan of the same inputs gives, bit for bit, but a
+// window only pays for the services whose sharing groups changed. inputs[svc]
+// carries each service's graph, SLA, models, shares and the cluster
+// utilization; its Workloads field is ignored and replaced according to the
+// scheme. shared lists the microservices multiplexed across services.
+// loads[svc][ms] is the service's own call rate at each of its
+// microservices (requests/minute), read at the microservices of svc's graph
+// (what Controller.Loads and every caller here produces; other keys are
+// ignored). The returned plan is read-only (see the package comment on
+// ownership).
 func (p *IncrementalPlanner) PlanScheme(scheme Scheme, inputs map[string]scaling.Input, loads map[string]map[string]float64, shared []string) (*Plan, error) {
 	if len(inputs) == 0 {
 		return nil, errors.New("multiplex: no services")
@@ -597,7 +604,7 @@ func (p *IncrementalPlanner) planGroup(g *group, sc *shardScratch, inputs map[st
 	p.dirty.Add(uint64(len(g.members)))
 	g.clean = false
 
-	// Replay the monolithic pipeline restricted to this group. Every value
+	// Replay the whole-app pipeline restricted to this group. Every value
 	// that crosses services (ranks, cumulative and aggregate workloads) is
 	// a pure function of group-internal data, so the restriction is exact:
 	// same floats, same fold orders, same errors.
@@ -715,7 +722,7 @@ func (p *IncrementalPlanner) planGroup(g *group, sc *shardScratch, inputs map[st
 
 // fold assembles the window's Plan from the per-service caches, walking
 // services in globally sorted order so every float summation replays the
-// monolithic merge bit for bit. Allocations and rank maps are the cached
+// whole-app merge bit for bit. Allocations and rank maps are the cached
 // objects themselves; only the outer maps and Containers are per-window.
 func (p *IncrementalPlanner) fold(scheme Scheme) *Plan {
 	plan := &Plan{
@@ -737,7 +744,7 @@ func (p *IncrementalPlanner) fold(scheme Scheme) *Plan {
 	}
 
 	if scheme == SchemeNonShared {
-		// The monolithic non-sharing merge sums every microservice — shared
+		// The whole-app non-sharing merge sums every microservice — shared
 		// ones included — and folds each service's whole ResourceUsage in
 		// sorted service order.
 		for i := range p.svcs {
@@ -751,7 +758,7 @@ func (p *IncrementalPlanner) fold(scheme Scheme) *Plan {
 	}
 
 	// Priority/FCFS merge: shared microservices deploy the max requirement
-	// across services, private ones add. Iteration replays the monolithic
+	// across services, private ones add. Iteration replays the whole-app
 	// merge exactly — sorted services, each service's microservices in
 	// sorted order (the template's list) — with the shared-max accumulators
 	// held in dense arrays indexed by sorted shared position, so the only
@@ -780,8 +787,8 @@ func (p *IncrementalPlanner) fold(scheme Scheme) *Plan {
 			touched[j] = true
 		}
 	}
-	// sharedSorted is sorted, so walking it skips nothing the monolithic
-	// sortutil.Keys(rawMax) fold would visit, in the same order.
+	// sharedSorted is sorted, so walking it skips nothing the whole-app
+	// fold over the sorted keys of rawMax would visit, in the same order.
 	for j, ms := range p.sharedSorted {
 		if touched[j] {
 			plan.Containers[ms] = nMax[j]

@@ -12,8 +12,9 @@ import (
 // BenchmarkIncrementalVsCompiled is the BENCH_6 pair: per-window planning
 // on the full Alibaba-scale topology (1000 services × 50 microservices ×
 // sharing degree 10) with 10% of services changing workload every window.
-// "compiled" is the PR-5 monolithic planner over a warmed template cache —
-// it replans all 1000 services each window; "incremental" skips the 900
+// "compiled" is the map-based whole-app pipeline kept as the oracle
+// (monolithicPlan) over a warmed template cache — it replans all 1000
+// services each window; "incremental" skips the 900
 // unchanged services (the dirty closure of the mutated 10% is exactly the
 // mutated services, since sharing groups here are aligned blocks) and
 // fans the dirty sharing groups out across shards. bench.sh folds the two
@@ -29,7 +30,7 @@ import (
 // gated pair, not gated.
 func BenchmarkIncrementalVsCompiled(b *testing.B) {
 	const services, dirtyFrac = 1000, 0.10
-	inputs, loads, shared := scaleInputs(b, apps.ScaleConfig{
+	inputs, loads, shared := scaleInputs(apps.ScaleConfig{
 		Seed: 42, Services: services, MicroservicesPerService: 50, SharingDegree: 10,
 	})
 	nDirty := int(dirtyFrac * services)
@@ -76,7 +77,7 @@ func BenchmarkIncrementalVsCompiled(b *testing.B) {
 	pair := func(prefix string, mutate func(), wantSkips bool) {
 		b.Run(prefix+"compiled", func(b *testing.B) {
 			cache := scaling.NewTemplateCache()
-			if _, err := PlanSchemeCached(SchemePriority, inputs, loads, shared, cache); err != nil {
+			if _, err := monolithicPlan(SchemePriority, inputs, loads, shared, cache); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -85,7 +86,7 @@ func BenchmarkIncrementalVsCompiled(b *testing.B) {
 				b.StopTimer()
 				mutate()
 				b.StartTimer()
-				if _, err := PlanSchemeCached(SchemePriority, inputs, loads, shared, cache); err != nil {
+				if _, err := monolithicPlan(SchemePriority, inputs, loads, shared, cache); err != nil {
 					b.Fatal(err)
 				}
 			}

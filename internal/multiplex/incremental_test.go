@@ -34,14 +34,14 @@ func planIncremental(t *testing.T, p *IncrementalPlanner, scheme Scheme, inputs 
 }
 
 // TestIncrementalByteIdenticalOnScaleTopology: on the Alibaba-shape
-// topology, the incremental planner reproduces the monolithic planner bit
+// topology, the incremental planner reproduces the oracle bit
 // for bit at shard counts 1 and 4, for every scheme, across repeated and
 // mutated windows — and actually skips on the unchanged window. It also
 // pins the ownership contract: a clean window hands back the very same
 // allocation objects (nothing is cloned), and a plan returned earlier is
 // untouched by a later replan of its services.
 func TestIncrementalByteIdenticalOnScaleTopology(t *testing.T) {
-	inputs, loads, shared := scaleInputs(t, apps.ScaleConfig{
+	inputs, loads, shared := scaleInputs(apps.ScaleConfig{
 		Seed: 11, Services: 30, MicroservicesPerService: 12, SharingDegree: 5,
 	})
 	for _, scheme := range []Scheme{SchemePriority, SchemeFCFS, SchemeNonShared} {
@@ -49,7 +49,7 @@ func TestIncrementalByteIdenticalOnScaleTopology(t *testing.T) {
 			p := shardedPlanner(shards)
 			ctx := fmt.Sprintf("%v shards=%d", scheme, shards)
 
-			want, err := PlanScheme(scheme, inputs, loads, shared)
+			want, err := monolithicPlan(scheme, inputs, loads, shared, nil)
 			if err != nil {
 				t.Fatalf("%s: oracle: %v", ctx, err)
 			}
@@ -74,7 +74,7 @@ func TestIncrementalByteIdenticalOnScaleTopology(t *testing.T) {
 			// Mutated window: bump one service's workload; output must match
 			// a from-scratch oracle run on the new loads.
 			loads["scale-svc-00000"]["pool-00000"] *= 1.25
-			want, err = PlanScheme(scheme, inputs, loads, shared)
+			want, err = monolithicPlan(scheme, inputs, loads, shared, nil)
 			if err != nil {
 				t.Fatalf("%s: oracle after mutation: %v", ctx, err)
 			}
@@ -95,7 +95,7 @@ func TestIncrementalByteIdenticalOnScaleTopology(t *testing.T) {
 // expected closure of a single-service change is its block of 3.
 func TestIncrementalDirtyClosure(t *testing.T) {
 	const services, degree = 12, 3
-	inputs, loads, shared := scaleInputs(t, apps.ScaleConfig{
+	inputs, loads, shared := scaleInputs(apps.ScaleConfig{
 		Seed: 7, Services: services, MicroservicesPerService: 8, SharingDegree: degree,
 	})
 	p := shardedPlanner(4)
@@ -157,11 +157,11 @@ func TestIncrementalDirtyClosure(t *testing.T) {
 }
 
 // TestIncrementalErrorMatchesMonolithic: an infeasible service surfaces
-// the same wrapped error as the monolithic planner (same service, same
+// the same wrapped error as the oracle (same service, same
 // text), the window fails closed, and the planner recovers once the input
 // is fixed — the failed group stays dirty, not poisoned.
 func TestIncrementalErrorMatchesMonolithic(t *testing.T) {
-	inputs, loads, shared := scaleInputs(t, apps.ScaleConfig{
+	inputs, loads, shared := scaleInputs(apps.ScaleConfig{
 		Seed: 5, Services: 8, MicroservicesPerService: 6, SharingDegree: 2,
 	})
 	p := shardedPlanner(3)
@@ -173,9 +173,9 @@ func TestIncrementalErrorMatchesMonolithic(t *testing.T) {
 	bad.SLA = workload.P95SLA(victim, 1e-9) // below minimum attainable latency
 	inputs[victim] = bad
 
-	_, wantErr := PlanSchemeCached(SchemePriority, inputs, loads, shared, scaling.NewTemplateCache())
+	_, wantErr := monolithicPlan(SchemePriority, inputs, loads, shared, nil)
 	if wantErr == nil {
-		t.Fatal("monolithic planner accepted an infeasible SLA")
+		t.Fatal("oracle accepted an infeasible SLA")
 	}
 	_, gotErr := p.PlanScheme(SchemePriority, inputs, loads, shared)
 	if gotErr == nil || gotErr.Error() != wantErr.Error() {
@@ -183,7 +183,7 @@ func TestIncrementalErrorMatchesMonolithic(t *testing.T) {
 	}
 
 	inputs[victim] = good
-	want, err := PlanScheme(SchemePriority, inputs, loads, shared)
+	want, err := monolithicPlan(SchemePriority, inputs, loads, shared, nil)
 	if err != nil {
 		t.Fatalf("oracle after repair: %v", err)
 	}
@@ -194,7 +194,7 @@ func TestIncrementalErrorMatchesMonolithic(t *testing.T) {
 // TestIncrementalOracleUnderRandomMutations is the property test: random
 // per-window mutation sequences — workload scaling, SLA changes, share
 // edits, graph rebuilds (same shape, new pointer) and structural graph
-// edits — against a from-scratch PlanScheme oracle. Plans must be
+// edits — against the oracle, run from scratch every window. Plans must be
 // bit-identical after every window, at a random shard count per sequence.
 func TestIncrementalOracleUnderRandomMutations(t *testing.T) {
 	schemes := []Scheme{SchemePriority, SchemeFCFS, SchemeNonShared}
@@ -260,7 +260,7 @@ func TestIncrementalOracleUnderRandomMutations(t *testing.T) {
 				}
 			}
 			ctx := fmt.Sprintf("seed %d %v shards=%d window %d", seed, scheme, shards, window)
-			want, err := PlanScheme(scheme, inputs, loads, shared)
+			want, err := monolithicPlan(scheme, inputs, loads, shared, nil)
 			if err != nil {
 				t.Fatalf("%s: oracle: %v", ctx, err)
 			}
@@ -324,7 +324,7 @@ func TestIncrementalRanksReorderAndTie(t *testing.T) {
 			map[string]int{"svcb": 0, "svcc": 1, "svca": 2}, false},
 	} {
 		step.mutate()
-		want, err := PlanScheme(SchemePriority, inputs, loads, shared)
+		want, err := monolithicPlan(SchemePriority, inputs, loads, shared, nil)
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", step.name, err)
 		}
@@ -369,7 +369,7 @@ func TestIncrementalWorkloadEdgeCasesMatchOracle(t *testing.T) {
 			ctx := fmt.Sprintf("%s, %v", tc.name, scheme)
 			planIncremental(t, p, scheme, inputs, loads, shared, ctx+": warm-up")
 			tc.mutate(loads)
-			want, wantErr := PlanScheme(scheme, inputs, loads, shared)
+			want, wantErr := monolithicPlan(scheme, inputs, loads, shared, nil)
 			got, gotErr := p.PlanScheme(scheme, inputs, loads, shared)
 			if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
 				t.Fatalf("%s: error mismatch:\n  incremental: %v\n  oracle:      %v", ctx, gotErr, wantErr)
@@ -385,11 +385,11 @@ func TestIncrementalWorkloadEdgeCasesMatchOracle(t *testing.T) {
 // pool sizes and shard counts renders one identical plan — the sharded
 // fan-out must not leak scheduling order into the fold.
 func TestIncrementalAcrossWorkersAndShards(t *testing.T) {
-	inputs, loads, shared := scaleInputs(t, apps.ScaleConfig{
+	inputs, loads, shared := scaleInputs(apps.ScaleConfig{
 		Seed: 13, Services: 20, MicroservicesPerService: 10, SharingDegree: 4,
 	})
 	defer parallel.SetWorkers(0)
-	want, err := PlanScheme(SchemePriority, inputs, loads, shared)
+	want, err := monolithicPlan(SchemePriority, inputs, loads, shared, nil)
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}

@@ -7,13 +7,9 @@
 package multiplex
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 
-	"erms/internal/parallel"
 	"erms/internal/scaling"
-	"erms/internal/sortutil"
 )
 
 // AssignPriorities ranks the services at every shared microservice by their
@@ -98,39 +94,6 @@ func ModifiedWorkloads(ranks map[string]map[string]int, loads map[string]map[str
 	return out
 }
 
-// FCFSWorkloads models default FCFS sharing: every service sees the full
-// aggregate workload at each shared microservice (all traffic can delay all
-// traffic).
-func FCFSWorkloads(shared []string, loads map[string]map[string]float64) map[string]map[string]float64 {
-	sharedSet := make(map[string]bool, len(shared))
-	for _, ms := range shared {
-		sharedSet[ms] = true
-	}
-	// Fold service contributions in sorted order so each total is bit-stable
-	// run to run.
-	totals := make(map[string]float64)
-	for _, svc := range sortutil.Keys(loads) {
-		for ms, g := range loads[svc] {
-			if sharedSet[ms] {
-				totals[ms] += g
-			}
-		}
-	}
-	out := make(map[string]map[string]float64, len(loads))
-	for svc, byMS := range loads {
-		m := make(map[string]float64, len(byMS))
-		for ms, own := range byMS {
-			if sharedSet[ms] {
-				m[ms] = totals[ms]
-			} else {
-				m[ms] = own
-			}
-		}
-		out[svc] = m
-	}
-	return out
-}
-
 // Scheme names the shared-microservice deployment schemes of §2.3.
 type Scheme int
 
@@ -190,150 +153,11 @@ func (p *Plan) TotalContainers() int {
 	return t
 }
 
-// PlanScheme computes a multi-service allocation under the given scheme.
-//
-// inputs[svc] carries each service's graph, SLA, models, shares and the
-// cluster utilization; its Workloads field is ignored and replaced according
-// to the scheme. loads[svc][ms] is the service's own call rate at each of
-// its microservices (requests/minute). shared lists the microservices
-// multiplexed across services.
-func PlanScheme(scheme Scheme, inputs map[string]scaling.Input, loads map[string]map[string]float64, shared []string) (*Plan, error) {
-	return PlanSchemeCached(scheme, inputs, loads, shared, nil)
-}
-
-// PlanSchemeCached is PlanScheme backed by a template cache: each service's
-// per-window scaling plan replays its compiled template instead of
-// re-running validation and the Algorithm-1 reduction. The output is
-// bit-identical to PlanScheme's, which is this with a nil cache: every
-// service's template compiled for the one call.
-// Distinct services plan concurrently without contention (the cache is
-// keyed by service and each template carries its own lock).
+// PlanSchemeCached plans one window from scratch: a fresh IncrementalPlanner
+// over the given template cache (nil allocates a private one), so every
+// sharing group replans. It survives only because bench/probes.go, which
+// changes only in a benchmark PR, times it as the from-scratch reference for
+// Controller.Plan; ROADMAP item 8 removes it with that probe's metric.
 func PlanSchemeCached(scheme Scheme, inputs map[string]scaling.Input, loads map[string]map[string]float64, shared []string, cache *scaling.TemplateCache) (*Plan, error) {
-	if len(inputs) == 0 {
-		return nil, errors.New("multiplex: no services")
-	}
-	for svc := range inputs {
-		if _, ok := loads[svc]; !ok {
-			return nil, fmt.Errorf("multiplex: no loads for service %s", svc)
-		}
-	}
-	sharedSet := make(map[string]bool, len(shared))
-	for _, ms := range shared {
-		sharedSet[ms] = true
-	}
-
-	// Per-service latency-target decomposition: each service's scaling plan
-	// is independent (scaling.Plan is pure and only reads the shared maps),
-	// so the services fan out across the worker pool. Results merge keyed by
-	// a sorted name list, so output is identical at any worker count.
-	svcs := make([]string, 0, len(inputs))
-	for svc := range inputs {
-		svcs = append(svcs, svc)
-	}
-	sort.Strings(svcs)
-	planAll := func(workloads map[string]map[string]float64) (map[string]*scaling.Allocation, error) {
-		allocs, err := parallel.Map(len(svcs), func(i int) (*scaling.Allocation, error) {
-			svc := svcs[i]
-			in := inputs[svc]
-			in.Workloads = workloads[svc]
-			// cache.Plan on a nil cache is scaling.Plan: compile, then plan.
-			alloc, err := cache.Plan(in)
-			if err != nil {
-				return nil, fmt.Errorf("multiplex: service %s: %w", svc, err)
-			}
-			return alloc, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		out := make(map[string]*scaling.Allocation, len(svcs))
-		for i, svc := range svcs {
-			out[svc] = allocs[i]
-		}
-		return out, nil
-	}
-
-	plan := &Plan{Scheme: scheme, Containers: make(map[string]int)}
-	var err error
-	switch scheme {
-	case SchemeNonShared:
-		// Each service plans with its own workload and deploys its own
-		// exclusive containers, even at shared microservices.
-		plan.PerService, err = planAll(copyLoads(loads))
-		if err != nil {
-			return nil, err
-		}
-		for _, svc := range sortutil.Keys(plan.PerService) {
-			alloc := plan.PerService[svc]
-			for ms, n := range alloc.Containers {
-				plan.Containers[ms] += n
-			}
-			plan.ResourceUsage += alloc.ResourceUsage
-		}
-		return plan, nil
-
-	case SchemeFCFS:
-		plan.PerService, err = planAll(FCFSWorkloads(shared, loads))
-		if err != nil {
-			return nil, err
-		}
-
-	case SchemePriority:
-		// 1. Initial targets from each service's own workload.
-		initial, err := planAll(copyLoads(loads))
-		if err != nil {
-			return nil, err
-		}
-		// 2. Priorities from initial targets; 3. final plan from modified
-		// cumulative workloads.
-		plan.Ranks = AssignPriorities(initial, shared)
-		plan.PerService, err = planAll(ModifiedWorkloads(plan.Ranks, loads))
-		if err != nil {
-			return nil, err
-		}
-
-	default:
-		return nil, fmt.Errorf("multiplex: unknown scheme %v", scheme)
-	}
-
-	// Merge (priority/FCFS): shared microservices deploy the max requirement
-	// across services; private ones belong to exactly one service. Iterate
-	// services and microservices in sorted order so the usage float sum is
-	// bit-stable run to run.
-	rawMax := make(map[string]float64)
-	shareOf := make(map[string]float64)
-	for _, svc := range sortutil.Keys(plan.PerService) {
-		alloc := plan.PerService[svc]
-		for _, ms := range sortutil.Keys(alloc.Containers) {
-			n := alloc.Containers[ms]
-			if !sharedSet[ms] {
-				plan.Containers[ms] += n
-				plan.ResourceUsage += alloc.ContainersRaw[ms] * inputs[svc].Shares[ms]
-				continue
-			}
-			if n > plan.Containers[ms] {
-				plan.Containers[ms] = n
-			}
-			if alloc.ContainersRaw[ms] > rawMax[ms] {
-				rawMax[ms] = alloc.ContainersRaw[ms]
-			}
-			shareOf[ms] = inputs[svc].Shares[ms]
-		}
-	}
-	for _, ms := range sortutil.Keys(rawMax) {
-		plan.ResourceUsage += rawMax[ms] * shareOf[ms]
-	}
-	return plan, nil
-}
-
-func copyLoads(loads map[string]map[string]float64) map[string]map[string]float64 {
-	out := make(map[string]map[string]float64, len(loads))
-	for svc, byMS := range loads {
-		m := make(map[string]float64, len(byMS))
-		for ms, g := range byMS {
-			m[ms] = g
-		}
-		out[svc] = m
-	}
-	return out
+	return NewIncrementalPlanner(cache).PlanScheme(scheme, inputs, loads, shared)
 }

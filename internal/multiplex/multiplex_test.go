@@ -138,33 +138,24 @@ func TestModifiedWorkloadsCumulative(t *testing.T) {
 	}
 }
 
-func TestFCFSWorkloadsAggregate(t *testing.T) {
-	loads := map[string]map[string]float64{
-		"svc1": {"P": 100, "X": 7},
-		"svc2": {"P": 200},
-	}
-	got := FCFSWorkloads([]string{"P"}, loads)
-	if got["svc1"]["P"] != 300 || got["svc2"]["P"] != 300 {
-		t.Fatalf("fcfs workloads = %+v", got)
-	}
-	if got["svc1"]["X"] != 7 {
-		t.Fatal("private microservice load changed")
-	}
+// freshPlan plans one window from scratch with the production planner.
+func freshPlan(scheme Scheme, inputs map[string]scaling.Input, loads map[string]map[string]float64, shared []string) (*Plan, error) {
+	return NewIncrementalPlanner(nil).PlanScheme(scheme, inputs, loads, shared)
 }
 
 func TestPlanSchemeOrdering(t *testing.T) {
 	// The headline claim of §2.3/Theorem 1: priority <= non-sharing <= FCFS
 	// in resource usage for the Fig. 5 scenario.
 	inputs, loads, shared := fig5Inputs()
-	prio, err := PlanScheme(SchemePriority, inputs, loads, shared)
+	prio, err := freshPlan(SchemePriority, inputs, loads, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fcfs, err := PlanScheme(SchemeFCFS, inputs, loads, shared)
+	fcfs, err := freshPlan(SchemeFCFS, inputs, loads, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
-	non, err := PlanScheme(SchemeNonShared, inputs, loads, shared)
+	non, err := freshPlan(SchemeNonShared, inputs, loads, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +173,7 @@ func TestPlanSchemeOrdering(t *testing.T) {
 
 func TestPlanSchemeContainersMerged(t *testing.T) {
 	inputs, loads, shared := fig5Inputs()
-	prio, err := PlanScheme(SchemePriority, inputs, loads, shared)
+	prio, err := freshPlan(SchemePriority, inputs, loads, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +187,7 @@ func TestPlanSchemeContainersMerged(t *testing.T) {
 	if prio.Containers["P"] != maxP {
 		t.Fatalf("P containers = %d, want max %d", prio.Containers["P"], maxP)
 	}
-	non, _ := PlanScheme(SchemeNonShared, inputs, loads, shared)
+	non, _ := freshPlan(SchemeNonShared, inputs, loads, shared)
 	sumP := 0
 	for _, alloc := range non.PerService {
 		sumP += alloc.Containers["P"]
@@ -210,15 +201,15 @@ func TestPlanSchemeContainersMerged(t *testing.T) {
 }
 
 func TestPlanSchemeErrors(t *testing.T) {
-	if _, err := PlanScheme(SchemePriority, nil, nil, nil); err == nil {
+	if _, err := freshPlan(SchemePriority, nil, nil, nil); err == nil {
 		t.Fatal("empty inputs accepted")
 	}
 	inputs, _, shared := fig5Inputs()
-	if _, err := PlanScheme(SchemePriority, inputs, map[string]map[string]float64{}, shared); err == nil {
+	if _, err := freshPlan(SchemePriority, inputs, map[string]map[string]float64{}, shared); err == nil {
 		t.Fatal("missing loads accepted")
 	}
 	_, loads, _ := fig5Inputs()
-	if _, err := PlanScheme(Scheme(42), inputs, loads, shared); err == nil {
+	if _, err := freshPlan(Scheme(42), inputs, loads, shared); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
 }
@@ -381,11 +372,11 @@ func TestPrioritySavesOverFCFSOnRandomTopologies(t *testing.T) {
 	const n = 150
 	for seed := 0; seed < n; seed++ {
 		inputs, loads, shared := randomSharedInputs(uint64(seed) + 1)
-		prio, err := PlanScheme(SchemePriority, inputs, loads, shared)
+		prio, err := freshPlan(SchemePriority, inputs, loads, shared)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fcfs, err := PlanScheme(SchemeFCFS, inputs, loads, shared)
+		fcfs, err := freshPlan(SchemeFCFS, inputs, loads, shared)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,14 +6,12 @@ import (
 	"testing"
 
 	"erms/internal/apps"
-	"erms/internal/cluster"
 	"erms/internal/parallel"
-	"erms/internal/profiling"
 	"erms/internal/scaling"
 )
 
 // requirePlanBitIdentical fails unless two multi-service plans agree bit for
-// bit in every field — the contract of the cached path and of the
+// bit in every field — the planner's contract against the oracle and the
 // determinism guarantee across worker counts.
 func requirePlanBitIdentical(t *testing.T, want, got *Plan, ctx string) {
 	t.Helper()
@@ -70,17 +68,17 @@ func requirePlanBitIdentical(t *testing.T, want, got *Plan, ctx string) {
 	}
 }
 
-// TestPlanSchemeCachedBitIdentical: for every scheme, the template-cached
-// path reproduces PlanScheme, which compiles every service from scratch, bit
-// for bit, on both the cold (compile) and warm (hit) window. The per-service
-// check against the recursive oracle is scaling's TestCompiled*.
+// TestPlanSchemeCachedBitIdentical: PlanSchemeCached, a fresh planner over
+// the cache it is given, gives the oracle's plan bit for bit for every scheme,
+// on the cold window that compiles the templates and the warm one that hits
+// them. It goes with PlanSchemeCached (ROADMAP item 8).
 func TestPlanSchemeCachedBitIdentical(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		inputs, loads, shared := randomSharedInputs(seed)
 		for _, scheme := range []Scheme{SchemePriority, SchemeFCFS, SchemeNonShared} {
-			want, err := PlanScheme(scheme, inputs, loads, shared)
+			want, err := monolithicPlan(scheme, inputs, loads, shared, nil)
 			if err != nil {
-				t.Fatalf("seed %d %v: scratch: %v", seed, scheme, err)
+				t.Fatalf("seed %d %v: oracle: %v", seed, scheme, err)
 			}
 			cache := scaling.NewTemplateCache()
 			for round := 0; round < 2; round++ {
@@ -100,48 +98,22 @@ func TestPlanSchemeCachedBitIdentical(t *testing.T) {
 
 // scaleInputs builds the multi-service planner workload over the exact-shape
 // Alibaba-scale topology.
-func scaleInputs(tb testing.TB, cfg apps.ScaleConfig) (map[string]scaling.Input, map[string]map[string]float64, []string) {
-	tb.Helper()
-	app := apps.ScaleTopology(cfg)
-	cl := cluster.NewPaperCluster()
-	threads := make(map[string]int, len(app.Containers))
-	shares := make(map[string]float64, len(app.Containers))
-	for ms, spec := range app.Containers {
-		threads[ms] = spec.Threads
-		shares[ms] = cl.DominantShare(spec)
-	}
-	models := profiling.AnalyticModels(app.Profiles, threads, cluster.DefaultInterference)
-	inputs := make(map[string]scaling.Input, len(app.Graphs))
-	loads := make(map[string]map[string]float64, len(app.Graphs))
-	for _, g := range app.Graphs {
-		byMS := make(map[string]float64, g.Len())
-		for _, ms := range g.Microservices() {
-			byMS[ms] = 9000 * float64(len(g.NodesFor(ms)))
-		}
-		inputs[g.Service] = scaling.Input{
-			Graph:   g,
-			SLA:     app.SLAs[g.Service],
-			Models:  models,
-			Shares:  shares,
-			CPUUtil: 0.35,
-			MemUtil: 0.25,
-		}
-		loads[g.Service] = byMS
-	}
-	return inputs, loads, app.Shared()
+func scaleInputs(cfg apps.ScaleConfig) (map[string]scaling.Input, map[string]map[string]float64, []string) {
+	return appInputs(apps.ScaleTopology(cfg), 9000)
 }
 
 // TestPlanSchemeByteIdenticalAcrossWorkers pins the parallel determinism
 // contract on the scale topology: workers=1 and workers=4 produce
-// bit-identical plans, cached and compiled from scratch (nil cache).
+// bit-identical plans, from a fresh planner (every template compiled for the
+// call) and from one over a warm template cache.
 func TestPlanSchemeByteIdenticalAcrossWorkers(t *testing.T) {
-	inputs, loads, shared := scaleInputs(t, apps.ScaleConfig{
+	inputs, loads, shared := scaleInputs(apps.ScaleConfig{
 		Seed: 9, Services: 24, MicroservicesPerService: 16, SharingDegree: 6,
 	})
 	defer parallel.SetWorkers(0)
 	run := func(workers int, cache *scaling.TemplateCache) *Plan {
 		parallel.SetWorkers(workers)
-		p, err := PlanSchemeCached(SchemePriority, inputs, loads, shared, cache)
+		p, err := NewIncrementalPlanner(cache).PlanScheme(SchemePriority, inputs, loads, shared)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -158,39 +130,4 @@ func TestPlanSchemeByteIdenticalAcrossWorkers(t *testing.T) {
 	cached4 := run(4, cache)
 	requirePlanBitIdentical(t, scratch1, cached1, "cached w1 vs scratch")
 	requirePlanBitIdentical(t, cached1, cached4, "cached w1-vs-w4")
-}
-
-// BenchmarkPlanScale measures full multi-service priority planning (two
-// planAll passes + rank assignment + merge) on Alibaba-scale topologies,
-// every template compiled from scratch versus template-cached.
-func BenchmarkPlanScale(b *testing.B) {
-	sizes := []apps.ScaleConfig{
-		{Seed: 42, Services: 50, MicroservicesPerService: 50, SharingDegree: 10},
-		{Seed: 42, Services: 200, MicroservicesPerService: 50, SharingDegree: 10},
-	}
-	for _, cfg := range sizes {
-		inputs, loads, shared := scaleInputs(b, cfg)
-		name := fmt.Sprintf("svcs=%d", cfg.Services)
-		b.Run(name+"/scratch", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := PlanScheme(SchemePriority, inputs, loads, shared); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(name+"/cached", func(b *testing.B) {
-			cache := scaling.NewTemplateCache()
-			if _, err := PlanSchemeCached(SchemePriority, inputs, loads, shared, cache); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := PlanSchemeCached(SchemePriority, inputs, loads, shared, cache); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

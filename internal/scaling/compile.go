@@ -144,9 +144,8 @@ func (e *Eval) fit(nOps, nMS int) {
 	e.Containers, e.UsedHigh, e.seen = e.Containers[:nMS], e.UsedHigh[:nMS], e.seen[:nMS]
 }
 
-// evalPool backs the map-keyed Plan, whose callers (the template cache, the
-// monolithic planner, the package-level Plan) have no Eval of their own to
-// pass.
+// evalPool backs the map-keyed Plan, whose callers (the package-level Plan
+// among them) have no Eval of their own to pass.
 var evalPool = sync.Pool{New: func() any { return new(Eval) }}
 
 // Compile validates the input's static bindings once, runs the Algorithm-1
@@ -602,7 +601,7 @@ func (t *Template) paramHashOf(in Input) (uint64, error) {
 }
 
 // fnv is an inline word-at-a-time hash accumulator (splitmix64-style
-// finalizer per word). The fingerprint runs on every cached Plan, so it is
+// finalizer per word). The fingerprint runs on every Resolve, so it is
 // deliberately a couple of multiplies per 8 bytes, not a byte loop — the
 // revalidation cost must stay a small fraction of one template evaluation.
 type fnv struct{ h uint64 }
@@ -639,7 +638,7 @@ func (f *fnv) str(s string) {
 func (f *fnv) sum() uint64 { return f.h }
 
 // TemplateCache memoizes Templates per service and revalidates them by
-// fingerprint on every Plan: a structural or parametric change recompiles
+// fingerprint on every Resolve: a structural or parametric change recompiles
 // transparently, so callers never observe a stale plan. The cache is safe
 // for concurrent use; plans for distinct services never contend.
 type TemplateCache struct {
@@ -658,7 +657,7 @@ func NewTemplateCache() *TemplateCache {
 
 // CacheStats is a point-in-time snapshot of cache effectiveness counters.
 type CacheStats struct {
-	// Hits counts Plan calls served by an existing valid template.
+	// Hits counts template evaluations served without a compile (AddHits).
 	Hits uint64
 	// Compiles counts template builds (first sight of a service, or rebuild
 	// after invalidation).
@@ -712,29 +711,12 @@ func (c *TemplateCache) put(t *Template) {
 	c.entries[t.Service] = t
 }
 
-// Plan is the package-level Plan with the service's template kept between
-// calls: the same allocations and errors, compiling or recompiling the
-// template as needed. A nil cache compiles one for the call (scaling.Plan).
-func (c *TemplateCache) Plan(in Input) (*Allocation, error) {
-	if c == nil {
-		return Plan(in)
-	}
-	t, compiled, err := c.Resolve(in)
-	if err != nil {
-		return nil, err
-	}
-	if !compiled {
-		c.hits.Add(1)
-	}
-	return t.Plan(in.Workloads, in.CPUUtil, in.MemUtil)
-}
-
 // Resolve returns the service's template, valid for in: the cached one while
 // its graph shape and bindings still match, a freshly compiled one (compiled
 // is true; Compiles and, for a replaced entry, Invalidations count it)
-// otherwise. It is the validation half of Plan, for a caller that evaluates
-// the template itself — several times a window, revalidating with
-// ParamsMatch in between — and reports those evaluations with AddHits.
+// otherwise. The caller evaluates the template itself — several times a
+// window, revalidating with ParamsMatch in between — and reports those
+// evaluations with AddHits.
 func (c *TemplateCache) Resolve(in Input) (t *Template, compiled bool, err error) {
 	if in.Graph == nil {
 		return nil, false, errors.New("scaling: nil graph")
@@ -754,7 +736,6 @@ func (c *TemplateCache) Resolve(in Input) (t *Template, compiled bool, err error
 	return t, true, nil
 }
 
-// AddHits counts n evaluations of resolved, still-valid templates that did
-// not go through Plan, so Hits keeps meaning one per evaluation served
-// without a compile.
+// AddHits counts n evaluations of resolved, still-valid templates, so Hits
+// means one per evaluation served without a compile.
 func (c *TemplateCache) AddHits(n int) { c.hits.Add(uint64(n)) }

@@ -67,7 +67,7 @@ func BenchmarkCompiledVsNaive(b *testing.B) {
 		cache := scaling.NewTemplateCache()
 		// Warm: the steady-state window is what the reconciler pays.
 		for j := range inputs {
-			if _, err := cache.Plan(inputs[j]); err != nil {
+			if _, err := scaling.CachedPlan(cache, inputs[j]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -75,7 +75,7 @@ func BenchmarkCompiledVsNaive(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j := range inputs {
-				if _, err := cache.Plan(inputs[j]); err != nil {
+				if _, err := scaling.CachedPlan(cache, inputs[j]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -93,7 +93,7 @@ func TestCompiledMatchesNaiveAtScale(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for j := range inputs {
 			want, errW := scaling.NaivePlan(inputs[j])
-			got, errG := cache.Plan(inputs[j])
+			got, errG := scaling.CachedPlan(cache, inputs[j])
 			if errW != nil || errG != nil {
 				t.Fatalf("svc %d: naive err %v, cached err %v", j, errW, errG)
 			}

@@ -150,7 +150,7 @@ func TestCompiledPlanInfeasibleErrorMatches(t *testing.T) {
 		t.Fatalf("naive err = %v, want infeasible", wantErr)
 	}
 	cache := NewTemplateCache()
-	_, gotErr := cache.Plan(in)
+	_, gotErr := cachedPlan(cache, in)
 	if !errors.Is(gotErr, ErrInfeasible) {
 		t.Fatalf("cached err = %v, want infeasible", gotErr)
 	}
@@ -375,7 +375,7 @@ func TestTemplateCacheHitsAndWorkloadOnlyChanges(t *testing.T) {
 		win.Workloads = loads
 		win.CPUUtil = 0.2 + 0.1*float64(w)
 		want, wantErr := naivePlan(win)
-		got, gotErr := cache.Plan(win)
+		got, gotErr := cachedPlan(cache, win)
 		if wantErr != nil || gotErr != nil {
 			t.Fatalf("window %d: naive err %v, cached err %v", w, wantErr, gotErr)
 		}
@@ -458,12 +458,12 @@ func TestTemplateCacheInvalidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			base := duplicateMSInput()
 			cache := NewTemplateCache()
-			if _, err := cache.Plan(base); err != nil {
+			if _, err := cachedPlan(cache, base); err != nil {
 				t.Fatalf("base plan: %v", err)
 			}
 			mut := tc.mutate(duplicateMSInput())
 			want, wantErr := naivePlan(mut)
-			got, gotErr := cache.Plan(mut)
+			got, gotErr := cachedPlan(cache, mut)
 			if wantErr != nil {
 				if gotErr == nil || wantErr.Error() != gotErr.Error() {
 					t.Fatalf("err %v, want %v", gotErr, wantErr)
@@ -479,7 +479,7 @@ func TestTemplateCacheInvalidation(t *testing.T) {
 				t.Fatalf("stats = %+v, want 1 invalidation / 2 compiles", st)
 			}
 			// The recompiled template is now current: planning again hits.
-			if _, err := cache.Plan(mut); err != nil {
+			if _, err := cachedPlan(cache, mut); err != nil {
 				t.Fatalf("replan: %v", err)
 			}
 			if st := cache.Stats(); st.Hits != 1 {
@@ -489,10 +489,11 @@ func TestTemplateCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestTemplateCacheNilAndValidationErrors: a nil cache compiles per call and
-// matches the oracle, and invalid inputs surface the oracle's error text on
-// every path — including inputs with several problems, where the static
-// bindings (graph, SLA, models, shares) are reported before any workload.
+// TestTemplateCacheNilAndValidationErrors: Plan compiles per call and matches
+// the oracle, a nil cache reads empty, and invalid inputs surface the oracle's
+// error text on every path — including inputs with several problems, where
+// the static bindings (graph, SLA, models, shares) are reported before any
+// workload.
 func TestTemplateCacheNilAndValidationErrors(t *testing.T) {
 	var nilCache *TemplateCache
 	in := duplicateMSInput()
@@ -500,11 +501,11 @@ func TestTemplateCacheNilAndValidationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := nilCache.Plan(in)
+	got, err := Plan(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireAllocBitIdentical(t, want, got, "nilcache")
+	requireAllocBitIdentical(t, want, got, "Plan")
 	if st := nilCache.Stats(); st != (CacheStats{}) {
 		t.Fatalf("nil cache stats = %+v", st)
 	}
@@ -535,7 +536,7 @@ func TestTemplateCacheNilAndValidationErrors(t *testing.T) {
 		if wantErr == nil || wantErr.Error() != tc.wantErr {
 			t.Fatalf("%s: naive err %v, want %q", tc.name, wantErr, tc.wantErr)
 		}
-		_, cachedErr := NewTemplateCache().Plan(bad)
+		_, cachedErr := cachedPlan(NewTemplateCache(), bad)
 		_, planErr := Plan(bad)
 		_, explainErr := Explain(bad)
 		for path, err := range map[string]error{"cached": cachedErr, "Plan": planErr, "Explain": explainErr} {

@@ -7,7 +7,7 @@ import (
 )
 
 // TestTemplateCacheConcurrent hammers one TemplateCache from many
-// goroutines the way the planners do: concurrent Plan calls for overlapping
+// goroutines the way the planners do: concurrent cached plans for overlapping
 // services, mixed with Resolve + Solve on private Evals and Stats/Len reads,
 // including two parameter variants of the same service racing to recompile
 // each other's template. Run under -race in ci.sh; results must stay
@@ -50,7 +50,7 @@ func TestTemplateCacheConcurrent(t *testing.T) {
 			var gamma []float64
 			for it := 0; it < iters; it++ {
 				v := vars[(w+it)%services][(w+it/3)%2]
-				got, err := cache.Plan(v.in)
+				got, err := cachedPlan(cache, v.in)
 				if err != nil {
 					errs <- fmt.Errorf("worker %d iter %d: %v", w, it, err)
 					return
@@ -67,7 +67,7 @@ func TestTemplateCacheConcurrent(t *testing.T) {
 						w, it, got.ResourceUsage, v.want.ResourceUsage)
 					return
 				}
-				// What the incremental planner does instead of Plan: resolve
+				// What the incremental planner does instead of Template.Plan: resolve
 				// once, then evaluate the template on a vector with its own
 				// Eval — here racing other workers on the same template.
 				tpl, _, err := cache.Resolve(v.in)

@@ -30,7 +30,7 @@ var unreadAllowlist = map[string]string{
 	"trace.Coordinator.WorkloadEstimate": "ROADMAP item 1(d): plan from the workload the traces show",
 	"scaling.EndToEndModelLatency":       "ROADMAP item 1(a): model-predicted vs observed end-to-end latency",
 
-	"graph.Graph.NodesFor":                "core/plan_oracle_test.go builds the PlanScheme oracle's inputs with it",
+	"graph.Graph.NodesFor":                "core/plan_oracle_test.go builds the from-scratch reference's loads with it",
 	"multiplex.IncrementalPlanner.Groups": "core/plan_oracle_test.go checks clean groups against the sharing partition",
 	"metrics.Store.Range":                 "core and obs tests read stored series back",
 	"stats.Reservoir.Values":              "sim's partition fingerprints hash every latency reservoir",

@@ -90,15 +90,17 @@ go test -run 'TestFig23' -count=1 ./internal/experiments
 # Algorithm 1 outside the tests — must stay bit-identical to the recursive
 # merge tree kept as its oracle (naivePlan in internal/scaling/oracle_test.go),
 # errors included, and Explain's render of it byte-identical to the oracle's;
-# the incremental sharded planner must stay bit-identical to the monolithic
-# one at shards=1 and shards=4 (and under random mutation sequences against
-# the from-scratch planner) while handing out its cached allocations
-# uncopied, and the figShard deterministic table must be byte-identical at
-# one worker and four.
-echo "== planner determinism (template vs oracle + Explain, figShard + PlanScheme + incremental, workers=1 vs 4) =="
+# the incremental sharded planner — the one §5.3.2 planner outside the tests —
+# must stay bit-identical to the map-based whole-app pipeline kept as its
+# oracle (monolithicPlan in internal/multiplex/oracle_test.go) at shards=1
+# and shards=4, fresh on the paper apps and an Alibaba-shaped one, kept
+# across figShard's schedule and under random mutation sequences, while
+# handing out its cached allocations uncopied; and the figShard deterministic
+# table must be byte-identical at one worker and four.
+echo "== planner determinism (template vs oracle + Explain, planner vs oracle, figShard + PlanScheme + incremental, workers=1 vs 4) =="
 go test -count=1 -run 'TestCompiled|TestTemplateCache|TestExplain' ./internal/scaling
 go test -count=1 \
-	-run 'TestFigShardDeterministicAcrossWorkers|TestPlanSchemeByteIdenticalAcrossWorkers|TestPlanSchemeCachedBitIdentical|TestIncremental' \
+	-run 'TestFigShardDeterministicAcrossWorkers|TestPlanSchemeByteIdenticalAcrossWorkers|TestFreshPlannerMatchesOracleOnAppTopologies|TestFigShardScheduleMatchesOracle|TestIncremental' \
 	./internal/experiments ./internal/multiplex
 
 # The spec front-end gates (PR 7).
@@ -235,15 +237,17 @@ BENCH_SMOKE=1 BENCH_OUT=/tmp/bench_7_smoke.txt BENCH_JSON=/tmp/BENCH_7_smoke.jso
 #       Rebalance that moves nothing cost less than the planner (they ran 11x
 #       the planner each while CountFor scanned every container and Rebalance
 #       tried every move for real; ~2 ms against ~20 ms now);
-#   plan x 8 < monolithic plan       a window through Controller.Plan against
-#       the from-scratch compiled planner on the same inputs in the probe
-#       window (the ratio was 5.5 while the incremental planner re-derived
-#       names, multiplicities and ranks through maps every window; ~25 now);
+#   plan < monolithic plan           a window through Controller.Plan against
+#       a fresh planner on the same inputs in the probe window, over a
+#       template cache the probe warmed (multiplex.monolithic_plan_ms): a kept
+#       planner's window must beat a fresh one (~22 against ~50 ms; while that
+#       metric timed the map-based pipeline, now the multiplex test oracle,
+#       the gate was plan x 8 < monolithic at a ratio of ~25);
 #   core.plan_allocs <= 80000        heap allocations of one Controller.Plan
 #       (~190 000 before, ~17 500 now: what a plan hands out, little else).
 #
 # The run's own checks (digest, replicas, plan oracle) must pass too.
-echo "== control-window gates (scale1k-control: repair + rebalance < plan, plan x 8 < monolithic, plan allocs) =="
+echo "== control-window gates (scale1k-control: repair + rebalance < plan, plan < monolithic, plan allocs) =="
 res=$(bash bench/run.sh --workload scale1k-control --seed 1 --seconds 1 --trace 1 | tail -n 1)
 case "$res" in
 '{"correct":true,'*) ;;
@@ -258,7 +262,7 @@ awk -v repair="$(layer 'kube\.repair_ms')" -v rebalance="$(layer 'provision\.reb
 	-v allocs="$(layer 'core\.plan_allocs')" 'BEGIN {
 	printf "repair %.2f ms + rebalance %.2f ms vs plan %.2f ms vs monolithic plan %.2f ms; %d allocations per plan\n",
 		repair, rebalance, plan, mono, allocs
-	exit !(plan > 0 && repair + rebalance < plan && plan * 8 < mono && allocs > 0 && allocs <= 80000)
+	exit !(plan > 0 && repair + rebalance < plan && plan < mono && allocs > 0 && allocs <= 80000)
 }'
 
 # The retention gate (PR 18): a simulating loop leaves behind what something
