@@ -1,5 +1,6 @@
 // Package core assembles the Erms system of Fig. 6: the Tracing Coordinator
-// and metrics store feed the Offline Profiler; the Online Scaling pipeline
+// and the simulator's per-minute samples feed the Offline Profiler, with the
+// OS-level utilization read off the cluster itself; the Online Scaling pipeline
 // (graph merge → latency target computation → priority scheduling) plans
 // container counts per microservice; and the Resource Provisioning module
 // places them on the cluster through the mini-Kubernetes orchestrator.
@@ -16,7 +17,6 @@ import (
 	"erms/internal/drift"
 	"erms/internal/graph"
 	"erms/internal/kube"
-	"erms/internal/metrics"
 	"erms/internal/multiplex"
 	"erms/internal/obs"
 	"erms/internal/parallel"
@@ -77,8 +77,6 @@ type Controller struct {
 	App  *apps.App
 	Orch *kube.Orchestrator
 
-	// Metrics is the Prometheus-substitute store scraped every window.
-	Metrics *metrics.Store
 	// Coordinator holds the sampled spans of the most recent evaluation:
 	// EvaluateDeployed empties it before each simulation, because trace IDs
 	// restart with every run and a window kept would merge into the next.
@@ -172,7 +170,6 @@ func New(app *apps.App, orch *kube.Orchestrator, opts ...Option) (*Controller, e
 	c := &Controller{
 		App:          app,
 		Orch:         orch,
-		Metrics:      metrics.NewStore(),
 		Coordinator:  trace.NewCoordinator(0.1),
 		Models:       make(map[string]profiling.Model),
 		Scheme:       multiplex.SchemePriority,
@@ -422,7 +419,6 @@ func (c *Controller) Apply(plan *multiplex.Plan) error {
 			return fmt.Errorf("core: applying %s: %w (rolled back)", ms, err)
 		}
 	}
-	metrics.CollectCluster(c.Metrics, c.Orch.Cluster(), 0)
 	c.Obs.Inc(obs.CtrApplies)
 	return nil
 }

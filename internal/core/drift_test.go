@@ -46,7 +46,7 @@ func TestDriftDisabledPathIdentical(t *testing.T) {
 // drifted microservice.
 func TestDriftSwapInstallsModelAndInvalidatesTemplate(t *testing.T) {
 	c := hotelController(t, WithDriftDetection(drift.Config{Threshold: 0.5, Consecutive: 2}))
-	rec := obs.New(c.Metrics)
+	rec := obs.New(nil)
 	c.Obs = rec
 	r := NewReconciler(c)
 	// Live samples are per-minute aggregates recorded after warmup, so a

@@ -13,7 +13,7 @@ import (
 func obsReconciler(t *testing.T) (*Reconciler, *Controller, *obs.Recorder) {
 	t.Helper()
 	c := hotelController(t)
-	rec := obs.New(c.Metrics)
+	rec := obs.New(nil)
 	c.Obs = rec
 	r := NewReconciler(c)
 	r.WindowMin = 0.6
@@ -117,8 +117,8 @@ func TestStepRecordsRetriesAndDegradedWindows(t *testing.T) {
 
 // TestChaosRunExportsSelfTelemetry drives the reconciler under a real
 // chaos.Injector schedule — the full ermsctl -chaos wiring — and checks the
-// erms.self.* series land in the controller's metrics store with the
-// per-window values the reports carry.
+// erms.self.* counters and the recorder's phase spans carry the per-window
+// values the reports do.
 func TestChaosRunExportsSelfTelemetry(t *testing.T) {
 	r, c, rec := obsReconciler(t)
 	const windows = 4
@@ -178,17 +178,29 @@ func TestChaosRunExportsSelfTelemetry(t *testing.T) {
 		t.Fatal("chaos run recorded no chaos events")
 	}
 
-	// FlushWindow mirrored the counters and phase spans into the store: one
-	// point per window, timestamped at simulated window end.
-	pts := c.Metrics.Range(obs.CtrWindows, 0, float64(windows+1)*r.WindowMin)
-	if len(pts) != windows {
-		t.Fatalf("store has %d points for %s, want %d", len(pts), obs.CtrWindows, windows)
+	// Each window's phase timings stay observable as the recorder's spans:
+	// every phase a report carries is exactly one span of that name and
+	// window, with the duration the report filed.
+	type key struct {
+		name   string
+		window int
 	}
-	if last := pts[len(pts)-1]; last.V != windows {
-		t.Fatalf("cumulative windows series ends at %v, want %d", last.V, windows)
+	spans := make(map[key][]float64)
+	for _, sp := range rec.Spans() {
+		k := key{sp.Name, sp.Window}
+		spans[k] = append(spans[k], sp.DurMs)
 	}
-	planKey := "erms.self.phase_ms{phase=\"plan\"}"
-	if got := len(c.Metrics.Range(planKey, 0, float64(windows+1)*r.WindowMin)); got == 0 {
-		t.Fatalf("store has no %s points", planKey)
+	phases := 0
+	for _, rep := range hist {
+		for phase, ms := range rep.PhaseMs {
+			phases++
+			got := spans[key{phase, rep.Window}]
+			if len(got) != 1 || got[0] != ms {
+				t.Fatalf("window %d phase %s: spans %v, want exactly one of %v ms", rep.Window, phase, got, ms)
+			}
+		}
+	}
+	if n := len(rec.Spans()); n != phases {
+		t.Fatalf("recorder holds %d spans, the reports %d phase timings", n, phases)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"erms/internal/metrics"
 	"erms/internal/multiplex"
 	"erms/internal/obs"
 )
@@ -65,8 +64,7 @@ func TestControllerPlanCacheBitIdentical(t *testing.T) {
 // TestControllerPlanCacheCounters: planning with observability mirrors the
 // cumulative template-cache counters into erms.self.* gauges.
 func TestControllerPlanCacheCounters(t *testing.T) {
-	store := metrics.NewStore()
-	rec := obs.New(store)
+	rec := obs.New(nil)
 	c := hotelController(t, WithObservability(rec))
 	for w := 0; w < 3; w++ {
 		if _, err := c.Plan(hotelRates(5000)); err != nil {

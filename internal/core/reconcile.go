@@ -54,9 +54,8 @@ type Reconciler struct {
 	// loop runs exactly as before — every instrumentation point is a
 	// nil-receiver no-op with zero allocations. When set, each Step times
 	// its phases (repair, plan, apply, rebalance, evaluate) as wall-clock
-	// spans, populates WindowReport.PhaseMs, counts retries / degraded
-	// windows / plan diffs under erms.self.*, and mirrors the counters into
-	// the recorder's metrics store at the end of the window.
+	// spans, populates WindowReport.PhaseMs, and counts retries / degraded
+	// windows / plan diffs under erms.self.*.
 	// NewReconciler inherits the controller's recorder.
 	Obs *obs.Recorder
 
@@ -225,10 +224,9 @@ func (r *Reconciler) notePhase(rep *WindowReport, name string, sp obs.Span) {
 	rep.PhaseMs[name] = sp.End()
 }
 
-// finishWindow publishes the completed window's self-telemetry: loop
-// counters under erms.self.* and a FlushWindow mirroring them (plus the
-// window's phase spans) into the recorder's metrics store at the window-end
-// timestamp. No-op without a recorder.
+// finishWindow publishes the completed window's loop counters under
+// erms.self.* (its phase spans are already on the recorder). No-op without a
+// recorder.
 func (r *Reconciler) finishWindow(rep *WindowReport) {
 	o := r.Obs
 	if o == nil {
@@ -244,7 +242,6 @@ func (r *Reconciler) finishWindow(rep *WindowReport) {
 	o.Add(obs.CtrOutageWindows, b2f(rep.Outage))
 	o.Add(obs.CtrObsGapWindows, b2f(rep.ObsGap))
 	o.Set(obs.GaugeContainers, float64(rep.Containers))
-	o.FlushWindow(rep.Window, float64(rep.Window+1)*r.WindowMin)
 }
 
 // b2f materializes a boolean counter increment: adding 0 still creates the

@@ -74,7 +74,7 @@ func TestApplyRollbackOnRememberedOrder(t *testing.T) {
 	// One host, CPU-bound at 10 containers of 0.1 core.
 	c := tinyController(t, 1, cluster.HostSpec{Cores: 1, MemGB: 4})
 	c.App.Containers["C"] = cluster.PaperContainer("C")
-	rec := obs.New(c.Metrics)
+	rec := obs.New(nil)
 	c.Obs = rec
 	planA := map[string]int{"A": 2, "B": 2, "C": 2}
 	if err := c.Apply(&multiplex.Plan{Containers: planA}); err != nil {

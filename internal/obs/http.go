@@ -15,9 +15,7 @@ import (
 // Handler serves the recorder over HTTP:
 //
 //	/metrics      Prometheus text format: every counter/gauge of the
-//	              recorder plus the latest point of every series in the
-//	              bound metrics store (application metrics and the
-//	              erms.self.* mirror alike).
+//	              recorder, one line each.
 //	/spans        JSON dump of the retained internal spans.
 //	/debug/pprof  the standard net/http/pprof profiles.
 //
@@ -113,8 +111,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (r *Recorder) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var sb strings.Builder
-
-	// Live counters and gauges straight from the recorder.
 	counters := r.Counters()
 	names := make([]string, 0, len(counters))
 	for name := range counters {
@@ -123,24 +119,6 @@ func (r *Recorder) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	sort.Strings(names)
 	for _, name := range names {
 		fmt.Fprintf(&sb, "%s %g\n", PromName(name), counters[name])
-	}
-
-	// Latest value of every store series not already covered above (the
-	// erms.self.* mirror carries FlushWindow history; live values win).
-	if st := r.Store(); st != nil {
-		seen := make(map[string]bool, len(names))
-		for _, name := range names {
-			seen[PromName(name)] = true
-		}
-		for _, key := range st.Names() {
-			pn := PromName(key)
-			if seen[pn] {
-				continue
-			}
-			if p, ok := st.Latest(key); ok {
-				fmt.Fprintf(&sb, "%s %g\n", pn, p.V)
-			}
-		}
 	}
 	fmt.Fprint(w, sb.String())
 }
@@ -159,17 +137,12 @@ func (r *Recorder) serveSpans(w http.ResponseWriter, _ *http.Request) {
 	_ = enc.Encode(payload)
 }
 
-// PromName converts a store series key into a valid Prometheus metric name:
-// the name part (before any {labels}) has every character outside
-// [a-zA-Z0-9_:] replaced by '_'; a label block produced by metrics.Key is
-// already in Prometheus form and passes through untouched.
-func PromName(key string) string {
-	name, labels := key, ""
-	if i := strings.IndexByte(key, '{'); i >= 0 {
-		name, labels = key[:i], key[i:]
-	}
+// PromName converts a recorder counter name into a valid Prometheus metric
+// name: every character outside [a-zA-Z0-9_:] is replaced by '_', and a
+// leading digit gets a '_' prefix.
+func PromName(name string) string {
 	var b strings.Builder
-	b.Grow(len(name) + len(labels))
+	b.Grow(len(name))
 	for i := 0; i < len(name); i++ {
 		c := name[i]
 		switch {
@@ -184,6 +157,5 @@ func PromName(key string) string {
 			b.WriteByte('_')
 		}
 	}
-	b.WriteString(labels)
 	return b.String()
 }

@@ -4,8 +4,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"erms/internal/metrics"
 )
 
 // allCounterNames is every erms.* counter and gauge constant the control
@@ -36,8 +34,9 @@ var allCounterNames = []string{
 
 // TestAllCountersExportOnMetrics sets every counter constant to a unique
 // value and asserts each renders on /metrics under its sanitized Prometheus
-// name with that value — the counter-name contract between the recording
-// side (core, reconciler, chaos, sim) and the scrape surface.
+// name with that value, one line per counter and nothing else — the
+// counter-name contract between the recording side (core, reconciler,
+// chaos, sim) and the scrape surface.
 func TestAllCountersExportOnMetrics(t *testing.T) {
 	// Guard against two constants silently merging into one series.
 	seen := make(map[string]string, len(allCounterNames))
@@ -49,7 +48,7 @@ func TestAllCountersExportOnMetrics(t *testing.T) {
 		seen[pn] = name
 	}
 
-	r := New(metrics.NewStore())
+	r := New(nil)
 	for i, name := range allCounterNames {
 		r.Set(name, float64(i+1))
 	}
@@ -70,6 +69,9 @@ func TestAllCountersExportOnMetrics(t *testing.T) {
 		}
 	}
 	body := sb.String()
+	if lines := strings.Count(body, "\n"); lines != len(allCounterNames) || !strings.HasSuffix(body, "\n") {
+		t.Errorf("/metrics has %d lines, want one per counter set (%d):\n%s", lines, len(allCounterNames), body)
+	}
 	for i, name := range allCounterNames {
 		want := PromName(name) + " " + itoa(i+1)
 		if !strings.Contains(body, want) {

@@ -1,9 +1,8 @@
-// Package obs is the self-observability layer of the Erms control plane:
-// where internal/metrics watches the *applications* (the Prometheus
-// substitute of §5.1), obs watches the controller itself — the reconciler's
-// per-window phase latencies, its retry and degraded-mode counters, the
-// orchestrator's action stream, the chaos events it survived, and the
-// discrete-event engine's throughput.
+// Package obs is the self-observability layer of the Erms control plane: it
+// watches the controller itself — the reconciler's per-window phase
+// latencies, its retry and degraded-mode counters, the orchestrator's action
+// stream, the chaos events it survived, and the discrete-event engine's
+// throughput.
 //
 // The design constraint is that observability must never perturb the thing
 // it observes:
@@ -18,19 +17,14 @@
 //     at any worker count with or without a recorder (wall-clock phase
 //     timings are recorded but never fed back into planning).
 //
-// Counter values are mirrored into an internal/metrics.Store under the
-// erms.self.* namespace once per reconciliation window (FlushWindow), which
-// makes the controller's own health queryable through exactly the same
-// Range/MeanInRange API the controller uses to watch its applications — and
-// serveable in Prometheus text format by the HTTP endpoint in http.go.
+// The recorder is the one self-telemetry surface: the HTTP endpoint in
+// http.go serves its live counters and gauges in Prometheus text format at
+// /metrics and its retained phase spans at /spans.
 package obs
 
 import (
-	"sort"
 	"sync"
 	"time"
-
-	"erms/internal/metrics"
 )
 
 // Reconciler phase span names (the phases of core.Reconciler.Step, §Fig. 6).
@@ -208,29 +202,20 @@ type Recorder struct {
 	spanHead int // ring start when the buffer is full
 	spanCap  int
 	dropped  int
-	store    *metrics.Store
 }
 
-// New creates a recorder. store, when non-nil, receives the erms.self.*
-// series on each FlushWindow; pass the controller's Metrics store so
-// application metrics and self-telemetry live in one queryable place.
-func New(store *metrics.Store) *Recorder {
+// New creates a recorder. The parameter is ignored: it was the metrics store
+// a recorder once mirrored into, and it stays only so that the benchmark
+// module's obs.New(nil) keeps compiling until ROADMAP item 8(g) moves that
+// call to obs.New() and drops the parameter.
+func New(_ any) *Recorder {
 	r := &Recorder{
 		now:      time.Now,
 		counters: make(map[string]float64),
 		spanCap:  4096,
-		store:    store,
 	}
 	r.epoch = r.now()
 	return r
-}
-
-// Store returns the bound metrics store (nil when detached or disabled).
-func (r *Recorder) Store() *metrics.Store {
-	if r == nil {
-		return nil
-	}
-	return r.store
 }
 
 // Add increments a counter by delta. No-op on a nil recorder.
@@ -360,43 +345,4 @@ func (r *Recorder) DroppedSpans() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dropped
-}
-
-// FlushWindow mirrors the current counter values — and the named window's
-// phase durations as erms.self.phase_ms{phase="..."} — into the bound
-// metrics store at time tMin (simulated minutes). Counters are recorded
-// cumulatively, matching Prometheus counter semantics; rates fall out of
-// the store's Range deltas. No-op when disabled or detached from a store.
-func (r *Recorder) FlushWindow(window int, tMin float64) {
-	if r == nil || r.store == nil {
-		return
-	}
-	r.mu.Lock()
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	type kv struct {
-		k string
-		v float64
-	}
-	snapshot := make([]kv, 0, len(names))
-	for _, name := range names {
-		snapshot = append(snapshot, kv{name, r.counters[name]})
-	}
-	var phases []kv
-	for _, sp := range r.spans {
-		if sp.Window == window {
-			phases = append(phases, kv{sp.Name, sp.DurMs})
-		}
-	}
-	r.mu.Unlock()
-
-	for _, c := range snapshot {
-		r.store.Append(c.k, tMin, c.v)
-	}
-	for _, p := range phases {
-		r.store.Append(metrics.Key("erms.self.phase_ms", "phase", p.k), tMin, p.v)
-	}
 }

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"erms/internal/metrics"
 )
 
 // fakeClock returns a clock that advances stepMs per reading.
@@ -21,8 +19,8 @@ func fakeClock(stepMs float64) func() time.Time {
 	}
 }
 
-func newTestRecorder(store *metrics.Store, stepMs float64) *Recorder {
-	r := New(store)
+func newTestRecorder(stepMs float64) *Recorder {
+	r := New(nil)
 	r.now = fakeClock(stepMs)
 	r.epoch = r.now()
 	return r
@@ -51,7 +49,7 @@ func TestCountersAndGauges(t *testing.T) {
 }
 
 func TestSpansRecordWindowAndDuration(t *testing.T) {
-	r := newTestRecorder(nil, 5) // every clock read advances 5ms
+	r := newTestRecorder(5) // every clock read advances 5ms
 	sp := r.StartSpan(PhasePlan, 2)
 	if d := sp.End(); d != 5 {
 		t.Fatalf("span duration = %v, want 5ms from the fake clock", d)
@@ -67,7 +65,7 @@ func TestSpansRecordWindowAndDuration(t *testing.T) {
 }
 
 func TestSpanRingEvictsOldest(t *testing.T) {
-	r := newTestRecorder(nil, 1)
+	r := newTestRecorder(1)
 	r.spanCap = 4
 	for i := 0; i < 6; i++ {
 		r.StartSpan(PhaseApply, i).End()
@@ -86,39 +84,6 @@ func TestSpanRingEvictsOldest(t *testing.T) {
 	}
 }
 
-func TestFlushWindowMirrorsIntoStore(t *testing.T) {
-	st := metrics.NewStore()
-	r := newTestRecorder(st, 3)
-	r.Add(CtrRetries, 2)
-	r.Set(GaugeContainers, 44)
-	r.StartSpan(PhasePlan, 0).End()
-	r.StartSpan(PhaseEvaluate, 0).End()
-	r.FlushWindow(0, 1.5)
-	r.Add(CtrRetries, 1)
-	r.StartSpan(PhasePlan, 1).End()
-	r.FlushWindow(1, 3.0)
-
-	pts := st.Range(CtrRetries, 0, 10)
-	if len(pts) != 2 || pts[0].V != 2 || pts[1].V != 3 {
-		t.Fatalf("retries series = %+v, want cumulative [2 3]", pts)
-	}
-	if p, ok := st.Latest(GaugeContainers); !ok || p.V != 44 {
-		t.Fatalf("gauge series latest = %+v ok=%v", p, ok)
-	}
-	planKey := metrics.Key("erms.self.phase_ms", "phase", PhasePlan)
-	plans := st.Range(planKey, 0, 10)
-	if len(plans) != 2 {
-		t.Fatalf("phase_ms{plan} = %+v, want one point per flushed window", plans)
-	}
-	if plans[0].T != 1.5 || plans[1].T != 3.0 {
-		t.Errorf("phase points at %v/%v, want window-end timestamps", plans[0].T, plans[1].T)
-	}
-	evalKey := metrics.Key("erms.self.phase_ms", "phase", PhaseEvaluate)
-	if got := st.Range(evalKey, 0, 10); len(got) != 1 {
-		t.Errorf("phase_ms{evaluate} = %+v, want only window 0's span", got)
-	}
-}
-
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
 	sp := r.StartSpan(PhasePlan, 0)
@@ -129,11 +94,10 @@ func TestNilRecorderIsInert(t *testing.T) {
 	r.Inc(CtrRetries)
 	r.Set(GaugeContainers, 1)
 	r.SetMax(GaugeContainers, 2)
-	r.FlushWindow(0, 0)
 	if r.Value(CtrRetries) != 0 || r.Counters() != nil || r.Spans() != nil {
 		t.Error("nil recorder retained state")
 	}
-	if r.Store() != nil || r.DroppedSpans() != 0 {
+	if r.DroppedSpans() != 0 {
 		t.Error("nil recorder accessors not inert")
 	}
 }
@@ -155,7 +119,6 @@ func TestDisabledRecorderZeroAlloc(t *testing.T) {
 		r.SetMax(GaugeSimHeapPeak, 7)
 		_ = r.Value(CtrRetries)
 		sp.End()
-		r.FlushWindow(3, 1.5)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled recorder allocates %v per instrumented window, want 0", allocs)
@@ -183,8 +146,6 @@ func TestEnabledCounterSteadyStateZeroAlloc(t *testing.T) {
 func TestPromName(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"erms.self.retries_total", "erms_self_retries_total"},
-		{`erms.self.phase_ms{phase="plan"}`, `erms_self_phase_ms{phase="plan"}`},
-		{`host_cpu_util{host="3"}`, `host_cpu_util{host="3"}`},
 		{"9lives", "_9lives"},
 		{"a:b-c", "a:b_c"},
 	}
@@ -196,12 +157,9 @@ func TestPromName(t *testing.T) {
 }
 
 func TestHTTPEndpoints(t *testing.T) {
-	st := metrics.NewStore()
-	st.Append(metrics.Key("host_cpu_util", "host", "0"), 1, 0.25)
-	r := newTestRecorder(st, 2)
+	r := newTestRecorder(2)
 	r.Add(CtrRetries, 4)
 	r.StartSpan(PhasePlan, 0).End()
-	r.FlushWindow(0, 1.2)
 
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
@@ -227,15 +185,8 @@ func TestHTTPEndpoints(t *testing.T) {
 		return sb.String()
 	}
 
-	metricsBody := get("/metrics")
-	for _, want := range []string{
-		"erms_self_retries_total 4",
-		`erms_self_phase_ms{phase="plan"}`,
-		`host_cpu_util{host="0"} 0.25`,
-	} {
-		if !strings.Contains(metricsBody, want) {
-			t.Errorf("/metrics missing %q in:\n%s", want, metricsBody)
-		}
+	if body := get("/metrics"); body != "erms_self_retries_total 4\n" {
+		t.Errorf("/metrics = %q, want the one counter", body)
 	}
 
 	var payload struct {

@@ -19,7 +19,9 @@ type Status struct {
 	Window    int    `json:"window"`
 	Phase     string `json:"phase"`
 	Committed int    `json:"committed_generation"`
-	LastGood  int    `json:"last_good_generation"`
+	// LastGood is the rollback target, which is always the committed
+	// generation.
+	LastGood int `json:"last_good_generation"`
 	// Candidate is the in-flight rollout's generation, 0 when idle.
 	Candidate   int            `json:"candidate_generation,omitempty"`
 	Queued      []int          `json:"queued_generations,omitempty"`
@@ -36,7 +38,7 @@ func (o *Operator) StatusSnapshot() Status {
 		Window:    o.window,
 		Phase:     o.phase.String(),
 		Committed: o.committed.ID,
-		LastGood:  o.lastGood.ID,
+		LastGood:  o.committed.ID,
 	}
 	if o.cand != nil {
 		st.Candidate = o.cand.ID

@@ -238,7 +238,6 @@ type Operator struct {
 
 	gens      []*Generation
 	committed *Generation
-	lastGood  *Generation
 	cand      *Generation
 	canary    *canaryRun
 	clean     int
@@ -284,7 +283,7 @@ func New(sc *spec.Scenario, cfg Config, rec *obs.Recorder) (*Operator, error) {
 		scenario: sc,
 	}
 	o.gens = append(o.gens, gen1)
-	o.committed, o.lastGood = gen1, gen1
+	o.committed = gen1
 	o.rec.Set(obs.GaugeGeneration, 1)
 	return o, nil
 }
@@ -476,7 +475,6 @@ func (o *Operator) commit(w int) {
 	o.cand.Status = StatusCommitted
 	o.cand.DecidedWindow = w
 	o.committed = o.cand
-	o.lastGood = o.cand
 	o.cand = nil
 	o.phase = PhaseIdle
 	o.rec.Inc(obs.CtrRolloutPromoted)

@@ -282,19 +282,52 @@ func TestBadPushRollsBackWithFleetUntouched(t *testing.T) {
 	}
 }
 
+// scaleBaseYAML bootstraps the operator on a generated topology, where a
+// push can keep every service and microservice name and still change the
+// graphs or the service profiles.
+const scaleBaseYAML = `
+version: 1
+name: scale-base
+seed: 9
+app:
+  kind: scale
+  services: 12
+  microservices_per_service: 8
+  sharing_degree: 3
+run:
+  duration_min: 4
+  window_min: 1
+  hosts: 20
+cohorts:
+  - name: web
+    service: scale-svc-00000
+    tier: standard
+    arrival:
+      kind: static
+      rate: 600
+`
+
 func TestPushAdmissionRejectsStructuralChanges(t *testing.T) {
 	cases := []struct {
-		name, old, new, want string
+		name, base, push, old, new, want string
 	}{
-		{"different app", "kind: hotel", "kind: social", "services"},
-		{"different hosts", "hosts: 20", "hosts: 30", "run.hosts"},
-		{"different window", "window_min: 1", "window_min: 2", "window_min"},
-		{"different models", "hosts: 20", "hosts: 20\n  models: profiled", "run.models"},
+		{"different app", baseSpecYAML, goodPushYAML, "kind: hotel", "kind: social", "services"},
+		{"different hosts", baseSpecYAML, goodPushYAML, "hosts: 20", "hosts: 30", "run.hosts"},
+		{"different window", baseSpecYAML, goodPushYAML, "window_min: 1", "window_min: 2", "window_min"},
+		{"different models", baseSpecYAML, goodPushYAML, "hosts: 20", "hosts: 20\n  models: profiled", "run.models"},
+		// Same names, other graphs: stages one call wide double the
+		// critical path.
+		{"different graphs", scaleBaseYAML, scaleBaseYAML, "sharing_degree: 3", "sharing_degree: 3\n  max_stage_width: 1", "topology"},
+		// Same names and graphs, other service profiles.
+		{"different profiles", scaleBaseYAML, scaleBaseYAML, "seed: 9", "seed: 10", "topology"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			o := newTestOperator(t, testConfig())
-			bad := strings.Replace(goodPushYAML, c.old, c.new, 1)
+			o, err := New(compileSpec(t, c.base), testConfig(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := strings.Replace(c.push, c.old, c.new, 1)
 			gen, err := o.Push([]byte(bad), "test")
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %v, want admission rejection mentioning %q", err, c.want)

@@ -1,11 +1,14 @@
 package operator
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
 
+	"erms/internal/apps"
 	"erms/internal/obs"
+	"erms/internal/persist"
 	"erms/internal/spec"
 )
 
@@ -82,9 +85,10 @@ func (o *Operator) Push(data []byte, source string) (*Generation, error) {
 
 // admit checks a candidate scenario against the committed one: a rollout
 // swaps configuration (SLAs, resilience, scheme, cohort patterns) on the
-// running system, so the structural invariants — the application shape, the
-// cluster size, the planning-window length, and the latency models the fleet
-// was built with — must match. Changing those is a redeploy, not a rollout,
+// running system, so the structural invariants — the application shape
+// (graphs, service profiles, container specs), the cluster size, the
+// planning-window length, and the latency models the fleet was built with —
+// must match. Changing those is a redeploy, not a rollout,
 // and is rejected deterministically.
 func (o *Operator) admit(sc *spec.Scenario) error {
 	cur := o.committed.scenario
@@ -94,6 +98,13 @@ func (o *Operator) admit(sc *spec.Scenario) error {
 	}
 	if !reflect.DeepEqual(sc.App.Microservices(), cur.App.Microservices()) {
 		return fmt.Errorf("operator: candidate microservice set differs from the running topology (changing it requires a redeploy)")
+	}
+	same, err := sameTopology(sc.App, cur.App)
+	if err != nil {
+		return fmt.Errorf("operator: %w", err)
+	}
+	if !same {
+		return fmt.Errorf("operator: candidate graphs, service profiles or container specs differ from the running topology (changing it requires a redeploy)")
 	}
 	if sc.Hosts != cur.Hosts {
 		return fmt.Errorf("operator: candidate run.hosts %d != running cluster size %d", sc.Hosts, cur.Hosts)
@@ -106,4 +117,19 @@ func (o *Operator) admit(sc *spec.Scenario) error {
 			sc.Spec.Run.Models, cur.Spec.Run.Models)
 	}
 	return nil
+}
+
+// sameTopology reports whether two apps have the same graphs, service
+// profiles and container specs: their persisted forms are byte-identical
+// once the name and the SLAs, which a rollout may change, are set aside.
+func sameTopology(a, b *apps.App) (bool, error) {
+	var renders [2]bytes.Buffer
+	for i, app := range []*apps.App{a, b} {
+		c := *app
+		c.Name, c.SLAs = b.Name, b.SLAs
+		if err := persist.SaveApp(&renders[i], &c); err != nil {
+			return false, err
+		}
+	}
+	return bytes.Equal(renders[0].Bytes(), renders[1].Bytes()), nil
 }

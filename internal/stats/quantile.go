@@ -80,9 +80,6 @@ func (m *Moments) Add(x float64) {
 	m.m2 += delta * (x - m.mean)
 }
 
-// Count returns the number of observations.
-func (m *Moments) Count() int { return m.n }
-
 // Mean returns the running mean (NaN if no observations).
 func (m *Moments) Mean() float64 {
 	if m.n == 0 {

@@ -107,8 +107,8 @@ func TestMomentsMatchBatch(t *testing.T) {
 	if batch := ss / float64(len(xs)); math.Abs(m.Variance()-batch) > 1e-6 {
 		t.Fatalf("streaming var %v != batch %v", m.Variance(), batch)
 	}
-	if m.Count() != len(xs) {
-		t.Fatalf("count = %d", m.Count())
+	if m.n != len(xs) {
+		t.Fatalf("count = %d", m.n)
 	}
 }
 

@@ -32,7 +32,6 @@ var unreadAllowlist = map[string]string{
 
 	"graph.Graph.NodesFor":                "core/plan_oracle_test.go builds the from-scratch reference's loads with it",
 	"multiplex.IncrementalPlanner.Groups": "core/plan_oracle_test.go checks clean groups against the sharing partition",
-	"metrics.Store.Range":                 "core and obs tests read stored series back",
 	"stats.Reservoir.Values":              "sim's partition fingerprints hash every latency reservoir",
 
 	"sim.RouteRoundRobin": "the iota zero value of Routing: without it RouteP2C becomes the default",

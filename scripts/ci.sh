@@ -284,3 +284,23 @@ awk -v allocs="$(layer 'allocs_per_window')" -v heap="$(layer 'heap_live_mb')" '
 	printf "%d allocations per window, %.1f MB live heap\n", allocs, heap
 	exit !(allocs > 0 && allocs <= 5000 && heap > 0 && heap <= 40)
 }'
+
+# The same gate on the control plane: no per-series state grows with the
+# cluster. One untraced scale1k-control run (1000 services, 2000 hosts). While
+# every Apply scraped the cluster into a time-series store nobody queried,
+# that store alone held ~4 MB of one point per host and per microservice and
+# this read ~35 MB live; the controller, orchestrator, cluster and planner
+# caches read ~31 MB.
+echo "== control-plane retention gate (scale1k-control: live heap <= 33 MB) =="
+res=$(bash bench/run.sh --workload scale1k-control --seed 1 --seconds 1 --trace 0 | tail -n 1)
+case "$res" in
+'{"correct":true,'*) ;;
+*)
+	echo "scale1k-control run is not correct: $res" >&2
+	exit 1
+	;;
+esac
+awk -v heap="$(layer 'heap_live_mb')" 'BEGIN {
+	printf "%.1f MB live heap\n", heap
+	exit !(heap > 0 && heap <= 33)
+}'
