@@ -10,7 +10,8 @@ import (
 )
 
 // ScaleConfig parameterizes the exact-shape Alibaba-scale topology used by
-// the planner scalability harness (BenchmarkIncrementalVsCompiled, figShard).
+// the planner scalability harness (BenchmarkIncrementalVsCompiled, bench/'s
+// scale workloads).
 // Unlike the Zipf-sampled Alibaba generator, every dimension here is exact:
 // the app has precisely Services graphs of precisely MicroservicesPerService
 // nodes each, and every shared-pool microservice appears in exactly

@@ -109,37 +109,3 @@ func TestTablesStableAcrossRuns(t *testing.T) {
 		}
 	}
 }
-
-// renderDeterministic renders only a driver's deterministic tables, dropping
-// any whose ID marks them as wall-clock (the "-time" suffix).
-func renderDeterministic(t *testing.T, id string) string {
-	t.Helper()
-	tables, err := Run(id, true)
-	if err != nil {
-		t.Fatalf("%s: %v", id, err)
-	}
-	var sb strings.Builder
-	for _, tab := range tables {
-		if strings.HasSuffix(tab.ID, "-time") {
-			continue
-		}
-		tab.Fprint(&sb)
-	}
-	return sb.String()
-}
-
-// TestFigShardDeterministicAcrossWorkers pins the figShard contract: the
-// deterministic table (topology shape, skip/dirty counters) is byte-identical
-// whether the shard fan-out runs on one worker or four — one shard per worker,
-// so shard counts 1 and 4. Bit-identity of the plans themselves on this
-// schedule is multiplex's TestFigShardScheduleMatchesOracle.
-func TestFigShardDeterministicAcrossWorkers(t *testing.T) {
-	defer parallel.SetWorkers(0)
-	parallel.SetWorkers(1)
-	w1 := renderDeterministic(t, "figShard")
-	parallel.SetWorkers(4)
-	w4 := renderDeterministic(t, "figShard")
-	if w1 != w4 {
-		t.Errorf("figShard differs between workers=1 and workers=4:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", w1, w4)
-	}
-}

@@ -282,13 +282,18 @@ func TestFreshPlannerMatchesOracleOnAppTopologies(t *testing.T) {
 	}
 }
 
-// TestFigShardScheduleMatchesOracle is figShard's schedule as an assertion:
-// on the quick topology (100 services × 20 microservices, sharing degree 5),
-// for dirty fractions 0, 10 and 50 % at 1 and 4 shards, a planner kept across
-// windows matches the oracle — over one warm template cache, as figShard's
-// from-scratch arm runs — bit for bit on every window, ranks and per-service
-// counts included, and replans exactly the mutated services.
-func TestFigShardScheduleMatchesOracle(t *testing.T) {
+// TestDirtyScheduleMatchesOracle drives change-driven replanning on an
+// Alibaba-shaped topology (100 services × 20 microservices, sharing degree 5):
+// before each window the first 0, 10 or 50 % of the services get a fresh
+// workload multiplier, which — sharing groups being aligned blocks of five
+// consecutive services — makes the dirty closure exactly that prefix. At 1
+// and 4 shards, a planner kept across windows matches the oracle over one
+// warm template cache bit for bit on every window, ranks and per-service
+// counts included, replans exactly the mutated services and skips the rest.
+// Its speed on the full 1000×50×10 topology is BenchmarkIncrementalVsCompiled
+// (scripts/bench.sh bench6) and, inside a live window, bench/'s
+// scale1k-control.
+func TestDirtyScheduleMatchesOracle(t *testing.T) {
 	const services, windows = 100, 3
 	inputs, loads, shared := scaleInputs(apps.ScaleConfig{
 		Seed: 42, Services: services, MicroservicesPerService: 20, SharingDegree: 5,
@@ -318,8 +323,11 @@ func TestFigShardScheduleMatchesOracle(t *testing.T) {
 				before := p.Stats()
 				got := planIncremental(t, p, SchemePriority, inputs, loads, shared, ctx)
 				requirePlanBitIdentical(t, want, got, ctx)
-				if dirty := p.Stats().DirtyServices - before.DirtyServices; w >= 0 && dirty != uint64(victims) {
-					t.Fatalf("%s: replanned %d services, want the %d mutated", ctx, dirty, victims)
+				after := p.Stats()
+				dirty, skipped := after.DirtyServices-before.DirtyServices, after.SkippedServices-before.SkippedServices
+				if w >= 0 && (dirty != uint64(victims) || skipped != uint64(services-victims)) {
+					t.Fatalf("%s: replanned %d and skipped %d services, want the %d mutated and the other %d",
+						ctx, dirty, skipped, victims, services-victims)
 				}
 			}
 		}

@@ -21,7 +21,7 @@ import (
 // microservices, microservices targeted by failure injection, closed-loop
 // services' microservices, and every run with Resilience enabled stay exact.
 //
-// Known approximations, gated by the figSim fidelity harness: fluid calls
+// Known approximations, gated by TestHybridFidelity: fluid calls
 // ignore priority-queue ordering (δ-policy) and cross-minute queue carryover,
 // per-minute call counts are credited at the subtree root's arrival instant,
 // and fluid MinuteSamples synthesize TailMs/MeanMs from the model rather

@@ -11,7 +11,9 @@ import (
 // TestHybridFidelity is the regression table guarding the fluid fast path:
 // on a far-from-knee topology, hybrid per-service P95 and violation rate
 // must stay within tolerance of the exact discrete engine, while actually
-// serving a majority of container-minutes from the analytic model.
+// serving a majority of container-minutes from the analytic model. The last
+// case is the topology BenchmarkEngineThroughput times, so the speed bench7
+// gates is the speed of an engine this test holds to the exact one.
 func TestHybridFidelity(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -21,6 +23,7 @@ func TestHybridFidelity(t *testing.T) {
 	}{
 		{"light load", lockstepScenario{services: 6, block: 2, ratePerMin: 300, seed: 21, durationMin: 3}, 0.30, 0.05},
 		{"moderate load", lockstepScenario{services: 6, block: 3, ratePerMin: 900, seed: 22, durationMin: 3}, 0.30, 0.05},
+		{"throughput benchmark", throughputScenario, 0.30, 0.05},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

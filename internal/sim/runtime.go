@@ -343,9 +343,6 @@ type ServiceResult struct {
 // P95 returns the 95th-percentile end-to-end latency in milliseconds.
 func (s *ServiceResult) P95() float64 { return s.lat.Quantile(0.95) }
 
-// P99 returns the 99th-percentile end-to-end latency.
-func (s *ServiceResult) P99() float64 { return s.lat.Quantile(0.99) }
-
 // Mean returns the mean end-to-end latency.
 func (s *ServiceResult) Mean() float64 { return s.lat.Mean() }
 

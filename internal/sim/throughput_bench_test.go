@@ -2,15 +2,20 @@ package sim
 
 import "testing"
 
+// throughputScenario is the shared-microservice topology whose speed
+// BenchmarkEngineThroughput measures and whose hybrid fidelity
+// TestHybridFidelity gates: 40 services in sharing blocks of 4, two
+// containers per microservice on 16 hosts.
+var throughputScenario = lockstepScenario{
+	services: 40, block: 4, containersPerMS: 2, hosts: 16,
+	ratePerMin: 2000, durationMin: 2, seed: 1234,
+}
+
 // BenchmarkEngineThroughput measures simulated requests per wall-clock
 // second on a shared-microservice topology, exact vs hybrid. bench7
 // (scripts/bench.sh) folds req/s and allocs/op into BENCH_7.json and gates
 // exact allocations per request <= 10 and hybrid >= 2x exact.
 func BenchmarkEngineThroughput(b *testing.B) {
-	sc := lockstepScenario{
-		services: 40, block: 4, containersPerMS: 2, hosts: 16,
-		ratePerMin: 2000, durationMin: 2, seed: 1234,
-	}
 	for _, mode := range []SimMode{SimExact, SimHybrid} {
 		name := "exact"
 		if mode == SimHybrid {
@@ -20,7 +25,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 			var reqs int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := RunPartitioned(sc.build(b), PartitionOpts{Mode: mode})
+				res, err := RunPartitioned(throughputScenario.build(b), PartitionOpts{Mode: mode})
 				if err != nil {
 					b.Fatal(err)
 				}

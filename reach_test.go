@@ -33,6 +33,7 @@ var unreadAllowlist = map[string]string{
 	"graph.Graph.NodesFor":                "core/plan_oracle_test.go builds the from-scratch reference's loads with it",
 	"multiplex.IncrementalPlanner.Groups": "core/plan_oracle_test.go checks clean groups against the sharing partition",
 	"stats.Reservoir.Values":              "sim's partition fingerprints hash every latency reservoir",
+	"sim.ServiceResult.Mean":              "queueing's TestSimulatorMatchesErlangC holds the simulator's mean response time to Erlang C",
 
 	"sim.RouteRoundRobin": "the iota zero value of Routing: without it RouteP2C becomes the default",
 }

@@ -94,14 +94,14 @@ go test -run 'TestFig23' -count=1 ./internal/experiments
 # must stay bit-identical to the map-based whole-app pipeline kept as its
 # oracle (monolithicPlan in internal/multiplex/oracle_test.go) at shards=1
 # and shards=4, fresh on the paper apps and an Alibaba-shaped one, kept
-# across figShard's schedule and under random mutation sequences, while
-# handing out its cached allocations uncopied; and the figShard deterministic
-# table must be byte-identical at one worker and four.
-echo "== planner determinism (template vs oracle + Explain, planner vs oracle, figShard + PlanScheme + incremental, workers=1 vs 4) =="
+# across a dirty-fraction schedule (replanning exactly the mutated services)
+# and under random mutation sequences, while handing out its cached
+# allocations uncopied.
+echo "== planner determinism (template vs oracle + Explain, planner vs oracle, dirty schedule + PlanScheme + incremental, workers=1 vs 4) =="
 go test -count=1 -run 'TestCompiled|TestTemplateCache|TestExplain' ./internal/scaling
 go test -count=1 \
-	-run 'TestFigShardDeterministicAcrossWorkers|TestPlanSchemeByteIdenticalAcrossWorkers|TestFreshPlannerMatchesOracleOnAppTopologies|TestFigShardScheduleMatchesOracle|TestIncremental' \
-	./internal/experiments ./internal/multiplex
+	-run 'TestPlanSchemeByteIdenticalAcrossWorkers|TestFreshPlannerMatchesOracleOnAppTopologies|TestDirtyScheduleMatchesOracle|TestIncremental' \
+	./internal/multiplex
 
 # The spec front-end gates (PR 7).
 #
@@ -206,10 +206,9 @@ go test -count=1 ./internal/operator
 # determinism contract: exact partitioned output — reservoirs, samples,
 # spans, stream rows — is byte-identical at workers 1 vs 4 and at any
 # Partitions setting. TestRunPartitionedHybridDeterministic pins the same
-# invariance with the fluid fast path engaged, TestHybridFidelity is the
+# invariance with the fluid fast path engaged, and TestHybridFidelity is the
 # fidelity-tolerance regression table (hybrid P95 / violation rate vs exact,
-# requests conserved), and TestFigSimDeterministicAcrossWorkers renders the
-# figSim deterministic table at both worker counts.
+# requests conserved), on bench7's topology among others.
 #
 # The engine's two queues (PR 21) are checked here too, uncached:
 # TestLaneMatchesHeapOracle replays random programs on the lane + heap engine
@@ -221,7 +220,6 @@ echo "== simulator scale-out (partition determinism + hybrid fidelity, workers=1
 go test -count=1 \
 	-run 'TestRunPartitioned|TestHybridFidelity|TestFluidEligibility|TestSharingGroups|TestLaneMatchesHeapOracle|TestHopsSkipTheHeap|TestRuntimeFingerprintPinned' \
 	./internal/sim
-go test -count=1 -run 'TestFigSimDeterministicAcrossWorkers' ./internal/experiments
 
 # One-iteration smoke of the engine-throughput bench harness and its
 # BENCH_7.json fold (gates: exact allocs/request <= 10, hybrid >= 2x exact).
