@@ -91,9 +91,8 @@ type Host struct {
 	// ordered holds the host's containers sorted by ID. Utilization sums
 	// iterate it in that order: float addition is order-sensitive at the ulp,
 	// so a fixed order is what makes CPUUtil reproducible run to run.
-	ordered  []*Container
-	down     bool // failed: hosts nothing, schedules nothing
-	cordoned bool // administratively unschedulable; existing containers keep running
+	ordered []*Container
+	down    bool // failed: hosts nothing, schedules nothing
 
 	// extCPUCores / extMemMB account for load on this host that is simulated
 	// elsewhere: when the simulator splits a run into sharing-group
@@ -188,15 +187,8 @@ func (h *Host) SetDown(down bool) {
 	h.touch()
 }
 
-// Cordoned reports whether the host is administratively unschedulable.
-func (h *Host) Cordoned() bool { return h.cordoned }
-
-// SetCordoned marks the host unschedulable for new placements. Running
-// containers are unaffected (drain moves them explicitly).
-func (h *Host) SetCordoned(cordoned bool) { h.cordoned = cordoned }
-
 // Schedulable reports whether new containers may be placed on the host.
-func (h *Host) Schedulable() bool { return !h.down && !h.cordoned }
+func (h *Host) Schedulable() bool { return !h.down }
 
 // Containers returns the containers placed on the host, ordered by ID.
 func (h *Host) Containers() []*Container {
@@ -260,9 +252,9 @@ func (h *Host) CPUFree() float64 { return h.aggregates().cpuFree }
 func (h *Host) MemFreeMB() float64 { return h.aggregates().memFree }
 
 // Fits reports whether the host can accept the given container spec: it must
-// be schedulable (not down, not cordoned) and have free capacity. Every
-// scheduler routes through Fits, so down and cordoned hosts are invisible to
-// placement without per-policy changes.
+// be schedulable (not down) and have free capacity. Every scheduler routes
+// through Fits, so down hosts are invisible to placement without per-policy
+// changes.
 func (h *Host) Fits(spec ContainerSpec) bool {
 	return h.Schedulable() && h.CPUFree() >= spec.CPU && h.MemFreeMB() >= spec.MemMB
 }
@@ -366,7 +358,7 @@ func (cl *Cluster) Place(spec ContainerSpec, hostID int) (*Container, error) {
 		return nil, fmt.Errorf("cluster: no host %d", hostID)
 	}
 	if !h.Schedulable() {
-		return nil, fmt.Errorf("cluster: host %d is not schedulable (down=%v cordoned=%v)", hostID, h.down, h.cordoned)
+		return nil, fmt.Errorf("cluster: host %d is not schedulable (down=%v)", hostID, h.down)
 	}
 	if !h.Fits(spec) {
 		return nil, fmt.Errorf("cluster: host %d cannot fit container %s (cpu free %.2f, mem free %.0fMB)",

@@ -335,21 +335,13 @@ func TestRemoveRestoresUtilization(t *testing.T) {
 	}
 }
 
-func TestDownAndCordonedHostsRejectPlacement(t *testing.T) {
+func TestDownHostsRejectPlacement(t *testing.T) {
 	cl := New(2, PaperHost)
 	h := cl.Host(0)
 	spec := PaperContainer("a")
 	if !h.Fits(spec) {
 		t.Fatal("healthy empty host should fit")
 	}
-	h.SetCordoned(true)
-	if h.Fits(spec) || h.Schedulable() {
-		t.Fatal("cordoned host should not fit")
-	}
-	if _, err := cl.Place(spec, 0); err == nil {
-		t.Fatal("placement on cordoned host accepted")
-	}
-	h.SetCordoned(false)
 	h.SetDown(true)
 	if h.Fits(spec) || h.Schedulable() {
 		t.Fatal("down host should not fit")

@@ -124,7 +124,7 @@ func TestIndexAndCacheMatchBruteForce(t *testing.T) {
 			switch op := rng.Intn(14); op {
 			case 0, 1, 2:
 				step = "Place"
-				cl.Place(spec(), host) // may be refused: full, cordoned or down
+				cl.Place(spec(), host) // may be refused: full or down
 			case 3:
 				step = "Remove"
 				if cs := cl.Containers(); len(cs) > 0 {
@@ -142,9 +142,6 @@ func TestIndexAndCacheMatchBruteForce(t *testing.T) {
 				if err := o.RecoverNode(host); err != nil {
 					t.Fatal(err)
 				}
-			case 6:
-				step = "SetCordoned"
-				cl.Host(host).SetCordoned(!cl.Host(host).Cordoned())
 			case 7:
 				step = "SetCPUUsage"
 				if cs := cl.Containers(); len(cs) > 0 {
@@ -168,7 +165,7 @@ func TestIndexAndCacheMatchBruteForce(t *testing.T) {
 				if rng.Intn(10) == 0 {
 					cl.Reset()
 				}
-			case 12:
+			case 6, 12:
 				// Unlike FailNode, a bare SetDown leaves the containers in place.
 				step = "SetDown"
 				cl.Host(host).SetDown(!cl.Host(host).Down())

@@ -181,8 +181,8 @@ func (s *placeScanOracle) Place(cl *cluster.Cluster, spec cluster.ContainerSpec)
 
 // TestPlaceMatchesGroupScanOracle drives the scheduler and the scanning
 // oracle through the same placements on twin clusters — small hosts that fill
-// up (so groups fall through to the next), hosts failing, recovering and being
-// cordoned on the way, the group count changed and the cluster swapped for one
+// up (so groups fall through to the next), hosts failing and recovering on the
+// way, the group count changed and the cluster swapped for one
 // of another size under the same scheduler (the cache's two keys). Every
 // placement must pick the same host, or fail alike, while the scheduler reads
 // the cluster's cached means and the oracle scans for them.
@@ -198,7 +198,7 @@ func TestPlaceMatchesGroupScanOracle(t *testing.T) {
 			for step := 0; step < 4*n; step++ {
 				if step%5 == 0 {
 					id := rng.Intn(n)
-					switch rng.Intn(4) {
+					switch rng.Intn(3) {
 					case 0:
 						a.Host(id).SetDown(true)
 						b.Host(id).SetDown(true)
@@ -206,9 +206,6 @@ func TestPlaceMatchesGroupScanOracle(t *testing.T) {
 						a.Host(id).SetDown(false)
 						b.Host(id).SetDown(false)
 					case 2:
-						a.Host(id).SetCordoned(true)
-						b.Host(id).SetCordoned(true)
-					case 3:
 						bg := workload.Interference{CPU: 0.5 * rng.Float64(), Mem: 0.5 * rng.Float64()}
 						a.SetBackground(id, bg)
 						b.SetBackground(id, bg)
@@ -352,8 +349,8 @@ func TestEndToEndWithOrchestrator(t *testing.T) {
 // and the migration is undone. It is only trustworthy where the differential
 // test uses it — it re-creates every container of the source host under a
 // fresh ID, commits "the first container with an equal Spec" rather than the
-// one it scored, and loses the container when the source host is cordoned
-// (the undo placement is refused).
+// one it scored, and loses the container when the source host is down (the
+// undo placement is refused).
 func rebalanceOracle(cl *cluster.Cluster, maxMoves int) int {
 	moves := 0
 	for moves < maxMoves {
@@ -433,8 +430,8 @@ func rebalanceOracle(cl *cluster.Cluster, maxMoves int) int {
 }
 
 // randomCluster builds a cluster from the seed alone, so two calls give twins:
-// heterogeneous hosts and backgrounds, empty cordoned and down hosts (what
-// Drain and FailNode leave behind), and single-replica microservices — so no
+// heterogeneous hosts and backgrounds, empty down hosts (what FailNode leaves
+// behind), and single-replica microservices — so no
 // source host ever holds two containers of one Spec, which the oracle cannot
 // tell apart — each with its own spec and a measured CPU usage unrelated to
 // its request (small hosts run past the utilization cap).
@@ -455,9 +452,7 @@ func randomCluster(seed int64) *cluster.Cluster {
 		// mirror images and the source is picked by the last ulp, which the
 		// oracle's renumbering perturbs.
 		switch r := rng.Intn(8); {
-		case r == 0 && h.ID > 2:
-			h.SetCordoned(true)
-		case r == 1 && h.ID > 2:
+		case r <= 1 && h.ID > 2:
 			h.SetDown(true)
 		default:
 			open = append(open, h.ID)
@@ -560,24 +555,22 @@ func TestRebalanceMovesTheContainerItScored(t *testing.T) {
 	}
 }
 
-// A cordoned host keeps running its containers and may shed them; the oracle
-// lost each one it tried (its undo placement on the cordoned source failed).
-func TestRebalanceDrainsCordonedSourceWithoutLoss(t *testing.T) {
+// A host marked down at the cluster level keeps its containers (only kube's
+// FailNode evicts them). Rebalance leaves it out, as cluster.Imbalance does:
+// nothing moves off it and nothing is lost.
+func TestRebalanceLeavesDownSourceAlone(t *testing.T) {
 	cl := cluster.New(3, cluster.PaperHost)
 	for i := 0; i < 12; i++ {
 		if _, err := cl.Place(cluster.PaperContainer("a"), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cl.Host(0).SetCordoned(true)
-	if moves := Rebalance(cl, 4); moves != 4 {
-		t.Fatalf("moves = %d, want 4", moves)
+	cl.Host(0).SetDown(true)
+	if moves := Rebalance(cl, 4); moves != 0 {
+		t.Fatalf("moves = %d, want 0", moves)
 	}
-	if got := cl.CountFor("a"); got != 12 {
-		t.Fatalf("%d containers after rebalance, want 12", got)
-	}
-	if got := cl.Host(0).NumContainers(); got != 8 {
-		t.Fatalf("cordoned source holds %d, want 8", got)
+	if got := cl.Host(0).NumContainers(); got != 12 {
+		t.Fatalf("down source holds %d, want 12", got)
 	}
 }
 

@@ -288,9 +288,7 @@ func buildPartition(cfg Config, gi int, grp []int) (*partition, error) {
 		p.contHost = append(p.contHost, c.Host.ID)
 	}
 	for _, h := range hosts {
-		sh := sub.Host(h.ID)
-		sh.SetDown(h.Down())
-		sh.SetCordoned(h.Cordoned())
+		sub.Host(h.ID).SetDown(h.Down())
 	}
 
 	sc := cfg

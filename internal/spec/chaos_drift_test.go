@@ -55,10 +55,10 @@ func TestParseOperatorBlocks(t *testing.T) {
 	if s.Chaos == nil || s.Drift == nil {
 		t.Fatalf("chaos/drift blocks not decoded: %+v", s)
 	}
-	if s.Chaos.Seed != 7 || s.Chaos.seedSet {
-		t.Fatalf("chaos seed should default to the spec seed (7, unset), got %d set=%v", s.Chaos.Seed, s.Chaos.seedSet)
+	if s.Chaos.Seed != 7 {
+		t.Fatalf("chaos seed should default to the spec seed 7, got %d", s.Chaos.Seed)
 	}
-	if s.Chaos.PHostFail != 0.25 || s.Chaos.CrashesPerWindow != 2 || s.Chaos.SeverityMem != 0.2 {
+	if s.Chaos.PHostFail != 0.25 || s.Chaos.CrashesPerWindow != 2 || s.Chaos.Severity.Mem != 0.2 {
 		t.Fatalf("chaos knobs wrong: %+v", s.Chaos)
 	}
 	if s.Drift.Threshold != 0.75 || s.Drift.Consecutive != 2 || s.Drift.Downward {
@@ -102,10 +102,11 @@ func TestChaosConfigSizedToScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, ok := sc.ChaosConfig(0)
-	if !ok {
-		t.Fatal("ChaosConfig(0) reported no chaos block")
+	sched, err := sc.ChaosSchedule(0)
+	if err != nil || sched == nil {
+		t.Fatalf("ChaosSchedule(0) = %v, %v; want the chaos block's schedule", sched, err)
 	}
+	cfg := sched.Cfg
 	if cfg.Windows != sc.Windows || cfg.Hosts != 20 || cfg.WindowMin != sc.WindowMin {
 		t.Fatalf("chaos config not sized to scenario: %+v (windows %d)", cfg, sc.Windows)
 	}
@@ -115,12 +116,12 @@ func TestChaosConfigSizedToScenario(t *testing.T) {
 	if cfg.Severity.CPU != 0.25 || cfg.Severity.Mem != 0.2 {
 		t.Fatalf("severity not mapped: %+v", cfg.Severity)
 	}
-	ext, _ := sc.ChaosConfig(100)
-	if ext.Windows != 100 {
-		t.Fatalf("ChaosConfig(100).Windows = %d, want 100", ext.Windows)
+	ext, err := sc.ChaosSchedule(100)
+	if err != nil || ext.Cfg.Windows != 100 {
+		t.Fatalf("ChaosSchedule(100).Cfg.Windows = %d (err %v), want 100", ext.Cfg.Windows, err)
 	}
-	if _, ok := (&Scenario{}).ChaosConfig(5); ok {
-		t.Fatal("scenario without chaos block reported a config")
+	if none, err := (&Scenario{Spec: &Spec{}}).ChaosSchedule(5); none != nil || err != nil {
+		t.Fatalf("scenario without chaos block reported a schedule: %v, %v", none, err)
 	}
 }
 
@@ -129,16 +130,15 @@ func TestDriftConfigMapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := s.Compile()
+	if cfg := s.Drift; cfg == nil || cfg.Threshold != 0.75 || cfg.Consecutive != 2 || cfg.Downward {
+		t.Fatalf("drift config wrong: %+v", cfg)
+	}
+	none, err := Parse([]byte(minimalYAML))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, ok := sc.DriftConfig()
-	if !ok || cfg.Threshold != 0.75 || cfg.Consecutive != 2 || cfg.Downward {
-		t.Fatalf("drift config wrong: %+v (ok=%v)", cfg, ok)
-	}
-	if _, ok := (&Scenario{}).DriftConfig(); ok {
-		t.Fatal("scenario without drift block reported a config")
+	if none.Drift != nil {
+		t.Fatalf("spec without drift block reported a config: %+v", none.Drift)
 	}
 }
 

@@ -5,14 +5,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"erms/internal/apps"
 	"erms/internal/chaos"
-	"erms/internal/drift"
 	"erms/internal/multiplex"
 	"erms/internal/persist"
 	"erms/internal/sim"
+	"erms/internal/sortutil"
 	"erms/internal/workload"
 )
 
@@ -35,16 +34,10 @@ type Scenario struct {
 	Windows int
 	Hosts   int
 	Scheme  multiplex.Scheme
-	// Resilience is non-nil when the spec enables the fault model.
+	// Resilience is the spec's resilience block: non-nil when the spec
+	// enables the fault model.
 	Resilience *sim.Resilience
-	// Chaos is non-nil when the spec declares a fault timeline; use
-	// ChaosSchedule to generate it (ChaosConfig for the generator
-	// configuration alone).
-	Chaos *ChaosSpec
-	// Drift is non-nil when the spec enables online drift detection; use
-	// DriftConfig for the controller option.
-	Drift *DriftSpec
-	Seed  uint64
+	Seed       uint64
 }
 
 // Compile validates the spec against the application it selects and returns
@@ -68,6 +61,7 @@ func (s *Spec) Compile() (*Scenario, error) {
 		WarmupMin:   s.Run.WarmupMin / s.TimeScale,
 		WindowMin:   s.Run.WindowMin / s.TimeScale,
 		Hosts:       s.Run.Hosts,
+		Resilience:  s.Resilience,
 		Seed:        s.Seed,
 	}
 	sc.Windows = int(math.Ceil(sc.DurationMin/sc.WindowMin - 1e-9))
@@ -82,30 +76,18 @@ func (s *Spec) Compile() (*Scenario, error) {
 	default:
 		sc.Scheme = multiplex.SchemePriority
 	}
-	if s.Resilience != nil {
-		sc.Resilience = s.Resilience.build()
-	}
-	sc.Chaos = s.Chaos
-	sc.Drift = s.Drift
-	if len(s.App.SLAs) > 0 {
-		svcs := make([]string, 0, len(s.App.SLAs))
-		for svc := range s.App.SLAs {
-			svcs = append(svcs, svc)
+	for _, svc := range sortutil.Keys(s.App.SLAs) {
+		if !known[svc] {
+			return nil, fmt.Errorf("spec: app.slas: service %q not in app %q (services: %v)",
+				svc, app.Name, app.Services())
 		}
-		sort.Strings(svcs)
-		for _, svc := range svcs {
-			if !known[svc] {
-				return nil, fmt.Errorf("spec: app.slas: service %q not in app %q (services: %v)",
-					svc, app.Name, app.Services())
-			}
-			sla := app.SLAs[svc]
-			sla.Service = svc
-			sla.Threshold = s.App.SLAs[svc]
-			if sla.Percentile == 0 {
-				sla.Percentile = 0.95
-			}
-			app.SLAs[svc] = sla
+		sla := app.SLAs[svc]
+		sla.Service = svc
+		sla.Threshold = s.App.SLAs[svc]
+		if sla.Percentile == 0 {
+			sla.Percentile = 0.95
 		}
+		app.SLAs[svc] = sla
 	}
 	byName := make(map[string]*Cohort, len(s.Cohorts))
 	for i := range s.Cohorts {
@@ -143,13 +125,7 @@ func (a *AppSpec) Build() (*apps.App, error) {
 	case "alibaba":
 		return apps.Alibaba(apps.AlibabaConfig{Seed: a.Seed, Services: a.Services}), nil
 	case "scale":
-		return apps.ScaleTopology(apps.ScaleConfig{
-			Seed:                    a.Seed,
-			Services:                a.Services,
-			MicroservicesPerService: a.MicroservicesPerService,
-			SharingDegree:           a.SharingDegree,
-			MaxStageWidth:           a.MaxStageWidth,
-		}), nil
+		return apps.ScaleTopology(a.ScaleConfig), nil
 	case "file":
 		path := a.Path
 		if !filepath.IsAbs(path) {
@@ -170,98 +146,27 @@ func (a *AppSpec) Build() (*apps.App, error) {
 	}
 }
 
-// build maps the spec knobs onto sim.Resilience, filling per-tier shed
-// factors from the defaults for tiers the spec does not override.
-func (r *ResilienceSpec) build() *sim.Resilience {
-	out := &sim.Resilience{
-		TimeoutSLAMultiple: r.TimeoutSLAMultiple,
-		RequestTimeoutMs:   r.RequestTimeoutMs,
-		AttemptTimeoutMs:   r.AttemptTimeoutMs,
-		MaxAttempts:        r.MaxAttempts,
-		RetryBudget:        r.RetryBudget,
-		BreakerFailureRate: r.BreakerFailureRate,
-		Shed:               r.Shed,
-		ShedMaxWaitMs:      r.ShedMaxWaitMs,
-	}
-	if len(r.TierShedFactors) > 0 {
-		out.TierShedFactors = sim.DefaultTierShedFactors
-		for name, f := range r.TierShedFactors {
-			t, err := workload.ParseTier(name)
-			if err != nil {
-				continue // rejected by Validate
-			}
-			out.TierShedFactors[t] = f
-		}
-	}
-	return out
-}
-
-// ChaosConfig materializes the spec's chaos block into a schedule-generator
-// configuration sized to the compiled scenario: window count and length,
-// host count, and crash candidates all come from the scenario, so the same
-// chaos block stresses any topology. ok is false when the spec declares no
-// chaos. The optional windows override extends the schedule past the spec
-// horizon (the operator loop can run longer than run.duration_min); pass 0
-// to keep the scenario's window count.
-func (sc *Scenario) ChaosConfig(windows int) (chaos.Config, bool) {
-	if sc.Chaos == nil {
-		return chaos.Config{}, false
+// ChaosSchedule generates the fault schedule the spec's chaos block declares,
+// sized to the compiled scenario: window count and length, host count, and
+// crash candidates all come from the scenario, so the same chaos block
+// stresses any topology. It returns nil when the spec declares no chaos. The
+// optional windows override extends the schedule past the spec horizon (the
+// operator loop can run longer than run.duration_min); pass 0 to keep the
+// scenario's window count.
+func (sc *Scenario) ChaosSchedule(windows int) (*chaos.Schedule, error) {
+	if sc.Spec.Chaos == nil {
+		return nil, nil
 	}
 	if windows <= 0 {
 		windows = sc.Windows
 	}
-	c := sc.Chaos
-	return chaos.Config{
-		Seed:          c.Seed,
-		Windows:       windows,
-		WindowMin:     sc.WindowMin,
-		Hosts:         sc.Hosts,
-		Microservices: sc.App.Microservices(),
-
-		PHostFail:    c.PHostFail,
-		DownWindows:  c.DownWindows,
-		MaxHostsDown: c.MaxHostsDown,
-
-		PCrash:           c.PCrash,
-		CrashesPerWindow: c.CrashesPerWindow,
-
-		PSpike:     c.PSpike,
-		SpikeHosts: c.SpikeHosts,
-		Severity:   workload.Interference{CPU: c.SeverityCPU, Mem: c.SeverityMem},
-
-		PObsGap: c.PObsGap,
-
-		POpFail:    c.POpFail,
-		OpFailures: c.OpFailures,
-	}, true
-}
-
-// ChaosSchedule generates the fault schedule the spec's chaos block declares,
-// sized as ChaosConfig(windows) describes; nil when the spec declares none.
-func (sc *Scenario) ChaosSchedule(windows int) (*chaos.Schedule, error) {
-	cfg, ok := sc.ChaosConfig(windows)
-	if !ok {
-		return nil, nil
-	}
+	cfg := *sc.Spec.Chaos
+	cfg.Windows, cfg.WindowMin, cfg.Hosts, cfg.Microservices = windows, sc.WindowMin, sc.Hosts, sc.App.Microservices()
 	sched, err := chaos.Generate(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("spec: chaos schedule: %w", err)
 	}
 	return sched, nil
-}
-
-// DriftConfig maps the spec's drift block onto the controller's drift
-// configuration; zero-valued knobs keep drift.Config defaults. ok is false
-// when the spec declares no drift block.
-func (sc *Scenario) DriftConfig() (drift.Config, bool) {
-	if sc.Drift == nil {
-		return drift.Config{}, false
-	}
-	return drift.Config{
-		Threshold:   sc.Drift.Threshold,
-		Consecutive: sc.Drift.Consecutive,
-		Downward:    sc.Drift.Downward,
-	}, true
 }
 
 // basePattern is the cohort's arrival pattern in spec time.

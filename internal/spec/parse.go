@@ -9,7 +9,13 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 
+	"erms/internal/apps"
+	"erms/internal/chaos"
+	"erms/internal/drift"
+	"erms/internal/sim"
+	"erms/internal/sortutil"
 	"erms/internal/workload"
 )
 
@@ -215,18 +221,7 @@ func (o *objd) done() {
 		where = "document root"
 	}
 	o.d.errf("spec: unknown field %q in %s (accepted fields: %s)",
-		unknown[0], where, joinComma(known))
-}
-
-func joinComma(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += ", "
-		}
-		out += s
-	}
-	return out
+		unknown[0], where, strings.Join(known, ", "))
 }
 
 func (o *objd) str(key, def string) string {
@@ -403,21 +398,20 @@ func decodeSpec(tree any) (*Spec, error) {
 		app := d.obj("app", v)
 		s.App.Kind = app.str("kind", "")
 		s.App.Path = app.str("path", "")
-		s.App.Seed, s.App.seedSet = app.u64("seed", s.Seed)
-		s.App.Services = app.integer("services", 0)
-		s.App.MicroservicesPerService = app.integer("microservices_per_service", 0)
-		s.App.SharingDegree = app.integer("sharing_degree", 0)
-		s.App.MaxStageWidth = app.integer("max_stage_width", 0)
+		seed, seedSet := app.u64("seed", s.Seed)
+		s.App.ScaleConfig = apps.ScaleConfig{
+			Seed:                    seed,
+			Services:                app.integer("services", 0),
+			MicroservicesPerService: app.integer("microservices_per_service", 0),
+			SharingDegree:           app.integer("sharing_degree", 0),
+			MaxStageWidth:           app.integer("max_stage_width", 0),
+		}
+		s.App.seedSet = seedSet
 		if sv, ok := app.get("slas"); ok {
 			t := d.obj("app.slas", sv)
 			if t.m != nil {
-				keys := make([]string, 0, len(t.m))
-				for k := range t.m {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				s.App.SLAs = make(map[string]float64, len(keys))
-				for _, k := range keys {
+				s.App.SLAs = make(map[string]float64, len(t.m))
+				for _, k := range sortutil.Keys(t.m) {
 					fv, _ := t.get(k)
 					s.App.SLAs[k] = d.toFloat(t.at(k), fv)
 				}
@@ -443,62 +437,63 @@ func decodeSpec(tree any) (*Spec, error) {
 
 	if v, ok := root.get("resilience"); ok {
 		r := d.obj("resilience", v)
-		rs := &ResilienceSpec{}
-		rs.TimeoutSLAMultiple = r.f64("timeout_sla_multiple", 0)
-		rs.RequestTimeoutMs = r.f64("request_timeout_ms", 0)
-		rs.AttemptTimeoutMs = r.f64("attempt_timeout_ms", 0)
-		rs.MaxAttempts = r.integer("max_attempts", 0)
-		rs.RetryBudget = r.f64("retry_budget", 0)
-		rs.BreakerFailureRate = r.f64("breaker_failure_rate", 0)
-		rs.Shed = r.boolean("shed", false)
-		rs.ShedMaxWaitMs = r.f64("shed_max_wait_ms", 0)
+		s.Resilience = &sim.Resilience{
+			TimeoutSLAMultiple: r.f64("timeout_sla_multiple", 0),
+			RequestTimeoutMs:   r.f64("request_timeout_ms", 0),
+			AttemptTimeoutMs:   r.f64("attempt_timeout_ms", 0),
+			MaxAttempts:        r.integer("max_attempts", 0),
+			RetryBudget:        r.f64("retry_budget", 0),
+			BreakerFailureRate: r.f64("breaker_failure_rate", 0),
+			Shed:               r.boolean("shed", false),
+			ShedMaxWaitMs:      r.f64("shed_max_wait_ms", 0),
+		}
 		if tv, ok := r.get("tier_shed_factors"); ok {
+			// Tiers the block names override sim.DefaultTierShedFactors.
 			t := d.obj("resilience.tier_shed_factors", tv)
-			if t.m != nil {
-				keys := make([]string, 0, len(t.m))
-				for k := range t.m {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				rs.TierShedFactors = make(map[string]float64, len(keys))
-				for _, k := range keys {
-					fv, _ := t.get(k)
-					rs.TierShedFactors[k] = d.toFloat(t.at(k), fv)
+			if len(t.m) > 0 {
+				s.Resilience.TierShedFactors = sim.DefaultTierShedFactors
+			}
+			for _, k := range sortutil.Keys(t.m) {
+				fv, _ := t.get(k)
+				f := d.toFloat(t.at(k), fv)
+				if tier, err := workload.ParseTier(k); err != nil {
+					d.errf("spec: resilience.tier_shed_factors: %v", err)
+				} else {
+					s.Resilience.TierShedFactors[tier] = f
 				}
 			}
 		}
 		r.done()
-		s.Resilience = rs
 	}
 
 	if v, ok := root.get("chaos"); ok {
 		c := d.obj("chaos", v)
-		cs := &ChaosSpec{}
-		cs.Seed, cs.seedSet = c.u64("seed", s.Seed)
-		cs.PHostFail = c.f64("p_host_fail", 0)
-		cs.DownWindows = c.integer("down_windows", 0)
-		cs.MaxHostsDown = c.integer("max_hosts_down", 0)
-		cs.PCrash = c.f64("p_crash", 0)
-		cs.CrashesPerWindow = c.integer("crashes_per_window", 0)
-		cs.PSpike = c.f64("p_spike", 0)
-		cs.SpikeHosts = c.integer("spike_hosts", 0)
-		cs.SeverityCPU = c.f64("severity_cpu", 0)
-		cs.SeverityMem = c.f64("severity_mem", 0)
-		cs.PObsGap = c.f64("p_obs_gap", 0)
-		cs.POpFail = c.f64("p_op_fail", 0)
-		cs.OpFailures = c.integer("op_failures", 0)
+		seed, _ := c.u64("seed", s.Seed)
+		s.Chaos = &chaos.Config{
+			Seed:             seed,
+			PHostFail:        c.f64("p_host_fail", 0),
+			DownWindows:      c.integer("down_windows", 0),
+			MaxHostsDown:     c.integer("max_hosts_down", 0),
+			PCrash:           c.f64("p_crash", 0),
+			CrashesPerWindow: c.integer("crashes_per_window", 0),
+			PSpike:           c.f64("p_spike", 0),
+			SpikeHosts:       c.integer("spike_hosts", 0),
+			Severity:         workload.Interference{CPU: c.f64("severity_cpu", 0), Mem: c.f64("severity_mem", 0)},
+			PObsGap:          c.f64("p_obs_gap", 0),
+			POpFail:          c.f64("p_op_fail", 0),
+			OpFailures:       c.integer("op_failures", 0),
+		}
 		c.done()
-		s.Chaos = cs
 	}
 
 	if v, ok := root.get("drift"); ok {
 		dr := d.obj("drift", v)
-		ds := &DriftSpec{}
-		ds.Threshold = dr.f64("threshold", 0)
-		ds.Consecutive = dr.integer("consecutive", 0)
-		ds.Downward = dr.boolean("downward", false)
+		s.Drift = &drift.Config{
+			Threshold:   dr.f64("threshold", 0),
+			Consecutive: dr.integer("consecutive", 0),
+			Downward:    dr.boolean("downward", false),
+		}
 		dr.done()
-		s.Drift = ds
 	}
 
 	if v, ok := root.get("cohorts"); ok {

@@ -141,8 +141,8 @@ func (sc *Scenario) NewLoop(app *apps.App, hosts int, rec *obs.Recorder,
 		core.WithResilience(sc.Resilience),
 		core.WithObservability(rec),
 	}
-	if cfg, ok := sc.DriftConfig(); ok {
-		opts = append(opts, core.WithDriftDetection(cfg))
+	if sc.Spec.Drift != nil {
+		opts = append(opts, core.WithDriftDetection(*sc.Spec.Drift))
 	}
 	ctrl, err := core.New(app, kube.New(cluster.New(hosts, cluster.PaperHost), nil), opts...)
 	if err != nil {

@@ -13,6 +13,11 @@ import (
 	"math"
 	"strings"
 
+	"erms/internal/apps"
+	"erms/internal/chaos"
+	"erms/internal/drift"
+	"erms/internal/sim"
+	"erms/internal/sortutil"
 	"erms/internal/workload"
 )
 
@@ -36,17 +41,23 @@ type Spec struct {
 	App AppSpec
 	// Run sets the evaluation horizon and cluster shape.
 	Run RunSpec
-	// Resilience optionally enables the data-plane fault model.
-	Resilience *ResilienceSpec
+	// Resilience optionally enables the data-plane fault model; knobs the
+	// resilience block leaves out keep sim's defaults.
+	Resilience *sim.Resilience
 	// Chaos optionally declares a seeded fault-injection timeline (host
 	// deaths, crashes, spikes, observability gaps, control-plane faults)
-	// alongside the cohorts it stresses. The batch Scenario.Run and the
-	// long-running operator loop (`ermsctl operate`) inject the same
-	// schedule on the one window loop (Scenario.NewLoop).
-	Chaos *ChaosSpec
+	// alongside the cohorts it stresses. The block sets the probability
+	// knobs (all zero is valid: declared but dormant) and the seed
+	// (default: the spec's top-level seed);
+	// Scenario.ChaosSchedule sizes the rest to the compiled scenario. The
+	// batch Scenario.Run and the long-running operator loop (`ermsctl
+	// operate`) inject the same schedule on the one window loop
+	// (Scenario.NewLoop).
+	Chaos *chaos.Config
 	// Drift optionally enables the controller's online model-drift
-	// detection loop (detect → re-fit → hot-swap).
-	Drift *DriftSpec
+	// detection loop (detect → re-fit → hot-swap); zero knobs keep
+	// drift.Config's defaults.
+	Drift *drift.Config
 	// Cohorts are the named client populations driving load.
 	Cohorts []Cohort
 	// Phases is the population-dynamics timeline applied on top of the
@@ -66,19 +77,13 @@ type AppSpec struct {
 	// dir is the directory of the spec file the document was read from; ""
 	// for a document parsed from bytes.
 	dir string
-	// Seed seeds the generated topologies (alibaba, scale). Default: the
-	// spec's top-level seed.
-	Seed uint64
+	// ScaleConfig parameterizes the generated topologies. Seed (default: the
+	// spec's top-level seed) and Services (0 keeps the generator's default:
+	// 500 for alibaba, Taobao scale) apply to kinds "alibaba" and "scale";
+	// the other three are exact-shape parameters of kind "scale" only.
+	apps.ScaleConfig
 	// seedSet records whether seed was present in the document.
 	seedSet bool
-	// Services is the service count of a generated topology (kinds
-	// "alibaba" and "scale"); 0 keeps the generator's default (500 for
-	// alibaba, Taobao scale). The other three are exact-shape parameters of
-	// kind "scale" only (see apps.ScaleConfig).
-	Services                int
-	MicroservicesPerService int
-	SharingDegree           int
-	MaxStageWidth           int
 	// SLAs overrides the topology's per-service end-to-end SLA threshold
 	// (ms). Services absent from the map keep the topology default; service
 	// names are checked at compile time. Unlike a cohort's sla_ms (which only
@@ -108,70 +113,6 @@ type RunSpec struct {
 	// sweeps, §5.2, with analytic models kept for microservices the sweeps
 	// cannot fit). A running operator cannot change it.
 	Models string
-}
-
-// ResilienceSpec mirrors the sim.Resilience knobs exposed to specs.
-type ResilienceSpec struct {
-	TimeoutSLAMultiple float64
-	RequestTimeoutMs   float64
-	AttemptTimeoutMs   float64
-	MaxAttempts        int
-	RetryBudget        float64
-	BreakerFailureRate float64
-	Shed               bool
-	ShedMaxWaitMs      float64
-	// TierShedFactors overrides sim.DefaultTierShedFactors per tier name.
-	// Tiers absent from the map keep the default factor.
-	TierShedFactors map[string]float64
-}
-
-// ChaosSpec declares a seeded fault-injection timeline. Fields mirror
-// chaos.Config's per-window probability knobs; window count, window length,
-// host count, and crash candidates come from the compiled scenario, so the
-// same block stresses any topology. Zero probabilities are valid (an empty
-// schedule), letting operators stage a spec with chaos declared but dormant.
-type ChaosSpec struct {
-	// Seed seeds the fault schedule independently of the workload. Default:
-	// the spec's top-level seed.
-	Seed uint64
-	// seedSet records whether seed was present in the document.
-	seedSet bool
-	// PHostFail is the per-window probability of one host failure.
-	PHostFail float64
-	// DownWindows is how many windows a failed host stays down. Default 2.
-	DownWindows int
-	// MaxHostsDown caps concurrently failed hosts. Default hosts/4, min 1.
-	MaxHostsDown int
-	// PCrash is the per-window probability of each of CrashesPerWindow
-	// container-crash draws. CrashesPerWindow defaults to 1.
-	PCrash           float64
-	CrashesPerWindow int
-	// PSpike is the per-window probability of a latency spike hitting
-	// SpikeHosts hosts (default 1) with the given extra background
-	// interference.
-	PSpike      float64
-	SpikeHosts  int
-	SeverityCPU float64
-	SeverityMem float64
-	// PObsGap is the per-window probability of an observability gap.
-	PObsGap float64
-	// POpFail is the per-window probability of a transient control-plane
-	// operation failure lasting 1..OpFailures attempts (default 1).
-	POpFail    float64
-	OpFailures int
-}
-
-// DriftSpec enables the controller's online drift loop.
-type DriftSpec struct {
-	// Threshold is the relative deviation of observed from predicted tail
-	// latency that counts as a drifted window. 0 keeps drift.Config's
-	// default.
-	Threshold float64
-	// Consecutive is the hysteresis depth before a re-fit fires. 0 keeps
-	// the default.
-	Consecutive int
-	// Downward also treats observed latency far below prediction as drift.
-	Downward bool
 }
 
 // Cohort is one named client population issuing requests to one service at
@@ -296,17 +237,17 @@ func (s *Spec) Validate() error {
 		return err
 	}
 	if s.Resilience != nil {
-		if err := s.Resilience.validate(); err != nil {
+		if err := validateResilience(s.Resilience); err != nil {
 			return err
 		}
 	}
 	if s.Chaos != nil {
-		if err := s.Chaos.validate(s.Run.Hosts); err != nil {
+		if err := validateChaos(s.Chaos, s.Run.Hosts); err != nil {
 			return err
 		}
 	}
 	if s.Drift != nil {
-		if err := s.Drift.validate(); err != nil {
+		if err := validateDrift(s.Drift); err != nil {
 			return err
 		}
 	}
@@ -366,7 +307,8 @@ func (a *AppSpec) validate() error {
 	} else if a.Path != "" {
 		return fmt.Errorf("spec: app.path only applies to kind \"file\", not %q", a.Kind)
 	}
-	for svc, ms := range a.SLAs {
+	for _, svc := range sortutil.Keys(a.SLAs) {
+		ms := a.SLAs[svc]
 		if svc == "" {
 			return fmt.Errorf("spec: app.slas: service name must be non-empty")
 		}
@@ -421,7 +363,9 @@ func (r *RunSpec) validate() error {
 	return nil
 }
 
-func (r *ResilienceSpec) validate() error {
+// validateResilience range-checks the resilience block. Unknown tier names
+// in tier_shed_factors are rejected when the document is decoded.
+func validateResilience(r *sim.Resilience) error {
 	nonNeg := []struct {
 		name string
 		v    float64
@@ -444,17 +388,14 @@ func (r *ResilienceSpec) validate() error {
 		return fmt.Errorf("spec: resilience.breaker_failure_rate must be in [0, 1], got %g", r.BreakerFailureRate)
 	}
 	for tier, f := range r.TierShedFactors {
-		if _, err := workload.ParseTier(tier); err != nil {
-			return fmt.Errorf("spec: resilience.tier_shed_factors: %v", err)
-		}
 		if f < 0 {
-			return fmt.Errorf("spec: resilience.tier_shed_factors.%s must be >= 0, got %g", tier, f)
+			return fmt.Errorf("spec: resilience.tier_shed_factors.%s must be >= 0, got %g", workload.Tier(tier), f)
 		}
 	}
 	return nil
 }
 
-func (c *ChaosSpec) validate(hosts int) error {
+func validateChaos(c *chaos.Config, hosts int) error {
 	probs := []struct {
 		name string
 		v    float64
@@ -482,11 +423,11 @@ func (c *ChaosSpec) validate(hosts int) error {
 	if c.SpikeHosts < 0 || (hosts > 0 && c.SpikeHosts > hosts) {
 		return fmt.Errorf("spec: chaos.spike_hosts must be in [0, run.hosts] (0 = default 1), got %d", c.SpikeHosts)
 	}
-	if math.IsNaN(c.SeverityCPU) || c.SeverityCPU < 0 || c.SeverityCPU > 10 {
-		return fmt.Errorf("spec: chaos.severity_cpu must be in [0, 10], got %g", c.SeverityCPU)
+	if sev := c.Severity.CPU; math.IsNaN(sev) || sev < 0 || sev > 10 {
+		return fmt.Errorf("spec: chaos.severity_cpu must be in [0, 10], got %g", sev)
 	}
-	if math.IsNaN(c.SeverityMem) || c.SeverityMem < 0 || c.SeverityMem > 10 {
-		return fmt.Errorf("spec: chaos.severity_mem must be in [0, 10], got %g", c.SeverityMem)
+	if sev := c.Severity.Mem; math.IsNaN(sev) || sev < 0 || sev > 10 {
+		return fmt.Errorf("spec: chaos.severity_mem must be in [0, 10], got %g", sev)
 	}
 	if c.OpFailures < 0 || c.OpFailures > 100 {
 		return fmt.Errorf("spec: chaos.op_failures must be in [0, 100] (0 = default 1), got %d", c.OpFailures)
@@ -494,7 +435,7 @@ func (c *ChaosSpec) validate(hosts int) error {
 	return nil
 }
 
-func (d *DriftSpec) validate() error {
+func validateDrift(d *drift.Config) error {
 	if math.IsNaN(d.Threshold) || d.Threshold < 0 || d.Threshold > 100 {
 		return fmt.Errorf("spec: drift.threshold must be in [0, 100] (0 = default), got %g", d.Threshold)
 	}

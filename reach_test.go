@@ -160,7 +160,7 @@ func TestEveryFieldHasAWriter(t *testing.T) {
 
 // settableCount is the repository's count of settable values, pinned: a
 // change that adds or removes an option edits it, in plain view.
-const settableCount = 166
+const settableCount = 137
 
 // TestSettableValues logs the repository's count of settable values — the
 // exported fields of exported struct types named *Config, *Opts, *Options or

@@ -50,7 +50,10 @@ grep -o 'settable values: .*' "$reach_out"
 rm -f "$reach_out"
 
 echo "== go test -race =="
-go test -race ./...
+# internal/experiments alone takes ~580 s under -race on 2 cores, close to
+# go test's default 10-minute per-package timeout; the explicit bound keeps a
+# slow machine from failing the pass on time rather than on a race.
+go test -race -timeout 30m ./...
 
 # bench/ is a module of its own (erms/bench, replace erms => ../), so the
 # ./... patterns above never reach it: an internal/ API change that breaks
