@@ -13,6 +13,7 @@ import (
 	"erms/internal/cluster"
 	"erms/internal/graph"
 	"erms/internal/sim"
+	"erms/internal/sortutil"
 	"erms/internal/workload"
 )
 
@@ -58,12 +59,7 @@ func (a *App) Microservices() []string {
 			seen[ms] = true
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for ms := range seen {
-		out = append(out, ms)
-	}
-	sort.Strings(out)
-	return out
+	return sortutil.Keys(seen)
 }
 
 // Shared returns the sorted microservices that appear in more than one

@@ -307,7 +307,14 @@ func PlanServices(scaler Autoscaler, inputs map[string]Input, loads map[string]m
 	if len(inputs) == 0 {
 		return nil, nil, errors.New("baselines: no services")
 	}
-	fcfs := aggregateShared(shared, loads)
+	return PlanEach(scaler, inputs, aggregateShared(shared, loads), shared)
+}
+
+// PlanEach plans every service on its own workloads, loads[svc], under the
+// given baseline and merges the allocations: the max container count at a
+// shared microservice, the sum elsewhere. It returns each service's
+// allocation and the merged counts.
+func PlanEach(scaler Autoscaler, inputs map[string]Input, loads map[string]map[string]float64, shared []string) (map[string]*scaling.Allocation, map[string]int, error) {
 	perService := make(map[string]*scaling.Allocation, len(inputs))
 	merged := make(map[string]int)
 	sharedSet := make(map[string]bool, len(shared))
@@ -321,7 +328,7 @@ func PlanServices(scaler Autoscaler, inputs map[string]Input, loads map[string]m
 	allocs, err := parallel.Map(len(svcs), func(i int) (*scaling.Allocation, error) {
 		svc := svcs[i]
 		in := inputs[svc]
-		l, ok := fcfs[svc]
+		l, ok := loads[svc]
 		if !ok {
 			return nil, fmt.Errorf("baselines: no loads for %s", svc)
 		}

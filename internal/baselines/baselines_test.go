@@ -197,6 +197,15 @@ func TestPlanServicesSharedMax(t *testing.T) {
 	if merged["U"] != per["svc1"].Containers["U"] {
 		t.Fatal("private microservice merge wrong")
 	}
+	// PlanEach, fed the same loads, aggregates nothing: svc2 alone offers
+	// 5000 at P and needs less capacity there.
+	own, _, err := PlanEach(GrandSLAm{}, inputs, loads, []string{"P"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, agg := own["svc2"].ContainersRaw["P"], per["svc2"].ContainersRaw["P"]; got >= agg {
+		t.Fatalf("svc2 on its own load needs %v containers at P, aggregated %v", got, agg)
+	}
 	if _, _, err := PlanServices(GrandSLAm{}, nil, nil, nil); err == nil {
 		t.Fatal("empty inputs accepted")
 	}

@@ -23,6 +23,7 @@ import (
 	"erms/internal/profiling"
 	"erms/internal/scaling"
 	"erms/internal/sim"
+	"erms/internal/sortutil"
 	"erms/internal/trace"
 	"erms/internal/workload"
 )
@@ -87,7 +88,9 @@ type Controller struct {
 	// Obs is the control plane's self-observability recorder. Nil (the
 	// default) disables self-telemetry at zero cost; when set, the
 	// controller and the reconciler wrapping it count plans, applies,
-	// rollbacks, and simulation-engine activity under erms.self.*.
+	// rollbacks, and simulation-engine activity under erms.self.*, and each
+	// Reconciler.Step times its phases as wall-clock spans into
+	// WindowReport.PhaseMs.
 	Obs *obs.Recorder
 
 	// Models holds the per-microservice latency model used for scaling.
@@ -560,12 +563,7 @@ func (c *Controller) EvaluateDeployed(plan *multiplex.Plan, rates map[string]flo
 	// Fold in sorted service order: Goodput is a float sum, and float
 	// addition is not associative, so map-range order would make two
 	// identical evaluations differ in the last ulp.
-	perSvc := make([]string, 0, len(res.PerService))
-	for svc := range res.PerService {
-		perSvc = append(perSvc, svc)
-	}
-	sort.Strings(perSvc)
-	for _, svc := range perSvc {
+	for _, svc := range sortutil.Keys(res.PerService) {
 		sr := res.PerService[svc]
 		out.Violations[svc] = sr.ViolationRate()
 		out.TailLatency[svc] = sr.P95()

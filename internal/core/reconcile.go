@@ -50,15 +50,6 @@ type Reconciler struct {
 	// rates-only evaluation byte-for-byte.
 	StreamsFor func(window int) []sim.Stream
 
-	// Obs is the self-observability recorder. When nil (the default) the
-	// loop runs exactly as before — every instrumentation point is a
-	// nil-receiver no-op with zero allocations. When set, each Step times
-	// its phases (repair, plan, apply, rebalance, evaluate) as wall-clock
-	// spans, populates WindowReport.PhaseMs, and counts retries / degraded
-	// windows / plan diffs under erms.self.*.
-	// NewReconciler inherits the controller's recorder.
-	Obs *obs.Recorder
-
 	window   int // windows completed so far
 	lastPlan *multiplex.Plan
 }
@@ -130,8 +121,8 @@ type WindowReport struct {
 	ObsGap bool
 	// PhaseMs maps Step phase names (obs.PhaseRepair … obs.PhaseEvaluate)
 	// to their wall-clock durations in milliseconds — the controller's own
-	// decision latency. Populated only when the reconciler carries an
-	// obs.Recorder; nil otherwise (and excluded from determinism
+	// decision latency. Populated only when the controller carries an
+	// obs.Recorder (Controller.Obs); nil otherwise (and excluded from determinism
 	// comparisons, since wall time is not seeded).
 	PhaseMs map[string]float64 `json:"-"`
 	// StreamMinutes holds the window's per-minute, per-stream outcome rows
@@ -142,14 +133,9 @@ type WindowReport struct {
 	StreamMinutes []sim.StreamMinute `json:"-"`
 }
 
-// NewReconciler wraps a controller with default loop parameters. The
-// controller's self-observability recorder, if any, is inherited.
+// NewReconciler wraps a controller with default loop parameters.
 func NewReconciler(c *Controller) *Reconciler {
-	r := &Reconciler{C: c, WindowMin: 1.5, WarmupMin: 0.3, DownscaleSlack: 0.15}
-	if c != nil {
-		r.Obs = c.Obs
-	}
-	return r
+	return &Reconciler{C: c, WindowMin: 1.5, WarmupMin: 0.3, DownscaleSlack: 0.15}
 }
 
 // Window returns the index of the window the next Step runs.
@@ -215,7 +201,7 @@ func (r *Reconciler) withRetry(window int, op string, rng *stats.RNG, rep *Windo
 // the report. With no recorder this is a single nil check (the span was
 // inert and never read the clock).
 func (r *Reconciler) notePhase(rep *WindowReport, name string, sp obs.Span) {
-	if r.Obs == nil {
+	if r.C.Obs == nil {
 		return
 	}
 	if rep.PhaseMs == nil {
@@ -228,7 +214,7 @@ func (r *Reconciler) notePhase(rep *WindowReport, name string, sp obs.Span) {
 // erms.self.* (its phase spans are already on the recorder). No-op without a
 // recorder.
 func (r *Reconciler) finishWindow(rep *WindowReport) {
-	o := r.Obs
+	o := r.C.Obs
 	if o == nil {
 		return
 	}
@@ -270,11 +256,11 @@ func (r *Reconciler) Step(rates map[string]float64, seed uint64) (*WindowReport,
 
 	// Replacement scheduling: converge live containers back to desired
 	// replicas before planning, so the planner sees the true capacity.
-	spRepair := r.Obs.StartSpan(obs.PhaseRepair, w)
+	spRepair := r.C.Obs.StartSpan(obs.PhaseRepair, w)
 	report.Repaired, _ = r.C.Orch.Repair() // best-effort; a degraded cluster plans with what it has
 	r.notePhase(&report, obs.PhaseRepair, spRepair)
 
-	spPlan := r.Obs.StartSpan(obs.PhasePlan, w)
+	spPlan := r.C.Obs.StartSpan(obs.PhasePlan, w)
 	plan := (*multiplex.Plan)(nil)
 	err := r.withRetry(w, "plan", rng, &report, func() error {
 		p, e := r.C.Plan(rates)
@@ -292,7 +278,7 @@ func (r *Reconciler) Step(rates map[string]float64, seed uint64) (*WindowReport,
 		report.Degraded = true
 	}
 
-	spApply := r.Obs.StartSpan(obs.PhaseApply, w)
+	spApply := r.C.Obs.StartSpan(obs.PhaseApply, w)
 	err = r.withRetry(w, "apply", rng, &report, func() error {
 		applied, up, down, e := r.applyWithHysteresis(plan)
 		if e == nil {
@@ -314,7 +300,7 @@ func (r *Reconciler) Step(rates map[string]float64, seed uint64) (*WindowReport,
 	}
 
 	if r.RebalanceMoves > 0 {
-		sp := r.Obs.StartSpan(obs.PhaseRebalance, w)
+		sp := r.C.Obs.StartSpan(obs.PhaseRebalance, w)
 		provision.Rebalance(r.C.Orch.Cluster(), r.RebalanceMoves)
 		r.notePhase(&report, obs.PhaseRebalance, sp)
 	}
@@ -332,7 +318,7 @@ func (r *Reconciler) Step(rates map[string]float64, seed uint64) (*WindowReport,
 			}
 		}
 	}
-	spEval := r.Obs.StartSpan(obs.PhaseEvaluate, w)
+	spEval := r.C.Obs.StartSpan(obs.PhaseEvaluate, w)
 	res, err := r.C.EvaluateDeployed(plan, rates, r.WindowMin, r.WarmupMin, seed, opts)
 	r.notePhase(&report, obs.PhaseEvaluate, spEval)
 	if err != nil {

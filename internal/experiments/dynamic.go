@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"erms/internal/apps"
+	"erms/internal/cluster"
 	"erms/internal/parallel"
 	"erms/internal/sim"
 	"erms/internal/stats"
@@ -31,7 +32,7 @@ func Fig13(quick bool) []*Table {
 		peak = 50_000
 	}
 	trace := workload.AlibabaLikeTrace(3, int(float64(windows)*windowMin)+1, 15_000, peak)
-	models := modelsFor(app, defaultInterference())
+	models := modelsFor(app, cluster.DefaultInterference)
 	floor := appSLAFloor(app, models, staticBackground.CPU, staticBackground.Mem)
 	slaMs := floor * 2.0
 

@@ -12,7 +12,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"erms/internal/apps"
@@ -20,6 +19,7 @@ import (
 	"erms/internal/cluster"
 	"erms/internal/graph"
 	"erms/internal/profiling"
+	"erms/internal/sortutil"
 )
 
 // Table is one regenerated figure/table: a header, rows, and notes recording
@@ -145,12 +145,7 @@ func register(id string, d Driver) {
 
 // IDs returns the registered experiment IDs in sorted order.
 func IDs() []string {
-	out := make([]string, 0, len(registry))
-	for id := range registry {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+	return sortutil.Keys(registry)
 }
 
 // Run executes one experiment by ID.
@@ -163,13 +158,6 @@ func Run(id string, quick bool) ([]*Table, error) {
 }
 
 // --- shared scaffolding -------------------------------------------------
-
-// paperCluster builds the §6.1 evaluation cluster geometry.
-func paperCluster() *cluster.Cluster { return cluster.NewPaperCluster() }
-
-// defaultInterference is the calibrated interference model shared by all
-// experiments.
-func defaultInterference() cluster.InterferenceModel { return cluster.DefaultInterference }
 
 // modelsFor builds analytic latency models for an application.
 func modelsFor(app *apps.App, itf cluster.InterferenceModel) map[string]profiling.Model {

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"erms/internal/apps"
+	"erms/internal/cluster"
 )
 
 // TestRegistryComplete pins the registry to the figures: every one is
@@ -115,11 +117,11 @@ func TestFig16PriorityBeatsLTC(t *testing.T) {
 
 func TestHelpers(t *testing.T) {
 	app := apps.HotelReservation()
-	models := modelsFor(app, defaultInterference())
+	models := modelsFor(app, cluster.DefaultInterference)
 	if len(models) != len(app.Microservices()) {
 		t.Fatal("modelsFor incomplete")
 	}
-	cl := paperCluster()
+	cl := cluster.NewPaperCluster()
 	shares := sharesFor(app, cl)
 	for ms, r := range shares {
 		if r <= 0 {
@@ -158,5 +160,26 @@ func TestTableFormats(t *testing.T) {
 	tab.FprintCSV(&csv)
 	if !strings.Contains(csv.String(), `"two, quoted"`) {
 		t.Fatalf("csv:\n%s", csv.String())
+	}
+}
+
+// TestFoldsAreBitStable calls the per-service folds of figs 12, 13, 15, 22
+// and figDrift 100 times on values whose float sum depends on the order of
+// its terms (1e16 + 1 − 1e16 + 1 is 0, 1 or 2 by order), and requires the
+// same bit pattern every time: a fold in map order fails with near
+// certainty.
+func TestFoldsAreBitStable(t *testing.T) {
+	v := map[string]float64{"a": 1e16, "b": 1, "c": -1e16, "d": 1}
+	same := func(x float64) (float64, float64) { return x, x }
+	mean, tb := meanViolation(v), foldTestbed(v, same)
+	for i := 0; i < 100; i++ {
+		if got := meanViolation(v); math.Float64bits(got) != math.Float64bits(mean) {
+			t.Fatalf("meanViolation: %v, then %v", mean, got)
+		}
+		got := foldTestbed(v, same)
+		if math.Float64bits(got.viol) != math.Float64bits(tb.viol) ||
+			math.Float64bits(got.tail) != math.Float64bits(tb.tail) {
+			t.Fatalf("foldTestbed: %+v, then %+v", tb, got)
+		}
 	}
 }

@@ -34,8 +34,8 @@ func DynamicGraphs(quick bool) []*Table {
 	}
 	r := stats.NewRNG(41)
 	base := apps.Alibaba(apps.AlibabaConfig{Seed: 13, Services: services, MeanGraphSize: 30})
-	models := modelsFor(base, defaultInterference())
-	shares := sharesFor(base, paperCluster())
+	models := modelsFor(base, cluster.DefaultInterference)
+	shares := sharesFor(base, cluster.NewPaperCluster())
 
 	t := &Table{
 		ID:     "fig19",

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"erms/internal/apps"
 	"erms/internal/baselines"
@@ -14,6 +13,7 @@ import (
 	"erms/internal/multiplex"
 	"erms/internal/parallel"
 	"erms/internal/sim"
+	"erms/internal/sortutil"
 	"erms/internal/stats"
 )
 
@@ -150,8 +150,9 @@ func Fig22(quick bool) []*Table {
 }
 
 // newLoop builds the stock control loop of the window experiments: app on
-// hosts paper-spec machines under the default scheme and scheduler, analytic
-// models installed, with the given window geometry.
+// hosts paper-spec machines under the default scheme and the default,
+// batch-blind scheduler (kube.BlindSpread), analytic models installed, with
+// the given window geometry.
 func newLoop(app *apps.App, hosts int, windowMin, warmupMin float64, opts ...core.Option) (*core.Reconciler, error) {
 	ctrl, err := core.New(app, kube.New(cluster.New(hosts, cluster.PaperHost), nil), opts...)
 	if err != nil {
@@ -163,14 +164,15 @@ func newLoop(app *apps.App, hosts int, windowMin, warmupMin float64, opts ...cor
 	return rec, nil
 }
 
-// meanViolation averages the per-service violation probabilities of a report.
+// meanViolation averages the per-service violation probabilities of a
+// report, summed in service order so the mean is bit-stable.
 func meanViolation(v map[string]float64) float64 {
 	if len(v) == 0 {
 		return 0
 	}
 	var s float64
-	for _, x := range v {
-		s += x
+	for _, svc := range sortutil.Keys(v) {
+		s += v[svc]
 	}
 	return s / float64(len(v))
 }
@@ -308,12 +310,7 @@ func runFirm(app *apps.App, sched *chaos.Schedule, windows int, windowMin, warmu
 			if err != nil {
 				return nil, err
 			}
-			mss := make([]string, 0, len(res.merged))
-			for ms := range res.merged {
-				mss = append(mss, ms)
-			}
-			sort.Strings(mss)
-			for _, ms := range mss {
+			for _, ms := range sortutil.Keys(res.merged) {
 				// Best effort: on a degraded cluster Firm deploys what fits.
 				_ = orch.Apply(app.Containers[ms], res.merged[ms])
 			}
@@ -345,7 +342,7 @@ func measureFirmWindow(app *apps.App, cl *cluster.Cluster, rates map[string]floa
 	cfg := sim.Config{
 		Seed:           seed,
 		Cluster:        cl,
-		Interference:   defaultInterference(),
+		Interference:   cluster.DefaultInterference,
 		Profiles:       app.Profiles,
 		Graphs:         app.Graphs,
 		Patterns:       staticPatterns(rates),

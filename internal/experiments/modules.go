@@ -5,11 +5,11 @@ import (
 
 	"erms/internal/apps"
 	"erms/internal/baselines"
+	"erms/internal/cluster"
 	"erms/internal/kube"
 	"erms/internal/multiplex"
 	"erms/internal/parallel"
 	"erms/internal/provision"
-	"erms/internal/scaling"
 	"erms/internal/sim"
 	"erms/internal/stats"
 	"erms/internal/workload"
@@ -80,46 +80,15 @@ func Fig14(quick bool) []*Table {
 			// initial baseline pass on each service's own load — only shared
 			// microservices change, which is why the paper finds the benefit
 			// marginal for these systems (§6.4.2).
-			inputs := make(map[string]baselines.Input, len(pc.app.Graphs))
-			for _, g := range pc.app.Graphs {
-				inputs[g.Service] = baselines.Input{
-					Graph: g, SLA: pc.slas[g.Service], Models: pc.models,
-					Shares: pc.shares, Stats: pc.stats, CPUUtil: pc.cpu, MemUtil: pc.mem,
-				}
+			inputs, shared := baselineInputs(pc), pc.app.Shared()
+			initial, _, err := baselines.PlanEach(s, inputs, pc.loads, shared)
+			if err != nil {
+				return nil, err
 			}
-			initial := make(map[string]*scaling.Allocation)
-			for svc, in := range inputs {
-				in.Workloads = pc.loads[svc]
-				alloc, err := s.Plan(in)
-				if err != nil {
-					return nil, err
-				}
-				initial[svc] = alloc
-			}
-			ranks := multiplex.AssignPriorities(initial, pc.app.Shared())
-			modified := multiplex.ModifiedWorkloads(ranks, pc.loads)
-			merged := make(map[string]int)
-			per := make(map[string]*scaling.Allocation)
-			sharedSet := map[string]bool{}
-			for _, ms := range pc.app.Shared() {
-				sharedSet[ms] = true
-			}
-			for svc, in := range inputs {
-				in.Workloads = modified[svc]
-				alloc, err := s.Plan(in)
-				if err != nil {
-					return nil, err
-				}
-				per[svc] = alloc
-				for ms, n := range alloc.Containers {
-					if sharedSet[ms] {
-						if n > merged[ms] {
-							merged[ms] = n
-						}
-					} else {
-						merged[ms] += n
-					}
-				}
+			modified := multiplex.ModifiedWorkloads(multiplex.AssignPriorities(initial, shared), pc.loads)
+			per, merged, err := baselines.PlanEach(s, inputs, modified, shared)
+			if err != nil {
+				return nil, err
 			}
 			return &planResult{merged: merged, perService: per}, nil
 		}
@@ -146,7 +115,7 @@ func Fig14(quick bool) []*Table {
 	type wpair struct{ without, with int }
 	cells, err := parallel.Map(len(pairs)*len(settings), func(i int) (wpair, error) {
 		pair, s := pairs[i/len(settings)], settings[i%len(settings)]
-		models := modelsFor(s.app, defaultInterference())
+		models := modelsFor(s.app, cluster.DefaultInterference)
 		floor := appSLAFloor(s.app, models, staticBackground.CPU, staticBackground.Mem)
 		pc := newContext(s.app, uniformRates(s.app, s.rate), floor*s.slaMult,
 			staticBackground.CPU, staticBackground.Mem)
@@ -246,7 +215,7 @@ func Fig15(quick bool) []*Table {
 			CPU: (lvl.hot.CPU + lvl.cool.CPU) / 2,
 			Mem: (lvl.hot.Mem + lvl.cool.Mem) / 2,
 		}
-		models := modelsFor(app, defaultInterference())
+		models := modelsFor(app, cluster.DefaultInterference)
 		floor := appSLAFloor(app, models, avgBg.CPU, avgBg.Mem)
 		slaMs := floor * lvl.slaMult
 		pc := newContext(app, uniformRates(app, rate), slaMs, avgBg.CPU, avgBg.Mem)

@@ -14,6 +14,7 @@ import (
 	"erms/internal/profiling"
 	"erms/internal/scaling"
 	"erms/internal/sim"
+	"erms/internal/sortutil"
 	"erms/internal/workload"
 )
 
@@ -352,13 +353,8 @@ func Fig5(quick bool) []*Table {
 		}
 		// Sorted placement order: map iteration would randomize container
 		// order and, through round-robin routing, the simulated numbers.
-		mss := make([]string, 0, len(plan.merged))
-		for ms := range plan.merged {
-			mss = append(mss, ms)
-		}
-		sort.Strings(mss)
 		i := 0
-		for _, ms := range mss {
+		for _, ms := range sortutil.Keys(plan.merged) {
 			for k := 0; k < plan.merged[ms]; k++ {
 				if _, err := cl.Place(app.Containers[ms], i%cl.NumHosts()); err != nil {
 					return nil, err

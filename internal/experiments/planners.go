@@ -3,6 +3,7 @@ package experiments
 import (
 	"erms/internal/apps"
 	"erms/internal/baselines"
+	"erms/internal/cluster"
 	"erms/internal/multiplex"
 	"erms/internal/profiling"
 	"erms/internal/scaling"
@@ -79,28 +80,34 @@ func ermsPlanner(name string, scheme multiplex.Scheme) planner {
 // autoscaler (FCFS aggregation at shared microservices, max-merge).
 func baselinePlanner(s baselines.Autoscaler) planner {
 	return planner{name: s.Name(), run: func(pc planContext) (*planResult, error) {
-		inputs := make(map[string]baselines.Input, len(pc.app.Graphs))
-		for _, g := range pc.app.Graphs {
-			inputs[g.Service] = baselines.Input{
-				Graph:  g,
-				SLA:    pc.slas[g.Service],
-				Models: pc.models,
-				Shares: pc.shares,
-				Stats:  pc.stats,
-				// Baseline profiles were collected under the same colocated
-				// conditions, so sizing sees the same average interference;
-				// what they lack is the workload- and topology-aware target
-				// split (and Fig. 15's interference-aware placement).
-				CPUUtil: pc.cpu,
-				MemUtil: pc.mem,
-			}
-		}
-		per, merged, err := baselines.PlanServices(s, inputs, pc.loads, pc.app.Shared())
+		per, merged, err := baselines.PlanServices(s, baselineInputs(pc), pc.loads, pc.app.Shared())
 		if err != nil {
 			return nil, err
 		}
 		return &planResult{merged: merged, perService: per}, nil
 	}}
+}
+
+// baselineInputs is every service's baseline input in the setting, with
+// the workloads left for the planning pass to fill.
+func baselineInputs(pc planContext) map[string]baselines.Input {
+	inputs := make(map[string]baselines.Input, len(pc.app.Graphs))
+	for _, g := range pc.app.Graphs {
+		inputs[g.Service] = baselines.Input{
+			Graph:  g,
+			SLA:    pc.slas[g.Service],
+			Models: pc.models,
+			Shares: pc.shares,
+			Stats:  pc.stats,
+			// Baseline profiles were collected under the same colocated
+			// conditions, so sizing sees the same average interference;
+			// what they lack is the workload- and topology-aware target
+			// split (and Fig. 15's interference-aware placement).
+			CPUUtil: pc.cpu,
+			MemUtil: pc.mem,
+		}
+	}
+	return inputs
 }
 
 // defaultPlanners is the §6.3 comparison set.
@@ -117,8 +124,8 @@ func defaultPlanners() []planner {
 // request rates, with SLA thresholds scaled to `slaMs` for every service
 // (0 keeps the app defaults).
 func newContext(app *apps.App, rates map[string]float64, slaMs float64, cpu, mem float64) planContext {
-	cl := paperCluster()
-	models := modelsFor(app, defaultInterference())
+	cl := cluster.NewPaperCluster()
+	models := modelsFor(app, cluster.DefaultInterference)
 	slas := make(map[string]workload.SLA, len(app.SLAs))
 	for svc, s := range app.SLAs {
 		if slaMs > 0 {

@@ -142,7 +142,7 @@ func runRetryStorm(res sim.Resilience, rate, durationMin, warmupMin, failAt, rec
 	cfg := sim.Config{
 		Seed:         fig23Seed,
 		Cluster:      cl,
-		Interference: defaultInterference(),
+		Interference: cluster.DefaultInterference,
 		Profiles: map[string]sim.ServiceProfile{
 			"frontend": {BaseMs: 1, CV: 0.5},
 			"mid":      {BaseMs: 2, CV: 0.5},

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"erms/internal/apps"
+	"erms/internal/cluster"
 	"erms/internal/parallel"
 	"erms/internal/sim"
 	"erms/internal/stats"
@@ -58,7 +59,7 @@ func staticSettings(quick bool) []staticSetting {
 // planSetting runs one planner on one setting, returning total deployed
 // containers (merged).
 func planSetting(p planner, s staticSetting) (int, error) {
-	models := modelsFor(s.app, defaultInterference())
+	models := modelsFor(s.app, cluster.DefaultInterference)
 	floor := appSLAFloor(s.app, models, staticBackground.CPU, staticBackground.Mem)
 	pc := newContext(s.app, uniformRates(s.app, s.rate), floor*s.slaMult,
 		staticBackground.CPU, staticBackground.Mem)
@@ -182,7 +183,7 @@ func Fig11(quick bool) []*Table {
 // simSetting deploys a plan on an interference-loaded cluster and measures
 // real end-to-end behaviour.
 func simSetting(p planner, s staticSetting, durationMin float64, seed uint64) (viol float64, tailOverSLA float64, err error) {
-	models := modelsFor(s.app, defaultInterference())
+	models := modelsFor(s.app, cluster.DefaultInterference)
 	floor := appSLAFloor(s.app, models, staticBackground.CPU, staticBackground.Mem)
 	slaMs := floor * s.slaMult
 	pc := newContext(s.app, uniformRates(s.app, s.rate), slaMs, staticBackground.CPU, staticBackground.Mem)

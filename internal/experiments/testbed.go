@@ -76,7 +76,7 @@ func measureOnTestbed(app *apps.App, sched kube.Scheduler, counts map[string]int
 		}
 	}
 	load.Cluster = cl
-	load.Interference = defaultInterference()
+	load.Interference = cluster.DefaultInterference
 	load.Profiles = app.Profiles
 	load.Graphs = app.Graphs
 	load.SLAs = make(map[string]workload.SLA, len(app.Graphs))
@@ -87,16 +87,24 @@ func measureOnTestbed(app *apps.App, sched kube.Scheduler, counts map[string]int
 	if err != nil {
 		return testbedOutcome{}, err
 	}
+	return foldTestbed(res.PerService, func(sr *sim.ServiceResult) (float64, float64) {
+		return sr.ViolationRate(), sr.P95() / slaMs
+	}), nil
+}
+
+// foldTestbed folds each service's violation rate and P95/SLA ratio, as
+// sample reads them, in service order so the means are bit-stable.
+func foldTestbed[R any](per map[string]R, sample func(R) (viol, over float64)) testbedOutcome {
 	var viol, tail stats.Moments
 	var out testbedOutcome
-	for _, sr := range res.PerService {
-		over := sr.P95() / slaMs
-		viol.Add(sr.ViolationRate())
+	for _, svc := range sortutil.Keys(per) {
+		v, over := sample(per[svc])
+		viol.Add(v)
 		tail.Add(over)
 		if over > out.worstTail {
 			out.worstTail = over
 		}
 	}
 	out.viol, out.tail = viol.Mean(), tail.Mean()
-	return out, nil
+	return out
 }

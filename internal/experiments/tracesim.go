@@ -7,8 +7,10 @@ import (
 
 	"erms/internal/apps"
 	"erms/internal/baselines"
+	"erms/internal/cluster"
 	"erms/internal/multiplex"
 	"erms/internal/parallel"
+	"erms/internal/sortutil"
 	"erms/internal/stats"
 )
 
@@ -36,7 +38,7 @@ func Fig16(quick bool) []*Table {
 	for _, g := range app.Graphs {
 		rates[g.Service] = 2_000 * (0.5 + 4.5*r.Float64())
 	}
-	models := modelsFor(app, defaultInterference())
+	models := modelsFor(app, cluster.DefaultInterference)
 	// Keep the app's own per-service SLAs, floored to feasibility.
 	slas := app.SLAs
 	for svc := range slas {
@@ -49,7 +51,7 @@ func Fig16(quick bool) []*Table {
 	pc := planContext{
 		app:    app,
 		models: models,
-		shares: sharesFor(app, paperCluster()),
+		shares: sharesFor(app, cluster.NewPaperCluster()),
 		loads:  loadsFor(app, rates),
 		slas:   slas,
 		cpu:    staticBackground.CPU,
@@ -83,13 +85,8 @@ func Fig16(quick bool) []*Table {
 	for pi, p := range planners {
 		res := results[pi]
 		totals[p.name] = res.total()
-		svcs := make([]string, 0, len(res.perService))
-		for svc := range res.perService {
-			svcs = append(svcs, svc)
-		}
-		sort.Strings(svcs)
-		counts := make([]float64, 0, len(svcs))
-		for _, svc := range svcs {
+		counts := make([]float64, 0, len(res.perService))
+		for _, svc := range sortutil.Keys(res.perService) {
 			counts = append(counts, float64(res.perService[svc].TotalContainers()))
 		}
 		perSvcCounts[p.name] = counts
@@ -152,7 +149,7 @@ func Scalability(quick bool) []*Table {
 	for _, n := range sizes {
 		cfg := apps.AlibabaConfig{Seed: uint64(n), Services: 1, MeanGraphSize: n, SharedFrac: 0.5, PoolSize: n / 2}
 		app := apps.Alibaba(cfg)
-		models := modelsFor(app, defaultInterference())
+		models := modelsFor(app, cluster.DefaultInterference)
 		svc := app.Services()[0]
 		floor := slaFloor(app, svc, models, 0.3, 0.3)
 		pc := newContext(app, uniformRates(app, 10_000), floor*2, 0.3, 0.3)

@@ -23,47 +23,12 @@ type Scheduler interface {
 	Evict(cl *cluster.Cluster, microservice string) (*cluster.Container, error)
 }
 
-// Spread is the default Kubernetes-like scheduler: it places each container
-// on the feasible host with the lowest requested-CPU fraction (spreading
-// load) and evicts from the most loaded host. It is deliberately unaware of
-// actual interference — that is Erms' provisioning module's job (§5.4,
-// compared against this baseline in Fig. 15).
-type Spread struct{}
-
-// Place picks the feasible host with the most free CPU.
-func (Spread) Place(cl *cluster.Cluster, spec cluster.ContainerSpec) (int, error) {
-	best, bestFree := -1, -1.0
-	for _, h := range cl.Hosts() {
-		if !h.Fits(spec) {
-			continue
-		}
-		if free := h.CPUFree(); free > bestFree {
-			best, bestFree = h.ID, free
-		}
-	}
-	if best < 0 {
-		return 0, fmt.Errorf("kube: no host fits container %s", spec.Microservice)
-	}
-	return best, nil
-}
-
-// Evict picks a container of the microservice on the host with the least
-// free CPU (the most packed host).
-func (Spread) Evict(cl *cluster.Cluster, microservice string) (*cluster.Container, error) {
-	cs := cl.ContainersFor(microservice)
-	if len(cs) == 0 {
-		return nil, fmt.Errorf("kube: no containers of %s to evict", microservice)
-	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Host.CPUFree() < cs[j].Host.CPUFree() })
-	return cs[0], nil
-}
-
-// BlindSpread models the stock Kubernetes scheduler more faithfully than
-// Spread for colocated clusters: it balances *requested* pod resources and
-// is completely blind to the background batch load on each host (batch jobs
-// run outside the orchestrator), which is precisely why the paper's K8s
-// baseline lands latency-critical containers on interference-heavy hosts
-// (§6.4.3, Fig. 15).
+// BlindSpread is the stock Kubernetes scheduler and the default: it
+// balances *requested* pod resources and is completely blind to the
+// background batch load on each host (batch jobs run outside the
+// orchestrator), which is precisely why the paper's K8s baseline lands
+// latency-critical containers on interference-heavy hosts (§6.4.3,
+// Fig. 15). Interference is Erms' provisioning module's job (§5.4).
 type BlindSpread struct{}
 
 // requestedCPU sums the CPU requests of the host's containers in ID order.
@@ -177,10 +142,10 @@ type Orchestrator struct {
 }
 
 // New creates an orchestrator over the cluster with the given scheduler
-// (Spread when nil).
+// (BlindSpread when nil).
 func New(cl *cluster.Cluster, sched Scheduler) *Orchestrator {
 	if sched == nil {
-		sched = Spread{}
+		sched = BlindSpread{}
 	}
 	return &Orchestrator{
 		cl:          cl,

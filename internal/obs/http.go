@@ -7,9 +7,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strings"
 	"time"
+
+	"erms/internal/sortutil"
 )
 
 // Handler serves the recorder over HTTP:
@@ -112,12 +113,7 @@ func (r *Recorder) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var sb strings.Builder
 	counters := r.Counters()
-	names := make([]string, 0, len(counters))
-	for name := range counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortutil.Keys(counters) {
 		fmt.Fprintf(&sb, "%s %g\n", PromName(name), counters[name])
 	}
 	fmt.Fprint(w, sb.String())

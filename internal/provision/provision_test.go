@@ -50,7 +50,7 @@ func TestPlaceReducesImbalanceVsSpread(t *testing.T) {
 		return cl.Imbalance()
 	}
 	aware := mk(&InterferenceAware{})
-	spread := mk(kube.Spread{})
+	spread := mk(kube.BlindSpread{})
 	if aware > spread {
 		t.Fatalf("interference-aware imbalance %v > spread %v", aware, spread)
 	}

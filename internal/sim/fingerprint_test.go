@@ -18,9 +18,9 @@ const fingerprintGolden = "testdata/fingerprints.golden"
 
 // pinnedRuns are the four configurations whose full observable output is
 // pinned by hash. Between them they cover every per-call path of the runtime:
-// the plain exact path (queueing, δ-priority picks, P2C routing, container
-// and host outages with re-routing, a closed-loop population, sampled spans,
-// a dropped minute), the resilient attempt loop (per-attempt timeouts,
+// the plain exact path (queueing, δ-priority picks, round-robin routing,
+// container and host outages with re-routing, a closed-loop population,
+// sampled spans, a dropped minute), the resilient attempt loop (per-attempt timeouts,
 // jittered budgeted retries, breakers, tiered shedding, crashes of in-flight
 // work, cohort streams), the fluid fast path (collapsed subtrees, per-node
 // fluid calls on sampled traces, near-knee microservices left exact), and a
@@ -123,7 +123,6 @@ func pinnedExactConfig(t *testing.T, obs *recObserver) Config {
 			{Host: 3, AtMin: 1.3, RecoverMin: 1.7},
 		},
 	}.build(t)
-	cfg.Routing = RouteP2C
 	cfg.ThinkTimeMs = 40
 	cfg.Delta = 0.05
 	cfg.DropMinutes = []int{1}

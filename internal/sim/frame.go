@@ -288,8 +288,8 @@ func (f *Job) issue() {
 	f.hop(evArrive)
 }
 
-// arrive routes the call to a container of the microservice per the
-// configured balancing policy and starts it if a thread is free. It runs at
+// arrive routes the call round-robin to a container of the microservice and
+// starts it if a thread is free. It runs at
 // server-receive time and again when a crash re-routes queued work.
 func (f *Job) arrive() {
 	rt, ms := f.rt, f.node.ms
@@ -307,19 +307,8 @@ func (f *Job) arrive() {
 		}
 		states = ms.states
 	}
-	var cs *containerState
-	switch {
-	case len(states) == 1:
-		cs = states[0]
-	case rt.cfg.Routing == RouteP2C:
-		a := states[rt.rng.Intn(len(states))]
-		b := states[rt.rng.Intn(len(states))]
-		if a.inSystem() <= b.inSystem() {
-			cs = a
-		} else {
-			cs = b
-		}
-	default: // round-robin (modulo the currently routable set)
+	cs := states[0]
+	if len(states) > 1 { // round-robin (modulo the currently routable set)
 		i := ms.rrNext % len(states)
 		ms.rrNext = i + 1
 		cs = states[i]

@@ -91,11 +91,6 @@ type Config struct {
 	SampleRate float64
 	// Observer optionally receives spans of sampled traces.
 	Observer SpanObserver
-	// Routing selects how calls are balanced across a microservice's
-	// containers. The default round-robin matches typical service-mesh
-	// upstream behaviour; power-of-two-choices is adaptive (it hides slow
-	// containers by steering load away from them).
-	Routing Routing
 	// Failures injects container outages: each entry takes one container of
 	// the microservice down at AtMin and restores it at RecoverMin (0 = no
 	// recovery). Queued requests are re-routed to surviving containers. With
@@ -184,17 +179,6 @@ type Failure struct {
 	AtMin      float64
 	RecoverMin float64
 }
-
-// Routing is the load-balancing policy across a microservice's containers.
-type Routing int
-
-// Routing policies.
-const (
-	// RouteRoundRobin cycles through containers in order.
-	RouteRoundRobin Routing = iota
-	// RouteP2C samples two containers and picks the less loaded one.
-	RouteP2C
-)
 
 // finite is false for NaN and ±Inf, which the range checks cannot reject:
 // NaN passes every `x < 0`, and a non-finite duration or delay schedules
@@ -472,8 +456,6 @@ type containerState struct {
 	// fail them at the crash instant.
 	inflight []*Job
 }
-
-func (cs *containerState) inSystem() int { return cs.busy + len(cs.queue) }
 
 // msState is everything the calls of one microservice share, resolved by
 // name once at construction so that no call looks anything up by string.

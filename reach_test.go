@@ -34,8 +34,6 @@ var unreadAllowlist = map[string]string{
 	"multiplex.IncrementalPlanner.Groups": "core/plan_oracle_test.go checks clean groups against the sharing partition",
 	"stats.Reservoir.Values":              "sim's partition fingerprints hash every latency reservoir",
 	"sim.ServiceResult.Mean":              "queueing's TestSimulatorMatchesErlangC holds the simulator's mean response time to Erlang C",
-
-	"sim.RouteRoundRobin": "the iota zero value of Routing: without it RouteP2C becomes the default",
 }
 
 // unwrittenAllowlist names the exported fields of reached struct types that
@@ -44,7 +42,6 @@ var unreadAllowlist = map[string]string{
 // longer exists, fails the test like an unwritten field does.
 var unwrittenAllowlist = map[string]string{
 	"core.OfflineConfig.FromTraces": "ROADMAP items 1(d) and 4(b): trace-fed profiling gets its writer once sampling stops perturbing the stream",
-	"sim.Config.Routing":            "ROADMAP item 4(d): RouteP2C and Config.Routing go with one fingerprint re-capture",
 }
 
 // loadRepo type-checks the repository once for every test of this file.
@@ -160,7 +157,7 @@ func TestEveryFieldHasAWriter(t *testing.T) {
 
 // settableCount is the repository's count of settable values, pinned: a
 // change that adds or removes an option edits it, in plain view.
-const settableCount = 137
+const settableCount = 136
 
 // TestSettableValues logs the repository's count of settable values — the
 // exported fields of exported struct types named *Config, *Opts, *Options or

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
-# CI gate: vet, build, and run the full test suite under the race detector.
-# The -race pass is what validates the parallel experiment fan-out — the
-# worker pool, the per-run seed handoff, and the ordered result folds all
-# run concurrently in the determinism tests.
+# CI gate: vet, build, and run the full test suite twice, once plain and
+# once under the race detector. The -race pass is what validates the
+# parallel experiment fan-out — the worker pool, the per-run seed handoff,
+# and the ordered result folds all run concurrently in the determinism tests.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -27,9 +27,9 @@ fi
 # cmd/, examples/ or bench/, an init, a package-level var initializer) — or
 # sits on the test's short allowlist, which may hold only a function ROADMAP
 # item 1 will give a reader, a test oracle or accessor the tests of another
-# package use, and the zero value of an enum (sim.RouteRoundRobin). An
-# allowlist entry that gains a reader or no longer exists fails the gate too,
-# so the list cannot rot. Type-checks the whole repository in ~3 s.
+# package use, and the zero value of an enum. An allowlist entry that gains a
+# reader or no longer exists fails the gate too, so the list cannot rot.
+# Type-checks the whole repository in ~3 s.
 # The same walk asks who writes each exported field of a reached struct type
 # (composite literal, assignment, ++, &x.F, pointer-method call; main and
 # init count — a default such as `if c.N <= 0 { c.N = 8 }` does not): a
@@ -49,6 +49,22 @@ fi
 grep -o 'settable values: .*' "$reach_out"
 rm -f "$reach_out"
 
+# The plain pass runs what -race cannot: the zero-allocation gates (the
+# detector itself allocates, so testing.AllocsPerRun means nothing there) and
+# the fig12/fig13/fig15 goldens (TestSimulatedFiguresGolden skips under
+# -race). Every determinism, oracle and contract test runs in it too, each
+# documented at its definition. The log lists every package, every skipped
+# test and the goldens' verdict, so a gate that stopped running shows.
+echo "== go test =="
+test_out=$(mktemp)
+if ! go test -count=1 -v ./... >"$test_out" 2>&1; then
+	cat "$test_out" >&2
+	rm -f "$test_out"
+	exit 1
+fi
+grep -e '^ok' -e '--- SKIP' -e '--- PASS: TestSimulatedFiguresGolden' "$test_out"
+rm -f "$test_out"
+
 echo "== go test -race =="
 # internal/experiments alone takes ~580 s under -race on 2 cores, close to
 # go test's default 10-minute per-package timeout; the explicit bound keeps a
@@ -60,51 +76,6 @@ go test -race -timeout 30m ./...
 # the benchmark would otherwise show only when the pipeline runs it.
 echo "== benchmark module (vet + test against this checkout's internal/ API) =="
 (cd bench && go vet ./... && go test ./...)
-
-# Zero-allocation promises, checked outside -race (the detector itself
-# allocates, so testing.AllocsPerRun is meaningless there): every obs call
-# on a nil recorder is free, and the simulator stays allocation-free in
-# steady state — the event loop's heap, the network-hop lane beside it, and
-# on top of them a whole request (issue, route, queue, process, downstream
-# stages, return) with the resilience layer compiled in but disabled — and a
-# warm plan-template evaluation (the whole of the planner's initial pass)
-# allocates nothing either, nor does ingesting a sampled span into a trace
-# coordinator that has held a window before, nor does scoring a placement
-# after a host changed (one table refresh, the group scan, the cached means).
-echo "== zero-alloc gates (obs disabled path, sim engine heap + lane and whole request, template Solve, span ingest, warm Place) =="
-go test -run 'ZeroAlloc' -count=1 ./internal/obs ./internal/sim ./internal/scaling ./internal/trace ./internal/provision
-
-# The race pass above runs every package once at the default worker count.
-# Re-run the chaos determinism gate explicitly at two pool sizes: the fault
-# schedule, every injection, and all three control loops must render
-# byte-identical tables whether the runners share one worker or fan out.
-echo "== chaos determinism (workers=1 vs 4) =="
-go test -run 'TestFaultTablesIdenticalAcrossWorkers|TestGenerateDeterministic' \
-	./internal/experiments ./internal/chaos
-
-# The data-plane resilience gate: the fig23 retry-storm experiment (seeded
-# retries with jittered backoff, breakers, shedding) must render
-# byte-identical tables at one worker and four, and must reproduce the
-# headline ordering (unbounded retries worst, budgeted ≈ no retries).
-echo "== resilience determinism (fig23, workers=1 vs 4) =="
-go test -run 'TestFig23' -count=1 ./internal/experiments
-
-# The planner-scalability gate (PR 5 + PR 6): the compiled template — the one
-# Algorithm 1 outside the tests — must stay bit-identical to the recursive
-# merge tree kept as its oracle (naivePlan in internal/scaling/oracle_test.go),
-# errors included, and Explain's render of it byte-identical to the oracle's;
-# the incremental sharded planner — the one §5.3.2 planner outside the tests —
-# must stay bit-identical to the map-based whole-app pipeline kept as its
-# oracle (monolithicPlan in internal/multiplex/oracle_test.go) at shards=1
-# and shards=4, fresh on the paper apps and an Alibaba-shaped one, kept
-# across a dirty-fraction schedule (replanning exactly the mutated services)
-# and under random mutation sequences, while handing out its cached
-# allocations uncopied.
-echo "== planner determinism (template vs oracle + Explain, planner vs oracle, dirty schedule + PlanScheme + incremental, workers=1 vs 4) =="
-go test -count=1 -run 'TestCompiled|TestTemplateCache|TestExplain' ./internal/scaling
-go test -count=1 \
-	-run 'TestPlanSchemeByteIdenticalAcrossWorkers|TestFreshPlannerMatchesOracleOnAppTopologies|TestDirtyScheduleMatchesOracle|TestIncremental' \
-	./internal/multiplex
 
 # The spec front-end gates (PR 7).
 #
@@ -150,29 +121,6 @@ cmp /tmp/plan_1.txt /tmp/plan_4.txt
 grep -q '^plan for ' /tmp/plan_1.txt
 rm -f /tmp/ermsctl_ci /tmp/spec_tl_[abc].csv /tmp/chaos_tl_[abc].csv /tmp/chaos_out_[abc].txt /tmp/plan_[14].txt
 
-# Third, the SLO-tier contract: under the flash-crowd spec the sheddable
-# tier's violation rate must be at least the critical tier's, and admission
-# control must shed more sheddable than critical traffic. Also re-pins the
-# spec-built-vs-code-built golden equality at two worker counts.
-echo "== spec tier contract + golden equality =="
-go test -count=1 -run 'TestFigSpecTierContract|TestCompileGolden|TestRunDeterminism|TestRunInjectsChaos|TestRunScoresDrift|TestExampleTimelinesGolden' \
-	./internal/experiments ./internal/spec
-
-# The drift-loop gates (PR 8).
-#
-# TestFigDrift is the determinism + reconvergence gate: the figDrift table
-# (mid-run 3x service-time shift of a shared microservice) must be
-# byte-identical at one worker and four, the drift-enabled controller must
-# reconverge after the shift, and the frozen controller must not.
-# TestDriftDisabledPathIdentical pins that a controller without drift
-# detection — and one whose detector can never fire — produce identical
-# window reports (drift off is a pure observer). The obs export test is the
-# counter-name contract for the new erms.self.drift_* / model_swaps series.
-echo "== drift loop (figDrift determinism + disabled-path identity + counter export) =="
-go test -count=1 \
-	-run 'TestFigDrift|TestDriftDisabledPathIdentical|TestDriftSwapInstallsModelAndInvalidatesTemplate|TestAllCountersExportOnMetrics' \
-	./internal/experiments ./internal/core ./internal/obs
-
 # One-iteration smoke of the planner benchmarks: catches bit-rot in the
 # bench harnesses and the BENCH_{5,6}.json folds without paying full
 # benchtime.
@@ -181,48 +129,6 @@ BENCH_SMOKE=1 BENCH_OUT=/tmp/bench_5_smoke.txt BENCH_JSON=/tmp/BENCH_5_smoke.jso
 	scripts/bench.sh bench5 >/dev/null
 BENCH_SMOKE=1 BENCH_OUT=/tmp/bench_6_smoke.txt BENCH_JSON=/tmp/BENCH_6_smoke.json \
 	scripts/bench.sh bench6 >/dev/null
-
-# The operator gates (PR 9).
-#
-# TestFigOperatorDeterministicAcrossWorkers: the figOperator rollout
-# timeline (good push canaries/promotes/commits, bad push auto-rolls back)
-# must render byte-identical tables at one worker and four.
-# TestFigOperatorContract: the good spec must commit within 4 windows of
-# its push, the 4x-tightened spec must roll back, and every fleet window
-# from the bad push onward must be byte-identical to a trajectory that
-# never saw it (zero fleet-wide regression beyond the canary slice).
-# TestBadPushRollsBackWithFleetUntouched + the interleaving tests pin the
-# same contracts at the state-machine level, including a guardrail breach
-# landing in the same window as a drift model swap and pushes landing
-# mid-rollout (supersede in canary, queue in soak). The obs export test is
-# the counter-name contract for the erms.self.rollout_* series and the
-# spec-generation gauge.
-echo "== operator gates (figOperator determinism + rollback contracts + counter export) =="
-go test -count=1 \
-	-run 'TestFigOperator|TestAllCountersExportOnMetrics' \
-	./internal/experiments ./internal/obs
-go test -count=1 ./internal/operator
-
-# The simulator scale-out gates (PR 10).
-#
-# TestRunPartitionedExactIdenticalAcrossWorkersAndPartitions is the headline
-# determinism contract: exact partitioned output — reservoirs, samples,
-# spans, stream rows — is byte-identical at workers 1 vs 4 and at any
-# Partitions setting. TestRunPartitionedHybridDeterministic pins the same
-# invariance with the fluid fast path engaged, and TestHybridFidelity is the
-# fidelity-tolerance regression table (hybrid P95 / violation rate vs exact,
-# requests conserved), on bench7's topology among others.
-#
-# The engine's two queues (PR 21) are checked here too, uncached:
-# TestLaneMatchesHeapOracle replays random programs on the lane + heap engine
-# and on the one-heap engine it replaced (same events, same order, same
-# Pending and Stats), TestHopsSkipTheHeap counts that network hops really
-# bypass the heap (pushes <= 0.4 x events), and TestRuntimeFingerprintPinned
-# hashes four full runs against hashes captured before either change.
-echo "== simulator scale-out (partition determinism + hybrid fidelity, workers=1 vs 4; lane vs heap oracle, pinned fingerprints) =="
-go test -count=1 \
-	-run 'TestRunPartitioned|TestHybridFidelity|TestFluidEligibility|TestSharingGroups|TestLaneMatchesHeapOracle|TestHopsSkipTheHeap|TestRuntimeFingerprintPinned' \
-	./internal/sim
 
 # One-iteration smoke of the engine-throughput bench harness and its
 # BENCH_7.json fold (gates: exact allocs/request <= 10, hybrid >= 2x exact).
