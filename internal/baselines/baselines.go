@@ -106,28 +106,30 @@ func sizeForTarget(m profiling.Model, gamma, target, cpu, mem float64) float64 {
 
 // finalize assembles a scaling.Allocation from per-microservice targets.
 func finalize(in Input, name string, targets map[string]float64) *scaling.Allocation {
+	mss := sortutil.Keys(targets)
 	alloc := &scaling.Allocation{
 		Service:       in.Graph.Service,
+		Microservices: mss,
 		Targets:       targets,
-		ContainersRaw: make(map[string]float64),
-		Containers:    make(map[string]int),
-		UsedHigh:      make(map[string]bool),
+		ContainersRaw: make([]float64, len(mss)),
+		Containers:    make([]int, len(mss)),
+		UsedHigh:      make([]bool, len(mss)),
 	}
 	// Sorted iteration keeps the usage float sum bit-stable run to run.
-	for _, ms := range sortutil.Keys(targets) {
+	for i, ms := range mss {
 		t := targets[ms]
 		m := in.Models[ms]
 		raw := sizeForTarget(m, in.Workloads[ms], t, in.CPUUtil, in.MemUtil)
-		alloc.ContainersRaw[ms] = raw
+		alloc.ContainersRaw[i] = raw
 		n := int(math.Ceil(raw - 1e-9))
 		if n < 1 {
 			n = 1
 		}
-		alloc.Containers[ms] = n
+		alloc.Containers[i] = n
 		alloc.ResourceUsage += raw * in.Shares[ms]
 		knee := m.Knee(in.CPUUtil, in.MemUtil)
 		aHi, bHi := m.Params(true, in.CPUUtil, in.MemUtil)
-		alloc.UsedHigh[ms] = t >= aHi*knee+bHi
+		alloc.UsedHigh[i] = t >= aHi*knee+bHi
 	}
 	_ = name
 	return alloc
@@ -280,20 +282,23 @@ func (Firm) Plan(in Input) (*scaling.Allocation, error) {
 		}
 		containers[critical] += step
 	}
+	mss := sortutil.Keys(containers)
 	alloc := &scaling.Allocation{
 		Service:       in.Graph.Service,
-		Targets:       make(map[string]float64),
-		ContainersRaw: make(map[string]float64),
-		Containers:    containers,
-		UsedHigh:      make(map[string]bool),
+		Microservices: mss,
+		Targets:       make(map[string]float64, len(mss)),
+		ContainersRaw: make([]float64, len(mss)),
+		Containers:    make([]int, len(mss)),
+		UsedHigh:      make([]bool, len(mss)),
 	}
-	for _, ms := range sortutil.Keys(containers) {
+	for i, ms := range mss {
 		n := containers[ms]
 		per := in.Workloads[ms] / float64(n)
 		alloc.Targets[ms] = in.Models[ms].Predict(per, in.CPUUtil, in.MemUtil)
-		alloc.ContainersRaw[ms] = float64(n)
+		alloc.ContainersRaw[i] = float64(n)
+		alloc.Containers[i] = n
 		alloc.ResourceUsage += float64(n) * in.Shares[ms]
-		alloc.UsedHigh[ms] = per > in.Models[ms].Knee(in.CPUUtil, in.MemUtil)
+		alloc.UsedHigh[i] = per > in.Models[ms].Knee(in.CPUUtil, in.MemUtil)
 	}
 	return alloc, nil
 }
@@ -345,8 +350,8 @@ func PlanEach(scaler Autoscaler, inputs map[string]Input, loads map[string]map[s
 	for i, svc := range svcs {
 		alloc := allocs[i]
 		perService[svc] = alloc
-		for ms, n := range alloc.Containers {
-			if sharedSet[ms] {
+		for k, n := range alloc.Containers {
+			if ms := alloc.Microservices[k]; sharedSet[ms] {
 				if n > merged[ms] {
 					merged[ms] = n
 				}

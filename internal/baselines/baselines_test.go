@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"erms/internal/graph"
@@ -18,6 +19,10 @@ type constModel struct {
 func (m constModel) Knee(_, _ float64) float64                        { return m.knee }
 func (m constModel) Params(bool, float64, float64) (float64, float64) { return m.a, m.b }
 func (m constModel) Predict(w, _, _ float64) float64                  { return m.a*w + m.b }
+
+// at is ms's position in a.Microservices, which indexes its entries in the
+// allocation's decision slices; -1 if the service has no such microservice.
+func at(a *scaling.Allocation, ms string) int { return slices.Index(a.Microservices, ms) }
 
 // upChain builds the Fig. 4 scenario: U (workload-sensitive) then P (not).
 func upChain(sla float64, rate float64) Input {
@@ -81,7 +86,7 @@ func TestFirmMeetsSLAByIteration(t *testing.T) {
 	}
 	lat := func(n *graph.Node) float64 {
 		ms := n.Microservice
-		per := in.Workloads[ms] / float64(alloc.Containers[ms])
+		per := in.Workloads[ms] / float64(alloc.Containers[at(alloc, ms)])
 		return in.Models[ms].Predict(per, 0, 0)
 	}
 	if e2e := in.Graph.EndToEnd(lat); e2e > 60 {
@@ -187,14 +192,14 @@ func TestPlanServicesSharedMax(t *testing.T) {
 	// Both services see the aggregate 15000 at P.
 	maxP := 0
 	for _, alloc := range per {
-		if alloc.Containers["P"] > maxP {
-			maxP = alloc.Containers["P"]
+		if n := alloc.Containers[at(alloc, "P")]; n > maxP {
+			maxP = n
 		}
 	}
 	if merged["P"] != maxP {
 		t.Fatalf("merged P = %d, want max %d", merged["P"], maxP)
 	}
-	if merged["U"] != per["svc1"].Containers["U"] {
+	if merged["U"] != per["svc1"].Containers[at(per["svc1"], "U")] {
 		t.Fatal("private microservice merge wrong")
 	}
 	// PlanEach, fed the same loads, aggregates nothing: svc2 alone offers
@@ -203,7 +208,7 @@ func TestPlanServicesSharedMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, agg := own["svc2"].ContainersRaw["P"], per["svc2"].ContainersRaw["P"]; got >= agg {
+	if got, agg := own["svc2"].ContainersRaw[at(own["svc2"], "P")], per["svc2"].ContainersRaw[at(per["svc2"], "P")]; got >= agg {
 		t.Fatalf("svc2 on its own load needs %v containers at P, aggregated %v", got, agg)
 	}
 	if _, _, err := PlanServices(GrandSLAm{}, nil, nil, nil); err == nil {

@@ -128,9 +128,9 @@ func TestPlanRefusesUnplannableCounts(t *testing.T) {
 		t.Fatalf("1e9 req/min: %v", err)
 	}
 	for svc, alloc := range plan.PerService {
-		for ms, raw := range alloc.ContainersRaw {
-			if n := alloc.Containers[ms]; float64(n) < raw-1e-9 || n < 1 {
-				t.Fatalf("%s/%s: %d containers for a requirement of %v", svc, ms, n, raw)
+		for i, raw := range alloc.ContainersRaw {
+			if n := alloc.Containers[i]; float64(n) < raw-1e-9 || n < 1 {
+				t.Fatalf("%s/%s: %d containers for a requirement of %v", svc, alloc.Microservices[i], n, raw)
 			}
 		}
 	}

@@ -54,13 +54,14 @@ func requireSamePlan(t *testing.T, want, got *multiplex.Plan, ctx string) {
 		g := got.PerService[svc]
 		if g == nil || g.Service != w.Service || bits(g.ResourceUsage) != bits(w.ResourceUsage) ||
 			len(g.Targets) != len(w.Targets) || len(g.ContainersRaw) != len(w.ContainersRaw) ||
+			!reflect.DeepEqual(g.Microservices, w.Microservices) ||
 			!reflect.DeepEqual(g.Containers, w.Containers) || !reflect.DeepEqual(g.UsedHigh, w.UsedHigh) {
 			t.Fatalf("%s: allocation of %s differs", ctx, svc)
 		}
-		for ms, v := range w.Targets {
-			if bits(g.Targets[ms]) != bits(v) || bits(g.ContainersRaw[ms]) != bits(w.ContainersRaw[ms]) {
+		for i, ms := range w.Microservices {
+			if v := w.Targets[ms]; bits(g.Targets[ms]) != bits(v) || bits(g.ContainersRaw[i]) != bits(w.ContainersRaw[i]) {
 				t.Fatalf("%s: %s at %s: target %v raw %v, want %v and %v", ctx, svc, ms,
-					g.Targets[ms], g.ContainersRaw[ms], v, w.ContainersRaw[ms])
+					g.Targets[ms], g.ContainersRaw[i], v, w.ContainersRaw[i])
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"erms/internal/multiplex"
@@ -46,9 +47,10 @@ func snapshotPlan(p *multiplex.Plan) *multiplex.Plan {
 	for svc, a := range p.PerService {
 		b := *a
 		b.Targets = maps.Clone(a.Targets)
-		b.ContainersRaw = maps.Clone(a.ContainersRaw)
-		b.Containers = maps.Clone(a.Containers)
-		b.UsedHigh = maps.Clone(a.UsedHigh)
+		b.Microservices = slices.Clone(a.Microservices)
+		b.ContainersRaw = slices.Clone(a.ContainersRaw)
+		b.Containers = slices.Clone(a.Containers)
+		b.UsedHigh = slices.Clone(a.UsedHigh)
 		cp.PerService[svc] = &b
 	}
 	if p.Ranks != nil {

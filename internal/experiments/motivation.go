@@ -272,8 +272,8 @@ func Fig4(quick bool) []*Table {
 			// Raw (fractional) Σ n·R is the Eq. 2 objective the paper
 			// compares; integer rounding at container counts this small
 			// would hide the differences.
-			for _, a := range res.perService {
-				rawUsage[p.name] += a.ResourceUsage
+			for _, svc := range sortutil.Keys(res.perService) {
+				rawUsage[p.name] += res.perService[svc].ResourceUsage
 			}
 		}
 		usage.AddRow(setting.name,
@@ -343,8 +343,8 @@ func Fig5(quick bool) []*Table {
 			return nil, err
 		}
 		cores := 0.0
-		for ms, n := range plan.merged {
-			cores += float64(n) * app.Containers[ms].CPU
+		for _, ms := range sortutil.Keys(plan.merged) {
+			cores += float64(plan.merged[ms]) * app.Containers[ms].CPU
 		}
 		// End-to-end validation in the simulator.
 		cl := cluster.New(20, cluster.PaperHost)
@@ -431,12 +431,12 @@ func Fig8(bool) []*Table {
 		Title:  "Algorithm 1 on the Fig. 7 graph: merge order and latency targets (SLA 60ms)",
 		Header: []string{"microservice", "latency target ms", "containers", "interval"},
 	}
-	for _, ms := range scaling.SortedTargets(alloc) {
+	for i, ms := range alloc.Microservices {
 		iv := "low"
-		if alloc.UsedHigh[ms] {
+		if alloc.UsedHigh[i] {
 			iv = "high"
 		}
-		t.AddRow(ms, f2(alloc.Targets[ms]), fmt.Sprintf("%d", alloc.Containers[ms]), iv)
+		t.AddRow(ms, f2(alloc.Targets[ms]), fmt.Sprintf("%d", alloc.Containers[i]), iv)
 	}
 	var order []string
 	for _, tt := range g.TwoTierInvocations() {

@@ -36,15 +36,18 @@
 // template's microservice order, and per shared microservice the (member,
 // vector position) pairs that meet there — so a window gathers each
 // service's workloads out of the name-keyed loads once, and fingerprints,
-// evaluates (scaling.Template.Solve), ranks and prefix-sums over slices. The
-// only maps a window builds are the ones its Plan hands out.
+// evaluates (scaling.Template.Solve), ranks, prefix-sums and folds over
+// slices. The only maps a window builds are the ones its Plan hands out: a
+// Targets map per replanned service, a rank map per reordered shared
+// microservice, and the Plan's outer maps.
 //
 // Ownership: a returned Plan is an immutable snapshot. It shares its
 // per-service allocations and rank maps with the planner's caches, and a
-// replan swaps fresh objects in (Template.Allocation materializes new maps;
-// a shared microservice whose rank order moved gets a new rank map, one whose
-// order held keeps the map it had) instead of editing the old ones — so a
-// plan stays valid across later windows, and callers must never write to it.
+// replan swaps fresh objects in (Template.Allocation materializes a new
+// Targets map and new slices; a shared microservice whose rank order moved
+// gets a new rank map, one whose order held keeps the map it had) instead of
+// editing the old ones — so a plan stays valid across later windows, and
+// callers must never write to it.
 package multiplex
 
 import (
@@ -82,11 +85,10 @@ type IncrementalPlanner struct {
 	sharedSorted []string // distinct shared microservices, sorted (merge fold order)
 	numMS        int      // distinct microservices; pre-sizes the merged map
 
-	// Per-service window caches. meta and sharedAt are flat over every
-	// service's microservices in template order; svcState.first is a
-	// service's offset into them.
+	// Per-service window caches. sharedAt is flat over every service's
+	// microservices in template order; svcState.first is a service's offset
+	// into it.
 	svcState []svcState
-	meta     []msMeta
 	sharedAt []int32 // index into sharedSorted; -1 for a private microservice
 	scratch  []shardScratch
 
@@ -135,24 +137,13 @@ type memberScratch struct {
 	err      error // the template could not be built
 }
 
-// msMeta is one microservice's sealed merge contribution: what the serial
-// fold needs besides the template's names and shares, captured at replan
-// time so the per-window merge does no map lookups. The sealed values stay
-// valid exactly as long as the group is clean — the fingerprint guards
-// workloads, and finalAlloc (the source of n and raw) only changes on
-// replan, which reseals.
-type msMeta struct {
-	raw float64
-	n   int
-}
-
 // svcState is the cached outcome of the last successful window for one
 // service. finalAlloc is never written after it is stored: returned plans
 // point at it, and a replan replaces the pointer. tpl is the template the
 // allocation came from, revalidated with ParamsMatch every window.
 type svcState struct {
 	tpl        *scaling.Template
-	first      int32 // offset of the service's microservices in meta/sharedAt
+	first      int32 // offset of the service's microservices in sharedAt
 	fpOK       bool
 	fp         uint64
 	finalAlloc *scaling.Allocation
@@ -419,7 +410,6 @@ func (p *IncrementalPlanner) rebuild(scheme Scheme, svcs []string, inputs map[st
 			}
 		}
 	}
-	p.meta = make([]msMeta, total)
 	// A private microservice normally belongs to one service; where a caller's
 	// shared list leaves out a microservice several graphs hold, the hint
 	// overshoots by the repeats.
@@ -698,18 +688,14 @@ func (p *IncrementalPlanner) planGroup(g *group, sc *shardScratch, inputs map[st
 	}
 
 	// Final (for FCFS and non-sharing, only) pass. Each success is sealed on
-	// the spot: the allocation, and per microservice the merge contribution
-	// the fold reads, so a clean window costs it no map lookups.
+	// the spot as the allocation, whose position-indexed slices are what the
+	// fold reads, so a clean window costs it no map lookups.
 	for k, si := range g.members {
 		if pe := solve(k, final); pe != nil {
 			return pe
 		}
 		st := &p.svcState[si]
 		st.finalAlloc = st.tpl.Allocation(&sc.eval)
-		meta := p.meta[st.first:]
-		for i, raw := range sc.eval.Raw {
-			meta[i] = msMeta{raw: raw, n: sc.eval.Containers[i]}
-		}
 	}
 	// The fingerprints are of the members' own workloads, taken at gather
 	// time; storing them only now keeps a failed window dirty.
@@ -748,11 +734,11 @@ func (p *IncrementalPlanner) fold(scheme Scheme) *Plan {
 		// ones included — and folds each service's whole ResourceUsage in
 		// sorted service order.
 		for i := range p.svcs {
-			st := &p.svcState[i]
-			for k, ms := range st.tpl.Microservices() {
-				plan.Containers[ms] += p.meta[int(st.first)+k].n
+			alloc := p.svcState[i].finalAlloc
+			for k, ms := range alloc.Microservices {
+				plan.Containers[ms] += alloc.Containers[k]
 			}
-			plan.ResourceUsage += st.finalAlloc.ResourceUsage
+			plan.ResourceUsage += alloc.ResourceUsage
 		}
 		return plan
 	}
@@ -769,19 +755,19 @@ func (p *IncrementalPlanner) fold(scheme Scheme) *Plan {
 	touched := make([]bool, len(p.sharedSorted))
 	for i := range p.svcs {
 		st := &p.svcState[i]
-		shares := st.tpl.Shares()
-		for k, ms := range st.tpl.Microservices() {
-			m, j := p.meta[int(st.first)+k], p.sharedAt[int(st.first)+k]
+		alloc, shares := st.finalAlloc, st.tpl.Shares()
+		for k, ms := range alloc.Microservices {
+			raw, n, j := alloc.ContainersRaw[k], alloc.Containers[k], p.sharedAt[int(st.first)+k]
 			if j < 0 {
-				plan.Containers[ms] += m.n
-				plan.ResourceUsage += m.raw * shares[k]
+				plan.Containers[ms] += n
+				plan.ResourceUsage += raw * shares[k]
 				continue
 			}
-			if m.n > nMax[j] {
-				nMax[j] = m.n
+			if n > nMax[j] {
+				nMax[j] = n
 			}
-			if m.raw > rawMax[j] {
-				rawMax[j] = m.raw
+			if raw > rawMax[j] {
+				rawMax[j] = raw
 			}
 			shareOf[j] = shares[k]
 			touched[j] = true

@@ -3,6 +3,7 @@ package multiplex
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -78,6 +79,10 @@ func fig5Inputs() (map[string]scaling.Input, map[string]map[string]float64, []st
 	}
 	return inputs, loads, []string{"P"}
 }
+
+// at is ms's position in a.Microservices, which indexes its entries in the
+// allocation's decision slices; -1 if the service has no such microservice.
+func at(a *scaling.Allocation, ms string) int { return slices.Index(a.Microservices, ms) }
 
 func TestAssignPrioritiesByTarget(t *testing.T) {
 	initial := map[string]*scaling.Allocation{
@@ -180,7 +185,7 @@ func TestPlanSchemeContainersMerged(t *testing.T) {
 	// P deploys the max across services; U and H belong to one service each.
 	maxP := 0
 	for _, alloc := range prio.PerService {
-		if n := alloc.Containers["P"]; n > maxP {
+		if n := alloc.Containers[at(alloc, "P")]; n > maxP {
 			maxP = n
 		}
 	}
@@ -190,7 +195,7 @@ func TestPlanSchemeContainersMerged(t *testing.T) {
 	non, _ := freshPlan(SchemeNonShared, inputs, loads, shared)
 	sumP := 0
 	for _, alloc := range non.PerService {
-		sumP += alloc.Containers["P"]
+		sumP += alloc.Containers[at(alloc, "P")]
 	}
 	if non.Containers["P"] != sumP {
 		t.Fatalf("non-shared P containers = %d, want sum %d", non.Containers["P"], sumP)

@@ -86,8 +86,8 @@ func monolithicPlan(scheme Scheme, inputs map[string]scaling.Input, loads map[st
 		}
 		for _, svc := range sortutil.Keys(plan.PerService) {
 			alloc := plan.PerService[svc]
-			for ms, n := range alloc.Containers {
-				plan.Containers[ms] += n
+			for i, n := range alloc.Containers {
+				plan.Containers[alloc.Microservices[i]] += n
 			}
 			plan.ResourceUsage += alloc.ResourceUsage
 		}
@@ -125,18 +125,18 @@ func monolithicPlan(scheme Scheme, inputs map[string]scaling.Input, loads map[st
 	shareOf := make(map[string]float64)
 	for _, svc := range sortutil.Keys(plan.PerService) {
 		alloc := plan.PerService[svc]
-		for _, ms := range sortutil.Keys(alloc.Containers) {
-			n := alloc.Containers[ms]
+		for i, ms := range alloc.Microservices {
+			n, raw := alloc.Containers[i], alloc.ContainersRaw[i]
 			if !sharedSet[ms] {
 				plan.Containers[ms] += n
-				plan.ResourceUsage += alloc.ContainersRaw[ms] * inputs[svc].Shares[ms]
+				plan.ResourceUsage += raw * inputs[svc].Shares[ms]
 				continue
 			}
 			if n > plan.Containers[ms] {
 				plan.Containers[ms] = n
 			}
-			if alloc.ContainersRaw[ms] > rawMax[ms] {
-				rawMax[ms] = alloc.ContainersRaw[ms]
+			if raw > rawMax[ms] {
+				rawMax[ms] = raw
 			}
 			shareOf[ms] = inputs[svc].Shares[ms]
 		}

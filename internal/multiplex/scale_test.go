@@ -3,6 +3,7 @@ package multiplex
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"erms/internal/apps"
@@ -55,13 +56,14 @@ func requirePlanBitIdentical(t *testing.T, want, got *Plan, ctx string) {
 				t.Fatalf("%s: %s target[%s] diverged", ctx, svc, ms)
 			}
 		}
-		for ms, v := range wa.ContainersRaw {
-			if math.Float64bits(ga.ContainersRaw[ms]) != math.Float64bits(v) {
+		if !slices.Equal(wa.Microservices, ga.Microservices) {
+			t.Fatalf("%s: %s microservices %v, want %v", ctx, svc, ga.Microservices, wa.Microservices)
+		}
+		for i, ms := range wa.Microservices {
+			if math.Float64bits(ga.ContainersRaw[i]) != math.Float64bits(wa.ContainersRaw[i]) {
 				t.Fatalf("%s: %s raw[%s] diverged", ctx, svc, ms)
 			}
-		}
-		for ms, v := range wa.Containers {
-			if ga.Containers[ms] != v {
+			if ga.Containers[i] != wa.Containers[i] {
 				t.Fatalf("%s: %s containers[%s] diverged", ctx, svc, ms)
 			}
 		}

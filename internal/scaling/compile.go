@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -302,21 +303,20 @@ func (t *Template) Solve(e *Eval, gamma []float64, cpuUtil, memUtil float64) err
 	return nil
 }
 
-// Allocation materializes the outcome of a successful Solve on this template
-// as name-keyed maps, fresh and never written again by the template.
+// Allocation materializes the outcome of a successful Solve on this template:
+// a fresh Targets map and fresh copies of e's decision slices (e is scratch
+// the next Solve overwrites), over the template's own Microservices.
 func (t *Template) Allocation(e *Eval) *Allocation {
 	alloc := &Allocation{
 		Service:       t.Service,
+		Microservices: t.mss,
 		Targets:       make(map[string]float64, len(t.mss)),
-		ContainersRaw: make(map[string]float64, len(t.mss)),
-		Containers:    make(map[string]int, len(t.mss)),
-		UsedHigh:      make(map[string]bool, len(t.mss)),
+		ContainersRaw: slices.Clone(e.Raw),
+		Containers:    slices.Clone(e.Containers),
+		UsedHigh:      slices.Clone(e.UsedHigh),
 	}
 	for i, ms := range t.mss {
 		alloc.Targets[ms] = e.Targets[i]
-		alloc.ContainersRaw[ms] = e.Raw[i]
-		alloc.Containers[ms] = e.Containers[i]
-		alloc.UsedHigh[ms] = e.UsedHigh[i]
 		// mss is sorted, so the float sum is bit-stable run to run.
 		alloc.ResourceUsage += e.Raw[i] * t.shares[i]
 	}

@@ -2,6 +2,7 @@ package scaling_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"erms/internal/apps"
@@ -105,10 +106,8 @@ func TestCompiledMatchesNaiveAtScale(t *testing.T) {
 					t.Fatalf("svc %d: target %s diverged", j, ms)
 				}
 			}
-			for ms, w := range want.Containers {
-				if got.Containers[ms] != w {
-					t.Fatalf("svc %d: containers %s diverged", j, ms)
-				}
+			if !slices.Equal(want.Microservices, got.Microservices) || !slices.Equal(want.Containers, got.Containers) {
+				t.Fatalf("svc %d: containers diverged", j)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -30,18 +31,22 @@ func requireAllocBitIdentical(t *testing.T, want, got *Allocation, ctx string) {
 				ctx, ms, g, math.Float64bits(g), w, math.Float64bits(w))
 		}
 	}
-	for ms, w := range want.ContainersRaw {
-		if g := got.ContainersRaw[ms]; math.Float64bits(w) != math.Float64bits(g) {
+	if !slices.Equal(want.Microservices, got.Microservices) {
+		t.Fatalf("%s: microservices %v != %v", ctx, got.Microservices, want.Microservices)
+	}
+	for _, a := range []*Allocation{want, got} {
+		if err := ShapeErr(a); err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+	}
+	for i, ms := range want.Microservices {
+		if w, g := want.ContainersRaw[i], got.ContainersRaw[i]; math.Float64bits(w) != math.Float64bits(g) {
 			t.Fatalf("%s: raw[%s] = %v, want %v", ctx, ms, g, w)
 		}
-	}
-	for ms, w := range want.Containers {
-		if g := got.Containers[ms]; w != g {
+		if w, g := want.Containers[i], got.Containers[i]; w != g {
 			t.Fatalf("%s: containers[%s] = %d, want %d", ctx, ms, g, w)
 		}
-	}
-	for ms, w := range want.UsedHigh {
-		if g, ok := got.UsedHigh[ms]; !ok || w != g {
+		if w, g := want.UsedHigh[i], got.UsedHigh[i]; w != g {
 			t.Fatalf("%s: usedHigh[%s] = %v, want %v", ctx, ms, g, w)
 		}
 	}
@@ -197,9 +202,9 @@ func TestUnplannableContainerCountIsAnError(t *testing.T) {
 				t.Fatalf("%s: naive %v, template %v, want a plan", name, wantErr, gotErr)
 			}
 			requireAllocBitIdentical(t, want, got, name)
-			for ms, raw := range got.ContainersRaw {
-				if n := got.Containers[ms]; float64(n) < raw-1e-9 || float64(n) >= raw+1 {
-					t.Fatalf("%s: %s: %d containers for a requirement of %v", name, ms, n, raw)
+			for i, raw := range got.ContainersRaw {
+				if n := got.Containers[i]; float64(n) < raw-1e-9 || float64(n) >= raw+1 {
+					t.Fatalf("%s: %s: %d containers for a requirement of %v", name, got.Microservices[i], n, raw)
 				}
 			}
 			continue
@@ -313,11 +318,12 @@ func TestSolveWarmZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, ms := range mss {
-		if e.Targets[i] != want.Targets[ms] || e.Raw[i] != want.ContainersRaw[ms] ||
-			e.Containers[i] != want.Containers[ms] || e.UsedHigh[i] != want.UsedHigh[ms] {
+		w := at(want, ms)
+		if e.Targets[i] != want.Targets[ms] || e.Raw[i] != want.ContainersRaw[w] ||
+			e.Containers[i] != want.Containers[w] || e.UsedHigh[i] != want.UsedHigh[w] {
 			t.Fatalf("%s: Solve left %v/%v/%d/%v, Plan says %v/%v/%d/%v", ms,
 				e.Targets[i], e.Raw[i], e.Containers[i], e.UsedHigh[i],
-				want.Targets[ms], want.ContainersRaw[ms], want.Containers[ms], want.UsedHigh[ms])
+				want.Targets[ms], want.ContainersRaw[w], want.Containers[w], want.UsedHigh[w])
 		}
 	}
 }

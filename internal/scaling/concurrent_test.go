@@ -85,9 +85,9 @@ func TestTemplateCacheConcurrent(t *testing.T) {
 					return
 				}
 				for i, ms := range mss {
-					if e.Targets[i] != v.want.Targets[ms] || e.Containers[i] != v.want.Containers[ms] {
+					if e.Targets[i] != v.want.Targets[ms] || e.Containers[i] != v.want.Containers[at(v.want, ms)] {
 						errs <- fmt.Errorf("worker %d iter %d: solved %s to %v/%d, want %v/%d", w, it, ms,
-							e.Targets[i], e.Containers[i], v.want.Targets[ms], v.want.Containers[ms])
+							e.Targets[i], e.Containers[i], v.want.Targets[ms], v.want.Containers[at(v.want, ms)])
 						return
 					}
 				}

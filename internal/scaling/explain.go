@@ -50,9 +50,9 @@ func Explain(in Input) (string, error) {
 	render(t.root, 0)
 
 	b.WriteString("latency targets (Eq. 5 unwind):\n")
-	for _, ms := range SortedTargets(alloc) {
+	for i, ms := range alloc.Microservices {
 		fmt.Fprintf(&b, "  %-28s target %8.3fms  containers %4d (raw %.2f)\n",
-			ms, alloc.Targets[ms], alloc.Containers[ms], alloc.ContainersRaw[ms])
+			ms, alloc.Targets[ms], alloc.Containers[i], alloc.ContainersRaw[i])
 	}
 	fmt.Fprintf(&b, "total containers %d, resource usage %.6f\n", alloc.TotalContainers(), alloc.ResourceUsage)
 	return b.String(), nil

@@ -159,12 +159,10 @@ func compute(in Input, useHigh map[string]bool) (*Allocation, error) {
 	root := buildMergeTree(in, useHigh)
 
 	alloc := &Allocation{
-		Service:       in.Graph.Service,
-		Targets:       make(map[string]float64),
-		ContainersRaw: make(map[string]float64),
-		Containers:    make(map[string]int),
-		UsedHigh:      useHigh,
+		Service: in.Graph.Service,
+		Targets: make(map[string]float64),
 	}
+	raws := make(map[string]float64)
 
 	// Unwind the merge tree (Fig. 8): the root's target is the SLA;
 	// sequential splits follow the Eq. 5 proportional rule; parallel
@@ -198,8 +196,8 @@ func compute(in Input, useHigh map[string]bool) (*Allocation, error) {
 			if cur, ok := alloc.Targets[mn.ms]; !ok || target < cur {
 				alloc.Targets[mn.ms] = target
 			}
-			if cur, ok := alloc.ContainersRaw[mn.ms]; !ok || n > cur {
-				alloc.ContainersRaw[mn.ms] = n
+			if cur, ok := raws[mn.ms]; !ok || n > cur {
+				raws[mn.ms] = n
 			}
 			return nil
 		case kindSeq:
@@ -235,13 +233,16 @@ func compute(in Input, useHigh map[string]bool) (*Allocation, error) {
 
 	// Sum usage in sorted order so the float total is bit-stable run to run
 	// (map iteration order would perturb the low bits).
-	for _, ms := range sortutil.Keys(alloc.ContainersRaw) {
-		raw := alloc.ContainersRaw[ms]
+	alloc.Microservices = sortutil.Keys(raws)
+	for _, ms := range alloc.Microservices {
+		raw := raws[ms]
 		n, err := containerCount(ms, raw)
 		if err != nil {
 			return nil, err
 		}
-		alloc.Containers[ms] = n
+		alloc.ContainersRaw = append(alloc.ContainersRaw, raw)
+		alloc.Containers = append(alloc.Containers, n)
+		alloc.UsedHigh = append(alloc.UsedHigh, useHigh[ms])
 		alloc.ResourceUsage += raw * in.Shares[ms]
 	}
 	return alloc, nil
@@ -262,14 +263,18 @@ func naiveExplain(in Input) (string, error) {
 
 	// Rebuild the merge tree with the final interval choices so the printed
 	// parameters match the allocation exactly.
-	root := buildMergeTree(in, alloc.UsedHigh)
+	useHigh := make(map[string]bool, len(alloc.Microservices))
+	for i, ms := range alloc.Microservices {
+		useHigh[ms] = alloc.UsedHigh[i]
+	}
+	root := buildMergeTree(in, useHigh)
 	var render func(mn *mergeNode, depth int)
 	render = func(mn *mergeNode, depth int) {
 		indent := strings.Repeat("  ", depth+1)
 		switch mn.kind {
 		case kindLeaf:
 			iv := "low"
-			if alloc.UsedHigh[mn.ms] {
+			if useHigh[mn.ms] {
 				iv = "high"
 			}
 			fmt.Fprintf(&b, "%s%s  [A=%.4g b=%.4g R=%.4g interval=%s]\n", indent, mn.ms, mn.A, mn.B, mn.R, iv)
@@ -285,9 +290,9 @@ func naiveExplain(in Input) (string, error) {
 	render(root, 0)
 
 	b.WriteString("latency targets (Eq. 5 unwind):\n")
-	for _, ms := range SortedTargets(alloc) {
+	for i, ms := range alloc.Microservices {
 		fmt.Fprintf(&b, "  %-28s target %8.3fms  containers %4d (raw %.2f)\n",
-			ms, alloc.Targets[ms], alloc.Containers[ms], alloc.ContainersRaw[ms])
+			ms, alloc.Targets[ms], alloc.Containers[i], alloc.ContainersRaw[i])
 	}
 	fmt.Fprintf(&b, "total containers %d, resource usage %.6f\n", alloc.TotalContainers(), alloc.ResourceUsage)
 	return b.String(), nil

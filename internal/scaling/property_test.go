@@ -79,7 +79,7 @@ func TestPlanFeasibleOnRandomGraphs(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		e2e, err := EndToEndModelLatency(in, alloc.Containers)
+		e2e, err := EndToEndModelLatency(in, containersByName(alloc))
 		if err != nil {
 			return false
 		}
@@ -90,7 +90,7 @@ func TestPlanFeasibleOnRandomGraphs(t *testing.T) {
 		// Every planned microservice has at least one container and a
 		// positive target.
 		for _, ms := range in.Graph.Microservices() {
-			if alloc.Containers[ms] < 1 || alloc.Targets[ms] <= 0 {
+			if i := at(alloc, ms); i < 0 || alloc.Containers[i] < 1 || alloc.Targets[ms] <= 0 {
 				return false
 			}
 		}

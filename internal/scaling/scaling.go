@@ -19,7 +19,6 @@ import (
 
 	"erms/internal/graph"
 	"erms/internal/profiling"
-	"erms/internal/sortutil"
 	"erms/internal/workload"
 )
 
@@ -84,16 +83,21 @@ func (in *Input) validate() error {
 }
 
 // Allocation is the result of Latency Target Computation for one service.
+// Only Targets is looked up by name; the per-microservice decisions are
+// slices indexed by position in Microservices.
 type Allocation struct {
 	Service string
+	// Microservices lists the service's microservices, sorted. It may be
+	// shared with the template that produced it and is never written.
+	Microservices []string
 	// Targets is the latency target (ms) per microservice.
 	Targets map[string]float64
 	// ContainersRaw is the exact (fractional) container requirement.
-	ContainersRaw map[string]float64
+	ContainersRaw []float64
 	// Containers is ContainersRaw rounded up (§7: Erms rounds up).
-	Containers map[string]int
+	Containers []int
 	// UsedHigh records which interval of the piece-wise model was used.
-	UsedHigh map[string]bool
+	UsedHigh []bool
 	// ResourceUsage is Σ n_i·R_i over microservices (raw n), the objective
 	// of Eq. 2.
 	ResourceUsage float64
@@ -156,9 +160,4 @@ func EndToEndModelLatency(in Input, containers map[string]int) (float64, error) 
 		return m.Predict(perContainer, in.CPUUtil, in.MemUtil)
 	}
 	return in.Graph.EndToEnd(lat), nil
-}
-
-// SortedTargets renders targets in a deterministic order for reports.
-func SortedTargets(a *Allocation) []string {
-	return sortutil.Keys(a.Targets)
 }

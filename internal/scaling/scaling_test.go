@@ -152,8 +152,8 @@ func TestPlanMatchesClosedFormOnChain(t *testing.T) {
 		if math.Abs(alloc.Targets[ms]-targets[i]) > 1e-6 {
 			t.Fatalf("%s target %v != closed form %v", ms, alloc.Targets[ms], targets[i])
 		}
-		if math.Abs(alloc.ContainersRaw[ms]-containers[i]) > 1e-6 {
-			t.Fatalf("%s containers %v != closed form %v", ms, alloc.ContainersRaw[ms], containers[i])
+		if raw := alloc.ContainersRaw[at(alloc, ms)]; math.Abs(raw-containers[i]) > 1e-6 {
+			t.Fatalf("%s containers %v != closed form %v", ms, raw, containers[i])
 		}
 	}
 	// Targets along the chain sum to the SLA.
@@ -295,7 +295,7 @@ func TestPlanFig7ParallelTargetsEqual(t *testing.T) {
 	// Modeled end-to-end latency with the fractional allocation equals the
 	// SLA exactly (the optimum binds the constraint); rounding up can only
 	// help.
-	e2e, err := EndToEndModelLatency(in, alloc.Containers)
+	e2e, err := EndToEndModelLatency(in, containersByName(alloc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,8 +312,9 @@ func TestPlanBindsSLAExactly(t *testing.T) {
 	}
 	// Evaluate with the *raw* containers: T + max(Url, U) + C = SLA.
 	lat := func(ms string) float64 {
-		a, b := in.Models[ms].Params(alloc.UsedHigh[ms], 0, 0)
-		return a*in.Workloads[ms]/alloc.ContainersRaw[ms] + b
+		i := at(alloc, ms)
+		a, b := in.Models[ms].Params(alloc.UsedHigh[i], 0, 0)
+		return a*in.Workloads[ms]/alloc.ContainersRaw[i] + b
 	}
 	e2e := lat("T") + math.Max(lat("Url"), lat("U")) + lat("C")
 	if math.Abs(e2e-100) > 0.5 {
@@ -378,10 +379,10 @@ func TestTwoIntervalRecomputation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alloc.UsedHigh["A"] {
+	if alloc.UsedHigh[at(alloc, "A")] {
 		t.Fatalf("A should use the low interval (target %v)", alloc.Targets["A"])
 	}
-	if !alloc.UsedHigh["B"] {
+	if !alloc.UsedHigh[at(alloc, "B")] {
 		t.Fatal("B should stay on the high interval")
 	}
 }
@@ -427,7 +428,7 @@ func TestDuplicateMicroserviceTakesTightest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alloc.Containers["B"] < 1 || alloc.Targets["B"] <= 0 {
+	if i := at(alloc, "B"); i < 0 || alloc.Containers[i] < 1 || alloc.Targets["B"] <= 0 {
 		t.Fatalf("duplicate handling broken: %+v", alloc)
 	}
 }
@@ -508,14 +509,5 @@ func TestSequentialClosedFormErrors(t *testing.T) {
 	}
 	if _, _, err := SequentialClosedForm([]float64{0}, []float64{1}, []float64{1}, []float64{1}, 100); err == nil {
 		t.Fatal("zero slope accepted")
-	}
-}
-
-func TestSortedTargets(t *testing.T) {
-	in := fig7Input()
-	alloc, _ := Plan(in)
-	order := SortedTargets(alloc)
-	if len(order) != 4 || order[0] != "C" {
-		t.Fatalf("order = %v", order)
 	}
 }

@@ -193,7 +193,8 @@ func TestEveryKeyLands(t *testing.T) {
 
 // TestValidateReportsOneError pins that a document with several bad entries
 // in one map gets the same error on every parse: entries are checked in key
-// order, not map order.
+// order, not map order — by Validate, and on the JSON path already by the
+// number conversion.
 func TestValidateReportsOneError(t *testing.T) {
 	cases := []struct {
 		name string
@@ -204,6 +205,10 @@ func TestValidateReportsOneError(t *testing.T) {
 			"spec: app.slas.reserve must be in (0, 1e6] ms, got -2"},
 		{"tier_shed_factors", minimalYAML + "resilience:\n  tier_shed_factors:\n    gold: 1\n    silver: 2\n",
 			`spec: resilience.tier_shed_factors: workload: unknown SLO tier "gold" (want critical, standard, sheddable, or batch)`},
+		{"json numbers", strings.Replace(minimalJSON, `"version": 1,`, `"version": 1,
+  "resilience": {"timeout_sla_multiple": 1e999, "request_timeout_ms": 2e999, "attempt_timeout_ms": 3e999,
+    "retry_budget": 4e999, "breaker_failure_rate": 5e999, "shed_max_wait_ms": 6e999},`, 1),
+			`spec: invalid number "3e999"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -98,8 +98,10 @@ func normalizeJSON(v any) (any, error) {
 		}
 		return f, nil
 	case map[string]any:
-		for k, e := range t {
-			n, err := normalizeJSON(e)
+		// Key order, not map order, so the first bad number is the same one
+		// on every parse.
+		for _, k := range sortutil.Keys(t) {
+			n, err := normalizeJSON(t[k])
 			if err != nil {
 				return nil, err
 			}

@@ -151,7 +151,8 @@ BENCH_SMOKE=1 BENCH_OUT=/tmp/bench_7_smoke.txt BENCH_JSON=/tmp/BENCH_7_smoke.jso
 #       metric timed the map-based pipeline, now the multiplex test oracle,
 #       the gate was plan x 8 < monolithic at a ratio of ~25);
 #   core.plan_allocs <= 80000        heap allocations of one Controller.Plan
-#       (~190 000 before, ~17 500 now: what a plan hands out, little else).
+#       (~190 000 before, ~17 500 with four maps per allocation, ~8 500 now
+#       with one: what a plan hands out, little else).
 #
 # The run's own checks (digest, replicas, plan oracle) must pass too.
 echo "== control-window gates (scale1k-control: repair + rebalance < plan, plan < monolithic, plan allocs) =="
@@ -197,7 +198,7 @@ awk -v allocs="$(layer 'allocs_per_window')" -v heap="$(layer 'heap_live_mb')" '
 # every Apply scraped the cluster into a time-series store nobody queried,
 # that store alone held ~4 MB of one point per host and per microservice and
 # this read ~35 MB live; the controller, orchestrator, cluster and planner
-# caches read ~31 MB.
+# caches read ~31 MB, ~26 MB since an allocation keeps one name-keyed map.
 echo "== control-plane retention gate (scale1k-control: live heap <= 33 MB) =="
 res=$(bash bench/run.sh --workload scale1k-control --seed 1 --seconds 1 --trace 0 | tail -n 1)
 case "$res" in
