@@ -105,10 +105,9 @@ func sizeForTarget(m profiling.Model, gamma, target, cpu, mem float64) float64 {
 }
 
 // finalize assembles a scaling.Allocation from per-microservice targets.
-func finalize(in Input, name string, targets map[string]float64) *scaling.Allocation {
+func finalize(in Input, targets map[string]float64) *scaling.Allocation {
 	mss := sortutil.Keys(targets)
 	alloc := &scaling.Allocation{
-		Service:       in.Graph.Service,
 		Microservices: mss,
 		Targets:       targets,
 		ContainersRaw: make([]float64, len(mss)),
@@ -131,7 +130,6 @@ func finalize(in Input, name string, targets map[string]float64) *scaling.Alloca
 		aHi, bHi := m.Params(true, in.CPUUtil, in.MemUtil)
 		alloc.UsedHigh[i] = t >= aHi*knee+bHi
 	}
-	_ = name
 	return alloc
 }
 
@@ -173,7 +171,7 @@ func (GrandSLAm) Plan(in Input) (*scaling.Allocation, error) {
 		}
 		weight[ms] = st.MeanMs
 	}
-	return finalize(in, "grandslam", proportionalTargets(in.Graph, in.SLA.Threshold, weight)), nil
+	return finalize(in, proportionalTargets(in.Graph, in.SLA.Threshold, weight)), nil
 }
 
 // Rhythm allocates latency targets proportional to the contribution score
@@ -213,7 +211,7 @@ func (Rhythm) Plan(in Input) (*scaling.Allocation, error) {
 			weight[ms] = w
 		}
 	}
-	return finalize(in, "rhythm", proportionalTargets(in.Graph, in.SLA.Threshold, weight)), nil
+	return finalize(in, proportionalTargets(in.Graph, in.SLA.Threshold, weight)), nil
 }
 
 // Firm starts from a capacity-minimal deployment and repeatedly scales out
@@ -284,7 +282,6 @@ func (Firm) Plan(in Input) (*scaling.Allocation, error) {
 	}
 	mss := sortutil.Keys(containers)
 	alloc := &scaling.Allocation{
-		Service:       in.Graph.Service,
 		Microservices: mss,
 		Targets:       make(map[string]float64, len(mss)),
 		ContainersRaw: make([]float64, len(mss)),

@@ -456,10 +456,7 @@ func (c *Controller) Priorities(plan *multiplex.Plan) map[string]map[string]int 
 
 // EvalResult summarizes one evaluation window.
 type EvalResult struct {
-	Plan *multiplex.Plan
-	Sim  *sim.Result
-	// TotalContainers deployed during the window.
-	TotalContainers int
+	Sim *sim.Result
 	// Violations aggregates per-service SLA misses (slow completions plus
 	// errors over everything issued).
 	Violations map[string]float64
@@ -507,10 +504,10 @@ func (c *Controller) EvaluatePlan(plan *multiplex.Plan, rates map[string]float64
 }
 
 // EvaluateDeployed simulates the *current* deployment (it does not apply the
-// plan, which is used only for priorities and container accounting) with the
-// given fault-injection options. The resilient control loop uses this after
-// its own apply phase, so a degraded window can still be measured even when
-// applying a fresh plan failed.
+// plan, which is used only for priorities) with the given fault-injection
+// options. The resilient control loop uses this after its own apply phase, so
+// a degraded window can still be measured even when applying a fresh plan
+// failed.
 func (c *Controller) EvaluateDeployed(plan *multiplex.Plan, rates map[string]float64, durationMin, warmupMin float64, seed uint64, opts EvalOpts) (*EvalResult, error) {
 	patterns := make(map[string]workload.Pattern, len(rates))
 	streamed := make(map[string]bool, len(opts.Streams))
@@ -551,11 +548,9 @@ func (c *Controller) EvaluateDeployed(plan *multiplex.Plan, rates map[string]flo
 	}
 	res.ExportTo(c.Obs, c.Resilience != nil)
 	out := &EvalResult{
-		Plan:            plan,
-		Sim:             res,
-		TotalContainers: plan.TotalContainers(),
-		Violations:      make(map[string]float64),
-		TailLatency:     make(map[string]float64),
+		Sim:         res,
+		Violations:  make(map[string]float64),
+		TailLatency: make(map[string]float64),
 	}
 	if c.Resilience != nil {
 		out.ErrorRate = make(map[string]float64)
@@ -655,14 +650,8 @@ func (c *Controller) ProfileOffline(cfg OfflineConfig) ([]string, error) {
 				return nil, err
 			}
 		}
-		for _, ms := range c.App.Microservices() {
-			spec := c.App.Containers[ms]
-			for k := 0; k < profileContainersPerMS; k++ {
-				hostID := (run.NumContainers() + k) % run.NumHosts()
-				if _, err := run.Place(spec, hostID); err != nil {
-					return nil, fmt.Errorf("core: profiling placement: %w", err)
-				}
-			}
+		if err := placeForProfiling(run, c.App); err != nil {
+			return nil, err
 		}
 		patterns := make(map[string]workload.Pattern)
 		for _, g := range c.App.Graphs {
@@ -743,4 +732,18 @@ func (c *Controller) ProfileOffline(cfg OfflineConfig) ([]string, error) {
 	}
 	sort.Strings(failed)
 	return failed, nil
+}
+
+// placeForProfiling deploys profileContainersPerMS containers of every
+// microservice of app on run, round-robin over its hosts.
+func placeForProfiling(run *cluster.Cluster, app *apps.App) error {
+	for _, ms := range app.Microservices() {
+		spec := app.Containers[ms]
+		for k := 0; k < profileContainersPerMS; k++ {
+			if _, err := run.Place(spec, run.NumContainers()%run.NumHosts()); err != nil {
+				return fmt.Errorf("core: profiling placement: %w", err)
+			}
+		}
+	}
+	return nil
 }

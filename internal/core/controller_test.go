@@ -202,7 +202,7 @@ func TestEvaluateMeetsSLA(t *testing.T) {
 				svc, v*100, res.TailLatency[svc])
 		}
 	}
-	if res.TotalContainers <= 0 {
+	if c.Orch.TotalReplicas() <= 0 {
 		t.Fatal("no containers deployed")
 	}
 }
@@ -217,8 +217,8 @@ func TestEvaluatePlanReusesPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Plan != plan {
-		t.Fatal("plan not propagated")
+	if c.Orch.TotalReplicas() != plan.TotalContainers() {
+		t.Fatalf("deployed %d replicas, plan has %d", c.Orch.TotalReplicas(), plan.TotalContainers())
 	}
 	if len(res.TailLatency) != 4 {
 		t.Fatalf("services measured = %d", len(res.TailLatency))
@@ -331,6 +331,30 @@ func TestEvaluateWithOfflineProfiledModels(t *testing.T) {
 	}
 	if v := res.Violations["svc"]; v > 0.07 {
 		t.Fatalf("violation rate %v with fitted models (tail %v)", v, res.TailLatency["svc"])
+	}
+}
+
+func TestProfilingPlacementSpreadsOverEveryHost(t *testing.T) {
+	// Two containers each of four microservices on eight hosts: one per
+	// host, so the sweep's interference reaches every host alike.
+	g := graph.New("svc", "A")
+	g.AddStage(g.Root, "B", "C", "D")
+	app := &apps.App{Graphs: []*graph.Graph{g}, Containers: map[string]cluster.ContainerSpec{}}
+	for _, ms := range g.Microservices() {
+		app.Containers[ms] = cluster.PaperContainer(ms)
+	}
+	run := cluster.New(8, cluster.PaperHost)
+	if err := placeForProfiling(run, app); err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := run.NumContainers(), 0
+	counts := make([]int, run.NumHosts())
+	for i, h := range run.Hosts() {
+		counts[i] = h.NumContainers()
+		lo, hi = min(lo, counts[i]), max(hi, counts[i])
+	}
+	if run.NumContainers() != 4*profileContainersPerMS || hi-lo > 1 {
+		t.Fatalf("%d containers over 8 hosts, per host %v: want an even spread", run.NumContainers(), counts)
 	}
 }
 

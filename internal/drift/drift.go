@@ -98,14 +98,9 @@ const (
 type Swap struct {
 	Microservice string
 	Model        profiling.Model
-	// Score is the drift score of the window that triggered the swap
-	// (deviation factor minus one: 1.5 means observed 2.5× predicted).
-	Score float64
 	// Segmented marks a full stats.FitSegmented re-fit; false is an
 	// incremental ScaledModel recalibration.
 	Segmented bool
-	// Ratio is the applied service-time recalibration (1 for segmented fits).
-	Ratio float64
 }
 
 // Stats are the detector's cumulative counters, exported under erms.self.*.
@@ -216,7 +211,7 @@ func (d *Detector) ObserveWindow(models map[string]profiling.Model, samples map[
 		if st.streak < d.cfg.Consecutive {
 			continue
 		}
-		sw, ok := d.refit(ms, model, st.pending, st.ratios, score)
+		sw, ok := d.refit(ms, model, st.pending, st.ratios)
 		st.streak = 0
 		st.pending = nil
 		st.ratios = nil
@@ -235,21 +230,21 @@ func (d *Detector) ObserveWindow(models map[string]profiling.Model, samples map[
 }
 
 // refit builds a replacement model from the drifted streak's pooled samples.
-func (d *Detector) refit(ms string, old profiling.Model, pending []profiling.Sample, ratios []float64, score float64) (Swap, bool) {
-	if m, ok := d.segmentedRefit(ms, pending); ok {
-		return Swap{Microservice: ms, Model: m, Score: score, Segmented: true, Ratio: 1}, true
+func (d *Detector) refit(ms string, old profiling.Model, pending []profiling.Sample, ratios []float64) (Swap, bool) {
+	if m, ok := d.segmentedRefit(pending); ok {
+		return Swap{Microservice: ms, Model: m, Segmented: true}, true
 	}
 	r := d.recalibrationRatio(ratios)
 	if r == 1 {
 		return Swap{}, false
 	}
-	return Swap{Microservice: ms, Model: NewScaledModel(old, r), Score: score, Ratio: r}, true
+	return Swap{Microservice: ms, Model: NewScaledModel(old, r)}, true
 }
 
 // segmentedRefit attempts the full piece-wise re-fit. It only accepts a
 // model the planner can consume: non-negative slopes (floored later), a
 // positive latency floor, and a positive knee.
-func (d *Detector) segmentedRefit(ms string, pending []profiling.Sample) (profiling.Model, bool) {
+func (d *Detector) segmentedRefit(pending []profiling.Sample) (profiling.Model, bool) {
 	if len(pending) < minRefitSamples {
 		return nil, false
 	}
@@ -277,7 +272,7 @@ func (d *Detector) segmentedRefit(ms string, pending []profiling.Sample) (profil
 		// curve; the planner's closed forms would mis-solve against it.
 		return nil, false
 	}
-	m := NewSegmentModel(ms, seg, maxW)
+	m := NewSegmentModel(seg, maxW)
 	if knee := m.Knee(0, 0); m.Predict(knee, 0, 0) <= 0 {
 		// The high segment may carry a negative intercept (continuity at
 		// the knee), but it must still be positive on its own domain.

@@ -99,8 +99,8 @@ func TestConsecutiveDriftSwaps(t *testing.T) {
 	if sw.Microservice != "svc" {
 		t.Fatalf("swap for %q", sw.Microservice)
 	}
-	if math.Abs(sw.Score-2) > 1e-9 {
-		t.Fatalf("score = %v, want 2 (3× observed)", sw.Score)
+	if st := d.Stats(); math.Abs(st.MaxScore-2) > 1e-9 {
+		t.Fatalf("score = %v, want 2 (3× observed)", st.MaxScore)
 	}
 	// Same workload in every sample: segmented refit is singular, so this
 	// must be the recalibration fallback with ratio 3 (all ratios equal, any
@@ -108,8 +108,8 @@ func TestConsecutiveDriftSwaps(t *testing.T) {
 	if sw.Segmented {
 		t.Fatal("expected fallback recalibration, got segmented refit")
 	}
-	if math.Abs(sw.Ratio-3) > 1e-9 {
-		t.Fatalf("ratio = %v, want 3", sw.Ratio)
+	if r := ratioOf(sw); math.Abs(r-3) > 1e-9 {
+		t.Fatalf("ratio = %v, want 3", r)
 	}
 	// The swapped model predicts ~3× the old at the observed point.
 	oldP, newP := m.Predict(100, 0.3, 0.3), sw.Model.Predict(100, 0.3, 0.3)
@@ -124,6 +124,12 @@ func TestConsecutiveDriftSwaps(t *testing.T) {
 	if swaps := d.ObserveWindow(models, map[string][]profiling.Sample{"svc": window(m, 4, 100, 3)}); len(swaps) != 0 {
 		t.Fatal("swap immediately after a swap — streak not reset")
 	}
+}
+
+// ratioOf is the service-time recalibration a fallback swap applies: the
+// Ratio of the ScaledModel it installs over the old model.
+func ratioOf(sw Swap) float64 {
+	return sw.Model.(*ScaledModel).Ratio
 }
 
 func TestNoSignalWindowPreservesStreak(t *testing.T) {
@@ -171,7 +177,7 @@ func TestDownwardDriftGated(t *testing.T) {
 	if len(swaps) != 1 {
 		t.Fatalf("downward-on: %d swaps, want 1", len(swaps))
 	}
-	if r := swaps[0].Ratio; math.Abs(r-0.25) > 1e-9 {
+	if r := ratioOf(swaps[0]); math.Abs(r-0.25) > 1e-9 {
 		t.Fatalf("downward ratio = %v, want 0.25", r)
 	}
 	if p := swaps[0].Model.Predict(100, 0.3, 0.3); p >= m.Predict(100, 0.3, 0.3) {
@@ -187,8 +193,8 @@ func TestRecalibrationRatioClamped(t *testing.T) {
 	if len(swaps) != 1 {
 		t.Fatalf("%d swaps", len(swaps))
 	}
-	if swaps[0].Ratio != maxRatio {
-		t.Fatalf("ratio = %v, want clamped to %v", swaps[0].Ratio, maxRatio)
+	if r := ratioOf(swaps[0]); r != maxRatio {
+		t.Fatalf("ratio = %v, want clamped to %v", r, maxRatio)
 	}
 }
 
@@ -223,8 +229,8 @@ func TestSegmentedRefitPath(t *testing.T) {
 	if !sw.Segmented {
 		t.Fatal("expected a segmented refit, got recalibration fallback")
 	}
-	if sw.Ratio != 1 {
-		t.Fatalf("segmented swap ratio = %v, want 1", sw.Ratio)
+	if _, ok := sw.Model.(*SegmentModel); !ok {
+		t.Fatalf("segmented swap installs a %T, want a *SegmentModel", sw.Model)
 	}
 	// The refitted model tracks the true curve far better than the frozen one.
 	for _, w := range []float64{100, 250, 450, 550} {
@@ -272,7 +278,7 @@ func TestSegmentModelConstruction(t *testing.T) {
 		Low:  stats.LineFit{Slope: 0.1, Intercept: 5},
 		High: stats.LineFit{Slope: -0.2, Intercept: -1},
 	}
-	m := NewSegmentModel("svc", fit, 400)
+	m := NewSegmentModel(fit, 400)
 	// +Inf knee pins to 2× max observed workload.
 	if k := m.Knee(0, 0); k != 800 {
 		t.Fatalf("pinned knee = %v, want 800", k)
@@ -288,14 +294,14 @@ func TestSegmentModelConstruction(t *testing.T) {
 		t.Fatalf("low params = (%v, %v)", a, b)
 	}
 	// The low intercept — the planner's latency floor — does floor at 0.
-	neg := NewSegmentModel("svc", stats.SegmentedFit{
+	neg := NewSegmentModel(stats.SegmentedFit{
 		Knee: 100, Low: stats.LineFit{Slope: 0.1, Intercept: -3},
 	}, 400)
 	if _, b := neg.Params(false, 0, 0); b != 0 {
 		t.Fatalf("low intercept = %v, want floored to 0", b)
 	}
 	// Zero max workload still yields a positive knee.
-	if k := NewSegmentModel("svc", fit, 0).Knee(0, 0); k <= 0 {
+	if k := NewSegmentModel(fit, 0).Knee(0, 0); k <= 0 {
 		t.Fatalf("knee = %v for zero workload", k)
 	}
 }

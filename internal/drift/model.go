@@ -24,9 +24,8 @@ const minSlope = 1e-9
 // parameter probe hash no longer matches, the stale template recompiles,
 // everything else stays hot.
 type SegmentModel struct {
-	Microservice string
-	Fit          stats.SegmentedFit
-	knee         float64
+	Fit  stats.SegmentedFit
+	knee float64
 }
 
 var _ profiling.Model = (*SegmentModel)(nil)
@@ -35,7 +34,7 @@ var _ profiling.Model = (*SegmentModel)(nil)
 // maxWorkload is the largest workload observed during the fit; a fit that
 // found no interior knee (Knee=+Inf) gets its knee pinned to twice that, the
 // same "knee beyond the observed range" convention profiling.Fit uses.
-func NewSegmentModel(ms string, fit stats.SegmentedFit, maxWorkload float64) *SegmentModel {
+func NewSegmentModel(fit stats.SegmentedFit, maxWorkload float64) *SegmentModel {
 	knee := fit.Knee
 	if math.IsInf(knee, 1) || knee <= 0 {
 		knee = 2 * maxWorkload
@@ -43,7 +42,7 @@ func NewSegmentModel(ms string, fit stats.SegmentedFit, maxWorkload float64) *Se
 			knee = 1
 		}
 	}
-	return &SegmentModel{Microservice: ms, Fit: fit, knee: knee}
+	return &SegmentModel{Fit: fit, knee: knee}
 }
 
 // Knee returns the refitted cut-off, independent of interference.

@@ -79,7 +79,7 @@ func Fig13(quick bool) []*Table {
 				planRate = trace.RateAt(0)
 			}
 		}
-		pc := newContext(app, uniformRates(app, planRate), slaMs,
+		pc := newContext(app, models, uniformRates(app, planRate), slaMs,
 			staticBackground.CPU, staticBackground.Mem)
 		res, err := p.run(pc)
 		if err != nil {

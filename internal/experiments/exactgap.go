@@ -116,7 +116,7 @@ func randomExactInstance(r *stats.RNG, nSvc int) (map[string]scaling.Input, map[
 	inputs := map[string]scaling.Input{}
 	loads := map[string]map[string]float64{}
 	builder := &exactProblemBuilder{
-		aOf: aOf, bOf: bOf, shares: shares,
+		aOf: aOf, shares: shares,
 		slack: map[string]float64{},
 	}
 	for s := 0; s < nSvc; s++ {
@@ -144,7 +144,6 @@ func randomExactInstance(r *stats.RNG, nSvc int) (map[string]scaling.Input, map[
 type exactProblemBuilder struct {
 	services []string
 	aOf      map[string]float64
-	bOf      map[string]float64
 	shares   map[string]float64
 	slack    map[string]float64
 	problem  *multiplex.ExactProblem

@@ -305,7 +305,7 @@ func runFirm(app *apps.App, sched *chaos.Schedule, windows int, windowMin, warmu
 			staleW = 0
 		}
 		if inj.OpError(w, "plan", 0) == nil && inj.OpError(w, "apply", 0) == nil {
-			pc := newContext(app, uniformRates(app, rateAt(staleW)), 0, cl.MeanCPUUtil(), cl.MeanMemUtil())
+			pc := newContext(app, modelsFor(app, cluster.DefaultInterference), uniformRates(app, rateAt(staleW)), 0, cl.MeanCPUUtil(), cl.MeanMemUtil())
 			res, err := firm.run(pc)
 			if err != nil {
 				return nil, err

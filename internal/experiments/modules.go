@@ -117,7 +117,7 @@ func Fig14(quick bool) []*Table {
 		pair, s := pairs[i/len(settings)], settings[i%len(settings)]
 		models := modelsFor(s.app, cluster.DefaultInterference)
 		floor := appSLAFloor(s.app, models, staticBackground.CPU, staticBackground.Mem)
-		pc := newContext(s.app, uniformRates(s.app, s.rate), floor*s.slaMult,
+		pc := newContext(s.app, models, uniformRates(s.app, s.rate), floor*s.slaMult,
 			staticBackground.CPU, staticBackground.Mem)
 		r1, err := pair.without(pc)
 		if err != nil {
@@ -218,7 +218,7 @@ func Fig15(quick bool) []*Table {
 		models := modelsFor(app, cluster.DefaultInterference)
 		floor := appSLAFloor(app, models, avgBg.CPU, avgBg.Mem)
 		slaMs := floor * lvl.slaMult
-		pc := newContext(app, uniformRates(app, rate), slaMs, avgBg.CPU, avgBg.Mem)
+		pc := newContext(app, models, uniformRates(app, rate), slaMs, avgBg.CPU, avgBg.Mem)
 		res, err := ermsPlanner("erms", multiplex.SchemePriority).run(pc)
 		if err != nil {
 			panic(err)

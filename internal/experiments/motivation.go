@@ -139,7 +139,7 @@ func Fig3(quick bool) []*Table {
 		cond   workload.Interference
 		points []point
 	}
-	ref := profiling.NewAnalytic("ms", sim.ServiceProfile{BaseMs: 20, CV: 0.5}, 4, cluster.DefaultInterference)
+	ref := profiling.NewAnalytic(sim.ServiceProfile{BaseMs: 20, CV: 0.5}, 4, cluster.DefaultInterference)
 	// Every (condition, load-fraction) profiling run is an independent
 	// simulation with a seed derived from its grid position (the same
 	// 100*(i+1)+fracIdx values the sequential sweep used); the fit consumes
@@ -255,7 +255,7 @@ func Fig4(quick bool) []*Table {
 		// SLA 24ms sits inside both microservices' achievable latency bands,
 		// so targets (not capacity) drive the allocation; utilization 0 for
 		// everyone isolates target computation from interference-awareness.
-		pc := newContext(app, uniformRates(app, setting.rate), 24, 0, 0)
+		pc := newContext(app, modelsFor(app, cluster.DefaultInterference), uniformRates(app, setting.rate), 24, 0, 0)
 		rawUsage := map[string]float64{}
 		for _, p := range []planner{
 			ermsPlanner("erms", multiplex.SchemePriority),
@@ -332,7 +332,7 @@ func Fig5(quick bool) []*Table {
 		Title:  "Shared-microservice schemes at 40k req/min per service, SLA 300ms (§2.3)",
 		Header: []string{"scheme", "CPU cores", "containers", "sim P95 svc1", "sim P95 svc2", "violations"},
 	}
-	pc := newContext(app, rates, 300, 0.2, 0.2)
+	pc := newContext(app, modelsFor(app, cluster.DefaultInterference), rates, 300, 0.2, 0.2)
 	// The three schemes plan and simulate independently (shared seed 5, own
 	// cluster each); rows land in scheme order.
 	schemes := []multiplex.Scheme{multiplex.SchemeFCFS, multiplex.SchemeNonShared, multiplex.SchemePriority}
@@ -439,8 +439,8 @@ func Fig8(bool) []*Table {
 		t.AddRow(ms, f2(alloc.Targets[ms]), fmt.Sprintf("%d", alloc.Containers[i]), iv)
 	}
 	var order []string
-	for _, tt := range g.TwoTierInvocations() {
-		order = append(order, tt.Parent.Microservice)
+	for _, n := range g.TwoTierInvocations() {
+		order = append(order, n.Microservice)
 	}
 	t.AddNote("two-tier merge order (deepest first): %v", order)
 	t.AddNote("parallel pair {Url,U} receives equal virtual targets; targets along T→{Url|U}→C sum to the SLA")

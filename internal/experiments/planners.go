@@ -120,12 +120,12 @@ func defaultPlanners() []planner {
 	}
 }
 
-// newContext assembles a planContext for an app at the given per-service
-// request rates, with SLA thresholds scaled to `slaMs` for every service
-// (0 keeps the app defaults).
-func newContext(app *apps.App, rates map[string]float64, slaMs float64, cpu, mem float64) planContext {
+// newContext assembles a planContext for an app and its models (modelsFor
+// under the default interference) at the given per-service request rates,
+// with SLA thresholds scaled to `slaMs` for every service (0 keeps the app
+// defaults).
+func newContext(app *apps.App, models map[string]profiling.Model, rates map[string]float64, slaMs float64, cpu, mem float64) planContext {
 	cl := cluster.NewPaperCluster()
-	models := modelsFor(app, cluster.DefaultInterference)
 	slas := make(map[string]workload.SLA, len(app.SLAs))
 	for svc, s := range app.SLAs {
 		if slaMs > 0 {

@@ -120,7 +120,7 @@ func Fig10(quick bool) []*Table {
 		for i := 0; i < msPerApp && i < len(mss); i++ {
 			ms := mss[i*len(mss)/msPerApp]
 			jobs = append(jobs, accJob{
-				m:     profiling.NewAnalytic(ms, app.Profiles[ms], app.Containers[ms].Threads, cluster.DefaultInterference),
+				m:     profiling.NewAnalytic(app.Profiles[ms], app.Containers[ms].Threads, cluster.DefaultInterference),
 				noise: noise,
 			})
 			idxs = append(idxs, len(jobs)-1)
@@ -175,7 +175,7 @@ func Fig10(quick bool) []*Table {
 		fractions = []float64{0.1, 0.5, 0.9}
 	}
 	ms := mss[0]
-	m := profiling.NewAnalytic(ms, ali.Profiles[ms], ali.Containers[ms].Threads, cluster.DefaultInterference)
+	m := profiling.NewAnalytic(ali.Profiles[ms], ali.Containers[ms].Threads, cluster.DefaultInterference)
 	full := sampleGen(m, nSamplesPerMS*2, 0.10, 777)
 	// Fixed held-out tail for every fraction.
 	test := full[len(full)*4/5:]

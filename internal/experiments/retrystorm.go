@@ -31,7 +31,6 @@ type fig23Outcome struct {
 	goodput  float64 // requests within SLA per minute
 	attempts float64 // call attempts per request (amplification)
 	data     sim.DataStats
-	count    int
 }
 
 // Fig23 is the retry-storm experiment: a three-tier chain (frontend → mid →
@@ -166,10 +165,9 @@ func runRetryStorm(res sim.Resilience, rate, durationMin, warmupMin, failAt, rec
 	sr := r.PerService["checkout"]
 	total := sr.Count + sr.Errors
 	out := fig23Outcome{
-		viol:  sr.ViolationRate(),
-		errs:  sr.ErrorRate(),
-		data:  r.Data,
-		count: total,
+		viol: sr.ViolationRate(),
+		errs: sr.ErrorRate(),
+		data: r.Data,
 	}
 	if r.SimulatedMin > 0 {
 		out.goodput = float64(sr.Good()) / r.SimulatedMin

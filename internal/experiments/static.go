@@ -61,7 +61,7 @@ func staticSettings(quick bool) []staticSetting {
 func planSetting(p planner, s staticSetting) (int, error) {
 	models := modelsFor(s.app, cluster.DefaultInterference)
 	floor := appSLAFloor(s.app, models, staticBackground.CPU, staticBackground.Mem)
-	pc := newContext(s.app, uniformRates(s.app, s.rate), floor*s.slaMult,
+	pc := newContext(s.app, models, uniformRates(s.app, s.rate), floor*s.slaMult,
 		staticBackground.CPU, staticBackground.Mem)
 	res, err := p.run(pc)
 	if err != nil {
@@ -186,7 +186,7 @@ func simSetting(p planner, s staticSetting, durationMin float64, seed uint64) (v
 	models := modelsFor(s.app, cluster.DefaultInterference)
 	floor := appSLAFloor(s.app, models, staticBackground.CPU, staticBackground.Mem)
 	slaMs := floor * s.slaMult
-	pc := newContext(s.app, uniformRates(s.app, s.rate), slaMs, staticBackground.CPU, staticBackground.Mem)
+	pc := newContext(s.app, models, uniformRates(s.app, s.rate), slaMs, staticBackground.CPU, staticBackground.Mem)
 	res, err := p.run(pc)
 	if err != nil {
 		return 0, 0, err

@@ -152,7 +152,7 @@ func Scalability(quick bool) []*Table {
 		models := modelsFor(app, cluster.DefaultInterference)
 		svc := app.Services()[0]
 		floor := slaFloor(app, svc, models, 0.3, 0.3)
-		pc := newContext(app, uniformRates(app, 10_000), floor*2, 0.3, 0.3)
+		pc := newContext(app, models, uniformRates(app, 10_000), floor*2, 0.3, 0.3)
 		p := ermsPlanner("erms", multiplex.SchemePriority)
 		// Warm once, then time.
 		if _, err := p.run(pc); err != nil {

@@ -232,20 +232,14 @@ func (g *Graph) PostOrder() []*Node {
 	return out
 }
 
-// TwoTierInvocation is one internal node together with its direct downstream
-// calls — the unit Algorithm 1 merges (§4.2).
-type TwoTierInvocation struct {
-	Parent *Node
-	Stages [][]*Node
-}
-
-// TwoTierInvocations returns the two-tier invocations of the graph in
-// post-order (deepest first), matching Algorithm 1's merge order.
-func (g *Graph) TwoTierInvocations() []TwoTierInvocation {
-	var out []TwoTierInvocation
+// TwoTierInvocations returns the parents of the graph's two-tier invocations
+// — each internal node with its Stages is the unit Algorithm 1 merges (§4.2)
+// — in post-order (deepest first), matching Algorithm 1's merge order.
+func (g *Graph) TwoTierInvocations() []*Node {
+	var out []*Node
 	for _, n := range g.PostOrder() {
 		if !n.IsLeaf() {
-			out = append(out, TwoTierInvocation{Parent: n, Stages: n.Stages})
+			out = append(out, n)
 		}
 	}
 	return out

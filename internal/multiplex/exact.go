@@ -32,11 +32,6 @@ type ExactSolution struct {
 	N []float64
 	// Usage is Σ N[i]·R[i].
 	Usage float64
-	// Lambda holds the optimal dual multipliers per service (zero for
-	// non-binding SLAs).
-	Lambda []float64
-	// Iterations is the dual-ascent iteration count used.
-	Iterations int
 }
 
 func (p *ExactProblem) validate() error {
@@ -126,8 +121,7 @@ func (p *ExactProblem) Solve(maxIters int, tol float64) (*ExactSolution, error) 
 			n[i] = math.Sqrt(s / p.R[i])
 		}
 	}
-	iters := 0
-	for ; iters < maxIters; iters++ {
+	for iter := 0; iter < maxIters; iter++ {
 		evalN()
 		// Constraint residuals g_k = Σ A/n − slack.
 		worst := 0.0
@@ -171,7 +165,7 @@ func (p *ExactProblem) Solve(maxIters int, tol float64) (*ExactSolution, error) 
 		}
 	}
 	evalN()
-	sol := &ExactSolution{N: n, Lambda: lambda, Iterations: iters}
+	sol := &ExactSolution{N: n}
 	for i := 0; i < m; i++ {
 		sol.Usage += n[i] * p.R[i]
 	}

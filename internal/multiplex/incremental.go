@@ -92,7 +92,6 @@ type IncrementalPlanner struct {
 	sharedAt []int32 // index into sharedSorted; -1 for a private microservice
 	scratch  []shardScratch
 
-	windows   atomic.Uint64
 	skipped   atomic.Uint64
 	dirty     atomic.Uint64
 	shardRuns atomic.Uint64
@@ -151,8 +150,6 @@ type svcState struct {
 
 // IncrementalStats is a point-in-time snapshot of planner effectiveness.
 type IncrementalStats struct {
-	// Windows counts PlanScheme calls that produced a plan or error.
-	Windows uint64
 	// SkippedServices counts services whose previous allocation was reused
 	// verbatim (cumulative across windows).
 	SkippedServices uint64
@@ -161,8 +158,6 @@ type IncrementalStats struct {
 	DirtyServices uint64
 	// ShardRuns accumulates the number of shards planned per window.
 	ShardRuns uint64
-	// Shards is the effective shard count of the current partition.
-	Shards int
 }
 
 // NewIncrementalPlanner creates a planner over the given template cache
@@ -181,11 +176,9 @@ func NewIncrementalPlanner(cache *scaling.TemplateCache) *IncrementalPlanner {
 // Stats returns cumulative planner counters.
 func (p *IncrementalPlanner) Stats() IncrementalStats {
 	return IncrementalStats{
-		Windows:         p.windows.Load(),
 		SkippedServices: p.skipped.Load(),
 		DirtyServices:   p.dirty.Load(),
 		ShardRuns:       p.shardRuns.Load(),
-		Shards:          p.numShards,
 	}
 }
 
@@ -277,7 +270,6 @@ func (p *IncrementalPlanner) PlanScheme(scheme Scheme, inputs map[string]scaling
 		}
 		return nil
 	})
-	p.windows.Add(1)
 	p.shardRuns.Add(uint64(p.numShards))
 	var firstErr *planErr
 	for _, pe := range shardErrs {

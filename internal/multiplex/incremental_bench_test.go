@@ -117,10 +117,10 @@ func BenchmarkIncrementalVsCompiled(b *testing.B) {
 			dirty := warm.DirtyServices - cold.DirtyServices
 			if wantSkips && skipped <= dirty {
 				b.Fatalf("incremental planner did not skip: %d skipped vs %d dirty over %d windows",
-					skipped, dirty, warm.Windows-cold.Windows)
+					skipped, dirty, b.N)
 			}
 			if !wantSkips && skipped != 0 {
-				b.Fatalf("live traffic left %d services clean over %d windows", skipped, warm.Windows-cold.Windows)
+				b.Fatalf("live traffic left %d services clean over %d windows", skipped, b.N)
 			}
 		})
 	}

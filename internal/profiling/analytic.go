@@ -28,7 +28,6 @@ import (
 // directly, and the intercepts stay moderate so the Eq. 5 closed forms
 // remain well-conditioned.
 type Analytic struct {
-	Microservice string
 	Profile      sim.ServiceProfile
 	Threads      int
 	Interference cluster.InterferenceModel
@@ -52,9 +51,8 @@ var _ Model = (*Analytic)(nil)
 // factor shrinks with the thread count: a single-threaded container behaves
 // like an M/M/1 queue whose tail has already quadrupled by 75% utilization,
 // while a wide thread pool stays flat until much closer to saturation.
-func NewAnalytic(ms string, p sim.ServiceProfile, threads int, itf cluster.InterferenceModel) *Analytic {
+func NewAnalytic(p sim.ServiceProfile, threads int, itf cluster.InterferenceModel) *Analytic {
 	return &Analytic{
-		Microservice: ms,
 		Profile:      p,
 		Threads:      threads,
 		Interference: itf,
@@ -139,7 +137,7 @@ func AnalyticModels(profiles map[string]sim.ServiceProfile, threads map[string]i
 		if t <= 0 {
 			t = 4
 		}
-		out[ms] = NewAnalytic(ms, p, t, itf)
+		out[ms] = NewAnalytic(p, t, itf)
 	}
 	return out
 }

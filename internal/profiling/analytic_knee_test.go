@@ -20,9 +20,9 @@ func TestAnalyticDegenerateKneeStaysFinite(t *testing.T) {
 		m        *Analytic
 		cpu, mem float64
 	}{
-		{"absurd service time", NewAnalytic("ms", sim.ServiceProfile{BaseMs: 1e9}, 1, cluster.DefaultInterference), 0.5, 0.5},
-		{"crushing interference", NewAnalytic("ms", sim.ServiceProfile{BaseMs: 2}, 4, crush), 1, 1},
-		{"healthy control", NewAnalytic("ms", sim.ServiceProfile{BaseMs: 2}, 4, cluster.DefaultInterference), 0.3, 0.3},
+		{"absurd service time", NewAnalytic(sim.ServiceProfile{BaseMs: 1e9}, 1, cluster.DefaultInterference), 0.5, 0.5},
+		{"crushing interference", NewAnalytic(sim.ServiceProfile{BaseMs: 2}, 4, crush), 1, 1},
+		{"healthy control", NewAnalytic(sim.ServiceProfile{BaseMs: 2}, 4, cluster.DefaultInterference), 0.3, 0.3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -45,7 +45,7 @@ func TestAnalyticDegenerateKneeStaysFinite(t *testing.T) {
 		})
 	}
 	// The floor must not perturb a healthy model: knee well above minKnee.
-	healthy := NewAnalytic("ms", sim.ServiceProfile{BaseMs: 2}, 4, cluster.DefaultInterference)
+	healthy := NewAnalytic(sim.ServiceProfile{BaseMs: 2}, 4, cluster.DefaultInterference)
 	if k := healthy.Knee(0.2, 0.2); k < 1000 {
 		t.Fatalf("healthy knee = %v, expected thousands of calls/min", k)
 	}

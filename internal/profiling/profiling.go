@@ -87,8 +87,7 @@ func (iv Interval) Predict(workload, cpuUtil, memUtil float64) float64 {
 
 // Fitted is the empirically fitted piece-wise model of one microservice.
 type Fitted struct {
-	Microservice string
-	Low, High    Interval
+	Low, High Interval
 	// kneeTree maps (C, M) to σ; kneeDefault covers unseen regions.
 	kneeTree    *mlearn.Tree
 	kneeDefault float64
@@ -208,7 +207,7 @@ func Fit(microservice string, samples []Sample, cfg FitConfig) (*Fitted, error) 
 		kneeX = append(kneeX, []float64{b.cpu / n, b.mem / n})
 		kneeY = append(kneeY, seg.Knee)
 	}
-	f := &Fitted{Microservice: microservice}
+	f := &Fitted{}
 	if len(kneeY) > 0 {
 		f.kneeDefault = stats.Mean(kneeY)
 		if len(kneeY) >= 2 {

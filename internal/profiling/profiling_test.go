@@ -212,7 +212,7 @@ func TestBaselineErrors(t *testing.T) {
 }
 
 func TestAnalyticModelShape(t *testing.T) {
-	m := NewAnalytic("ms", sim.ServiceProfile{BaseMs: 2}, 4, cluster.DefaultInterference)
+	m := NewAnalytic(sim.ServiceProfile{BaseMs: 2}, 4, cluster.DefaultInterference)
 	// Knee shrinks with interference.
 	if m.Knee(0.6, 0.6) >= m.Knee(0.1, 0.1) {
 		t.Fatal("analytic knee should shrink with interference")

@@ -308,7 +308,6 @@ func (t *Template) Solve(e *Eval, gamma []float64, cpuUtil, memUtil float64) err
 // the next Solve overwrites), over the template's own Microservices.
 func (t *Template) Allocation(e *Eval) *Allocation {
 	alloc := &Allocation{
-		Service:       t.Service,
 		Microservices: t.mss,
 		Targets:       make(map[string]float64, len(t.mss)),
 		ContainersRaw: slices.Clone(e.Raw),

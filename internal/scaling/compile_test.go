@@ -19,9 +19,6 @@ import (
 // approximate agreement.
 func requireAllocBitIdentical(t *testing.T, want, got *Allocation, ctx string) {
 	t.Helper()
-	if want.Service != got.Service {
-		t.Fatalf("%s: service %q != %q", ctx, got.Service, want.Service)
-	}
 	if len(want.Targets) != len(got.Targets) {
 		t.Fatalf("%s: %d targets != %d", ctx, len(got.Targets), len(want.Targets))
 	}

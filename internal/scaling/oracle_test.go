@@ -159,7 +159,6 @@ func compute(in Input, useHigh map[string]bool) (*Allocation, error) {
 	root := buildMergeTree(in, useHigh)
 
 	alloc := &Allocation{
-		Service: in.Graph.Service,
 		Targets: make(map[string]float64),
 	}
 	raws := make(map[string]float64)

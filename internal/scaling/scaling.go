@@ -86,7 +86,6 @@ func (in *Input) validate() error {
 // Only Targets is looked up by name; the per-microservice decisions are
 // slices indexed by position in Microservices.
 type Allocation struct {
-	Service string
 	// Microservices lists the service's microservices, sorted. It may be
 	// shared with the template that produced it and is never written.
 	Microservices []string

@@ -313,7 +313,6 @@ type MinuteSample struct {
 // Count-Violations successes, Violations slow completions, Errors outright
 // failures.
 type ServiceResult struct {
-	Service    string
 	Count      int // completed requests (success + slow)
 	Violations int // requests exceeding the SLA threshold (if an SLA was set)
 	// Errors counts requests that failed outright (deadline expired, retries
@@ -357,9 +356,8 @@ func (s *ServiceResult) Good() int { return s.Count - s.Violations }
 // StreamResult aggregates end-to-end outcomes for one cohort stream, using
 // the stream's own SLA when set (the service SLA otherwise).
 type StreamResult struct {
-	Cohort  string
-	Service string
-	Tier    workload.Tier
+	Cohort string
+	Tier   workload.Tier
 	// Count is completed requests (success + slow); Violations the slow
 	// subset; Errors outright failures; Shed the subset of Errors whose
 	// final failure was admission-control rejection.
@@ -622,10 +620,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		ms.refreshUp()
 	}
 	for _, g := range cfg.Graphs {
-		res := &ServiceResult{
-			Service: g.Service,
-			lat:     stats.NewReservoir(1<<15, rt.rng.Split()),
-		}
+		res := &ServiceResult{lat: stats.NewReservoir(1<<15, rt.rng.Split())}
 		rt.result.PerService[g.Service] = res
 		rt.svcMSCalls[g.Service] = make(map[string]*int)
 		sla, hasSLA := cfg.SLAs[g.Service]
@@ -647,10 +642,9 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		rt.result.PerStream = make([]*StreamResult, len(cfg.Streams))
 		for i, s := range cfg.Streams {
 			rt.result.PerStream[i] = &StreamResult{
-				Cohort:  s.Cohort,
-				Service: s.Service,
-				Tier:    s.Tier,
-				lat:     stats.NewReservoir(1<<15, rt.rng.Split()),
+				Cohort: s.Cohort,
+				Tier:   s.Tier,
+				lat:    stats.NewReservoir(1<<15, rt.rng.Split()),
 			}
 			sla, hasSLA := cfg.SLAs[s.Service]
 			if s.SLA != nil {

@@ -13,8 +13,6 @@ var ErrSingular = errors.New("stats: singular least-squares system")
 type LineFit struct {
 	Slope     float64
 	Intercept float64
-	R2        float64 // coefficient of determination on the training data
-	N         int     // number of points used
 }
 
 // Predict evaluates the fitted line at x.
@@ -41,19 +39,7 @@ func FitLine(xs, ys []float64) (LineFit, error) {
 		return LineFit{}, ErrSingular
 	}
 	slope := sxy / sxx
-	intercept := my - slope*mx
-	var ssRes, ssTot float64
-	for i := range xs {
-		r := ys[i] - (slope*xs[i] + intercept)
-		ssRes += r * r
-		d := ys[i] - my
-		ssTot += d * d
-	}
-	r2 := 1.0
-	if ssTot > 0 {
-		r2 = 1 - ssRes/ssTot
-	}
-	return LineFit{Slope: slope, Intercept: intercept, R2: r2, N: len(xs)}, nil
+	return LineFit{Slope: slope, Intercept: my - slope*mx}, nil
 }
 
 // MultiFit is the result of a multiple linear regression
@@ -61,8 +47,6 @@ func FitLine(xs, ys []float64) (LineFit, error) {
 type MultiFit struct {
 	Coef      []float64
 	Intercept float64
-	R2        float64
-	N         int
 }
 
 // Predict evaluates the fitted hyperplane at the feature vector x.
@@ -128,20 +112,7 @@ func FitMulti(xs [][]float64, ys []float64) (MultiFit, error) {
 	if err != nil {
 		return MultiFit{}, err
 	}
-	fit := MultiFit{Coef: w[:d], Intercept: w[d], N: n}
-	my := Mean(ys)
-	var ssRes, ssTot float64
-	for r := 0; r < n; r++ {
-		res := ys[r] - fit.Predict(xs[r])
-		ssRes += res * res
-		dev := ys[r] - my
-		ssTot += dev * dev
-	}
-	fit.R2 = 1.0
-	if ssTot > 0 {
-		fit.R2 = 1 - ssRes/ssTot
-	}
-	return fit, nil
+	return MultiFit{Coef: w[:d], Intercept: w[d]}, nil
 }
 
 // solveLinear solves a dense symmetric system via Gaussian elimination with

@@ -16,9 +16,6 @@ func TestFitLineExact(t *testing.T) {
 	if math.Abs(f.Slope-2) > 1e-12 || math.Abs(f.Intercept-1) > 1e-12 {
 		t.Fatalf("fit = %+v", f)
 	}
-	if math.Abs(f.R2-1) > 1e-12 {
-		t.Fatalf("R2 = %v", f.R2)
-	}
 	if f.Predict(10) != 21 {
 		t.Fatalf("predict = %v", f.Predict(10))
 	}
@@ -38,9 +35,6 @@ func TestFitLineNoisy(t *testing.T) {
 	}
 	if math.Abs(f.Slope-0.5) > 0.01 || math.Abs(f.Intercept-4) > 0.1 {
 		t.Fatalf("fit = %+v", f)
-	}
-	if f.R2 < 0.99 {
-		t.Fatalf("R2 = %v", f.R2)
 	}
 }
 
@@ -69,9 +63,6 @@ func TestFitMultiExact(t *testing.T) {
 	}
 	if math.Abs(f.Coef[0]-3) > 1e-5 || math.Abs(f.Coef[1]+2) > 1e-5 || math.Abs(f.Intercept-7) > 1e-5 {
 		t.Fatalf("fit = %+v", f)
-	}
-	if f.R2 < 1-1e-9 {
-		t.Fatalf("R2 = %v", f.R2)
 	}
 }
 

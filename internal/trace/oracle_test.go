@@ -84,7 +84,6 @@ func (c *mapCoordinator) MicroserviceLatencies(service string) []LatencySample {
 				own -= maxResp
 			}
 			out = append(out, LatencySample{
-				Service:      t.Service,
 				Microservice: r.Microservice,
 				At:           r.ServerRecv,
 				LatencyMs:    own,

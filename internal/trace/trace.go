@@ -210,7 +210,6 @@ func graphFromTrace(t Trace) (*graph.Graph, error) {
 
 // LatencySample is one derived microservice latency observation.
 type LatencySample struct {
-	Service      string
 	Microservice string
 	// At is the server-receive timestamp in milliseconds.
 	At float64
@@ -237,7 +236,6 @@ func (c *Coordinator) MicroserviceLatencies(service string) []LatencySample {
 				own -= maxResp
 			}
 			out = append(out, LatencySample{
-				Service:      t.Service,
 				Microservice: r.Microservice,
 				At:           r.ServerRecv,
 				LatencyMs:    own,

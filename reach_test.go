@@ -11,6 +11,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,6 +45,25 @@ var unwrittenAllowlist = map[string]string{
 	"core.OfflineConfig.FromTraces": "ROADMAP items 1(d) and 4(b): trace-fed profiling gets its writer once sampling stops perturbing the stream",
 }
 
+// unreadFieldAllowlist names the fields of reached struct types that no
+// program reads but that stay, each with its reader. It may hold only three
+// kinds of entry: a field a ROADMAP item names as its input, a field a test
+// uses as the oracle for behaviour a program does use when the test cannot
+// re-derive it, and a field a pinned golden hashes whose text would change.
+// An entry that a program comes to read, or that no longer exists, fails the
+// test like an unread field does.
+var unreadFieldAllowlist = map[string]string{
+	"multiplex.ExactSolution.N": "exact_test.go's TestExactFeasibilityAndOptimality checks the Eq. 13-14 optimum's feasibility and optimality on it",
+	"sim.Engine.heapPushes":     "TestHopsSkipTheHeap holds network hops to the FIFO lane with it",
+
+	"sim.MinuteSample.MeanMs":           "TestRuntimeFingerprintPinned prints every sample with %+v: deleting re-captures fingerprints.golden; ROADMAP 4(a)",
+	"sim.MinuteSample.Containers":       "TestRuntimeFingerprintPinned prints every sample with %+v: deleting re-captures fingerprints.golden; ROADMAP 4(a)",
+	"sim.CallRecord.ParentMicroservice": "TestRuntimeFingerprintPinned prints every span with %+v: deleting re-captures fingerprints.golden; ROADMAP 4(a)",
+	"sim.CallRecord.Stage":              "TestRuntimeFingerprintPinned prints every span with %+v: deleting re-captures fingerprints.golden; ROADMAP 4(a)",
+	"sim.StreamResult.Cohort":           "TestRuntimeFingerprintPinned prints each stream's cohort: deleting re-captures fingerprints.golden; ROADMAP 4(a)",
+	"sim.StreamResult.Shed":             "TestRuntimeFingerprintPinned prints each stream's shed count: deleting re-captures fingerprints.golden; ROADMAP 4(a)",
+}
+
 // loadRepo type-checks the repository once for every test of this file.
 var loadRepo = sync.OnceValues(func() (*program, error) { return loadProgram(".") })
 
@@ -67,10 +87,7 @@ func TestEveryDeclarationHasAReader(t *testing.T) {
 	w.roots()
 	fromPrograms := maps.Clone(w.reached)
 	// What an allowlisted declaration uses is covered by its entry.
-	byName := map[string]types.Object{}
-	for obj, d := range p.decls {
-		byName[d.name] = obj
-	}
+	byName := p.byName()
 	for name := range unreadAllowlist {
 		switch obj, ok := byName[name]; {
 		case !ok:
@@ -118,21 +135,11 @@ func TestEveryFieldHasAWriter(t *testing.T) {
 	w := p.newWalker()
 	w.roots()
 	fields := map[string]*types.Var{}
-	for obj := range w.reached {
-		tn, ok := obj.(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			continue // an alias names a type counted under its own name
+	w.eachField(func(name string, f *types.Var, _ string) {
+		if f.Exported() {
+			fields[name] = f
 		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if f := st.Field(i); f.Exported() {
-				fields[p.decls[obj].name+"."+f.Name()] = f
-			}
-		}
-	}
+	})
 	for name := range unwrittenAllowlist {
 		switch f, ok := fields[name]; {
 		case !ok:
@@ -152,6 +159,62 @@ func TestEveryFieldHasAWriter(t *testing.T) {
 		t.Errorf("%d exported fields of reached types have no writer in any program of the repository;\n"+
 			"delete them (a default becomes a constant) or allowlist them with a reason:\n\t%s",
 			len(unwritten), strings.Join(unwritten, "\n\t"))
+	}
+}
+
+// TestEveryFieldHasAReader asks the reach walk's third question: who reads
+// this? A field filled on every call that nothing consumes is work nobody
+// needs. The test fails on any field, exported or not, of a struct type a
+// program reaches that no reached declaration reads — main, init, var
+// initializers and the unreadAllowlist entries count, as they do for
+// TestEveryDeclarationHasAReader. A read is a selector x.F anywhere but as
+// the target of =, op= or ++/-- (x.F[i] = v reads F), a json tag naming the
+// field (encoding/json reads it), passing a value to a fmt print function or
+// reflect.DeepEqual (which reads every field reachable through pointers,
+// slices, arrays, maps and structs), and using a struct as a map key or an
+// operand of == or != (which reads every field it holds by value). Delete
+// such a field, the writes that fill it and whatever only it consumed, or
+// allowlist it above with its reader.
+func TestEveryFieldHasAReader(t *testing.T) {
+	p, err := loadRepo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := p.newWalker()
+	w.roots()
+	byName := p.byName()
+	for name := range unreadAllowlist {
+		if obj, ok := byName[name]; ok {
+			w.reach(obj)
+		}
+	}
+	w.drain()
+	fields := map[string]*types.Var{}
+	w.eachField(func(name string, f *types.Var, tag string) {
+		fields[name] = f
+		if json, ok := reflect.StructTag(tag).Lookup("json"); ok && json != "-" {
+			w.read[f] = true
+		}
+	})
+	for name := range unreadFieldAllowlist {
+		switch f, ok := fields[name]; {
+		case !ok:
+			t.Errorf("allowlisted field %s no longer exists: drop it from unreadFieldAllowlist", name)
+		case w.read[f]:
+			t.Errorf("allowlisted field %s has a reader now: drop it from unreadFieldAllowlist", name)
+		}
+	}
+	var unread []string
+	for name, f := range fields {
+		if _, ok := unreadFieldAllowlist[name]; !ok && !w.read[f] {
+			unread = append(unread, name+" ("+p.fset.Position(f.Pos()).String()+")")
+		}
+	}
+	if len(unread) > 0 {
+		sort.Strings(unread)
+		t.Errorf("%d fields of reached types have no reader in any program of the repository;\n"+
+			"delete them with the writes that fill them, or allowlist them with their reader:\n\t%s",
+			len(unread), strings.Join(unread, "\n\t"))
 	}
 }
 
@@ -412,6 +475,33 @@ func (p *program) collect(pk *pkg) {
 	}
 }
 
+// byName maps each declaration's qualified name to its object.
+func (p *program) byName() map[string]types.Object {
+	m := map[string]types.Object{}
+	for obj, d := range p.decls {
+		m[d.name] = obj
+	}
+	return m
+}
+
+// eachField calls fn with every field of every struct type w reached, named
+// by its type's qualified name, and with the field's tag.
+func (w *walker) eachField(fn func(name string, f *types.Var, tag string)) {
+	for obj := range w.reached {
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue // an alias names a type counted under its own name
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			fn(w.p.decls[obj].name+"."+st.Field(i).Name(), st.Field(i), st.Tag(i))
+		}
+	}
+}
+
 // walker marks declarations reached by walking the syntax of reached ones,
 // and the struct fields that syntax writes.
 type walker struct {
@@ -419,7 +509,9 @@ type walker struct {
 	ifaces   map[string]bool // method names of the program's interfaces
 	reached  map[types.Object]bool
 	written  map[*types.Var]bool
+	read     map[*types.Var]bool
 	defaults map[ast.Expr]bool // assignment targets that only default a field
+	targets  map[ast.Expr]bool // selectors assigned to, which are not reads
 	queue    []walk
 }
 
@@ -430,7 +522,8 @@ type walk struct {
 
 func (p *program) newWalker() *walker {
 	return &walker{p: p, ifaces: p.interfaceMethodNames(), reached: map[types.Object]bool{},
-		written: map[*types.Var]bool{}, defaults: map[ast.Expr]bool{}}
+		written: map[*types.Var]bool{}, read: map[*types.Var]bool{},
+		defaults: map[ast.Expr]bool{}, targets: map[ast.Expr]bool{}}
 }
 
 // roots walks from every main, init and package-level var initializer of
@@ -505,6 +598,7 @@ func (w *walker) drain() {
 				return true
 			}
 			w.noteWrites(n, next.info)
+			w.noteReads(n, next.info)
 			return true
 		})
 	}
@@ -592,6 +686,99 @@ func (w *walker) writeThrough(e ast.Expr, info *types.Info) {
 			e = x.X
 		default:
 			return
+		}
+	}
+}
+
+// noteReads records the struct fields node n reads.
+func (w *walker) noteReads(n ast.Node, info *types.Info) {
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		// Inspect visits the statement before its targets.
+		for _, lhs := range n.Lhs {
+			w.targets[ast.Unparen(lhs)] = true
+		}
+	case *ast.IncDecStmt:
+		w.targets[ast.Unparen(n.X)] = true
+	case *ast.SelectorExpr:
+		sel := info.Selections[n]
+		if sel == nil {
+			return
+		}
+		// x.G through an embedded E reads E, whatever it does to G.
+		t := sel.Recv()
+		for _, i := range sel.Index()[:len(sel.Index())-1] {
+			if ptr, ok := t.Underlying().(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			f := t.Underlying().(*types.Struct).Field(i)
+			w.read[f.Origin()] = true
+			t = f.Type()
+		}
+		if sel.Kind() == types.FieldVal && !w.targets[n] {
+			w.read[sel.Obj().(*types.Var).Origin()] = true
+		}
+	case *ast.CallExpr:
+		var id *ast.Ident
+		switch fun := ast.Unparen(n.Fun).(type) {
+		case *ast.Ident:
+			id = fun
+		case *ast.SelectorExpr:
+			id = fun.Sel
+		}
+		if fn, ok := info.Uses[id].(*types.Func); ok && fn.Pkg() != nil && readsArgs[fn.Pkg().Path()+"."+fn.Name()] {
+			for _, arg := range n.Args {
+				w.readAll(info.Types[arg].Type, true, map[types.Type]bool{})
+			}
+		}
+	case *ast.MapType:
+		if m, ok := info.Types[n].Type.(*types.Map); ok {
+			w.readAll(m.Key(), false, map[types.Type]bool{})
+		}
+	case *ast.BinaryExpr:
+		if n.Op == token.EQL || n.Op == token.NEQ {
+			w.readAll(info.Types[n.X].Type, false, map[types.Type]bool{})
+		}
+	}
+}
+
+// readsArgs are the functions that read every field of their arguments.
+var readsArgs = map[string]bool{
+	"fmt.Print": true, "fmt.Printf": true, "fmt.Println": true,
+	"fmt.Sprint": true, "fmt.Sprintf": true, "fmt.Sprintln": true,
+	"fmt.Fprint": true, "fmt.Fprintf": true, "fmt.Fprintln": true,
+	"fmt.Append": true, "fmt.Appendf": true, "fmt.Appendln": true,
+	"fmt.Errorf": true, "reflect.DeepEqual": true,
+}
+
+// readAll records every field a value of type t holds: in its structs and
+// arrays, and with deep (as fmt and reflect.DeepEqual do) through pointers,
+// slices and maps too; == and a map key compare only what t holds by value.
+func (w *walker) readAll(t types.Type, deep bool, seen map[types.Type]bool) {
+	if t == nil || seen[t] {
+		return
+	}
+	seen[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			w.read[u.Field(i).Origin()] = true
+			w.readAll(u.Field(i).Type(), deep, seen)
+		}
+	case *types.Array:
+		w.readAll(u.Elem(), deep, seen)
+	case *types.Pointer:
+		if deep {
+			w.readAll(u.Elem(), deep, seen)
+		}
+	case *types.Slice:
+		if deep {
+			w.readAll(u.Elem(), deep, seen)
+		}
+	case *types.Map:
+		if deep {
+			w.readAll(u.Key(), deep, seen)
+			w.readAll(u.Elem(), deep, seen)
 		}
 	}
 }

@@ -34,14 +34,18 @@ fi
 # (composite literal, assignment, ++, &x.F, pointer-method call; main and
 # init count — a default such as `if c.N <= 0 { c.N = 8 }` does not): a
 # settable value no program sets fails unless allowlisted with the ROADMAP
-# item that removes it. Last, it counts the settable values — exported
-# fields of *Config/*Opts/*Options/*Spec structs, With* options, cmd/ flags —
-# so "options added" is a measured number, and fails when the count differs
-# from settableCount (reach_test.go); a change that adds or removes options
-# sets it to the new count.
-echo "== every declaration has a reader, every field a writer, settable values pinned =="
+# item that removes it. Third, it asks who reads each field, exported or not,
+# of a reached struct type (a selector that is not an assignment target, a
+# json tag, a value handed to fmt or reflect.DeepEqual, a map key or ==
+# operand): data filled and never consumed fails unless allowlisted with its
+# reader — a ROADMAP item, a test oracle, or a pinned golden's hash. Last, it
+# counts the settable values — exported fields of *Config/*Opts/*Options/*Spec
+# structs, With* options, cmd/ flags — so "options added" is a measured
+# number, and fails when the count differs from settableCount (reach_test.go);
+# a change that adds or removes options sets it to the new count.
+echo "== every declaration has a reader, every field a writer and a reader, settable values pinned =="
 reach_out=$(mktemp)
-if ! go test -count=1 -v -run 'TestEveryDeclarationHasAReader|TestEveryFieldHasAWriter|TestSettableValues' . >"$reach_out" 2>&1; then
+if ! go test -count=1 -v -run 'TestEveryDeclarationHasAReader|TestEveryFieldHasAWriter|TestEveryFieldHasAReader|TestSettableValues' . >"$reach_out" 2>&1; then
 	cat "$reach_out" >&2
 	rm -f "$reach_out"
 	exit 1
