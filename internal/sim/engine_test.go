@@ -82,34 +82,56 @@ func TestEngineNegativeDelayClamps(t *testing.T) {
 	}
 }
 
+// queueOf pushes one job per rank, in the order given, onto a fresh queue.
+func queueOf(ranks ...int) (*jobQueue, []*Job) {
+	q := &jobQueue{}
+	jobs := make([]*Job, len(ranks))
+	for i, r := range ranks {
+		jobs[i] = &Job{node: &callNode{prio: r}}
+		q.push(jobs[i])
+	}
+	return q, jobs
+}
+
+// FCFS is the one-rank case of the δ-policy: a queue that holds a single rank
+// pops in arrival order and never touches the RNG, which is what keeps every
+// unshared microservice's decisions and draws as they were.
 func TestFCFSPicksOldest(t *testing.T) {
-	q := []*Job{{Priority: 5}, {Priority: 0}}
-	if got := (FCFS{}).Pick(q, stats.NewRNG(1)); got != 0 {
-		t.Fatalf("FCFS picked %d", got)
+	q, jobs := queueOf(0, 0, 0)
+	r := stats.NewRNG(1)
+	for i, want := range jobs {
+		if got := q.pop(0.05, r); got != want {
+			t.Fatalf("pop %d: got a later job", i)
+		}
+	}
+	if q.n != 0 || *r != *stats.NewRNG(1) {
+		t.Fatalf("one-rank queue left %d jobs or drew from the RNG", q.n)
 	}
 }
 
 func TestPriorityPolicyStrictWhenDeltaZero(t *testing.T) {
-	p := PriorityPolicy{Delta: 0}
 	r := stats.NewRNG(1)
-	q := []*Job{{Priority: 2}, {Priority: 1}, {Priority: 0}, {Priority: 0}}
 	for i := 0; i < 100; i++ {
-		if got := p.Pick(q, r); got != 2 {
-			t.Fatalf("strict priority picked index %d", got)
+		q, jobs := queueOf(2, 1, 0, 0)
+		for k, want := range []int{2, 3, 1, 0} {
+			if got := q.pop(0, r); got != jobs[want] {
+				t.Fatalf("strict priority: pop %d is not job %d", k, want)
+			}
 		}
 	}
 }
 
 func TestPriorityPolicyDeltaDistribution(t *testing.T) {
-	p := PriorityPolicy{Delta: 0.2}
 	r := stats.NewRNG(1)
-	q := []*Job{{Priority: 1}, {Priority: 0}}
+	q, _ := queueOf(1, 0)
 	high := 0
 	const n = 100000
 	for i := 0; i < n; i++ {
-		if p.Pick(q, r) == 1 { // index 1 holds priority 0 (highest)
+		j := q.pop(0.2, r)
+		if j.node.prio == 0 {
 			high++
 		}
+		q.push(j) // one job per rank: the queue is as before
 	}
 	frac := float64(high) / n
 	if frac < 0.79 || frac > 0.81 {
@@ -118,13 +140,14 @@ func TestPriorityPolicyDeltaDistribution(t *testing.T) {
 }
 
 func TestPriorityPolicyThreeClasses(t *testing.T) {
-	p := PriorityPolicy{Delta: 0.1}
 	r := stats.NewRNG(2)
-	q := []*Job{{Priority: 2}, {Priority: 1}, {Priority: 0}}
+	q, _ := queueOf(2, 1, 0)
 	counts := make([]int, 3)
 	const n = 200000
 	for i := 0; i < n; i++ {
-		counts[q[p.Pick(q, r)].Priority]++
+		j := q.pop(0.1, r)
+		counts[j.node.prio]++
+		q.push(j)
 	}
 	// Expected: 0.9, 0.09, 0.01.
 	want := []float64{0.9, 0.09, 0.01}
@@ -137,22 +160,24 @@ func TestPriorityPolicyThreeClasses(t *testing.T) {
 }
 
 func TestPriorityPolicyWithinClassFCFS(t *testing.T) {
-	p := PriorityPolicy{Delta: 0}
 	r := stats.NewRNG(3)
-	first := &Job{Priority: 0}
-	q := []*Job{{Priority: 1}, first, {Priority: 0}}
-	if got := p.Pick(q, r); q[got] != first {
-		t.Fatalf("picked index %d, want the oldest job of the best class", got)
+	q, jobs := queueOf(1, 0, 0)
+	if got := q.pop(0, r); got != jobs[1] {
+		t.Fatal("did not pop the oldest job of the best class")
 	}
 }
 
 func TestPriorityPolicySingleClass(t *testing.T) {
-	p := PriorityPolicy{Delta: 0.05}
 	r := stats.NewRNG(4)
-	q := []*Job{{Priority: 3}, {Priority: 3}}
+	q, jobs := queueOf(3, 3)
 	for i := 0; i < 50; i++ {
-		if got := p.Pick(q, r); got != 0 {
-			t.Fatalf("single class picked %d", got)
+		got := q.pop(0.05, r)
+		if got != jobs[i%2] {
+			t.Fatalf("single class pop %d is not the oldest job", i)
 		}
+		q.push(got)
+	}
+	if *r != *stats.NewRNG(4) {
+		t.Fatal("single class drew from the RNG")
 	}
 }

@@ -19,10 +19,9 @@ import "erms/internal/workload"
 // live child frame (children call back into their parent); it returns to the
 // free list when the last reference drops, and not before — a late timeout
 // timer, work the client abandoned, or a crash re-route can each outlive the
-// call's outcome. The exported fields are what a queueing Policy may read.
+// call's outcome.
 type Job struct {
 	Service  string
-	Priority int     // 0 is highest; only meaningful under PriorityPolicy
 	Enqueued float64 // server-receive instant
 	// Tier is the SLO tier of the request this call belongs to, inherited
 	// from the issuing cohort stream (workload.TierStandard on the untiered
@@ -34,6 +33,8 @@ type Job struct {
 	node   *callNode
 	parent *Job            // the calling frame; nil for a request's root call
 	cs     *containerState // the container processing the call
+	next   *Job            // the job behind this one in its container queue band
+	seq    int64           // arrival stamp in that container queue
 
 	traceID    int64
 	clientSend float64
@@ -284,7 +285,6 @@ func (f *Job) issue() {
 		f.issueFluid()
 		return
 	}
-	f.Priority = f.node.prio
 	f.hop(evArrive)
 }
 
@@ -295,9 +295,9 @@ func (f *Job) arrive() {
 	rt, ms := f.rt, f.node.ms
 	// Downed containers are skipped while any replica survives. With none
 	// left the behaviour is pinned per fault model: resilience disabled parks
-	// the job at the first container until recovery (the historical
-	// contract); resilience enabled fails fast with the retryable
-	// ErrUnavailable.
+	// the job round-robin across all the downed containers, and each serves
+	// its parked jobs only when it recovers (the historical contract);
+	// resilience enabled fails fast with the retryable ErrUnavailable.
 	states := ms.up
 	if len(states) == 0 {
 		if rt.res != nil {
@@ -336,7 +336,7 @@ func (f *Job) arrive() {
 		rt.startJob(cs, f)
 		return
 	}
-	cs.queue = append(cs.queue, f)
+	cs.queue.push(f)
 	f.refs++
 }
 

@@ -387,7 +387,7 @@ func (rt *Runtime) shouldShed(cs *containerState, job *Job) bool {
 		return false
 	}
 	base := cs.ms.baseMs
-	wait := float64(len(cs.queue)) * base / float64(cs.c.Spec.Threads)
+	wait := float64(cs.queue.n) * base / float64(cs.c.Spec.Threads)
 	if job.Tier.Valid() {
 		wait *= rt.res.TierShedFactors[job.Tier]
 	}

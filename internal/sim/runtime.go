@@ -75,7 +75,7 @@ type Config struct {
 	SLAs map[string]workload.SLA
 	// Priorities assigns, at each shared microservice, a priority rank per
 	// service (0 = highest). Microservices present here use Erms' δ-policy;
-	// all others are FCFS.
+	// all others queue every call at rank 0, a one-rank queue.
 	Priorities map[string]map[string]int
 	// Delta is the probabilistic priority parameter (§5.3.2); 0.05 in the
 	// paper.
@@ -95,10 +95,11 @@ type Config struct {
 	// the microservice down at AtMin and restores it at RecoverMin (0 = no
 	// recovery). Queued requests are re-routed to surviving containers. With
 	// Resilience disabled, in-flight requests complete silently and a
-	// microservice with zero survivors parks new arrivals at its first
-	// container until recovery; with Resilience enabled, a crash fails its
-	// in-flight requests with a retryable error (ErrCrashed) and zero
-	// survivors fail new calls fast (ErrUnavailable).
+	// microservice with zero survivors parks new arrivals round-robin across
+	// all its downed containers, each of which serves its parked jobs only
+	// when it recovers; with Resilience enabled, a crash fails its in-flight
+	// requests with a retryable error (ErrCrashed) and zero survivors fail new
+	// calls fast (ErrUnavailable).
 	Failures []Failure
 	// DropMinutes lists simulation minutes whose observability is lost: no
 	// MinuteSamples are recorded and no traces starting in those minutes
@@ -220,7 +221,7 @@ func (c *Config) validate() error {
 		return fmt.Errorf("sim: Config.ThinkTimeMs %v must be >= 0", c.ThinkTimeMs)
 	}
 	// Delta is accepted in [0,1]: Delta=0 is the documented strict-priority
-	// degeneration of the δ-policy (PriorityPolicy), which the motivation
+	// degeneration of the δ-policy (jobQueue.pop), which the motivation
 	// sweeps exercise deliberately.
 	if c.Delta < 0 || c.Delta > 1 {
 		return fmt.Errorf("sim: Config.Delta %v must be in [0,1]", c.Delta)
@@ -441,11 +442,10 @@ type RunStats struct {
 
 // containerState is the runtime queueing state of one placed container.
 type containerState struct {
-	c      *cluster.Container
-	ms     *msState
-	busy   int
-	queue  []*Job
-	policy Policy
+	c     *cluster.Container
+	ms    *msState
+	busy  int
+	queue jobQueue
 	// down marks an injected outage: the container accepts no new work.
 	down bool
 	// minuteCalls counts calls routed here in the current minute.
@@ -607,11 +607,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			rt.ms[name] = ms
 			rt.msList = append(rt.msList, ms)
 		}
-		var pol Policy = FCFS{}
-		if _, shared := cfg.Priorities[name]; shared {
-			pol = PriorityPolicy{Delta: cfg.Delta}
-		}
-		cs := &containerState{c: c, ms: ms, policy: pol}
+		cs := &containerState{c: c, ms: ms}
 		rt.containers = append(rt.containers, cs)
 		ms.states = append(ms.states, cs)
 	}
@@ -971,10 +967,8 @@ func (rt *Runtime) startClosedLoop(sv *svcState, users int, endMs, warmMs float6
 // per-attempt timeout fired while they queued) are dropped without executing
 // — the server side of deadline propagation.
 func (rt *Runtime) kick(cs *containerState) {
-	for len(cs.queue) > 0 && cs.busy < cs.c.Spec.Threads {
-		idx := cs.policy.Pick(cs.queue, rt.rng)
-		next := cs.queue[idx]
-		cs.queue = append(cs.queue[:idx], cs.queue[idx+1:]...)
+	for cs.queue.n > 0 && cs.busy < cs.c.Spec.Threads {
+		next := cs.queue.pop(rt.cfg.Delta, rt.rng)
 		if rt.res != nil && next.settled {
 			rt.data.DeadlineSkips++
 		} else {
@@ -992,8 +986,7 @@ func (rt *Runtime) kick(cs *containerState) {
 func (rt *Runtime) failContainer(cs *containerState) {
 	cs.down = true
 	cs.ms.refreshUp()
-	queued := cs.queue
-	cs.queue = nil
+	queued := cs.queue.drain()
 	if rt.res != nil {
 		inflight := cs.inflight
 		cs.inflight = nil
