@@ -25,25 +25,32 @@ const (
 	evRetry                  // the retry backoff has elapsed
 )
 
-// event is one scheduled occurrence on the heap: either a typed event for a
-// call frame or a callback (arrival walkers, minute ticks, failure injection,
-// closed-loop think time). gen is the frame's generation when the event was
-// scheduled.
-type event struct {
+// heapKey is one heap entry: an event's place in the (time, seq) order and
+// the index of its payload in Engine.slots. It is 24 bytes and holds no
+// pointer, so a sift moves three words per level and the garbage collector
+// never scans the heap's array.
+type heapKey struct {
 	time float64
 	seq  int64
+	slot int32
+}
+
+// payload is what a heap event does: either a typed event for a call frame or
+// a callback (arrival walkers, minute ticks, failure injection, closed-loop
+// think time). gen is the frame's generation when the event was scheduled.
+type payload struct {
 	fn   func()
 	f    *Job
 	kind evKind
 	gen  uint32
 }
 
-// eventHeap is a typed binary min-heap ordered by (time, seq). Unlike
-// container/heap it moves event values directly — no interface{} boxing on
-// push or pop — so scheduling an event costs zero heap allocations once the
-// backing array has grown to the simulation's high-water mark. Both sifts
-// carry the moving event in a hole: one copy per level, not a three-copy swap.
-type eventHeap []event
+// eventHeap is a binary min-heap of keys ordered by (time, seq). Unlike
+// container/heap it moves keys directly — no interface{} boxing on push or
+// pop — so scheduling an event costs zero heap allocations once the backing
+// array has grown to the simulation's high-water mark. Both sifts carry the
+// moving key in a hole: one copy per level, not a three-copy swap.
+type eventHeap []heapKey
 
 // before is the engine's one order: time, then seq — FIFO for simultaneous
 // events.
@@ -54,31 +61,30 @@ func before(t1 float64, s1 int64, t2 float64, s2 int64) bool {
 	return s1 < s2
 }
 
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
+func (h *eventHeap) push(k heapKey) {
+	*h = append(*h, k)
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !before(e.time, e.seq, s[parent].time, s[parent].seq) {
+		if !before(k.time, k.seq, s[parent].time, s[parent].seq) {
 			break
 		}
 		s[i] = s[parent]
 		i = parent
 	}
-	s[i] = e
+	s[i] = k
 }
 
-func (h *eventHeap) pop() event {
+// pop removes the top key; the caller has read it from s[0].
+func (h *eventHeap) pop() {
 	s := *h
-	top := s[0]
 	n := len(s) - 1
 	last := s[n]
-	s[n] = event{} // release the closure and frame references
 	s = s[:n]
 	*h = s
 	if n == 0 {
-		return top
+		return
 	}
 	i := 0
 	for {
@@ -96,11 +102,10 @@ func (h *eventHeap) pop() event {
 		i = m
 	}
 	s[i] = last
-	return top
 }
 
 // hopEvent is one lane entry: a typed event one network hop from when it was
-// scheduled. It is an event without the callback.
+// scheduled. It is a heap key and a payload without the callback.
 type hopEvent struct {
 	time float64
 	seq  int64
@@ -120,6 +125,11 @@ type Engine struct {
 	now    float64
 	seq    int64
 	events eventHeap
+
+	// slots holds the payloads of the heap's events, indexed by heapKey.slot;
+	// free lists the slots no pending event holds, most recently freed last.
+	slots []payload
+	free  []int32
 
 	// The lane is a ring of power-of-two size: lane[laneHead] is its oldest
 	// entry, laneLen its occupancy and laneTail the time of the newest entry
@@ -142,7 +152,13 @@ type Engine struct {
 // (>= 0, finite) ms after scheduling. The queues' backing arrays are
 // pre-sized so short simulations never reallocate them.
 func newEngine(lag float64) *Engine {
-	return &Engine{events: make(eventHeap, 0, 1024), lag: lag, lane: make([]hopEvent, 256)}
+	return &Engine{
+		events: make(eventHeap, 0, 1024),
+		slots:  make([]payload, 0, 1024),
+		free:   make([]int32, 0, 1024),
+		lag:    lag,
+		lane:   make([]hopEvent, 256),
+	}
 }
 
 // Now returns the current simulated time in milliseconds.
@@ -157,12 +173,10 @@ func (e *Engine) Schedule(delay float64, fn func()) {
 }
 
 // At runs fn at the given absolute time; times in the past run "now".
-func (e *Engine) At(t float64, fn func()) { e.push(event{time: t, fn: fn}) }
+func (e *Engine) At(t float64, fn func()) { e.push(t, fn, nil, 0, 0) }
 
 // atFrame delivers a typed event to call frame f at absolute time t.
-func (e *Engine) atFrame(t float64, f *Job, kind evKind) {
-	e.push(event{time: t, f: f, kind: kind, gen: f.gen})
-}
+func (e *Engine) atFrame(t float64, f *Job, kind evKind) { e.push(t, nil, f, kind, f.gen) }
 
 // hopFrame delivers a typed event to call frame f one network hop (lag ms)
 // from now, through the lane.
@@ -178,7 +192,11 @@ func (e *Engine) hopFrame(f *Job, kind evKind) {
 		e.growLane()
 	}
 	e.seq++
-	e.lane[(e.laneHead+e.laneLen)&(len(e.lane)-1)] = hopEvent{time: t, seq: e.seq, f: f, kind: kind, gen: f.gen}
+	// Field by field, in place: a composite literal would be built on the
+	// stack and copied into the ring with 16-byte loads that store-forwarding
+	// cannot serve from the narrower stores that just built it.
+	h := &e.lane[(e.laneHead+e.laneLen)&(len(e.lane)-1)]
+	h.time, h.seq, h.f, h.kind, h.gen = t, e.seq, f, kind, f.gen
 	e.laneLen++
 	e.notePending()
 }
@@ -191,13 +209,24 @@ func (e *Engine) growLane() {
 	e.lane, e.laneHead = grown, 0
 }
 
-func (e *Engine) push(ev event) {
-	if ev.time < e.now {
-		ev.time = e.now
+// push schedules a heap event at time t (the past clamps to now): its payload
+// into a free slot, its key onto the heap.
+func (e *Engine) push(t float64, fn func(), f *Job, kind evKind, gen uint32) {
+	if t < e.now {
+		t = e.now
 	}
+	var slot int32
+	if n := len(e.free); n > 0 {
+		slot = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		slot = int32(len(e.slots))
+		e.slots = append(e.slots, payload{})
+	}
+	p := &e.slots[slot]
+	p.fn, p.f, p.kind, p.gen = fn, f, kind, gen
 	e.seq++
-	ev.seq = e.seq
-	e.events.push(ev)
+	e.events.push(heapKey{time: t, seq: e.seq, slot: slot})
 	e.heapPushes++
 	e.notePending()
 }
@@ -228,16 +257,21 @@ func (e *Engine) Run(until float64) {
 			f.handle(kind, gen)
 			continue
 		}
-		if e.events[0].time > until {
+		top := e.events[0]
+		if top.time > until {
 			break
 		}
-		next := e.events.pop()
-		e.now = next.time
+		e.events.pop()
+		p := &e.slots[top.slot]
+		fn, f, kind, gen := p.fn, p.f, p.kind, p.gen
+		p.fn, p.f = nil, nil // release the closure and frame references
+		e.free = append(e.free, top.slot)
+		e.now = top.time
 		e.processed++
-		if next.f != nil {
-			next.f.handle(next.kind, next.gen)
+		if f != nil {
+			f.handle(kind, gen)
 		} else {
-			next.fn()
+			fn()
 		}
 	}
 	if e.now < until {

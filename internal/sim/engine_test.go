@@ -181,3 +181,15 @@ func TestPriorityPolicySingleClass(t *testing.T) {
 		t.Fatal("single class drew from the RNG")
 	}
 }
+
+// event is the one-heap oracle's entry (engine_oracle_test.go): its heap key
+// and its payload in one value, as the engine stored an event before keys and
+// payloads were split.
+type event struct {
+	time float64
+	seq  int64
+	fn   func()
+	f    *Job
+	kind evKind
+	gen  uint32
+}

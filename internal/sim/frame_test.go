@@ -5,6 +5,7 @@ import (
 
 	"erms/internal/cluster"
 	"erms/internal/graph"
+	"erms/internal/stats"
 	"erms/internal/workload"
 )
 
@@ -131,5 +132,37 @@ func TestFrameLifetimeUnderRetryStorm(t *testing.T) {
 				t.Fatalf("%d frames recycled for %d attempts", r.Engine.JobsRecycled, d.Attempts)
 			}
 		})
+	}
+}
+
+// TestMinuteFlushSteadyStateZeroAlloc is the allocation gate on the minute
+// tick: once the runtime's scratch buffer has grown, reading the P95 and mean
+// of every microservice's reservoir filled to latencySampleCap allocates
+// nothing.
+func TestMinuteFlushSteadyStateZeroAlloc(t *testing.T) {
+	rt, err := NewRuntime(lockstepScenario{services: 3, block: 3, ratePerMin: 1, seed: 5}.build(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(7)
+	for _, ms := range rt.msList {
+		rt.recordNodeLatency(ms, rng.ExpFloat64()) // seeds the reservoir
+	}
+	minute := func() {
+		for _, ms := range rt.msList {
+			// Filling up to the bound never draws the reservoir's RNG, which
+			// the flush released.
+			for ms.lat.Seen() < latencySampleCap {
+				ms.lat.Add(rng.ExpFloat64())
+			}
+		}
+		rt.flushMinute(0, false)
+	}
+	minute()
+	if allocs := testing.AllocsPerRun(20, minute); allocs != 0 {
+		t.Fatalf("a minute flush of %d full reservoirs allocates %.1f times, want 0", len(rt.msList), allocs)
+	}
+	if len(rt.tailScratch) != latencySampleCap {
+		t.Fatalf("the flush selected over %d samples, want %d", len(rt.tailScratch), latencySampleCap)
 	}
 }

@@ -202,6 +202,14 @@ func (c *Config) validate() error {
 			return fmt.Errorf("sim: Config.%s %v must be finite", f.name, f.v)
 		}
 	}
+	for i, f := range c.Failures {
+		if !finite(f.AtMin) {
+			return fmt.Errorf("sim: Config.Failures[%d].AtMin %v must be finite", i, f.AtMin)
+		}
+		if !finite(f.RecoverMin) {
+			return fmt.Errorf("sim: Config.Failures[%d].RecoverMin %v must be finite", i, f.RecoverMin)
+		}
+	}
 	if c.DurationMin <= 0 {
 		return errors.New("sim: Config.DurationMin must be positive")
 	}
@@ -532,6 +540,10 @@ type Runtime struct {
 	svcMSCalls map[string]map[string]*int
 	warmMs     float64
 	dropMin    map[int]bool
+
+	// tailScratch is where flushMinute selects each reservoir's P95, grown
+	// once to the largest sample and reused every minute.
+	tailScratch []float64
 
 	// jobFree recycles call frames; see Job for when a frame returns here.
 	// The runtime is single-threaded (one engine, one goroutine), so a plain
@@ -1086,7 +1098,7 @@ func (rt *Runtime) flushMinute(m int, record bool) {
 			Containers:        len(ms.states),
 		}
 		if rv := ms.lat; rv != nil && rv.Seen() > 0 {
-			sample.TailMs = rv.Quantile(0.95)
+			sample.TailMs = rv.QuantileScratch(0.95, &rt.tailScratch)
 			sample.MeanMs = rv.Mean()
 			rv.Reset(nil) // re-seeded by the next minute's first observation
 		}

@@ -420,6 +420,13 @@ func TestConfigValidation(t *testing.T) {
 		"Config.Delta":          func(c *Config, v float64) { c.Delta = v },
 		"Config.SampleRate":     func(c *Config, v float64) { c.SampleRate = v },
 
+		// A NaN-timed crash got past the engine's clamp of past times and ran
+		// wherever the heap's sifts left it.
+		"Config.Failures[0].AtMin": func(c *Config, v float64) { c.Failures = []Failure{{Microservice: "A", AtMin: v}} },
+		"Config.Failures[0].RecoverMin": func(c *Config, v float64) {
+			c.Failures = []Failure{{Microservice: "A", AtMin: 0.5, RecoverMin: v}}
+		},
+
 		"Resilience.TimeoutSLAMultiple": func(c *Config, v float64) { c.Resilience = &Resilience{TimeoutSLAMultiple: v} },
 		"Resilience.RequestTimeoutMs":   func(c *Config, v float64) { c.Resilience = &Resilience{RequestTimeoutMs: v} },
 		"Resilience.AttemptTimeoutMs":   func(c *Config, v float64) { c.Resilience = &Resilience{AttemptTimeoutMs: v} },

@@ -8,19 +8,73 @@ import (
 // Quantile returns the q-quantile (0 <= q <= 1) of the values using linear
 // interpolation between order statistics (the same convention as numpy's
 // default). It returns NaN for an empty input. The input slice is not
-// modified. Inputs must be NaN-free: NaN elements void sort.Float64s'
-// ordering guarantee, so the interpolated order statistics (and anything
-// downstream, e.g. Reservoir.Quantile) become unspecified. Producers of
-// latency samples never emit NaN; callers synthesizing values should filter
-// first (as CDF does).
+// modified: Quantile selects the two order statistics it interpolates in a
+// copy, in expected linear time, and returns bit for bit what interpolating
+// over a sorted copy would. Inputs must be NaN-free: a NaN compares false
+// with everything, so the selection still ends but leaves the order
+// statistics (and anything downstream, e.g. Reservoir.Quantile) unspecified.
+// Producers of latency samples never emit NaN; callers synthesizing values
+// should filter first (as CDF does).
 func Quantile(values []float64, q float64) float64 {
 	if len(values) == 0 {
 		return math.NaN()
 	}
-	sorted := make([]float64, len(values))
-	copy(sorted, values)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
+	return selectQuantile(append([]float64(nil), values...), q)
+}
+
+// selectQuantile is Quantile over a, which it reorders: the k-th order
+// statistic by selection, then the (k+1)-th as the minimum of what selection
+// left above it.
+func selectQuantile(a []float64, q float64) float64 {
+	pos := min(max(q, 0), 1) * float64(len(a)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	selectK(a, lo)
+	if lo == hi {
+		return a[lo]
+	}
+	next := a[hi]
+	for _, v := range a[hi+1:] {
+		if v < next {
+			next = v
+		}
+	}
+	frac := pos - float64(lo)
+	return a[lo]*(1-frac) + next*frac
+}
+
+// selectK reorders a so that a[k] holds the value a sorted copy holds at k
+// and nothing after it is smaller (Hoare's FIND, expected O(len(a))). Every
+// partition pass swaps at least once, so the range shrinks and the loop ends
+// whatever the input, NaN included.
+func selectK(a []float64, k int) {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		pivot := a[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for pivot < a[j] {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// a[lo..j] <= pivot <= a[i..hi]; anything between equals pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // QuantileSorted is like Quantile but requires values to be sorted ascending;
@@ -148,6 +202,17 @@ func (rv *Reservoir) Seen() int { return rv.seen }
 
 // Quantile estimates the q-quantile from the current sample.
 func (rv *Reservoir) Quantile(q float64) float64 { return Quantile(rv.items, q) }
+
+// QuantileScratch is Quantile computed in *scratch, which it grows to the
+// sample's size and keeps for the next call: with a warm buffer it allocates
+// nothing.
+func (rv *Reservoir) QuantileScratch(q float64, scratch *[]float64) float64 {
+	if len(rv.items) == 0 {
+		return math.NaN()
+	}
+	*scratch = append((*scratch)[:0], rv.items...)
+	return selectQuantile(*scratch, q)
+}
 
 // Mean returns the mean of the current sample (NaN when empty).
 func (rv *Reservoir) Mean() float64 { return Mean(rv.items) }

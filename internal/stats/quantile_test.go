@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -245,6 +246,74 @@ func TestReservoirGrowsLazilyLikePreSized(t *testing.T) {
 		}
 		if c := cap(lazy.items); c > capacity || (n < capacity/4 && c > 2*max(n, 8)) {
 			t.Fatalf("n=%d: buffer capacity %d", n, c)
+		}
+	}
+}
+
+// sortQuantile is Quantile as it was before selection: interpolation over a
+// sorted copy. It is the oracle selection is held to.
+func sortQuantile(values []float64, q float64) float64 {
+	sorted := append([]float64(nil), values...)
+	sort.Float64s(sorted)
+	return QuantileSorted(sorted, q)
+}
+
+// TestQuantileMatchesSortOracle requires the selection Quantile to return
+// exactly the sort oracle's bits at every size from 1 to 5000, on samples
+// where a quarter of the values are drawn from {0..4} so that duplicates
+// straddle the order statistics, and at the quantiles the simulator and the
+// planner read. A NaN in the input voids the order but must not hang or
+// panic the selection.
+func TestQuantileMatchesSortOracle(t *testing.T) {
+	rng := NewRNG(40)
+	qs := []float64{0, 0.05, 0.5, 0.95, 0.99, 1}
+	for n := 1; n <= 5000; n++ {
+		xs := make([]float64, n)
+		for i := range xs {
+			if rng.Intn(4) == 0 {
+				xs[i] = float64(rng.Intn(5))
+			} else {
+				xs[i] = rng.ExpFloat64() * 10
+			}
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted) // the oracle's sort, once for every q
+		for _, q := range qs {
+			got, want := Quantile(xs, q), QuantileSorted(sorted, q)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n %d q %v: Quantile %v, sort oracle %v", n, q, got, want)
+			}
+		}
+	}
+	for _, xs := range [][]float64{
+		{math.NaN()},
+		{math.NaN(), 1, 2},
+		{3, math.NaN(), 1, math.NaN(), 2, 2, math.NaN()},
+	} {
+		for _, q := range qs {
+			Quantile(xs, q)
+		}
+	}
+}
+
+// BenchmarkQuantile times the sort oracle and the selection side by side at
+// the simulator's per-minute reservoir bound and eight times it.
+func BenchmarkQuantile(b *testing.B) {
+	for _, n := range []int{4096, 32768} {
+		rng := NewRNG(uint64(n))
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.ExpFloat64()
+		}
+		for _, c := range []struct {
+			name string
+			fn   func([]float64, float64) float64
+		}{{"sort", sortQuantile}, {"select", Quantile}} {
+			b.Run(fmt.Sprintf("%s/n=%d", c.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					c.fn(xs, 0.95)
+				}
+			})
 		}
 	}
 }

@@ -73,6 +73,13 @@ fi
 grep -e '^ok' -e '--- SKIP' -e '--- PASS: TestSimulatedFiguresGolden' -e '--- PASS: TestFigDrift (' "$test_out"
 rm -f "$test_out"
 
+# Every benchmark once (~12 s on 2 cores): a harness that no longer compiles
+# or runs fails here, and so do the checks benchmarks make of their own runs
+# (BenchmarkEngineSchedule's event counts, BenchmarkQuantile's side-by-side
+# oracle), which no test executes.
+echo "== benchmarks (1 iteration each) =="
+go test -run=NONE -bench=. -benchtime=1x ./... >/dev/null
+
 echo "== go test -race =="
 # internal/experiments alone takes ~200 s under -race on 2 cores (~470 s while
 # every container dequeue rescanned its whole queue, 580-700 s in earlier
