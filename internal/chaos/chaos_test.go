@@ -20,8 +20,8 @@ func stdConfig(seed uint64) Config {
 
 // TestGenerateDeterministic: a fault schedule is a pure function of its
 // seed — the same seed renders the same schedule and another seed a
-// different one — which TestFaultTablesIdenticalAcrossWorkers in
-// internal/experiments builds on for every injection of fig22.
+// different one — which TestFigures/fig22 in internal/experiments builds
+// on for every injection of fig22.
 func TestGenerateDeterministic(t *testing.T) {
 	a, err := Generate(stdConfig(7))
 	if err != nil {

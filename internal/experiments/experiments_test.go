@@ -42,79 +42,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-// TestFastDrivers exercises the pure-planning experiments end to end (the
-// simulation-heavy ones are covered by the bench harness).
-func TestFastDrivers(t *testing.T) {
-	for _, id := range []string{"fig2", "fig4", "fig8", "fig11", "fig14", "fig16", "fig17", "fig18", "fig21"} {
-		tables, err := Run(id, true)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(tables) == 0 {
-			t.Fatalf("%s produced no tables", id)
-		}
-		for _, tab := range tables {
-			if len(tab.Rows) == 0 {
-				t.Fatalf("%s/%s has no rows", id, tab.ID)
-			}
-		}
-	}
-}
-
-func TestFig11ErmsWinsOnAverage(t *testing.T) {
-	// The core §6.3 claim in plan space: Erms deploys fewer containers than
-	// every baseline averaged over the sweep.
-	settings := staticSettings(true)
-	planners := defaultPlanners()
-	sums := map[string]float64{}
-	for _, s := range settings {
-		for _, p := range planners {
-			total, err := planSetting(p, s)
-			if err != nil {
-				t.Fatalf("%s: %v", p.name, err)
-			}
-			sums[p.name] += float64(total)
-		}
-	}
-	for name, sum := range sums {
-		if name == "erms" {
-			continue
-		}
-		if sums["erms"] > sum {
-			t.Fatalf("erms (%v) uses more containers than %s (%v)", sums["erms"], name, sum)
-		}
-	}
-}
-
-func TestFig16PriorityBeatsLTC(t *testing.T) {
-	tables, err := Run("fig16", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// fig16b: erms row is 1.00x, erms-ltc must exceed it.
-	var b *Table
-	for _, tab := range tables {
-		if tab.ID == "fig16b" {
-			b = tab
-		}
-	}
-	if b == nil {
-		t.Fatal("no fig16b table")
-	}
-	var erms, ltc string
-	for _, row := range b.Rows {
-		switch row[0] {
-		case "erms":
-			erms = row[1]
-		case "erms-ltc":
-			ltc = row[1]
-		}
-	}
-	if erms == "" || ltc == "" {
-		t.Fatalf("rows missing: %v", b.Rows)
-	}
-}
-
 func TestHelpers(t *testing.T) {
 	app := apps.HotelReservation()
 	models := modelsFor(app, cluster.DefaultInterference)

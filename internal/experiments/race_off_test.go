@@ -2,6 +2,6 @@
 
 package experiments
 
-// raceEnabled reports whether the race detector is compiled in; the
-// simulation-heavy golden test skips itself under it.
+// raceEnabled reports whether the race detector is compiled in; the heavy
+// figures of TestFigures skip themselves under it.
 const raceEnabled = false

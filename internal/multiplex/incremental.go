@@ -68,8 +68,7 @@ import (
 // PlanScheme calls (the reconciler plans one window at a time); the
 // sharded work *inside* one call fans out over internal/parallel.
 type IncrementalPlanner struct {
-	cache  *scaling.TemplateCache
-	shards int // requested; 0 (production) means one shard per pool worker
+	cache *scaling.TemplateCache
 
 	// Topology snapshot the caches are valid against.
 	haveState bool
@@ -490,10 +489,7 @@ func dedupSorted(xs []string) []string {
 // shard can run the full priority pipeline for its groups without a
 // cross-shard barrier. Each shard gets scratch for its largest group.
 func (p *IncrementalPlanner) pinShards() {
-	ns := p.shards
-	if ns <= 0 {
-		ns = parallel.Workers()
-	}
+	ns := parallel.Workers()
 	if ns > len(p.groups) {
 		ns = len(p.groups)
 	}

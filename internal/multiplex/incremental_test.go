@@ -14,14 +14,6 @@ import (
 	"erms/internal/workload"
 )
 
-// shardedPlanner is a planner over a private cache with its shard count
-// fixed, where production sizes it to the worker pool.
-func shardedPlanner(shards int) *IncrementalPlanner {
-	p := NewIncrementalPlanner(nil)
-	p.shards = shards
-	return p
-}
-
 // planIncremental is the test harness shorthand: one window through the
 // incremental planner, failing the test on error.
 func planIncremental(t *testing.T, p *IncrementalPlanner, scheme Scheme, inputs map[string]scaling.Input, loads map[string]map[string]float64, shared []string, ctx string) *Plan {
@@ -34,19 +26,21 @@ func planIncremental(t *testing.T, p *IncrementalPlanner, scheme Scheme, inputs 
 }
 
 // TestIncrementalByteIdenticalOnScaleTopology: on the Alibaba-shape
-// topology, the incremental planner reproduces the oracle bit
-// for bit at shard counts 1 and 4, for every scheme, across repeated and
-// mutated windows — and actually skips on the unchanged window. It also
-// pins the ownership contract: a clean window hands back the very same
-// allocation objects (nothing is cloned), and a plan returned earlier is
-// untouched by a later replan of its services.
+// topology, the incremental planner reproduces the oracle bit for bit at
+// shard counts 1, 2, 4 and 16 (one shard per pool worker), for every
+// scheme, across repeated and mutated windows — and actually skips on the
+// unchanged window. It also pins the ownership contract: a clean window
+// hands back the very same allocation objects (nothing is cloned), and a
+// plan returned earlier is untouched by a later replan of its services.
 func TestIncrementalByteIdenticalOnScaleTopology(t *testing.T) {
 	inputs, loads, shared := scaleInputs(apps.ScaleConfig{
 		Seed: 11, Services: 30, MicroservicesPerService: 12, SharingDegree: 5,
 	})
+	defer parallel.SetWorkers(0)
 	for _, scheme := range []Scheme{SchemePriority, SchemeFCFS, SchemeNonShared} {
-		for _, shards := range []int{1, 4} {
-			p := shardedPlanner(shards)
+		for _, shards := range []int{1, 2, 4, 16} {
+			parallel.SetWorkers(shards)
+			p := NewIncrementalPlanner(nil)
 			ctx := fmt.Sprintf("%v shards=%d", scheme, shards)
 
 			want, err := monolithicPlan(scheme, inputs, loads, shared, nil)
@@ -98,7 +92,9 @@ func TestIncrementalDirtyClosure(t *testing.T) {
 	inputs, loads, shared := scaleInputs(apps.ScaleConfig{
 		Seed: 7, Services: services, MicroservicesPerService: 8, SharingDegree: degree,
 	})
-	p := shardedPlanner(4)
+	defer parallel.SetWorkers(0)
+	parallel.SetWorkers(4)
+	p := NewIncrementalPlanner(nil)
 	planIncremental(t, p, SchemePriority, inputs, loads, shared, "cold")
 
 	groups := p.Groups()
@@ -164,7 +160,9 @@ func TestIncrementalErrorMatchesMonolithic(t *testing.T) {
 	inputs, loads, shared := scaleInputs(apps.ScaleConfig{
 		Seed: 5, Services: 8, MicroservicesPerService: 6, SharingDegree: 2,
 	})
-	p := shardedPlanner(3)
+	defer parallel.SetWorkers(0)
+	parallel.SetWorkers(3)
+	p := NewIncrementalPlanner(nil)
 	planIncremental(t, p, SchemePriority, inputs, loads, shared, "w1")
 
 	const victim = "scale-svc-00003"
@@ -198,12 +196,14 @@ func TestIncrementalErrorMatchesMonolithic(t *testing.T) {
 // bit-identical after every window, at a random shard count per sequence.
 func TestIncrementalOracleUnderRandomMutations(t *testing.T) {
 	schemes := []Scheme{SchemePriority, SchemeFCFS, SchemeNonShared}
+	defer parallel.SetWorkers(0)
 	for seed := uint64(1); seed <= 12; seed++ {
 		r := stats.NewRNG(seed)
 		inputs, loads, shared := randomSharedInputs(seed)
 		scheme := schemes[seed%3]
 		shards := 1 + r.Intn(4)
-		p := shardedPlanner(shards)
+		parallel.SetWorkers(shards)
+		p := NewIncrementalPlanner(nil)
 
 		// extraStage tracks the structural edit per service: whether the
 		// service's chain currently has a third, private stage.
@@ -302,7 +302,9 @@ func TestIncrementalRanksReorderAndTie(t *testing.T) {
 		in.SLA = workload.P95SLA(svc, ms)
 		inputs[svc] = in
 	}
-	p := shardedPlanner(1)
+	defer parallel.SetWorkers(0)
+	parallel.SetWorkers(1)
+	p := NewIncrementalPlanner(nil)
 	var prev *Plan
 	for i, step := range []struct {
 		name   string
@@ -349,6 +351,8 @@ func TestIncrementalRanksReorderAndTie(t *testing.T) {
 // missing and fails — and the planner reads it the way the oracle does, in
 // every scheme, down to which service's error surfaces.
 func TestIncrementalWorkloadEdgeCasesMatchOracle(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	parallel.SetWorkers(2)
 	for _, tc := range []struct {
 		name   string
 		mutate func(loads map[string]map[string]float64)
@@ -365,7 +369,7 @@ func TestIncrementalWorkloadEdgeCasesMatchOracle(t *testing.T) {
 	} {
 		for _, scheme := range []Scheme{SchemePriority, SchemeFCFS, SchemeNonShared} {
 			inputs, loads, shared := tiedInputs("svca", "svcb", "svcc")
-			p := shardedPlanner(2)
+			p := NewIncrementalPlanner(nil)
 			ctx := fmt.Sprintf("%s, %v", tc.name, scheme)
 			planIncremental(t, p, scheme, inputs, loads, shared, ctx+": warm-up")
 			tc.mutate(loads)
@@ -381,9 +385,9 @@ func TestIncrementalWorkloadEdgeCasesMatchOracle(t *testing.T) {
 	}
 }
 
-// TestIncrementalAcrossWorkersAndShards: the full cross-product of worker
-// pool sizes and shard counts renders one identical plan — the sharded
-// fan-out must not leak scheduling order into the fold.
+// TestIncrementalAcrossWorkersAndShards: every worker pool size, and with
+// it every shard count (one shard per worker), renders one identical plan —
+// the sharded fan-out must not leak scheduling order into the fold.
 func TestIncrementalAcrossWorkersAndShards(t *testing.T) {
 	inputs, loads, shared := scaleInputs(apps.ScaleConfig{
 		Seed: 13, Services: 20, MicroservicesPerService: 10, SharingDegree: 4,
@@ -393,15 +397,13 @@ func TestIncrementalAcrossWorkersAndShards(t *testing.T) {
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
-	for _, workers := range []int{1, 4} {
-		for _, shards := range []int{1, 2, 4, 16} {
-			parallel.SetWorkers(workers)
-			p := shardedPlanner(shards)
-			ctx := fmt.Sprintf("workers=%d shards=%d", workers, shards)
-			got := planIncremental(t, p, SchemePriority, inputs, loads, shared, ctx)
-			requirePlanBitIdentical(t, want, got, ctx+" cold")
-			got = planIncremental(t, p, SchemePriority, inputs, loads, shared, ctx)
-			requirePlanBitIdentical(t, want, got, ctx+" warm")
-		}
+	for _, workers := range []int{1, 2, 4, 16} {
+		parallel.SetWorkers(workers)
+		p := NewIncrementalPlanner(nil)
+		ctx := fmt.Sprintf("workers=%d", workers)
+		got := planIncremental(t, p, SchemePriority, inputs, loads, shared, ctx)
+		requirePlanBitIdentical(t, want, got, ctx+" cold")
+		got = planIncremental(t, p, SchemePriority, inputs, loads, shared, ctx)
+		requirePlanBitIdentical(t, want, got, ctx+" warm")
 	}
 }

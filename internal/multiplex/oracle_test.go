@@ -299,6 +299,7 @@ func TestDirtyScheduleMatchesOracle(t *testing.T) {
 		Seed: 42, Services: services, MicroservicesPerService: 20, SharingDegree: 5,
 	})
 	base := copyLoads(loads)
+	defer parallel.SetWorkers(0)
 	for _, frac := range []float64{0, 0.1, 0.5} {
 		victims := int(frac * services)
 		mutate := func(window int) {
@@ -310,9 +311,10 @@ func TestDirtyScheduleMatchesOracle(t *testing.T) {
 				}
 			}
 		}
-		for _, shards := range []int{1, 4} {
+		for _, shards := range []int{1, 2, 4, 16} {
+			parallel.SetWorkers(shards)
 			cache := scaling.NewTemplateCache()
-			p := shardedPlanner(shards)
+			p := NewIncrementalPlanner(nil)
 			for w := -1; w < windows; w++ {
 				mutate(w)
 				ctx := fmt.Sprintf("dirty %.0f%% shards=%d window %d", 100*frac, shards, w)

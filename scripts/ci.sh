@@ -51,18 +51,29 @@ if ! go test -count=1 -v -run 'TestEveryDeclarationHasAReader|TestEveryFieldHasA
 	exit 1
 fi
 grep -o 'settable values: .*' "$reach_out"
+# Beside the option count, the verdict count: every row of EXPERIMENTS'
+# verdict table has a claim in internal/experiments/verdicts_test.go — a
+# predicate over its figure's quick tables, which TestFigures runs in the
+# plain pass below — or a prose-only entry with its reason (< 1 s; renders
+# nothing).
+if ! go test -count=1 -v -run '^TestVerdictRowsCovered$' ./internal/experiments >"$reach_out" 2>&1; then
+	cat "$reach_out" >&2
+	rm -f "$reach_out"
+	exit 1
+fi
+grep -o 'verdict claims: .*' "$reach_out"
 rm -f "$reach_out"
 
 # The plain pass runs what -race cannot: the zero-allocation gates (the
 # detector itself allocates, so testing.AllocsPerRun means nothing there) and
-# the fig12/fig13/fig15 goldens (TestSimulatedFiguresGolden skips under
-# -race). Every determinism, oracle and contract test runs in it too, each
-# documented at its definition. The log lists every package, every skipped
-# test and the goldens' verdict, so a gate that stopped running shows, and
-# TestFigDrift's time: its frozen arm overloads containers into queues
-# thousands deep, so a dequeue that costs O(queue) again shows as a jump
-# (~5 s on 2 cores with per-rank queues, ~19 s while every dequeue rescanned
-# and memmoved the whole queue).
+# the fig12/fig13/fig15 goldens and claims (those three subtests of
+# TestFigures skip under -race). Every determinism, oracle and contract test
+# runs in it too, each documented at its definition. The log lists every
+# package, every skipped test and the three heavy figures' verdicts, so a
+# gate that stopped running shows, and TestFigures/figDrift's time: its
+# frozen arm overloads containers into queues thousands deep, so a dequeue
+# that costs O(queue) again shows as a jump (~5 s on 2 cores with per-rank
+# queues, ~19 s while every dequeue rescanned and memmoved the whole queue).
 echo "== go test =="
 test_out=$(mktemp)
 if ! go test -count=1 -v ./... >"$test_out" 2>&1; then
@@ -70,7 +81,8 @@ if ! go test -count=1 -v ./... >"$test_out" 2>&1; then
 	rm -f "$test_out"
 	exit 1
 fi
-grep -e '^ok' -e '--- SKIP' -e '--- PASS: TestSimulatedFiguresGolden' -e '--- PASS: TestFigDrift (' "$test_out"
+grep -e '^ok' -e '--- SKIP' -e '--- PASS: TestFigures/fig12' -e '--- PASS: TestFigures/fig13' \
+	-e '--- PASS: TestFigures/fig15' -e '--- PASS: TestFigures/figDrift (' "$test_out"
 rm -f "$test_out"
 
 # Every benchmark once (~12 s on 2 cores): a harness that no longer compiles
@@ -101,6 +113,13 @@ echo "== benchmark module (vet + test against this checkout's internal/ API) =="
 # re-validate cleanly. The corpus seeds cover the shipped example specs.
 echo "== spec parser fuzz (15s) =="
 go test -run=NONE -fuzz=FuzzParse -fuzztime=15s ./internal/spec
+# The same for the persisted-app loader behind a spec's `app.kind: file`:
+# no input panics LoadApp, and an app it accepts round-trips through
+# SaveApp unchanged. The seeds are whole saved apps, tens of kilobytes, and
+# minimizing each new-coverage input at the default 60 s would spend the
+# whole budget on one input; 1 s keeps the mutator running.
+echo "== persisted-app loader fuzz (10s) =="
+go test -run=NONE -fuzz=FuzzLoadApp -fuzztime=10s -fuzzminimizetime=1s ./internal/persist
 
 # Second, the spec determinism gate, end to end through the real binary:
 # the same spec and seed must emit a byte-identical timeline CSV across two
