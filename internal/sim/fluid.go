@@ -4,15 +4,17 @@ import (
 	"math"
 
 	"erms/internal/queueing"
+	"erms/internal/workload"
 )
 
 // The hybrid fluid/discrete fast path (PartitionOpts.Mode = SimHybrid).
 //
 // The fidelity contract: each simulated minute, every microservice is
 // classified as fluid or exact. A microservice is fluid when its containers'
-// M/M/c utilization (arrival rate from the pre-materialized arrival lists,
-// service rate from the profile inflated by the current host interference)
-// is at or below fluidRhoMax — i.e. the operating point sits well below the
+// M/M/c utilization (arrival rate from per-minute arrival counts, drawn
+// before the run from copies of the arrival streams' RNG states; service
+// rate from the profile inflated by the current host interference) is at
+// or below fluidRhoMax — i.e. the operating point sits well below the
 // latency knee, where the analytic queueing model is trustworthy (the same
 // observation Erms' piecewise-linear latency models rest on). Fluid calls
 // draw their latency from the Erlang-C waiting-time distribution plus the
@@ -80,15 +82,16 @@ func newFluidState(rt *Runtime) *fluidState {
 	}
 }
 
-// noteArrivals records a service's materialized arrival list; called from
-// setup for every open-loop and stream arrival process.
-func (f *fluidState) noteArrivals(svc string, arr []float64) {
+// noteArrivals drains one open-loop or stream arrival process of a service
+// into its per-minute counts; setup hands it a stream over a copy of the
+// process's RNG state, so the run itself replays the same times.
+func (f *fluidState) noteArrivals(svc string, arr *workload.Arrivals) {
 	counts := f.arrCounts[svc]
 	if counts == nil {
 		counts = make([]int, f.minutes)
 		f.arrCounts[svc] = counts
 	}
-	for _, t := range arr {
+	for t, ok := arr.Next(); ok; t, ok = arr.Next() {
 		m := int(t / 60_000)
 		if m >= f.minutes {
 			m = f.minutes - 1

@@ -186,6 +186,26 @@ type Failure struct {
 // events at times the engine cannot order, or never ends the run.
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
+// maxDurationMin bounds Config.DurationMin (~1.9 years, far past any run
+// here). validate reads every minute's arrival rate and setup schedules a
+// tick per minute, so the duration bounds the work of both; unbounded, a
+// duration past 2^53 minutes would stop m++ advancing and neither would end.
+const maxDurationMin = 1_000_000
+
+// finiteRates rejects a pattern whose rate is NaN or ±Inf at any minute the
+// run draws arrivals for (workload.Arrivals samples the rate at each whole
+// minute m in [0, durationMin)). Such a rate has no Poisson count:
+// stats.Poisson draws nothing for NaN, which would pass a broken workload
+// off as an idle one.
+func finiteRates(p workload.Pattern, durationMin float64) error {
+	for m := 0.0; m < durationMin; m++ {
+		if r := p.RateAt(m); !finite(r) {
+			return fmt.Errorf("rate %v req/min at minute %v must be finite", r, m)
+		}
+	}
+	return nil
+}
+
 func (c *Config) validate() error {
 	if c.Cluster == nil {
 		return errors.New("sim: Config.Cluster is required")
@@ -212,6 +232,9 @@ func (c *Config) validate() error {
 	}
 	if c.DurationMin <= 0 {
 		return errors.New("sim: Config.DurationMin must be positive")
+	}
+	if c.DurationMin > maxDurationMin {
+		return fmt.Errorf("sim: Config.DurationMin %v must be at most %v", c.DurationMin, float64(maxDurationMin))
 	}
 	if c.WarmupMin < 0 {
 		return fmt.Errorf("sim: Config.WarmupMin %v must be >= 0", c.WarmupMin)
@@ -275,13 +298,22 @@ func (c *Config) validate() error {
 		}
 		streamed[s.Service] = true
 	}
+	for i, s := range c.Streams {
+		if err := finiteRates(s.Pattern, c.DurationMin); err != nil {
+			return fmt.Errorf("sim: Streams[%d] (%q): %w", i, s.Cohort, err)
+		}
+	}
 	for _, g := range c.Graphs {
 		if err := g.Validate(); err != nil {
 			return err
 		}
-		if _, ok := c.Patterns[g.Service]; !ok && !streamed[g.Service] {
-			if _, closed := c.ClosedUsers[g.Service]; !closed {
+		if _, closed := c.ClosedUsers[g.Service]; !closed && !streamed[g.Service] {
+			p, ok := c.Patterns[g.Service]
+			if !ok || p == nil {
 				return fmt.Errorf("sim: no workload pattern for service %s", g.Service)
+			}
+			if err := finiteRates(p, c.DurationMin); err != nil {
+				return fmt.Errorf("sim: workload pattern of service %s: %w", g.Service, err)
 			}
 		}
 		for _, ms := range g.Microservices() {
@@ -330,10 +362,11 @@ type ServiceResult struct {
 	Errors int
 
 	lat *stats.Reservoir
+	p95 float64 // the P95 of lat, selected once when the run finishes
 }
 
 // P95 returns the 95th-percentile end-to-end latency in milliseconds.
-func (s *ServiceResult) P95() float64 { return s.lat.Quantile(0.95) }
+func (s *ServiceResult) P95() float64 { return s.p95 }
 
 // Mean returns the mean end-to-end latency.
 func (s *ServiceResult) Mean() float64 { return s.lat.Mean() }
@@ -542,7 +575,8 @@ type Runtime struct {
 	dropMin    map[int]bool
 
 	// tailScratch is where flushMinute selects each reservoir's P95, grown
-	// once to the largest sample and reused every minute.
+	// once to the largest sample and reused every minute, and where finish
+	// selects each service's end-to-end P95.
 	tailScratch []float64
 
 	// jobFree recycles call frames; see Job for when a frame returns here.
@@ -716,11 +750,7 @@ func (rt *Runtime) setup() {
 		sv := rt.svcs[gi]
 		if idxs, ok := rt.streamsBySvc[g.Service]; ok {
 			for _, si := range idxs {
-				arr := workload.Arrivals(rt.cfg.Streams[si].Pattern, rt.rng.Split(), 0, rt.cfg.DurationMin)
-				if rt.fl != nil {
-					rt.fl.noteArrivals(g.Service, arr)
-				}
-				rt.scheduleArrivals(sv, si, arr, warmMs)
+				rt.scheduleArrivals(sv, si, rt.cfg.Streams[si].Pattern, warmMs)
 			}
 			continue
 		}
@@ -728,11 +758,7 @@ func (rt *Runtime) setup() {
 			rt.startClosedLoop(sv, users, endMs, warmMs)
 			continue
 		}
-		arr := workload.Arrivals(rt.cfg.Patterns[g.Service], rt.rng.Split(), 0, rt.cfg.DurationMin)
-		if rt.fl != nil {
-			rt.fl.noteArrivals(g.Service, arr)
-		}
-		rt.scheduleArrivals(sv, -1, arr, warmMs)
+		rt.scheduleArrivals(sv, -1, rt.cfg.Patterns[g.Service], warmMs)
 	}
 
 	// Schedule injected container failures and recoveries.
@@ -794,6 +820,9 @@ func (rt *Runtime) advanceTo(t float64) { rt.eng.Run(t) }
 // finish folds the accumulators into the Result after the last advanceTo.
 func (rt *Runtime) finish() *Result {
 	rt.result.SimulatedMin = rt.cfg.DurationMin - rt.cfg.WarmupMin
+	for _, sv := range rt.svcs {
+		sv.res.p95 = sv.res.lat.QuantileScratch(0.95, &rt.tailScratch)
+	}
 	for svc, byMS := range rt.svcMSCalls {
 		rates := make(map[string]float64, len(byMS))
 		for ms, n := range byMS {
@@ -819,28 +848,35 @@ func (rt *Runtime) finish() *Result {
 	return rt.result
 }
 
-// scheduleArrivals walks a pre-computed, sorted arrival list lazily: one
-// closure per arrival process keeps exactly one pending arrival event in the
-// heap and re-arms itself for the next timestamp. workload.Arrivals fully
-// consumes its RNG before returning, so laziness cannot perturb random
-// streams; execution order is unchanged because events still fire in
-// timestamp order. si tags every request with its cohort stream (-1 on the
-// untiered Patterns path).
-func (rt *Runtime) scheduleArrivals(sv *svcState, si int, arr []float64, warmMs float64) {
-	if len(arr) == 0 {
+// scheduleArrivals starts one arrival process of pattern p onto sv: a
+// closure that keeps exactly one pending arrival event in the heap and, when
+// it fires, pulls the next time from the process's workload.Arrivals stream
+// and re-arms itself for it. The stream draws only from its own
+// rt.rng.Split(), taken here in setup order, so the events that run between
+// two of its minutes cannot perturb it, nor it them. In hybrid mode a copy
+// of the split's state is drained first for the fluid path's per-minute
+// counts. si tags every request with its cohort stream (-1 on the untiered
+// Patterns path).
+func (rt *Runtime) scheduleArrivals(sv *svcState, si int, p workload.Pattern, warmMs float64) {
+	r := rt.rng.Split()
+	if rt.fl != nil {
+		ahead := *r
+		rt.fl.noteArrivals(sv.name, workload.NewArrivals(p, &ahead, 0, rt.cfg.DurationMin))
+	}
+	arr := workload.NewArrivals(p, r, 0, rt.cfg.DurationMin)
+	t, ok := arr.Next()
+	if !ok {
 		return
 	}
-	idx := 0
 	var walk func()
 	walk = func() {
-		t := arr[idx]
-		idx++
-		if idx < len(arr) {
-			rt.eng.At(arr[idx], walk)
+		now := t
+		if t, ok = arr.Next(); ok {
+			rt.eng.At(t, walk)
 		}
-		rt.startRequest(sv, si, t >= warmMs, nil)
+		rt.startRequest(sv, si, now >= warmMs, nil)
 	}
-	rt.eng.At(arr[0], walk)
+	rt.eng.At(t, walk)
 }
 
 // startRequest begins one end-to-end request of service sv; then, if not

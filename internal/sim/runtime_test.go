@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"erms/internal/cluster"
 	"erms/internal/graph"
+	"erms/internal/stats"
 	"erms/internal/workload"
 )
 
@@ -453,6 +455,74 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsNonFiniteRates: a NaN arrival rate used to pass validate
+// and hang the run in stats.Poisson, and an infinite one is no count either.
+// validate reads every pattern the run draws arrivals from (a service's
+// Patterns entry unless streams or a closed loop replace it, and every
+// stream) at every whole minute of the run, and names the service or cohort.
+func TestConfigRejectsNonFiniteRates(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	const durationMin = 3
+	type tc struct {
+		name    string
+		pattern workload.Pattern
+		stream  bool   // offer the pattern as cohort "web" instead of Patterns["svc"]
+		closed  bool   // run "svc" closed-loop, so its Patterns entry is unused
+		want    string // "" if valid, else what the error names
+	}
+	cases := []tc{
+		{"NaN past the run", workload.Trace{Rates: []float64{10, 20, 30, 40, nan}, StepMin: 1}, false, false, ""},
+		{"unused NaN pattern of a closed-loop service", workload.Static{Rate: nan}, false, true, ""},
+	}
+	for _, v := range []float64{nan, inf, -inf} {
+		vs := fmt.Sprint(v)
+		cases = append(cases,
+			tc{"static " + vs, workload.Static{Rate: v}, false, false, "service svc"},
+			tc{"diurnal base " + vs, workload.Diurnal{Base: v, Peak: 20, PeriodMin: 4}, false, false, "service svc"},
+			tc{"trace " + vs + " at minute 2", workload.Trace{Rates: []float64{10, 20, v, 30}, StepMin: 1}, false, false, "service svc"},
+			tc{"stream " + vs, workload.Static{Rate: v}, true, false, `"web"`},
+		)
+	}
+	// NaN and +Inf spikes survive Diurnal's clamp of negative rates; a -Inf
+	// one is clamped to 0, a valid rate.
+	for _, v := range []float64{nan, inf} {
+		cases = append(cases, tc{"diurnal spike " + fmt.Sprint(v) + " at minute 1",
+			workload.Diurnal{Base: 10, Peak: 20, PeriodMin: 4, Spikes: []workload.Spike{{Start: 1, Duration: 1, Factor: v}}},
+			false, false, "service svc"})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			nonFinite := false
+			for m := 0.0; m < durationMin; m++ {
+				nonFinite = nonFinite || !finite(c.pattern.RateAt(m))
+			}
+			if nonFinite != (c.want != "" || c.closed) {
+				t.Fatalf("premise: non-finite rate within the run = %v", nonFinite)
+			}
+			cfg := singleMSConfig(t, 10, 1)
+			cfg.DurationMin = durationMin
+			switch {
+			case c.stream:
+				cfg.Streams = []Stream{{Cohort: "web", Service: "svc", Tier: workload.TierStandard, Pattern: c.pattern}}
+			case c.closed:
+				cfg.Patterns["svc"] = c.pattern
+				cfg.ClosedUsers = map[string]int{"svc": 2}
+			default:
+				cfg.Patterns["svc"] = c.pattern
+			}
+			_, err := NewRuntime(cfg)
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case c.want != "" && err == nil:
+				t.Fatal("accepted")
+			case c.want != "" && !strings.Contains(err.Error(), c.want):
+				t.Fatalf("error %q does not name %s", err, c.want)
+			}
+		})
+	}
+}
+
 // TestProfileValidation: a profile no service time can be drawn from is
 // rejected at construction with the microservice named — it used to panic at
 // the first job (BaseMs <= 0 with CV > 0) or schedule an event at time NaN —
@@ -512,6 +582,34 @@ func TestDeterminism(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("simulation not deterministic: %v vs %v", a, b)
+	}
+}
+
+// TestServiceP95SelectedOnce: finish selects each service's P95 in the
+// runtime's scratch buffer, once; P95 returns what a selection over the
+// reservoir gives, bit for bit, and the reservoir keeps its item order, so
+// Mean folds the same values in the same order.
+func TestServiceP95SelectedOnce(t *testing.T) {
+	rt, err := NewRuntime(singleMSConfig(t, 12_000, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.setup()
+	rt.advanceTo(rt.cfg.DurationMin*60_000 + drainMs)
+	sr := rt.result.PerService["svc"]
+	before := sr.lat.Values()
+	rt.finish()
+	if got, want := sr.P95(), stats.Quantile(before, 0.95); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("P95 = %v, want %v", got, want)
+	}
+	after := sr.lat.Values()
+	for i := range before {
+		if math.Float64bits(after[i]) != math.Float64bits(before[i]) {
+			t.Fatalf("finish reordered the reservoir at %d", i)
+		}
+	}
+	if len(before) < 1000 || len(rt.tailScratch) != len(before) {
+		t.Fatalf("selected over %d of %d samples", len(rt.tailScratch), len(before))
 	}
 }
 

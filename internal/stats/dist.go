@@ -33,9 +33,11 @@ func LogNormalFromMeanCV(mean, cv float64) LogNormal {
 }
 
 // Poisson draws a Poisson-distributed count with the given mean using Knuth's
-// algorithm for small means and a normal approximation for large ones.
+// algorithm for small means and a normal approximation for large ones. A
+// mean that is not positive, NaN included, draws nothing and returns 0:
+// Knuth's loop would never end on NaN, since no product compares <= NaN.
 func Poisson(r *RNG, mean float64) int {
-	if mean <= 0 {
+	if !(mean > 0) {
 		return 0
 	}
 	if mean > 64 {

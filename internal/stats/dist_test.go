@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"testing"
+	"time"
 )
 
 func sampleMean(d LogNormal, n int, seed uint64) float64 {
@@ -73,6 +74,30 @@ func TestPoissonZero(t *testing.T) {
 	r := NewRNG(17)
 	if Poisson(r, 0) != 0 || Poisson(r, -5) != 0 {
 		t.Fatal("Poisson with non-positive mean should be 0")
+	}
+}
+
+// TestPoissonNaNMeanReturns: a NaN mean used to fall through to Knuth's
+// loop, where no product compares <= exp(-NaN), and never return. Like every
+// mean that is not positive it now draws nothing and returns 0. The calls run
+// on a goroutine so that a regression fails the test instead of hanging it.
+func TestPoissonNaNMeanReturns(t *testing.T) {
+	for _, mean := range []float64{math.NaN(), -math.NaN(), math.Inf(-1), 0, -5} {
+		r := NewRNG(19)
+		want := *r
+		done := make(chan int, 1)
+		go func() { done <- Poisson(r, mean) }()
+		select {
+		case n := <-done:
+			if n != 0 {
+				t.Errorf("Poisson(%v) = %d, want 0", mean, n)
+			}
+			if *r != want {
+				t.Errorf("Poisson(%v) drew from the RNG", mean)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Poisson(%v) has not returned after 5 s", mean)
+		}
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 // copy, in expected linear time, and returns bit for bit what interpolating
 // over a sorted copy would. Inputs must be NaN-free: a NaN compares false
 // with everything, so the selection still ends but leaves the order
-// statistics (and anything downstream, e.g. Reservoir.Quantile) unspecified.
-// Producers of latency samples never emit NaN; callers synthesizing values
-// should filter first (as CDF does).
+// statistics (and anything downstream, e.g. Reservoir.QuantileScratch)
+// unspecified. Producers of latency samples never emit NaN; callers
+// synthesizing values should filter first (as CDF does).
 func Quantile(values []float64, q float64) float64 {
 	if len(values) == 0 {
 		return math.NaN()
@@ -200,12 +200,10 @@ func (rv *Reservoir) Reset(rng *RNG) {
 // Seen returns the number of values offered so far.
 func (rv *Reservoir) Seen() int { return rv.seen }
 
-// Quantile estimates the q-quantile from the current sample.
-func (rv *Reservoir) Quantile(q float64) float64 { return Quantile(rv.items, q) }
-
-// QuantileScratch is Quantile computed in *scratch, which it grows to the
-// sample's size and keeps for the next call: with a warm buffer it allocates
-// nothing.
+// QuantileScratch estimates the q-quantile from the current sample: what
+// Quantile returns for Values(), computed in *scratch, which it grows to the
+// sample's size and keeps for the next call. With a warm buffer it allocates
+// nothing, and the sample keeps its order.
 func (rv *Reservoir) QuantileScratch(q float64, scratch *[]float64) float64 {
 	if len(rv.items) == 0 {
 		return math.NaN()

@@ -136,11 +136,12 @@ func TestReservoirQuantileApprox(t *testing.T) {
 	for i := 0; i < 200000; i++ {
 		rv.Add(r.Float64())
 	}
-	med := rv.Quantile(0.5)
+	var scratch []float64
+	med := rv.QuantileScratch(0.5, &scratch)
 	if math.Abs(med-0.5) > 0.05 {
 		t.Fatalf("reservoir median %v, want ~0.5", med)
 	}
-	p95 := rv.Quantile(0.95)
+	p95 := rv.QuantileScratch(0.95, &scratch)
 	if math.Abs(p95-0.95) > 0.05 {
 		t.Fatalf("reservoir p95 %v, want ~0.95", p95)
 	}

@@ -227,27 +227,68 @@ func AlibabaLikeTrace(seed uint64, minutes int, base, peak float64) Trace {
 	return Trace{Rates: rates, StepMin: 1, Name: fmt.Sprintf("alibaba-like-%d", seed)}
 }
 
-// Arrivals generates Poisson arrival timestamps (in milliseconds since the
-// epoch of the window) for a pattern over [startMin, endMin) minutes. The
-// rate is sampled per minute, matching how the tracing stack aggregates
-// workloads.
-func Arrivals(p Pattern, r *stats.RNG, startMin, endMin float64) []float64 {
-	var out []float64
-	for m := math.Floor(startMin); m < endMin; m++ {
-		lo := math.Max(m, startMin)
-		hi := math.Min(m+1, endMin)
-		if hi <= lo {
-			continue
+// Arrivals streams Poisson arrival timestamps (in milliseconds since the
+// epoch of the window) for a pattern over [startMin, endMin) minutes, in
+// ascending order. The rate is sampled per minute, matching how the tracing
+// stack aggregates workloads, and the stream generates one minute at a time:
+// a Poisson count, that many uniforms, a sort. Its buffer holds one minute,
+// sized to the largest minute seen and reused, so a window's arrivals cost
+// one minute of memory rather than the whole window.
+//
+// The sequence is the one sorting every minute's times together would give:
+// minute m's times lie in [m, m+1) minutes (at most m+1 after rounding) and
+// the next minute's start at m+1, so sorted minutes concatenate to the
+// sorted whole. The stream draws from r alone and in a fixed order, so when
+// Next is called does not change what it returns.
+type Arrivals struct {
+	p                Pattern
+	r                *stats.RNG
+	m                float64 // next minute to generate
+	startMin, endMin float64
+	buf              []float64 // the current minute's times, sorted
+	next             int       // index of the next time in buf
+}
+
+// NewArrivals returns the arrival stream of p over [startMin, endMin),
+// drawing from r, which it then owns.
+func NewArrivals(p Pattern, r *stats.RNG, startMin, endMin float64) *Arrivals {
+	return &Arrivals{p: p, r: r, m: math.Floor(startMin), startMin: startMin, endMin: endMin}
+}
+
+// Next returns the next arrival time in milliseconds; ok is false once the
+// window is exhausted.
+func (a *Arrivals) Next() (ms float64, ok bool) {
+	for a.next == len(a.buf) {
+		if !(a.m < a.endMin) {
+			return 0, false
 		}
-		rate := p.RateAt(m) * (hi - lo) // expected arrivals in this slice
-		n := stats.Poisson(r, rate)
-		for i := 0; i < n; i++ {
-			tMin := lo + r.Float64()*(hi-lo)
-			out = append(out, tMin*60_000) // ms
-		}
+		a.fill()
 	}
-	sort.Float64s(out)
-	return out
+	ms = a.buf[a.next]
+	a.next++
+	return ms, true
+}
+
+// fill generates minute a.m into a.buf and advances a.m.
+func (a *Arrivals) fill() {
+	m := a.m
+	a.m++
+	a.buf, a.next = a.buf[:0], 0
+	lo := math.Max(m, a.startMin)
+	hi := math.Min(m+1, a.endMin)
+	if hi <= lo {
+		return
+	}
+	rate := a.p.RateAt(m) * (hi - lo) // expected arrivals in this slice
+	n := stats.Poisson(a.r, rate)
+	if n > cap(a.buf) {
+		a.buf = make([]float64, 0, n)
+	}
+	for i := 0; i < n; i++ {
+		tMin := lo + a.r.Float64()*(hi-lo)
+		a.buf = append(a.buf, tMin*60_000) // ms
+	}
+	sort.Float64s(a.buf)
 }
 
 // Interference is a background load level on a host, expressed as CPU and

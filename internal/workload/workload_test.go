@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"erms/internal/stats"
@@ -123,9 +124,106 @@ func TestAlibabaLikeTraceDeterministic(t *testing.T) {
 	}
 }
 
+// oracleArrivals is the arrival generator the stream replaced, verbatim: it
+// draws every minute of the window into one slice and sorts it whole.
+// NewArrivals must return the same times, bit for bit and in the same order,
+// and leave its RNG in the same state.
+func oracleArrivals(p Pattern, r *stats.RNG, startMin, endMin float64) []float64 {
+	var out []float64
+	for m := math.Floor(startMin); m < endMin; m++ {
+		lo := math.Max(m, startMin)
+		hi := math.Min(m+1, endMin)
+		if hi <= lo {
+			continue
+		}
+		rate := p.RateAt(m) * (hi - lo) // expected arrivals in this slice
+		n := stats.Poisson(r, rate)
+		for i := 0; i < n; i++ {
+			tMin := lo + r.Float64()*(hi-lo)
+			out = append(out, tMin*60_000) // ms
+		}
+	}
+	sort.Float64s(out)
+	return out
+}
+
+// drain collects what remains of a stream.
+func drain(a *Arrivals) []float64 {
+	var out []float64
+	for t, ok := a.Next(); ok; t, ok = a.Next() {
+		out = append(out, t)
+	}
+	return out
+}
+
+// TestArrivalsMatchOracle holds the stream to the whole-window generator on
+// every pattern kind, on whole, fractional and empty windows, on rates whose
+// per-slice means take Poisson's Knuth branch (<= 64), its normal branch
+// (> 64) and neither (0), over 50 seeds.
+func TestArrivalsMatchOracle(t *testing.T) {
+	patterns := []Pattern{
+		Static{Rate: 0},
+		Static{Rate: 30},
+		Static{Rate: 64},
+		Static{Rate: 100}, // normal branch on a whole minute, Knuth on a half
+		Static{Rate: 900},
+		Diurnal{Base: 20, Peak: 400, PeriodMin: 5, PhaseMin: 1, Spikes: []Spike{
+			{Start: 1, Duration: 1.5, Factor: 3}, {Start: 4.5, Duration: 0.5, Factor: 0.2},
+		}},
+		AlibabaLikeTrace(3, 8, 10, 300),
+	}
+	windows := [][2]float64{{0, 6}, {2.25, 2.75}, {0, 1.5}, {0.4, 3.7}, {5, 5}, {3, 2}}
+	for seed := uint64(1); seed <= 50; seed++ {
+		for pi, p := range patterns {
+			for _, w := range windows {
+				ro, rs := stats.NewRNG(seed), stats.NewRNG(seed)
+				want := oracleArrivals(p, ro, w[0], w[1])
+				got := drain(NewArrivals(p, rs, w[0], w[1]))
+				if len(got) != len(want) {
+					t.Fatalf("seed %d, pattern %d (%s), window %v: %d arrivals, want %d", seed, pi, p, w, len(got), len(want))
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("seed %d, pattern %d (%s), window %v: arrival %d = %v, want %v", seed, pi, p, w, i, got[i], want[i])
+					}
+				}
+				if a, b := rs.Uint64(), ro.Uint64(); a != b {
+					t.Fatalf("seed %d, pattern %d (%s), window %v: the stream left its RNG elsewhere than the oracle", seed, pi, p, w)
+				}
+			}
+		}
+	}
+}
+
+// TestArrivalsSteadyStateZeroAlloc: once the stream has drawn its largest
+// minute, its buffer is big enough for every later one, and Next allocates
+// nothing.
+func TestArrivalsSteadyStateZeroAlloc(t *testing.T) {
+	// Minute 0 offers ~3000 arrivals, every later minute ~100.
+	a := NewArrivals(Trace{Rates: []float64{3000, 100}, StepMin: 1}, stats.NewRNG(9), 0, 300)
+	if _, ok := a.Next(); !ok {
+		t.Fatal("empty stream")
+	}
+	largest := cap(a.buf)
+	const perRun = 200
+	next := func() {
+		for i := 0; i < perRun; i++ {
+			if _, ok := a.Next(); !ok {
+				t.Fatal("stream ran out during the measurement")
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, next); allocs != 0 {
+		t.Fatalf("%d arrivals allocate %.1f times, want 0", perRun, allocs)
+	}
+	if cap(a.buf) != largest {
+		t.Fatalf("the buffer grew from %d to %d", largest, cap(a.buf))
+	}
+}
+
 func TestArrivalsRate(t *testing.T) {
 	r := stats.NewRNG(3)
-	arr := Arrivals(Static{Rate: 6000}, r, 0, 10) // expect ~60000 arrivals
+	arr := drain(NewArrivals(Static{Rate: 6000}, r, 0, 10)) // expect ~60000 arrivals
 	if n := len(arr); math.Abs(float64(n)-60000) > 1500 {
 		t.Fatalf("arrivals = %d, want ~60000", n)
 	}
@@ -142,7 +240,7 @@ func TestArrivalsRate(t *testing.T) {
 
 func TestArrivalsPartialWindow(t *testing.T) {
 	r := stats.NewRNG(5)
-	arr := Arrivals(Static{Rate: 60000}, r, 2.25, 2.75) // half a minute
+	arr := drain(NewArrivals(Static{Rate: 60000}, r, 2.25, 2.75)) // half a minute
 	if n := float64(len(arr)); math.Abs(n-30000) > 1200 {
 		t.Fatalf("arrivals in half-minute = %v, want ~30000", n)
 	}
@@ -155,8 +253,12 @@ func TestArrivalsPartialWindow(t *testing.T) {
 
 func TestArrivalsEmptyWindow(t *testing.T) {
 	r := stats.NewRNG(5)
-	if arr := Arrivals(Static{Rate: 100}, r, 5, 5); len(arr) != 0 {
+	a := NewArrivals(Static{Rate: 100}, r, 5, 5)
+	if arr := drain(a); len(arr) != 0 {
 		t.Fatalf("empty window produced %d arrivals", len(arr))
+	}
+	if _, ok := a.Next(); ok {
+		t.Fatal("an exhausted stream produced another arrival")
 	}
 }
 

@@ -120,6 +120,13 @@ go test -run=NONE -fuzz=FuzzParse -fuzztime=15s ./internal/spec
 # whole budget on one input; 1 s keeps the mutator running.
 echo "== persisted-app loader fuzz (10s) =="
 go test -run=NONE -fuzz=FuzzLoadApp -fuzztime=10s -fuzzminimizetime=1s ./internal/persist
+# And for the simulator's Config.validate, the gate every spec, plan and
+# figure run passes through: durations, warm-up, delays, δ, sample rate,
+# failure times and a Static rate never panic it or make it walk minutes
+# forever, and a config it accepts has only finite values (a NaN failure
+# time once ran wherever the heap's sifts left it; a NaN rate hung the run).
+echo "== simulator config fuzz (5s) =="
+go test -run=NONE -fuzz=FuzzConfigValidate -fuzztime=5s ./internal/sim
 
 # Second, the spec determinism gate, end to end through the real binary:
 # the same spec and seed must emit a byte-identical timeline CSV across two
