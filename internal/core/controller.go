@@ -78,12 +78,12 @@ type Controller struct {
 	App  *apps.App
 	Orch *kube.Orchestrator
 
-	// Coordinator holds the sampled spans of the most recent evaluation:
-	// EvaluateDeployed empties it before each simulation, because trace IDs
-	// restart with every run and a window kept would merge into the next.
-	// It observes every evaluation whether or not anything reads it: the
-	// simulator draws a request's sampling decision only when an observer
-	// is set, so detaching it would shift the RNG stream.
+	// Coordinator is the Tracing Coordinator of Fig. 6. Its SampleRate is the
+	// rate ProfileOffline's trace-fed sweep samples at. No evaluation fills
+	// it: nothing in the window loop reads spans, and attaching an observer
+	// does not change an exact-engine run (sampling is a hash of the trace
+	// ID), so it is attached only by whoever reads what it holds. Trace IDs
+	// restart with every simulation, so one coordinator holds one run.
 	Coordinator *trace.Coordinator
 	// Obs is the control plane's self-observability recorder. Nil (the
 	// default) disables self-telemetry at zero cost; when set, the
@@ -532,13 +532,11 @@ func (c *Controller) EvaluateDeployed(plan *multiplex.Plan, rates map[string]flo
 		DurationMin:    durationMin,
 		WarmupMin:      warmupMin,
 		NetworkDelayMs: 0.05,
-		Observer:       c.Coordinator,
 		Failures:       opts.Failures,
 		DropMinutes:    opts.DropMinutes,
 		Resilience:     c.Resilience,
 		Streams:        opts.Streams,
 	}
-	c.Coordinator.Reset()
 	res, err := sim.Run(cfg, sim.PartitionOpts{
 		Mode:       opts.SimMode,
 		Partitions: opts.SimPartitions,

@@ -6,6 +6,8 @@ import (
 	"erms/internal/apps"
 	"erms/internal/cluster"
 	"erms/internal/kube"
+	"erms/internal/sim"
+	"erms/internal/trace"
 	"erms/internal/workload"
 )
 
@@ -114,54 +116,91 @@ func TestReconcilerRebalances(t *testing.T) {
 	}
 }
 
-// TestLoopKeepsOneWindowOfSpans: the controller's coordinator holds the
-// sampled spans of the latest evaluation and nothing older. Trace IDs restart
-// at 1 in every simulation, so a coordinator that is not emptied between
-// windows files window N's spans under window N−1's traces: several roots per
-// "trace", more calls than the graph has nodes, and a store that grows by a
-// window's worth of records per Step.
-func TestLoopKeepsOneWindowOfSpans(t *testing.T) {
+// TestLoopKeepsNoSpans: nothing in the window loop reads spans, so no
+// evaluation fills the controller's coordinator. While every window refilled
+// it, that unread span store was almost all of a simulating loop's live heap.
+func TestLoopKeepsNoSpans(t *testing.T) {
+	c, rates := socialController(t)
+	r := NewReconciler(c)
+	r.WindowMin = 1
+	for w := 0; w < 6; w++ {
+		if _, err := r.Step(rates, 100+uint64(w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(c.Coordinator.Traces("")); n != 0 {
+		t.Fatalf("the loop left %d traces in the controller's coordinator, want 0", n)
+	}
+}
+
+// TestSampledTracesAreWhole: a coordinator attached to one simulation of the
+// social network holds whole traces. Trace IDs are unique within a run, so
+// every trace has one root call and at most as many calls as its service's
+// graph has nodes; a coordinator kept across two runs would file the second
+// run's spans under the first run's IDs.
+func TestSampledTracesAreWhole(t *testing.T) {
+	c, rates := socialController(t)
+	plan, err := c.Plan(rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Apply(plan); err != nil {
+		t.Fatal(err)
+	}
+	nodes := make(map[string]int)
+	patterns := make(map[string]workload.Pattern)
+	for _, g := range c.App.Graphs {
+		nodes[g.Service] = g.Len()
+		patterns[g.Service] = workload.Static{Rate: rates[g.Service]}
+	}
+	coord := trace.NewCoordinator(0.1)
+	if _, err := sim.Run(sim.Config{
+		Seed:           100,
+		Cluster:        c.Orch.Cluster(),
+		Interference:   c.Interference,
+		Profiles:       c.App.Profiles,
+		Graphs:         c.App.Graphs,
+		Patterns:       patterns,
+		Priorities:     c.Priorities(plan),
+		Delta:          c.Delta,
+		DurationMin:    1,
+		WarmupMin:      0.3,
+		NetworkDelayMs: 0.05,
+		Observer:       coord,
+	}, sim.PartitionOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	traces := coord.Traces("")
+	if len(traces) == 0 {
+		t.Fatal("no spans sampled")
+	}
+	for _, tr := range traces {
+		roots := 0
+		for _, call := range tr.Calls {
+			if call.ParentNodeID == -1 {
+				roots++
+			}
+		}
+		if roots != 1 || len(tr.Calls) > nodes[tr.Service] {
+			t.Fatalf("trace %d of %s has %d roots and %d calls (graph has %d nodes)",
+				tr.ID, tr.Service, roots, len(tr.Calls), nodes[tr.Service])
+		}
+	}
+}
+
+// socialController is an analytic-model controller of the social network on
+// the paper's cluster, with 4 000 req/min offered to every service.
+func socialController(t *testing.T) (*Controller, map[string]float64) {
+	t.Helper()
 	app := apps.SocialNetwork()
 	c, err := New(app, kube.New(cluster.NewPaperCluster(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.UseAnalyticModels()
-	nodes := make(map[string]int)
 	rates := make(map[string]float64)
 	for _, g := range app.Graphs {
-		nodes[g.Service] = g.Len()
 		rates[g.Service] = 4_000
 	}
-	r := NewReconciler(c)
-	r.WindowMin = 1
-	var first int
-	for w := 0; w < 6; w++ {
-		if _, err := r.Step(rates, 100+uint64(w)); err != nil {
-			t.Fatal(err)
-		}
-		records := 0
-		for _, tr := range c.Coordinator.Traces("") {
-			roots := 0
-			for _, call := range tr.Calls {
-				if call.ParentNodeID == -1 {
-					roots++
-				}
-			}
-			if roots != 1 || len(tr.Calls) > nodes[tr.Service] {
-				t.Fatalf("window %d: trace %d of %s has %d roots and %d calls (graph has %d nodes)",
-					w, tr.ID, tr.Service, roots, len(tr.Calls), nodes[tr.Service])
-			}
-			records += len(tr.Calls)
-		}
-		if records == 0 {
-			t.Fatalf("window %d: no spans sampled", w)
-		}
-		if w == 0 {
-			first = records
-		}
-		if float64(records) > 1.2*float64(first) {
-			t.Fatalf("window %d: coordinator holds %d records, %d after the first window", w, records, first)
-		}
-	}
+	return c, rates
 }

@@ -46,15 +46,6 @@ func (q MMC) ErlangC() (float64, error) {
 	return b / (1 - rho*(1-b)), nil
 }
 
-// MeanWait returns E[W] = C(c, a) / (c·μ − λ).
-func (q MMC) MeanWait() (float64, error) {
-	pc, err := q.ErlangC()
-	if err != nil {
-		return 0, err
-	}
-	return pc / (float64(q.Servers)*q.Mu - q.Lambda), nil
-}
-
 // WaitQuantile returns the p-quantile of the waiting time. For M/M/c the
 // wait is 0 with probability 1−C and exponential with rate cμ−λ otherwise.
 func (q MMC) WaitQuantile(p float64) (float64, error) {
@@ -103,25 +94,6 @@ func (q MMC) ErlangCBounded() float64 {
 		return 1
 	}
 	return pc
-}
-
-// MeanWaitBounded returns the mean waiting time clamped to boundMs: the
-// Erlang-C mean wait when the queue is stable, and boundMs when it is
-// saturated (where the true mean diverges). boundMs ≤ 0 disables the clamp
-// for stable queues but still caps the saturated case at 0 — pass a positive
-// bound.
-func (q MMC) MeanWaitBounded(boundMs float64) float64 {
-	if q.Lambda <= 0 {
-		return 0
-	}
-	if q.Saturated() {
-		return boundMs
-	}
-	w, err := q.MeanWait()
-	if err != nil || (boundMs > 0 && w > boundMs) {
-		return boundMs
-	}
-	return w
 }
 
 // WaitQuantileBounded returns the p-quantile of the waiting time with the

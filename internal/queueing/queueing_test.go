@@ -9,6 +9,16 @@ import (
 // mm1 is an M/M/1 queue: the one-server case of M/M/c.
 func mm1(lambda, mu float64) MMC { return MMC{Lambda: lambda, Mu: mu, Servers: 1} }
 
+// MeanWait returns E[W] = C(c, a) / (c·μ − λ), the closed form the tests
+// hold the simulator and the wait quantiles to.
+func (q MMC) MeanWait() (float64, error) {
+	pc, err := q.ErlangC()
+	if err != nil {
+		return 0, err
+	}
+	return pc / (float64(q.Servers)*q.Mu - q.Lambda), nil
+}
+
 func TestMM1KnownValues(t *testing.T) {
 	q := mm1(0.5, 1) // rho = 0.5
 	w, err := q.MeanWait()

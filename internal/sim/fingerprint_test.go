@@ -39,39 +39,7 @@ var pinnedRuns = []struct {
 	}},
 	{"resilient", func(t *testing.T) (*Result, []CallRecord) {
 		obs := &recObserver{}
-		cfg := lockstepScenario{
-			services: 3, block: 3, containersPerMS: 1, ratePerMin: 70_000, seed: 202,
-			observer: obs, streamsOnFirst: true,
-			failures: []Failure{
-				{Microservice: "pool-00-0", Index: 0, AtMin: 0.6, RecoverMin: 0.9},
-				{Microservice: "entry-001", Index: 0, AtMin: 1.0, RecoverMin: 1.1},
-				{Host: 2, AtMin: 1.3, RecoverMin: 1.6},
-			},
-		}.build(t)
-		cfg.Streams = append(cfg.Streams, Stream{
-			Cohort: "batch", Service: "svc-001", Tier: workload.TierBatch,
-			Pattern: workload.Static{Rate: 20_000},
-			SLA:     &workload.SLA{Service: "svc-001", Threshold: 40},
-		})
-		for svc := range cfg.SLAs {
-			cfg.SLAs[svc] = workload.P95SLA(svc, 12)
-		}
-		cfg.Resilience = &Resilience{
-			TimeoutSLAMultiple: 3,
-			AttemptTimeoutMs:   6,
-			MaxAttempts:        3,
-			RetryBackoffMs:     0.5,
-			RetryJitter:        0.3,
-			RetryBudget:        0.1,
-			RetryBurst:         5,
-			BreakerFailureRate: 0.5,
-			BreakerWindow:      32,
-			BreakerMinSamples:  10,
-			BreakerCooldownMs:  50,
-			Shed:               true,
-			ShedMaxWaitMs:      4,
-		}
-		rt, err := NewRuntime(cfg)
+		rt, err := NewRuntime(pinnedResilientConfig(t, obs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,15 +62,7 @@ var pinnedRuns = []struct {
 	}},
 	{"partitioned", func(t *testing.T) (*Result, []CallRecord) {
 		obs := &recObserver{}
-		cfg := lockstepScenario{
-			services: 9, block: 3, ratePerMin: 6_000, seed: 404, observer: obs,
-			streamsOnFirst: true,
-			failures: []Failure{
-				{Microservice: "pool-01-0", Index: 0, AtMin: 0.8, RecoverMin: 1.4},
-				{Host: 2, AtMin: 1.1, RecoverMin: 1.6},
-			},
-		}.build(t)
-		res, err := RunPartitioned(cfg, PartitionOpts{Mode: SimExact})
+		res, err := RunPartitioned(pinnedPartitionedConfig(t, obs), PartitionOpts{Mode: SimExact})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +74,7 @@ var pinnedRuns = []struct {
 }
 
 // pinnedExactConfig is the "exact" pinned run's configuration.
-func pinnedExactConfig(t *testing.T, obs *recObserver) Config {
+func pinnedExactConfig(t *testing.T, obs SpanObserver) Config {
 	cfg := lockstepScenario{
 		services: 3, block: 3, containersPerMS: 2, ratePerMin: 60_000, seed: 101,
 		observer: obs, closedUsersFirst: 40,
@@ -131,6 +91,56 @@ func pinnedExactConfig(t *testing.T, obs *recObserver) Config {
 		"pool-00-1": {"svc-000": 0, "svc-001": 1, "svc-002": 2},
 	}
 	return cfg
+}
+
+// pinnedResilientConfig is the "resilient" pinned run's configuration.
+func pinnedResilientConfig(t *testing.T, obs SpanObserver) Config {
+	cfg := lockstepScenario{
+		services: 3, block: 3, containersPerMS: 1, ratePerMin: 70_000, seed: 202,
+		observer: obs, streamsOnFirst: true,
+		failures: []Failure{
+			{Microservice: "pool-00-0", Index: 0, AtMin: 0.6, RecoverMin: 0.9},
+			{Microservice: "entry-001", Index: 0, AtMin: 1.0, RecoverMin: 1.1},
+			{Host: 2, AtMin: 1.3, RecoverMin: 1.6},
+		},
+	}.build(t)
+	cfg.Streams = append(cfg.Streams, Stream{
+		Cohort: "batch", Service: "svc-001", Tier: workload.TierBatch,
+		Pattern: workload.Static{Rate: 20_000},
+		SLA:     &workload.SLA{Service: "svc-001", Threshold: 40},
+	})
+	for svc := range cfg.SLAs {
+		cfg.SLAs[svc] = workload.P95SLA(svc, 12)
+	}
+	cfg.Resilience = &Resilience{
+		TimeoutSLAMultiple: 3,
+		AttemptTimeoutMs:   6,
+		MaxAttempts:        3,
+		RetryBackoffMs:     0.5,
+		RetryJitter:        0.3,
+		RetryBudget:        0.1,
+		RetryBurst:         5,
+		BreakerFailureRate: 0.5,
+		BreakerWindow:      32,
+		BreakerMinSamples:  10,
+		BreakerCooldownMs:  50,
+		Shed:               true,
+		ShedMaxWaitMs:      4,
+	}
+	return cfg
+}
+
+// pinnedPartitionedConfig is the "partitioned" pinned run's configuration:
+// three sharing groups.
+func pinnedPartitionedConfig(t *testing.T, obs SpanObserver) Config {
+	return lockstepScenario{
+		services: 9, block: 3, ratePerMin: 6_000, seed: 404, observer: obs,
+		streamsOnFirst: true,
+		failures: []Failure{
+			{Microservice: "pool-01-0", Index: 0, AtMin: 0.8, RecoverMin: 1.4},
+			{Host: 2, AtMin: 1.1, RecoverMin: 1.6},
+		},
+	}.build(t)
 }
 
 // pinnedHash hashes everything fingerprint renders except the pooled-record
@@ -210,5 +220,48 @@ func TestHopsSkipTheHeap(t *testing.T) {
 	events := rt.Run().Engine.Events
 	if pushes := rt.eng.heapPushes; events == 0 || float64(pushes) > 0.4*float64(events) {
 		t.Fatalf("%d of %d events went through the heap, want <= 0.4", pushes, events)
+	}
+}
+
+// TestObserverDoesNotPerturbRun: whether a trace is sampled is a hash of
+// (seed, trace ID), so attaching an observer changes nothing but what the
+// observer receives. Each config runs with and without one and must produce
+// the same Result, event count included, on the plain exact path (closed
+// loop, dropped minute, failures, priorities), the resilient path with cohort
+// streams, and a partitioned exact run.
+func TestObserverDoesNotPerturbRun(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   func(*testing.T, SpanObserver) Config
+		parts bool
+	}{
+		{"exact", pinnedExactConfig, false},
+		{"resilient", pinnedResilientConfig, false},
+		{"partitioned", pinnedPartitionedConfig, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(obs SpanObserver) *Result {
+				opts := PartitionOpts{}
+				if tc.parts {
+					opts.Partitions = 3
+				}
+				res, err := Run(tc.cfg(t, obs), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			obs := &recObserver{}
+			with, without := run(obs), run(nil)
+			if len(obs.recs) == 0 {
+				t.Fatal("the observed run sampled no spans")
+			}
+			if with.Engine.Events != without.Engine.Events {
+				t.Errorf("events %d with an observer vs %d without", with.Engine.Events, without.Engine.Events)
+			}
+			if fingerprint(with, nil) != fingerprint(without, nil) {
+				t.Error("attaching an observer changed the run's result")
+			}
+		})
 	}
 }

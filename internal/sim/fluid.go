@@ -26,8 +26,14 @@ import (
 // Known approximations, gated by TestHybridFidelity: fluid calls
 // ignore priority-queue ordering (δ-policy) and cross-minute queue carryover,
 // per-minute call counts are credited at the subtree root's arrival instant,
-// and fluid MinuteSamples synthesize TailMs/MeanMs from the model rather
-// than from per-request observations.
+// and fluid MinuteSamples synthesize TailMs from the model rather than from
+// per-request observations.
+//
+// Observing a hybrid run changes it. A sampled trace keeps one span per node,
+// so it does not collapse its fluid subtrees and draws each node's latency
+// on its own; only with an Observer set are traces sampled, so attaching one
+// changes the run's draws. The exact engine has no such exception: there a
+// trace's sampling is a hash of its ID and nothing else reads it.
 const (
 	// fluidRhoMax is the per-container M/M/c utilization at or below which a
 	// microservice is served from the analytic model: safely below the knee
@@ -48,7 +54,6 @@ type fluidModel struct {
 	exRate    float64 // conditional wait rate cμ−λ, per ms
 	waitBound float64
 	inflation float64 // interference factor at the last refresh
-	meanMs    float64 // synthesized MinuteSample.MeanMs
 	tailMs    float64 // synthesized MinuteSample.TailMs
 	rho       float64
 }
@@ -208,8 +213,7 @@ func (f *fluidState) refresh(m int) {
 				f.exactCM += len(states)
 				continue
 			}
-			meanSvc := prof.BaseMs * infl
-			tailSvc := meanSvc
+			tailSvc := prof.BaseMs * infl
 			if prof.CV > 0 {
 				z := math.Sqrt2 * math.Erfinv(2*fluidTailQuantile-1)
 				tailSvc = math.Exp(ms.dist.Mu+z*ms.dist.Sigma) * infl
@@ -219,7 +223,6 @@ func (f *fluidState) refresh(m int) {
 				exRate:    float64(threads)*mu - lamC,
 				waitBound: fluidWaitBoundMs,
 				inflation: infl,
-				meanMs:    q.MeanWaitBounded(fluidWaitBoundMs) + meanSvc,
 				tailMs:    q.WaitQuantileBounded(fluidTailQuantile, fluidWaitBoundMs) + tailSvc,
 				rho:       rho,
 			}

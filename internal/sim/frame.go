@@ -44,14 +44,13 @@ type Job struct {
 	deadline     float64
 	edgeDeadline float64
 
-	gen         uint32 // bumped on release; events carry the value they were scheduled under
-	refs        int32
-	stage       int32 // downstream stage being executed
-	remaining   int32 // calls of that stage still to return
-	parentStage int32 // this call's stage index within the parent
-	attempt     int32
-	err         CallErr // the failure a pending evFail delivers
-	sampled     bool
+	gen       uint32 // bumped on release; events carry the value they were scheduled under
+	refs      int32
+	stage     int32 // downstream stage being executed
+	remaining int32 // calls of that stage still to return
+	attempt   int32
+	err       CallErr // the failure a pending evFail delivers
+	sampled   bool
 	// settled: the client side of the attempt is decided (response, timeout or
 	// failure, whichever came first). bodyDone: the server side is — response
 	// sent, or the first downstream failure; later children are ignored (their
@@ -93,14 +92,14 @@ func (f *Job) derive(parent *Job) *Job {
 // newChild takes a frame for a call to node c issued by frame f.
 func (f *Job) newChild(c *callNode, deadline float64) *Job {
 	nf := f.derive(f)
-	nf.node, nf.parentStage, nf.edgeDeadline = c, f.stage, deadline
+	nf.node, nf.edgeDeadline = c, deadline
 	return nf
 }
 
 // nextAttempt takes a frame for the retry of the call edge f attempted.
 func (f *Job) nextAttempt() *Job {
 	nf := f.derive(f.parent)
-	nf.node, nf.parentStage, nf.edgeDeadline = f.node, f.parentStage, f.edgeDeadline
+	nf.node, nf.edgeDeadline = f.node, f.edgeDeadline
 	nf.attempt = f.attempt + 1
 	nf.t0, nf.stream, nf.measured, nf.then = f.t0, f.stream, f.measured, f.then
 	return nf
@@ -391,14 +390,13 @@ func (f *Job) runStage() {
 				Microservice: node.ms.name,
 				NodeID:       node.id,
 				ParentNodeID: -1,
-				Stage:        int(f.parentStage),
 				ClientSend:   f.clientSend,
 				ServerRecv:   f.Enqueued,
 				ServerSend:   serverSend,
 				ClientRecv:   clientRecv,
 			}
 			if p := f.parent; p != nil {
-				rec.ParentMicroservice, rec.ParentNodeID = p.node.ms.name, p.node.id
+				rec.ParentNodeID = p.node.id
 			}
 			rt.cfg.Observer.ObserveCall(rec)
 		}

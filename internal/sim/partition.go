@@ -6,6 +6,7 @@ import (
 
 	"erms/internal/cluster"
 	"erms/internal/parallel"
+	"erms/internal/stats"
 )
 
 // SimMode selects the fidelity of a partitioned run.
@@ -320,14 +321,9 @@ func buildPartition(cfg Config, gi int, grp []int) (*partition, error) {
 }
 
 // partitionSeed derives a partition's RNG seed from the run seed and the
-// group index (splitmix64 finalizer over a golden-ratio offset), mirroring
-// the per-index-seed contract the parallel experiment drivers use.
-func partitionSeed(seed uint64, gi int) uint64 {
-	z := seed + (uint64(gi)+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+// group index (output gi of a splitmix64 generator at the run seed),
+// mirroring the per-index-seed contract the parallel experiment drivers use.
+func partitionSeed(seed uint64, gi int) uint64 { return stats.Mix(seed, uint64(gi)) }
 
 // bufObserver buffers sampled spans during a partitioned run; they replay to
 // the real observer in group order after the merge.

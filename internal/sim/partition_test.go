@@ -140,7 +140,7 @@ func fingerprint(res *Result, spans []CallRecord) string {
 	fmt.Fprintf(&sb, "engine %+v data %+v simmin=%v parts=%d fluidcm=%d exactcm=%d\n",
 		res.Engine, res.Data, res.SimulatedMin, res.Partitions, res.FluidContainerMinutes, res.ExactContainerMinutes)
 	for _, sr := range res.PerStream {
-		fmt.Fprintf(&sb, "stream %s c=%d v=%d e=%d shed=%d lat=%v\n", sr.Cohort, sr.Count, sr.Violations, sr.Errors, sr.Shed, sr.lat.Values())
+		fmt.Fprintf(&sb, "stream %v c=%d v=%d e=%d lat=%v\n", sr.Tier, sr.Count, sr.Violations, sr.Errors, sr.lat.Values())
 	}
 	for _, sm := range res.StreamMinutes {
 		fmt.Fprintf(&sb, "streammin %+v\n", sm)
@@ -277,6 +277,28 @@ func TestSharingGroups(t *testing.T) {
 		want := []int{gi * 3, gi*3 + 1, gi*3 + 2}
 		if fmt.Sprint(grp) != fmt.Sprint(want) {
 			t.Errorf("group %d = %v, want %v", gi, grp, want)
+		}
+	}
+}
+
+// TestPartitionSeedPinned: a partition's seed is stats.Mix of (run seed,
+// group index), bit for bit the splitmix64 value the partition seeds have
+// always had.
+func TestPartitionSeedPinned(t *testing.T) {
+	for _, tc := range []struct {
+		seed uint64
+		gi   int
+		want uint64
+	}{
+		{0, 0, 0xe220a8397b1dcdaf},
+		{1, 0, 0x910a2dec89025cc1},
+		{42, 1, 0x28efe333b266f103},
+		{404, 2, 0x7c0ffc89eb511f02},
+		{0xffffffffffffffff, 7, 0x405da438a39e8064},
+		{123456789, 1000, 0x341f97c30001f897},
+	} {
+		if got := partitionSeed(tc.seed, tc.gi); got != tc.want {
+			t.Errorf("partitionSeed(%d, %d) = %#016x, want %#016x", tc.seed, tc.gi, got, tc.want)
 		}
 	}
 }

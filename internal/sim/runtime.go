@@ -39,17 +39,15 @@ func (p ServiceProfile) Validate() error {
 // Jaeger spans the paper's tracing stack records per call (§5.1): client
 // send/receive and server receive/send timestamps.
 type CallRecord struct {
-	TraceID            int64
-	Service            string
-	ParentMicroservice string // "" for the entering call from the client
-	Microservice       string
-	NodeID             int // position in the dependency graph
-	ParentNodeID       int // -1 for the root call
-	Stage              int // index of the stage within the parent's calls
-	ClientSend         float64
-	ServerRecv         float64
-	ServerSend         float64
-	ClientRecv         float64
+	TraceID      int64
+	Service      string
+	Microservice string
+	NodeID       int // position in the dependency graph
+	ParentNodeID int // -1 for the root call
+	ClientSend   float64
+	ServerRecv   float64
+	ServerSend   float64
+	ClientRecv   float64
 }
 
 // SpanObserver receives completed calls of sampled traces.
@@ -89,7 +87,11 @@ type Config struct {
 	// SampleRate is the trace sampling fraction (default 0.1 as in Jaeger's
 	// configuration, §5.1). Only sampled traces reach the Observer.
 	SampleRate float64
-	// Observer optionally receives spans of sampled traces.
+	// Observer optionally receives spans of sampled traces. Whether a trace
+	// is sampled is a hash of (Seed, trace ID), not a draw from the run's
+	// RNG, so an exact-engine run is the same with and without an Observer.
+	// Hybrid runs are the exception: a sampled trace keeps its per-node
+	// spans instead of collapsing its fluid subtree, which draws differently.
 	Observer SpanObserver
 	// Failures injects container outages: each entry takes one container of
 	// the microservice down at AtMin and restores it at RecoverMin (0 = no
@@ -338,16 +340,12 @@ type MinuteSample struct {
 	// TailMs is the P95 of the microservice latency (queue + processing) of
 	// calls completed this minute.
 	TailMs float64
-	// MeanMs is the mean microservice latency this minute.
-	MeanMs float64
 	// CPUUtil / MemUtil are the average utilizations of hosts holding this
 	// microservice's containers, time-averaged over the minute.
 	CPUUtil float64
 	MemUtil float64
 	// Calls is the raw number of completed calls.
 	Calls int
-	// Containers is the number of deployed containers.
-	Containers int
 }
 
 // ServiceResult aggregates end-to-end request outcomes for one service:
@@ -398,15 +396,12 @@ func (s *ServiceResult) Good() int { return s.Count - s.Violations }
 // StreamResult aggregates end-to-end outcomes for one cohort stream, using
 // the stream's own SLA when set (the service SLA otherwise).
 type StreamResult struct {
-	Cohort string
-	Tier   workload.Tier
+	Tier workload.Tier
 	// Count is completed requests (success + slow); Violations the slow
-	// subset; Errors outright failures; Shed the subset of Errors whose
-	// final failure was admission-control rejection.
+	// subset; Errors outright failures.
 	Count      int
 	Violations int
 	Errors     int
-	Shed       int
 
 	// lat samples the stream's latencies. Only the pinned fingerprints read
 	// it, but its seed is split off the run's RNG, which the goldens pin.
@@ -684,9 +679,8 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		rt.result.PerStream = make([]*StreamResult, len(cfg.Streams))
 		for i, s := range cfg.Streams {
 			rt.result.PerStream[i] = &StreamResult{
-				Cohort: s.Cohort,
-				Tier:   s.Tier,
-				lat:    stats.NewReservoir(1<<15, rt.rng.Split()),
+				Tier: s.Tier,
+				lat:  stats.NewReservoir(1<<15, rt.rng.Split()),
 			}
 			sla, hasSLA := cfg.SLAs[s.Service]
 			if s.SLA != nil {
@@ -886,14 +880,11 @@ func (rt *Runtime) scheduleArrivals(sv *svcState, si int, p workload.Pattern, wa
 // outcomes on top of the per-service ones.
 func (rt *Runtime) startRequest(sv *svcState, si int, measured bool, then func()) {
 	rt.nextTrace++
-	sampled := rt.cfg.Observer != nil && rt.rng.Float64() < rt.cfg.SampleRate
 	t0 := rt.eng.Now()
-	if sampled && rt.dropMin[int(t0/60_000)] {
-		// Observability gap: the trace is lost before reaching the collector.
-		// The sampling draw above already consumed the RNG, so gaps do not
-		// perturb the random stream of the rest of the run.
-		sampled = false
-	}
+	// A trace starting in a dropped minute is lost before it reaches the
+	// collector (an observability gap).
+	sampled := rt.cfg.Observer != nil && !rt.dropMin[int(t0/60_000)] &&
+		traceSampled(rt.cfg.Seed, rt.nextTrace, rt.cfg.SampleRate)
 
 	tier := workload.TierStandard
 	if si >= 0 {
@@ -916,6 +907,20 @@ func (rt *Runtime) startRequest(sv *svcState, si int, measured bool, then func()
 		}
 	}
 	f.call()
+}
+
+// traceSalt keys the sampling hash apart from NewRNG's seed words, which are
+// outputs 0–3 of the same splitmix64 sequence.
+const traceSalt = 0x243f6a8885a308d3
+
+// traceSampled decides whether trace id of a run seeded with seed is sampled:
+// the top 53 bits of a splitmix64 hash of (seed, id), read as a uniform in
+// [0,1), fall below rate. The decision depends on the trace alone, as
+// OpenTelemetry's TraceIdRatioBased sampler and Dapper's per-trace sampling
+// do, never on a draw from the run's RNG, so attaching an observer leaves an
+// exact-engine run as it was. Rate 1 samples every trace.
+func traceSampled(seed uint64, id int64, rate float64) bool {
+	return float64(stats.Mix(seed^traceSalt, uint64(id))>>11)*(1.0/(1<<53)) < rate
 }
 
 // sla returns the latency bound a request of service sv issued by stream si
@@ -968,11 +973,7 @@ func (rt *Runtime) requestFailed(f *Job, err CallErr) {
 	if f.measured {
 		f.svc.res.Errors++
 		if f.stream >= 0 {
-			sr := rt.result.PerStream[f.stream]
-			sr.Errors++
-			if err == ErrShed {
-				sr.Shed++
-			}
+			rt.result.PerStream[f.stream].Errors++
 		}
 	}
 	if f.stream >= 0 {
@@ -1131,18 +1132,15 @@ func (rt *Runtime) flushMinute(m int, record bool) {
 			CPUUtil:           cpu / n,
 			MemUtil:           mem / n,
 			Calls:             calls,
-			Containers:        len(ms.states),
 		}
 		if rv := ms.lat; rv != nil && rv.Seen() > 0 {
 			sample.TailMs = rv.QuantileScratch(0.95, &rt.tailScratch)
-			sample.MeanMs = rv.Mean()
 			rv.Reset(nil) // re-seeded by the next minute's first observation
 		}
 		if ms.fluid && calls > 0 {
-			// Fluid minutes synthesize the latency columns from the analytic
-			// model that served the calls.
+			// Fluid minutes synthesize the tail from the analytic model that
+			// served the calls.
 			sample.TailMs = ms.model.tailMs
-			sample.MeanMs = ms.model.meanMs
 		}
 		if record {
 			rt.result.Samples = append(rt.result.Samples, sample)

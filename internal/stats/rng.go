@@ -16,12 +16,17 @@ type RNG struct {
 	s [4]uint64
 }
 
-// splitmix64 advances the given state and returns the next value. It is used
-// to seed xoshiro from a single 64-bit seed, as recommended by the xoshiro
-// authors.
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
+// golden is 2⁶⁴/φ, the increment of the splitmix64 generator.
+const golden = 0x9e3779b97f4a7c15
+
+// Mix returns output i of the splitmix64 generator started at seed: the
+// splitmix64 finalizer of seed + (i+1)·golden. Read as a hash of i keyed by
+// seed, it gives statistically independent values for distinct i, so it can
+// stand in for a draw that must not depend on when it is made: NewRNG seeds
+// xoshiro with outputs 0–3, as the xoshiro authors recommend, and the
+// simulator derives partition seeds and per-trace sampling decisions from it.
+func Mix(seed, i uint64) uint64 {
+	z := seed + (i+1)*golden
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -31,13 +36,12 @@ func splitmix64(state *uint64) uint64 {
 // the same seed produce identical streams.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
-	sm := seed
 	for i := range r.s {
-		r.s[i] = splitmix64(&sm)
+		r.s[i] = Mix(seed, uint64(i))
 	}
 	// Guard against the all-zero state, which is a fixed point of xoshiro.
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9e3779b97f4a7c15
+		r.s[0] = golden
 	}
 	return r
 }

@@ -308,38 +308,15 @@ func TestTracesMatchMapStoreOracle(t *testing.T) {
 					svc = "late"
 				}
 				if k == fanout {
-					tt.ObserveCall(call(id, svc, "", "T", 0, -1, 0, 0, 100, 100))
+					tt.ObserveCall(call(id, svc, "T", 0, -1, 0, 0, 100, 100))
 					continue
 				}
 				recv := float64(1 + r.Intn(4))
-				tt.ObserveCall(call(id, svc, "T", fmt.Sprintf("m%d", k), k+1, 0, 1, recv, recv+5, recv+6))
+				tt.ObserveCall(call(id, svc, fmt.Sprintf("m%d", k), k+1, 0, 1, recv, recv+5, recv+6))
 			}
 		}
 		tt.check(t, "svc", "late")
 	})
-}
-
-// TestResetKeepsBuffer: a coordinator refilled to the size it has already
-// held allocates nothing — Reset hands the next window the same array.
-func TestResetKeepsBuffer(t *testing.T) {
-	var recs []sim.CallRecord
-	for i := 0; i < 500; i++ {
-		recs = append(recs, fig1Trace(int64(i+1))...)
-	}
-	c := NewCoordinator(1)
-	refill := func() {
-		c.Reset()
-		for _, r := range recs {
-			c.ObserveCall(r)
-		}
-	}
-	refill()
-	if allocs := testing.AllocsPerRun(10, refill); allocs != 0 {
-		t.Fatalf("a second fill of the same size allocates %.1f times, want 0", allocs)
-	}
-	if n := numTraces(c); n != 500 {
-		t.Fatalf("refilled coordinator holds %d traces, want 500", n)
-	}
 }
 
 // TestObserveCallWarmZeroAlloc: ingesting a span into a warm buffer is an
@@ -347,7 +324,7 @@ func TestResetKeepsBuffer(t *testing.T) {
 func TestObserveCallWarmZeroAlloc(t *testing.T) {
 	c := NewCoordinator(1)
 	fillCoordinator(c, 500)
-	c.Reset()
+	c.recs = c.recs[:0]
 	rec := fig1Trace(1)[0]
 	if allocs := testing.AllocsPerRun(1000, func() { c.ObserveCall(rec) }); allocs != 0 {
 		t.Fatalf("a warm ObserveCall allocates %.1f times, want 0", allocs)

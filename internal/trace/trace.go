@@ -32,10 +32,8 @@ type Trace struct {
 // latencies. It is safe for concurrent ingestion.
 //
 // The store is one buffer of records in arrival order, scoped by its owner to
-// one simulation (Reset before the next): trace IDs restart with every run,
-// so records of two runs under one ID would read as one trace. Traces are
-// assembled when asked for; Reset keeps the buffer's backing array, so a
-// coordinator that is refilled every window allocates nothing once warm.
+// one simulation: trace IDs restart with every run, so records of two runs
+// under one ID would read as one trace. Traces are assembled when asked for.
 type Coordinator struct {
 	// SampleRate is the tracing sample fraction; workload estimates are
 	// scaled by its inverse.
@@ -58,13 +56,6 @@ func NewCoordinator(sampleRate float64) *Coordinator {
 func (c *Coordinator) ObserveCall(r sim.CallRecord) {
 	c.mu.Lock()
 	c.recs = append(c.recs, r)
-	c.mu.Unlock()
-}
-
-// Reset discards all collected records and keeps the buffer for the next fill.
-func (c *Coordinator) Reset() {
-	c.mu.Lock()
-	c.recs = c.recs[:0]
 	c.mu.Unlock()
 }
 

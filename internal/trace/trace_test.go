@@ -13,10 +13,9 @@ import (
 )
 
 // call builds a CallRecord with the given node identifiers and timestamps.
-func call(traceID int64, svc, parentMS, ms string, nodeID, parentID int, cs, sr, ss, cr float64) sim.CallRecord {
+func call(traceID int64, svc, ms string, nodeID, parentID int, cs, sr, ss, cr float64) sim.CallRecord {
 	return sim.CallRecord{
-		TraceID: traceID, Service: svc,
-		ParentMicroservice: parentMS, Microservice: ms,
+		TraceID: traceID, Service: svc, Microservice: ms,
 		NodeID: nodeID, ParentNodeID: parentID,
 		ClientSend: cs, ServerRecv: sr, ServerSend: ss, ClientRecv: cr,
 	}
@@ -28,13 +27,13 @@ func call(traceID int64, svc, parentMS, ms string, nodeID, parentID int, cs, sr,
 func fig1Trace(id int64) []sim.CallRecord {
 	return []sim.CallRecord{
 		// Root call into T: server busy 0-30.
-		call(id, "svc", "", "T", 0, -1, 0, 0, 30, 30),
+		call(id, "svc", "T", 0, -1, 0, 0, 30, 30),
 		// T -> Url (parallel with U): client span 2-12, server 2-12.
-		call(id, "svc", "T", "Url", 1, 0, 2, 2, 12, 12),
+		call(id, "svc", "Url", 1, 0, 2, 2, 12, 12),
 		// T -> U: client span 2-8 (overlaps Url's span -> parallel).
-		call(id, "svc", "T", "U", 2, 0, 2, 2, 8, 8),
+		call(id, "svc", "U", 2, 0, 2, 2, 8, 8),
 		// T -> C after the parallel stage: client span 12-30 (no overlap).
-		call(id, "svc", "T", "C", 3, 0, 12, 12, 30, 30),
+		call(id, "svc", "C", 3, 0, 12, 12, 30, 30),
 	}
 }
 
@@ -82,7 +81,7 @@ func TestGroupStagesOverlapRule(t *testing.T) {
 func TestGroupStagesBoundaries(t *testing.T) {
 	// child builds a child call of node 0 with client span [cs, cr).
 	child := func(ms string, nodeID int, cs, cr float64) sim.CallRecord {
-		return call(1, "svc", "T", ms, nodeID, 0, cs, cs, cr, cr)
+		return call(1, "svc", ms, nodeID, 0, cs, cs, cr, cr)
 	}
 	cases := []struct {
 		name     string
@@ -174,9 +173,9 @@ func TestGroupStagesBoundaries(t *testing.T) {
 // non-stable single-key sort that let equal-send siblings flip order.
 func TestChildrenOfDeterministicOrder(t *testing.T) {
 	base := []sim.CallRecord{
-		call(1, "svc", "T", "N", 1, 0, 2, 2, 9, 9),
-		call(1, "svc", "T", "Z", 2, 0, 2, 2, 2, 2), // zero-width, same send as N
-		call(1, "svc", "T", "C", 3, 0, 9, 9, 12, 12),
+		call(1, "svc", "N", 1, 0, 2, 2, 9, 9),
+		call(1, "svc", "Z", 2, 0, 2, 2, 2, 2), // zero-width, same send as N
+		call(1, "svc", "C", 3, 0, 9, 9, 12, 12),
 	}
 	perms := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
 	var want string
@@ -290,15 +289,6 @@ func TestWorkloadEstimate(t *testing.T) {
 	}
 	if _, err := c.WorkloadEstimate("svc", 0); err == nil {
 		t.Fatal("zero window should error")
-	}
-}
-
-func TestReset(t *testing.T) {
-	c := NewCoordinator(1)
-	fillCoordinator(c, 2)
-	c.Reset()
-	if numTraces(c) != 0 {
-		t.Fatal("reset did not clear traces")
 	}
 }
 

@@ -42,7 +42,7 @@ var unreadAllowlist = map[string]string{
 // writer or deletes it. An entry that a program comes to write, or that no
 // longer exists, fails the test like an unwritten field does.
 var unwrittenAllowlist = map[string]string{
-	"core.OfflineConfig.FromTraces": "ROADMAP items 1(d) and 4(b): trace-fed profiling gets its writer once sampling stops perturbing the stream",
+	"core.OfflineConfig.FromTraces": "ROADMAP item 1(d): trace-fed profiling gets its writer when the Tracing Coordinator gets its reader",
 }
 
 // unreadFieldAllowlist names the fields of reached struct types that no
@@ -55,13 +55,6 @@ var unwrittenAllowlist = map[string]string{
 var unreadFieldAllowlist = map[string]string{
 	"multiplex.ExactSolution.N": "exact_test.go's TestExactFeasibilityAndOptimality checks the Eq. 13-14 optimum's feasibility and optimality on it",
 	"sim.Engine.heapPushes":     "TestHopsSkipTheHeap holds network hops to the FIFO lane with it",
-
-	"sim.MinuteSample.MeanMs":           "TestRuntimeFingerprintPinned prints every sample with %+v: deleting re-captures fingerprints.golden; ROADMAP 4(a)",
-	"sim.MinuteSample.Containers":       "TestRuntimeFingerprintPinned prints every sample with %+v: deleting re-captures fingerprints.golden; ROADMAP 4(a)",
-	"sim.CallRecord.ParentMicroservice": "TestRuntimeFingerprintPinned prints every span with %+v: deleting re-captures fingerprints.golden; ROADMAP 4(a)",
-	"sim.CallRecord.Stage":              "TestRuntimeFingerprintPinned prints every span with %+v: deleting re-captures fingerprints.golden; ROADMAP 4(a)",
-	"sim.StreamResult.Cohort":           "TestRuntimeFingerprintPinned prints each stream's cohort: deleting re-captures fingerprints.golden; ROADMAP 4(a)",
-	"sim.StreamResult.Shed":             "TestRuntimeFingerprintPinned prints each stream's shed count: deleting re-captures fingerprints.golden; ROADMAP 4(a)",
 }
 
 // loadRepo type-checks the repository once for every test of this file.
