@@ -504,13 +504,3 @@ func (cl *Cluster) SetHostSpec(hostID int, spec HostSpec) error {
 	h.touch()
 	return nil
 }
-
-// Reset removes all containers, keeping hosts and background levels.
-func (cl *Cluster) Reset() {
-	for _, h := range cl.hosts {
-		h.ordered = nil
-		h.touch()
-	}
-	cl.containers = make(map[int]*Container)
-	cl.byMS = make(map[string][]*Container)
-}

@@ -147,42 +147,6 @@ func TestImbalance(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	cl := New(2, PaperHost)
-	cl.SetBackground(1, workload.Interference{CPU: 0.3})
-	cl.Place(PaperContainer("a"), 0)
-	cl.Place(PaperContainer("b"), 1)
-	cl.Reset()
-	if len(cl.Containers()) != 0 {
-		t.Fatal("reset left containers")
-	}
-	if cl.Host(1).Background().CPU != 0.3 {
-		t.Fatal("reset should keep background levels")
-	}
-	// Hosts forget their containers too: nothing listed, utilization back to
-	// the background, free capacity back to what the background leaves.
-	for _, h := range cl.Hosts() {
-		if n := len(h.Containers()); n != 0 {
-			t.Fatalf("host %d still lists %d containers after reset", h.ID, n)
-		}
-		bg, hs := h.Background(), h.Spec()
-		if h.CPUUtil() != bg.CPU || h.MemUtil() != bg.Mem {
-			t.Fatalf("host %d util = %v/%v after reset, want background %+v", h.ID, h.CPUUtil(), h.MemUtil(), bg)
-		}
-		wantCPU := float64(hs.Cores) * (1 - bg.CPU)
-		if h.CPUFree() != wantCPU || h.MemFreeMB() != hs.MemGB*1024 {
-			t.Fatalf("host %d free = %v cores / %v MB after reset, want %v / %v", h.ID, h.CPUFree(), h.MemFreeMB(), wantCPU, hs.MemGB*1024)
-		}
-	}
-	if cl.CountFor("a") != 0 || cl.ContainersFor("b") != nil {
-		t.Fatal("reset left the per-microservice index populated")
-	}
-	// Cluster remains usable.
-	if _, err := cl.Place(PaperContainer("c"), 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestNaNUsageCountsAsZero: a NaN usage reading is treated like a negative
 // one. Kept, it would turn the host's utilization, both cluster means, the
 // imbalance and with them every placement score into NaN.

@@ -121,7 +121,7 @@ func TestIndexAndCacheMatchBruteForce(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			host := rng.Intn(cl.NumHosts())
 			var step string
-			switch op := rng.Intn(14); op {
+			switch op := rng.Intn(13); op {
 			case 0, 1, 2:
 				step = "Place"
 				cl.Place(spec(), host) // may be refused: full or down
@@ -160,16 +160,11 @@ func TestIndexAndCacheMatchBruteForce(t *testing.T) {
 				if err := cl.SetBackground(host, workload.Interference{CPU: 0.5 * rng.Float64(), Mem: 0.5 * rng.Float64()}); err != nil {
 					t.Fatal(err)
 				}
-			case 11:
-				step = "Reset"
-				if rng.Intn(10) == 0 {
-					cl.Reset()
-				}
-			case 6, 12:
+			case 6, 11:
 				// Unlike FailNode, a bare SetDown leaves the containers in place.
 				step = "SetDown"
 				cl.Host(host).SetDown(!cl.Host(host).Down())
-			case 13:
+			case 12:
 				step = "SetHostSpec"
 				hs := cluster.HostSpec{Cores: 2 + rng.Intn(6), MemGB: 4 + 8*rng.Float64()}
 				if err := cl.SetHostSpec(host, hs); err != nil {

@@ -716,14 +716,6 @@ func (c *Controller) ProfileOffline(cfg OfflineConfig) ([]string, error) {
 			samples[ms] = append(samples[ms], ss...)
 		}
 	}
-	// Profiling historically stomped the live cluster; keep the observable
-	// post-state (no backgrounds, no containers) even though the sweep now
-	// runs on clones.
-	for _, h := range cl.Hosts() {
-		cl.SetBackground(h.ID, workload.Interference{})
-	}
-	cl.Reset()
-
 	models, failed := profiling.FitAll(samples, profiling.FitConfig{})
 	for ms, m := range models {
 		c.Models[ms] = m

@@ -358,6 +358,46 @@ func TestProfilingPlacementSpreadsOverEveryHost(t *testing.T) {
 	}
 }
 
+// TestProfileOfflineLeavesClusterAlone: the sweep runs on clones, so
+// profiling a deployed controller changes its models and nothing else — the
+// orchestrator's replicas still match the live containers and every host
+// keeps its background.
+func TestProfileOfflineLeavesClusterAlone(t *testing.T) {
+	app := &apps.App{
+		Name:       "tiny-deployed",
+		Graphs:     []*graph.Graph{graph.New("svc", "A")},
+		Profiles:   map[string]sim.ServiceProfile{"A": {BaseMs: 20, CV: 0.5}},
+		SLAs:       map[string]workload.SLA{"svc": workload.P95SLA("svc", 100)},
+		Containers: map[string]cluster.ContainerSpec{"A": cluster.PaperContainer("A")},
+	}
+	cl := cluster.New(2, cluster.PaperHost)
+	orch := kube.New(cl, nil)
+	c, err := New(app, orch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := orch.Apply(app.Containers["A"], 3); err != nil {
+		t.Fatal(err)
+	}
+	backgrounds := []workload.Interference{{CPU: 0.4}, {CPU: 0.3}}
+	for h, bg := range backgrounds {
+		if err := cl.SetBackground(h, bg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.ProfileOffline(OfflineConfig{Rates: []float64{2_000}}); err != nil {
+		t.Fatal(err)
+	}
+	if live := cl.CountFor("A"); live != orch.Replicas("A") || live != 3 {
+		t.Fatalf("after profiling: %d replicas over %d live containers, want 3 over 3", orch.Replicas("A"), live)
+	}
+	for h, bg := range backgrounds {
+		if got := cl.Host(h).Background(); got != bg {
+			t.Fatalf("host %d background %+v after profiling, want %+v", h, got, bg)
+		}
+	}
+}
+
 func TestProfileOfflineFromTraces(t *testing.T) {
 	// The production profiling path: spans -> Eq. 1 latencies -> fit.
 	g := graph.New("svc", "A")

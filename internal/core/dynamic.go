@@ -24,8 +24,6 @@ type DynamicGraphResult struct {
 	ClassContainers int
 	// Saving is 1 − class/complete (positive when clustering helps).
 	Saving float64
-	// PerClass holds each class's allocation.
-	PerClass []*scaling.Allocation
 }
 
 // DynamicGraphPlan scales a dynamic-graph service both ways.
@@ -127,7 +125,6 @@ func DynamicGraphPlan(
 		if err != nil {
 			return nil, fmt.Errorf("core: class %d plan: %w", ci, err)
 		}
-		result.PerClass = append(result.PerClass, alloc)
 		result.ClassContainers += alloc.TotalContainers()
 	}
 	if result.CompleteContainers > 0 {

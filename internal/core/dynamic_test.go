@@ -60,8 +60,22 @@ func TestDynamicGraphPlanSavesContainers(t *testing.T) {
 	if res.Saving <= 0 {
 		t.Fatalf("saving = %v", res.Saving)
 	}
-	if len(res.PerClass) != 2 {
-		t.Fatalf("per-class allocations = %d", len(res.PerClass))
+	// Per-class planning is each weighted class planned on its own: the read
+	// class at 3/4 of the rate, the write class at 1/4.
+	var sum int
+	for _, c := range []struct {
+		variant *graph.Graph
+		rate    float64
+	}{{variants[0], 150_000}, {variants[3], 50_000}} {
+		alone, err := DynamicGraphPlan("svc", []*graph.Graph{c.variant}, nil, c.rate,
+			workload.P95SLA("svc", 40), models, shares, 0.2, 0.2, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += alone.CompleteContainers
+	}
+	if res.ClassContainers != sum {
+		t.Fatalf("class containers = %d, want %d: the classes planned on their own", res.ClassContainers, sum)
 	}
 }
 

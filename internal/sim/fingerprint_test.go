@@ -155,7 +155,7 @@ func pinnedHash(res *Result, spans []CallRecord) string {
 }
 
 // TestRuntimeFingerprintPinned compares the full observable output of the
-// pinned runs — latency reservoirs, minute samples, call rates, stream rows,
+// pinned runs — latency reservoirs, minute samples, stream rows,
 // sampled spans, engine event count and heap peak, data-plane counters —
 // against hashes captured before the per-call closure chain was replaced by
 // pooled frames. The runtime's contract is the same events in the same order

@@ -285,14 +285,13 @@ func (rt *Runtime) drawLatency(ms *msState) float64 {
 // downstream stages execute normally.
 func (f *Job) issueFluid() {
 	rt, n := f.rt, f.node
-	warm := f.Enqueued >= rt.warmMs
 	if !f.sampled && n.subtree {
 		lat := rt.subtreeLatency(n)
-		n.creditSubtree(warm)
+		n.creditSubtree()
 		f.at(f.Enqueued+lat+rt.cfg.NetworkDelayMs, evReturn)
 		return
 	}
-	n.credit(warm)
+	n.credit()
 	f.at(f.Enqueued+rt.drawLatency(n.ms), evServed)
 }
 
@@ -315,23 +314,17 @@ func (rt *Runtime) subtreeLatency(n *callNode) float64 {
 	return total
 }
 
-// credit accounts one fluid call for the per-minute and per-service-pair
-// call counters, mirroring the discrete path's arrive-time accounting; warm
-// says whether the call arrives past the warm-up.
-func (n *callNode) credit(warm bool) {
-	n.ms.fluidCalls++
-	if warm {
-		*n.calls++
-	}
-}
+// credit counts one fluid call in its microservice's per-minute calls, as
+// the discrete path's arrive counts one in its container's.
+func (n *callNode) credit() { n.ms.fluidCalls++ }
 
 // creditSubtree accounts every node of a collapsed subtree at the root's
 // arrival instant.
-func (n *callNode) creditSubtree(warm bool) {
-	n.credit(warm)
+func (n *callNode) creditSubtree() {
+	n.credit()
 	for _, st := range n.stages {
 		for _, c := range st {
-			c.creditSubtree(warm)
+			c.creditSubtree()
 		}
 	}
 }

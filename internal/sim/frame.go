@@ -328,9 +328,6 @@ func (f *Job) arrive() {
 		}
 	}
 	cs.minuteCalls++
-	if rt.eng.Now() >= rt.warmMs {
-		*f.node.calls++
-	}
 	if !cs.down && cs.busy < cs.c.Spec.Threads {
 		rt.startJob(cs, f)
 		return

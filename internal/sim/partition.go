@@ -338,10 +338,9 @@ func (b *bufObserver) ObserveCall(r CallRecord) { b.recs = append(b.recs, r) }
 // onto the original cluster so post-run utilization reads match a serial run.
 func mergeResults(cfg Config, parts []*partition) *Result {
 	out := &Result{
-		PerService:     make(map[string]*ServiceResult),
-		ServiceMSCalls: make(map[string]map[string]float64),
-		SimulatedMin:   cfg.DurationMin - cfg.WarmupMin,
-		Partitions:     len(parts),
+		PerService:   make(map[string]*ServiceResult),
+		SimulatedMin: cfg.DurationMin - cfg.WarmupMin,
+		Partitions:   len(parts),
 	}
 	if len(cfg.Streams) > 0 {
 		out.PerStream = make([]*StreamResult, len(cfg.Streams))
@@ -350,9 +349,6 @@ func mergeResults(cfg Config, parts []*partition) *Result {
 		r := p.rt.finish()
 		for svc, sr := range r.PerService {
 			out.PerService[svc] = sr
-		}
-		for svc, rates := range r.ServiceMSCalls {
-			out.ServiceMSCalls[svc] = rates
 		}
 		out.Samples = append(out.Samples, r.Samples...)
 		out.Engine.Events += r.Engine.Events

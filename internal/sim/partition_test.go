@@ -127,16 +127,6 @@ func fingerprint(res *Result, spans []CallRecord) string {
 	for _, s := range res.Samples {
 		fmt.Fprintf(&sb, "sample %+v\n", s)
 	}
-	for _, svc := range svcs {
-		var mss []string
-		for ms := range res.ServiceMSCalls[svc] {
-			mss = append(mss, ms)
-		}
-		sortStrings(mss)
-		for _, ms := range mss {
-			fmt.Fprintf(&sb, "calls %s %s %.6f\n", svc, ms, res.ServiceMSCalls[svc][ms])
-		}
-	}
 	fmt.Fprintf(&sb, "engine %+v data %+v simmin=%v parts=%d fluidcm=%d exactcm=%d\n",
 		res.Engine, res.Data, res.SimulatedMin, res.Partitions, res.FluidContainerMinutes, res.ExactContainerMinutes)
 	for _, sr := range res.PerStream {
@@ -167,7 +157,7 @@ func (r *recObserver) ObserveCall(c CallRecord) { r.recs = append(r.recs, c) }
 
 // TestRunPartitionedExactIdenticalAcrossWorkersAndPartitions is the PR's
 // headline determinism contract: in exact mode, the partitioned engine's
-// full observable output — latency reservoirs, minute samples, call rates,
+// full observable output — latency reservoirs, minute samples,
 // stream rows, replayed spans — is byte-identical whether the partitions
 // run on one worker or four, and whatever the Partitions cap.
 func TestRunPartitionedExactIdenticalAcrossWorkersAndPartitions(t *testing.T) {

@@ -322,7 +322,7 @@ func (c *Config) validate() error {
 			if _, ok := c.Profiles[ms]; !ok {
 				return fmt.Errorf("sim: no service profile for microservice %s", ms)
 			}
-			if len(c.Cluster.ContainersFor(ms)) == 0 {
+			if c.Cluster.CountFor(ms) == 0 {
 				return fmt.Errorf("sim: no containers deployed for microservice %s", ms)
 			}
 		}
@@ -436,10 +436,6 @@ type Result struct {
 	PerService map[string]*ServiceResult
 	// Samples holds the per-minute profiling aggregates in time order.
 	Samples []MinuteSample
-	// ServiceMSCalls[svc][ms] is the observed call rate (calls per minute,
-	// averaged over the measured window) that service svc imposed on
-	// microservice ms — the γ_{k,i} of the multiplexing model (§5.3.2).
-	ServiceMSCalls map[string]map[string]float64
 	// SimulatedMin is the measured (post-warmup) duration in minutes.
 	SimulatedMin float64
 	// Engine is the event engine's self-telemetry for the run, deterministic
@@ -526,13 +522,12 @@ func (ms *msState) refreshUp() {
 
 // callNode is one graph.Node resolved against the runtime: its microservice's
 // shared state and what depends on (service, microservice) — priority rank,
-// call counter, resilience edge.
+// resilience edge.
 type callNode struct {
 	id     int
 	ms     *msState
 	stages [][]*callNode
 	prio   int        // the service's rank at ms (0 when ms is FCFS)
-	calls  *int       // measured calls the service imposed on ms
 	edge   *edgeState // resilience only
 	// subtree: every microservice below and including this node is fluid this
 	// minute, so an unsampled call collapses to one event.
@@ -565,9 +560,7 @@ type Runtime struct {
 	msList     []*msState  // name order
 	svcs       []*svcState // index-aligned with cfg.Graphs
 
-	svcMSCalls map[string]map[string]*int
-	warmMs     float64
-	dropMin    map[int]bool
+	dropMin map[int]bool
 
 	// tailScratch is where flushMinute selects each reservoir's P95, grown
 	// once to the largest sample and reused every minute, and where finish
@@ -615,17 +608,12 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		cfg.SampleRate = 0.1
 	}
 	rt := &Runtime{
-		cfg:        cfg,
-		eng:        newEngine(cfg.NetworkDelayMs),
-		rng:        stats.NewRNG(cfg.Seed),
-		ms:         make(map[string]*msState),
-		svcMSCalls: make(map[string]map[string]*int),
-		warmMs:     cfg.WarmupMin * 60_000,
-		dropMin:    make(map[int]bool, len(cfg.DropMinutes)),
-		result: &Result{
-			PerService:     make(map[string]*ServiceResult),
-			ServiceMSCalls: make(map[string]map[string]float64),
-		},
+		cfg:     cfg,
+		eng:     newEngine(cfg.NetworkDelayMs),
+		rng:     stats.NewRNG(cfg.Seed),
+		ms:      make(map[string]*msState),
+		dropMin: make(map[int]bool, len(cfg.DropMinutes)),
+		result:  &Result{PerService: make(map[string]*ServiceResult)},
 	}
 	for _, m := range cfg.DropMinutes {
 		rt.dropMin[m] = true
@@ -659,7 +647,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	for _, g := range cfg.Graphs {
 		res := &ServiceResult{lat: stats.NewReservoir(1<<15, rt.rng.Split())}
 		rt.result.PerService[g.Service] = res
-		rt.svcMSCalls[g.Service] = make(map[string]*int)
 		sla, hasSLA := cfg.SLAs[g.Service]
 		rt.svcs = append(rt.svcs, &svcState{
 			name:   g.Service,
@@ -696,13 +683,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 // resolve builds the callNode tree under n for service svc.
 func (rt *Runtime) resolve(svc string, n *graph.Node) *callNode {
 	ms := rt.ms[n.Microservice]
-	counters := rt.svcMSCalls[svc]
-	calls := counters[ms.name]
-	if calls == nil {
-		calls = new(int)
-		counters[ms.name] = calls
-	}
-	cn := &callNode{id: n.ID, ms: ms, prio: rt.cfg.Priorities[ms.name][svc], calls: calls}
+	cn := &callNode{id: n.ID, ms: ms, prio: rt.cfg.Priorities[ms.name][svc]}
 	if rt.res != nil {
 		cn.edge = rt.newEdge(svc, n)
 	}
@@ -816,15 +797,6 @@ func (rt *Runtime) finish() *Result {
 	rt.result.SimulatedMin = rt.cfg.DurationMin - rt.cfg.WarmupMin
 	for _, sv := range rt.svcs {
 		sv.res.p95 = sv.res.lat.QuantileScratch(0.95, &rt.tailScratch)
-	}
-	for svc, byMS := range rt.svcMSCalls {
-		rates := make(map[string]float64, len(byMS))
-		for ms, n := range byMS {
-			if *n > 0 {
-				rates[ms] = float64(*n) / rt.result.SimulatedMin
-			}
-		}
-		rt.result.ServiceMSCalls[svc] = rates
 	}
 	rt.result.Engine = RunStats{
 		EngineStats:   rt.eng.Stats(),

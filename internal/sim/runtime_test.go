@@ -243,11 +243,18 @@ func TestServiceMSCallRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := rt.Run()
-	rates := res.ServiceMSCalls["svc"]
+	// One call per node per request, across the parallel stage: every
+	// recorded minute sees ~3000 calls at each microservice.
+	minutes := map[string]int{}
+	for _, s := range rt.Run().Samples {
+		minutes[s.Microservice]++
+		if math.Abs(float64(s.Calls)-3000) > 300 {
+			t.Fatalf("minute %d: %d calls at %s, want ~3000", s.Minute, s.Calls, s.Microservice)
+		}
+	}
 	for _, ms := range []string{"A", "B", "B2"} {
-		if math.Abs(rates[ms]-3000) > 300 {
-			t.Fatalf("call rate at %s = %v, want ~3000", ms, rates[ms])
+		if minutes[ms] != 2 {
+			t.Fatalf("%d recorded minutes at %s, want the 2 past the warm-up", minutes[ms], ms)
 		}
 	}
 }

@@ -161,13 +161,17 @@ func TestEveryFieldHasAWriter(t *testing.T) {
 // program reaches that no reached declaration reads — main, init, var
 // initializers and the unreadAllowlist entries count, as they do for
 // TestEveryDeclarationHasAReader. A read is a selector x.F anywhere but as
-// the target of =, op= or ++/-- (x.F[i] = v reads F), a json tag naming the
-// field (encoding/json reads it), passing a value to a fmt print function or
-// reflect.DeepEqual (which reads every field reachable through pointers,
-// slices, arrays, maps and structs), and using a struct as a map key or an
-// operand of == or != (which reads every field it holds by value). Delete
-// such a field, the writes that fill it and whatever only it consumed, or
-// allowlist it above with its reader.
+// the target of =, op= or ++/--, a json tag naming the field (encoding/json
+// reads it), passing a value to a fmt print function or reflect.DeepEqual
+// (which reads every field reachable through pointers, slices, arrays, maps
+// and structs), and using a struct as a map key or an operand of == or !=
+// (which reads every field it holds by value). A store is not a read: an
+// element store x.F[k] = v (or ++, op=) targets F, and neither a self-append
+// x.F = append(x.F, …) nor a copy of F into the same field of another value
+// (out.F = r.F, out.F[k] = r.F[k], F: r.F in a literal, and a range over r.F
+// whose body only stores into F) reads it. Delete such a field, the writes
+// that fill it and whatever only it consumed, or allowlist it above with its
+// reader.
 func TestEveryFieldHasAReader(t *testing.T) {
 	p, err := loadRepo()
 	if err != nil {
@@ -687,12 +691,28 @@ func (w *walker) writeThrough(e ast.Expr, info *types.Info) {
 func (w *walker) noteReads(n ast.Node, info *types.Info) {
 	switch n := n.(type) {
 	case *ast.AssignStmt:
-		// Inspect visits the statement before its targets.
-		for _, lhs := range n.Lhs {
-			w.targets[ast.Unparen(lhs)] = true
+		// Inspect visits a statement before its targets and values.
+		for i, lhs := range n.Lhs {
+			target := stored(lhs)
+			w.targets[target] = true
+			if f := fieldOf(target, info); f != nil && len(n.Rhs) == len(n.Lhs) {
+				w.skipCopies(n.Rhs[i], f, info)
+			}
 		}
 	case *ast.IncDecStmt:
-		w.targets[ast.Unparen(n.X)] = true
+		w.targets[stored(n.X)] = true
+	case *ast.KeyValueExpr:
+		// F: r.F in a composite literal copies F into F.
+		if id, ok := n.Key.(*ast.Ident); ok {
+			if f, ok := info.Uses[id].(*types.Var); ok && f.IsField() {
+				w.skipCopies(n.Value, f.Origin(), info)
+			}
+		}
+	case *ast.RangeStmt:
+		// for k, v := range r.F { out.F[k] = v } copies F into F.
+		if f := fieldOf(n.X, info); f != nil && storesOnly(n.Body.List, f, info) {
+			w.targets[ast.Unparen(n.X)] = true
+		}
 	case *ast.SelectorExpr:
 		sel := info.Selections[n]
 		if sel == nil {
@@ -733,6 +753,63 @@ func (w *walker) noteReads(n ast.Node, info *types.Info) {
 			w.readAll(info.Types[n.X].Type, false, map[types.Type]bool{})
 		}
 	}
+}
+
+// skipCopies marks the selectors of field f that value e copies into f —
+// e itself (out.F = r.F, out.F[k] = r.F[k]) or an argument of append
+// (x.F = append(x.F, v)) — as no reads: what only flows back into F has no
+// reader.
+func (w *walker) skipCopies(e ast.Expr, f *types.Var, info *types.Info) {
+	e = ast.Unparen(e)
+	if call, ok := e.(*ast.CallExpr); ok {
+		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && info.Uses[id] == types.Universe.Lookup("append") {
+			for _, arg := range call.Args {
+				w.skipCopies(arg, f, info)
+			}
+		}
+		return
+	}
+	if src := stored(e); fieldOf(src, info) == f {
+		w.targets[src] = true
+	}
+}
+
+// stored strips the index expressions off an assignment target: a store
+// into x.F[k] stores into F, it does not read it.
+func stored(e ast.Expr) ast.Expr {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.IndexExpr:
+			e = x.X
+		default:
+			return x
+		}
+	}
+}
+
+// storesOnly reports whether body is assignments to field f and nothing else.
+func storesOnly(body []ast.Stmt, f *types.Var, info *types.Info) bool {
+	for _, s := range body {
+		as, ok := s.(*ast.AssignStmt)
+		if !ok {
+			return false
+		}
+		for _, lhs := range as.Lhs {
+			if fieldOf(stored(lhs), info) != f {
+				return false
+			}
+		}
+	}
+	return len(body) > 0
+}
+
+// fieldOf returns the field e selects, or nil when e is no field selector.
+func fieldOf(e ast.Expr, info *types.Info) *types.Var {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok || info.Selections[sel] == nil || info.Selections[sel].Kind() != types.FieldVal {
+		return nil
+	}
+	return info.Selections[sel].Obj().(*types.Var).Origin()
 }
 
 // readsArgs are the functions that read every field of their arguments.
@@ -811,11 +888,10 @@ func fieldOperand(e ast.Expr, info *types.Info) string {
 			e = ast.Unparen(call.Args[0])
 		}
 	}
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok || info.Selections[sel] == nil || info.Selections[sel].Kind() != types.FieldVal {
+	if fieldOf(e, info) == nil {
 		return ""
 	}
-	return types.ExprString(sel)
+	return types.ExprString(e)
 }
 
 // imported returns the module packages some main imports, directly or not.
