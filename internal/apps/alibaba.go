@@ -167,7 +167,12 @@ func Alibaba(cfg AlibabaConfig) *App {
 				open = append(open[:pi], open[pi+1:]...)
 			}
 		}
-		slas[svc] = workload.P95SLA(svc, 100+200*r.Float64())
+		// The SLA draw is floored at what an allocation can meet: the
+		// heaviest path's idle tail (the analytic models' 3 × BaseMs per
+		// hop) with 30 % headroom for interference. A long path would
+		// otherwise draw an SLA below its own latency floor.
+		floor := 1.3 * 3 * g.EndToEnd(func(n *graph.Node) float64 { return profiles[n.Microservice].BaseMs })
+		slas[svc] = workload.P95SLA(svc, max(100+200*r.Float64(), floor))
 		graphs = append(graphs, g)
 	}
 	return newApp(fmt.Sprintf("alibaba-%d", cfg.Seed), graphs, profiles, slas)

@@ -224,8 +224,6 @@ func (c *Controller) ObserveDrift(res *sim.Result) []drift.Swap {
 		st := c.Drift.Stats()
 		c.Obs.Set(obs.CtrDriftWindows, float64(st.Windows))
 		c.Obs.Set(obs.CtrDriftDetections, float64(st.Detections))
-		c.Obs.Set(obs.CtrDriftRefits, float64(st.Refits))
-		c.Obs.Set(obs.CtrDriftFallbacks, float64(st.Fallbacks))
 		c.Obs.Set(obs.CtrModelSwaps, float64(st.Swaps))
 		c.Obs.SetMax(obs.GaugeDriftScore, st.MaxScore)
 	}

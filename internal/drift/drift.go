@@ -11,22 +11,20 @@
 // consumes) and measures how far the observed tail latency sits from the
 // frozen model's prediction at the observed workload and interference. When
 // the deviation exceeds a configured threshold for N consecutive windows
-// (hysteresis — a single noisy window never triggers), the detector re-fits
-// a model from the drifted windows' own samples and returns it as a Swap.
+// (hysteresis — a single noisy window never triggers), the detector
+// recalibrates the model from the drifted windows' own samples and returns
+// it as a Swap.
 //
-// Re-fitting is two-tiered:
-//
-//   - when the drifted streak spans enough workload diversity, a full
-//     piece-wise linear re-fit via stats.FitSegmented — the same model family
-//     the offline profiler uses (the internal/mlearn knee trees stay
-//     untouched: a live streak holds one interference regime, so there is
-//     nothing for a (C, M) → σ tree to learn);
-//   - otherwise an incremental recalibration: the observed/predicted latency
-//     ratio, taken at a conservative quantile so queueing inflation does not
-//     masquerade as service-time drift, rescales the frozen model
-//     (ScaledModel). Recalibrations compose — if the first step
-//     under-corrects, the still-drifting windows trigger another — so the
-//     model walks to the new regime in bounded, clamped steps.
+// The recalibration is the only re-fit: the observed/predicted latency
+// ratio, taken at a conservative quantile so queueing inflation does not
+// masquerade as service-time drift, rescales the frozen model (ScaledModel).
+// The rescaled model keeps the frozen model's (C, M) response — its knee and
+// slopes still move with host utilization the way §5.2's Eq. 15 says — so the
+// planner stays interference-aware for a drifted microservice. What it
+// cannot express is a curve whose shape, not only its service time, changed.
+// Recalibrations compose — if the first step under-corrects, the
+// still-drifting windows trigger another — so the model walks to the new
+// regime in bounded, clamped steps.
 //
 // Swapped models are fresh immutable values; handing one to the planner is a
 // cheap, correct invalidation event under the template cache's
@@ -85,12 +83,6 @@ const (
 	// another step — while an unclamped ratio taken during a queueing storm
 	// could demand absurd allocations.
 	maxRatio = 4
-	// minRefitSamples and minDistinct gate the full segmented re-fit: the
-	// pooled streak must hold at least minRefitSamples samples spanning at
-	// least minDistinct distinct workloads (stats.FitSegmented is singular
-	// below that). Streaks failing the gate fall back to recalibration.
-	minRefitSamples = 8
-	minDistinct     = 4
 )
 
 // Swap is one model replacement the detector decided on: hand Model to the
@@ -98,9 +90,6 @@ const (
 type Swap struct {
 	Microservice string
 	Model        profiling.Model
-	// Segmented marks a full stats.FitSegmented re-fit; false is an
-	// incremental ScaledModel recalibration.
-	Segmented bool
 }
 
 // Stats are the detector's cumulative counters, exported under erms.self.*.
@@ -109,20 +98,16 @@ type Stats struct {
 	Windows int
 	// Detections counts (microservice, window) pairs flagged over threshold.
 	Detections int
-	// Refits counts full segmented re-fits; Fallbacks counts ScaledModel
-	// recalibrations. Swaps = Refits + Fallbacks.
-	Refits    int
-	Fallbacks int
-	Swaps     int
+	// Swaps counts ScaledModel recalibrations handed to the planner.
+	Swaps int
 	// MaxScore is the worst drift score seen across the run.
 	MaxScore float64
 }
 
 // msState is the per-microservice streak bookkeeping.
 type msState struct {
-	streak  int
-	pending []profiling.Sample // samples of the current drifted streak
-	ratios  []float64          // observed/predicted per pending sample
+	streak int
+	ratios []float64 // observed/predicted per sample of the current drifted streak
 }
 
 // Detector is the streaming drift detector. It is not safe for concurrent
@@ -165,7 +150,6 @@ func (d *Detector) ObserveWindow(models map[string]profiling.Model, samples map[
 	for _, ms := range mss {
 		model := models[ms]
 		window := samples[ms]
-		usable := make([]profiling.Sample, 0, len(window))
 		ratios := make([]float64, 0, len(window))
 		for _, s := range window {
 			if s.TailMs <= 0 {
@@ -175,10 +159,9 @@ func (d *Detector) ObserveWindow(models map[string]profiling.Model, samples map[
 			if !(pred > 0) || math.IsInf(pred, 1) {
 				continue
 			}
-			usable = append(usable, s)
 			ratios = append(ratios, s.TailMs/pred)
 		}
-		if len(usable) == 0 {
+		if len(ratios) == 0 {
 			continue // no signal: streak untouched
 		}
 		st, ok := d.state[ms]
@@ -200,85 +183,25 @@ func (d *Detector) ObserveWindow(models map[string]profiling.Model, samples map[
 
 		if score <= d.cfg.Threshold {
 			st.streak = 0
-			st.pending = st.pending[:0]
 			st.ratios = st.ratios[:0]
 			continue
 		}
 		d.stats.Detections++
 		st.streak++
-		st.pending = append(st.pending, usable...)
 		st.ratios = append(st.ratios, ratios...)
 		if st.streak < d.cfg.Consecutive {
 			continue
 		}
-		sw, ok := d.refit(ms, model, st.pending, st.ratios)
+		r := recalibrationRatio(st.ratios)
 		st.streak = 0
-		st.pending = nil
 		st.ratios = nil
-		if !ok {
+		if r == 1 {
 			continue
 		}
 		d.stats.Swaps++
-		if sw.Segmented {
-			d.stats.Refits++
-		} else {
-			d.stats.Fallbacks++
-		}
-		swaps = append(swaps, sw)
+		swaps = append(swaps, Swap{Microservice: ms, Model: NewScaledModel(model, r)})
 	}
 	return swaps
-}
-
-// refit builds a replacement model from the drifted streak's pooled samples.
-func (d *Detector) refit(ms string, old profiling.Model, pending []profiling.Sample, ratios []float64) (Swap, bool) {
-	if m, ok := d.segmentedRefit(pending); ok {
-		return Swap{Microservice: ms, Model: m, Segmented: true}, true
-	}
-	r := d.recalibrationRatio(ratios)
-	if r == 1 {
-		return Swap{}, false
-	}
-	return Swap{Microservice: ms, Model: NewScaledModel(old, r)}, true
-}
-
-// segmentedRefit attempts the full piece-wise re-fit. It only accepts a
-// model the planner can consume: non-negative slopes (floored later), a
-// positive latency floor, and a positive knee.
-func (d *Detector) segmentedRefit(pending []profiling.Sample) (profiling.Model, bool) {
-	if len(pending) < minRefitSamples {
-		return nil, false
-	}
-	distinct := make(map[float64]bool, len(pending))
-	xs := make([]float64, len(pending))
-	ys := make([]float64, len(pending))
-	maxW := 0.0
-	for i, s := range pending {
-		xs[i] = s.Workload
-		ys[i] = s.TailMs
-		distinct[s.Workload] = true
-		if s.Workload > maxW {
-			maxW = s.Workload
-		}
-	}
-	if len(distinct) < minDistinct {
-		return nil, false
-	}
-	seg, err := stats.FitSegmented(xs, ys, 2)
-	if err != nil {
-		return nil, false
-	}
-	if seg.Low.Slope < 0 || seg.High.Slope < 0 || seg.Low.Intercept <= 0 {
-		// A negative slope or nonpositive floor is noise, not a latency
-		// curve; the planner's closed forms would mis-solve against it.
-		return nil, false
-	}
-	m := NewSegmentModel(seg, maxW)
-	if knee := m.Knee(0, 0); m.Predict(knee, 0, 0) <= 0 {
-		// The high segment may carry a negative intercept (continuity at
-		// the knee), but it must still be positive on its own domain.
-		return nil, false
-	}
-	return m, true
 }
 
 // recalibrationRatio derives one clamped service-time rescaling step from
@@ -287,7 +210,7 @@ func (d *Detector) segmentedRefit(pending []profiling.Sample) (profiling.Model, 
 // taken at a conservative quantile on the drift side: the 25th percentile
 // for upward drift (closest to the uncontended samples), the 75th for
 // downward. The result is clamped to [1/maxRatio, maxRatio].
-func (d *Detector) recalibrationRatio(ratios []float64) float64 {
+func recalibrationRatio(ratios []float64) float64 {
 	med := stats.Quantile(ratios, 0.5)
 	q := 0.25
 	if med < 1 {

@@ -18,8 +18,7 @@ var allCounterNames = []string{
 	CtrPlans, CtrApplies, CtrApplyRollbacks,
 	CtrPlanTemplateHits, CtrPlanTemplateCompiles, CtrPlanTemplateInvalidations,
 	CtrPlanSkipped, CtrPlanDirty, CtrPlanShards,
-	CtrDriftWindows, CtrDriftDetections, CtrDriftRefits, CtrDriftFallbacks,
-	CtrModelSwaps, GaugeDriftScore,
+	CtrDriftWindows, CtrDriftDetections, CtrModelSwaps, GaugeDriftScore,
 	CtrRolloutStarted, CtrRolloutPromoted, CtrRolloutRolledBack,
 	CtrRolloutSuperseded, GaugeGeneration,
 	CtrSimEvents, CtrSimJobsAlloc, CtrSimJobsRecycled, GaugeSimHeapPeak,
@@ -88,8 +87,6 @@ func TestAllCountersExportOnMetrics(t *testing.T) {
 		"erms_self_plan_template_invalidations_total",
 		"erms_self_drift_windows_total",
 		"erms_self_drift_detected_total",
-		"erms_self_drift_refits_total",
-		"erms_self_drift_refit_fallbacks_total",
 		"erms_self_model_swaps_total",
 		"erms_self_drift_score_max",
 		"erms_self_rollout_started_total",

@@ -72,8 +72,6 @@ const (
 	// running counters, so these are Set rather than Add).
 	CtrDriftWindows    = "erms.self.drift_windows_total"
 	CtrDriftDetections = "erms.self.drift_detected_total"
-	CtrDriftRefits     = "erms.self.drift_refits_total"
-	CtrDriftFallbacks  = "erms.self.drift_refit_fallbacks_total"
 	CtrModelSwaps      = "erms.self.model_swaps_total"
 	GaugeDriftScore    = "erms.self.drift_score_max" // gauge: worst drift score seen
 

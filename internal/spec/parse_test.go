@@ -292,6 +292,28 @@ func TestAlibabaServices(t *testing.T) {
 	}
 }
 
+// TestAlibabaPlansAreFeasible: a generated alibaba topology carries SLAs an
+// allocation can meet, so a fresh controller plans it. The first case is
+// examples/alibaba's AlibabaConfig{Seed: 7, Services: 150, MeanGraphSize:
+// 50}; the second is the default (Taobao) size. Both hold services whose
+// longest path's latency floor exceeds an unfloored SLA draw.
+func TestAlibabaPlansAreFeasible(t *testing.T) {
+	for _, app := range []string{"seed: 7\n  services: 150", "seed: 1"} {
+		s, err := Parse(replace("kind: hotel", "kind: alibaba\n  "+app))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Cohorts[0].Service = "service-0000"
+		sc, err := s.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sc.FirstPlan(); err != nil {
+			t.Errorf("%q: %v", app, err)
+		}
+	}
+}
+
 // TestCompileRejectsUnknownCohortService: a cohort calling a service the app
 // does not have fails compile, naming the service and listing the app's —
 // a misspelled service must not silently drop its load.

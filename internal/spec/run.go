@@ -359,7 +359,7 @@ func (r *RunResult) Report(w io.Writer) {
 		}
 	}
 	if st := r.Drift; st != nil {
-		fmt.Fprintf(w, "\ndrift loop: %d windows scored, %d detections, %d swaps (%d segmented re-fits, %d recalibrations), max score %.2f\n",
-			st.Windows, st.Detections, st.Swaps, st.Refits, st.Fallbacks, st.MaxScore)
+		fmt.Fprintf(w, "\ndrift loop: %d windows scored, %d detections, %d swaps, max score %.2f\n",
+			st.Windows, st.Detections, st.Swaps, st.MaxScore)
 	}
 }

@@ -166,12 +166,12 @@ func TestEveryFieldHasAWriter(t *testing.T) {
 // (which reads every field reachable through pointers, slices, arrays, maps
 // and structs), and using a struct as a map key or an operand of == or !=
 // (which reads every field it holds by value). A store is not a read: an
-// element store x.F[k] = v (or ++, op=) targets F, and neither a self-append
-// x.F = append(x.F, …) nor a copy of F into the same field of another value
-// (out.F = r.F, out.F[k] = r.F[k], F: r.F in a literal, and a range over r.F
-// whose body only stores into F) reads it. Delete such a field, the writes
-// that fill it and whatever only it consumed, or allowlist it above with its
-// reader.
+// element store x.F[k] = v and a store through a pointer field *x.F = v (or
+// ++, op=) target F, and neither a self-append x.F = append(x.F, …) nor a
+// copy of F into the same field of another value (out.F = r.F,
+// out.F[k] = r.F[k], F: r.F in a literal, and a range over r.F whose body
+// only stores into F) reads it. Delete such a field, the writes that fill it
+// and whatever only it consumed, or allowlist it above with its reader.
 func TestEveryFieldHasAReader(t *testing.T) {
 	p, err := loadRepo()
 	if err != nil {
@@ -774,12 +774,14 @@ func (w *walker) skipCopies(e ast.Expr, f *types.Var, info *types.Info) {
 	}
 }
 
-// stored strips the index expressions off an assignment target: a store
-// into x.F[k] stores into F, it does not read it.
+// stored strips the index expressions and dereferences off an assignment
+// target: a store into x.F[k] or *x.F stores into F, it does not read it.
 func stored(e ast.Expr) ast.Expr {
 	for {
 		switch x := ast.Unparen(e).(type) {
 		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
 			e = x.X
 		default:
 			return x

@@ -13,6 +13,15 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+# Every example program runs to completion at its defaults: a README command
+# that exits non-zero is a defect, not documentation (stdout discarded).
+echo "== examples =="
+for main in examples/*/main.go; do
+	dir=$(dirname "$main")
+	echo "go run ./$dir"
+	go run "./$dir" >/dev/null
+done
+
 # Formatting: gofmt must have nothing to say about any Go file outside bench/
 # (a module of its own, changed only by benchmark PRs) and testdata.
 echo "== gofmt =="
@@ -37,8 +46,9 @@ fi
 # item that removes it. Third, it asks who reads each field, exported or not,
 # of a reached struct type (a selector that is not an assignment target, a
 # json tag, a value handed to fmt or reflect.DeepEqual, a map key or ==
-# operand; a store x.F[k] = v, a self-append and a copy of F into another
-# value's F are no reads): data filled and never consumed fails unless allowlisted with its
+# operand; a store x.F[k] = v, a self-append, a copy of F into another
+# value's F and a store through a pointer field, *x.F++ or *x.F = v, are no
+# reads): data filled and never consumed fails unless allowlisted with its
 # reader — a ROADMAP item, a test oracle, or a pinned golden's hash. Last, it
 # counts the settable values — exported fields of *Config/*Opts/*Options/*Spec
 # structs, With* options, cmd/ flags — so "options added" is a measured
