@@ -87,7 +87,7 @@ const (
 	CtrSimEvents       = "erms.self.sim_events_total"
 	CtrSimJobsAlloc    = "erms.self.sim_jobs_allocated_total"
 	CtrSimJobsRecycled = "erms.self.sim_jobs_recycled_total"
-	GaugeSimHeapPeak   = "erms.self.sim_event_heap_peak" // gauge: high-water pending-event depth (heap + lane)
+	GaugeSimHeapPeak   = "erms.self.sim_event_heap_peak" // gauge: high-water pending-event depth (heap + lane + timeout wheel)
 
 	// Partitioned / hybrid simulation (accumulated across evaluation
 	// windows): sharing-group partitions run, and container-minutes served

@@ -12,6 +12,8 @@
 // has to rediscover the model from simulated traces.
 package sim
 
+import "math"
+
 // evKind says what a typed event asks of its call frame; see Job.handle.
 type evKind uint8
 
@@ -114,13 +116,31 @@ type hopEvent struct {
 	gen  uint32
 }
 
-// Engine is a discrete-event clock with two pending-event queues that share
-// one (time, seq) order: a heap for events at arbitrary times and a FIFO lane
+// timer is one wheel entry: an evTimeout for frame f at (time, seq), linked
+// into its bucket's list. Entries are indexed into Engine.timers; index 0 is
+// the nil entry, so a zero link ends a list and a zero Job.timer means the
+// frame has no timer in the wheel.
+type timer struct {
+	time       float64
+	seq        int64
+	f          *Job
+	prev, next int32
+}
+
+// The timing wheel is wheelSlots buckets of one millisecond each: bucket b
+// holds the timers due in [b, b+1) ms and lives in slot b mod wheelSlots.
+const wheelSlots = 64
+
+// Engine is a discrete-event clock with three pending-event queues that share
+// one (time, seq) order: a heap for events at arbitrary times, a FIFO lane
 // for the events scheduled exactly lag ms from now — a call's two network
-// hops, two of the three events it costs. The clock never runs backwards, lag
-// is fixed and seq only grows, so the lane's entries are pushed already
-// sorted and never sift. Time is in milliseconds. The zero value is not
-// usable; call newEngine.
+// hops, two of the three events it costs — and a timing wheel for attempt
+// timeouts. The clock never runs backwards, lag is fixed and seq only grows,
+// so the lane's entries are pushed already sorted and never sift. Almost
+// every timeout is cancelled when its attempt settles, so a timer waits in
+// its millisecond's bucket, where settling unlinks it, and reaches the heap
+// only when that bucket comes due. Time is in milliseconds. The zero value is
+// not usable; call newEngine.
 type Engine struct {
 	now    float64
 	seq    int64
@@ -146,6 +166,22 @@ type Engine struct {
 	processed  int64
 	heapPushes int64
 	heapPeak   int
+
+	// The wheel holds wheelLen timers. wheelNext is the first bucket not yet
+	// promoted to the heap and wheelStart its start time, +Inf while the
+	// wheel is empty, so Run compares each event's time once. A non-empty
+	// wheel holds only buckets wheelNext to wheelNext+wheelSlots-1. wheel
+	// holds the head entry of each bucket's list, linked through timers;
+	// timerFree heads the free entries, chained through next. These fields
+	// follow the counters and the bucket heads come last, so the cache lines
+	// every event touches are the ones they were without the wheel: layouts
+	// that spread them cost BenchmarkEngineThroughput/exact 4–25 %.
+	wheelLen   int
+	wheelStart float64
+	wheelNext  int64
+	timerFree  int32
+	timers     []timer
+	wheel      [wheelSlots]int32
 }
 
 // newEngine creates an engine with the clock at zero whose lane delivers lag
@@ -158,6 +194,8 @@ func newEngine(lag float64) *Engine {
 		free:   make([]int32, 0, 1024),
 		lag:    lag,
 		lane:   make([]hopEvent, 256),
+
+		wheelStart: math.Inf(1),
 	}
 }
 
@@ -209,26 +247,123 @@ func (e *Engine) growLane() {
 	e.lane, e.laneHead = grown, 0
 }
 
+// timeout schedules frame f's evTimeout at absolute time t (the past clamps to
+// now). A timer due in a bucket the wheel has not promoted, within its
+// horizon, waits there and records its entry in f.timer, from where settling
+// unlinks it; any other time goes on the heap, which is exact for any time.
+func (e *Engine) timeout(t float64, f *Job) {
+	if t < e.now {
+		t = e.now
+	}
+	start := e.wheelStart
+	if e.wheelLen == 0 {
+		// The bucket of now is as good as promoted: Run is past its start.
+		start = math.Floor(e.now) + 1
+	}
+	if !(t >= start && t < start+wheelSlots) {
+		e.atFrame(t, f, evTimeout)
+		return
+	}
+	e.wheelNext, e.wheelStart = int64(start), start // unchanged unless the wheel was empty
+	i := e.timerFree
+	if i != 0 {
+		e.timerFree = e.timers[i].next
+	} else {
+		if len(e.timers) == 0 {
+			e.timers = make([]timer, 1, 256)
+		}
+		i = int32(len(e.timers))
+		e.timers = append(e.timers, timer{})
+	}
+	head := &e.wheel[int64(t)&(wheelSlots-1)]
+	e.seq++
+	tm := &e.timers[i]
+	tm.time, tm.seq, tm.f, tm.prev, tm.next = t, e.seq, f, 0, *head
+	if *head != 0 {
+		e.timers[*head].prev = i
+	}
+	*head = i
+	f.timer = i
+	e.wheelLen++
+	e.notePending()
+}
+
+// unlink takes timer entry i out of its bucket without running it.
+func (e *Engine) unlink(i int32) {
+	tm := &e.timers[i]
+	if tm.prev != 0 {
+		e.timers[tm.prev].next = tm.next
+	} else {
+		e.wheel[int64(tm.time)&(wheelSlots-1)] = tm.next
+	}
+	if tm.next != 0 {
+		e.timers[tm.next].prev = tm.prev
+	}
+	e.freeTimer(i)
+}
+
+// freeTimer returns entry i to the free list.
+func (e *Engine) freeTimer(i int32) {
+	tm := &e.timers[i]
+	tm.f, tm.next = nil, e.timerFree
+	e.timerFree = i
+	if e.wheelLen--; e.wheelLen == 0 {
+		e.wheelStart = math.Inf(1)
+	}
+}
+
+// promote moves bucket wheelNext's timers onto the heap, each under the seq
+// it took when scheduled, and advances the wheel by one bucket. It does
+// nothing (false) when the wheel is empty or the bucket starts after until.
+func (e *Engine) promote(until float64) bool {
+	if e.wheelLen == 0 || until < e.wheelStart {
+		return false
+	}
+	head := &e.wheel[e.wheelNext&(wheelSlots-1)]
+	for i := *head; i != 0; {
+		tm := &e.timers[i]
+		f, next := tm.f, tm.next
+		f.timer = 0
+		slot := e.takeSlot()
+		p := &e.slots[slot]
+		p.f, p.kind, p.gen = f, evTimeout, f.gen
+		e.events.push(heapKey{time: tm.time, seq: tm.seq, slot: slot})
+		e.heapPushes++
+		e.freeTimer(i)
+		i = next
+	}
+	*head = 0
+	e.wheelNext++
+	if e.wheelLen > 0 {
+		e.wheelStart = float64(e.wheelNext)
+	}
+	return true
+}
+
 // push schedules a heap event at time t (the past clamps to now): its payload
 // into a free slot, its key onto the heap.
 func (e *Engine) push(t float64, fn func(), f *Job, kind evKind, gen uint32) {
 	if t < e.now {
 		t = e.now
 	}
-	var slot int32
-	if n := len(e.free); n > 0 {
-		slot = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		slot = int32(len(e.slots))
-		e.slots = append(e.slots, payload{})
-	}
+	slot := e.takeSlot()
 	p := &e.slots[slot]
 	p.fn, p.f, p.kind, p.gen = fn, f, kind, gen
 	e.seq++
 	e.events.push(heapKey{time: t, seq: e.seq, slot: slot})
 	e.heapPushes++
 	e.notePending()
+}
+
+// takeSlot returns a payload slot no pending event holds.
+func (e *Engine) takeSlot() int32 {
+	if n := len(e.free); n > 0 {
+		slot := e.free[n-1]
+		e.free = e.free[:n-1]
+		return slot
+	}
+	e.slots = append(e.slots, payload{})
+	return int32(len(e.slots) - 1)
 }
 
 func (e *Engine) notePending() {
@@ -238,13 +373,18 @@ func (e *Engine) notePending() {
 }
 
 // Run processes events in (time, seq) order — at each step the smaller of the
-// lane's head and the heap's top — until both queues empty or the clock
+// lane's head and the heap's top — until every queue is empty or the clock
 // passes until (milliseconds). Events scheduled exactly at until are
-// executed.
+// executed. Before it runs an event at or after the wheel's next bucket, or
+// reaches an until there, it promotes that bucket, so a timer is on the heap
+// before anything that follows it in the order runs.
 func (e *Engine) Run(until float64) {
 	for e.Pending() > 0 {
 		if h := &e.lane[e.laneHead]; e.laneLen > 0 &&
 			(len(e.events) == 0 || before(h.time, h.seq, e.events[0].time, e.events[0].seq)) {
+			if h.time >= e.wheelStart && e.promote(until) {
+				continue
+			}
 			if h.time > until {
 				break
 			}
@@ -256,6 +396,16 @@ func (e *Engine) Run(until float64) {
 			e.processed++
 			f.handle(kind, gen)
 			continue
+		}
+		if len(e.events) == 0 || e.events[0].time >= e.wheelStart {
+			// Only the wheel holds events, or its next bucket may hold an
+			// earlier one.
+			if e.promote(until) {
+				continue
+			}
+			if len(e.events) == 0 {
+				break
+			}
 		}
 		top := e.events[0]
 		if top.time > until {
@@ -279,18 +429,20 @@ func (e *Engine) Run(until float64) {
 	}
 }
 
-// Pending returns the number of queued events, lane + heap (for tests and
-// diagnostics).
-func (e *Engine) Pending() int { return e.laneLen + len(e.events) }
+// Pending returns the number of queued events, lane + heap + wheel (for tests
+// and diagnostics). A timer unlinked from the wheel is no longer pending.
+func (e *Engine) Pending() int { return e.laneLen + len(e.events) + e.wheelLen }
 
 // EngineStats is the engine's self-telemetry, reported through the
 // simulation Result and mirrored into the erms.self.* namespace by the
 // control plane's observability layer. All values are deterministic for a
 // fixed seed.
 type EngineStats struct {
-	// Events is the number of events executed.
+	// Events is the number of events executed; a timeout unlinked from the
+	// wheel when its attempt settled never executes.
 	Events int64
-	// HeapPeak is the high-water count of pending events, lane + heap.
+	// HeapPeak is the high-water count of pending events, lane + heap +
+	// wheel.
 	HeapPeak int
 }
 

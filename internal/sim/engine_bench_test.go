@@ -97,3 +97,34 @@ func TestLaneSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("wave left %d pending, %d of %d events on the heap", eng.Pending(), eng.heapPushes, eng.Stats().Events)
 	}
 }
+
+// TestWheelSteadyStateZeroAlloc is the gate with timeouts in play: once the
+// wheel's entry pool has reached its high-water mark, arming timers,
+// unlinking half of them and letting the rest fire allocates nothing.
+func TestWheelSteadyStateZeroAlloc(t *testing.T) {
+	eng := newEngine(0.5)
+	rt := &Runtime{eng: eng}
+	frames := make([]*Job, 32)
+	for i := range frames {
+		frames[i] = &Job{rt: rt, settled: true} // each timer fires as a no-op
+	}
+	wave := func() {
+		now := eng.Now()
+		for k, f := range frames {
+			f.refs = 2 // never recycled
+			eng.timeout(now+2+float64(k%7), f)
+		}
+		for _, f := range frames[:16] {
+			f.stopTimer()
+		}
+		eng.Run(now + 16)
+	}
+	wave()
+	if allocs := testing.AllocsPerRun(200, wave); allocs != 0 {
+		t.Fatalf("wheel arm/unlink/fire allocates %.1f per wave, want 0", allocs)
+	}
+	// AllocsPerRun runs one more wave than it measures.
+	if want := int64(202 * 16); eng.Pending() != 0 || eng.Stats().Events != want {
+		t.Fatalf("waves left %d pending and ran %d events, want 0 and %d", eng.Pending(), eng.Stats().Events, want)
+	}
+}

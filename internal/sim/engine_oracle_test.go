@@ -2,15 +2,17 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"erms/internal/stats"
 )
 
 // oracleHeap and oracleEngine are the engine as it was before network hops
-// got their own lane: one binary heap for every event, swap-based sift, kept
-// verbatim as the reference the two-queue engine is compared against. A hop
-// is simply a heap event at now + lag.
+// got their own lane and timeouts their wheel: one binary heap for every
+// event, swap-based sift, kept verbatim as the reference the engine is
+// compared against. A hop is simply a heap event at now + lag, and a timeout
+// a heap event that, cancelled, pops as a no-op (lazy deletion).
 
 type oracleHeap []event
 
@@ -82,6 +84,10 @@ func (e *oracleEngine) hopFrame(f *Job, kind evKind) {
 	e.push(event{time: e.now + e.lag, f: f, kind: kind, gen: f.gen})
 }
 
+func (e *oracleEngine) timeout(t float64, f *Job) {
+	e.push(event{time: t, f: f, kind: evTimeout, gen: f.gen})
+}
+
 func (e *oracleEngine) push(ev event) {
 	if ev.time < e.now {
 		ev.time = e.now
@@ -124,6 +130,7 @@ type scheduler interface {
 	Now() float64
 	At(t float64, fn func())
 	hopFrame(f *Job, kind evKind)
+	timeout(t float64, f *Job)
 	Run(until float64)
 	Pending() int
 	Stats() EngineStats
@@ -142,6 +149,29 @@ type laneProgram struct {
 	nextID int
 	budget int      // events the program may still schedule
 	log    []string // "time id" per executed event
+
+	// With timers set the program also arms attempt timeouts and cancels
+	// some of them before they fire, as settling an attempt does. Timer
+	// frames belong to trt, a one-attempt resilient runtime whose engine is
+	// the one under test, so a cancel unlinks from its wheel; armed holds
+	// the timers neither fired nor cancelled.
+	timers bool
+	trt    *Runtime
+	node   callNode
+	armed  []*Job
+
+	// What the engine did with the timers (meaningless on the oracle, which
+	// has no wheel): entered the wheel or went straight to the heap; unlinked
+	// on cancel, or cancelled after promotion and left to pop as a no-op.
+	wheeled, direct, unlinked, lateCancels int
+}
+
+// programRun is what a replay observed.
+type programRun struct {
+	log     []string
+	pending []int     // Pending after each Run
+	clock   []float64 // Now after each Run
+	stats   EngineStats
 }
 
 // onHop puts fn behind a lane event: a root frame whose response (evReturn)
@@ -151,10 +181,72 @@ func (p *laneProgram) onHop(fn func()) {
 	p.eng.hopFrame(f, evReturn)
 }
 
+// arm puts fn behind an attempt timeout: when it fires, the unsettled
+// one-attempt frame fails its request, which runs the continuation. The due
+// time lands inside the wheel's horizon, past it, in the bucket of now, on a
+// lane event's time, on a bucket's start (where case 8 of spawn puts heap
+// events) or in the past.
+func (p *laneProgram) arm(fn func()) {
+	now := p.eng.Now()
+	var t float64
+	switch p.rng.Intn(6) {
+	case 0:
+		t = now + p.rng.Float64()*wheelSlots
+	case 1:
+		t = now + wheelSlots + p.rng.Float64()*2*wheelSlots
+	case 2:
+		t = now + p.rng.Float64()*(math.Floor(now)+1-now)
+	case 3:
+		t = now + p.lag
+	case 4:
+		t = math.Ceil(now) + float64(p.rng.Intn(3))
+	default:
+		t = now - 1 // the past clamps to now
+	}
+	f := &Job{rt: p.trt, node: &p.node, stream: -1, refs: 1}
+	f.then = func() {
+		p.drop(f)
+		fn()
+	}
+	p.eng.timeout(t, f)
+	if f.timer != 0 {
+		p.wheeled++
+	} else {
+		p.direct++
+	}
+	p.armed = append(p.armed, f)
+}
+
+// drop removes f from armed.
+func (p *laneProgram) drop(f *Job) {
+	for i, a := range p.armed {
+		if a == f {
+			p.armed[i] = p.armed[len(p.armed)-1]
+			p.armed = p.armed[:len(p.armed)-1]
+			return
+		}
+	}
+}
+
+// cancelOne settles a random armed timer's attempt, as a response or failure
+// beating the timeout would.
+func (p *laneProgram) cancelOne() {
+	f := p.armed[p.rng.Intn(len(p.armed))]
+	p.drop(f)
+	if f.timer != 0 {
+		p.unlinked++
+	} else {
+		p.lateCancels++
+	}
+	f.settled = true
+	f.stopTimer()
+}
+
 // spawn schedules one event that, when it runs, logs itself and schedules one
-// to fanout more (none if fanout is 0) — on the heap or the lane, at times chosen to collide. Each
-// spawn is exactly one push, so id+1 is the seq both engines give the event
-// and the log line is its (time, seq).
+// to fanout more (none if fanout is 0) — on the heap, the lane or, with
+// timers, as a timeout, at times chosen to collide. Each spawn is exactly one
+// push, so id+1 is the seq every engine gives the event and the log line is
+// its (time, seq).
 func (p *laneProgram) spawn(fanout int) {
 	if p.budget == 0 {
 		return
@@ -164,6 +256,9 @@ func (p *laneProgram) spawn(fanout int) {
 	p.nextID++
 	body := func() {
 		p.log = append(p.log, fmt.Sprintf("%v %d", p.eng.Now(), id))
+		if p.timers && len(p.armed) > 0 && p.rng.Intn(3) > 0 {
+			p.cancelOne()
+		}
 		if fanout == 0 {
 			return
 		}
@@ -179,7 +274,11 @@ func (p *laneProgram) spawn(fanout int) {
 		}
 	}
 	now := p.eng.Now()
-	switch p.rng.Intn(8) {
+	kinds := 8
+	if p.timers {
+		kinds = 12
+	}
+	switch p.rng.Intn(kinds) {
 	case 0, 1, 2:
 		p.onHop(body)
 	case 3:
@@ -193,14 +292,24 @@ func (p *laneProgram) spawn(fanout int) {
 	case 6:
 		// A multiple of the lag: collides with hops scheduled later.
 		p.eng.At(now+p.lag*float64(1+p.rng.Intn(3)), body)
-	default:
+	case 7:
 		p.eng.At(now+p.rng.Float64()*3*(p.lag+0.5), body)
+	case 8:
+		// A bucket's start: collides with timers due there.
+		p.eng.At(math.Ceil(now)+float64(p.rng.Intn(3)), body)
+	default:
+		p.arm(body)
 	}
 }
 
 // run replays the program in short Run calls whose boundaries fall before,
-// on and between pending events, recording Pending after each.
-func (p *laneProgram) run() (log []string, pending []int, st EngineStats) {
+// on and between pending events, recording Pending and Now after each.
+func (p *laneProgram) run() programRun {
+	var r programRun
+	record := func() {
+		r.pending = append(r.pending, p.eng.Pending())
+		r.clock = append(r.clock, p.eng.Now())
+	}
 	for i := 0; i < 8; i++ {
 		p.spawn(2)
 	}
@@ -217,17 +326,41 @@ func (p *laneProgram) run() (log []string, pending []int, st EngineStats) {
 			until = now + p.rng.Float64()*2*(p.lag+0.5)
 		}
 		p.eng.Run(until)
-		pending = append(pending, p.eng.Pending())
+		record()
 	}
 	p.eng.Run(1e18)
-	pending = append(pending, p.eng.Pending())
-	return p.log, pending, p.eng.Stats()
+	record()
+	r.log, r.stats = p.log, p.eng.Stats()
+	return r
 }
 
-func newLaneProgram(eng scheduler, seed uint64, lag float64) *laneProgram {
-	return &laneProgram{
+func newLaneProgram(eng scheduler, seed uint64, lag float64, timers bool) *laneProgram {
+	p := &laneProgram{
 		eng: eng, rng: stats.NewRNG(seed), lag: lag,
 		rt: &Runtime{eng: newEngine(0)}, budget: 2000,
+		timers: timers,
+		trt:    &Runtime{res: &Resilience{MaxAttempts: 1}},
+		node:   callNode{edge: &edgeState{}},
+	}
+	if e, ok := eng.(*Engine); ok {
+		p.trt.eng = e
+	}
+	return p
+}
+
+// sameLog fails the test at the first event where got and want differ.
+func sameLog(t *testing.T, name string, got, want []string) {
+	t.Helper()
+	if len(want) < 100 {
+		t.Fatalf("%s: program ran only %d events", name, len(want))
+	}
+	for i := range want {
+		if i >= len(got) || got[i] != want[i] {
+			t.Fatalf("%s: event %d differs from the oracle\n got %v\nwant %v", name, i, tail(got, i), tail(want, i))
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: ran %d events, oracle %d", name, len(got), len(want))
 	}
 }
 
@@ -236,36 +369,27 @@ func newLaneProgram(eng scheduler, seed uint64, lag float64) *laneProgram {
 // ties between the queues in both seq orders, a zero lag, past times, Run
 // boundaries anywhere — on the two-queue engine and on the one-heap oracle,
 // and requires the same events at the same times in the same order, the same
-// Pending after every Run, and the same Stats.
+// Pending and clock after every Run, and the same Stats.
 func TestLaneMatchesHeapOracle(t *testing.T) {
 	grew := 0
 	for _, lag := range []float64{0, 0.05, 1, 7.25} {
 		for seed := uint64(1); seed <= 40; seed++ {
-			wantLog, wantPending, wantStats := newLaneProgram(&oracleEngine{lag: lag}, seed, lag).run()
+			name := fmt.Sprintf("lag %v seed %d", lag, seed)
+			want := newLaneProgram(&oracleEngine{lag: lag}, seed, lag, false).run()
 			eng := newEngine(lag)
-			gotLog, gotPending, gotStats := newLaneProgram(eng, seed, lag).run()
+			got := newLaneProgram(eng, seed, lag, false).run()
 
-			if len(wantLog) < 100 {
-				t.Fatalf("lag %v seed %d: program ran only %d events", lag, seed, len(wantLog))
+			sameLog(t, name, got.log, want.log)
+			if fmt.Sprint(got.pending, got.clock) != fmt.Sprint(want.pending, want.clock) {
+				t.Fatalf("%s: Pending and Now after each Run\n got %v %v\nwant %v %v",
+					name, got.pending, got.clock, want.pending, want.clock)
 			}
-			for i := range wantLog {
-				if i >= len(gotLog) || gotLog[i] != wantLog[i] {
-					t.Fatalf("lag %v seed %d: event %d differs from the oracle\n got %v\nwant %v",
-						lag, seed, i, tail(gotLog, i), tail(wantLog, i))
-				}
+			if got.stats != want.stats {
+				t.Fatalf("%s: Stats %+v, oracle %+v", name, got.stats, want.stats)
 			}
-			if len(gotLog) != len(wantLog) {
-				t.Fatalf("lag %v seed %d: ran %d events, oracle %d", lag, seed, len(gotLog), len(wantLog))
-			}
-			if fmt.Sprint(gotPending) != fmt.Sprint(wantPending) {
-				t.Fatalf("lag %v seed %d: Pending after each Run\n got %v\nwant %v", lag, seed, gotPending, wantPending)
-			}
-			if gotStats != wantStats {
-				t.Fatalf("lag %v seed %d: Stats %+v, oracle %+v", lag, seed, gotStats, wantStats)
-			}
-			if eng.heapPushes == gotStats.Events || eng.heapPushes == 0 {
-				t.Fatalf("lag %v seed %d: %d of %d events on the heap; the program must mix both queues",
-					lag, seed, eng.heapPushes, gotStats.Events)
+			if eng.heapPushes == got.stats.Events || eng.heapPushes == 0 {
+				t.Fatalf("%s: %d of %d events on the heap; the program must mix both queues",
+					name, eng.heapPushes, got.stats.Events)
 			}
 			if len(eng.lane) > 256 {
 				grew++
@@ -274,6 +398,51 @@ func TestLaneMatchesHeapOracle(t *testing.T) {
 	}
 	if grew == 0 {
 		t.Fatal("no program outgrew the lane's first ring")
+	}
+}
+
+// TestWheelMatchesHeapOracle replays the same programs with attempt timeouts
+// mixed in: timers inside the wheel's horizon and past it, in the bucket of
+// now, tied with lane events and with heap events on a bucket's start, and
+// two in three handlers cancelling a random armed timer. Against the one-heap
+// oracle with lazy deletion, the engine must run the same events at the same
+// times in the same order — a cancelled timer runs on neither — with the same
+// clock after every Run. It may hold fewer pending events (the timers it
+// unlinked) and executes exactly that many fewer: a timer cancelled after its
+// bucket was promoted still pops as a no-op.
+func TestWheelMatchesHeapOracle(t *testing.T) {
+	var wheeled, direct, unlinked, late int
+	for _, lag := range []float64{0, 0.05, 1, 7.25} {
+		for seed := uint64(1); seed <= 40; seed++ {
+			name := fmt.Sprintf("lag %v seed %d", lag, seed)
+			want := newLaneProgram(&oracleEngine{lag: lag}, seed, lag, true).run()
+			eng := newEngine(lag)
+			p := newLaneProgram(eng, seed, lag, true)
+			got := p.run()
+
+			sameLog(t, name, got.log, want.log)
+			if fmt.Sprint(got.clock) != fmt.Sprint(want.clock) {
+				t.Fatalf("%s: Now after each Run\n got %v\nwant %v", name, got.clock, want.clock)
+			}
+			for i := range want.pending {
+				if got.pending[i] > want.pending[i] {
+					t.Fatalf("%s: %d pending after Run %d, oracle %d", name, got.pending[i], i, want.pending[i])
+				}
+			}
+			if n := len(got.pending) - 1; got.pending[n] != 0 || eng.wheelLen != 0 {
+				t.Fatalf("%s: %d pending (%d in the wheel) after the last Run", name, got.pending[n], eng.wheelLen)
+			}
+			if got.stats.Events != want.stats.Events-int64(p.unlinked) {
+				t.Fatalf("%s: ran %d events, oracle %d with %d timers unlinked",
+					name, got.stats.Events, want.stats.Events, p.unlinked)
+			}
+			wheeled, direct, unlinked, late = wheeled+p.wheeled, direct+p.direct, unlinked+p.unlinked, late+p.lateCancels
+		}
+	}
+	t.Logf("%d timers wheeled, %d straight to the heap; %d unlinked, %d cancelled after promotion",
+		wheeled, direct, unlinked, late)
+	if wheeled == 0 || direct == 0 || unlinked == 0 || late == 0 {
+		t.Fatal("the programs miss a path of the wheel")
 	}
 }
 

@@ -223,6 +223,23 @@ func TestHopsSkipTheHeap(t *testing.T) {
 	}
 }
 
+// TestTimeoutsSkipTheHeap is the wheel's claim as a count: nearly every
+// attempt timeout is unlinked when its attempt settles and never reaches the
+// heap, so on the pinned resilient run no more than 0.45 of the executed
+// events were pushed on the heap. With every timer on the heap the share was
+// 0.55 (1 978 563 of 3 628 353); with the wheel it is 0.43 (1 229 012 of
+// 2 878 802).
+func TestTimeoutsSkipTheHeap(t *testing.T) {
+	rt, err := NewRuntime(pinnedResilientConfig(t, &recObserver{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := rt.Run().Engine.Events
+	if pushes := rt.eng.heapPushes; events == 0 || float64(pushes) > 0.45*float64(events) {
+		t.Fatalf("%d of %d events went through the heap, want <= 0.45", pushes, events)
+	}
+}
+
 // TestObserverDoesNotPerturbRun: whether a trace is sampled is a hash of
 // (seed, trace ID), so attaching an observer changes nothing but what the
 // observer receives. Each config runs with and without one and must produce

@@ -17,9 +17,9 @@ import "erms/internal/workload"
 // Frames are pooled. A frame holds one reference per pending event that
 // targets it, per container queue or in-flight list that holds it, and per
 // live child frame (children call back into their parent); it returns to the
-// free list when the last reference drops, and not before — a late timeout
-// timer, work the client abandoned, or a crash re-route can each outlive the
-// call's outcome.
+// free list when the last reference drops, and not before — a timeout timer
+// already on the heap, work the client abandoned, or a crash re-route can
+// each outlive the call's outcome.
 type Job struct {
 	Service  string
 	Enqueued float64 // server-receive instant
@@ -49,6 +49,7 @@ type Job struct {
 	stage     int32 // downstream stage being executed
 	remaining int32 // calls of that stage still to return
 	attempt   int32
+	timer     int32   // the attempt's timeout entry while it waits in the wheel, else 0
 	err       CallErr // the failure a pending evFail delivers
 	sampled   bool
 	// settled: the client side of the attempt is decided (response, timeout or
@@ -210,7 +211,8 @@ func (f *Job) try() {
 		}
 	}
 	if f.deadline > 0 {
-		f.at(f.deadline, evTimeout)
+		f.refs++
+		rt.eng.timeout(f.deadline, f)
 	}
 	rt.data.Attempts++
 	f.issue()
@@ -224,6 +226,7 @@ func (f *Job) settle(err CallErr) {
 		return
 	}
 	f.settled = true
+	f.stopTimer()
 	rt, edge := f.rt, f.node.edge
 	if br := edge.breaker; br != nil {
 		br.record(rt.eng.Now(), err != ErrNone, &rt.data)
@@ -254,6 +257,18 @@ func (f *Job) settle(err CallErr) {
 		rt.data.RetryBudgetExhausted++
 	}
 	f.fail(err)
+}
+
+// stopTimer unlinks the attempt's timeout from the wheel, if it still waits
+// there, and drops the reference it held: once the attempt has settled the
+// timer could only find it settled. A timer already promoted to the heap
+// stays, and fires as a no-op.
+func (f *Job) stopTimer() {
+	if f.timer != 0 {
+		f.rt.eng.unlink(f.timer)
+		f.timer = 0
+		f.unref()
+	}
 }
 
 // succeed reports the call edge's success to whoever issued it.

@@ -130,7 +130,7 @@ func fingerprint(res *Result, spans []CallRecord) string {
 	fmt.Fprintf(&sb, "engine %+v data %+v simmin=%v parts=%d fluidcm=%d exactcm=%d\n",
 		res.Engine, res.Data, res.SimulatedMin, res.Partitions, res.FluidContainerMinutes, res.ExactContainerMinutes)
 	for _, sr := range res.PerStream {
-		fmt.Fprintf(&sb, "stream %v c=%d v=%d e=%d lat=%v\n", sr.Tier, sr.Count, sr.Violations, sr.Errors, sr.lat.Values())
+		fmt.Fprintf(&sb, "stream %v c=%d v=%d e=%d\n", sr.Tier, sr.Count, sr.Violations, sr.Errors)
 	}
 	for _, sm := range res.StreamMinutes {
 		fmt.Fprintf(&sb, "streammin %+v\n", sm)

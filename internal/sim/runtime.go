@@ -402,10 +402,6 @@ type StreamResult struct {
 	Count      int
 	Violations int
 	Errors     int
-
-	// lat samples the stream's latencies. Only the pinned fingerprints read
-	// it, but its seed is split off the run's RNG, which the goldens pin.
-	lat *stats.Reservoir
 }
 
 // Good returns requests completed within the stream's SLA.
@@ -665,10 +661,10 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		rt.streamAcc = make([]streamMinuteAcc, len(cfg.Streams))
 		rt.result.PerStream = make([]*StreamResult, len(cfg.Streams))
 		for i, s := range cfg.Streams {
-			rt.result.PerStream[i] = &StreamResult{
-				Tier: s.Tier,
-				lat:  stats.NewReservoir(1<<15, rt.rng.Split()),
-			}
+			// Each stream once split a latency reservoir's seed off the
+			// run's RNG; the split stays so that no later draw moves.
+			rt.rng.Split()
+			rt.result.PerStream[i] = &StreamResult{Tier: s.Tier}
 			sla, hasSLA := cfg.SLAs[s.Service]
 			if s.SLA != nil {
 				sla, hasSLA = *s.SLA, true
@@ -920,7 +916,6 @@ func (rt *Runtime) requestDone(f *Job) {
 		if f.stream >= 0 {
 			sr := rt.result.PerStream[f.stream]
 			sr.Count++
-			sr.lat.Add(lat)
 			if slow {
 				sr.Violations++
 			}

@@ -224,7 +224,9 @@ func TestRunInjectsChaos(t *testing.T) {
 // TestRunScoresDrift is the regression test for the driver split: a batch
 // run evaluated windows by hand and never fed the drift detector, so a
 // drift block was silently ignored (0 windows scored). On the shared loop
-// every window is scored.
+// every window is scored. It also holds the run to what drift.yaml's header
+// quotes: the crash window's two detections, absorbed by the hysteresis
+// without a swap.
 func TestRunScoresDrift(t *testing.T) {
 	sc := compileExample(t, "drift.yaml", nil)
 	res, err := sc.Run(nil)
@@ -234,10 +236,21 @@ func TestRunScoresDrift(t *testing.T) {
 	if res.Drift == nil || res.Drift.Windows != len(res.Windows) {
 		t.Fatalf("drift loop scored %+v over %d windows, want every window", res.Drift, len(res.Windows))
 	}
+	if res.Drift.Detections != 2 || res.Drift.Swaps != 0 {
+		t.Errorf("drift loop made %d detections and %d swaps; drift.yaml's header quotes 2 and 0", res.Drift.Detections, res.Drift.Swaps)
+	}
+	for _, rep := range res.Windows {
+		if rep.ModelSwaps != 0 {
+			t.Errorf("window %d swapped %d models; drift.yaml's header quotes none", rep.Window, rep.ModelSwaps)
+		}
+	}
 	var buf bytes.Buffer
 	res.Report(&buf)
-	if !strings.Contains(buf.String(), "drift loop: 6 windows scored") {
-		t.Errorf("report lacks the drift summary:\n%s", buf.String())
+	if !strings.Contains(buf.String(), "drift loop: 6 windows scored, 2 detections, 0 swaps") {
+		t.Errorf("report lacks the drift summary drift.yaml's header quotes:\n%s", buf.String())
+	}
+	if !strings.Contains(buf.String(), "2    crash(reserve)") {
+		t.Errorf("window 2 is not the reserve crash drift.yaml's header names:\n%s", buf.String())
 	}
 }
 

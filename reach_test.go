@@ -54,7 +54,7 @@ var unwrittenAllowlist = map[string]string{
 // test like an unread field does.
 var unreadFieldAllowlist = map[string]string{
 	"multiplex.ExactSolution.N": "exact_test.go's TestExactFeasibilityAndOptimality checks the Eq. 13-14 optimum's feasibility and optimality on it",
-	"sim.Engine.heapPushes":     "TestHopsSkipTheHeap holds network hops to the FIFO lane with it",
+	"sim.Engine.heapPushes":     "TestHopsSkipTheHeap and TestTimeoutsSkipTheHeap hold network hops to the FIFO lane and settled timeouts to the wheel with it",
 }
 
 // loadRepo type-checks the repository once for every test of this file.

@@ -269,6 +269,27 @@ awk -v allocs="$(layer 'allocs_per_window')" 'BEGIN {
 	exit !(allocs > 0 && allocs <= 25000)
 }'
 
+# The resilient simulator's per-window allocations: one untraced hotel-chaos
+# run (per-attempt timeouts, retries, shedding); a count of a deterministic
+# run holds on any machine. While every attempt's timeout stayed on the heap
+# until it popped as a no-op, holding its call frame until then, and every
+# cohort stream kept a latency reservoir no program read, this read ~988
+# allocations per window at seed 1; ~825 since frames are recycled when the
+# attempt settles.
+echo "== resilient simulator gate (hotel-chaos: allocs per window <= 920) =="
+res=$(bash bench/run.sh --workload hotel-chaos --seed 1 --seconds 1 --trace 0 | tail -n 1)
+case "$res" in
+'{"correct":true,'*) ;;
+*)
+	echo "hotel-chaos run is not correct: $res" >&2
+	exit 1
+	;;
+esac
+awk -v allocs="$(layer 'allocs_per_window')" 'BEGIN {
+	printf "%d allocations per window\n", allocs
+	exit !(allocs > 0 && allocs <= 920)
+}'
+
 # The same gate on the control plane: no per-series state grows with the
 # cluster. One untraced scale1k-control run (1000 services, 2000 hosts). While
 # every Apply scraped the cluster into a time-series store nobody queried,
