@@ -204,7 +204,7 @@ var figures = map[string]figureCase{
 				return atMost(c, "fig12a", "erms", tol, "firm", "grandslam", "rhythm")
 			}},
 		{name: "erms has the lowest normalized tail in every setting, below the SLA", row: "Fig. 12b",
-			quote: "Erms 0.10–0.21× SLA vs 0.28–0.35× for baselines at the tight SLA", tol: 0,
+			quote: "Erms 0.10–0.21× SLA vs 0.28–0.31× for baselines at the tight SLA", tol: 0,
 			check: func(c *cells, tol float64) error {
 				if err := atMost(c, "fig12b", "erms", tol, "firm", "grandslam", "rhythm"); err != nil {
 					return err
@@ -273,7 +273,7 @@ var figures = map[string]figureCase{
 				return nil
 			}},
 		{name: "at equal resources erms meets the SLA and K8s placement does worse", row: "Fig. 15b",
-			quote: "0.14× vs 3.67× SLA at equal resources", tol: 0,
+			quote: "0.14× vs 3.85× SLA at equal resources", tol: 0,
 			check: func(c *cells, tol float64) error {
 				for _, row := range c.rows("fig15b") {
 					e, k := c.num("fig15b", row, "erms provisioning"), c.num("fig15b", row, "k8s default")

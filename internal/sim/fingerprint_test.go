@@ -159,7 +159,9 @@ func pinnedHash(res *Result, spans []CallRecord) string {
 // sampled spans, engine event count and heap peak, data-plane counters —
 // against hashes captured before the per-call closure chain was replaced by
 // pooled frames. The runtime's contract is the same events in the same order
-// with the same RNG draws, so any drift here is a behaviour change.
+// with the same RNG draws, so any drift here is a behaviour change. The
+// planned ones re-captured it: trace sampling by a hash of the trace ID, and
+// service times drawing their normal from the ziggurat.
 // `go test ./internal/sim -run TestRuntimeFingerprintPinned -update` rewrites
 // the golden file from the current build.
 func TestRuntimeFingerprintPinned(t *testing.T) {

@@ -12,9 +12,12 @@ type LogNormal struct {
 	Sigma float64
 }
 
-// Sample draws a log-normally distributed value.
+// Sample draws a log-normally distributed value. Its normal comes from the
+// ziggurat (zigNormFloat64), not NormFloat64's polar method: this is the one
+// draw per simulated request stage, and the ziggurat costs about a fifth as
+// much.
 func (d LogNormal) Sample(r *RNG) float64 {
-	return math.Exp(d.Mu + d.Sigma*r.NormFloat64())
+	return math.Exp(d.Mu + d.Sigma*r.zigNormFloat64())
 }
 
 func (d LogNormal) String() string { return fmt.Sprintf("LogNormal(mu=%g, sigma=%g)", d.Mu, d.Sigma) }

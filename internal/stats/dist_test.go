@@ -6,15 +6,13 @@ import (
 	"time"
 )
 
-func sampleMean(d LogNormal, n int, seed uint64) float64 {
-	r := NewRNG(seed)
-	var m Moments
-	for i := 0; i < n; i++ {
-		m.Add(d.Sample(r))
-	}
-	return m.Mean()
-}
-
+// TestLogNormalFromMeanCV checks the analytic mean of each parameterization
+// and recovers its mean and CV from zigDraws samples. With s² = ln(1+cv²) and
+// w = e^{s²}, the log-normal's kurtosis is κ = w⁴ + 2w³ + 3w² − 3, so the
+// sample variance has relative standard error √((κ−1)/n), the standard
+// deviation half that, and the mean cv/√n. The CV's bound adds the two in
+// quadrature, dropping their (positive) covariance, which only widens it.
+// Each tolerance is five standard errors.
 func TestLogNormalFromMeanCV(t *testing.T) {
 	for _, tc := range []struct{ mean, cv float64 }{
 		{1, 0.5}, {10, 1.0}, {0.2, 0.25},
@@ -24,9 +22,22 @@ func TestLogNormalFromMeanCV(t *testing.T) {
 		if mean := math.Exp(d.Mu + d.Sigma*d.Sigma/2); math.Abs(mean-tc.mean)/tc.mean > 1e-9 {
 			t.Fatalf("analytic mean %v, want %v", mean, tc.mean)
 		}
-		got := sampleMean(d, 400000, 7)
-		if math.Abs(got-tc.mean)/tc.mean > 0.03 {
-			t.Fatalf("sample mean %v, want ~%v (cv %v)", got, tc.mean, tc.cv)
+		r := NewRNG(7)
+		var m Moments
+		for i := 0; i < zigDraws; i++ {
+			m.Add(d.Sample(r))
+		}
+		n := float64(zigDraws)
+		w := 1 + tc.cv*tc.cv
+		kappa := w*w*w*w + 2*w*w*w + 3*w*w - 3
+		seMean := tc.cv / math.Sqrt(n)
+		seSD := math.Sqrt((kappa-1)/n) / 2
+		seCV := math.Sqrt(seMean*seMean + seSD*seSD)
+		if rel := m.Mean()/tc.mean - 1; math.Abs(rel) > 5*seMean {
+			t.Errorf("LogNormalFromMeanCV(%v, %v): sample mean %v, off by %.4f, want within %.4f", tc.mean, tc.cv, m.Mean(), rel, 5*seMean)
+		}
+		if rel := m.StdDev()/m.Mean()/tc.cv - 1; math.Abs(rel) > 5*seCV {
+			t.Errorf("LogNormalFromMeanCV(%v, %v): sample CV %v, off by %.4f, want within %.4f", tc.mean, tc.cv, m.StdDev()/m.Mean(), rel, 5*seCV)
 		}
 	}
 }

@@ -101,7 +101,11 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 }
 
 // NormFloat64 returns a standard normally distributed value using the
-// Marsaglia polar method.
+// Marsaglia polar method. It stays the polar method, though the ziggurat
+// behind LogNormal.Sample is faster, because its callers define frozen
+// workloads: AlibabaLikeTrace's jitter and Poisson's normal approximation
+// draw every rate trace and arrival count, and a different normal there
+// would change the requests every figure and benchmark simulates.
 func (r *RNG) NormFloat64() float64 {
 	for {
 		u := 2*r.Float64() - 1

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"sort"
 	"testing"
@@ -281,6 +283,49 @@ func TestPatternStrings(t *testing.T) {
 	for _, p := range []Pattern{Static{1}, Diurnal{Base: 1, Peak: 2}, Trace{Name: "x"}} {
 		if p.String() == "" {
 			t.Fatalf("%T empty string", p)
+		}
+	}
+}
+
+// TestFrozenGeneratorsPinned hashes the workload generators that draw their
+// normals through stats.RNG.NormFloat64: AlibabaLikeTrace's minute jitter
+// (social-diurnal's rate trace) and Poisson's normal approximation, which
+// draws every arrival count above 64 per minute. These define the workloads
+// every figure, golden and benchmark runs on, so a change to the polar method
+// (or to anything else they draw) must show here, not only as moved goldens
+// downstream.
+func TestFrozenGeneratorsPinned(t *testing.T) {
+	hashFloats := func(xs []float64, tail *stats.RNG) uint64 {
+		h := fnv.New64a()
+		var b [8]byte
+		for _, x := range xs {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+			h.Write(b[:])
+		}
+		if tail != nil {
+			// Where the stream left its RNG: a generator that consumes
+			// more or fewer draws moves this even if the values agree.
+			binary.LittleEndian.PutUint64(b[:], tail.Uint64())
+			h.Write(b[:])
+		}
+		return h.Sum64()
+	}
+	arrivals := func(p Pattern, seed uint64) uint64 {
+		r := stats.NewRNG(seed)
+		return hashFloats(drain(NewArrivals(p, r, 0, 30)), r)
+	}
+	for _, tc := range []struct {
+		name string
+		got  uint64
+		want uint64
+	}{
+		{"AlibabaLikeTrace(1)", hashFloats(AlibabaLikeTrace(1, 1440, 300, 3000).Rates, nil), 0xe77c61994d1be31},
+		{"AlibabaLikeTrace(42)", hashFloats(AlibabaLikeTrace(42, 240, 50, 900).Rates, nil), 0x53f4b3717609dc96},
+		{"Static(900)", arrivals(Static{Rate: 900}, 5), 0x59ca74fc4fc3445c},
+		{"Diurnal", arrivals(Diurnal{Base: 40, Peak: 1200, PeriodMin: 20, Spikes: []Spike{{Start: 7, Duration: 3, Factor: 2}}}, 11), 0x2341a3bb71450b04},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s hashes to %#x, want %#x", tc.name, tc.got, tc.want)
 		}
 	}
 }

@@ -19,6 +19,11 @@
 #           allocations per request       -> bench_7.txt, BENCH_7.json
 #   all     all targets in sequence
 #
+# A target whose gate fails exits non-zero after writing its JSON. With
+# BENCH_SMOKE=1 a one-iteration timing ratio is reported but not gated (one
+# iteration on a loaded machine says nothing about a speedup); only
+# machine-independent counts are (bench7's allocations per request).
+#
 # Usage:
 #   scripts/bench.sh [bench5|bench6|bench7|all]   # default: all
 #   BENCH_COUNT=10 scripts/bench.sh bench6
@@ -33,8 +38,10 @@ cd "$(dirname "$0")/.."
 TARGET="${1:-all}"
 COUNT="${BENCH_COUNT:-1}"
 BENCHTIME="${BENCH_BENCHTIME:-2s}"
+SMOKE=0
 if [ "${BENCH_SMOKE:-0}" = "1" ]; then
 	BENCHTIME=1x
+	SMOKE=1
 fi
 
 bench5() {
@@ -48,7 +55,7 @@ bench5() {
 	# Fold into BENCH_5.json: mean ns/op per benchmark name and the headline
 	# per-window speedup (naive / compiled) on the 100x50x10 topology. The
 	# acceptance gate for PR 5 is speedup >= 5.
-	awk -v json="$JSON" '
+	awk -v json="$JSON" -v smoke="$SMOKE" '
 	/^Benchmark/ {
 		name = $1
 		sub(/-[0-9]+$/, "", name)
@@ -65,10 +72,12 @@ bench5() {
 		printf "  \"naive_ns_per_window\": %.0f,\n", naive >> json
 		printf "  \"compiled_ns_per_window\": %.0f,\n", comp >> json
 		printf "  \"speedup\": %.2f,\n", speedup >> json
-		printf "  \"gate\": \"speedup >= 5\",\n" >> json
-		printf "  \"pass\": %s\n", (speedup >= 5 ? "true" : "false") >> json
+		pass = (speedup >= 5 || smoke)
+		printf "  \"gate\": \"%s\",\n", (smoke ? "smoke: speedup not gated" : "speedup >= 5") >> json
+		printf "  \"pass\": %s\n", (pass ? "true" : "false") >> json
 		printf "}\n" >> json
-		printf "bench5 speedup: %.2fx (gate >= 5): %s\n", speedup, (speedup >= 5 ? "PASS" : "FAIL")
+		printf "bench5 speedup: %.2fx (%s): %s\n", speedup, (smoke ? "smoke: not gated" : "gate >= 5"), (pass ? "PASS" : "FAIL")
+		exit pass ? 0 : 1
 	}' "$OUT"
 	echo "wrote $OUT and $JSON"
 }
@@ -87,7 +96,7 @@ bench6() {
 	# victims at frozen utilization it was defined on; the live-* pair
 	# (scattered victims, utilization moving every window: nothing skipped) is
 	# reported beside it, not gated.
-	awk -v json="$JSON" '
+	awk -v json="$JSON" -v smoke="$SMOKE" '
 	/^Benchmark/ {
 		name = $1
 		sub(/-[0-9]+$/, "", name)
@@ -112,11 +121,13 @@ bench6() {
 			printf "  \"live_incremental_ns_per_window\": %.0f,\n", ns[li] / cnt[li] >> json
 			printf "  \"live_speedup\": %.2f,\n", (ns[lc] / cnt[lc]) / (ns[li] / cnt[li]) >> json
 		}
-		printf "  \"gate\": \"speedup >= 5\",\n" >> json
-		printf "  \"pass\": %s\n", (speedup >= 5 ? "true" : "false") >> json
+		pass = (speedup >= 5 || smoke)
+		printf "  \"gate\": \"%s\",\n", (smoke ? "smoke: speedup not gated" : "speedup >= 5") >> json
+		printf "  \"pass\": %s\n", (pass ? "true" : "false") >> json
 		printf "}\n" >> json
-		printf "bench6 speedup: %.2fx (gate >= 5): %s\n", speedup, (speedup >= 5 ? "PASS" : "FAIL")
+		printf "bench6 speedup: %.2fx (%s): %s\n", speedup, (smoke ? "smoke: not gated" : "gate >= 5"), (pass ? "PASS" : "FAIL")
 		if (cnt[li] > 0) printf "bench6 live traffic: incremental %.1f ms/window (reported, not gated)\n", ns[li] / cnt[li] / 1e6
+		exit pass ? 0 : 1
 	}' "$OUT"
 	echo "wrote $OUT and $JSON"
 }
@@ -147,8 +158,10 @@ bench7() {
 	# hops off the event heap, which the fluid path cannot use — its events
 	# carry drawn times — so the ratio fell again, ~3.1 to ~2.6, and stays
 	# above the gate). With BENCH_PARENT set, the parent's exact engine and
-	# the speedup over it are reported, not gated.
-	awk -v json="$JSON" '
+	# the speedup over it are reported, not gated. A smoke run gates only the
+	# allocation count: three one-iteration runs read hybrid/exact 1.77,
+	# 2.00 and 2.01 on a machine where full benchtime reads ~2.6.
+	awk -v json="$JSON" -v smoke="$SMOKE" '
 	/^Benchmark/ {
 		name = $1
 		sub(/-[0-9]+$/, "", name)
@@ -168,7 +181,7 @@ bench7() {
 		# requests per op = req/s x s/op, from the same lines.
 		apr = (allocs[e] / cnt[e]) / (exact * ns[e] / cnt[e] / 1e9)
 		speedup = hybrid / exact
-		pass = (apr <= 10 && speedup >= 2)
+		pass = (apr <= 10 && (speedup >= 2 || smoke))
 		printf "{\n" > json
 		printf "  \"benchmark\": \"BenchmarkEngineThroughput\",\n" >> json
 		printf "  \"topology\": {\"services\": 40, \"sharing_block\": 4, \"containers_per_microservice\": 2, \"hosts\": 16},\n" >> json
@@ -181,11 +194,12 @@ bench7() {
 			printf "  \"parent_exact_requests_per_sec\": %.0f,\n", parent >> json
 			printf "  \"exact_speedup_vs_parent\": %.2f,\n", exact / parent >> json
 		}
-		printf "  \"gate\": \"exact_allocs_per_request <= 10 && speedup >= 2\",\n" >> json
+		printf "  \"gate\": \"%s\",\n", (smoke ? "exact_allocs_per_request <= 10 (smoke: speedup not gated)" : "exact_allocs_per_request <= 10 && speedup >= 2") >> json
 		printf "  \"pass\": %s\n", (pass ? "true" : "false") >> json
 		printf "}\n" >> json
-		printf "bench7 exact allocs/request: %.3f (gate <= 10), hybrid/exact: %.2fx (gate >= 2): %s\n", apr, speedup, (pass ? "PASS" : "FAIL")
+		printf "bench7 exact allocs/request: %.3f (gate <= 10), hybrid/exact: %.2fx (%s): %s\n", apr, speedup, (smoke ? "smoke: not gated" : "gate >= 2"), (pass ? "PASS" : "FAIL")
 		if (cnt[p] > 0) printf "bench7 exact vs parent exact: %.2fx (reported, not gated)\n", exact / parent
+		exit pass ? 0 : 1
 	}' "$OUT"
 	echo "wrote $OUT and $JSON"
 }
