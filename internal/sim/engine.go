@@ -37,9 +37,10 @@ type heapKey struct {
 	slot int32
 }
 
-// payload is what a heap event does: either a typed event for a call frame or
-// a callback (arrival walkers, minute ticks, failure injection, closed-loop
-// think time). gen is the frame's generation when the event was scheduled.
+// payload is what a heap event does: a typed event for a call frame, on the
+// frame heap, or a callback on the callback heap (arrival walkers, minute
+// ticks, failure injection, closed-loop think time). gen is the frame's
+// generation when the event was scheduled.
 type payload struct {
 	fn   func()
 	f    *Job
@@ -131,23 +132,28 @@ type timer struct {
 // holds the timers due in [b, b+1) ms and lives in slot b mod wheelSlots.
 const wheelSlots = 64
 
-// Engine is a discrete-event clock with three pending-event queues that share
-// one (time, seq) order: a heap for events at arbitrary times, a FIFO lane
-// for the events scheduled exactly lag ms from now — a call's two network
-// hops, two of the three events it costs — and a timing wheel for attempt
-// timeouts. The clock never runs backwards, lag is fixed and seq only grows,
-// so the lane's entries are pushed already sorted and never sift. Almost
-// every timeout is cancelled when its attempt settles, so a timer waits in
-// its millisecond's bucket, where settling unlinks it, and reaches the heap
-// only when that bucket comes due. Time is in milliseconds. The zero value is
-// not usable; call newEngine.
+// Engine is a discrete-event clock with four pending-event queues that share
+// one (time, seq) order: a heap for typed frame events at drawn times, a
+// second heap for callbacks, a FIFO lane for the events scheduled exactly lag
+// ms from now — a call's two network hops, two of the three events it costs
+// — and a timing wheel for attempt timeouts. The clock never runs backwards,
+// lag is fixed and seq only grows, so the lane's entries are pushed already
+// sorted and never sift. Every open-loop stream keeps one arrival walker
+// pending for the whole run, so callbacks wait on their own heap and the
+// frame heap's depth follows the calls in service, not the number of
+// services. Almost every timeout is cancelled when its attempt settles, so a
+// timer waits in its millisecond's bucket, where settling unlinks it, and
+// reaches the frame heap only when that bucket comes due. Time is in
+// milliseconds. The zero value is not usable; call newEngine.
 type Engine struct {
 	now    float64
 	seq    int64
-	events eventHeap
+	events eventHeap // typed frame events
+	calls  eventHeap // callbacks
 
-	// slots holds the payloads of the heap's events, indexed by heapKey.slot;
-	// free lists the slots no pending event holds, most recently freed last.
+	// slots holds the payloads of both heaps' events, indexed by
+	// heapKey.slot; free lists the slots no pending event holds, most
+	// recently freed last.
 	slots []payload
 	free  []int32
 
@@ -161,15 +167,16 @@ type Engine struct {
 	laneTail float64
 
 	// Self-telemetry: plain integer counters so the hot loop stays
-	// allocation-free whether or not anyone reads them. heapPushes is what
-	// tests hold against processed to see that hops bypass the heap.
+	// allocation-free whether or not anyone reads them. heapPushes counts
+	// pushes onto either heap; tests hold it against processed to see that
+	// hops and settled timeouts bypass the heaps.
 	processed  int64
 	heapPushes int64
 	heapPeak   int
 
 	// The wheel holds wheelLen timers. wheelNext is the first bucket not yet
-	// promoted to the heap and wheelStart its start time, +Inf while the
-	// wheel is empty, so Run compares each event's time once. A non-empty
+	// promoted to the frame heap and wheelStart its start time, +Inf while
+	// the wheel is empty, so Run compares each event's time once. A non-empty
 	// wheel holds only buckets wheelNext to wheelNext+wheelSlots-1. wheel
 	// holds the head entry of each bucket's list, linked through timers;
 	// timerFree heads the free entries, chained through next. These fields
@@ -186,10 +193,12 @@ type Engine struct {
 
 // newEngine creates an engine with the clock at zero whose lane delivers lag
 // (>= 0, finite) ms after scheduling. The queues' backing arrays are
-// pre-sized so short simulations never reallocate them.
+// pre-sized so short simulations never reallocate them; the callback heap
+// holds about one event per arrival stream, so 64 keys cover most runs.
 func newEngine(lag float64) *Engine {
 	return &Engine{
 		events: make(eventHeap, 0, 1024),
+		calls:  make(eventHeap, 0, 64),
 		slots:  make([]payload, 0, 1024),
 		free:   make([]int32, 0, 1024),
 		lag:    lag,
@@ -211,17 +220,18 @@ func (e *Engine) Schedule(delay float64, fn func()) {
 }
 
 // At runs fn at the given absolute time; times in the past run "now".
-func (e *Engine) At(t float64, fn func()) { e.push(t, fn, nil, 0, 0) }
+func (e *Engine) At(t float64, fn func()) { e.push(&e.calls, t, fn, nil, 0, 0) }
 
 // atFrame delivers a typed event to call frame f at absolute time t.
-func (e *Engine) atFrame(t float64, f *Job, kind evKind) { e.push(t, nil, f, kind, f.gen) }
+func (e *Engine) atFrame(t float64, f *Job, kind evKind) { e.push(&e.events, t, nil, f, kind, f.gen) }
 
 // hopFrame delivers a typed event to call frame f one network hop (lag ms)
 // from now, through the lane.
 func (e *Engine) hopFrame(f *Job, kind evKind) {
 	t := e.now + e.lag
 	if t < e.laneTail {
-		// Cannot happen while lag is fixed; the heap is exact for any time.
+		// Cannot happen while lag is fixed; the frame heap is exact for any
+		// time.
 		e.atFrame(t, f, kind)
 		return
 	}
@@ -250,7 +260,8 @@ func (e *Engine) growLane() {
 // timeout schedules frame f's evTimeout at absolute time t (the past clamps to
 // now). A timer due in a bucket the wheel has not promoted, within its
 // horizon, waits there and records its entry in f.timer, from where settling
-// unlinks it; any other time goes on the heap, which is exact for any time.
+// unlinks it; any other time goes on the frame heap, which is exact for any
+// time.
 func (e *Engine) timeout(t float64, f *Job) {
 	if t < e.now {
 		t = e.now
@@ -312,8 +323,8 @@ func (e *Engine) freeTimer(i int32) {
 	}
 }
 
-// promote moves bucket wheelNext's timers onto the heap, each under the seq
-// it took when scheduled, and advances the wheel by one bucket. It does
+// promote moves bucket wheelNext's timers onto the frame heap, each under the
+// seq it took when scheduled, and advances the wheel by one bucket. It does
 // nothing (false) when the wheel is empty or the bucket starts after until.
 func (e *Engine) promote(until float64) bool {
 	if e.wheelLen == 0 || until < e.wheelStart {
@@ -340,9 +351,9 @@ func (e *Engine) promote(until float64) bool {
 	return true
 }
 
-// push schedules a heap event at time t (the past clamps to now): its payload
-// into a free slot, its key onto the heap.
-func (e *Engine) push(t float64, fn func(), f *Job, kind evKind, gen uint32) {
+// push schedules an event on heap q at time t (the past clamps to now): its
+// payload into a free slot, its key onto q.
+func (e *Engine) push(q *eventHeap, t float64, fn func(), f *Job, kind evKind, gen uint32) {
 	if t < e.now {
 		t = e.now
 	}
@@ -350,7 +361,7 @@ func (e *Engine) push(t float64, fn func(), f *Job, kind evKind, gen uint32) {
 	p := &e.slots[slot]
 	p.fn, p.f, p.kind, p.gen = fn, f, kind, gen
 	e.seq++
-	e.events.push(heapKey{time: t, seq: e.seq, slot: slot})
+	q.push(heapKey{time: t, seq: e.seq, slot: slot})
 	e.heapPushes++
 	e.notePending()
 }
@@ -372,16 +383,21 @@ func (e *Engine) notePending() {
 	}
 }
 
-// Run processes events in (time, seq) order — at each step the smaller of the
-// lane's head and the heap's top — until every queue is empty or the clock
-// passes until (milliseconds). Events scheduled exactly at until are
+// Run processes events in (time, seq) order — at each step the least of the
+// lane's head and the two heaps' tops — until every queue is empty or the
+// clock passes until (milliseconds). Events scheduled exactly at until are
 // executed. Before it runs an event at or after the wheel's next bucket, or
-// reaches an until there, it promotes that bucket, so a timer is on the heap
-// before anything that follows it in the order runs.
+// reaches an until there, it promotes that bucket, so a timer is on the frame
+// heap before anything that follows it in the order runs.
 func (e *Engine) Run(until float64) {
-	for e.Pending() > 0 {
+	for {
+		q := &e.events
+		if len(e.calls) > 0 && (len(e.events) == 0 ||
+			before(e.calls[0].time, e.calls[0].seq, e.events[0].time, e.events[0].seq)) {
+			q = &e.calls
+		}
 		if h := &e.lane[e.laneHead]; e.laneLen > 0 &&
-			(len(e.events) == 0 || before(h.time, h.seq, e.events[0].time, e.events[0].seq)) {
+			(len(*q) == 0 || before(h.time, h.seq, (*q)[0].time, (*q)[0].seq)) {
 			if h.time >= e.wheelStart && e.promote(until) {
 				continue
 			}
@@ -397,21 +413,21 @@ func (e *Engine) Run(until float64) {
 			f.handle(kind, gen)
 			continue
 		}
-		if len(e.events) == 0 || e.events[0].time >= e.wheelStart {
-			// Only the wheel holds events, or its next bucket may hold an
-			// earlier one.
+		if len(*q) == 0 || (*q)[0].time >= e.wheelStart {
+			// Only the wheel holds events, or none is left, or the wheel's
+			// next bucket may hold an earlier one.
 			if e.promote(until) {
 				continue
 			}
-			if len(e.events) == 0 {
+			if len(*q) == 0 {
 				break
 			}
 		}
-		top := e.events[0]
+		top := (*q)[0]
 		if top.time > until {
 			break
 		}
-		e.events.pop()
+		q.pop()
 		p := &e.slots[top.slot]
 		fn, f, kind, gen := p.fn, p.f, p.kind, p.gen
 		p.fn, p.f = nil, nil // release the closure and frame references
@@ -429,9 +445,12 @@ func (e *Engine) Run(until float64) {
 	}
 }
 
-// Pending returns the number of queued events, lane + heap + wheel (for tests
-// and diagnostics). A timer unlinked from the wheel is no longer pending.
-func (e *Engine) Pending() int { return e.laneLen + len(e.events) + e.wheelLen }
+// Pending returns the number of queued events, lane + both heaps + wheel (for
+// tests and diagnostics). A timer unlinked from the wheel is no longer
+// pending.
+func (e *Engine) Pending() int {
+	return e.laneLen + len(e.events) + len(e.calls) + e.wheelLen
+}
 
 // EngineStats is the engine's self-telemetry, reported through the
 // simulation Result and mirrored into the erms.self.* namespace by the
@@ -441,8 +460,8 @@ type EngineStats struct {
 	// Events is the number of events executed; a timeout unlinked from the
 	// wheel when its attempt settled never executes.
 	Events int64
-	// HeapPeak is the high-water count of pending events, lane + heap +
-	// wheel.
+	// HeapPeak is the high-water count of pending events, lane + both heaps
+	// + wheel.
 	HeapPeak int
 }
 

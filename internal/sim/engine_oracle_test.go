@@ -9,10 +9,11 @@ import (
 )
 
 // oracleHeap and oracleEngine are the engine as it was before network hops
-// got their own lane and timeouts their wheel: one binary heap for every
-// event, swap-based sift, kept verbatim as the reference the engine is
-// compared against. A hop is simply a heap event at now + lag, and a timeout
-// a heap event that, cancelled, pops as a no-op (lazy deletion).
+// got their own lane, timeouts their wheel and callbacks their heap: one
+// binary heap for every event, swap-based sift, kept verbatim as the
+// reference the engine is compared against. A hop is simply a heap event at
+// now + lag, a typed frame event and a callback share the one heap, and a
+// timeout is a heap event that, cancelled, pops as a no-op (lazy deletion).
 
 type oracleHeap []event
 
@@ -80,6 +81,10 @@ func (e *oracleEngine) Now() float64 { return e.now }
 
 func (e *oracleEngine) At(t float64, fn func()) { e.push(event{time: t, fn: fn}) }
 
+func (e *oracleEngine) atFrame(t float64, f *Job, kind evKind) {
+	e.push(event{time: t, f: f, kind: kind, gen: f.gen})
+}
+
 func (e *oracleEngine) hopFrame(f *Job, kind evKind) {
 	e.push(event{time: e.now + e.lag, f: f, kind: kind, gen: f.gen})
 }
@@ -129,6 +134,7 @@ func (e *oracleEngine) Stats() EngineStats {
 type scheduler interface {
 	Now() float64
 	At(t float64, fn func())
+	atFrame(t float64, f *Job, kind evKind)
 	hopFrame(f *Job, kind evKind)
 	timeout(t float64, f *Job)
 	Run(until float64)
@@ -179,6 +185,13 @@ type programRun struct {
 func (p *laneProgram) onHop(fn func()) {
 	f := &Job{rt: p.rt, svc: &p.svc, stream: -1, refs: 1, then: fn}
 	p.eng.hopFrame(f, evReturn)
+}
+
+// onFrame puts fn behind a typed frame event at absolute time t, on the frame
+// heap: the same root frame as onHop's, its response delivered at t.
+func (p *laneProgram) onFrame(t float64, fn func()) {
+	f := &Job{rt: p.rt, svc: &p.svc, stream: -1, refs: 1, then: fn}
+	p.eng.atFrame(t, f, evReturn)
 }
 
 // arm puts fn behind an attempt timeout: when it fires, the unsettled
@@ -243,10 +256,11 @@ func (p *laneProgram) cancelOne() {
 }
 
 // spawn schedules one event that, when it runs, logs itself and schedules one
-// to fanout more (none if fanout is 0) — on the heap, the lane or, with
-// timers, as a timeout, at times chosen to collide. Each spawn is exactly one
-// push, so id+1 is the seq every engine gives the event and the log line is
-// its (time, seq).
+// to fanout more (none if fanout is 0) — on the lane, as a callback or a
+// typed frame event (one heap each on the engine, one heap for both on the
+// oracle) or, with timers, as a timeout, at times chosen to collide. Each
+// spawn is exactly one push, so id+1 is the seq every engine gives the event
+// and the log line is its (time, seq).
 func (p *laneProgram) spawn(fanout int) {
 	if p.budget == 0 {
 		return
@@ -274,6 +288,10 @@ func (p *laneProgram) spawn(fanout int) {
 		}
 	}
 	now := p.eng.Now()
+	at := p.eng.At
+	if p.rng.Intn(2) == 0 {
+		at = p.onFrame
+	}
 	kinds := 8
 	if p.timers {
 		kinds = 12
@@ -282,21 +300,21 @@ func (p *laneProgram) spawn(fanout int) {
 	case 0, 1, 2:
 		p.onHop(body)
 	case 3:
-		// Exactly the lane's delivery time, from the heap: a tie that seq
+		// Exactly the lane's delivery time, from a heap: a tie that seq
 		// alone decides, in whichever order the neighbours were pushed.
-		p.eng.At(now+p.lag, body)
+		at(now+p.lag, body)
 	case 4:
-		p.eng.At(now-1, body) // the past clamps to now
+		at(now-1, body) // the past clamps to now
 	case 5:
-		p.eng.At(now, body)
+		at(now, body)
 	case 6:
 		// A multiple of the lag: collides with hops scheduled later.
-		p.eng.At(now+p.lag*float64(1+p.rng.Intn(3)), body)
+		at(now+p.lag*float64(1+p.rng.Intn(3)), body)
 	case 7:
-		p.eng.At(now+p.rng.Float64()*3*(p.lag+0.5), body)
+		at(now+p.rng.Float64()*3*(p.lag+0.5), body)
 	case 8:
 		// A bucket's start: collides with timers due there.
-		p.eng.At(math.Ceil(now)+float64(p.rng.Intn(3)), body)
+		at(math.Ceil(now)+float64(p.rng.Intn(3)), body)
 	default:
 		p.arm(body)
 	}
@@ -364,12 +382,13 @@ func sameLog(t *testing.T, name string, got, want []string) {
 	}
 }
 
-// TestLaneMatchesHeapOracle replays seeded random programs — heap pushes,
-// lane pushes, nested scheduling from inside handlers of both, exact time
-// ties between the queues in both seq orders, a zero lag, past times, Run
-// boundaries anywhere — on the two-queue engine and on the one-heap oracle,
-// and requires the same events at the same times in the same order, the same
-// Pending and clock after every Run, and the same Stats.
+// TestLaneMatchesHeapOracle replays seeded random programs — callbacks and
+// typed frame events on their two heaps, lane pushes, nested scheduling from
+// inside handlers of all three, exact time ties between the queues in both
+// seq orders, a zero lag, past times, Run boundaries anywhere — on the engine
+// and on the one-heap oracle, and requires the same events at the same times
+// in the same order, the same Pending and clock after every Run, and the same
+// Stats.
 func TestLaneMatchesHeapOracle(t *testing.T) {
 	grew := 0
 	for _, lag := range []float64{0, 0.05, 1, 7.25} {

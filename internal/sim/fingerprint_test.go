@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -239,6 +240,54 @@ func TestTimeoutsSkipTheHeap(t *testing.T) {
 	events := rt.Run().Engine.Events
 	if pushes := rt.eng.heapPushes; events == 0 || float64(pushes) > 0.45*float64(events) {
 		t.Fatalf("%d of %d events went through the heap, want <= 0.45", pushes, events)
+	}
+}
+
+// TestCallbacksSkipTheFrameHeap is the callback heap's structural claim: on
+// a run with one arrival walker per service (throughputScenario's 40
+// services in one runtime), after every Run step — a Run to the next pending
+// event's time — no frame-heap key's payload holds a callback and no
+// callback-heap key's payload holds a frame event.
+func TestCallbacksSkipTheFrameHeap(t *testing.T) {
+	rt, err := NewRuntime(throughputScenario.build(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.setup()
+	e := rt.eng
+	end := rt.cfg.DurationMin*60_000 + drainMs
+	var steps, callPeak, framePeak int
+	for e.Pending() > 0 {
+		next := e.wheelStart
+		if e.laneLen > 0 {
+			next = math.Min(next, e.lane[e.laneHead].time)
+		}
+		for _, q := range []eventHeap{e.events, e.calls} {
+			if len(q) > 0 {
+				next = math.Min(next, q[0].time)
+			}
+		}
+		if next > end {
+			break
+		}
+		e.Run(next)
+		steps++
+		for _, k := range e.events {
+			if p := e.slots[k.slot]; p.fn != nil || p.f == nil {
+				t.Fatalf("step %d (t=%v): frame-heap key %+v holds a callback", steps, e.now, k)
+			}
+		}
+		for _, k := range e.calls {
+			if p := e.slots[k.slot]; p.f != nil || p.fn == nil {
+				t.Fatalf("step %d (t=%v): callback-heap key %+v holds a frame event", steps, e.now, k)
+			}
+		}
+		callPeak, framePeak = max(callPeak, len(e.calls)), max(framePeak, len(e.events))
+	}
+	t.Logf("%d Run steps; peak depth %d callbacks, %d frame events", steps, callPeak, framePeak)
+	if callPeak < throughputScenario.services || framePeak == 0 {
+		t.Fatalf("callback heap peaked at %d (want >= %d walkers), frame heap at %d",
+			callPeak, throughputScenario.services, framePeak)
 	}
 }
 

@@ -261,8 +261,8 @@ func (f *Job) settle(err CallErr) {
 
 // stopTimer unlinks the attempt's timeout from the wheel, if it still waits
 // there, and drops the reference it held: once the attempt has settled the
-// timer could only find it settled. A timer already promoted to the heap
-// stays, and fires as a no-op.
+// timer could only find it settled. A timer already promoted to the frame
+// heap stays, and fires as a no-op.
 func (f *Job) stopTimer() {
 	if f.timer != 0 {
 		f.rt.eng.unlink(f.timer)

@@ -811,9 +811,9 @@ func (rt *Runtime) finish() *Result {
 }
 
 // scheduleArrivals starts one arrival process of pattern p onto sv: a
-// closure that keeps exactly one pending arrival event in the heap and, when
-// it fires, pulls the next time from the process's workload.Arrivals stream
-// and re-arms itself for it. The stream draws only from its own
+// closure that keeps exactly one pending arrival event on the callback heap
+// and, when it fires, pulls the next time from the process's
+// workload.Arrivals stream and re-arms itself for it. The stream draws only from its own
 // rt.rng.Split(), taken here in setup order, so the events that run between
 // two of its minutes cannot perturb it, nor it them. In hybrid mode a copy
 // of the split's state is drained first for the fluid path's per-minute

@@ -7,7 +7,10 @@
 // discrete-event simulator can call into it on its hot path.
 package stats
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, deterministic pseudo-random number generator based on
 // xoshiro256**. It is NOT safe for concurrent use; give each goroutine its own
@@ -52,19 +55,13 @@ func (r *RNG) Split() *RNG {
 	return NewRNG(r.Uint64() ^ 0xd1342543de82ef95)
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next value in the stream.
+// Uint64 returns the next value in the stream: one xoshiro256** step, written
+// over locals so that it, Float64 and Intn stay within the inlining budget.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	s0, s1 := r.s[0], r.s[1]
+	s2, s3 := r.s[2]^s0, r.s[3]^s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Float64 returns a uniformly distributed value in [0, 1).

@@ -30,7 +30,8 @@
 #   BENCH_SMOKE=1 scripts/bench.sh bench5  # 1 iteration per benchmark (CI)
 #   BENCH_OUT=... BENCH_JSON=... scripts/bench.sh bench6   # override paths
 #   BENCH_PARENT=/path/to/parent/checkout scripts/bench.sh bench7
-#                                          # also time the parent's exact engine
+#                                          # also time the parent's exact engine,
+#                                          # alternating with this tree per count
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -136,16 +137,42 @@ bench7() {
 	OUT="${BENCH_OUT:-bench_7.txt}"
 	JSON="${BENCH_JSON:-BENCH_7.json}"
 	echo "== bench7: simulator engine throughput (benchtime=$BENCHTIME count=$COUNT) =="
-	go test -run '^$' -bench 'BenchmarkEngineThroughput' \
-		-benchtime "$BENCHTIME" -count "$COUNT" -benchmem \
-		./internal/sim | tee "$OUT"
-	if [ -n "${BENCH_PARENT:-}" ]; then
+	if [ -z "${BENCH_PARENT:-}" ]; then
+		go test -run '^$' -bench 'BenchmarkEngineThroughput' \
+			-benchtime "$BENCHTIME" -count "$COUNT" -benchmem \
+			./internal/sim | tee "$OUT"
+	else
 		# The same benchmark on a checkout of the parent commit, in the same
-		# session, so the exact-engine ratio compares like with like.
-		echo "== bench7: parent exact engine ($BENCH_PARENT) =="
-		(cd "$BENCH_PARENT" && go test -run '^$' -bench 'BenchmarkEngineThroughput/exact' \
-			-benchtime "$BENCHTIME" -count "$COUNT" -benchmem ./internal/sim) |
-			sed 's/^BenchmarkEngineThroughput\/exact/BenchmarkEngineThroughput\/parent-exact/' | tee -a "$OUT"
+		# session, so the exact-engine ratio compares like with like. The two
+		# sides alternate per count in ABBA order (this tree, parent, parent,
+		# this tree, ...), so host load that drifts over the session weighs
+		# on both alike instead of on whichever side ran second.
+		echo "== bench7: alternating with the parent exact engine ($BENCH_PARENT) =="
+		bin=$(mktemp -d)
+		go test -c -o "$bin/change.test" ./internal/sim
+		(cd "$BENCH_PARENT" && go test -c -o "$bin/parent.test" ./internal/sim)
+		: >"$OUT"
+		i=0
+		while [ "$i" -lt "$COUNT" ]; do
+			order="change parent"
+			if [ $((i % 2)) -eq 1 ]; then
+				order="parent change"
+			fi
+			for side in $order; do
+				if [ "$side" = change ]; then
+					(cd internal/sim && "$bin/change.test" -test.run '^$' \
+						-test.bench 'BenchmarkEngineThroughput' \
+						-test.benchtime "$BENCHTIME" -test.benchmem)
+				else
+					(cd "$BENCH_PARENT/internal/sim" && "$bin/parent.test" -test.run '^$' \
+						-test.bench 'BenchmarkEngineThroughput/exact' \
+						-test.benchtime "$BENCHTIME" -test.benchmem) |
+						sed 's/^BenchmarkEngineThroughput\/exact/BenchmarkEngineThroughput\/parent-exact/'
+				fi
+			done
+			i=$((i + 1))
+		done | tee -a "$OUT"
+		rm -rf "$bin"
 	fi
 
 	# Fold into BENCH_7.json: mean simulated requests per second for the
