@@ -507,15 +507,10 @@ func (c *Controller) EvaluatePlan(plan *multiplex.Plan, rates map[string]float64
 // a degraded window can still be measured even when applying a fresh plan
 // failed.
 func (c *Controller) EvaluateDeployed(plan *multiplex.Plan, rates map[string]float64, durationMin, warmupMin float64, seed uint64, opts EvalOpts) (*EvalResult, error) {
+	// A service with streams ignores its Patterns entry (sim.Config).
 	patterns := make(map[string]workload.Pattern, len(rates))
-	streamed := make(map[string]bool, len(opts.Streams))
-	for _, s := range opts.Streams {
-		streamed[s.Service] = true
-	}
 	for svc, r := range rates {
-		if !streamed[svc] {
-			patterns[svc] = workload.Static{Rate: r}
-		}
+		patterns[svc] = workload.Static{Rate: r}
 	}
 	cfg := sim.Config{
 		Seed:           seed,

@@ -46,8 +46,8 @@ type Reconciler struct {
 
 	// StreamsFor, when non-nil, supplies per-window cohort streams for the
 	// evaluation (spec-compiled scenarios carry tiers and per-cohort SLAs
-	// the aggregate rate map cannot express). Nil keeps the legacy
-	// rates-only evaluation byte-for-byte.
+	// the aggregate rate map cannot express). A service without a stream is
+	// offered its rate as one standard-tier open-loop source.
 	StreamsFor func(window int) []sim.Stream
 
 	window   int // windows completed so far

@@ -91,7 +91,7 @@ func Fig13(quick bool) []*Table {
 		// closed-loop clients.
 		out, err := measureOnTestbed(app, testbedScheduler(p), res.merged, testbedHot, testbedCool, slaMs, sim.Config{
 			Seed:        uint64(100*w) + 7,
-			ClosedUsers: closedLoopUsers(app, rate),
+			Streams:     closedLoopUsers(app, rate),
 			ThinkTimeMs: testbedThinkMs,
 			Priorities:  res.ranks,
 			Delta:       0.05,

@@ -188,7 +188,7 @@ func Fig15(quick bool) []*Table {
 		}
 		out, err := measureOnTestbed(app, sched, scaled, hot, cool, slaMs, sim.Config{
 			Seed:        seed,
-			ClosedUsers: closedLoopUsers(app, rate),
+			Streams:     closedLoopUsers(app, rate),
 			ThinkTimeMs: testbedThinkMs,
 			DurationMin: duration + 0.4,
 			WarmupMin:   0.4,

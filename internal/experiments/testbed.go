@@ -23,16 +23,18 @@ var (
 // figs 13 and 15.
 const testbedThinkMs = 1000.0
 
-// closedLoopUsers sizes each service's client population to offer rate
-// requests per minute. Closed-loop load self-throttles under saturation, so
-// violating deployments report bounded factors rather than open-loop queue
-// blow-ups (the paper's load generator is likewise closed-loop).
-func closedLoopUsers(app *apps.App, rate float64) map[string]int {
-	users := make(map[string]int, len(app.Graphs))
-	for _, g := range app.Graphs {
-		users[g.Service] = int(rate * (testbedThinkMs + 30) / 60000)
+// closedLoopUsers declares one standard-tier closed-loop stream per service,
+// in graph order, its population sized to offer rate requests per minute.
+// Closed-loop load self-throttles under saturation, so violating deployments
+// report bounded factors rather than open-loop queue blow-ups (the paper's
+// load generator is likewise closed-loop).
+func closedLoopUsers(app *apps.App, rate float64) []sim.Stream {
+	streams := make([]sim.Stream, len(app.Graphs))
+	for i, g := range app.Graphs {
+		users := int(rate * (testbedThinkMs + 30) / 60000)
+		streams[i] = sim.Stream{Cohort: g.Service, Service: g.Service, Tier: workload.TierStandard, Users: users}
 	}
-	return users
+	return streams
 }
 
 // testbedScheduler picks the placement policy a planner deploys through:
@@ -56,9 +58,9 @@ type testbedOutcome struct {
 // order, on the 20-host testbed cluster — even hosts under the hot
 // background, odd hosts under the cool one — and measures real end-to-end
 // behaviour against a uniform slaMs SLA. load carries what differs between
-// figures: seed, the arrival side (Patterns, or ClosedUsers + ThinkTimeMs),
-// priorities and δ, and the window geometry; cluster, interference model,
-// application and SLAs are filled in here.
+// figures: seed, the arrival side (Patterns, or closed-loop Streams and
+// ThinkTimeMs), priorities and δ, and the window geometry; cluster,
+// interference model, application and SLAs are filled in here.
 func measureOnTestbed(app *apps.App, sched kube.Scheduler, counts map[string]int,
 	hot, cool workload.Interference, slaMs float64, load sim.Config) (testbedOutcome, error) {
 	cl := cluster.New(20, cluster.PaperHost)

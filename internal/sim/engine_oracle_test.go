@@ -150,8 +150,7 @@ type laneProgram struct {
 	eng    scheduler
 	rng    *stats.RNG
 	lag    float64
-	rt     *Runtime // owner of the hop frames; its engine is never run
-	svc    svcState
+	rt     *Runtime // owner of the hop frames and their one source; its engine is never run
 	nextID int
 	budget int      // events the program may still schedule
 	log    []string // "time id" per executed event
@@ -183,14 +182,14 @@ type programRun struct {
 // onHop puts fn behind a lane event: a root frame whose response (evReturn)
 // crosses the network and runs the request's continuation.
 func (p *laneProgram) onHop(fn func()) {
-	f := &Job{rt: p.rt, svc: &p.svc, stream: -1, refs: 1, then: fn}
+	f := &Job{rt: p.rt, refs: 1, then: fn}
 	p.eng.hopFrame(f, evReturn)
 }
 
 // onFrame puts fn behind a typed frame event at absolute time t, on the frame
 // heap: the same root frame as onHop's, its response delivered at t.
 func (p *laneProgram) onFrame(t float64, fn func()) {
-	f := &Job{rt: p.rt, svc: &p.svc, stream: -1, refs: 1, then: fn}
+	f := &Job{rt: p.rt, refs: 1, then: fn}
 	p.eng.atFrame(t, f, evReturn)
 }
 
@@ -216,7 +215,7 @@ func (p *laneProgram) arm(fn func()) {
 	default:
 		t = now - 1 // the past clamps to now
 	}
-	f := &Job{rt: p.trt, node: &p.node, stream: -1, refs: 1}
+	f := &Job{rt: p.trt, node: &p.node, refs: 1}
 	f.then = func() {
 		p.drop(f)
 		fn()
@@ -355,9 +354,9 @@ func (p *laneProgram) run() programRun {
 func newLaneProgram(eng scheduler, seed uint64, lag float64, timers bool) *laneProgram {
 	p := &laneProgram{
 		eng: eng, rng: stats.NewRNG(seed), lag: lag,
-		rt: &Runtime{eng: newEngine(0)}, budget: 2000,
+		rt: &Runtime{eng: newEngine(0), sources: make([]source, 1)}, budget: 2000,
 		timers: timers,
-		trt:    &Runtime{res: &Resilience{MaxAttempts: 1}},
+		trt:    &Runtime{res: &Resilience{MaxAttempts: 1}, sources: make([]source, 1)},
 		node:   callNode{edge: &edgeState{}},
 	}
 	if e, ok := eng.(*Engine); ok {

@@ -162,7 +162,10 @@ func pinnedHash(res *Result, spans []CallRecord) string {
 // pooled frames. The runtime's contract is the same events in the same order
 // with the same RNG draws, so any drift here is a behaviour change. The
 // planned ones re-captured it: trace sampling by a hash of the trace ID, and
-// service times drawing their normal from the ziggurat.
+// service times drawing their normal from the ziggurat. The exact line was
+// also re-captured when its closed-loop population became a stream, which
+// added that stream's result row and nothing else: with its "stream" line
+// removed, the exact run's text hashes to the earlier f34cd688….
 // `go test ./internal/sim -run TestRuntimeFingerprintPinned -update` rewrites
 // the golden file from the current build.
 func TestRuntimeFingerprintPinned(t *testing.T) {

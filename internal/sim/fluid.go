@@ -20,8 +20,9 @@ import (
 // draw their latency from the Erlang-C waiting-time distribution plus the
 // profiled service-time distribution instead of queueing per-request events;
 // whole fluid subtrees collapse to a single completion event. Near-knee
-// microservices, microservices targeted by failure injection, closed-loop
-// services' microservices, and every run with Resilience enabled stay exact.
+// microservices, microservices targeted by failure injection, the graphs of
+// services a closed-loop source drives, and every run with Resilience
+// enabled stay exact.
 //
 // Known approximations, gated by TestHybridFidelity: fluid calls
 // ignore priority-queue ordering (δ-policy) and cross-minute queue carryover,
@@ -87,9 +88,9 @@ func newFluidState(rt *Runtime) *fluidState {
 	}
 }
 
-// noteArrivals drains one open-loop or stream arrival process of a service
-// into its per-minute counts; setup hands it a stream over a copy of the
-// process's RNG state, so the run itself replays the same times.
+// noteArrivals drains one open-loop source of a service into its per-minute
+// counts; setup hands it a stream over a copy of the source's RNG state, so
+// the run itself replays the same times.
 func (f *fluidState) noteArrivals(svc string, arr *workload.Arrivals) {
 	counts := f.arrCounts[svc]
 	if counts == nil {
@@ -118,11 +119,19 @@ func (f *fluidState) prepare() {
 		f.exactCM = len(rt.containers) * f.minutes
 		return
 	}
-	// Pin closed-loop services' whole graphs (their offered load is unknown
-	// a priori) and every microservice touched by failure injection. Pinning
-	// at microservice granularity also guarantees a fluid microservice never
-	// receives discrete jobs from a pinned service sharing it — the mixing
-	// would let discrete arrivals see none of the fluid load.
+	// Pin the whole graph of every service a closed-loop source drives (its
+	// offered load is unknown a priori) and every microservice touched by
+	// failure injection. Pinning at microservice granularity also guarantees
+	// a fluid microservice never receives discrete jobs from a pinned service
+	// sharing it — the mixing would let discrete arrivals see none of the
+	// fluid load.
+	for _, src := range rt.sources {
+		if src.pattern == nil {
+			for _, ms := range rt.cfg.Graphs[src.sv.gi].Microservices() {
+				f.pinned[ms] = true
+			}
+		}
+	}
 	hostHit := make(map[int]bool)
 	for _, fail := range rt.cfg.Failures {
 		if fail.Microservice != "" {
@@ -131,19 +140,9 @@ func (f *fluidState) prepare() {
 			hostHit[fail.Host] = true
 		}
 	}
-	for _, g := range rt.cfg.Graphs {
-		closed := false
-		if _, ok := rt.cfg.ClosedUsers[g.Service]; ok {
-			if _, streamed := rt.streamsBySvc[g.Service]; !streamed {
-				closed = true
-			}
-		}
-		for _, ms := range g.Microservices() {
-			if closed {
-				f.pinned[ms] = true
-				continue
-			}
-			if len(hostHit) > 0 {
+	if len(hostHit) > 0 {
+		for _, g := range rt.cfg.Graphs {
+			for _, ms := range g.Microservices() {
 				for _, cs := range rt.ms[ms].states {
 					if hostHit[cs.c.Host.ID] {
 						f.pinned[ms] = true
@@ -168,10 +167,7 @@ func (f *fluidState) prepare() {
 			mult[n.Microservice]++
 		}
 		for ms, k := range mult {
-			counts := f.msCallsPerMin[ms]
-			if counts == nil {
-				continue // containers exist but ms not placed? defensive
-			}
+			counts := f.msCallsPerMin[ms] // validate: every graph microservice is placed
 			for m, c := range arr {
 				counts[m] += float64(c * k)
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"erms/internal/cluster"
+	"erms/internal/workload"
 )
 
 // TestHybridFidelity is the regression table guarding the fluid fast path:
@@ -129,6 +130,12 @@ func TestFluidEligibility(t *testing.T) {
 			},
 		}
 		cfg := sc.build(t)
+		// svc-001 mixes an open-loop and a closed-loop stream: the closed
+		// loop pins its whole graph.
+		cfg.Streams = append(cfg.Streams, closedLoop("svc-001", 3)...)
+		cfg.Streams = append(cfg.Streams, Stream{
+			Cohort: "open", Service: "svc-001", Tier: workload.TierStandard, Pattern: workload.Static{Rate: 200},
+		})
 		rt, err := NewRuntime(withFluid(cfg))
 		if err != nil {
 			t.Fatal(err)
@@ -138,14 +145,14 @@ func TestFluidEligibility(t *testing.T) {
 			t.Fatal("fluid state missing")
 		}
 		// The failure-targeted microservice and every microservice reachable
-		// from the closed-loop service's graph must be pinned exact.
-		for _, ms := range []string{"pool-00-1", "entry-000", "pool-00-0", "pool-00-2"} {
+		// from the closed-loop services' graphs must be pinned exact.
+		for _, ms := range []string{"pool-00-1", "entry-000", "pool-00-0", "pool-00-2", "entry-001"} {
 			if !rt.fl.pinned[ms] {
 				t.Errorf("%s not pinned", ms)
 			}
 		}
 		// Open-loop services' private entries stay eligible.
-		for _, ms := range []string{"entry-001", "entry-002", "entry-003"} {
+		for _, ms := range []string{"entry-002", "entry-003"} {
 			if rt.fl.pinned[ms] {
 				t.Errorf("%s pinned unexpectedly", ms)
 			}

@@ -24,12 +24,11 @@ type Job struct {
 	Service  string
 	Enqueued float64 // server-receive instant
 	// Tier is the SLO tier of the request this call belongs to, inherited
-	// from the issuing cohort stream (workload.TierStandard on the untiered
-	// Patterns path). Admission control sheds high-factor tiers first.
+	// from the issuing source (workload.TierStandard for a Config.Patterns
+	// entry). Admission control sheds high-factor tiers first.
 	Tier workload.Tier
 
 	rt     *Runtime
-	svc    *svcState
 	node   *callNode
 	parent *Job            // the calling frame; nil for a request's root call
 	cs     *containerState // the container processing the call
@@ -62,7 +61,7 @@ type Job struct {
 
 	// Request state, meaningful on root frames only.
 	t0       float64 // request start
-	stream   int     // issuing cohort stream, -1 on the untiered path
+	src      int     // issuing source: an index into Runtime.sources
 	measured bool
 	then     func() // closed-loop continuation, run once the request ends
 }
@@ -82,7 +81,7 @@ func (rt *Runtime) newFrame() *Job {
 // or a retry — that reports to parent.
 func (f *Job) derive(parent *Job) *Job {
 	nf := f.rt.newFrame()
-	nf.Service, nf.svc, nf.Tier = f.Service, f.svc, f.Tier
+	nf.Service, nf.Tier = f.Service, f.Tier
 	nf.traceID, nf.sampled = f.traceID, f.sampled
 	if nf.parent = parent; parent != nil {
 		parent.refs++
@@ -102,7 +101,7 @@ func (f *Job) nextAttempt() *Job {
 	nf := f.derive(f.parent)
 	nf.node, nf.edgeDeadline = f.node, f.edgeDeadline
 	nf.attempt = f.attempt + 1
-	nf.t0, nf.stream, nf.measured, nf.then = f.t0, f.stream, f.measured, f.then
+	nf.t0, nf.src, nf.measured, nf.then = f.t0, f.src, f.measured, f.then
 	return nf
 }
 

@@ -31,8 +31,8 @@ func TestRequestSteadyStateZeroAlloc(t *testing.T) {
 	const perBurst = 32
 	burst := func() {
 		for i := 0; i < perBurst; i++ {
-			for _, sv := range rt.svcs {
-				rt.startRequest(sv, -1, true, nil)
+			for si := range rt.sources {
+				rt.startRequest(si, true, nil)
 			}
 		}
 		rt.advanceTo(rt.eng.Now() + 1000)
@@ -45,7 +45,7 @@ func TestRequestSteadyStateZeroAlloc(t *testing.T) {
 	}
 	before := rt.jobsAllocated
 	if allocs := testing.AllocsPerRun(50, burst); allocs != 0 {
-		t.Fatalf("a burst of %d requests allocates %.1f times in steady state, want 0", perBurst*len(rt.svcs), allocs)
+		t.Fatalf("a burst of %d requests allocates %.1f times in steady state, want 0", perBurst*len(rt.sources), allocs)
 	}
 	if rt.jobsAllocated != before {
 		t.Fatalf("frame pool grew in steady state: %d -> %d", before, rt.jobsAllocated)

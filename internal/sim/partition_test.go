@@ -25,7 +25,7 @@ type lockstepScenario struct {
 	observer         SpanObserver
 	failures         []Failure
 	streamsOnFirst   bool
-	closedUsersFirst int // >0: service 0 becomes closed-loop with this many users
+	closedUsersFirst int // >0: service 0's one stream is closed-loop with this many users
 }
 
 // build constructs a fresh Config (fresh cluster — simulation mutates
@@ -46,7 +46,6 @@ func (s lockstepScenario) build(t testing.TB) Config {
 	profiles := make(map[string]ServiceProfile)
 	patterns := make(map[string]workload.Pattern)
 	slas := make(map[string]workload.SLA)
-	closed := make(map[string]int)
 	var graphs []*graph.Graph
 	var streams []Stream
 	var msOrder []string
@@ -72,8 +71,8 @@ func (s lockstepScenario) build(t testing.TB) Config {
 		slas[svc] = workload.P95SLA(svc, 60)
 		switch {
 		case i == 0 && s.closedUsersFirst > 0:
-			closed[svc] = s.closedUsersFirst
 			delete(patterns, svc)
+			streams = append(streams, closedLoop(svc, s.closedUsersFirst)...)
 		case i == 0 && s.streamsOnFirst:
 			delete(patterns, svc)
 			streams = append(streams,
@@ -105,7 +104,6 @@ func (s lockstepScenario) build(t testing.TB) Config {
 		NetworkDelayMs: 0.05,
 		Observer:       s.observer,
 		Failures:       s.failures,
-		ClosedUsers:    closed,
 		Streams:        streams,
 	}
 }

@@ -105,8 +105,9 @@ func (r Resilience) withDefaults() Resilience {
 
 // DefaultTierShedFactors is the default per-tier admission-control scaling:
 // batch traffic is shed ~4× earlier than standard, sheddable ~2.5× earlier,
-// and critical holds on 4× longer. Standard is exactly 1 so untiered runs
-// match the historical shed policy bit for bit.
+// and critical holds on 4× longer. Standard is exactly 1 so standard-tier
+// traffic, which every Config.Patterns source carries, keeps the historical
+// shed policy bit for bit.
 var DefaultTierShedFactors = [workload.NumTiers]float64{
 	workload.TierCritical:  0.25,
 	workload.TierStandard:  1,

@@ -74,6 +74,12 @@ func TestConfigValidationRanges(t *testing.T) {
 		{"warmup above duration", func(c *Config) { c.WarmupMin = 3 }, "WarmupMin"},
 		{"negative delta", func(c *Config) { c.Delta = -0.1 }, "Delta"},
 		{"delta above one", func(c *Config) { c.Delta = 1.5 }, "Delta"},
+		{"stream with a pattern and users", func(c *Config) {
+			c.Streams = closedLoop("svc", 2)
+			c.Streams[0].Pattern = workload.Static{Rate: 100}
+		}, "not both (Users 2)"},
+		{"negative users", func(c *Config) { c.Streams = closedLoop("svc", -1) }, "(Users -1)"},
+		{"closed-loop stream on an unknown service", func(c *Config) { c.Streams = closedLoop("nosuch", 2) }, `unknown service "nosuch"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -298,14 +304,14 @@ func TestAllDownFailsFastWhenEnabled(t *testing.T) {
 	}
 }
 
-// TestClosedLoopSelfThrottlesThroughBlackout is the ClosedUsers × Failures
+// TestClosedLoopSelfThrottlesThroughBlackout is the closed-loop × Failures
 // contract on the historical (resilience-disabled) path: when the only
 // container is down, parked requests block their users, the closed loop
 // self-throttles to ~zero, and throughput recovers after RecoverMin.
 func TestClosedLoopSelfThrottlesThroughBlackout(t *testing.T) {
 	cfg := singleMSConfig(t, 0, 1)
 	cfg.Patterns = nil
-	cfg.ClosedUsers = map[string]int{"svc": 50}
+	cfg.Streams = closedLoop("svc", 50)
 	cfg.ThinkTimeMs = 100
 	cfg.DurationMin = 3
 	cfg.WarmupMin = 0
@@ -346,7 +352,7 @@ func TestClosedLoopLivenessWithFailFast(t *testing.T) {
 	res := Resilience{RequestTimeoutMs: 50}
 	cfg := resConfig(t, 0, 1, res)
 	cfg.Patterns = nil
-	cfg.ClosedUsers = map[string]int{"svc": 20}
+	cfg.Streams = closedLoop("svc", 20)
 	cfg.ThinkTimeMs = 100
 	cfg.DurationMin = 2
 	cfg.WarmupMin = 0

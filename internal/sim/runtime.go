@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"erms/internal/cluster"
@@ -67,7 +68,9 @@ type Config struct {
 	Profiles map[string]ServiceProfile
 	// Graphs holds one dependency graph per online service.
 	Graphs []*graph.Graph
-	// Patterns gives the offered load per service (requests/minute).
+	// Patterns gives the offered load (requests/minute) of each service no
+	// Streams entry targets, as one open-loop standard-tier source accounted
+	// like a stream but not exported. Other entries are ignored.
 	Patterns map[string]workload.Pattern
 	// SLAs optionally enables exact violation counting per service.
 	SLAs map[string]workload.SLA
@@ -108,28 +111,21 @@ type Config struct {
 	// reach the Observer (a collector outage / dropped metric windows). The
 	// simulation itself is unaffected — only what the control plane sees.
 	DropMinutes []int
-	// ClosedUsers switches the listed services to a closed-loop client
-	// population (wrk-style): each virtual user cycles request → think →
-	// request, so the offered rate self-throttles under saturation instead
-	// of growing queues without bound. Services present here ignore their
-	// Patterns entry; achieved throughput ≈ users·60000/(think+response).
-	ClosedUsers map[string]int
 	// ThinkTimeMs is the mean exponential think time between a closed-loop
-	// user's requests. Default 1000.
+	// user's requests (Stream.Users). Default 1000.
 	ThinkTimeMs float64
 	// Resilience enables the data-plane fault model: deadline propagation,
 	// budgeted retries, circuit breaking, admission control, and crash
 	// failure semantics. Nil (the default) keeps the historical infallible
 	// data plane — runs are byte-identical to earlier releases.
 	Resilience *Resilience
-	// Streams replaces Patterns with named client cohorts: each stream is an
-	// independent arrival process onto one service, tagged with an SLO tier
-	// that the whole request tree inherits (admission control sheds batch and
-	// sheddable tiers before standard and critical). A service with at least
-	// one stream ignores its Patterns entry; services without streams fall
-	// back to Patterns/ClosedUsers. Per-stream outcomes land in
-	// Result.PerStream and per-minute in Result.StreamMinutes. Empty (the
-	// default) keeps the historical per-service workload model byte for byte.
+	// Streams are the run's named client cohorts: each is one arrival
+	// process onto one service, open-loop or a closed-loop user population,
+	// tagged with an SLO tier that the whole request tree inherits
+	// (admission control sheds batch and sheddable tiers before standard and
+	// critical). A service with at least one stream ignores its Patterns
+	// entry. Per-stream outcomes land in Result.PerStream and per-minute in
+	// Result.StreamMinutes, both index-aligned with Streams.
 	Streams []Stream
 
 	// fluid enables the hybrid fluid/discrete fast path (see fluidRhoMax):
@@ -146,9 +142,10 @@ type Config struct {
 // reservoir).
 const latencySampleCap = 4096
 
-// Stream is one client cohort: an arrival pattern onto a service with an SLO
+// Stream is one client cohort: an arrival process onto a service with an SLO
 // tier and an optional cohort-specific SLA for outcome classification
-// (falling back to the service SLA in Config.SLAs).
+// (falling back to the service SLA in Config.SLAs). The process is open-loop
+// (Pattern) or closed-loop (Users); a stream sets exactly one of the two.
 type Stream struct {
 	// Cohort names the stream (for results and the timeline artifact).
 	Cohort string
@@ -156,8 +153,13 @@ type Stream struct {
 	Service string
 	// Tier is the stream's SLO tier.
 	Tier workload.Tier
-	// Pattern is the offered load in requests/minute.
+	// Pattern is an open-loop stream's offered load in requests/minute.
 	Pattern workload.Pattern
+	// Users is a closed-loop (wrk-style) stream's client population: each
+	// user cycles request → response → think (Config.ThinkTimeMs) until the
+	// nominal end of the run, so the offered rate self-throttles under
+	// saturation; throughput ≈ Users·60000/(think+response).
+	Users int
 	// SLA optionally overrides the service SLA when classifying this
 	// stream's outcomes.
 	SLA *workload.SLA
@@ -282,25 +284,21 @@ func (c *Config) validate() error {
 	}
 	streamed := make(map[string]bool, len(c.Streams))
 	for i, s := range c.Streams {
-		if s.Pattern == nil {
-			return fmt.Errorf("sim: Streams[%d] (%q) has no arrival pattern", i, s.Cohort)
+		if s.Users < 0 || (s.Pattern != nil) == (s.Users > 0) {
+			return fmt.Errorf("sim: Streams[%d] (%q) needs an arrival pattern or Users > 0, not both (Users %d)", i, s.Cohort, s.Users)
 		}
 		if !s.Tier.Valid() {
 			return fmt.Errorf("sim: Streams[%d] (%q) has invalid tier %d", i, s.Cohort, int(s.Tier))
 		}
-		found := false
-		for _, g := range c.Graphs {
-			if g.Service == s.Service {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.ContainsFunc(c.Graphs, func(g *graph.Graph) bool { return g.Service == s.Service }) {
 			return fmt.Errorf("sim: Streams[%d] (%q) targets unknown service %q", i, s.Cohort, s.Service)
 		}
 		streamed[s.Service] = true
 	}
 	for i, s := range c.Streams {
+		if s.Pattern == nil {
+			continue
+		}
 		if err := finiteRates(s.Pattern, c.DurationMin); err != nil {
 			return fmt.Errorf("sim: Streams[%d] (%q): %w", i, s.Cohort, err)
 		}
@@ -309,7 +307,7 @@ func (c *Config) validate() error {
 		if err := g.Validate(); err != nil {
 			return err
 		}
-		if _, closed := c.ClosedUsers[g.Service]; !closed && !streamed[g.Service] {
+		if !streamed[g.Service] {
 			p, ok := c.Patterns[g.Service]
 			if !ok || p == nil {
 				return fmt.Errorf("sim: no workload pattern for service %s", g.Service)
@@ -532,17 +530,26 @@ type callNode struct {
 
 // svcState is one online service resolved against the runtime.
 type svcState struct {
-	name   string
-	root   *callNode
-	res    *ServiceResult
-	slaMs  float64
-	hasSLA bool
+	name string
+	gi   int // index in Config.Graphs and Runtime.svcs
+	root *callNode
+	res  *ServiceResult
 }
 
-// streamState is the SLA one cohort stream's outcomes are classified against.
-type streamState struct {
-	slaMs  float64
-	hasSLA bool
+// source is one arrival process of the run, open-loop or closed-loop, with
+// the tier its requests carry and the SLA they are classified against.
+// Runtime.sources holds the Config.Streams entries first, index-aligned,
+// then one source per service that draws from its Config.Patterns entry.
+// Every request carries its source's index and every source keeps its
+// outcomes; only the Streams prefix is exported.
+type source struct {
+	sv      *svcState
+	pattern workload.Pattern // nil for a closed-loop population
+	users   int
+	slaMs   float64
+	hasSLA  bool
+	res     StreamResult    // res.Tier is the tier its requests carry
+	acc     streamMinuteAcc // the current minute's outcomes
 }
 
 // Runtime executes one simulation.
@@ -580,10 +587,8 @@ type Runtime struct {
 	breakers map[string]*breaker
 	data     DataStats
 
-	// Cohort-stream runtime (nil when Config.Streams is empty).
-	streamsBySvc map[string][]int
-	streams      []streamState
-	streamAcc    []streamMinuteAcc
+	// sources are the run's arrival processes; see source.
+	sources []source
 
 	// Fluid fast-path runtime (nil outside hybrid mode).
 	fl *fluidState
@@ -640,40 +645,58 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	for _, ms := range rt.msList {
 		ms.refreshUp()
 	}
-	for _, g := range cfg.Graphs {
+	for gi, g := range cfg.Graphs {
 		res := &ServiceResult{lat: stats.NewReservoir(1<<15, rt.rng.Split())}
 		rt.result.PerService[g.Service] = res
-		sla, hasSLA := cfg.SLAs[g.Service]
 		rt.svcs = append(rt.svcs, &svcState{
-			name:   g.Service,
-			root:   rt.resolve(g.Service, g.Root),
-			res:    res,
-			slaMs:  sla.Threshold,
-			hasSLA: hasSLA,
+			name: g.Service,
+			gi:   gi,
+			root: rt.resolve(g.Service, g.Root),
+			res:  res,
 		})
 	}
 	if cfg.fluid {
 		rt.fl = newFluidState(rt)
 	}
-	if len(cfg.Streams) > 0 {
-		rt.streamsBySvc = make(map[string][]int)
-		rt.streams = make([]streamState, len(cfg.Streams))
-		rt.streamAcc = make([]streamMinuteAcc, len(cfg.Streams))
-		rt.result.PerStream = make([]*StreamResult, len(cfg.Streams))
-		for i, s := range cfg.Streams {
-			// Each stream once split a latency reservoir's seed off the
-			// run's RNG; the split stays so that no later draw moves.
+	rt.sources = make([]source, 0, len(cfg.Streams)+len(cfg.Graphs))
+	streamed := make([]bool, len(rt.svcs))
+	for _, s := range cfg.Streams {
+		if s.Pattern != nil {
+			// Each open-loop stream once split a latency reservoir's seed
+			// off the run's RNG; the split stays so that no later draw
+			// moves. Closed-loop streams never had a reservoir.
 			rt.rng.Split()
-			rt.result.PerStream[i] = &StreamResult{Tier: s.Tier}
-			sla, hasSLA := cfg.SLAs[s.Service]
-			if s.SLA != nil {
-				sla, hasSLA = *s.SLA, true
-			}
-			rt.streams[i] = streamState{slaMs: sla.Threshold, hasSLA: hasSLA}
-			rt.streamsBySvc[s.Service] = append(rt.streamsBySvc[s.Service], i)
+		}
+		gi := slices.IndexFunc(rt.svcs, func(sv *svcState) bool { return sv.name == s.Service })
+		streamed[gi] = true
+		rt.addSource(rt.svcs[gi], s)
+	}
+	for _, sv := range rt.svcs {
+		if !streamed[sv.gi] {
+			rt.addSource(sv, Stream{Tier: workload.TierStandard, Pattern: cfg.Patterns[sv.name]})
+		}
+	}
+	if len(cfg.Streams) > 0 {
+		rt.result.PerStream = make([]*StreamResult, len(cfg.Streams))
+		for i := range rt.result.PerStream {
+			rt.result.PerStream[i] = &rt.sources[i].res
 		}
 	}
 	return rt, nil
+}
+
+// addSource appends stream s onto sv to the source table. Its requests are
+// classified against s.SLA when set, else the service's SLA.
+func (rt *Runtime) addSource(sv *svcState, s Stream) {
+	sla, hasSLA := rt.cfg.SLAs[sv.name]
+	if s.SLA != nil {
+		sla, hasSLA = *s.SLA, true
+	}
+	rt.sources = append(rt.sources, source{
+		sv: sv, pattern: s.Pattern, users: s.Users,
+		slaMs: sla.Threshold, hasSLA: hasSLA,
+		res: StreamResult{Tier: s.Tier},
+	})
 }
 
 // resolve builds the callNode tree under n for service svc.
@@ -713,23 +736,21 @@ func (rt *Runtime) setup() {
 	endMs := rt.cfg.DurationMin * 60_000
 	warmMs := rt.cfg.WarmupMin * 60_000
 
-	// Schedule request arrivals per service: open-loop Poisson replay by
-	// default, or a closed-loop user population where configured. Services
-	// with cohort streams run one independent arrival process per stream
-	// (each with its own split RNG, in stream-index order) instead.
-	for gi, g := range rt.cfg.Graphs {
-		sv := rt.svcs[gi]
-		if idxs, ok := rt.streamsBySvc[g.Service]; ok {
-			for _, si := range idxs {
-				rt.scheduleArrivals(sv, si, rt.cfg.Streams[si].Pattern, warmMs)
-			}
-			continue
+	// Start every source, each on its own split RNG, in graph order and
+	// then source order: the order the splits have always been taken in.
+	order := make([]int, len(rt.sources))
+	for si := range order {
+		order[si] = si
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return rt.sources[a].sv.gi - rt.sources[b].sv.gi
+	})
+	for _, si := range order {
+		if rt.sources[si].pattern != nil {
+			rt.scheduleArrivals(si, warmMs)
+		} else {
+			rt.startClosedLoop(si, endMs, warmMs)
 		}
-		if users, ok := rt.cfg.ClosedUsers[g.Service]; ok {
-			rt.startClosedLoop(sv, users, endMs, warmMs)
-			continue
-		}
-		rt.scheduleArrivals(sv, -1, rt.cfg.Patterns[g.Service], warmMs)
 	}
 
 	// Schedule injected container failures and recoveries.
@@ -810,22 +831,21 @@ func (rt *Runtime) finish() *Result {
 	return rt.result
 }
 
-// scheduleArrivals starts one arrival process of pattern p onto sv: a
-// closure that keeps exactly one pending arrival event on the callback heap
-// and, when it fires, pulls the next time from the process's
-// workload.Arrivals stream and re-arms itself for it. The stream draws only from its own
-// rt.rng.Split(), taken here in setup order, so the events that run between
-// two of its minutes cannot perturb it, nor it them. In hybrid mode a copy
-// of the split's state is drained first for the fluid path's per-minute
-// counts. si tags every request with its cohort stream (-1 on the untiered
-// Patterns path).
-func (rt *Runtime) scheduleArrivals(sv *svcState, si int, p workload.Pattern, warmMs float64) {
+// scheduleArrivals starts open-loop source si: a closure that keeps exactly
+// one pending arrival event on the callback heap and, when it fires, pulls
+// the next time from the source's workload.Arrivals stream and re-arms
+// itself for it. The stream draws only from its own rt.rng.Split(), taken
+// here in setup order, so the events that run between two of its minutes
+// cannot perturb it, nor it them. In hybrid mode a copy of the split's state
+// is drained first for the fluid path's per-minute counts.
+func (rt *Runtime) scheduleArrivals(si int, warmMs float64) {
+	src := &rt.sources[si]
 	r := rt.rng.Split()
 	if rt.fl != nil {
 		ahead := *r
-		rt.fl.noteArrivals(sv.name, workload.NewArrivals(p, &ahead, 0, rt.cfg.DurationMin))
+		rt.fl.noteArrivals(src.sv.name, workload.NewArrivals(src.pattern, &ahead, 0, rt.cfg.DurationMin))
 	}
-	arr := workload.NewArrivals(p, r, 0, rt.cfg.DurationMin)
+	arr := workload.NewArrivals(src.pattern, r, 0, rt.cfg.DurationMin)
 	t, ok := arr.Next()
 	if !ok {
 		return
@@ -836,17 +856,16 @@ func (rt *Runtime) scheduleArrivals(sv *svcState, si int, p workload.Pattern, wa
 		if t, ok = arr.Next(); ok {
 			rt.eng.At(t, walk)
 		}
-		rt.startRequest(sv, si, now >= warmMs, nil)
+		rt.startRequest(si, now >= warmMs, nil)
 	}
 	rt.eng.At(t, walk)
 }
 
-// startRequest begins one end-to-end request of service sv; then, if not
-// nil, runs when the request ends (the closed-loop client). si identifies the
-// issuing cohort stream (-1 on the untiered Patterns path); stream requests
-// propagate their SLO tier down the whole call tree and record per-stream
-// outcomes on top of the per-service ones.
-func (rt *Runtime) startRequest(sv *svcState, si int, measured bool, then func()) {
+// startRequest begins one end-to-end request issued by source si; then, if
+// not nil, runs when the request ends (the closed-loop client). The request
+// carries the source's SLO tier down the whole call tree, and its outcome
+// is recorded on the source as well as on the service.
+func (rt *Runtime) startRequest(si int, measured bool, then func()) {
 	rt.nextTrace++
 	t0 := rt.eng.Now()
 	// A trace starting in a dropped minute is lost before it reaches the
@@ -854,22 +873,19 @@ func (rt *Runtime) startRequest(sv *svcState, si int, measured bool, then func()
 	sampled := rt.cfg.Observer != nil && !rt.dropMin[int(t0/60_000)] &&
 		traceSampled(rt.cfg.Seed, rt.nextTrace, rt.cfg.SampleRate)
 
-	tier := workload.TierStandard
-	if si >= 0 {
-		tier = rt.cfg.Streams[si].Tier
-		rt.streamAcc[si].issued++
-	}
-	slaMs, hasSLA := rt.sla(sv, si)
+	src := &rt.sources[si]
+	src.acc.issued++
+	sv := src.sv
 
 	f := rt.newFrame()
-	f.Service, f.svc, f.Tier, f.node = sv.name, sv, tier, sv.root
+	f.Service, f.Tier, f.node = sv.name, src.res.Tier, sv.root
 	f.traceID, f.sampled = rt.nextTrace, sampled
-	f.t0, f.stream, f.measured, f.then = t0, si, measured, then
+	f.t0, f.src, f.measured, f.then = t0, si, measured, then
 	// The request deadline (resilience only): derived from the SLA when
 	// configured, else the absolute request timeout. 0 = unbounded.
 	if rt.res != nil {
-		if hasSLA && rt.res.TimeoutSLAMultiple > 0 {
-			f.edgeDeadline = t0 + rt.res.TimeoutSLAMultiple*slaMs
+		if src.hasSLA && rt.res.TimeoutSLAMultiple > 0 {
+			f.edgeDeadline = t0 + rt.res.TimeoutSLAMultiple*src.slaMs
 		} else if rt.res.RequestTimeoutMs > 0 {
 			f.edgeDeadline = t0 + rt.res.RequestTimeoutMs
 		}
@@ -891,44 +907,27 @@ func traceSampled(seed uint64, id int64, rate float64) bool {
 	return float64(stats.Mix(seed^traceSalt, uint64(id))>>11)*(1.0/(1<<53)) < rate
 }
 
-// sla returns the latency bound a request of service sv issued by stream si
-// (-1: none) is classified against: the stream's own when it has one.
-func (rt *Runtime) sla(sv *svcState, si int) (ms float64, ok bool) {
-	if si >= 0 {
-		return rt.streams[si].slaMs, rt.streams[si].hasSLA
-	}
-	return sv.slaMs, sv.hasSLA
-}
-
 // requestDone records a request's success; it fires at the client-receive
 // instant of root frame f.
 func (rt *Runtime) requestDone(f *Job) {
+	src := &rt.sources[f.src]
 	lat := rt.eng.Now() - f.t0
-	slaMs, hasSLA := rt.sla(f.svc, f.stream)
-	slow := hasSLA && lat > slaMs
+	slow := src.hasSLA && lat > src.slaMs
 	if f.measured {
-		res := f.svc.res
+		res := src.sv.res
 		res.Count++
 		res.lat.Add(lat)
+		src.res.Count++
 		if slow {
 			res.Violations++
-		}
-		if f.stream >= 0 {
-			sr := rt.result.PerStream[f.stream]
-			sr.Count++
-			if slow {
-				sr.Violations++
-			}
+			src.res.Violations++
 		}
 	}
-	if f.stream >= 0 {
-		acc := &rt.streamAcc[f.stream]
-		acc.completed++
-		if slow {
-			acc.slow++
-		} else {
-			acc.good++
-		}
+	src.acc.completed++
+	if slow {
+		src.acc.slow++
+	} else {
+		src.acc.good++
 	}
 	if f.then != nil {
 		f.then()
@@ -937,28 +936,24 @@ func (rt *Runtime) requestDone(f *Job) {
 
 // requestFailed records a request's outright failure (resilience only).
 func (rt *Runtime) requestFailed(f *Job, err CallErr) {
+	src := &rt.sources[f.src]
 	if f.measured {
-		f.svc.res.Errors++
-		if f.stream >= 0 {
-			rt.result.PerStream[f.stream].Errors++
-		}
+		src.sv.res.Errors++
+		src.res.Errors++
 	}
-	if f.stream >= 0 {
-		acc := &rt.streamAcc[f.stream]
-		acc.errors++
-		if err == ErrShed {
-			acc.shed++
-		}
+	src.acc.errors++
+	if err == ErrShed {
+		src.acc.shed++
 	}
 	if f.then != nil {
 		f.then()
 	}
 }
 
-// startClosedLoop spawns a closed-loop user population for one service: each
-// user issues a request, waits for the response, thinks for an exponential
-// time, and repeats until the nominal end of the run.
-func (rt *Runtime) startClosedLoop(sv *svcState, users int, endMs, warmMs float64) {
+// startClosedLoop starts closed-loop source si: each of its users issues a
+// request, waits for the response, thinks for an exponential time, and
+// repeats until the nominal end of the run.
+func (rt *Runtime) startClosedLoop(si int, endMs, warmMs float64) {
 	think := rt.cfg.ThinkTimeMs
 	if think <= 0 {
 		think = 1000
@@ -970,9 +965,9 @@ func (rt *Runtime) startClosedLoop(sv *svcState, users int, endMs, warmMs float6
 		if rt.eng.Now() >= endMs {
 			return
 		}
-		rt.startRequest(sv, -1, rt.eng.Now() >= warmMs, rethink)
+		rt.startRequest(si, rt.eng.Now() >= warmMs, rethink)
 	}
-	for u := 0; u < users; u++ {
+	for u := 0; u < rt.sources[si].users; u++ {
 		// Staggered starts spread the initial burst over one think time.
 		rt.eng.At(rng.Float64()*think, userLoop)
 	}
@@ -1113,10 +1108,10 @@ func (rt *Runtime) flushMinute(m int, record bool) {
 			rt.result.Samples = append(rt.result.Samples, sample)
 		}
 	}
-	for si := range rt.streamAcc {
-		acc := rt.streamAcc[si]
-		rt.streamAcc[si] = streamMinuteAcc{}
-		if record {
+	for si := range rt.sources {
+		acc := rt.sources[si].acc
+		rt.sources[si].acc = streamMinuteAcc{}
+		if record && si < len(rt.cfg.Streams) {
 			rt.result.StreamMinutes = append(rt.result.StreamMinutes, StreamMinute{
 				Minute:    m,
 				Stream:    si,

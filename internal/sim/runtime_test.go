@@ -43,6 +43,11 @@ func singleMSConfig(t *testing.T, ratePerMin float64, containers int) Config {
 	}
 }
 
+// closedLoop is one standard-tier closed-loop stream of users onto svc.
+func closedLoop(svc string, users int) []Stream {
+	return []Stream{{Cohort: "users", Service: svc, Tier: workload.TierStandard, Users: users}}
+}
+
 func TestLightLoadLatencyNearServiceTime(t *testing.T) {
 	cfg := singleMSConfig(t, 600, 4) // 10 req/s over 16 threads: negligible queueing
 	rt, err := NewRuntime(cfg)
@@ -510,7 +515,7 @@ func TestConfigRejectsNonFiniteRates(t *testing.T) {
 				cfg.Streams = []Stream{{Cohort: "web", Service: "svc", Tier: workload.TierStandard, Pattern: c.pattern}}
 			case c.closed:
 				cfg.Patterns["svc"] = c.pattern
-				cfg.ClosedUsers = map[string]int{"svc": 2}
+				cfg.Streams = closedLoop("svc", 2)
 			default:
 				cfg.Patterns["svc"] = c.pattern
 			}
@@ -693,7 +698,7 @@ func TestClosedLoopThroughput(t *testing.T) {
 	// ~6000 req/min.
 	cfg := singleMSConfig(t, 0, 4)
 	cfg.Patterns = nil
-	cfg.ClosedUsers = map[string]int{"svc": 100}
+	cfg.Streams = closedLoop("svc", 100)
 	cfg.ThinkTimeMs = 1000
 	cfg.DurationMin = 3
 	cfg.WarmupMin = 0.5
@@ -717,7 +722,7 @@ func TestClosedLoopBoundsSaturation(t *testing.T) {
 	mkClosed := func(users int) float64 {
 		cfg := singleMSConfig(t, 0, 1)
 		cfg.Patterns = nil
-		cfg.ClosedUsers = map[string]int{"svc": users}
+		cfg.Streams = closedLoop("svc", users)
 		cfg.ThinkTimeMs = 20 // demand ~users*60000/22 >> capacity
 		cfg.DurationMin = 2
 		cfg.WarmupMin = 0.5
@@ -752,9 +757,69 @@ func TestClosedLoopValidation(t *testing.T) {
 	if _, err := NewRuntime(cfg); err == nil {
 		t.Fatal("missing workload accepted")
 	}
-	cfg.ClosedUsers = map[string]int{"svc": 10}
+	cfg.Streams = closedLoop("svc", 10)
 	if _, err := NewRuntime(cfg); err != nil {
 		t.Fatalf("closed-loop config rejected: %v", err)
+	}
+}
+
+// TestClosedLoopStreamsReport: a closed-loop population is a stream and
+// reports like one. "solo" has one closed-loop stream and nothing else, so
+// its stream's outcomes are its service's; "mixed" carries a closed-loop and
+// an open-loop stream at once, and both report.
+func TestClosedLoopStreamsReport(t *testing.T) {
+	solo, mixed := graph.New("solo", "A"), graph.New("mixed", "B")
+	cfg := Config{
+		Seed:     3,
+		Cluster:  buildCluster(t, 2, map[string]int{"A": 1, "B": 1}),
+		Profiles: map[string]ServiceProfile{"A": {BaseMs: 2, CV: 0.5}, "B": {BaseMs: 2, CV: 0.5}},
+		Graphs:   []*graph.Graph{solo, mixed},
+		SLAs: map[string]workload.SLA{
+			"solo":  workload.P95SLA("solo", 3),
+			"mixed": workload.P95SLA("mixed", 3),
+		},
+		ThinkTimeMs: 10,
+		DurationMin: 3,
+		WarmupMin:   0.5,
+		// Past the SLA a request is slow, past the timeout it fails.
+		Resilience: &Resilience{RequestTimeoutMs: 4},
+	}
+	cfg.Streams = append(closedLoop("solo", 8), closedLoop("mixed", 4)...)
+	cfg.Streams = append(cfg.Streams, Stream{
+		Cohort: "open", Service: "mixed", Tier: workload.TierBatch, Pattern: workload.Static{Rate: 6_000},
+	})
+	rt, err := NewRuntime(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := rt.Run()
+	if len(res.PerStream) != 3 {
+		t.Fatalf("%d stream results, want 3", len(res.PerStream))
+	}
+	sr, svc := res.PerStream[0], res.PerService["solo"]
+	if sr.Count == 0 || sr.Violations == 0 || sr.Errors == 0 {
+		t.Fatalf("solo stream %+v: want completions, violations and errors", *sr)
+	}
+	if sr.Count != svc.Count || sr.Violations != svc.Violations || sr.Errors != svc.Errors {
+		t.Errorf("solo stream %+v differs from its service: count %d, violations %d, errors %d",
+			*sr, svc.Count, svc.Violations, svc.Errors)
+	}
+	closed, open, both := res.PerStream[1], res.PerStream[2], res.PerService["mixed"]
+	if closed.Count == 0 || open.Count == 0 {
+		t.Fatalf("mixed service's streams: closed-loop %+v, open-loop %+v", *closed, *open)
+	}
+	if closed.Count+open.Count != both.Count || closed.Errors+open.Errors != both.Errors {
+		t.Errorf("mixed streams %+v + %+v do not add up to their service's count %d, errors %d",
+			*closed, *open, both.Count, both.Errors)
+	}
+	issued := make([]int, len(cfg.Streams))
+	for _, sm := range res.StreamMinutes {
+		issued[sm.Stream] += sm.Issued
+	}
+	for si, n := range issued {
+		if n == 0 {
+			t.Errorf("stream %d (%s) has no StreamMinutes issues", si, cfg.Streams[si].Cohort)
+		}
 	}
 }
 

@@ -217,7 +217,7 @@ func TestEveryFieldHasAReader(t *testing.T) {
 
 // settableCount is the repository's count of settable values, pinned: a
 // change that adds or removes an option edits it, in plain view.
-const settableCount = 152
+const settableCount = 151
 
 // TestSettableValues logs the repository's count of settable values — the
 // exported fields of exported struct types named *Config, *Opts, *Options or

@@ -62,6 +62,9 @@ if ! go test -count=1 -v -run 'TestEveryDeclarationHasAReader|TestEveryFieldHasA
 	exit 1
 fi
 grep -o 'settable values: .*' "$reach_out"
+# Beside it, the net non-test Go line count (outside bench/), counted the one
+# way ROADMAP's convention names, so every change's count comes from here.
+echo "non-test Go lines: $(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -n 1 | awk '{print $1}')"
 # Beside the option count, the verdict count: every row of EXPERIMENTS'
 # verdict table has a claim in internal/experiments/verdicts_test.go — a
 # predicate over its figure's quick tables, which TestFigures runs in the
