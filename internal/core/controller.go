@@ -48,10 +48,11 @@ func WithObservability(r *obs.Recorder) Option {
 	return func(c *Controller) { c.Obs = r }
 }
 
-// WithResilience enables the data-plane fault model in every evaluation
-// simulation: deadline propagation, budgeted retries, circuit breaking,
-// admission control, and crash failure semantics. Nil (the default) keeps
-// the infallible data plane.
+// WithResilience sets the data plane's per-call mechanisms in every
+// evaluation simulation: deadline propagation, budgeted retries, circuit
+// breaking and admission control. Nil (the default) is the zero
+// sim.Resilience: one attempt per call, no deadline. Crashes and outages
+// fail calls under either.
 func WithResilience(r *sim.Resilience) Option {
 	return func(c *Controller) { c.Resilience = r }
 }
@@ -111,8 +112,8 @@ type Controller struct {
 	Delta float64
 	// Interference is the host-utilization → service-time inflation model.
 	Interference cluster.InterferenceModel
-	// Resilience, when non-nil, enables the data-plane fault model in every
-	// evaluation simulation (see sim.Resilience).
+	// Resilience configures the data plane's per-call mechanisms in every
+	// evaluation simulation (see sim.Resilience); nil is the zero value.
 	Resilience *sim.Resilience
 
 	// PlanCache memoizes compiled plan templates per service: steady-state
@@ -461,11 +462,12 @@ type EvalResult struct {
 	// TailLatency holds the per-service P95 end-to-end latency.
 	TailLatency map[string]float64
 	// ErrorRate holds the per-service fraction of requests that failed
-	// outright. Nil unless the controller runs with Resilience.
+	// outright — a crash, no container up, or what the controller's
+	// Resilience arms (timeouts, shedding, an open breaker) — over every
+	// request that ended.
 	ErrorRate map[string]float64
 	// Goodput is the aggregate rate of requests completed within their SLA,
-	// in requests per minute across all services. Zero unless the controller
-	// runs with Resilience.
+	// in requests per minute across all services.
 	Goodput float64
 }
 
@@ -537,14 +539,13 @@ func (c *Controller) EvaluateDeployed(plan *multiplex.Plan, rates map[string]flo
 	if err != nil {
 		return nil, err
 	}
-	res.ExportTo(c.Obs, c.Resilience != nil)
+	res.ExportTo(c.Obs)
+	n := len(res.PerService)
 	out := &EvalResult{
 		Sim:         res,
-		Violations:  make(map[string]float64),
-		TailLatency: make(map[string]float64),
-	}
-	if c.Resilience != nil {
-		out.ErrorRate = make(map[string]float64)
+		Violations:  make(map[string]float64, n),
+		TailLatency: make(map[string]float64, n),
+		ErrorRate:   make(map[string]float64, n),
 	}
 	// Fold in sorted service order: Goodput is a float sum, and float
 	// addition is not associative, so map-range order would make two
@@ -553,11 +554,9 @@ func (c *Controller) EvaluateDeployed(plan *multiplex.Plan, rates map[string]flo
 		sr := res.PerService[svc]
 		out.Violations[svc] = sr.ViolationRate()
 		out.TailLatency[svc] = sr.P95()
-		if c.Resilience != nil {
-			out.ErrorRate[svc] = sr.ErrorRate()
-			if res.SimulatedMin > 0 {
-				out.Goodput += float64(sr.Good()) / res.SimulatedMin
-			}
+		out.ErrorRate[svc] = sr.ErrorRate()
+		if res.SimulatedMin > 0 {
+			out.Goodput += float64(sr.Good()) / res.SimulatedMin
 		}
 	}
 	return out, nil

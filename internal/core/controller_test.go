@@ -511,17 +511,47 @@ func TestEvaluateWithResilience(t *testing.T) {
 	}
 }
 
-func TestEvaluateWithoutResilienceHasNoErrorRate(t *testing.T) {
+// TestEvaluateWithoutResilienceReportsErrorRate: a nil Resilience is the
+// zero one, so an evaluation reports ErrorRate and Goodput all the same —
+// no errors on a healthy cluster, and once every host fails half-way
+// through the window, the requests that found no container up as errors,
+// each also a violation.
+func TestEvaluateWithoutResilienceReportsErrorRate(t *testing.T) {
 	c := hotelController(t)
-	out, err := planAndEvaluate(c, hotelRates(3000), 1, 0.25, 3)
+	rates := hotelRates(3000)
+	plan, err := c.Plan(rates)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.ErrorRate != nil {
-		t.Fatalf("infallible evaluation grew an ErrorRate map: %v", out.ErrorRate)
+	out, err := c.EvaluatePlan(plan, rates, 1, 0.25, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out.Goodput != 0 {
-		t.Fatalf("infallible evaluation reports goodput %v", out.Goodput)
+	if len(out.ErrorRate) != len(c.App.Graphs) {
+		t.Fatalf("error rates for %d services, want %d: %v", len(out.ErrorRate), len(c.App.Graphs), out.ErrorRate)
+	}
+	for svc, er := range out.ErrorRate {
+		if er != 0 {
+			t.Errorf("service %s: error rate %v on a healthy cluster", svc, er)
+		}
+	}
+	if out.Goodput <= 0 {
+		t.Fatalf("goodput = %v, want > 0", out.Goodput)
+	}
+
+	var outage []sim.Failure
+	for h := 0; h < c.Orch.Cluster().NumHosts(); h++ {
+		outage = append(outage, sim.Failure{Host: h, AtMin: 0.75})
+	}
+	out, err = c.EvaluateDeployed(plan, rates, 1, 0.25, 3, EvalOpts{Failures: outage})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for svc, er := range out.ErrorRate {
+		if er < 0.2 || out.Violations[svc] < er {
+			t.Errorf("service %s: error rate %v, violation rate %v after every host failed a third into the measured window",
+				svc, er, out.Violations[svc])
+		}
 	}
 }
 

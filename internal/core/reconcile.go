@@ -89,8 +89,8 @@ type WindowReport struct {
 	Violations  map[string]float64
 	TailLatency map[string]float64
 	// ErrorRate holds the per-service fraction of requests that failed
-	// outright in the window's simulation (data-plane resilience enabled);
-	// nil when the controller runs the infallible data plane.
+	// outright in the window's simulation (see EvalResult.ErrorRate); nil
+	// only for an Outage window, which could not be simulated.
 	ErrorRate map[string]float64
 	// Goodput is the aggregate rate of requests completed within their SLA,
 	// requests per minute.
@@ -341,9 +341,7 @@ func (r *Reconciler) Step(rates map[string]float64, seed uint64) (*WindowReport,
 	report.TailLatency = res.TailLatency
 	report.Goodput = res.Goodput
 	report.StreamMinutes = res.Sim.StreamMinutes
-	if r.C.Resilience != nil {
-		report.ErrorRate = res.ErrorRate
-	}
+	report.ErrorRate = res.ErrorRate
 	// Online drift loop: score this window's live samples against the
 	// models the plan was computed from, re-fit and swap whatever drifted.
 	// Swapped models take effect at the next window's plan; the template

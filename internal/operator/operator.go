@@ -131,8 +131,8 @@ type Config struct {
 	// SLA-violation probability, in [0, 1]. Default 0.05.
 	MaxViolationRate float64
 	// MaxErrorRate is the per-window guardrail on the worst service's
-	// outright-error rate (data-plane resilience enabled; ignored
-	// otherwise), in [0, 1]. Default 0.05.
+	// outright-error rate (core.WindowReport.ErrorRate: crashes, outages and
+	// whatever the spec's resilience block arms), in [0, 1]. Default 0.05.
 	MaxErrorRate float64
 	// ChaosWindows sizes the fault schedule when the bootstrap spec carries
 	// a chaos block and the operator will run past the spec horizon. 0 uses

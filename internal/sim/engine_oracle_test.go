@@ -182,14 +182,14 @@ type programRun struct {
 // onHop puts fn behind a lane event: a root frame whose response (evReturn)
 // crosses the network and runs the request's continuation.
 func (p *laneProgram) onHop(fn func()) {
-	f := &Job{rt: p.rt, refs: 1, then: fn}
+	f := &Job{rt: p.rt, node: &p.node, refs: 1, then: fn}
 	p.eng.hopFrame(f, evReturn)
 }
 
 // onFrame puts fn behind a typed frame event at absolute time t, on the frame
 // heap: the same root frame as onHop's, its response delivered at t.
 func (p *laneProgram) onFrame(t float64, fn func()) {
-	f := &Job{rt: p.rt, refs: 1, then: fn}
+	f := &Job{rt: p.rt, node: &p.node, refs: 1, then: fn}
 	p.eng.atFrame(t, f, evReturn)
 }
 
@@ -356,8 +356,7 @@ func newLaneProgram(eng scheduler, seed uint64, lag float64, timers bool) *laneP
 		eng: eng, rng: stats.NewRNG(seed), lag: lag,
 		rt: &Runtime{eng: newEngine(0), sources: make([]source, 1)}, budget: 2000,
 		timers: timers,
-		trt:    &Runtime{res: &Resilience{MaxAttempts: 1}, sources: make([]source, 1)},
-		node:   callNode{edge: &edgeState{}},
+		trt:    &Runtime{res: Resilience{MaxAttempts: 1}, sources: make([]source, 1)},
 	}
 	if e, ok := eng.(*Engine); ok {
 		p.trt.eng = e

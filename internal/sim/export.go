@@ -14,49 +14,43 @@ type series struct {
 // counters is the one table tying a Result's engine, partition and
 // data-plane telemetry (RunStats, EngineStats, DataStats) to obs series:
 // exporting a new field is one line here plus its name constant in obs.
-// The erms.data.* rows exist only for a resilient run, so they are exported
-// — at zero when nothing failed — exactly when the fault model ran.
-func (r *Result) counters(resilient bool) []series {
-	out := []series{
+// Every run has the one data plane, so every run exports the erms.data.*
+// rows, at zero when nothing failed.
+func (r *Result) counters() []series {
+	errs := 0
+	for _, sr := range r.PerService {
+		errs += sr.Errors
+	}
+	d := &r.Data
+	return []series{
 		{obs.CtrSimEvents, float64(r.Engine.Events)},
 		{obs.CtrSimJobsAlloc, float64(r.Engine.JobsAllocated)},
 		{obs.CtrSimJobsRecycled, float64(r.Engine.JobsRecycled)},
 		{obs.CtrSimPartitions, float64(r.Partitions)},
 		{obs.CtrSimFluidContainers, float64(r.FluidContainerMinutes)},
 		{obs.CtrSimExactContainers, float64(r.ExactContainerMinutes)},
+		{obs.CtrDataAttempts, float64(d.Attempts)},
+		{obs.CtrDataTimeouts, float64(d.Timeouts)},
+		{obs.CtrDataRetries, float64(d.Retries)},
+		{obs.CtrDataRetryBudgetExhausted, float64(d.RetryBudgetExhausted)},
+		{obs.CtrDataBreakerOpens, float64(d.BreakerOpens)},
+		{obs.CtrDataBreakerShortCircuits, float64(d.BreakerShortCircuits)},
+		{obs.CtrDataShed, float64(d.Shed)},
+		{obs.CtrDataCrashFailures, float64(d.CrashFailures)},
+		{obs.CtrDataDeadlineSkips, float64(d.DeadlineSkips)},
+		{obs.CtrDataUnavailable, float64(d.Unavailable)},
+		{obs.CtrDataErrors, float64(errs)},
 	}
-	if !resilient {
-		return out
-	}
-	errs := 0
-	for _, sr := range r.PerService {
-		errs += sr.Errors
-	}
-	d := &r.Data
-	return append(out,
-		series{obs.CtrDataAttempts, float64(d.Attempts)},
-		series{obs.CtrDataTimeouts, float64(d.Timeouts)},
-		series{obs.CtrDataRetries, float64(d.Retries)},
-		series{obs.CtrDataRetryBudgetExhausted, float64(d.RetryBudgetExhausted)},
-		series{obs.CtrDataBreakerOpens, float64(d.BreakerOpens)},
-		series{obs.CtrDataBreakerShortCircuits, float64(d.BreakerShortCircuits)},
-		series{obs.CtrDataShed, float64(d.Shed)},
-		series{obs.CtrDataCrashFailures, float64(d.CrashFailures)},
-		series{obs.CtrDataDeadlineSkips, float64(d.DeadlineSkips)},
-		series{obs.CtrDataUnavailable, float64(d.Unavailable)},
-		series{obs.CtrDataErrors, float64(errs)},
-	)
 }
 
 // ExportTo accumulates one run's counters into the self-observability
-// recorder; resilient says whether Config.Resilience was set. Per-SLO-tier
-// outcomes are written for the tiers the run's streams carried. No-op on a
-// nil recorder.
-func (r *Result) ExportTo(rec *obs.Recorder, resilient bool) {
+// recorder. Per-SLO-tier outcomes are written for the tiers the run's streams
+// carried. No-op on a nil recorder.
+func (r *Result) ExportTo(rec *obs.Recorder) {
 	if rec == nil {
 		return
 	}
-	for _, c := range r.counters(resilient) {
+	for _, c := range r.counters() {
 		rec.Add(c.name, c.n)
 	}
 	rec.SetMax(obs.GaugeSimHeapPeak, float64(r.Engine.HeapPeak))

@@ -9,8 +9,8 @@ import (
 
 // TestExportToMapsEveryField gives every exported field a distinct value and
 // checks it lands under its own series: counts accumulate across runs, the
-// heap peak is a high-water mark, erms.data.* exists only for resilient
-// runs, and per-tier outcomes cover exactly the tiers the streams carried.
+// heap peak is a high-water mark, erms.data.* exists for every run, and
+// per-tier outcomes cover exactly the tiers the streams carried.
 func TestExportToMapsEveryField(t *testing.T) {
 	res := &Result{
 		Engine:                RunStats{EngineStats: EngineStats{Events: 1, HeapPeak: 2}, JobsAllocated: 3, JobsRecycled: 4},
@@ -32,8 +32,8 @@ func TestExportToMapsEveryField(t *testing.T) {
 	res.Data.ShedByTier[workload.TierBatch] = 9
 
 	rec := obs.New(nil)
-	res.ExportTo(rec, true)
-	res.ExportTo(rec, true)
+	res.ExportTo(rec)
+	res.ExportTo(rec)
 	want := map[string]float64{
 		obs.CtrSimEvents: 2, obs.GaugeSimHeapPeak: 2, obs.CtrSimJobsAlloc: 6, obs.CtrSimJobsRecycled: 8,
 		obs.CtrSimPartitions: 10, obs.CtrSimFluidContainers: 12, obs.CtrSimExactContainers: 14,
@@ -58,9 +58,9 @@ func TestExportToMapsEveryField(t *testing.T) {
 
 	plain := obs.New(nil)
 	res.PerStream = nil
-	res.ExportTo(plain, false)
-	if got := plain.Counters(); len(got) != 7 {
-		t.Errorf("non-resilient, streamless run exported %d series, want the 7 engine ones: %v", len(got), got)
+	res.ExportTo(plain)
+	if got := plain.Counters(); len(got) != 18 {
+		t.Errorf("streamless run exported %d series, want the 7 engine and 11 data-plane ones: %v", len(got), got)
 	}
-	res.ExportTo(nil, true) // nil recorder: no-op
+	res.ExportTo(nil) // nil recorder: no-op
 }

@@ -48,14 +48,7 @@ var pinnedRuns = []struct {
 	}},
 	{"hybrid", func(t *testing.T) (*Result, []CallRecord) {
 		obs := &recObserver{}
-		cfg := lockstepScenario{
-			services: 4, block: 2, containersPerMS: 1, ratePerMin: 3_000, seed: 303,
-			observer: obs,
-		}.build(t)
-		// One hot service keeps its block's pools near the knee (exact) while
-		// the other block goes fluid.
-		cfg.Patterns["svc-000"] = workload.Static{Rate: 140_000}
-		rt, err := NewRuntime(withFluid(cfg))
+		rt, err := NewRuntime(withFluid(pinnedHybridConfig(t, obs)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,6 +124,18 @@ func pinnedResilientConfig(t *testing.T, obs SpanObserver) Config {
 	return cfg
 }
 
+// pinnedHybridConfig is the "hybrid" pinned run's configuration, before
+// withFluid: one hot service keeps its block's pools near the knee (exact)
+// while the other block goes fluid.
+func pinnedHybridConfig(t *testing.T, obs SpanObserver) Config {
+	cfg := lockstepScenario{
+		services: 4, block: 2, containersPerMS: 1, ratePerMin: 3_000, seed: 303,
+		observer: obs,
+	}.build(t)
+	cfg.Patterns["svc-000"] = workload.Static{Rate: 140_000}
+	return cfg
+}
+
 // pinnedPartitionedConfig is the "partitioned" pinned run's configuration:
 // three sharing groups.
 func pinnedPartitionedConfig(t *testing.T, obs SpanObserver) Config {
@@ -165,7 +170,11 @@ func pinnedHash(res *Result, spans []CallRecord) string {
 // service times drawing their normal from the ziggurat. The exact line was
 // also re-captured when its closed-loop population became a stream, which
 // added that stream's result row and nothing else: with its "stream" line
-// removed, the exact run's text hashes to the earlier f34cd688….
+// removed, the exact run's text hashes to the earlier f34cd688…. The exact,
+// hybrid and partitioned lines were re-captured once more when a nil
+// Resilience became the zero one: every run counts its attempts, and a
+// crash fails the calls in flight instead of completing them. The resilient
+// line did not move.
 // `go test ./internal/sim -run TestRuntimeFingerprintPinned -update` rewrites
 // the golden file from the current build.
 func TestRuntimeFingerprintPinned(t *testing.T) {
@@ -212,6 +221,55 @@ func TestRuntimeFingerprintPinned(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Errorf("fingerprints drifted from %s:\n got:\n%s want:\n%s", fingerprintGolden, got.String(), want)
+	}
+}
+
+// TestNilResilienceIsZero: a nil Config.Resilience is the zero Resilience,
+// not a second data plane. The pinned exact, hybrid and partitioned runs —
+// crashes, host failures and a closed loop among them — hash the same under
+// either, and the hybrid run still serves calls from the fluid path.
+func TestNilResilienceIsZero(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(*testing.T, *Resilience, SpanObserver) *Result
+	}{
+		{"exact", func(t *testing.T, res *Resilience, obs SpanObserver) *Result {
+			cfg := pinnedExactConfig(t, obs)
+			cfg.Resilience = res
+			return runRes(t, cfg)
+		}},
+		{"hybrid", func(t *testing.T, res *Resilience, obs SpanObserver) *Result {
+			cfg := pinnedHybridConfig(t, obs)
+			cfg.Resilience = res
+			return runRes(t, withFluid(cfg))
+		}},
+		{"partitioned", func(t *testing.T, res *Resilience, obs SpanObserver) *Result {
+			cfg := pinnedPartitionedConfig(t, obs)
+			cfg.Resilience = res
+			r, err := RunPartitioned(cfg, PartitionOpts{Mode: SimExact})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hash := func(res *Resilience) (string, *Result) {
+				obs := &recObserver{}
+				r := tc.run(t, res, obs)
+				return pinnedHash(r, obs.recs), r
+			}
+			nilHash, r := hash(nil)
+			if zeroHash, _ := hash(&Resilience{}); nilHash != zeroHash {
+				t.Errorf("nil Resilience hashes to %s, the zero Resilience to %s", nilHash, zeroHash)
+			}
+			if r.Data.Attempts == 0 {
+				t.Error("the run counted no attempts")
+			}
+			if tc.name == "hybrid" && r.FluidContainerMinutes == 0 {
+				t.Error("the hybrid run served nothing from the fluid path")
+			}
+		})
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 // profiled service-time distribution instead of queueing per-request events;
 // whole fluid subtrees collapse to a single completion event. Near-knee
 // microservices, microservices targeted by failure injection, the graphs of
-// services a closed-loop source drives, and every run with Resilience
-// enabled stay exact.
+// services a closed-loop source drives, and every run whose Resilience arms
+// a per-request mechanism (Resilience.perRequest) stay exact.
 //
 // Known approximations, gated by TestHybridFidelity: fluid calls
 // ignore priority-queue ordering (δ-policy) and cross-minute queue carryover,
@@ -65,7 +65,7 @@ type fluidModel struct {
 type fluidState struct {
 	rt       *Runtime
 	minutes  int
-	disabled bool // Resilience enabled: everything stays exact
+	disabled bool // Resilience arms a per-request mechanism: everything stays exact
 
 	// Static after prepare(). The per-minute classification itself lives on
 	// the resolved states the calls read: msState.fluid/model/fluidCalls and
@@ -111,10 +111,9 @@ func (f *fluidState) noteArrivals(svc string, arr *workload.Arrivals) {
 // the per-node subtree microservice lists.
 func (f *fluidState) prepare() {
 	rt := f.rt
-	if rt.res != nil {
-		// The resilience fault model (retries, breakers, shedding, crash
-		// semantics) is inherently per-request; the fluid path would erase
-		// it. Everything stays exact.
+	if rt.res.perRequest() {
+		// Deadlines, timeouts, retries, breakers and shedding act on single
+		// requests; the fluid path would erase them. Everything stays exact.
 		f.disabled = true
 		f.exactCM = len(rt.containers) * f.minutes
 		return
@@ -283,7 +282,7 @@ func (f *Job) issueFluid() {
 	rt, n := f.rt, f.node
 	if !f.sampled && n.subtree {
 		lat := rt.subtreeLatency(n)
-		n.creditSubtree()
+		rt.data.Attempts += n.creditSubtree() - 1 // the root's attempt is counted
 		f.at(f.Enqueued+lat+rt.cfg.NetworkDelayMs, evReturn)
 		return
 	}
@@ -315,12 +314,14 @@ func (rt *Runtime) subtreeLatency(n *callNode) float64 {
 func (n *callNode) credit() { n.ms.fluidCalls++ }
 
 // creditSubtree accounts every node of a collapsed subtree at the root's
-// arrival instant.
-func (n *callNode) creditSubtree() {
+// arrival instant and returns how many it credited.
+func (n *callNode) creditSubtree() int {
 	n.credit()
+	k := 1
 	for _, st := range n.stages {
 		for _, c := range st {
-			c.creditSubtree()
+			k += c.creditSubtree()
 		}
 	}
+	return k
 }

@@ -109,16 +109,40 @@ func TestFluidEligibility(t *testing.T) {
 			t.Errorf("hot topology used the fluid path for %d container-minutes, want 0", res.FluidContainerMinutes)
 		}
 	})
-	t.Run("resilience pins everything exact", func(t *testing.T) {
-		sc := lockstepScenario{services: 4, block: 2, ratePerMin: 200, seed: 5}
-		cfg := sc.build(t)
-		cfg.Resilience = &Resilience{}
+	// A per-request mechanism pins the whole run exact, one row per
+	// mechanism; the zero Resilience arms none, so the cold topology stays
+	// fully fluid under it.
+	hybrid := func(t *testing.T, r *Resilience) *Result {
+		cfg := lockstepScenario{services: 4, block: 2, ratePerMin: 200, seed: 5}.build(t)
+		cfg.Resilience = r
 		res, err := RunPartitioned(cfg, PartitionOpts{Mode: SimHybrid})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.FluidContainerMinutes != 0 {
-			t.Errorf("resilience run used the fluid path for %d container-minutes, want 0", res.FluidContainerMinutes)
+		return res
+	}
+	t.Run("resilience pins everything exact", func(t *testing.T) {
+		for _, row := range []struct {
+			name string
+			r    Resilience
+		}{
+			{"sla deadline", Resilience{TimeoutSLAMultiple: 3}},
+			{"request timeout", Resilience{RequestTimeoutMs: 500}},
+			{"attempt timeout", Resilience{AttemptTimeoutMs: 25}},
+			{"retries", Resilience{MaxAttempts: 2}},
+			{"breaker", Resilience{BreakerFailureRate: 0.5}},
+			{"shedding", Resilience{Shed: true}},
+		} {
+			t.Run(row.name, func(t *testing.T) {
+				if res := hybrid(t, &row.r); res.FluidContainerMinutes != 0 {
+					t.Errorf("used the fluid path for %d container-minutes, want 0", res.FluidContainerMinutes)
+				}
+			})
+		}
+	})
+	t.Run("zero resilience stays fluid", func(t *testing.T) {
+		if res := hybrid(t, &Resilience{}); res.ExactContainerMinutes != 0 {
+			t.Errorf("kept %d exact container-minutes, want 0", res.ExactContainerMinutes)
 		}
 	})
 	t.Run("failures and closed loops pin microservices", func(t *testing.T) {

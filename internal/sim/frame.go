@@ -10,16 +10,16 @@ import "erms/internal/workload"
 //
 //	issue → evArrive → (queue →) evComplete → downstream stages → evReturn
 //
-// with evServed replacing arrive/complete on the fluid path and, under
-// resilience, evTimeout racing the attempt, evFail carrying a failure back
-// across the network and evRetry starting the next attempt on a fresh frame.
+// with evServed replacing arrive/complete on the fluid path, evTimeout racing
+// an attempt that has a deadline, evFail carrying a failure back across the
+// network and evRetry starting the next attempt on a fresh frame.
 //
 // Frames are pooled. A frame holds one reference per pending event that
-// targets it, per container queue or in-flight list that holds it, and per
-// live child frame (children call back into their parent); it returns to the
-// free list when the last reference drops, and not before — a timeout timer
-// already on the heap, work the client abandoned, or a crash re-route can
-// each outlive the call's outcome.
+// targets it, per container queue that holds it, and per live child frame
+// (children call back into their parent); it returns to the free list when
+// the last reference drops, and not before — a timeout timer already on the
+// heap, work the client abandoned, or a crash re-route can each outlive the
+// call's outcome.
 type Job struct {
 	Service  string
 	Enqueued float64 // server-receive instant
@@ -38,8 +38,8 @@ type Job struct {
 	traceID    int64
 	clientSend float64
 	// deadline is this attempt's absolute deadline in ms and edgeDeadline the
-	// one propagated to the call edge, which every attempt inherits (0 = none;
-	// both stay 0 with resilience disabled).
+	// one propagated to the call edge, which every attempt inherits (0 =
+	// none).
 	deadline     float64
 	edgeDeadline float64
 
@@ -154,11 +154,7 @@ func (f *Job) handle(kind evKind, gen uint32) {
 	case evServed:
 		f.served()
 	case evReturn:
-		if f.rt.res != nil {
-			f.settle(ErrNone)
-		} else {
-			f.succeed()
-		}
+		f.settle(ErrNone)
 	case evFail:
 		f.settle(f.err)
 	case evTimeout:
@@ -172,16 +168,11 @@ func (f *Job) handle(kind evKind, gen uint32) {
 	f.unref()
 }
 
-// call runs the call edge's first attempt: on the infallible path (resilience
-// disabled) a single attempt that always completes; with resilience enabled,
-// the attempt loop of try/settle.
+// call starts the call edge's attempt loop (try, then settle) with its first
+// attempt.
 func (f *Job) call() {
 	f.refs++ // the frame has no event yet, and try may fail it on the spot
-	if f.rt.res == nil {
-		f.issue()
-	} else {
-		f.try()
-	}
+	f.try()
 	f.unref()
 }
 
@@ -189,7 +180,7 @@ func (f *Job) call() {
 // and a per-attempt timeout; settle decides whether a failed attempt is
 // retried (budgeted, with exponential backoff) or fails the call edge.
 func (f *Job) try() {
-	rt, edge := f.rt, f.node.edge
+	rt, edge := f.rt, &f.node.edgeState
 	now := rt.eng.Now()
 	// Deadline propagation: if the request cannot even reach the server
 	// before its propagated deadline, fail without executing.
@@ -226,7 +217,7 @@ func (f *Job) settle(err CallErr) {
 	}
 	f.settled = true
 	f.stopTimer()
-	rt, edge := f.rt, f.node.edge
+	rt, edge := f.rt, &f.node.edgeState
 	if br := edge.breaker; br != nil {
 		br.record(rt.eng.Now(), err != ErrNone, &rt.data)
 	}
@@ -301,24 +292,17 @@ func (f *Job) issue() {
 	f.hop(evArrive)
 }
 
-// arrive routes the call round-robin to a container of the microservice and
-// starts it if a thread is free. It runs at
-// server-receive time and again when a crash re-routes queued work.
+// arrive routes the call round-robin to a container of the microservice that
+// is up and starts it if a thread is free. It runs at server-receive time and
+// again when a crash re-routes queued work. With no container up the call
+// fails fast with the retryable ErrUnavailable.
 func (f *Job) arrive() {
 	rt, ms := f.rt, f.node.ms
-	// Downed containers are skipped while any replica survives. With none
-	// left the behaviour is pinned per fault model: resilience disabled parks
-	// the job round-robin across all the downed containers, and each serves
-	// its parked jobs only when it recovers (the historical contract);
-	// resilience enabled fails fast with the retryable ErrUnavailable.
 	states := ms.up
 	if len(states) == 0 {
-		if rt.res != nil {
-			rt.data.Unavailable++
-			f.sendFailure(ErrUnavailable)
-			return
-		}
-		states = ms.states
+		rt.data.Unavailable++
+		f.sendFailure(ErrUnavailable)
+		return
 	}
 	cs := states[0]
 	if len(states) > 1 { // round-robin (modulo the currently routable set)
@@ -326,23 +310,21 @@ func (f *Job) arrive() {
 		ms.rrNext = i + 1
 		cs = states[i]
 	}
-	if rt.res != nil {
-		if f.settled {
-			// The client gave up while the job was re-routed after a crash.
-			rt.data.DeadlineSkips++
-			return
+	if f.settled {
+		// The client gave up while the job was re-routed after a crash.
+		rt.data.DeadlineSkips++
+		return
+	}
+	if rt.res.Shed && rt.shouldShed(cs, f) {
+		rt.data.Shed++
+		if f.Tier.Valid() {
+			rt.data.ShedByTier[f.Tier]++
 		}
-		if rt.shouldShed(cs, f) {
-			rt.data.Shed++
-			if f.Tier.Valid() {
-				rt.data.ShedByTier[f.Tier]++
-			}
-			f.sendFailure(ErrShed)
-			return
-		}
+		f.sendFailure(ErrShed)
+		return
 	}
 	cs.minuteCalls++
-	if !cs.down && cs.busy < cs.c.Spec.Threads {
+	if cs.busy < cs.c.Spec.Threads {
 		rt.startJob(cs, f)
 		return
 	}
@@ -361,21 +343,16 @@ func (f *Job) sendFailure(err CallErr) {
 // complete ends the call's own processing: free the thread, run the served
 // body, and start queued work on the freed thread.
 func (f *Job) complete() {
-	rt, cs := f.rt, f.cs
-	if rt.res != nil {
-		if f.crashed {
-			// The container crashed with this job in flight; the crash already
-			// failed it. The completion is stale.
-			return
-		}
-		rt.dropInflight(cs, f)
+	if f.crashed {
+		// The container crashed with this job in flight; the crash already
+		// failed it. The completion is stale.
+		return
 	}
+	rt, cs := f.rt, f.cs
 	cs.busy--
 	rt.updateUsage(cs)
 	f.served()
-	if !cs.down {
-		rt.kick(cs)
-	}
+	rt.kick(cs)
 }
 
 // served runs when the call's own work is done — on a container thread

@@ -57,3 +57,40 @@ func FuzzConfigValidate(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRequestAccounting varies one failure — its scope (a container of A or
+// of B, or a host), which container or host, when it strikes and whether and
+// when it recovers — and the attempt loop's MaxAttempts and AttemptTimeoutMs
+// on the two-microservice chain of chainConfig. Whatever the values, a run
+// whose config validates neither panics nor loses a request: every request
+// issued ends as a completion or an error before the horizon.
+func FuzzRequestAccounting(f *testing.F) {
+	f.Add(uint8(0), uint8(0), 0.5, 1.0, uint8(0), 0.0)
+	f.Add(uint8(1), uint8(1), 0.3, 0.0, uint8(2), 25.0)
+	f.Add(uint8(2), uint8(0), 1.0, 0.0, uint8(1), 0.0)
+	f.Add(uint8(2), uint8(0), 0.0, 4.0, uint8(3), 1.5)
+	f.Add(uint8(1), uint8(0), -1.0, 1.9, uint8(4), 1e9)
+	f.Fuzz(func(t *testing.T, scope, index uint8, atMin, recoverMin float64, attempts uint8, attemptTimeoutMs float64) {
+		cfg := chainConfig(t)
+		fail := Failure{Index: int(index), Host: int(index), AtMin: atMin, RecoverMin: recoverMin}
+		switch scope % 3 {
+		case 0:
+			fail.Microservice = "A"
+		case 1:
+			fail.Microservice = "B"
+		}
+		cfg.Failures = []Failure{fail}
+		// At most five attempts: backoff doubles per attempt, and the load
+		// stops at minute 2 so that every request can end by minute 5.
+		cfg.Resilience = &Resilience{MaxAttempts: int(attempts%5) + 1, AttemptTimeoutMs: attemptTimeoutMs}
+		rt, err := NewRuntime(cfg)
+		if err != nil {
+			return
+		}
+		r := rt.Run()
+		if issued, ended := requestTotals(r); issued != ended {
+			t.Fatalf("failure %+v, %d attempts, attempt timeout %v ms: %d requests issued, %d ended",
+				fail, attempts%5+1, attemptTimeoutMs, issued, ended)
+		}
+	})
+}

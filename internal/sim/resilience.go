@@ -7,12 +7,13 @@ import (
 	"erms/internal/workload"
 )
 
-// Resilience enables the data-plane fault model (§DESIGN 4d): per-call
+// Resilience configures the data plane's per-call mechanisms (DESIGN §4d):
 // timeout budgets with deadline propagation, budgeted retries, per-(service,
-// microservice) circuit breaking, and optional admission control. A nil
-// Config.Resilience (the default) keeps the historical infallible data plane
-// — every call completes, runs are byte-identical to earlier releases, and
-// the hot path performs no resilience bookkeeping.
+// microservice) circuit breaking, and optional admission control. The zero
+// value — what a nil Config.Resilience means — arms none of them: every call
+// gets one attempt with no deadline. Faults (Config.Failures) fail calls the
+// same way under any configuration; Resilience only decides what a failed
+// call does next.
 type Resilience struct {
 	// TimeoutSLAMultiple derives each request's end-to-end deadline from its
 	// service SLA: deadline = multiple × SLA threshold. 0 falls back to
@@ -115,8 +116,17 @@ var DefaultTierShedFactors = [workload.NumTiers]float64{
 	workload.TierBatch:     4,
 }
 
+// perRequest reports whether the configuration arms a mechanism that acts on
+// individual requests — a deadline, an attempt timeout, retries, a breaker or
+// shedding. The fluid path serves calls without per-request state, so it
+// would erase any of them; a run that arms one stays exact.
+func (r *Resilience) perRequest() bool {
+	return r.TimeoutSLAMultiple > 0 || r.RequestTimeoutMs > 0 || r.AttemptTimeoutMs > 0 ||
+		r.MaxAttempts > 1 || r.BreakerFailureRate > 0 || r.Shed
+}
+
 // validate rejects out-of-range resilience parameters.
-func (r *Resilience) validate() error {
+func (r Resilience) validate() error {
 	for _, f := range []struct {
 		name string
 		v    float64
@@ -213,10 +223,11 @@ func (e CallErr) retryable() bool {
 	return false
 }
 
-// DataStats aggregates the data-plane resilience counters of one run. All
-// zeros when resilience is disabled.
+// DataStats aggregates the data-plane counters of one run, under any
+// Resilience: a fault-free run without retries counts only Attempts.
 type DataStats struct {
-	// Attempts counts call attempts issued (first calls + retries).
+	// Attempts counts call attempts issued (first calls + retries); a fluid
+	// subtree collapsed to one event counts one attempt per node.
 	Attempts int
 	// Timeouts counts per-attempt timeouts that fired.
 	Timeouts int
@@ -246,8 +257,8 @@ type DataStats struct {
 	Unavailable int
 }
 
-// edgeState is the per-call-edge resilience runtime: the retry-budget token
-// bucket and the breaker.
+// edgeState is the per-call-edge data-plane runtime, held in the callNode
+// of the edge's target: the retry-budget token bucket and the breaker.
 type edgeState struct {
 	tokens  float64
 	breaker *breaker // shared per (service, microservice); nil when off
@@ -360,15 +371,18 @@ func (b *breaker) reset() {
 }
 
 // newEdge builds the state of the call edge entering node n of service svc's
-// graph; the breaker is shared per (service, microservice). Called once
-// per node at construction when resilience is enabled.
-func (rt *Runtime) newEdge(svc string, n *graph.Node) *edgeState {
-	e := &edgeState{tokens: rt.res.RetryBurst}
+// graph; the breaker, armed only by BreakerFailureRate > 0, is shared per
+// (service, microservice). Called once per node at construction.
+func (rt *Runtime) newEdge(svc string, n *graph.Node) edgeState {
+	e := edgeState{tokens: rt.res.RetryBurst}
 	if rt.res.BreakerFailureRate > 0 {
+		if rt.breakers == nil {
+			rt.breakers = make(map[string]*breaker)
+		}
 		key := svc + "\x00" + n.Microservice
 		br, ok := rt.breakers[key]
 		if !ok {
-			br = newBreaker(rt.res)
+			br = newBreaker(&rt.res)
 			rt.breakers[key] = br
 		}
 		e.breaker = br
@@ -376,17 +390,15 @@ func (rt *Runtime) newEdge(svc string, n *graph.Node) *edgeState {
 	return e
 }
 
-// shouldShed is the admission-control decision at enqueue: reject when the
-// estimated queue wait already makes the job's deadline unreachable, or
-// exceeds the absolute ShedMaxWaitMs bound. The wait estimate is scaled by
-// the job's SLO-tier factor before both comparisons, which is what makes
-// shedding prefer batch and sheddable traffic over standard and critical:
-// under the same queue, a batch job sees a 4× wait and folds early while a
-// critical job sees a quarter of it and is admitted.
+// shouldShed is the admission-control decision at enqueue, asked only when
+// Resilience.Shed is on: reject when the estimated queue wait already makes
+// the job's deadline unreachable, or exceeds the absolute ShedMaxWaitMs
+// bound. The wait estimate is scaled by the job's SLO-tier factor before
+// both comparisons, which is what makes shedding prefer batch and sheddable
+// traffic over standard and critical: under the same queue, a batch job sees
+// a 4× wait and folds early while a critical job sees a quarter of it and is
+// admitted.
 func (rt *Runtime) shouldShed(cs *containerState, job *Job) bool {
-	if !rt.res.Shed {
-		return false
-	}
 	base := cs.ms.baseMs
 	wait := float64(cs.queue.n) * base / float64(cs.c.Spec.Threads)
 	if job.Tier.Valid() {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -98,13 +99,12 @@ type Config struct {
 	Observer SpanObserver
 	// Failures injects container outages: each entry takes one container of
 	// the microservice down at AtMin and restores it at RecoverMin (0 = no
-	// recovery). Queued requests are re-routed to surviving containers. With
-	// Resilience disabled, in-flight requests complete silently and a
-	// microservice with zero survivors parks new arrivals round-robin across
-	// all its downed containers, each of which serves its parked jobs only
-	// when it recovers; with Resilience enabled, a crash fails its in-flight
-	// requests with a retryable error (ErrCrashed) and zero survivors fail new
-	// calls fast (ErrUnavailable).
+	// recovery). Queued requests are re-routed to surviving containers, a
+	// crash fails its in-flight requests with the retryable ErrCrashed, and a
+	// call to a microservice with no container up fails fast with the
+	// retryable ErrUnavailable. Whether a failed call is retried is up to
+	// Resilience; a request whose call fails for good ends as an error
+	// (ServiceResult.Errors), so every issued request is counted.
 	Failures []Failure
 	// DropMinutes lists simulation minutes whose observability is lost: no
 	// MinuteSamples are recorded and no traces starting in those minutes
@@ -114,10 +114,11 @@ type Config struct {
 	// ThinkTimeMs is the mean exponential think time between a closed-loop
 	// user's requests (Stream.Users). Default 1000.
 	ThinkTimeMs float64
-	// Resilience enables the data-plane fault model: deadline propagation,
-	// budgeted retries, circuit breaking, admission control, and crash
-	// failure semantics. Nil (the default) keeps the historical infallible
-	// data plane — runs are byte-identical to earlier releases.
+	// Resilience configures the data plane's per-call mechanisms: deadline
+	// propagation, per-attempt timeouts, budgeted retries, circuit breaking
+	// and admission control. Nil is the zero Resilience — one attempt per
+	// call, no deadline, no breaker, no shedding — and runs exactly as
+	// &Resilience{} does, on the one data plane every run has.
 	Resilience *Resilience
 	// Streams are the run's named client cohorts: each is one arrival
 	// process onto one service, open-loop or a closed-loop user population,
@@ -261,10 +262,8 @@ func (c *Config) validate() error {
 	if c.Delta < 0 || c.Delta > 1 {
 		return fmt.Errorf("sim: Config.Delta %v must be in [0,1]", c.Delta)
 	}
-	if c.Resilience != nil {
-		if err := c.Resilience.validate(); err != nil {
-			return err
-		}
+	if err := c.resilience().validate(); err != nil {
+		return err
 	}
 	if len(c.Graphs) == 0 {
 		return errors.New("sim: no dependency graphs")
@@ -328,6 +327,15 @@ func (c *Config) validate() error {
 	return nil
 }
 
+// resilience is the run's copy of the data-plane configuration: the zero
+// Resilience when Config.Resilience is nil.
+func (c *Config) resilience() Resilience {
+	if c.Resilience == nil {
+		return Resilience{}
+	}
+	return *c.Resilience
+}
+
 // MinuteSample is the per-minute, per-microservice aggregate the profiling
 // pipeline consumes: exactly the tuple d = (L, γ, C, M) of §5.2.
 type MinuteSample struct {
@@ -353,8 +361,9 @@ type ServiceResult struct {
 	Count      int // completed requests (success + slow)
 	Violations int // requests exceeding the SLA threshold (if an SLA was set)
 	// Errors counts requests that failed outright (deadline expired, retries
-	// exhausted, breaker open, shed, or crash). Always 0 with resilience
-	// disabled. Failed requests contribute no latency sample.
+	// exhausted, breaker open, shed, a crash, or no container up). Failed
+	// requests contribute no latency sample. Count + Errors is every
+	// measured request that ended; none is left waiting on a dead container.
 	Errors int
 
 	lat *stats.Reservoir
@@ -368,8 +377,9 @@ func (s *ServiceResult) P95() float64 { return s.p95 }
 func (s *ServiceResult) Mean() float64 { return s.lat.Mean() }
 
 // ViolationRate returns the fraction of requests that missed their SLA:
-// slow completions plus errors over everything issued. With resilience
-// disabled (Errors == 0) this is Violations/Count, exactly as before.
+// slow completions plus errors over everything that ended — the paper's SLA
+// violation probability (§6) as a share of issued requests, so an outage's
+// failed requests count as misses.
 func (s *ServiceResult) ViolationRate() float64 {
 	total := s.Count + s.Errors
 	if total == 0 {
@@ -435,8 +445,8 @@ type Result struct {
 	// Engine is the event engine's self-telemetry for the run, deterministic
 	// for a fixed seed.
 	Engine RunStats
-	// Data holds the data-plane resilience counters (all zero when
-	// Config.Resilience is nil).
+	// Data holds the data-plane counters: attempts, and what failed or
+	// retried them.
 	Data DataStats
 	// PerStream holds one result per Config.Streams entry, index-aligned.
 	// Nil when no streams are configured.
@@ -476,9 +486,6 @@ type containerState struct {
 	down bool
 	// minuteCalls counts calls routed here in the current minute.
 	minuteCalls int
-	// inflight tracks jobs being processed (resilience only), so a crash can
-	// fail them at the crash instant.
-	inflight []*Job
 }
 
 // msState is everything the calls of one microservice share, resolved by
@@ -516,13 +523,13 @@ func (ms *msState) refreshUp() {
 
 // callNode is one graph.Node resolved against the runtime: its microservice's
 // shared state and what depends on (service, microservice) — priority rank,
-// resilience edge.
+// and the state of the call edge entering it.
 type callNode struct {
 	id     int
 	ms     *msState
 	stages [][]*callNode
-	prio   int        // the service's rank at ms (0 when ms is FCFS)
-	edge   *edgeState // resilience only
+	prio   int // the service's rank at ms (0 when ms is FCFS)
+	edgeState
 	// subtree: every microservice below and including this node is fluid this
 	// minute, so an unsampled call collapses to one event.
 	subtree bool
@@ -581,11 +588,15 @@ type Runtime struct {
 	jobsAllocated int
 	jobsRecycled  int
 
-	// Resilience runtime (nil/zero when disabled — the hot path only pays
-	// `rt.res != nil` checks).
-	res      *Resilience
+	// res is the data-plane configuration with its defaults filled in;
+	// breakers holds one per (service, microservice) when it arms them.
+	res      Resilience
 	breakers map[string]*breaker
 	data     DataStats
+
+	// crashKeys is where failContainer collects the frame-heap keys of a
+	// crashed container's pending completions, reused across crashes.
+	crashKeys []heapKey
 
 	// sources are the run's arrival processes; see source.
 	sources []source
@@ -608,23 +619,28 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if cfg.SampleRate == 0 {
 		cfg.SampleRate = 0.1
 	}
+	// Every table is sized up front: a Runtime is built per evaluation
+	// window, so its growth steps would recur every window. A partition's
+	// config keeps every profile, so its own containers bound its
+	// microservices.
+	containers := cfg.Cluster.Containers()
+	nms := min(len(cfg.Profiles), len(containers))
 	rt := &Runtime{
-		cfg:     cfg,
-		eng:     newEngine(cfg.NetworkDelayMs),
-		rng:     stats.NewRNG(cfg.Seed),
-		ms:      make(map[string]*msState),
-		dropMin: make(map[int]bool, len(cfg.DropMinutes)),
-		result:  &Result{PerService: make(map[string]*ServiceResult)},
+		cfg:        cfg,
+		eng:        newEngine(cfg.NetworkDelayMs),
+		rng:        stats.NewRNG(cfg.Seed),
+		containers: make([]*containerState, 0, len(containers)),
+		ms:         make(map[string]*msState, nms),
+		msList:     make([]*msState, 0, nms),
+		svcs:       make([]*svcState, 0, len(cfg.Graphs)),
+		dropMin:    make(map[int]bool, len(cfg.DropMinutes)),
+		result:     &Result{PerService: make(map[string]*ServiceResult, len(cfg.Graphs))},
 	}
 	for _, m := range cfg.DropMinutes {
 		rt.dropMin[m] = true
 	}
-	if cfg.Resilience != nil {
-		res := cfg.Resilience.withDefaults()
-		rt.res = &res
-		rt.breakers = make(map[string]*breaker)
-	}
-	for _, c := range cfg.Cluster.Containers() {
+	rt.res = cfg.resilience().withDefaults()
+	for _, c := range containers {
 		name := c.Spec.Microservice
 		ms := rt.ms[name]
 		if ms == nil {
@@ -702,10 +718,7 @@ func (rt *Runtime) addSource(sv *svcState, s Stream) {
 // resolve builds the callNode tree under n for service svc.
 func (rt *Runtime) resolve(svc string, n *graph.Node) *callNode {
 	ms := rt.ms[n.Microservice]
-	cn := &callNode{id: n.ID, ms: ms, prio: rt.cfg.Priorities[ms.name][svc]}
-	if rt.res != nil {
-		cn.edge = rt.newEdge(svc, n)
-	}
+	cn := &callNode{id: n.ID, ms: ms, prio: rt.cfg.Priorities[ms.name][svc], edgeState: rt.newEdge(svc, n)}
 	for _, st := range n.Stages {
 		kids := make([]*callNode, len(st))
 		for i, c := range st {
@@ -881,14 +894,12 @@ func (rt *Runtime) startRequest(si int, measured bool, then func()) {
 	f.Service, f.Tier, f.node = sv.name, src.res.Tier, sv.root
 	f.traceID, f.sampled = rt.nextTrace, sampled
 	f.t0, f.src, f.measured, f.then = t0, si, measured, then
-	// The request deadline (resilience only): derived from the SLA when
-	// configured, else the absolute request timeout. 0 = unbounded.
-	if rt.res != nil {
-		if src.hasSLA && rt.res.TimeoutSLAMultiple > 0 {
-			f.edgeDeadline = t0 + rt.res.TimeoutSLAMultiple*src.slaMs
-		} else if rt.res.RequestTimeoutMs > 0 {
-			f.edgeDeadline = t0 + rt.res.RequestTimeoutMs
-		}
+	// The request deadline: derived from the SLA when configured, else the
+	// absolute request timeout. 0 = unbounded.
+	if src.hasSLA && rt.res.TimeoutSLAMultiple > 0 {
+		f.edgeDeadline = t0 + rt.res.TimeoutSLAMultiple*src.slaMs
+	} else if rt.res.RequestTimeoutMs > 0 {
+		f.edgeDeadline = t0 + rt.res.RequestTimeoutMs
 	}
 	f.call()
 }
@@ -934,7 +945,7 @@ func (rt *Runtime) requestDone(f *Job) {
 	}
 }
 
-// requestFailed records a request's outright failure (resilience only).
+// requestFailed records a request's outright failure.
 func (rt *Runtime) requestFailed(f *Job, err CallErr) {
 	src := &rt.sources[f.src]
 	if f.measured {
@@ -974,13 +985,13 @@ func (rt *Runtime) startClosedLoop(si int, endMs, warmMs float64) {
 }
 
 // kick starts queued work on free threads (after a completion or recovery).
-// With resilience enabled, jobs whose client attempt already settled (the
-// per-attempt timeout fired while they queued) are dropped without executing
-// — the server side of deadline propagation.
+// Jobs whose client attempt already settled (the per-attempt timeout fired
+// while they queued) are dropped without executing — the server side of
+// deadline propagation.
 func (rt *Runtime) kick(cs *containerState) {
 	for cs.queue.n > 0 && cs.busy < cs.c.Spec.Threads {
 		next := cs.queue.pop(rt.cfg.Delta, rt.rng)
-		if rt.res != nil && next.settled {
+		if next.settled {
 			rt.data.DeadlineSkips++
 		} else {
 			rt.startJob(cs, next)
@@ -989,31 +1000,44 @@ func (rt *Runtime) kick(cs *containerState) {
 	}
 }
 
-// failContainer marks a container down and re-routes its queued work. With
-// resilience enabled the crash also severs in-flight work: each processing
-// request fails at the crash instant with the retryable ErrCrashed instead
-// of silently completing, and its completion event, already in the heap,
+// failContainer marks a container down, re-routes its queued work and
+// severs its in-flight work: each processing call fails at the crash instant
+// with the retryable ErrCrashed, and its completion event, still pending,
 // becomes stale.
 func (rt *Runtime) failContainer(cs *containerState) {
 	cs.down = true
 	cs.ms.refreshUp()
 	queued := cs.queue.drain()
-	if rt.res != nil {
-		inflight := cs.inflight
-		cs.inflight = nil
-		cs.busy = 0
-		rt.updateUsage(cs)
-		for _, job := range inflight {
-			rt.data.CrashFailures++
-			job.crashed = true
-			job.sendFailure(ErrCrashed)
-			job.unref() // the in-flight list's hold
-		}
+	cs.busy = 0
+	rt.updateUsage(cs)
+	for _, k := range rt.inflight(cs) {
+		job := rt.eng.slots[k.slot].f
+		rt.data.CrashFailures++
+		job.crashed = true
+		job.sendFailure(ErrCrashed)
 	}
 	for _, job := range queued {
 		job.arrive()
 		job.unref() // the old queue's hold
 	}
+}
+
+// inflight returns the frame-heap keys of the calls processing on cs in the
+// order they started: every call in service has exactly one pending
+// evComplete, pushed when it started, so its seq is its start order. A call
+// a previous crash of cs already failed is not in flight. A crash is rare
+// next to a completion, so it scans the heap rather than have every start
+// and completion keep a list.
+func (rt *Runtime) inflight(cs *containerState) []heapKey {
+	keys := rt.crashKeys[:0]
+	for _, k := range rt.eng.events {
+		if p := &rt.eng.slots[k.slot]; p.kind == evComplete && p.f.cs == cs && !p.f.crashed {
+			keys = append(keys, k)
+		}
+	}
+	slices.SortFunc(keys, func(a, b heapKey) int { return cmp.Compare(a.seq, b.seq) })
+	rt.crashKeys = keys
+	return keys
 }
 
 // startJob begins processing a job on a free thread of cs.
@@ -1028,23 +1052,7 @@ func (rt *Runtime) startJob(cs *containerState, job *Job) {
 	inflation := rt.cfg.Interference.HostInflation(cs.c.Host)
 
 	job.cs = cs
-	if rt.res != nil {
-		cs.inflight = append(cs.inflight, job)
-		job.refs++
-	}
 	job.after(base*inflation, evComplete)
-}
-
-// dropInflight removes a completing job from the container's in-flight list
-// (resilience only; the list is bounded by the thread count).
-func (rt *Runtime) dropInflight(cs *containerState, job *Job) {
-	for i, j := range cs.inflight {
-		if j == job {
-			cs.inflight = append(cs.inflight[:i], cs.inflight[i+1:]...)
-			job.refs--
-			return
-		}
-	}
 }
 
 // updateUsage reflects the container's instantaneous thread occupancy into

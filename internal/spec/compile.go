@@ -34,8 +34,8 @@ type Scenario struct {
 	Windows int
 	Hosts   int
 	Scheme  multiplex.Scheme
-	// Resilience is the spec's resilience block: non-nil when the spec
-	// enables the fault model.
+	// Resilience is the spec's resilience block, nil when the spec has none
+	// (the zero sim.Resilience).
 	Resilience *sim.Resilience
 	Seed       uint64
 }

@@ -41,8 +41,10 @@ type Spec struct {
 	App AppSpec
 	// Run sets the evaluation horizon and cluster shape.
 	Run RunSpec
-	// Resilience optionally enables the data-plane fault model; knobs the
-	// resilience block leaves out keep sim's defaults.
+	// Resilience optionally arms the data plane's per-call mechanisms
+	// (timeouts, retries, breakers, shedding); knobs the resilience block
+	// leaves out keep sim's defaults, and no block is the zero
+	// sim.Resilience.
 	Resilience *sim.Resilience
 	// Chaos optionally declares a seeded fault-injection timeline (host
 	// deaths, crashes, spikes, observability gaps, control-plane faults)

@@ -141,6 +141,14 @@ go test -run=NONE -fuzz=FuzzLoadApp -fuzztime=10s -fuzzminimizetime=1s ./interna
 # time once ran wherever the heap's sifts left it; a NaN rate hung the run).
 echo "== simulator config fuzz (5s) =="
 go test -run=NONE -fuzz=FuzzConfigValidate -fuzztime=5s ./internal/sim
+# And for the data plane's accounting: one failure of any scope, time and
+# recovery, under any attempt count and attempt timeout, on a two-microservice
+# chain whose load stops early. No run panics, and every request issued ends
+# as a completion or an error (a nil Resilience once parked calls on a dead
+# container forever, and their requests never reached the result). The fuzz
+# budget is 35 s in all: spec 15, persist 10, sim 5 + 5.
+echo "== simulator request-accounting fuzz (5s) =="
+go test -run=NONE -fuzz=FuzzRequestAccounting -fuzztime=5s ./internal/sim
 
 # Second, the spec determinism gate, end to end through the real binary:
 # the same spec and seed must emit a byte-identical timeline CSV across two
@@ -278,7 +286,9 @@ awk -v allocs="$(layer 'allocs_per_window')" 'BEGIN {
 # until it popped as a no-op, holding its call frame until then, and every
 # cohort stream kept a latency reservoir no program read, this read ~988
 # allocations per window at seed 1; ~825 since frames are recycled when the
-# attempt settles.
+# attempt settles; ~765 since no container keeps a list of its in-flight
+# calls (a crash finds them on the frame heap) and the runtime's tables are
+# sized up front.
 echo "== resilient simulator gate (hotel-chaos: allocs per window <= 920) =="
 res=$(bash bench/run.sh --workload hotel-chaos --seed 1 --seconds 1 --trace 0 | tail -n 1)
 case "$res" in
