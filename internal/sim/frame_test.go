@@ -136,13 +136,18 @@ func TestFrameLifetimeUnderRetryStorm(t *testing.T) {
 }
 
 // TestMinuteFlushSteadyStateZeroAlloc is the allocation gate on the minute
-// tick: once the runtime's scratch buffer has grown, reading the P95 and mean
-// of every microservice's reservoir filled to latencySampleCap allocates
-// nothing.
+// tick: once the runtime's scratch buffer and sample slice have grown,
+// recording a minute — the P95 of every microservice's reservoir filled to
+// latencySampleCap, and its host utilizations — allocates nothing.
 func TestMinuteFlushSteadyStateZeroAlloc(t *testing.T) {
-	rt, err := NewRuntime(lockstepScenario{services: 3, block: 3, ratePerMin: 1, seed: 5}.build(t))
+	cfg := lockstepScenario{services: 3, block: 3, ratePerMin: 1, seed: 5}.build(t)
+	cfg.WarmupMin = 0
+	rt, err := NewRuntime(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !rt.recording {
+		t.Fatal("minute 0 of a run without warm-up is not recorded")
 	}
 	rng := stats.NewRNG(7)
 	for _, ms := range rt.msList {
@@ -156,11 +161,15 @@ func TestMinuteFlushSteadyStateZeroAlloc(t *testing.T) {
 				ms.lat.Add(rng.ExpFloat64())
 			}
 		}
-		rt.flushMinute(0, false)
+		rt.result.Samples = rt.result.Samples[:0]
+		rt.flushMinute(0, true)
 	}
 	minute()
 	if allocs := testing.AllocsPerRun(20, minute); allocs != 0 {
-		t.Fatalf("a minute flush of %d full reservoirs allocates %.1f times, want 0", len(rt.msList), allocs)
+		t.Fatalf("recording a minute of %d full reservoirs allocates %.1f times, want 0", len(rt.msList), allocs)
+	}
+	if len(rt.result.Samples) != len(rt.msList) {
+		t.Fatalf("the flush recorded %d samples, want %d", len(rt.result.Samples), len(rt.msList))
 	}
 	if len(rt.tailScratch) != latencySampleCap {
 		t.Fatalf("the flush selected over %d samples, want %d", len(rt.tailScratch), latencySampleCap)

@@ -502,8 +502,13 @@ type msState struct {
 
 	// lat is the current minute's latency sample: (re)seeded at the minute's
 	// first observation, drained by flushMinute, its buffer kept across
-	// minutes.
+	// minutes. Only a recorded minute (Runtime.recording) fills it, so a run
+	// that records no minute never allocates it.
 	lat *stats.Reservoir
+	// drawn: the open minute's first observation has taken its draw from the
+	// run's RNG, a reservoir split in a recorded minute and a bare word in an
+	// unrecorded one. flushMinute clears it.
+	drawn bool
 
 	// Fluid fast path (hybrid runs only), re-evaluated every minute.
 	fluid      bool
@@ -569,8 +574,12 @@ type Runtime struct {
 	ms         map[string]*msState
 	msList     []*msState  // name order
 	svcs       []*svcState // index-aligned with cfg.Graphs
+	trees      callTrees   // every svcState's callNode tree
 
 	dropMin map[int]bool
+	// recording: the open minute's samples reach Result.Samples (see
+	// recorded). Each minute tick refreshes it for the minute it opens.
+	recording bool
 
 	// tailScratch is where flushMinute selects each reservoir's P95, grown
 	// once to the largest sample and reused every minute, and where finish
@@ -633,12 +642,14 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		ms:         make(map[string]*msState, nms),
 		msList:     make([]*msState, 0, nms),
 		svcs:       make([]*svcState, 0, len(cfg.Graphs)),
+		trees:      newCallTrees(cfg.Graphs),
 		dropMin:    make(map[int]bool, len(cfg.DropMinutes)),
 		result:     &Result{PerService: make(map[string]*ServiceResult, len(cfg.Graphs))},
 	}
 	for _, m := range cfg.DropMinutes {
 		rt.dropMin[m] = true
 	}
+	rt.recording = rt.recorded(0)
 	rt.res = cfg.resilience().withDefaults()
 	for _, c := range containers {
 		name := c.Spec.Microservice
@@ -715,16 +726,59 @@ func (rt *Runtime) addSource(sv *svcState, s Stream) {
 	})
 }
 
-// resolve builds the callNode tree under n for service svc.
+// callTrees is where resolve builds every service's callNode tree: one
+// backing array each for the nodes, the stages and the stages' kids, sized
+// from the graphs first so that no append moves what a pointer or sub-slice
+// already holds.
+type callTrees struct {
+	nodes  []callNode
+	stages [][]*callNode
+	kids   []*callNode
+}
+
+// newCallTrees sizes the arrays for the call trees of graphs.
+func newCallTrees(graphs []*graph.Graph) callTrees {
+	var nodes, stages, kids int
+	var count func(n *graph.Node)
+	count = func(n *graph.Node) {
+		nodes++
+		stages += len(n.Stages)
+		for _, st := range n.Stages {
+			kids += len(st)
+			for _, c := range st {
+				count(c)
+			}
+		}
+	}
+	for _, g := range graphs {
+		count(g.Root)
+	}
+	return callTrees{
+		nodes:  make([]callNode, 0, nodes),
+		stages: make([][]*callNode, 0, stages),
+		kids:   make([]*callNode, 0, kids),
+	}
+}
+
+// resolve builds the callNode tree under n for service svc into rt.trees. A
+// node's stage slots, and a stage's kid slots, are taken before recursing, so
+// each stays contiguous.
 func (rt *Runtime) resolve(svc string, n *graph.Node) *callNode {
+	tr := &rt.trees
 	ms := rt.ms[n.Microservice]
-	cn := &callNode{id: n.ID, ms: ms, prio: rt.cfg.Priorities[ms.name][svc], edgeState: rt.newEdge(svc, n)}
-	for _, st := range n.Stages {
-		kids := make([]*callNode, len(st))
+	tr.nodes = append(tr.nodes, callNode{id: n.ID, ms: ms, prio: rt.cfg.Priorities[ms.name][svc], edgeState: rt.newEdge(svc, n)})
+	cn := &tr.nodes[len(tr.nodes)-1]
+	s0 := len(tr.stages)
+	tr.stages = tr.stages[:s0+len(n.Stages)]
+	cn.stages = tr.stages[s0:len(tr.stages):len(tr.stages)]
+	for si, st := range n.Stages {
+		k0 := len(tr.kids)
+		tr.kids = tr.kids[:k0+len(st)]
+		kids := tr.kids[k0:len(tr.kids):len(tr.kids)]
 		for i, c := range st {
 			kids[i] = rt.resolve(svc, c)
 		}
-		cn.stages = append(cn.stages, kids)
+		cn.stages[si] = kids
 	}
 	return cn
 }
@@ -797,13 +851,13 @@ func (rt *Runtime) setup() {
 		}
 	}
 
-	// Minute ticks for profiling aggregation. Pre-warmup minutes are flushed
+	// Minute ticks for profiling aggregation. Unrecorded minutes are flushed
 	// (to reset the accumulators) but not recorded.
-	firstMinute := int(math.Ceil(rt.cfg.WarmupMin))
 	for m := 0; m < int(rt.cfg.DurationMin); m++ {
 		m := m
 		rt.eng.At(float64(m+1)*60_000, func() {
-			rt.flushMinute(m, m >= firstMinute && !rt.dropMin[m])
+			rt.flushMinute(m, rt.recording)
+			rt.recording = rt.recorded(m + 1)
 			if rt.fl != nil {
 				// Re-fit the fluid models for the minute that just opened,
 				// after the flush so the closing minute's models stay intact
@@ -1063,6 +1117,13 @@ func (rt *Runtime) updateUsage(cs *containerState) {
 	cs.c.SetCPUUsage(frac * cs.c.Spec.CPU)
 }
 
+// recorded reports whether minute m's samples reach Result.Samples: it is
+// past the warm-up, not dropped, and closed by a tick before the nominal end
+// (the trailing partial minute and the drain have none).
+func (rt *Runtime) recorded(m int) bool {
+	return m >= int(math.Ceil(rt.cfg.WarmupMin)) && !rt.dropMin[m] && m < int(rt.cfg.DurationMin)
+}
+
 // recordNodeLatency adds one microservice latency observation for the
 // current minute.
 func (rt *Runtime) recordNodeLatency(ms *msState, latency float64) {
@@ -1072,13 +1133,23 @@ func (rt *Runtime) recordNodeLatency(ms *msState, latency float64) {
 		// traces) would be a biased subset.
 		return
 	}
-	// The minute's first observation draws the reservoir's RNG.
-	if ms.lat == nil {
-		ms.lat = stats.NewReservoir(latencySampleCap, rt.rng.Split())
-	} else if ms.lat.Seen() == 0 {
-		ms.lat.Reset(rt.rng.Split())
+	// The minute's first observation seeds the reservoir from the run's RNG.
+	// An unrecorded minute keeps no sample but takes the word the split
+	// would, so every later draw stays where it was.
+	if !ms.drawn {
+		ms.drawn = true
+		switch {
+		case !rt.recording:
+			rt.rng.Uint64()
+		case ms.lat == nil:
+			ms.lat = stats.NewReservoir(latencySampleCap, rt.rng.Split())
+		default:
+			ms.lat.Reset(rt.rng.Split())
+		}
 	}
-	ms.lat.Add(latency)
+	if rt.recording {
+		ms.lat.Add(latency)
+	}
 }
 
 // flushMinute emits MinuteSamples for minute m (when record is true) and
@@ -1086,11 +1157,16 @@ func (rt *Runtime) recordNodeLatency(ms *msState, latency float64) {
 func (rt *Runtime) flushMinute(m int, record bool) {
 	for _, ms := range rt.msList {
 		calls := ms.fluidCalls
-		ms.fluidCalls = 0
-		var cpu, mem float64
+		ms.fluidCalls, ms.drawn = 0, false
 		for _, cs := range ms.states {
 			calls += cs.minuteCalls
 			cs.minuteCalls = 0
+		}
+		if !record {
+			continue
+		}
+		var cpu, mem float64
+		for _, cs := range ms.states {
 			cpu += cs.c.Host.CPUUtil()
 			mem += cs.c.Host.MemUtil()
 		}
@@ -1105,16 +1181,14 @@ func (rt *Runtime) flushMinute(m int, record bool) {
 		}
 		if rv := ms.lat; rv != nil && rv.Seen() > 0 {
 			sample.TailMs = rv.QuantileScratch(0.95, &rt.tailScratch)
-			rv.Reset(nil) // re-seeded by the next minute's first observation
+			rv.Reset(nil) // re-seeded by the next recorded minute's first observation
 		}
 		if ms.fluid && calls > 0 {
 			// Fluid minutes synthesize the tail from the analytic model that
 			// served the calls.
 			sample.TailMs = ms.model.tailMs
 		}
-		if record {
-			rt.result.Samples = append(rt.result.Samples, sample)
-		}
+		rt.result.Samples = append(rt.result.Samples, sample)
 	}
 	for si := range rt.sources {
 		acc := rt.sources[si].acc

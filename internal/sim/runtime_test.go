@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -903,6 +905,81 @@ func TestDropMinutesHideSamplesNotResults(t *testing.T) {
 	if gapped.PerService["svc"].Count != full.PerService["svc"].Count {
 		t.Fatalf("drop minutes changed the simulation: %d vs %d requests",
 			gapped.PerService["svc"].Count, full.PerService["svc"].Count)
+	}
+}
+
+// TestDroppedMinutesLeaveTheRunUnchanged is metamorphic: dropping minutes
+// removes exactly their samples and changes nothing else. A dropped minute
+// keeps no latency sample, but its first observation of each microservice
+// still takes the run's RNG word that a recorded minute's reservoir split
+// takes; were it skipped, every later service time would move, and with it
+// the end-to-end latencies, the event count and the later minutes' samples.
+func TestDroppedMinutesLeaveTheRunUnchanged(t *testing.T) {
+	drop := []int{1, 2}
+	run := func(drop []int) *Result {
+		cfg := lockstepScenario{
+			services: 4, block: 2, ratePerMin: 3000, durationMin: 4, seed: 11,
+			failures: []Failure{{Microservice: "pool-00-0", AtMin: 1.5, RecoverMin: 2.5}},
+		}.build(t)
+		cfg.DropMinutes = drop
+		rt, err := NewRuntime(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt.Run()
+	}
+	full, gapped := run(nil), run(drop)
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for svc, f := range full.PerService {
+		g := gapped.PerService[svc]
+		if f.Count != g.Count || f.Violations != g.Violations || f.Errors != g.Errors ||
+			!same(f.P95(), g.P95()) || !same(f.Mean(), g.Mean()) {
+			t.Fatalf("%s: count/viol/err/P95/mean %d/%d/%d/%v/%v without drops, %d/%d/%d/%v/%v with",
+				svc, f.Count, f.Violations, f.Errors, f.P95(), f.Mean(), g.Count, g.Violations, g.Errors, g.P95(), g.Mean())
+		}
+	}
+	if full.Data != gapped.Data {
+		t.Fatalf("data plane %+v without drops, %+v with", full.Data, gapped.Data)
+	}
+	if full.Engine.Events != gapped.Engine.Events {
+		t.Fatalf("%d events without drops, %d with", full.Engine.Events, gapped.Engine.Events)
+	}
+	var kept []MinuteSample
+	for _, s := range full.Samples {
+		if !slices.Contains(drop, s.Minute) {
+			kept = append(kept, s)
+		}
+	}
+	if len(kept) == 0 || len(kept) == len(full.Samples) {
+		t.Fatalf("%d of %d samples outside the dropped minutes", len(kept), len(full.Samples))
+	}
+	if !reflect.DeepEqual(kept, gapped.Samples) {
+		t.Fatalf("the kept minutes' samples differ:\n%+v\n%+v", kept, gapped.Samples)
+	}
+}
+
+// TestUnrecordedRunKeepsNoMinuteSample: at the control loop's window
+// geometry (1.5 minutes, 0.3 of them warm-up) minute 0 is warm-up and
+// minute 1 has no tick, so no minute is recorded and no microservice ever
+// allocates its per-minute reservoir.
+func TestUnrecordedRunKeepsNoMinuteSample(t *testing.T) {
+	cfg := lockstepScenario{services: 3, block: 3, ratePerMin: 3000, durationMin: 1.5, seed: 3}.build(t)
+	cfg.WarmupMin = 0.3
+	rt, err := NewRuntime(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := rt.Run()
+	if len(res.Samples) != 0 {
+		t.Fatalf("%d minute samples recorded, want none", len(res.Samples))
+	}
+	if res.PerService["svc-000"].Count == 0 {
+		t.Fatal("no request completed")
+	}
+	for _, ms := range rt.msList {
+		if ms.lat != nil {
+			t.Fatalf("%s allocated a latency reservoir (%d seen)", ms.name, ms.lat.Seen())
+		}
 	}
 }
 
