@@ -16,9 +16,9 @@ import (
 type figureCase struct {
 	// invariant: the tables are a pure function of the figure's seeds, so a
 	// render on four workers must equal the render on one byte for byte.
+	// An invariant or heavy figure's quick tables are pinned by
+	// testdata/<id>.golden.
 	invariant bool
-	// golden: testdata/<id>.golden pins the quick tables.
-	golden bool
 	// heavy: tens of seconds of simulation. The figure renders once, on four
 	// workers, against a golden captured on one, and skips under -race
 	// (~5 minutes there, past go test's default timeout) and -short.
@@ -197,7 +197,7 @@ var figures = map[string]figureCase{
 				return atMost(c, "fig11b", "erms", tol, "firm", "grandslam", "rhythm")
 			}},
 	}},
-	"fig12": {golden: true, heavy: true, claims: []claim{
+	"fig12": {heavy: true, claims: []claim{
 		{name: "erms has the lowest violation rate in every setting", row: "Fig. 12a",
 			quote: "ordering ✓ (Erms lowest)", tol: 0,
 			check: func(c *cells, tol float64) error {
@@ -212,7 +212,7 @@ var figures = map[string]figureCase{
 				return below(c, "fig12b", "erms", 1+tol)
 			}},
 	}},
-	"fig13": {golden: true, heavy: true, claims: []claim{
+	"fig13": {heavy: true, claims: []claim{
 		{name: "erms never violates; firm breaches the SLA in some window", row: "Fig. 13",
 			quote: "worst window 0.20× SLA; Firm's stale-workload plan breaches to 2.39× SLA", tol: 0,
 			check: func(c *cells, tol float64) error {
@@ -260,7 +260,7 @@ var figures = map[string]figureCase{
 				return nil
 			}},
 	}},
-	"fig15": {golden: true, heavy: true, claims: []claim{
+	"fig15": {heavy: true, claims: []claim{
 		{name: "K8s default needs at least 1.3× the containers of interference-aware provisioning", row: "Fig. 15a",
 			quote: "interference-aware 1.0× vs K8s 1.5× (+50%) at high interference", tol: 0.3,
 			check: func(c *cells, tol float64) error {
@@ -356,7 +356,7 @@ var figures = map[string]figureCase{
 				return monotone(c, "fig21", "mean gap", +1, tol)
 			}},
 	}},
-	"fig22": {invariant: true, golden: true, claims: []claim{
+	"fig22": {invariant: true, claims: []claim{
 		{name: "resilient erms's mean violation is below erms-naive's and firm's", row: "Fig. 22 (ext.)",
 			quote: "resilient loop strictly best", tol: 0,
 			check: func(c *cells, tol float64) error {
@@ -395,7 +395,7 @@ var figures = map[string]figureCase{
 				return holds(b < u-tol, "budgeted+breaker %g vs unbounded-retries %g", b, u)
 			}},
 	}},
-	"figDrift": {invariant: true, golden: true, claims: []claim{
+	"figDrift": {invariant: true, claims: []claim{
 		{name: "both controllers stay at or below 0.05 before the shift", row: "Online profiling drift loop (figDrift)",
 			quote: "both controllers meet SLAs (violation ≤ 5%) before the shift", tol: 0.05,
 			check: func(c *cells, tol float64) error {
@@ -436,7 +436,7 @@ var figures = map[string]figureCase{
 					"notes: %q", c.table("figDrift").Notes)
 			}},
 	}},
-	"figOperator": {invariant: true, golden: true, claims: []claim{
+	"figOperator": {invariant: true, claims: []claim{
 		{name: "the good push commits within 4 windows", row: "Long-running operator mode (figOperator)",
 			quote: "commits within four windows of the push", tol: 4,
 			check: func(c *cells, tol float64) error {
@@ -468,7 +468,7 @@ var figures = map[string]figureCase{
 					"notes: %q", c.table("figOperator: generations").Notes)
 			}},
 	}},
-	"figSpec": {invariant: true, golden: true, claims: []claim{
+	"figSpec": {invariant: true, claims: []claim{
 		{name: "under the flash crowd sheddable violates and sheds at least as much as critical", row: "SLO tiers under population dynamics (figSpec)",
 			quote: "the sheddable tier's violation rate is at least the critical tier's, and admission control sheds more sheddable/batch than critical traffic",
 			tol:   0,
@@ -518,7 +518,7 @@ func TestFigures(t *testing.T) {
 			if fc.invariant {
 				checkWorkers(t, id)
 			}
-			if fc.golden {
+			if fc.invariant || fc.heavy {
 				tables, out := figureRender(t, id)
 				checkGolden(t, id, tables, out)
 			}
