@@ -94,6 +94,10 @@ func (g *Graph) AddSequential(parent *Node, microservices ...string) []*Node {
 	return out
 }
 
+// Nodes returns the graph's nodes in creation order, indexed by Node.ID.
+// The slice is the graph's own: callers must not modify it.
+func (g *Graph) Nodes() []*Node { return g.nodes }
+
 // Len returns the number of nodes in the graph.
 func (g *Graph) Len() int { return len(g.nodes) }
 

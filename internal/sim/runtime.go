@@ -315,13 +315,23 @@ func (c *Config) validate() error {
 				return fmt.Errorf("sim: workload pattern of service %s: %w", g.Service, err)
 			}
 		}
-		for _, ms := range g.Microservices() {
-			if _, ok := c.Profiles[ms]; !ok {
-				return fmt.Errorf("sim: no service profile for microservice %s", ms)
+		// The smallest failing name is reported, its profile checked before
+		// its containers, so the error does not depend on node order.
+		bad := ""
+		for _, n := range g.Nodes() {
+			ms := n.Microservice
+			if bad != "" && ms >= bad {
+				continue
 			}
-			if c.Cluster.CountFor(ms) == 0 {
-				return fmt.Errorf("sim: no containers deployed for microservice %s", ms)
+			if _, ok := c.Profiles[ms]; !ok || c.Cluster.CountFor(ms) == 0 {
+				bad = ms
 			}
+		}
+		if bad != "" {
+			if _, ok := c.Profiles[bad]; !ok {
+				return fmt.Errorf("sim: no service profile for microservice %s", bad)
+			}
+			return fmt.Errorf("sim: no containers deployed for microservice %s", bad)
 		}
 	}
 	return nil

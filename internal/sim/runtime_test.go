@@ -466,6 +466,36 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigNamesSmallestMissingMicroservice: with several microservices of
+// one graph unusable, validate names the first in name order whatever the
+// node order, and a missing profile before missing containers.
+func TestConfigNamesSmallestMissingMicroservice(t *testing.T) {
+	g := graph.New("svc", "A")
+	g.AddSequential(g.Root, "D", "C", "B")
+	base := Config{
+		Cluster:     buildCluster(t, 1, map[string]int{"A": 1, "B": 1, "D": 1}),
+		Profiles:    map[string]ServiceProfile{"A": {BaseMs: 1}, "B": {BaseMs: 1}, "C": {BaseMs: 1}},
+		Graphs:      []*graph.Graph{g},
+		Patterns:    map[string]workload.Pattern{"svc": workload.Static{Rate: 10}},
+		DurationMin: 1,
+	}
+	// D has no profile, C no containers: C comes first.
+	if _, err := NewRuntime(base); err == nil || err.Error() != "sim: no containers deployed for microservice C" {
+		t.Errorf("got %v, want C's missing containers", err)
+	}
+	// B has no profile either: B comes first.
+	bad := base
+	bad.Profiles = map[string]ServiceProfile{"A": {BaseMs: 1}, "C": {BaseMs: 1}}
+	if _, err := NewRuntime(bad); err == nil || err.Error() != "sim: no service profile for microservice B" {
+		t.Errorf("got %v, want B's missing profile", err)
+	}
+	// C has neither: the profile is named.
+	bad.Profiles = map[string]ServiceProfile{"A": {BaseMs: 1}, "B": {BaseMs: 1}, "D": {BaseMs: 1}}
+	if _, err := NewRuntime(bad); err == nil || err.Error() != "sim: no service profile for microservice C" {
+		t.Errorf("got %v, want C's missing profile", err)
+	}
+}
+
 // TestConfigRejectsNonFiniteRates: a NaN arrival rate used to pass validate
 // and hang the run in stats.Poisson, and an infinite one is no count either.
 // validate reads every pattern the run draws arrivals from (a service's
