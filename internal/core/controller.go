@@ -199,11 +199,7 @@ func New(app *apps.App, orch *kube.Orchestrator, opts ...Option) (*Controller, e
 // experiments (§6.5). Empirical profiling via ProfileOffline replaces them
 // with fitted models.
 func (c *Controller) UseAnalyticModels() {
-	threads := make(map[string]int, len(c.App.Containers))
-	for ms, spec := range c.App.Containers {
-		threads[ms] = spec.Threads
-	}
-	c.Models = profiling.AnalyticModels(c.App.Profiles, threads, c.Interference)
+	c.Models = profiling.AnalyticModels(c.App.Profiles, c.App.Containers, c.Interference)
 }
 
 // ObserveDrift feeds one evaluation window's simulation result to the drift
@@ -254,13 +250,11 @@ func (c *Controller) Loads(rates map[string]float64) map[string]map[string]float
 // while that still describes the graph, and from the graph itself before the
 // first plan.
 func (c *Controller) serviceLoads(g *graph.Graph, rate float64) map[string]float64 {
-	var mss []string
-	var counts []int
-	if t := c.PlanCache.Template(g.Service); t != nil && t.StructMatches(g) {
-		mss, counts = t.CallCounts()
-	} else {
-		mss, counts = g.CallCounts()
+	t := c.PlanCache.Template(g.Service)
+	if t == nil || !t.StructMatches(g) {
+		return g.CallRates(rate)
 	}
+	mss, counts := t.CallCounts()
 	byMS := make(map[string]float64, len(mss))
 	for i, ms := range mss {
 		byMS[ms] = rate * float64(counts[i])

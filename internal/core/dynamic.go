@@ -67,20 +67,15 @@ func DynamicGraphPlan(
 	}
 
 	planGraph := func(g *graph.Graph, r float64) (*scaling.Allocation, error) {
-		in := scaling.Input{
+		return scaling.Plan(scaling.Input{
 			Graph:     g,
 			SLA:       workload.SLA{Service: g.Service, Threshold: sla.Threshold, Percentile: sla.Percentile},
 			Models:    models,
 			Shares:    shares,
-			Workloads: make(map[string]float64),
+			Workloads: g.CallRates(r),
 			CPUUtil:   cpuUtil,
 			MemUtil:   memUtil,
-		}
-		mss, counts := g.CallCounts()
-		for i, ms := range mss {
-			in.Workloads[ms] = r * float64(counts[i])
-		}
-		return scaling.Plan(in)
+		})
 	}
 
 	// Complete graph at the full rate: every request is assumed to traverse

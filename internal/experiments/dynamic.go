@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"erms/internal/apps"
-	"erms/internal/cluster"
 	"erms/internal/parallel"
 	"erms/internal/sim"
 	"erms/internal/stats"
@@ -32,9 +31,6 @@ func Fig13(quick bool) []*Table {
 		peak = 50_000
 	}
 	trace := workload.AlibabaLikeTrace(3, int(float64(windows)*windowMin)+1, 15_000, peak)
-	models := modelsFor(app, cluster.DefaultInterference)
-	floor := appSLAFloor(app, models, staticBackground.CPU, staticBackground.Mem)
-	slaMs := floor * 2.0
 
 	planners := defaultPlanners()
 	containers := &Table{
@@ -79,8 +75,7 @@ func Fig13(quick bool) []*Table {
 				planRate = trace.RateAt(0)
 			}
 		}
-		pc := newContext(app, models, uniformRates(app, planRate), slaMs,
-			staticBackground.CPU, staticBackground.Mem)
+		pc, slaMs := settingContext(app, planRate, 2, staticBackground)
 		res, err := p.run(pc)
 		if err != nil {
 			return cellOut{}, err

@@ -159,36 +159,12 @@ func Run(id string, quick bool) ([]*Table, error) {
 
 // --- shared scaffolding -------------------------------------------------
 
-// modelsFor builds analytic latency models for an application.
-func modelsFor(app *apps.App, itf cluster.InterferenceModel) map[string]profiling.Model {
-	threads := make(map[string]int, len(app.Containers))
-	for ms, spec := range app.Containers {
-		threads[ms] = spec.Threads
-	}
-	return profiling.AnalyticModels(app.Profiles, threads, itf)
-}
-
 // sharesFor computes each microservice's dominant resource share on the
 // paper cluster geometry.
 func sharesFor(app *apps.App, cl *cluster.Cluster) map[string]float64 {
 	out := make(map[string]float64, len(app.Containers))
 	for ms, spec := range app.Containers {
 		out[ms] = cl.DominantShare(spec)
-	}
-	return out
-}
-
-// loadsFor expands per-service request rates into per-microservice call
-// rates (accounting for multiplicity).
-func loadsFor(app *apps.App, rates map[string]float64) map[string]map[string]float64 {
-	out := make(map[string]map[string]float64, len(app.Graphs))
-	for _, g := range app.Graphs {
-		mss, counts := g.CallCounts()
-		m := make(map[string]float64, len(mss))
-		for i, ms := range mss {
-			m[ms] = rates[g.Service] * float64(counts[i])
-		}
-		out[g.Service] = m
 	}
 	return out
 }

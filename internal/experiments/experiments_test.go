@@ -7,6 +7,7 @@ import (
 
 	"erms/internal/apps"
 	"erms/internal/cluster"
+	"erms/internal/workload"
 )
 
 // TestRegistryComplete pins the registry to the figures: every one is
@@ -44,9 +45,11 @@ func TestTableRendering(t *testing.T) {
 
 func TestHelpers(t *testing.T) {
 	app := apps.HotelReservation()
-	models := modelsFor(app, cluster.DefaultInterference)
+	bg := workload.Interference{CPU: 0.3, Mem: 0.3}
+	pc, slaMs := settingContext(app, 1000, 1, bg)
+	models := pc.models
 	if len(models) != len(app.Microservices()) {
-		t.Fatal("modelsFor incomplete")
+		t.Fatal("models incomplete")
 	}
 	cl := cluster.NewPaperCluster()
 	shares := sharesFor(app, cl)
@@ -55,13 +58,12 @@ func TestHelpers(t *testing.T) {
 			t.Fatalf("share for %s = %v", ms, r)
 		}
 	}
-	loads := loadsFor(app, uniformRates(app, 1000))
-	if loads["search"]["frontend"] != 1000 {
-		t.Fatalf("loads = %v", loads["search"])
+	if pc.loads["search"]["frontend"] != 1000 {
+		t.Fatalf("loads = %v", pc.loads["search"])
 	}
 	floor := appSLAFloor(app, models, 0.3, 0.3)
-	if floor <= 0 {
-		t.Fatalf("floor = %v", floor)
+	if floor <= 0 || slaMs != floor || pc.slas["search"].Threshold != floor {
+		t.Fatalf("floor = %v, setting SLA %v, search SLA %v", floor, slaMs, pc.slas["search"].Threshold)
 	}
 	// Floor rises with interference.
 	if hot := appSLAFloor(app, models, 0.7, 0.7); hot <= floor {

@@ -10,6 +10,7 @@ import (
 	"erms/internal/graph"
 	"erms/internal/kube"
 	"erms/internal/parallel"
+	"erms/internal/profiling"
 	"erms/internal/provision"
 	"erms/internal/stats"
 	"erms/internal/workload"
@@ -34,7 +35,7 @@ func DynamicGraphs(quick bool) []*Table {
 	}
 	r := stats.NewRNG(41)
 	base := apps.Alibaba(apps.AlibabaConfig{Seed: 13, Services: services, MeanGraphSize: 30})
-	models := modelsFor(base, cluster.DefaultInterference)
+	models := profiling.AnalyticModels(base.Profiles, base.Containers, cluster.DefaultInterference)
 	shares := sharesFor(base, cluster.NewPaperCluster())
 
 	t := &Table{

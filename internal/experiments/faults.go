@@ -12,7 +12,6 @@ import (
 	"erms/internal/kube"
 	"erms/internal/multiplex"
 	"erms/internal/parallel"
-	"erms/internal/sim"
 	"erms/internal/sortutil"
 	"erms/internal/stats"
 )
@@ -68,30 +67,30 @@ func Fig22(quick bool) []*Table {
 	if err != nil {
 		panic(err)
 	}
-	rateAt := func(w int) float64 {
-		return baseRate * (1 + 0.25*math.Sin(2*math.Pi*float64(w)/float64(windows)))
+	fr := &faultRun{
+		app:       app,
+		sched:     sched,
+		windows:   windows,
+		windowMin: windowMin,
+		warmupMin: warmupMin,
+		rateAt: func(w int) float64 {
+			return baseRate * (1 + 0.25*math.Sin(2*math.Pi*float64(w)/float64(windows)))
+		},
+		simSeed: func(w int) uint64 { return fig22Seed + 500*uint64(w) + 33 },
 	}
-	simSeed := func(w int) uint64 { return fig22Seed + 500*uint64(w) + 33 }
-
 	runners := []struct {
-		name string
-		run  func() ([]faultWindow, error)
+		name  string
+		start func(rec *core.Reconciler, inj *chaos.Injector) faultStep
 	}{
-		{"erms", func() ([]faultWindow, error) {
-			return runResilientErms(app, sched, windows, windowMin, warmupMin, rateAt, simSeed)
-		}},
-		{"erms-naive", func() ([]faultWindow, error) {
-			return runNaiveErms(app, sched, windows, windowMin, warmupMin, rateAt, simSeed)
-		}},
-		{"firm", func() ([]faultWindow, error) {
-			return runFirm(app, sched, windows, windowMin, warmupMin, rateAt, simSeed)
-		}},
+		{"erms", fr.resilient},
+		{"erms-naive", fr.naive},
+		{"firm", fr.firm},
 	}
 	// The three managers are independent closed systems on private clusters;
 	// only the (read-only) schedule and app are shared. Each runs its windows
 	// sequentially — the loop is stateful — so the fan-out is per manager.
 	series, err := parallel.Map(len(runners), func(i int) ([]faultWindow, error) {
-		return runners[i].run()
+		return fr.arm(runners[i].name, runners[i].start)
 	})
 	if err != nil {
 		panic(err)
@@ -119,7 +118,7 @@ func Fig22(quick bool) []*Table {
 		means[i] = &stats.Moments{}
 	}
 	for w := 0; w < windows; w++ {
-		rowV := []string{fmt.Sprintf("%d", w), fmt.Sprintf("%.0f", rateAt(w)), sched.Summary(w)}
+		rowV := []string{fmt.Sprintf("%d", w), fmt.Sprintf("%.0f", fr.rateAt(w)), sched.Summary(w)}
 		rowC := []string{fmt.Sprintf("%d", w), sched.Summary(w)}
 		for i := range runners {
 			cell := series[i][w]
@@ -177,191 +176,128 @@ func meanViolation(v map[string]float64) float64 {
 	return s / float64(len(v))
 }
 
-// windowDropMinutes mirrors the resilient loop's observability-gap span: all
-// minutes of the window's simulation.
-func windowDropMinutes(windowMin float64) []int {
-	var out []int
-	for m := 0; m < int(windowMin)+1; m++ {
-		out = append(out, m)
-	}
-	return out
+// faultRun is the fault experiment's shared setting: every arm runs the
+// same app through the same schedule at the same rates and simulation seeds.
+type faultRun struct {
+	app                  *apps.App
+	sched                *chaos.Schedule
+	windows              int
+	windowMin, warmupMin float64
+	rateAt               func(w int) float64
+	simSeed              func(w int) uint64
 }
 
-// runResilientErms drives the full resilient control loop (retry, degraded
-// mode, repair) with the chaos injector plugged into both the loop and the
-// substrate.
-func runResilientErms(app *apps.App, sched *chaos.Schedule, windows int, windowMin, warmupMin float64,
-	rateAt func(int) float64, simSeed func(int) uint64) ([]faultWindow, error) {
-	rec, err := newLoop(app, sched.Cfg.Hosts, windowMin, warmupMin)
+// faultStep runs one arm's window w: its control decisions, then the
+// window's measurement.
+type faultStep func(w int) (faultWindow, error)
+
+// arm runs one resource manager through every window on its own stock
+// control loop, each window inside the injector's bracket (chaos.Injector.
+// Window). start wires the manager to the loop and the injector and returns
+// its window step.
+func (f *faultRun) arm(name string, start func(rec *core.Reconciler, inj *chaos.Injector) faultStep) ([]faultWindow, error) {
+	rec, err := newLoop(f.app, f.sched.Cfg.Hosts, f.windowMin, f.warmupMin)
 	if err != nil {
 		return nil, err
 	}
-	inj := chaos.NewInjector(sched, rec.C.Orch)
-	rec.Chaos = inj
-
-	out := make([]faultWindow, windows)
-	for w := 0; w < windows; w++ {
-		var rep *core.WindowReport
-		err := inj.Window(w, func() (err error) {
-			rep, err = rec.Step(uniformRates(app, rateAt(w)), simSeed(w))
+	inj := chaos.NewInjector(f.sched, rec.C.Orch)
+	step := start(rec, inj)
+	out := make([]faultWindow, f.windows)
+	for w := range out {
+		if err := inj.Window(w, func() (err error) {
+			out[w], err = step(w)
 			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("resilient erms window %d: %w", w, err)
+		}); err != nil {
+			return nil, fmt.Errorf("%s window %d: %w", name, w, err)
 		}
-		out[w] = faultWindow{
+	}
+	return out, nil
+}
+
+// measure is one window's outcome for an arm without the resilient loop:
+// rec's deployment simulated by Controller.EvaluateDeployed under window w's
+// injected faults, with plan's priorities. No plan yet, or an un-runnable
+// window (a microservice with no live container), is an outage in which
+// every request misses its SLA.
+func (f *faultRun) measure(rec *core.Reconciler, inj *chaos.Injector, plan *multiplex.Plan, w int, degraded bool) faultWindow {
+	cell := faultWindow{degraded: degraded, containers: rec.C.Orch.Cluster().NumContainers(), outage: true, viol: 1}
+	if plan == nil {
+		return cell
+	}
+	// An observability gap loses every minute of the window's simulation,
+	// as in the resilient loop.
+	opts := core.EvalOpts{Failures: inj.WindowFailures(w)}
+	if inj.ObservabilityGap(w) {
+		for m := 0; m < int(f.windowMin)+1; m++ {
+			opts.DropMinutes = append(opts.DropMinutes, m)
+		}
+	}
+	res, err := rec.C.EvaluateDeployed(plan, uniformRates(f.app, f.rateAt(w)), f.windowMin, f.warmupMin, f.simSeed(w), opts)
+	if err == nil {
+		cell.outage, cell.viol = false, meanViolation(res.Violations)
+	}
+	return cell
+}
+
+// resilient is the full resilient control loop (retry, degraded mode,
+// repair) with the injector plugged into both the loop and the substrate.
+func (f *faultRun) resilient(rec *core.Reconciler, inj *chaos.Injector) faultStep {
+	rec.Chaos = inj
+	return func(w int) (faultWindow, error) {
+		rep, err := rec.Step(uniformRates(f.app, f.rateAt(w)), f.simSeed(w))
+		if err != nil {
+			return faultWindow{}, err
+		}
+		return faultWindow{
 			viol:       meanViolation(rep.Violations),
 			containers: rep.Containers,
 			repaired:   rep.Repaired,
 			degraded:   rep.Degraded,
 			outage:     rep.Outage,
-		}
+		}, nil
 	}
-	return out, nil
 }
 
-// runNaiveErms drives the pre-resilience loop: same planner, but a transient
+// naive is the pre-resilience loop: same planner, but a transient
 // control-plane fault freezes the deployment for the window (no retry, no
 // degraded-mode bookkeeping beyond reusing the last plan's priorities) and
 // containers lost to dead hosts are never re-placed.
-func runNaiveErms(app *apps.App, sched *chaos.Schedule, windows int, windowMin, warmupMin float64,
-	rateAt func(int) float64, simSeed func(int) uint64) ([]faultWindow, error) {
-	rec, err := newLoop(app, sched.Cfg.Hosts, windowMin, warmupMin)
-	if err != nil {
-		return nil, err
-	}
-	ctrl, orch := rec.C, rec.C.Orch
-	inj := chaos.NewInjector(sched, orch)
-
+func (f *faultRun) naive(rec *core.Reconciler, inj *chaos.Injector) faultStep {
 	var last *multiplex.Plan
-	out := make([]faultWindow, windows)
-	for w := 0; w < windows; w++ {
-		if _, err := inj.BeginWindow(w); err != nil {
-			return nil, err
-		}
-		rates := uniformRates(app, rateAt(w))
-		plan, frozen := last, false
+	return func(w int) (faultWindow, error) {
+		frozen := true // a failed Apply's rollback restored the old deployment
 		if inj.OpError(w, "plan", 0) == nil {
-			if p, err := ctrl.Plan(rates); err == nil {
-				if inj.OpError(w, "apply", 0) == nil {
-					if err := ctrl.Apply(p); err == nil {
-						plan, last = p, p
-					} else {
-						frozen = true // rollback restored the old deployment
-					}
-				} else {
-					frozen = true
-				}
-			} else {
-				frozen = true
-			}
-		} else {
-			frozen = true
-		}
-
-		cell := faultWindow{degraded: frozen, containers: orch.Cluster().NumContainers()}
-		if plan == nil {
-			cell.outage, cell.viol = true, 1
-		} else {
-			opts := core.EvalOpts{Failures: inj.WindowFailures(w)}
-			if inj.ObservabilityGap(w) {
-				opts.DropMinutes = windowDropMinutes(windowMin)
-			}
-			res, err := ctrl.EvaluateDeployed(plan, rates, windowMin, warmupMin, simSeed(w), opts)
-			if err != nil {
-				// Un-runnable window (e.g. a microservice with zero live
-				// containers): every request misses its SLA.
-				cell.outage, cell.viol = true, 1
-			} else {
-				cell.viol = meanViolation(res.Violations)
+			p, err := rec.C.Plan(uniformRates(f.app, f.rateAt(w)))
+			if err == nil && inj.OpError(w, "apply", 0) == nil && rec.C.Apply(p) == nil {
+				last, frozen = p, false
 			}
 		}
-		if err := inj.EndWindow(w); err != nil {
-			return nil, err
-		}
-		out[w] = cell
+		return f.measure(rec, inj, last, w, frozen), nil
 	}
-	return out, nil
 }
 
-// runFirm drives the Firm baseline through the same schedule: stale-workload
-// planning (the previous window's rate), blind placement, no repair, and a
-// control-plane fault skips the window's replan entirely.
-func runFirm(app *apps.App, sched *chaos.Schedule, windows int, windowMin, warmupMin float64,
-	rateAt func(int) float64, simSeed func(int) uint64) ([]faultWindow, error) {
-	cl := cluster.New(sched.Cfg.Hosts, cluster.PaperHost)
-	orch := kube.New(cl, kube.BlindSpread{})
-	inj := chaos.NewInjector(sched, orch)
+// firm is the Firm baseline: stale-workload planning (the previous window's
+// rate) on the loop's analytic models, blind placement, no repair, and a
+// control-plane fault skips the window's replan entirely. Its deployment is
+// measured with a plan that has no ranks: Firm does not prioritize.
+func (f *faultRun) firm(rec *core.Reconciler, inj *chaos.Injector) faultStep {
 	firm := baselinePlanner(baselines.Firm{})
-
-	deployed := false
-	out := make([]faultWindow, windows)
-	for w := 0; w < windows; w++ {
-		if _, err := inj.BeginWindow(w); err != nil {
-			return nil, err
+	var deployed *multiplex.Plan
+	return func(w int) (faultWindow, error) {
+		if inj.OpError(w, "plan", 0) != nil || inj.OpError(w, "apply", 0) != nil {
+			return f.measure(rec, inj, deployed, w, true), nil
 		}
-		staleW := w - 1
-		if staleW < 0 {
-			staleW = 0
+		cl := rec.C.Orch.Cluster()
+		pc := newContext(f.app, rec.C.Models, uniformRates(f.app, f.rateAt(max(w-1, 0))), 0, cl.MeanCPUUtil(), cl.MeanMemUtil())
+		res, err := firm.run(pc)
+		if err != nil {
+			return faultWindow{}, err
 		}
-		if inj.OpError(w, "plan", 0) == nil && inj.OpError(w, "apply", 0) == nil {
-			pc := newContext(app, modelsFor(app, cluster.DefaultInterference), uniformRates(app, rateAt(staleW)), 0, cl.MeanCPUUtil(), cl.MeanMemUtil())
-			res, err := firm.run(pc)
-			if err != nil {
-				return nil, err
-			}
-			for _, ms := range sortutil.Keys(res.merged) {
-				// Best effort: on a degraded cluster Firm deploys what fits.
-				_ = orch.Apply(app.Containers[ms], res.merged[ms])
-			}
-			deployed = true
-		} else {
-			out[w].degraded = true
+		for _, ms := range sortutil.Keys(res.merged) {
+			// Best effort: on a degraded cluster Firm deploys what fits.
+			_ = rec.C.Orch.Apply(f.app.Containers[ms], res.merged[ms])
 		}
-
-		cell := out[w]
-		cell.containers = cl.NumContainers()
-		if !deployed {
-			cell.outage, cell.viol = true, 1
-		} else {
-			cell.viol, cell.outage = measureFirmWindow(app, cl, uniformRates(app, rateAt(w)),
-				windowMin, warmupMin, simSeed(w), inj.WindowFailures(w), inj.ObservabilityGap(w))
-		}
-		if err := inj.EndWindow(w); err != nil {
-			return nil, err
-		}
-		out[w] = cell
+		deployed = &multiplex.Plan{}
+		return f.measure(rec, inj, deployed, w, false), nil
 	}
-	return out, nil
-}
-
-// measureFirmWindow simulates one window of the Firm deployment under the
-// injected failures; an un-runnable window counts as a full outage.
-func measureFirmWindow(app *apps.App, cl *cluster.Cluster, rates map[string]float64,
-	windowMin, warmupMin float64, seed uint64, failures []sim.Failure, obsGap bool) (float64, bool) {
-	cfg := sim.Config{
-		Seed:           seed,
-		Cluster:        cl,
-		Interference:   cluster.DefaultInterference,
-		Profiles:       app.Profiles,
-		Graphs:         app.Graphs,
-		Patterns:       staticPatterns(rates),
-		SLAs:           app.SLAs,
-		DurationMin:    windowMin,
-		WarmupMin:      warmupMin,
-		NetworkDelayMs: 0.05,
-		Failures:       failures,
-	}
-	if obsGap {
-		cfg.DropMinutes = windowDropMinutes(windowMin)
-	}
-	res, err := sim.Run(cfg, sim.PartitionOpts{})
-	if err != nil {
-		return 1, true
-	}
-	v := make(map[string]float64, len(res.PerService))
-	for svc, sr := range res.PerService {
-		v[svc] = sr.ViolationRate()
-	}
-	return meanViolation(v), false
 }

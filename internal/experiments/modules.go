@@ -5,7 +5,6 @@ import (
 
 	"erms/internal/apps"
 	"erms/internal/baselines"
-	"erms/internal/cluster"
 	"erms/internal/kube"
 	"erms/internal/multiplex"
 	"erms/internal/parallel"
@@ -115,10 +114,7 @@ func Fig14(quick bool) []*Table {
 	type wpair struct{ without, with int }
 	cells, err := parallel.Map(len(pairs)*len(settings), func(i int) (wpair, error) {
 		pair, s := pairs[i/len(settings)], settings[i%len(settings)]
-		models := modelsFor(s.app, cluster.DefaultInterference)
-		floor := appSLAFloor(s.app, models, staticBackground.CPU, staticBackground.Mem)
-		pc := newContext(s.app, models, uniformRates(s.app, s.rate), floor*s.slaMult,
-			staticBackground.CPU, staticBackground.Mem)
+		pc, _ := settingContext(s.app, s.rate, s.slaMult, staticBackground)
 		r1, err := pair.without(pc)
 		if err != nil {
 			return wpair{}, err
@@ -215,10 +211,7 @@ func Fig15(quick bool) []*Table {
 			CPU: (lvl.hot.CPU + lvl.cool.CPU) / 2,
 			Mem: (lvl.hot.Mem + lvl.cool.Mem) / 2,
 		}
-		models := modelsFor(app, cluster.DefaultInterference)
-		floor := appSLAFloor(app, models, avgBg.CPU, avgBg.Mem)
-		slaMs := floor * lvl.slaMult
-		pc := newContext(app, models, uniformRates(app, rate), slaMs, avgBg.CPU, avgBg.Mem)
+		pc, slaMs := settingContext(app, rate, lvl.slaMult, avgBg)
 		res, err := ermsPlanner("erms", multiplex.SchemePriority).run(pc)
 		if err != nil {
 			panic(err)

@@ -255,7 +255,7 @@ func Fig4(quick bool) []*Table {
 		// SLA 24ms sits inside both microservices' achievable latency bands,
 		// so targets (not capacity) drive the allocation; utilization 0 for
 		// everyone isolates target computation from interference-awareness.
-		pc := newContext(app, modelsFor(app, cluster.DefaultInterference), uniformRates(app, setting.rate), 24, 0, 0)
+		pc := newContext(app, profiling.AnalyticModels(app.Profiles, app.Containers, cluster.DefaultInterference), uniformRates(app, setting.rate), 24, 0, 0)
 		rawUsage := map[string]float64{}
 		for _, p := range []planner{
 			ermsPlanner("erms", multiplex.SchemePriority),
@@ -332,7 +332,7 @@ func Fig5(quick bool) []*Table {
 		Title:  "Shared-microservice schemes at 40k req/min per service, SLA 300ms (§2.3)",
 		Header: []string{"scheme", "CPU cores", "containers", "sim P95 svc1", "sim P95 svc2", "violations"},
 	}
-	pc := newContext(app, modelsFor(app, cluster.DefaultInterference), rates, 300, 0.2, 0.2)
+	pc := newContext(app, profiling.AnalyticModels(app.Profiles, app.Containers, cluster.DefaultInterference), rates, 300, 0.2, 0.2)
 	// The three schemes plan and simulate independently (shared seed 5, own
 	// cluster each); rows land in scheme order.
 	schemes := []multiplex.Scheme{multiplex.SchemeFCFS, multiplex.SchemeNonShared, multiplex.SchemePriority}

@@ -120,12 +120,10 @@ func defaultPlanners() []planner {
 	}
 }
 
-// newContext assembles a planContext for an app and its models (modelsFor
-// under the default interference) at the given per-service request rates,
-// with SLA thresholds scaled to `slaMs` for every service (0 keeps the app
-// defaults).
+// newContext assembles a planContext for an app and its models at the given
+// per-service request rates, with SLA thresholds scaled to `slaMs` for every
+// service (0 keeps the app defaults).
 func newContext(app *apps.App, models map[string]profiling.Model, rates map[string]float64, slaMs float64, cpu, mem float64) planContext {
-	cl := cluster.NewPaperCluster()
 	slas := make(map[string]workload.SLA, len(app.SLAs))
 	for svc, s := range app.SLAs {
 		if slaMs > 0 {
@@ -133,16 +131,30 @@ func newContext(app *apps.App, models map[string]profiling.Model, rates map[stri
 		}
 		slas[svc] = s
 	}
+	loads := make(map[string]map[string]float64, len(app.Graphs))
+	for _, g := range app.Graphs {
+		loads[g.Service] = g.CallRates(rates[g.Service])
+	}
 	return planContext{
 		app:    app,
 		models: models,
-		shares: sharesFor(app, cl),
-		loads:  loadsFor(app, rates),
+		shares: sharesFor(app, cluster.NewPaperCluster()),
+		loads:  loads,
 		slas:   slas,
 		cpu:    cpu,
 		mem:    mem,
 		stats:  statsFor(app, models),
 	}
+}
+
+// settingContext is the planContext of one setting: every service of app at
+// the same request rate under background interference bg, on the app's
+// analytic models, each service's SLA slaMult times the app's SLA floor
+// there (appSLAFloor), which it also returns.
+func settingContext(app *apps.App, rate, slaMult float64, bg workload.Interference) (planContext, float64) {
+	models := profiling.AnalyticModels(app.Profiles, app.Containers, cluster.DefaultInterference)
+	slaMs := appSLAFloor(app, models, bg.CPU, bg.Mem) * slaMult
+	return newContext(app, models, uniformRates(app, rate), slaMs, bg.CPU, bg.Mem), slaMs
 }
 
 // staticPatterns turns per-service rates into open-loop fixed-rate arrivals.

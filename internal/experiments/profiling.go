@@ -48,12 +48,12 @@ func sampleGen(m *profiling.Analytic, n int, noise float64, seed uint64) []profi
 		base := 3.0 * m.Profile.BaseMs
 		l0 := base * (1 + 0.3*(inf-1))
 		var l float64
-		if rho <= m.RhoKnee {
-			l = l0 + base*inf*(m.KneeFactor-1)*rho/m.RhoKnee
+		if rho <= profiling.RhoKnee {
+			l = l0 + base*inf*(m.KneeFactor-1)*rho/profiling.RhoKnee
 		} else {
 			// Post-knee growth is steep but mostly linear in the observed
 			// range (Fig. 3), with mild convexity.
-			over := (rho - m.RhoKnee) / (1 - m.RhoKnee)
+			over := (rho - profiling.RhoKnee) / (1 - profiling.RhoKnee)
 			l = l0 + base*inf*(m.KneeFactor-1)*(1+1.8*over+0.6*over*over)
 		}
 		l *= 1 + noise*r.NormFloat64()

@@ -10,6 +10,7 @@ import (
 	"erms/internal/cluster"
 	"erms/internal/multiplex"
 	"erms/internal/parallel"
+	"erms/internal/profiling"
 	"erms/internal/sortutil"
 	"erms/internal/stats"
 )
@@ -38,26 +39,15 @@ func Fig16(quick bool) []*Table {
 	for _, g := range app.Graphs {
 		rates[g.Service] = 2_000 * (0.5 + 4.5*r.Float64())
 	}
-	models := modelsFor(app, cluster.DefaultInterference)
+	models := profiling.AnalyticModels(app.Profiles, app.Containers, cluster.DefaultInterference)
 	// Keep the app's own per-service SLAs, floored to feasibility.
-	slas := app.SLAs
-	for svc := range slas {
-		floor := slaFloor(app, svc, models, staticBackground.CPU, staticBackground.Mem)
-		if s := slas[svc]; s.Threshold < floor*1.3 {
+	for svc, s := range app.SLAs {
+		if floor := slaFloor(app, svc, models, staticBackground.CPU, staticBackground.Mem); s.Threshold < floor*1.3 {
 			s.Threshold = floor * 1.3
-			slas[svc] = s
+			app.SLAs[svc] = s
 		}
 	}
-	pc := planContext{
-		app:    app,
-		models: models,
-		shares: sharesFor(app, cluster.NewPaperCluster()),
-		loads:  loadsFor(app, rates),
-		slas:   slas,
-		cpu:    staticBackground.CPU,
-		mem:    staticBackground.Mem,
-		stats:  statsFor(app, models),
-	}
+	pc := newContext(app, models, rates, 0, staticBackground.CPU, staticBackground.Mem)
 
 	planners := []planner{
 		ermsPlanner("erms", multiplex.SchemePriority),
@@ -149,7 +139,7 @@ func Scalability(quick bool) []*Table {
 	for _, n := range sizes {
 		cfg := apps.AlibabaConfig{Seed: uint64(n), Services: 1, MeanGraphSize: n, SharedFrac: 0.5, PoolSize: n / 2}
 		app := apps.Alibaba(cfg)
-		models := modelsFor(app, cluster.DefaultInterference)
+		models := profiling.AnalyticModels(app.Profiles, app.Containers, cluster.DefaultInterference)
 		svc := app.Services()[0]
 		floor := slaFloor(app, svc, models, 0.3, 0.3)
 		pc := newContext(app, models, uniformRates(app, 10_000), floor*2, 0.3, 0.3)

@@ -130,6 +130,17 @@ func (g *Graph) CallCounts() (microservices []string, counts []int) {
 	return microservices, counts
 }
 
+// CallRates expands a request rate to the service into per-microservice
+// call rates: rate times the graph positions each microservice occupies.
+func (g *Graph) CallRates(rate float64) map[string]float64 {
+	mss, counts := g.CallCounts()
+	out := make(map[string]float64, len(mss))
+	for i, ms := range mss {
+		out[ms] = rate * float64(counts[i])
+	}
+	return out
+}
+
 // NodesFor returns all nodes occupied by the named microservice.
 func (g *Graph) NodesFor(microservice string) []*Node {
 	var out []*Node

@@ -211,13 +211,11 @@ func TestFCFSWorkloadsAggregate(t *testing.T) {
 // service at one request rate, expanded into per-microservice call rates.
 func appInputs(app *apps.App, rate float64) (map[string]scaling.Input, map[string]map[string]float64, []string) {
 	cl := cluster.NewPaperCluster()
-	threads := make(map[string]int, len(app.Containers))
 	shares := make(map[string]float64, len(app.Containers))
 	for ms, spec := range app.Containers {
-		threads[ms] = spec.Threads
 		shares[ms] = cl.DominantShare(spec)
 	}
-	models := profiling.AnalyticModels(app.Profiles, threads, cluster.DefaultInterference)
+	models := profiling.AnalyticModels(app.Profiles, app.Containers, cluster.DefaultInterference)
 	inputs := make(map[string]scaling.Input, len(app.Graphs))
 	loads := make(map[string]map[string]float64, len(app.Graphs))
 	for _, g := range app.Graphs {

@@ -32,22 +32,24 @@ type Analytic struct {
 	Threads      int
 	Interference cluster.InterferenceModel
 
-	// TailFactor maps mean service time to idle tail latency. Default 3
-	// (≈ P95 of an exponential service time).
-	TailFactor float64
-	// RhoKnee is the utilization at which queueing takes over. Default 0.75.
-	RhoKnee float64
 	// KneeFactor is the latency multiple (of L0) reached at the knee.
-	// Default 2.
 	KneeFactor float64
-	// SlopeRatio is the high-interval slope relative to the low interval.
-	// Default 5 (§2.2: "the rate of increase ... is 5 times").
-	SlopeRatio float64
 }
+
+const (
+	// TailFactor maps mean service time to idle tail latency (≈ P95 of an
+	// exponential service time).
+	TailFactor = 3
+	// RhoKnee is the utilization at which queueing takes over.
+	RhoKnee = 0.75
+	// SlopeRatio is the high-interval slope relative to the low interval
+	// (§2.2: "the rate of increase ... is 5 times").
+	SlopeRatio = 5
+)
 
 var _ Model = (*Analytic)(nil)
 
-// NewAnalytic builds an analytic model with default constants. The knee
+// NewAnalytic builds an analytic model. The knee
 // factor shrinks with the thread count: a single-threaded container behaves
 // like an M/M/1 queue whose tail has already quadrupled by 75% utilization,
 // while a wide thread pool stays flat until much closer to saturation.
@@ -56,10 +58,7 @@ func NewAnalytic(p sim.ServiceProfile, threads int, itf cluster.InterferenceMode
 		Profile:      p,
 		Threads:      threads,
 		Interference: itf,
-		TailFactor:   3,
-		RhoKnee:      0.75,
 		KneeFactor:   1 + 3/math.Sqrt(float64(threads)),
-		SlopeRatio:   5,
 	}
 }
 
@@ -87,7 +86,7 @@ const minKnee = 1e-3
 // a fully saturated regime yields a steep-but-finite linearization instead
 // of an Inf/NaN slope.
 func (a *Analytic) Knee(cpuUtil, memUtil float64) float64 {
-	k := a.RhoKnee * a.Saturation(cpuUtil, memUtil)
+	k := RhoKnee * a.Saturation(cpuUtil, memUtil)
 	if !(k > minKnee) { // catches NaN as well as small and zero values
 		return minKnee
 	}
@@ -102,7 +101,7 @@ const capRatio = 1.1
 // the domain cap: continuing past the knee with a slope SlopeRatio times the
 // low interval's.
 func (a *Analytic) capFactor() float64 {
-	return a.KneeFactor + a.SlopeRatio*(a.KneeFactor-1)*(capRatio-1)
+	return a.KneeFactor + SlopeRatio*(a.KneeFactor-1)*(capRatio-1)
 }
 
 // Params returns the slope and intercept of the chosen interval. Both lines
@@ -113,7 +112,7 @@ func (a *Analytic) capFactor() float64 {
 // well-conditioned) and both lines over-estimate the curve on their domain
 // (allocations err on the safe side).
 func (a *Analytic) Params(high bool, cpuUtil, memUtil float64) (float64, float64) {
-	l0 := a.TailFactor * a.serviceTime(cpuUtil, memUtil)
+	l0 := TailFactor * a.serviceTime(cpuUtil, memUtil)
 	knee := a.Knee(cpuUtil, memUtil)
 	if !high {
 		return (a.KneeFactor - 1) * l0 / knee, l0
@@ -129,11 +128,12 @@ func (a *Analytic) Predict(workload, cpuUtil, memUtil float64) float64 {
 }
 
 // AnalyticModels builds analytic models for every microservice in the given
-// profile map.
-func AnalyticModels(profiles map[string]sim.ServiceProfile, threads map[string]int, itf cluster.InterferenceModel) map[string]Model {
+// profile map, each with its container spec's thread count (4 where the spec
+// is missing or sets none).
+func AnalyticModels(profiles map[string]sim.ServiceProfile, containers map[string]cluster.ContainerSpec, itf cluster.InterferenceModel) map[string]Model {
 	out := make(map[string]Model, len(profiles))
 	for ms, p := range profiles {
-		t := threads[ms]
+		t := containers[ms].Threads
 		if t <= 0 {
 			t = 4
 		}

@@ -248,7 +248,7 @@ func TestAnalyticModelShape(t *testing.T) {
 func TestAnalyticModels(t *testing.T) {
 	ms := AnalyticModels(
 		map[string]sim.ServiceProfile{"a": {BaseMs: 1}, "b": {BaseMs: 2}},
-		map[string]int{"a": 8},
+		map[string]cluster.ContainerSpec{"a": {Threads: 8}},
 		cluster.DefaultInterference,
 	)
 	if len(ms) != 2 {

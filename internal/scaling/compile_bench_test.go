@@ -18,13 +18,11 @@ func benchInputs(tb testing.TB, cfg apps.ScaleConfig) []scaling.Input {
 	tb.Helper()
 	app := apps.ScaleTopology(cfg)
 	cl := cluster.NewPaperCluster()
-	threads := make(map[string]int, len(app.Containers))
 	shares := make(map[string]float64, len(app.Containers))
 	for ms, spec := range app.Containers {
-		threads[ms] = spec.Threads
 		shares[ms] = cl.DominantShare(spec)
 	}
-	models := profiling.AnalyticModels(app.Profiles, threads, cluster.DefaultInterference)
+	models := profiling.AnalyticModels(app.Profiles, app.Containers, cluster.DefaultInterference)
 	inputs := make([]scaling.Input, 0, len(app.Graphs))
 	for _, g := range app.Graphs {
 		loads := make(map[string]float64, g.Len())
