@@ -68,8 +68,7 @@ func ExactGap(quick bool) []*Table {
 			return trialGap{}, nil
 		}
 		// The exact model must see the same priority ranks Erms chose.
-		fillProblem(in.prob, plan.Ranks, in.loads)
-		sol, err := in.prob.Solve(0, 0)
+		sol, err := exactProblem(in.prob, plan.Ranks, in.loads).Solve(0, 0)
 		if err != nil || sol.Usage <= 0 {
 			return trialGap{}, nil
 		}
@@ -140,18 +139,18 @@ func randomExactInstance(r *stats.RNG, nSvc int) (map[string]scaling.Input, map[
 	return inputs, loads, []string{"P"}, builder
 }
 
-// exactProblemBuilder assembles the Eq. 13-14 instance once ranks are known.
+// exactProblemBuilder holds what the Eq. 13-14 instance needs besides the
+// priority ranks.
 type exactProblemBuilder struct {
 	services []string
 	aOf      map[string]float64
 	shares   map[string]float64
 	slack    map[string]float64
-	problem  *multiplex.ExactProblem
 }
 
-// fillProblem builds the A matrix using the cumulative workloads implied by
-// the plan's priority ranks at P.
-func fillProblem(b *exactProblemBuilder, ranks map[string]map[string]int, loads map[string]map[string]float64) {
+// exactProblem builds the instance, its A matrix from the cumulative
+// workloads implied by the plan's priority ranks at P.
+func exactProblem(b *exactProblemBuilder, ranks map[string]map[string]int, loads map[string]map[string]float64) *multiplex.ExactProblem {
 	modified := multiplex.ModifiedWorkloads(ranks, loads)
 	// Microservice order: each service's own ms, then P last.
 	var msNames []string
@@ -178,10 +177,5 @@ func fillProblem(b *exactProblemBuilder, ranks map[string]map[string]int, loads 
 		prob.A[k][idx["P"]] = b.aOf["P"] * modified[svc]["P"]
 		prob.Slack[k] = b.slack[svc]
 	}
-	b.problem = prob
-}
-
-// Solve proxies to the built problem.
-func (b *exactProblemBuilder) Solve(maxIters int, tol float64) (*multiplex.ExactSolution, error) {
-	return b.problem.Solve(maxIters, tol)
+	return prob
 }

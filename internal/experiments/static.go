@@ -109,31 +109,8 @@ func Fig11(quick bool) []*Table {
 	}
 
 	// (a) CDF of per-setting totals.
-	a := &Table{
-		ID:     "fig11a",
-		Title:  "CDF of containers allocated across static settings",
-		Header: []string{"containers <="},
-	}
-	for _, p := range planners {
-		a.Header = append(a.Header, p.name)
-	}
-	var thresholds []float64
-	all := append([]float64(nil), counts[planners[0].name]...)
-	for _, p := range planners[1:] {
-		all = append(all, counts[p.name]...)
-	}
-	sort.Float64s(all)
-	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 1.0} {
-		thresholds = append(thresholds, stats.QuantileSorted(all, q))
-	}
-	for _, thr := range thresholds {
-		row := []string{fmt.Sprintf("%.0f", thr)}
-		for _, p := range planners {
-			cdf := stats.CDF(counts[p.name], []float64{thr})
-			row = append(row, pct(cdf[0]))
-		}
-		a.AddRow(row...)
-	}
+	a := cdfTable("fig11a", "CDF of containers allocated across static settings",
+		planners, counts, []float64{0.1, 0.25, 0.5, 0.75, 0.9, 1.0})
 
 	// (b) Averages by workload and SLA level.
 	b := &Table{
@@ -174,6 +151,27 @@ func Fig11(quick bool) []*Table {
 			100*(1-ermsMean/mean(p.name)), p.name)
 	}
 	return []*Table{a, b}
+}
+
+// cdfTable tabulates each planner's empirical CDF of counts[p.name] at the
+// quantiles qs of every planner's counts pooled.
+func cdfTable(id, title string, planners []planner, counts map[string][]float64, qs []float64) *Table {
+	t := &Table{ID: id, Title: title, Header: []string{"containers <="}}
+	var all []float64
+	for _, p := range planners {
+		t.Header = append(t.Header, p.name)
+		all = append(all, counts[p.name]...)
+	}
+	sort.Float64s(all)
+	for _, q := range qs {
+		thr := stats.QuantileSorted(all, q)
+		row := []string{fmt.Sprintf("%.0f", thr)}
+		for _, p := range planners {
+			row = append(row, pct(stats.CDF(counts[p.name], []float64{thr})[0]))
+		}
+		t.AddRow(row...)
+	}
+	return t
 }
 
 // simSetting deploys a plan on an interference-loaded cluster and measures

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"erms/internal/apps"
@@ -82,28 +81,8 @@ func Fig16(quick bool) []*Table {
 		perSvcCounts[p.name] = counts
 	}
 
-	a := &Table{
-		ID:     "fig16a",
-		Title:  "CDF of containers required per service (Taobao-shaped trace)",
-		Header: []string{"containers <="},
-	}
-	for _, p := range planners {
-		a.Header = append(a.Header, p.name)
-	}
-	var all []float64
-	for _, p := range planners {
-		all = append(all, perSvcCounts[p.name]...)
-	}
-	sort.Float64s(all)
-	for _, q := range []float64{0.25, 0.5, 0.8, 0.95, 1.0} {
-		thr := stats.QuantileSorted(all, q)
-		row := []string{fmt.Sprintf("%.0f", thr)}
-		for _, p := range planners {
-			cdf := stats.CDF(perSvcCounts[p.name], []float64{thr})
-			row = append(row, pct(cdf[0]))
-		}
-		a.AddRow(row...)
-	}
+	a := cdfTable("fig16a", "CDF of containers required per service (Taobao-shaped trace)",
+		planners, perSvcCounts, []float64{0.25, 0.5, 0.8, 0.95, 1.0})
 	a.AddNote("paper: 80%% of services need <2000 containers under Erms vs ~6000 under GrandSLAm/Rhythm")
 
 	b := &Table{
