@@ -553,6 +553,9 @@ func (c *Controller) EvaluateDeployed(plan *multiplex.Plan, rates map[string]flo
 			out.Goodput += float64(sr.Good()) / res.SimulatedMin
 		}
 	}
+	// Everything above reads stored values; the latency samples go back for
+	// the next window's run.
+	res.Release()
 	return out, nil
 }
 

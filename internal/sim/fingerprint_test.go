@@ -178,16 +178,7 @@ func pinnedHash(res *Result, spans []CallRecord) string {
 // `go test ./internal/sim -run TestRuntimeFingerprintPinned -update` rewrites
 // the golden file from the current build.
 func TestRuntimeFingerprintPinned(t *testing.T) {
-	var got strings.Builder
-	byName := map[string]*Result{}
-	for _, pr := range pinnedRuns {
-		res, spans := pr.run(t)
-		if len(spans) == 0 {
-			t.Errorf("%s: no sampled spans; the run pins less than it claims", pr.name)
-		}
-		byName[pr.name] = res
-		fmt.Fprintf(&got, "%s %s\n", pr.name, pinnedHash(res, spans))
-	}
+	got, byName := pinnedFingerprints(t)
 
 	// The runs must actually reach the paths they are there to pin.
 	d := byName["resilient"].Data
@@ -210,17 +201,42 @@ func TestRuntimeFingerprintPinned(t *testing.T) {
 	}
 
 	if *updateFingerprints {
-		if err := os.WriteFile(fingerprintGolden, []byte(got.String()), 0o644); err != nil {
+		if err := os.WriteFile(fingerprintGolden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
+	checkFingerprints(t, got)
+}
+
+// pinnedFingerprints runs every pinned configuration and renders the golden
+// file's text: one hash line per run. Each result is released once hashed,
+// so a later run reuses its latency samples; what the callers read of the
+// results afterwards are stored counts.
+func pinnedFingerprints(t *testing.T) (string, map[string]*Result) {
+	var got strings.Builder
+	byName := map[string]*Result{}
+	for _, pr := range pinnedRuns {
+		res, spans := pr.run(t)
+		if len(spans) == 0 {
+			t.Errorf("%s: no sampled spans; the run pins less than it claims", pr.name)
+		}
+		byName[pr.name] = res
+		fmt.Fprintf(&got, "%s %s\n", pr.name, pinnedHash(res, spans))
+		res.Release()
+	}
+	return got.String(), byName
+}
+
+// checkFingerprints compares pinnedFingerprints' text with the golden file.
+func checkFingerprints(t *testing.T, got string) {
+	t.Helper()
 	want, err := os.ReadFile(fingerprintGolden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.String() != string(want) {
-		t.Errorf("fingerprints drifted from %s:\n got:\n%s want:\n%s", fingerprintGolden, got.String(), want)
+	if got != string(want) {
+		t.Errorf("fingerprints drifted from %s:\n got:\n%s want:\n%s", fingerprintGolden, got, want)
 	}
 }
 

@@ -171,7 +171,7 @@ func TestMinuteFlushSteadyStateZeroAlloc(t *testing.T) {
 	if len(rt.result.Samples) != len(rt.msList) {
 		t.Fatalf("the flush recorded %d samples, want %d", len(rt.result.Samples), len(rt.msList))
 	}
-	if len(rt.tailScratch) != latencySampleCap {
-		t.Fatalf("the flush selected over %d samples, want %d", len(rt.tailScratch), latencySampleCap)
+	if len(*rt.tailScratch) != latencySampleCap {
+		t.Fatalf("the flush selected over %d samples, want %d", len(*rt.tailScratch), latencySampleCap)
 	}
 }

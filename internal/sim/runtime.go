@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"erms/internal/cluster"
 	"erms/internal/graph"
@@ -140,8 +141,24 @@ type Config struct {
 }
 
 // latencySampleCap bounds the per-minute per-microservice latency sample (a
-// reservoir).
-const latencySampleCap = 4096
+// reservoir); serviceSampleCap bounds each service's end-to-end one.
+const (
+	latencySampleCap = 4096
+	serviceSampleCap = 1 << 15
+)
+
+// What outlives a run (DESIGN §4e): the buffers that grow with a run's size
+// go back to these pools when the run is done with them, so the next run
+// (the next control window) reuses what this one grew. Only capacity carries
+// over: every buffer is reset or truncated when taken. The per-service
+// reservoirs come back through Result.Release, the rest at finish. Two GCs
+// empty a pool, so nothing here stays live between windows.
+var (
+	serviceLats = sync.Pool{New: func() any { return stats.NewReservoir(serviceSampleCap, nil) }}
+	minuteLats  = sync.Pool{New: func() any { return stats.NewReservoir(latencySampleCap, nil) }}
+	scratchBufs = sync.Pool{New: func() any { return new([]float64) }}
+	treeBufs    = sync.Pool{New: func() any { return new(callTrees) }}
+)
 
 // Stream is one client cohort: an arrival process onto a service with an SLO
 // tier and an optional cohort-specific SLA for outcome classification
@@ -376,15 +393,21 @@ type ServiceResult struct {
 	// measured request that ended; none is left waiting on a dead container.
 	Errors int
 
-	lat *stats.Reservoir
-	p95 float64 // the P95 of lat, selected once when the run finishes
+	lat *stats.Reservoir // nil once Result.Release handed it back
+	p95 float64          // the P95 of lat, selected once when the run finishes
 }
 
 // P95 returns the 95th-percentile end-to-end latency in milliseconds.
 func (s *ServiceResult) P95() float64 { return s.p95 }
 
-// Mean returns the mean end-to-end latency.
-func (s *ServiceResult) Mean() float64 { return s.lat.Mean() }
+// Mean returns the mean end-to-end latency. It reads the latency sample, so
+// it is valid until Result.Release, and NaN after.
+func (s *ServiceResult) Mean() float64 {
+	if s.lat == nil {
+		return math.NaN()
+	}
+	return s.lat.Mean()
+}
 
 // ViolationRate returns the fraction of requests that missed their SLA:
 // slow completions plus errors over everything that ended — the paper's SLA
@@ -476,6 +499,20 @@ type Result struct {
 	ExactContainerMinutes int
 }
 
+// Release hands the run's per-service latency samples back for a later run
+// to reuse. What the Result stores stays valid — P95, ViolationRate,
+// ErrorRate, Good and every other field — but Mean, which reads the sample,
+// does not. A second Release is a no-op, and a Result that is never released
+// costs nothing but the reuse it forgoes.
+func (r *Result) Release() {
+	for _, sr := range r.PerService {
+		if sr.lat != nil {
+			serviceLats.Put(sr.lat)
+			sr.lat = nil
+		}
+	}
+}
+
 // RunStats bundles the run's engine counters with the call-frame pool's
 // recycling balance (how many Job records were heap-allocated versus reused).
 type RunStats struct {
@@ -513,7 +550,8 @@ type msState struct {
 	// lat is the current minute's latency sample: (re)seeded at the minute's
 	// first observation, drained by flushMinute, its buffer kept across
 	// minutes. Only a recorded minute (Runtime.recording) fills it, so a run
-	// that records no minute never allocates it.
+	// that records no minute never takes one; finish returns it to
+	// minuteLats.
 	lat *stats.Reservoir
 	// drawn: the open minute's first observation has taken its draw from the
 	// run's RNG, a reservoir split in a recorded minute and a bare word in an
@@ -584,7 +622,7 @@ type Runtime struct {
 	ms         map[string]*msState
 	msList     []*msState  // name order
 	svcs       []*svcState // index-aligned with cfg.Graphs
-	trees      callTrees   // every svcState's callNode tree
+	trees      *callTrees  // every svcState's callNode tree, from treeBufs
 
 	dropMin map[int]bool
 	// recording: the open minute's samples reach Result.Samples (see
@@ -593,8 +631,9 @@ type Runtime struct {
 
 	// tailScratch is where flushMinute selects each reservoir's P95, grown
 	// once to the largest sample and reused every minute, and where finish
-	// selects each service's end-to-end P95.
-	tailScratch []float64
+	// selects each service's end-to-end P95. It comes from scratchBufs and
+	// goes back at finish.
+	tailScratch *[]float64
 
 	// jobFree recycles call frames; see Job for when a frame returns here.
 	// The runtime is single-threaded (one engine, one goroutine), so a plain
@@ -656,6 +695,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		dropMin:    make(map[int]bool, len(cfg.DropMinutes)),
 		result:     &Result{PerService: make(map[string]*ServiceResult, len(cfg.Graphs))},
 	}
+	rt.tailScratch = scratchBufs.Get().(*[]float64)
 	for _, m := range cfg.DropMinutes {
 		rt.dropMin[m] = true
 	}
@@ -683,7 +723,9 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		ms.refreshUp()
 	}
 	for gi, g := range cfg.Graphs {
-		res := &ServiceResult{lat: stats.NewReservoir(1<<15, rt.rng.Split())}
+		lat := serviceLats.Get().(*stats.Reservoir)
+		lat.Reset(rt.rng.Split())
+		res := &ServiceResult{lat: lat}
 		rt.result.PerService[g.Service] = res
 		rt.svcs = append(rt.svcs, &svcState{
 			name: g.Service,
@@ -746,8 +788,9 @@ type callTrees struct {
 	kids   []*callNode
 }
 
-// newCallTrees sizes the arrays for the call trees of graphs.
-func newCallTrees(graphs []*graph.Graph) callTrees {
+// newCallTrees takes arrays for the call trees of graphs from treeBufs,
+// replacing any that is too small by one of the exact size.
+func newCallTrees(graphs []*graph.Graph) *callTrees {
 	var nodes, stages, kids int
 	var count func(n *graph.Node)
 	count = func(n *graph.Node) {
@@ -763,18 +806,34 @@ func newCallTrees(graphs []*graph.Graph) callTrees {
 	for _, g := range graphs {
 		count(g.Root)
 	}
-	return callTrees{
-		nodes:  make([]callNode, 0, nodes),
-		stages: make([][]*callNode, 0, stages),
-		kids:   make([]*callNode, 0, kids),
+	tr := treeBufs.Get().(*callTrees)
+	if cap(tr.nodes) < nodes {
+		tr.nodes = make([]callNode, 0, nodes)
 	}
+	if cap(tr.stages) < stages {
+		tr.stages = make([][]*callNode, 0, stages)
+	}
+	if cap(tr.kids) < kids {
+		tr.kids = make([]*callNode, 0, kids)
+	}
+	return tr
+}
+
+// release zeroes what the trees used, so the pool holds no pointer into the
+// finished run, and returns the arrays to treeBufs.
+func (tr *callTrees) release() {
+	clear(tr.nodes)
+	clear(tr.stages)
+	clear(tr.kids)
+	tr.nodes, tr.stages, tr.kids = tr.nodes[:0], tr.stages[:0], tr.kids[:0]
+	treeBufs.Put(tr)
 }
 
 // resolve builds the callNode tree under n for service svc into rt.trees. A
 // node's stage slots, and a stage's kid slots, are taken before recursing, so
 // each stays contiguous.
 func (rt *Runtime) resolve(svc string, n *graph.Node) *callNode {
-	tr := &rt.trees
+	tr := rt.trees
 	ms := rt.ms[n.Microservice]
 	tr.nodes = append(tr.nodes, callNode{id: n.ID, ms: ms, prio: rt.cfg.Priorities[ms.name][svc], edgeState: rt.newEdge(svc, n)})
 	cn := &tr.nodes[len(tr.nodes)-1]
@@ -886,12 +945,23 @@ func (rt *Runtime) setup() {
 // advanceTo executes all events up to and including time t (ms).
 func (rt *Runtime) advanceTo(t float64) { rt.eng.Run(t) }
 
-// finish folds the accumulators into the Result after the last advanceTo.
+// finish folds the accumulators into the Result after the last advanceTo and
+// returns the run's pooled buffers but the per-service reservoirs, which the
+// Result keeps until Release. The runtime runs nothing after it.
 func (rt *Runtime) finish() *Result {
 	rt.result.SimulatedMin = rt.cfg.DurationMin - rt.cfg.WarmupMin
 	for _, sv := range rt.svcs {
-		sv.res.p95 = sv.res.lat.QuantileScratch(0.95, &rt.tailScratch)
+		sv.res.p95 = sv.res.lat.QuantileScratch(0.95, rt.tailScratch)
 	}
+	for _, ms := range rt.msList {
+		if ms.lat != nil {
+			minuteLats.Put(ms.lat)
+			ms.lat = nil
+		}
+	}
+	scratchBufs.Put(rt.tailScratch)
+	rt.trees.release()
+	rt.tailScratch, rt.trees = nil, nil
 	rt.result.Engine = RunStats{
 		EngineStats:   rt.eng.Stats(),
 		JobsAllocated: rt.jobsAllocated,
@@ -1152,7 +1222,8 @@ func (rt *Runtime) recordNodeLatency(ms *msState, latency float64) {
 		case !rt.recording:
 			rt.rng.Uint64()
 		case ms.lat == nil:
-			ms.lat = stats.NewReservoir(latencySampleCap, rt.rng.Split())
+			ms.lat = minuteLats.Get().(*stats.Reservoir)
+			fallthrough
 		default:
 			ms.lat.Reset(rt.rng.Split())
 		}
@@ -1190,7 +1261,7 @@ func (rt *Runtime) flushMinute(m int, record bool) {
 			Calls:             calls,
 		}
 		if rv := ms.lat; rv != nil && rv.Seen() > 0 {
-			sample.TailMs = rv.QuantileScratch(0.95, &rt.tailScratch)
+			sample.TailMs = rv.QuantileScratch(0.95, rt.tailScratch)
 			rv.Reset(nil) // re-seeded by the next recorded minute's first observation
 		}
 		if ms.fluid && calls > 0 {

@@ -629,7 +629,9 @@ func TestDeterminism(t *testing.T) {
 // TestServiceP95SelectedOnce: finish selects each service's P95 in the
 // runtime's scratch buffer, once; P95 returns what a selection over the
 // reservoir gives, bit for bit, and the reservoir keeps its item order, so
-// Mean folds the same values in the same order.
+// Mean folds the same values in the same order. finish returns the scratch
+// buffer to its pool; the test keeps the pointer it had to read the
+// selection's length.
 func TestServiceP95SelectedOnce(t *testing.T) {
 	rt, err := NewRuntime(singleMSConfig(t, 12_000, 2))
 	if err != nil {
@@ -639,6 +641,7 @@ func TestServiceP95SelectedOnce(t *testing.T) {
 	rt.advanceTo(rt.cfg.DurationMin*60_000 + drainMs)
 	sr := rt.result.PerService["svc"]
 	before := sr.lat.Values()
+	scratch := rt.tailScratch
 	rt.finish()
 	if got, want := sr.P95(), stats.Quantile(before, 0.95); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("P95 = %v, want %v", got, want)
@@ -649,8 +652,8 @@ func TestServiceP95SelectedOnce(t *testing.T) {
 			t.Fatalf("finish reordered the reservoir at %d", i)
 		}
 	}
-	if len(before) < 1000 || len(rt.tailScratch) != len(before) {
-		t.Fatalf("selected over %d of %d samples", len(rt.tailScratch), len(before))
+	if len(before) < 1000 || len(*scratch) != len(before) {
+		t.Fatalf("selected over %d of %d samples", len(*scratch), len(before))
 	}
 }
 
@@ -991,7 +994,7 @@ func TestDroppedMinutesLeaveTheRunUnchanged(t *testing.T) {
 // TestUnrecordedRunKeepsNoMinuteSample: at the control loop's window
 // geometry (1.5 minutes, 0.3 of them warm-up) minute 0 is warm-up and
 // minute 1 has no tick, so no minute is recorded and no microservice ever
-// allocates its per-minute reservoir.
+// takes a per-minute reservoir.
 func TestUnrecordedRunKeepsNoMinuteSample(t *testing.T) {
 	cfg := lockstepScenario{services: 3, block: 3, ratePerMin: 3000, durationMin: 1.5, seed: 3}.build(t)
 	cfg.WarmupMin = 0.3
@@ -999,17 +1002,20 @@ func TestUnrecordedRunKeepsNoMinuteSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := rt.Run()
+	// Read before finish, which returns every minute reservoir to its pool.
+	rt.setup()
+	rt.advanceTo(rt.cfg.DurationMin*60_000 + drainMs)
+	for _, ms := range rt.msList {
+		if ms.lat != nil {
+			t.Fatalf("%s took a latency reservoir (%d seen)", ms.name, ms.lat.Seen())
+		}
+	}
+	res := rt.finish()
 	if len(res.Samples) != 0 {
 		t.Fatalf("%d minute samples recorded, want none", len(res.Samples))
 	}
 	if res.PerService["svc-000"].Count == 0 {
 		t.Fatal("no request completed")
-	}
-	for _, ms := range rt.msList {
-		if ms.lat != nil {
-			t.Fatalf("%s allocated a latency reservoir (%d seen)", ms.name, ms.lat.Seen())
-		}
 	}
 }
 

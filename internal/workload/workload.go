@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"erms/internal/stats"
 )
@@ -233,7 +234,9 @@ func AlibabaLikeTrace(seed uint64, minutes int, base, peak float64) Trace {
 // stack aggregates workloads, and the stream generates one minute at a time:
 // a Poisson count, that many uniforms, a sort. Its buffer holds one minute,
 // sized to the largest minute seen and reused, so a window's arrivals cost
-// one minute of memory rather than the whole window.
+// one minute of memory rather than the whole window. The buffer comes from a
+// pool shared by every stream and goes back to it when Next runs out, so a
+// stream started after another drained reuses what that one grew.
 //
 // The sequence is the one sorting every minute's times together would give:
 // minute m's times lie in [m, m+1) minutes (at most m+1 after rounding) and
@@ -247,19 +250,32 @@ type Arrivals struct {
 	startMin, endMin float64
 	buf              []float64 // the current minute's times, sorted
 	next             int       // index of the next time in buf
+	// pooled is where buf goes back to minuteBufs once the stream is
+	// exhausted; nil after.
+	pooled *[]float64
 }
+
+// minuteBufs recycles the minute buffers of exhausted streams.
+var minuteBufs = sync.Pool{New: func() any { return new([]float64) }}
 
 // NewArrivals returns the arrival stream of p over [startMin, endMin),
 // drawing from r, which it then owns.
 func NewArrivals(p Pattern, r *stats.RNG, startMin, endMin float64) *Arrivals {
-	return &Arrivals{p: p, r: r, m: math.Floor(startMin), startMin: startMin, endMin: endMin}
+	buf := minuteBufs.Get().(*[]float64)
+	return &Arrivals{p: p, r: r, m: math.Floor(startMin), startMin: startMin, endMin: endMin,
+		buf: (*buf)[:0], pooled: buf}
 }
 
 // Next returns the next arrival time in milliseconds; ok is false once the
-// window is exhausted.
+// window is exhausted, when the stream returns its buffer to the pool.
 func (a *Arrivals) Next() (ms float64, ok bool) {
 	for a.next == len(a.buf) {
 		if !(a.m < a.endMin) {
+			if a.pooled != nil {
+				*a.pooled = a.buf // truncated by the NewArrivals that takes it
+				minuteBufs.Put(a.pooled)
+				a.buf, a.next, a.pooled = nil, 0, nil
+			}
 			return 0, false
 		}
 		a.fill()

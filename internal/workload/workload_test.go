@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 
@@ -220,6 +222,46 @@ func TestArrivalsSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if cap(a.buf) != largest {
 		t.Fatalf("the buffer grew from %d to %d", largest, cap(a.buf))
+	}
+}
+
+// TestDrainedStreamLendsItsBuffer: a stream hands its minute buffer back when
+// it runs out, and one started after it takes that buffer: drawing minutes no
+// larger than the first stream's (here the same draws) allocates nothing,
+// and the times are the first stream's, bit for bit. A stream read past its
+// end stays exhausted.
+func TestDrainedStreamLendsItsBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of Puts under -race")
+	}
+	p := Trace{Rates: []float64{3000, 100, 2000}, StepMin: 1}
+	// One P and no GC (this process only), so the returned buffer is where
+	// the next Get looks.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	first := NewArrivals(p, stats.NewRNG(4), 0, 3)
+	want := drain(first)
+	for range 2 {
+		if _, ok := first.Next(); ok {
+			t.Fatal("an exhausted stream yielded a time")
+		}
+	}
+	second := NewArrivals(p, stats.NewRNG(4), 0, 3)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs, n := ms.Mallocs, 0
+	for at, ok := second.Next(); ok; at, ok = second.Next() {
+		if n == len(want) || math.Float64bits(at) != math.Float64bits(want[n]) {
+			t.Fatalf("arrival %d of the second stream differs from the first's", n)
+		}
+		n++
+	}
+	runtime.ReadMemStats(&ms)
+	if n != len(want) {
+		t.Fatalf("the second stream yielded %d of %d arrivals", n, len(want))
+	}
+	if d := ms.Mallocs - mallocs; d != 0 {
+		t.Fatalf("%d arrivals on a reused buffer allocated %d times, want 0", n, d)
 	}
 }
 

@@ -248,8 +248,15 @@ awk -v repair="$(layer 'kube\.repair_ms')" -v rebalance="$(layer 'provision\.reb
 # is a hash of the trace ID, no evaluation attaches the coordinator, and the
 # loop holds ~1 300 allocations per window and ~0.16 MB live; ~1 160 while
 # every minute, recorded or not, filled per-microservice latency reservoirs,
-# ~630 since only a recorded minute does (a window records none).
-echo "== retention gate (social-diurnal: allocs per window <= 1000, live heap <= 2 MB) =="
+# ~630 since only a recorded minute does (a window records none). A window
+# allocated ~2.4 MB while every run grew its per-service latency reservoirs
+# and arrival minutes from zero; 0.86-1.16 MB (~585 allocations) since they
+# come back from the simulator's pools (the live heap is read after two GCs,
+# which empty the pools, so it did not move). The byte total is the one
+# reading here that is not fixed by the seed: a buffer left idle in a pool
+# across two GC cycles is dropped and grown again, and where the cycles fall
+# varies run to run.
+echo "== retention gate (social-diurnal: allocs per window <= 1000, <= 1.35 MB allocated, live heap <= 2 MB) =="
 res=$(bash bench/run.sh --workload social-diurnal --seed 1 --seconds 1 --trace 0 | tail -n 1)
 case "$res" in
 '{"correct":true,'*) ;;
@@ -258,9 +265,9 @@ case "$res" in
 	exit 1
 	;;
 esac
-awk -v allocs="$(layer 'allocs_per_window')" -v heap="$(layer 'heap_live_mb')" 'BEGIN {
-	printf "%d allocations per window, %.1f MB live heap\n", allocs, heap
-	exit !(allocs > 0 && allocs <= 1000 && heap > 0 && heap <= 2)
+awk -v allocs="$(layer 'allocs_per_window')" -v mb="$(layer 'alloc_mb_per_window')" -v heap="$(layer 'heap_live_mb')" 'BEGIN {
+	printf "%d allocations, %.2f MB allocated per window, %.1f MB live heap\n", allocs, mb, heap
+	exit !(allocs > 0 && allocs <= 1000 && mb > 0 && mb <= 1.35 && heap > 0 && heap <= 2)
 }'
 
 # The simulator's per-window set-up costs what the window simulates, not a
@@ -274,8 +281,11 @@ awk -v allocs="$(layer 'allocs_per_window')" -v heap="$(layer 'heap_live_mb')" '
 # one callNode per graph node and one slice per stage; ~6 000 and 1.9 MB
 # while Config.validate sorted every graph's microservice names on every
 # NewRuntime only to look each one up; ~5 500 and 1.6 MB since it walks the
-# graph's nodes.
-echo "== simulator set-up gate (scale100-window: allocs per window <= 5750, <= 1.75 MB) =="
+# graph's nodes; ~4 985 and 0.95-1.13 MB since latency reservoirs, arrival
+# minutes, the selection scratch and the call trees come back from the
+# simulator's pools instead of being grown again every window (the bytes
+# vary with where GC cycles empty the pools).
+echo "== simulator set-up gate (scale100-window: allocs per window <= 5700, <= 1.3 MB) =="
 res=$(bash bench/run.sh --workload scale100-window --seed 1 --seconds 1 --trace 0 | tail -n 1)
 case "$res" in
 '{"correct":true,'*) ;;
@@ -286,7 +296,7 @@ case "$res" in
 esac
 awk -v allocs="$(layer 'allocs_per_window')" -v mb="$(layer 'alloc_mb_per_window')" 'BEGIN {
 	printf "%d allocations, %.2f MB allocated per window\n", allocs, mb
-	exit !(allocs > 0 && allocs <= 5750 && mb > 0 && mb <= 1.75)
+	exit !(allocs > 0 && allocs <= 5700 && mb > 0 && mb <= 1.3)
 }'
 
 # The resilient simulator's per-window allocations: one untraced hotel-chaos
@@ -298,8 +308,11 @@ awk -v allocs="$(layer 'allocs_per_window')" -v mb="$(layer 'alloc_mb_per_window
 # attempt settles; ~765 since no container keeps a list of its in-flight
 # calls (a crash finds them on the frame heap) and the runtime's tables are
 # sized up front; ~635 since unrecorded minutes fill no latency reservoir
-# and the call trees live in three arrays.
-echo "== resilient simulator gate (hotel-chaos: allocs per window <= 720) =="
+# and the call trees live in three arrays; ~477 and 0.46-0.56 MB (from
+# ~3.0 MB) since latency reservoirs, arrival minutes, the selection scratch
+# and the call trees come back from the simulator's pools (the bytes vary
+# with where GC cycles empty the pools).
+echo "== resilient simulator gate (hotel-chaos: allocs per window <= 550, <= 0.65 MB) =="
 res=$(bash bench/run.sh --workload hotel-chaos --seed 1 --seconds 1 --trace 0 | tail -n 1)
 case "$res" in
 '{"correct":true,'*) ;;
@@ -308,9 +321,9 @@ case "$res" in
 	exit 1
 	;;
 esac
-awk -v allocs="$(layer 'allocs_per_window')" 'BEGIN {
-	printf "%d allocations per window\n", allocs
-	exit !(allocs > 0 && allocs <= 720)
+awk -v allocs="$(layer 'allocs_per_window')" -v mb="$(layer 'alloc_mb_per_window')" 'BEGIN {
+	printf "%d allocations, %.2f MB allocated per window\n", allocs, mb
+	exit !(allocs > 0 && allocs <= 550 && mb > 0 && mb <= 0.65)
 }'
 
 # The same gate on the control plane: no per-series state grows with the
