@@ -350,6 +350,7 @@ func mergeResults(cfg Config, parts []*partition) *Result {
 		for svc, sr := range r.PerService {
 			out.PerService[svc] = sr
 		}
+		out.services = append(out.services, r.services...)
 		out.Samples = append(out.Samples, r.Samples...)
 		out.Engine.Events += r.Engine.Events
 		out.Engine.JobsAllocated += r.Engine.JobsAllocated

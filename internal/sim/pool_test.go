@@ -10,7 +10,7 @@ import (
 	"erms/internal/workload"
 )
 
-// dirtyPools leaves every pool of the package holding used buffers larger
+// dirtyPools leaves every list of the package holding used buffers larger
 // than any pinned run's: end-to-end reservoirs filled past their bound (so
 // their RNG draws), full per-minute reservoirs of a recorded minute, the
 // call trees of 12 services' graphs, and 45 000-arrival minutes.
@@ -36,8 +36,8 @@ func dirtyPools(t *testing.T) {
 	res.Release()
 }
 
-// TestPooledBuffersStartClean: what a run takes from the pools carries
-// capacity, never content. After a large run has dirtied every pool, every
+// TestPooledBuffersStartClean: what a run takes from the lists carries
+// capacity, never content. After a large run has dirtied every list, every
 // pinned run still hashes to its golden line — at 1 worker and at 4, where
 // the partitioned run's partitions take and return buffers concurrently.
 // The pinned runs release their results as they go, so each also starts on
@@ -116,28 +116,23 @@ func TestReleaseContract(t *testing.T) {
 		t.Error("a run after a Release differs from the first")
 	}
 	if fingerprint(kept, nil) != keptText {
-		t.Error("an unreleased Result's samples changed while later runs reused the pools")
+		t.Error("an unreleased Result's samples changed while later runs reused the lists")
 	}
 }
 
 // TestWarmRunAllocatesAQuarter: a window's run allocates what it decides,
-// not what the last one measured. With the pools emptied and the GC paused
+// not what the last one measured. With the lists emptied and the GC paused
 // (this process only), a second identical run of a 3-service, 1-minute
 // config at 20 000 requests/min, released like the first, allocates under a
 // quarter of the first's bytes: the reservoirs, arrival minutes, selection
-// scratch and call trees come back from the pools.
+// scratch and call trees come back from the lists.
 func TestWarmRunAllocatesAQuarter(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a random share of Puts under -race")
-	}
 	cfgs := make([]Config, 2)
 	for i := range cfgs {
 		cfgs[i] = lockstepScenario{services: 3, block: 3, ratePerMin: 20_000, durationMin: 1, seed: 21}.build(t)
 		cfgs[i].WarmupMin = 0
 	}
-	// One P, so what a run returns to a pool sits where the next run looks.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.GC() // two cycles empty every sync.Pool
+	runtime.GC() // two idle cycles empty every list
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	bytes := make([]uint64, len(cfgs))

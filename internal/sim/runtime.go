@@ -7,10 +7,10 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"erms/internal/cluster"
 	"erms/internal/graph"
+	"erms/internal/recycle"
 	"erms/internal/stats"
 	"erms/internal/workload"
 )
@@ -148,16 +148,17 @@ const (
 )
 
 // What outlives a run (DESIGN §4e): the buffers that grow with a run's size
-// go back to these pools when the run is done with them, so the next run
+// go back to these lists when the run is done with them, so the next run
 // (the next control window) reuses what this one grew. Only capacity carries
 // over: every buffer is reset or truncated when taken. The per-service
 // reservoirs come back through Result.Release, the rest at finish. Two GCs
-// empty a pool, so nothing here stays live between windows.
+// with no run between them empty a list, so nothing here stays live once
+// the windows stop.
 var (
-	serviceLats = sync.Pool{New: func() any { return stats.NewReservoir(serviceSampleCap, nil) }}
-	minuteLats  = sync.Pool{New: func() any { return stats.NewReservoir(latencySampleCap, nil) }}
-	scratchBufs = sync.Pool{New: func() any { return new([]float64) }}
-	treeBufs    = sync.Pool{New: func() any { return new(callTrees) }}
+	serviceLats = recycle.List[stats.Reservoir]{New: func() *stats.Reservoir { return stats.NewReservoir(serviceSampleCap, nil) }}
+	minuteLats  = recycle.List[stats.Reservoir]{New: func() *stats.Reservoir { return stats.NewReservoir(latencySampleCap, nil) }}
+	scratchBufs = recycle.List[[]float64]{New: func() *[]float64 { return new([]float64) }}
+	treeBufs    = recycle.List[callTrees]{New: func() *callTrees { return new(callTrees) }}
 )
 
 // Stream is one client cohort: an arrival process onto a service with an SLO
@@ -497,6 +498,10 @@ type Result struct {
 	// Outside hybrid mode every container-minute is exact.
 	FluidContainerMinutes int
 	ExactContainerMinutes int
+
+	// services holds PerService's values in Config.Graphs order (partition
+	// order, then graph order, for RunPartitioned), the order Release walks.
+	services []*ServiceResult
 }
 
 // Release hands the run's per-service latency samples back for a later run
@@ -504,9 +509,13 @@ type Result struct {
 // ErrorRate, Good and every other field — but Mean, which reads the sample,
 // does not. A second Release is a no-op, and a Result that is never released
 // costs nothing but the reuse it forgoes.
+//
+// The samples go back last service first, so that the next run over the
+// same graphs, which takes them in graph order, gives each service the
+// sample it had: one that is already as large as that service needs.
 func (r *Result) Release() {
-	for _, sr := range r.PerService {
-		if sr.lat != nil {
+	for i := len(r.services) - 1; i >= 0; i-- {
+		if sr := r.services[i]; sr.lat != nil {
 			serviceLats.Put(sr.lat)
 			sr.lat = nil
 		}
@@ -693,9 +702,9 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		svcs:       make([]*svcState, 0, len(cfg.Graphs)),
 		trees:      newCallTrees(cfg.Graphs),
 		dropMin:    make(map[int]bool, len(cfg.DropMinutes)),
-		result:     &Result{PerService: make(map[string]*ServiceResult, len(cfg.Graphs))},
+		result:     &Result{PerService: make(map[string]*ServiceResult, len(cfg.Graphs)), services: make([]*ServiceResult, 0, len(cfg.Graphs))},
 	}
-	rt.tailScratch = scratchBufs.Get().(*[]float64)
+	rt.tailScratch = scratchBufs.Get()
 	for _, m := range cfg.DropMinutes {
 		rt.dropMin[m] = true
 	}
@@ -723,10 +732,11 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		ms.refreshUp()
 	}
 	for gi, g := range cfg.Graphs {
-		lat := serviceLats.Get().(*stats.Reservoir)
+		lat := serviceLats.Get()
 		lat.Reset(rt.rng.Split())
 		res := &ServiceResult{lat: lat}
 		rt.result.PerService[g.Service] = res
+		rt.result.services = append(rt.result.services, res)
 		rt.svcs = append(rt.svcs, &svcState{
 			name: g.Service,
 			gi:   gi,
@@ -806,7 +816,7 @@ func newCallTrees(graphs []*graph.Graph) *callTrees {
 	for _, g := range graphs {
 		count(g.Root)
 	}
-	tr := treeBufs.Get().(*callTrees)
+	tr := treeBufs.Get()
 	if cap(tr.nodes) < nodes {
 		tr.nodes = make([]callNode, 0, nodes)
 	}
@@ -819,7 +829,7 @@ func newCallTrees(graphs []*graph.Graph) *callTrees {
 	return tr
 }
 
-// release zeroes what the trees used, so the pool holds no pointer into the
+// release zeroes what the trees used, so the list holds no pointer into the
 // finished run, and returns the arrays to treeBufs.
 func (tr *callTrees) release() {
 	clear(tr.nodes)
@@ -1222,7 +1232,7 @@ func (rt *Runtime) recordNodeLatency(ms *msState, latency float64) {
 		case !rt.recording:
 			rt.rng.Uint64()
 		case ms.lat == nil:
-			ms.lat = minuteLats.Get().(*stats.Reservoir)
+			ms.lat = minuteLats.Get()
 			fallthrough
 		default:
 			ms.lat.Reset(rt.rng.Split())

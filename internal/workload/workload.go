@@ -9,8 +9,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
+	"erms/internal/recycle"
 	"erms/internal/stats"
 )
 
@@ -235,7 +235,7 @@ func AlibabaLikeTrace(seed uint64, minutes int, base, peak float64) Trace {
 // a Poisson count, that many uniforms, a sort. Its buffer holds one minute,
 // sized to the largest minute seen and reused, so a window's arrivals cost
 // one minute of memory rather than the whole window. The buffer comes from a
-// pool shared by every stream and goes back to it when Next runs out, so a
+// list shared by every stream and goes back to it when Next runs out, so a
 // stream started after another drained reuses what that one grew.
 //
 // The sequence is the one sorting every minute's times together would give:
@@ -256,18 +256,18 @@ type Arrivals struct {
 }
 
 // minuteBufs recycles the minute buffers of exhausted streams.
-var minuteBufs = sync.Pool{New: func() any { return new([]float64) }}
+var minuteBufs = recycle.List[[]float64]{New: func() *[]float64 { return new([]float64) }}
 
 // NewArrivals returns the arrival stream of p over [startMin, endMin),
 // drawing from r, which it then owns.
 func NewArrivals(p Pattern, r *stats.RNG, startMin, endMin float64) *Arrivals {
-	buf := minuteBufs.Get().(*[]float64)
+	buf := minuteBufs.Get()
 	return &Arrivals{p: p, r: r, m: math.Floor(startMin), startMin: startMin, endMin: endMin,
 		buf: (*buf)[:0], pooled: buf}
 }
 
 // Next returns the next arrival time in milliseconds; ok is false once the
-// window is exhausted, when the stream returns its buffer to the pool.
+// window is exhausted, when the stream returns its buffer to minuteBufs.
 func (a *Arrivals) Next() (ms float64, ok bool) {
 	for a.next == len(a.buf) {
 		if !(a.m < a.endMin) {

@@ -231,13 +231,8 @@ func TestArrivalsSteadyStateZeroAlloc(t *testing.T) {
 // and the times are the first stream's, bit for bit. A stream read past its
 // end stays exhausted.
 func TestDrainedStreamLendsItsBuffer(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a random share of Puts under -race")
-	}
 	p := Trace{Rates: []float64{3000, 100, 2000}, StepMin: 1}
-	// One P and no GC (this process only), so the returned buffer is where
-	// the next Get looks.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// No GC (this process only), so nothing frees the returned buffer.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	first := NewArrivals(p, stats.NewRNG(4), 0, 3)
 	want := drain(first)

@@ -250,12 +250,11 @@ awk -v repair="$(layer 'kube\.repair_ms')" -v rebalance="$(layer 'provision\.reb
 # every minute, recorded or not, filled per-microservice latency reservoirs,
 # ~630 since only a recorded minute does (a window records none). A window
 # allocated ~2.4 MB while every run grew its per-service latency reservoirs
-# and arrival minutes from zero; 0.86-1.16 MB (~585 allocations) since they
-# come back from the simulator's pools (the live heap is read after two GCs,
-# which empty the pools, so it did not move). The byte total is the one
-# reading here that is not fixed by the seed: a buffer left idle in a pool
-# across two GC cycles is dropped and grown again, and where the cycles fall
-# varies run to run.
+# and arrival minutes from zero; 0.86-1.16 MB (~585 allocations) while they
+# came back from per-processor sync.Pools, whose reuse depended on the
+# scheduler; 0.858 MB in every run since internal/recycle's lists hand them
+# back in a fixed order (the live heap is read after two GCs, which empty
+# the lists, so it did not move).
 echo "== retention gate (social-diurnal: allocs per window <= 1000, <= 1.35 MB allocated, live heap <= 2 MB) =="
 res=$(bash bench/run.sh --workload social-diurnal --seed 1 --seconds 1 --trace 0 | tail -n 1)
 case "$res" in
@@ -283,8 +282,8 @@ awk -v allocs="$(layer 'allocs_per_window')" -v mb="$(layer 'alloc_mb_per_window
 # NewRuntime only to look each one up; ~5 500 and 1.6 MB since it walks the
 # graph's nodes; ~4 985 and 0.95-1.13 MB since latency reservoirs, arrival
 # minutes, the selection scratch and the call trees come back from the
-# simulator's pools instead of being grown again every window (the bytes
-# vary with where GC cycles empty the pools).
+# simulator's pools instead of being grown again every window; 0.948 MB in
+# every run since those pools hand them back in a fixed order.
 echo "== simulator set-up gate (scale100-window: allocs per window <= 5700, <= 1.3 MB) =="
 res=$(bash bench/run.sh --workload scale100-window --seed 1 --seconds 1 --trace 0 | tail -n 1)
 case "$res" in
@@ -310,8 +309,8 @@ awk -v allocs="$(layer 'allocs_per_window')" -v mb="$(layer 'alloc_mb_per_window
 # sized up front; ~635 since unrecorded minutes fill no latency reservoir
 # and the call trees live in three arrays; ~477 and 0.46-0.56 MB (from
 # ~3.0 MB) since latency reservoirs, arrival minutes, the selection scratch
-# and the call trees come back from the simulator's pools (the bytes vary
-# with where GC cycles empty the pools).
+# and the call trees come back from the simulator's pools; 0.474 MB in
+# every run since those pools hand them back in a fixed order.
 echo "== resilient simulator gate (hotel-chaos: allocs per window <= 550, <= 0.65 MB) =="
 res=$(bash bench/run.sh --workload hotel-chaos --seed 1 --seconds 1 --trace 0 | tail -n 1)
 case "$res" in
